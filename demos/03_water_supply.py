@@ -14,7 +14,7 @@ methane = cfg.product("methane")
 print("Desalination pays off beyond ...")
 for plant in cfg.plants:
     econ = ew.econ_for_cell(cfg, plant, methane, 1.0)
-    query = BreakevenQuery(plant=plant, product=methane, tolerance=0.5)
+    query = BreakevenQuery(plant=plant, product=methane)
     d = breakeven_distance(query, econ)
     print(f"  {plant.name:<12} {d.value_in('km'):6.1f} km")
 

@@ -16,8 +16,8 @@ from .water import (
     desal_power, head_loss, pump_power, water_capital, water_operational,
 )
 from .conversion import (
-    BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, HydrogenPlan, ProductSpec,
-    Reaction, builtin_product, chemical_revenue, hydrogen_capital, nexus_rates,
+    BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, ProductSpec, Reaction,
+    builtin_product, chemical_revenue, hydrogen_capital, nexus_rates,
     power_capital, stoichiometry,
 )
 from .economics import (
@@ -34,8 +34,8 @@ from .presets import econ_for_cell, paper_2024, resolver
 __all__ = [
     "AnnualizationPolicy", "BreakevenQuery", "BUILTIN_PRODUCTS", "CcssPlan",
     "ConfigError", "CostLedger", "Desalination", "DomainError", "EconParams",
-    "ETHANOL", "HydrogenPlan", "LedgerItem", "LoadedConfig", "METHANE",
-    "METHANOL", "NetworkTransfer", "NoCrossingError", "PlantSpec",
+    "ETHANOL", "LedgerItem", "LoadedConfig", "METHANE", "METHANOL",
+    "NetworkTransfer", "NoCrossingError", "PlantSpec",
     "ProductSpec", "Quantity", "Reaction", "ReuseAll", "ScenarioConfig",
     "ScenarioResult", "SolarSeawater", "StoreAll", "SweepGrid", "TimeSeries",
     "UnitError", "WaterSupplyPlan", "breakeven_distance", "builtin_product",

@@ -91,15 +91,12 @@ class BreakevenQuery:
     plant: PlantSpec
     product: ProductSpec
     distance_bounds: tuple[float, float] = (1.0, 1000.0)   # [km]
-    tolerance: float = 0.5                                  # [km]
 
     def __post_init__(self):
         lo, hi = self.distance_bounds
         object.__setattr__(self, "distance_bounds", (float(lo), float(hi)))
         if not lo < hi:
             raise DomainError("distance bounds must satisfy d_lo < d_hi")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
 
 
 class NoCrossingError(DomainError):
@@ -133,9 +130,9 @@ def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[
 def breakeven_distance(query: BreakevenQuery, econ: EconParams) -> Quantity:
     """Pipe length at which network transfer stops beating desalination [km].
 
-    Bisection on the monotone daily-cost difference, to within the query
-    tolerance.  Raises NoCrossingError (with both endpoint gaps) if one
-    option dominates over the whole window.
+    The window-end secant is exact: the gap is affine in d (pipe capital, r_w).
+    Raises NoCrossingError (with both endpoint gaps) if one option dominates
+    over the whole window.
     """
     g = _transfer_minus_desal(query, econ)
     lo, hi = query.distance_bounds
@@ -148,16 +145,7 @@ def breakeven_distance(query: BreakevenQuery, econ: EconParams) -> Quantity:
         raise NoCrossingError(
             f"no break-even in [{lo:g}, {hi:g}] km: cost gap goes from "
             f"{g_lo:+.2f} to {g_hi:+.2f} $/day", g_lo, g_hi)
-    while hi - lo > query.tolerance:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return Quantity(mid, "km")
-        if (g_mid > 0) == (g_hi > 0):
-            hi, g_hi = mid, g_mid
-        else:
-            lo, g_lo = mid, g_mid
-    return Quantity(0.5 * (lo + hi), "km")
+    return Quantity(lo + (hi - lo) * g_lo / (g_lo - g_hi), "km")
 
 
 @dataclass(frozen=True)
@@ -187,27 +175,24 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
         from .conversion import METHANE
         product = METHANE
     _, w_max, _ = nexus_rates(plant, product, 1.0)
+    w_val = w_max.value_in("m3/h")
     policy = economics.AnnualizationPolicy.from_econ(econ)
     cells: list[CurveCell] = []
     for d in distances:
-        mode = water.NetworkTransfer(Quantity(float(d), "km"))
+        d_km = float(d)
+        mode = water.NetworkTransfer(Quantity(d_km, "km"))
         plan = water.WaterSupplyPlan(mode, w_max)
         capital = water.water_capital(plan, econ)
         cap_daily = economics.daily_capital_charge(capital, policy).value_in("$/day")
-        r_w = water.effective_r_w(econ, float(d))
         for f in flows:
+            f_val = float(f)
             try:
-                f_val = float(f)
-                if f_val < 0 or f_val > w_max.value_in("m3/h"):
-                    raise DomainError(
-                        f"flow {f_val:g} m3/h outside [0, {w_max.value_in('m3/h'):g}]")
-                pump_kw = water.pump_power(Quantity(f_val, "m3/h"), r_w, econ.eta_pump)
-                op_daily = 24.0 * econ.elec_price * pump_kw.value_in("kW")
-                cells.append(CurveCell(float(d), f_val, cap_daily, op_daily,
-                                       cap_daily + op_daily))
+                op_daily = 24.0 * water.pump_cost(f_val, w_val, d_km, econ)
             except DomainError as exc:
-                cells.append(CurveCell(float(d), float(f),
+                cells.append(CurveCell(d_km, f_val,
                                        error=f"cell (d={d:g} km, f={f:g} m3/h): {exc}"))
+                continue
+            cells.append(CurveCell(d_km, f_val, cap_daily, op_daily, cap_daily + op_daily))
     return tuple(cells)
 
 

@@ -20,13 +20,10 @@ class CcssPlan:
     """Split of captured carbon between reuse (beta) and piped storage."""
 
     beta: float
-    transfer_mode: str = "pipeline"
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise DomainError(f"beta must lie in [0, 1], got {self.beta!r}")
-        if self.transfer_mode != "pipeline":
-            raise DomainError("only pipeline transfer is modeled")
 
 
 def ccss_capital(plan: CcssPlan, plant: PlantSpec, econ: EconParams) -> Quantity:

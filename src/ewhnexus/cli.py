@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import analysis, water
+from . import analysis
 from .config import ConfigError, LoadedConfig, load_config
 from .economics import ScenarioConfig, total_daily_cost
 from .presets import econ_for_cell, resolver
-from .quantities import DomainError, Quantity, UnitError
+from .quantities import DomainError, UnitError
 
 SWEEP_CSV_HEADER = ("plant,product,beta,capital_usd,operational_usd_per_day,"
                     "revenue_usd_per_day,daily_cost_usd_per_day,"
@@ -48,7 +48,6 @@ class RunManifest:
     beta: float | None = None
     distances: tuple[float, ...] = ()
     flows: tuple[float, ...] = ()
-    tolerance: float | None = None
 
 
 def _sweep_row(cell: analysis.SweepCell) -> dict:
@@ -152,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated pipe distances [km] for 'curve'")
     parser.add_argument("--flows", default=None,
                         help="comma-separated water flows [m3/h] for 'curve'")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="break-even bisection tolerance [km]")
     return parser
 
 
@@ -169,7 +166,6 @@ def manifest_from_args(argv: Sequence[str]) -> RunManifest:
         beta=args.beta,
         distances=_parse_float_list(args.distances, "--distances") if args.distances else (),
         flows=_parse_float_list(args.flows, "--flows") if args.flows else (),
-        tolerance=args.tolerance,
     )
 
 
@@ -219,7 +215,7 @@ def run(manifest: RunManifest) -> tuple[int, str, list[str]]:
             raise ConfigError("--product needs --beta (reuse fraction in (0, 1])")
         beta = manifest.beta if manifest.beta is not None else 0.0
         product = cfg.product(manifest.product) if manifest.product else None
-        econ = econ_for_cell(cfg, plant, product, beta, cfg.water_mode)
+        econ = econ_for_cell(cfg, plant, product, beta)
         scenario = ScenarioConfig(plant=plant, econ=econ, beta=beta, product=product,
                                   water_mode=cfg.water_mode)
         result = total_daily_cost(scenario)
@@ -234,15 +230,10 @@ def run(manifest: RunManifest) -> tuple[int, str, list[str]]:
     if manifest.command == "breakeven":
         plant = _require_plant(manifest, cfg)
         product = cfg.product(manifest.product) if manifest.product else cfg.product("methane")
-        kwargs = {}
-        if manifest.tolerance is not None:
-            kwargs["tolerance"] = manifest.tolerance
-        query = analysis.BreakevenQuery(plant=plant, product=product, **kwargs)
-        econ = econ_for_cell(cfg, plant, product, 1.0, cfg.water_mode)
-        distance = analysis.breakeven_distance(query, econ)
+        query = analysis.BreakevenQuery(plant=plant, product=product)
+        distance = analysis.breakeven_distance(query, econ_for_cell(cfg, plant, product, 1.0))
         payload = {"plant": plant.name, "product": product.name,
-                   "breakeven_distance_km": distance.value_in("km"),
-                   "tolerance_km": query.tolerance}
+                   "breakeven_distance_km": distance.value_in("km")}
         return EXIT_OK, _single_result_output(payload, manifest.output_format), []
 
     if manifest.command == "curve":
@@ -250,8 +241,7 @@ def run(manifest: RunManifest) -> tuple[int, str, list[str]]:
         if not manifest.distances:
             raise ConfigError("--distances is required for 'curve'")
         product = cfg.product(manifest.product) if manifest.product else cfg.product("methane")
-        econ = econ_for_cell(cfg, plant, product, 1.0,
-                             water.NetworkTransfer(Quantity(max(manifest.distances), "km")))
+        econ = econ_for_cell(cfg, plant, product, 1.0)
         flows = manifest.flows
         if not flows:
             from .conversion import nexus_rates
@@ -275,7 +265,7 @@ def run(manifest: RunManifest) -> tuple[int, str, list[str]]:
         if manifest.product:
             product = cfg.product(manifest.product)
             strategy: analysis.Strategy = analysis.ReuseAll(product)
-            econ = econ_for_cell(cfg, plant, product, 1.0, cfg.water_mode)
+            econ = econ_for_cell(cfg, plant, product, 1.0)
             label = f"reuse-all ({product.name})"
         else:
             strategy = analysis.StoreAll()

@@ -343,6 +343,11 @@ def load_config_text(text: str) -> LoadedConfig:
     calibration = _load_calibration(data.get("calibration"), errors)
     include_h2 = _load_policy(data.get("policy"), errors)
 
+    plant_names = sorted(p.name for p in plants)
+    for pname in calibration.r_w_per_100km:
+        if pname not in plant_names:
+            errors.append(f"calibration.r_w_per_100km.{pname}: names no configured plant "
+                          f"(plants: {plant_names})")
     if econ is not None:
         if econ.c_ccs is None and calibration.ccs_capital_total is None:
             errors.append("econ.c_ccs: required unless calibration.ccs_capital_total is given "

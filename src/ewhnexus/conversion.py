@@ -149,19 +149,6 @@ def stoichiometry(product: ProductSpec) -> MassRatios:
     return MassRatios(product.xi_h, product.xi_chi, product.water_demand)
 
 
-@dataclass(frozen=True)
-class HydrogenPlan:
-    """Electrolyzer fleet sized to a maximum hydrogen output."""
-
-    h_max: Quantity  # [ton/h]
-
-    def __post_init__(self):
-        if self.h_max.dim != (1, 0, -1, 0, 0, 0):
-            raise UnitError(f"h_max must be a mass flow, got {self.h_max.unit!r}")
-        if self.h_max.magnitude < 0:
-            raise DomainError("h_max must be >= 0")
-
-
 def nexus_rates(plant: PlantSpec, product: ProductSpec,
                 beta: float) -> tuple[Quantity, Quantity, Quantity]:
     """Hydrogen, feed-water and product rates for a reuse fraction beta.

@@ -149,9 +149,8 @@ def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     if beta > 0 and scenario.product is not None:
         product = scenario.product
         h2_rate, water_rate, _ = conversion.nexus_rates(plant, product, beta)
-        h_plan = conversion.HydrogenPlan(h2_rate)
 
-        cap_power = _term("power-capital", conversion.power_capital, h_plan.h_max, econ)
+        cap_power = _term("power-capital", conversion.power_capital, h2_rate, econ)
         items.append(LedgerItem("wind farm capital", "power-capital",
                                 CAPITAL, cap_power.value_in("$"), "$"))
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from . import water
 from .analysis import EconResolver
 from .config import LoadedConfig, load_config
 from .conversion import ProductSpec, nexus_rates
@@ -26,8 +25,7 @@ from .quantities import EconParams, PlantSpec, emissions_at_capacity
 
 
 def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
-                  product: ProductSpec | None = None, beta: float = 0.0,
-                  water_mode: water.WaterMode | None = None) -> EconParams:
+                  product: ProductSpec | None = None, beta: float = 0.0) -> EconParams:
     """Economic parameters for one scenario cell with calibration applied."""
     econ = cfg.econ
     cal = cfg.calibration
@@ -50,7 +48,7 @@ def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
 def resolver(cfg: LoadedConfig) -> EconResolver:
     """Cell-wise parameter resolver for scenario sweeps."""
     def resolve(plant, product, beta, mode):
-        return econ_for_cell(cfg, plant, product, beta, mode)
+        return econ_for_cell(cfg, plant, product, beta)
     return resolve
 
 

@@ -214,7 +214,7 @@ class Quantity:
     def __mul__(self, other):
         if isinstance(other, Quantity):
             dim = tuple(a + b for a, b in zip(self.dim, other.dim))
-            return Quantity(self.canonical * other.canonical, _dim_label_checked(dim))
+            return Quantity(self.canonical * other.canonical, _dim_label(dim))
         return Quantity(self.magnitude * float(other), self.unit)
 
     __rmul__ = __mul__
@@ -222,7 +222,7 @@ class Quantity:
     def __truediv__(self, other):
         if isinstance(other, Quantity):
             dim = tuple(a - b for a, b in zip(self.dim, other.dim))
-            return Quantity(self.canonical / other.canonical, _dim_label_checked(dim))
+            return Quantity(self.canonical / other.canonical, _dim_label(dim))
         return Quantity(self.magnitude / float(other), self.unit)
 
     def _cmp_value(self, other: "Quantity") -> float:
@@ -243,12 +243,6 @@ class Quantity:
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.unit}"
-
-
-def _dim_label_checked(dim) -> str:
-    # synthesized labels parse back through _parse_dim_label, so no registry
-    # mutation is needed and the module stays free of shared mutable state
-    return _dim_label(tuple(dim))
 
 
 @dataclass(frozen=True)
@@ -382,7 +376,7 @@ class TimeSeries:
         total_dim = tuple(a + b for a, b in zip(rate_dim, _d(time=1)))
         _, scale = _unit_entry(self.unit)
         return Quantity(_scale_value(math.fsum(self.values), scale),
-                        _dim_label_checked(total_dim))
+                        _dim_label(total_dim))
 
     @property
     def dim(self) -> Dim:

@@ -121,6 +121,17 @@ def effective_r_w(econ: EconParams, distance_km: float) -> float:
     return econ.r_w_per_100km * distance_km / 100.0
 
 
+def pump_cost(f: float, w_max: float, distance_km: float, econ: EconParams) -> float:
+    """Grid electricity bill for pumping flow f [m3/h] down the pipe for one hour [$].
+
+    The flow must lie within [0, w_max], the production capacity [m3/h].
+    """
+    if not 0.0 <= f <= w_max:
+        raise DomainError(f"flow {f:g} m3/h outside the production capacity [0, {w_max:g}]")
+    r_w = effective_r_w(econ, distance_km)
+    return econ.elec_price * pump_power(Quantity(f, "m3/h"), r_w, econ.eta_pump).magnitude
+
+
 def water_capital(plan: WaterSupplyPlan, econ: EconParams) -> Quantity:
     """Capital of the selected supply system [$].
 
@@ -162,10 +173,7 @@ def water_operational(plan: WaterSupplyPlan, flow: TimeSeries, econ: EconParams)
             p = desal_power(Quantity(f, "m3/h"), w_max, econ).magnitude
             total += econ.elec_price * p
     else:
-        r_w = effective_r_w(econ, mode.distance.value_in("km"))
+        d_km = mode.distance.value_in("km")
         for f in values:
-            if f > w_val:
-                raise DomainError(f"flow {f!r} exceeds the production capacity {w_val!r}")
-            p = pump_power(Quantity(f, "m3/h"), r_w, econ.eta_pump).magnitude
-            total += econ.elec_price * p
+            total += pump_cost(f, w_val, d_km, econ)
     return Quantity(total, "$/day")

@@ -203,7 +203,7 @@ def test_a6_breakeven_distances():
     for plant_name, target in BREAKEVEN_TARGETS_KM.items():
         plant = PLANTS[plant_name]
         econ = econ_for_cell(CFG, plant, METHANE, 1.0)
-        query = BreakevenQuery(plant=plant, product=METHANE, tolerance=0.5)
+        query = BreakevenQuery(plant=plant, product=METHANE)
         d = breakeven_distance(query, econ).value_in("km")
         got[plant_name] = d
         if abs(d - target) > 0.15 * target:
@@ -229,8 +229,8 @@ def test_a6_breakeven_distances():
         if (g(1.0) > 0) == (g(1000.0) > 0):
             continue
         oracle = _scan_oracle(g, 1, 1000)
-        # fine bisection tolerance: the 0.5 km bound covers the scan bracket
-        query = BreakevenQuery(plant=PLANTS["biomass"], product=METHANE, tolerance=0.01)
+        # the closed-form root is exact: the 0.5 km bound covers the scan bracket
+        query = BreakevenQuery(plant=PLANTS["biomass"], product=METHANE)
         root = breakeven_distance(query, econ).value_in("km")
         if oracle is None or abs(root - oracle) > 0.5 + 0.01:
             failures.append(f"draw {attempts}: bisection {root:.2f} vs scan {oracle}")

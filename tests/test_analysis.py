@@ -120,19 +120,27 @@ class TestBreakeven:
         got = {}
         for plant in (BIOMASS, GAS, COAL):
             econ = econ_for_cell(CFG, plant, METHANE, 1.0)
-            q = BreakevenQuery(plant=plant, product=METHANE, tolerance=0.05)
+            q = BreakevenQuery(plant=plant, product=METHANE)
             got[plant.name] = breakeven_distance(q, econ).value_in("km")
         assert got["biomass"] == pytest.approx(61.0, abs=0.2)
         assert got["natural_gas"] == pytest.approx(261.0, abs=0.2)
         assert got["coal"] == pytest.approx(301.0, abs=0.2)
         assert got["biomass"] < got["natural_gas"] < got["coal"]
 
+    def test_calibrated_roots_hit_the_fitted_targets_exactly(self):
+        # the friction coefficients were fitted to these distances, and the
+        # closed form has no bracket width to blur them
+        for plant, target in ((BIOMASS, 61.0), (GAS, 261.0), (COAL, 301.0)):
+            econ = econ_for_cell(CFG, plant, METHANE, 1.0)
+            root = breakeven_distance(BreakevenQuery(plant=plant, product=METHANE), econ)
+            assert root.value_in("km") == pytest.approx(target, abs=1e-6)
+
     def test_ordering_holds_with_uncalibrated_shared_friction(self):
         got = []
         for plant in (BIOMASS, GAS, COAL):
             econ = econ_for_cell(CFG, plant, METHANE, 1.0)
             econ = replace(econ, r_w_per_100km=2e-4)
-            q = BreakevenQuery(plant=plant, product=METHANE, tolerance=0.1)
+            q = BreakevenQuery(plant=plant, product=METHANE)
             got.append(breakeven_distance(q, econ).value_in("km"))
         assert got[0] < got[1] < got[2]
 
@@ -144,12 +152,15 @@ class TestBreakeven:
         with pytest.raises(NoCrossingError) as exc_info:
             breakeven_distance(q, econ)
         assert exc_info.value.g_lo > 0 and exc_info.value.g_hi > 0
+        # a window that starts just past the calibrated 61 km root
+        q = BreakevenQuery(plant=BIOMASS, product=METHANE, distance_bounds=(62.0, 1000.0))
+        with pytest.raises(NoCrossingError) as exc_info:
+            breakeven_distance(q, econ_for_cell(CFG, BIOMASS, METHANE, 1.0))
+        assert (exc_info.value.g_lo > 0) == (exc_info.value.g_hi > 0)
 
     def test_bounds_validation(self):
         with pytest.raises(DomainError):
             BreakevenQuery(plant=BIOMASS, product=METHANE, distance_bounds=(10.0, 5.0))
-        with pytest.raises(DomainError):
-            BreakevenQuery(plant=BIOMASS, product=METHANE, tolerance=0.0)
 
     def test_bisection_agrees_with_scan_oracle_on_randomized_draws(self):
         rng = random.Random(20240801)
@@ -173,9 +184,9 @@ class TestBreakeven:
                 continue
             oracle = scan_oracle(g, 1, 1000)
             assert oracle is not None
-            # fine bisection tolerance: the 0.5 km bound is the half-width of
-            # the scan bracket, not slack for the bisection itself
-            q = BreakevenQuery(plant=BIOMASS, product=METHANE, tolerance=0.01)
+            # the closed-form root is exact: the 0.5 km bound is the half-width
+            # of the scan bracket, not slack for the solver
+            q = BreakevenQuery(plant=BIOMASS, product=METHANE)
             root = breakeven_distance(q, econ).value_in("km")
             assert abs(root - oracle) <= 0.5 + 0.01, (root, oracle)
             done += 1

@@ -93,6 +93,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="c_ccs"):
             load_config_text(yaml.safe_dump(data))
 
+    def test_calibration_key_naming_no_plant_is_an_error(self):
+        # a typo must not silently drop biomass back to the default friction
+        data = preset_dict()
+        friction = data["calibration"]["r_w_per_100km"]
+        friction["biomas"] = friction.pop("biomass")
+        data["econ"]["elec_price"] = "0.25 $/ton"
+        try:
+            load_config_text(yaml.safe_dump(data))
+        except ConfigError as exc:
+            message = str(exc)
+            assert "calibration.r_w_per_100km.biomas:" in message and "elec_price" in message
+        else:
+            pytest.fail("expected a ConfigError")
+
     def test_transfer_mode_parses_distance(self):
         data = preset_dict()
         data["water"] = {"mode": "network_transfer", "distance": "250 km"}
