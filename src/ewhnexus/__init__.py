@@ -21,7 +21,7 @@ from .conversion import (
     power_capital, stoichiometry,
 )
 from .economics import (
-    AnnualizationPolicy, ScenarioConfig, ScenarioResult, carbon_penalty,
+    ScenarioConfig, ScenarioResult, carbon_penalty,
     daily_capital_charge, increased_price, total_daily_cost,
 )
 from .analysis import (
@@ -32,7 +32,7 @@ from .config import ConfigError, LoadedConfig, dump_config, load_config
 from .presets import econ_for_cell, paper_2024, resolver
 
 __all__ = [
-    "AnnualizationPolicy", "BreakevenQuery", "BUILTIN_PRODUCTS", "CcssPlan",
+    "BreakevenQuery", "BUILTIN_PRODUCTS", "CcssPlan",
     "ConfigError", "CostLedger", "Desalination", "DomainError", "EconParams",
     "ETHANOL", "LedgerItem", "LoadedConfig", "METHANE", "METHANOL",
     "NetworkTransfer", "NoCrossingError", "PlantSpec",

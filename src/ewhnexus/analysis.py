@@ -14,17 +14,11 @@ from typing import Callable, Sequence
 from . import economics, water
 from .conversion import ProductSpec, nexus_rates
 from .economics import ScenarioConfig, ScenarioResult, total_daily_cost
-from .quantities import DomainError, EconParams, PlantSpec, Quantity
+from .quantities import DomainError, EconParams, PlantSpec, Quantity, check_beta
 
 # (plant, product, beta, water_mode) -> EconParams; lets a calibrated preset
 # resolve plant-specific costs without changing any formula
 EconResolver = Callable[[PlantSpec, ProductSpec | None, float, water.WaterMode], EconParams]
-
-
-def _default_resolver(econ: EconParams) -> EconResolver:
-    def resolve(plant, product, beta, mode):
-        return econ
-    return resolve
 
 
 @dataclass(frozen=True)
@@ -43,8 +37,7 @@ class SweepGrid:
         if not self.plants:
             raise DomainError("sweep grid needs at least one plant")
         for b in self.betas:
-            if not 0.0 <= b <= 1.0:
-                raise DomainError(f"beta must lie in [0, 1], got {b!r}")
+            check_beta(b)
 
 
 @dataclass(frozen=True)
@@ -65,7 +58,6 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
     Ordering is deterministic: plants in the given order, the storage row
     first, then products in the given order with betas ascending.
     """
-    resolve = econ_resolver if econ_resolver is not None else _default_resolver(econ)
     cells: list[SweepCell] = []
     betas = tuple(sorted(grid.betas))
     for plant in grid.plants:
@@ -73,7 +65,8 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
         for product, beta in coords:
             name = product.name if product is not None else ""
             try:
-                cell_econ = resolve(plant, product, beta, grid.water_mode)
+                cell_econ = (econ if econ_resolver is None
+                             else econ_resolver(plant, product, beta, grid.water_mode))
                 cfg = ScenarioConfig(plant=plant, econ=cell_econ, beta=beta,
                                      product=product, water_mode=grid.water_mode)
                 cells.append(SweepCell(plant.name, name, beta, result=total_daily_cost(cfg)))
@@ -176,14 +169,13 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
         product = METHANE
     _, w_max, _ = nexus_rates(plant, product, 1.0)
     w_val = w_max.value_in("m3/h")
-    policy = economics.AnnualizationPolicy.from_econ(econ)
     cells: list[CurveCell] = []
     for d in distances:
         d_km = float(d)
         mode = water.NetworkTransfer(Quantity(d_km, "km"))
         plan = water.WaterSupplyPlan(mode, w_max)
         capital = water.water_capital(plan, econ)
-        cap_daily = economics.daily_capital_charge(capital, policy).value_in("$/day")
+        cap_daily = economics.daily_capital_charge(capital, econ).value_in("$/day")
         for f in flows:
             f_val = float(f)
             try:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .quantities import (
     DomainError, EconParams, PlantSpec, Quantity, TimeSeries,
-    UnitError, emissions_at_capacity,
+    UnitError, check_beta, emissions_at_capacity,
 )
 
 
@@ -22,8 +22,7 @@ class CcssPlan:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise DomainError(f"beta must lie in [0, 1], got {self.beta!r}")
+        check_beta(self.beta)
 
 
 def ccss_capital(plan: CcssPlan, plant: PlantSpec, econ: EconParams) -> Quantity:

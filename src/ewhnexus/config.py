@@ -9,7 +9,7 @@ nothing is computed from an invalid config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -83,7 +83,6 @@ class LoadedConfig:
     calibration: Calibration = Calibration()
     water_mode: water.WaterMode = water.Desalination()
     sweep_betas: tuple[float, ...] = (0.5, 1.0)
-    include_hydrogen_capital: bool = False
 
     def plant(self, name: str) -> PlantSpec:
         for p in self.plants:
@@ -363,9 +362,9 @@ def load_config_text(text: str) -> LoadedConfig:
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     assert econ is not None
-    return LoadedConfig(econ=econ, plants=plants, products=products,
-                        calibration=calibration, water_mode=water_mode,
-                        sweep_betas=betas, include_hydrogen_capital=include_h2)
+    return LoadedConfig(econ=replace(econ, include_hydrogen_capital=include_h2),
+                        plants=plants, products=products, calibration=calibration,
+                        water_mode=water_mode, sweep_betas=betas)
 
 
 def load_config(path_or_preset: str | Path) -> LoadedConfig:
@@ -391,29 +390,15 @@ def _fmt_quantity(value: float, unit: str) -> str:
 def dump_config(cfg: LoadedConfig) -> str:
     """Serialize a resolved config; reloading it reproduces identical results."""
     econ = cfg.econ
-    econ_map: dict[str, Any] = {
-        "elec_price": _fmt_quantity(econ.elec_price, "$/kWh"),
-        "r_cts": _fmt_quantity(econ.r_cts, "$/ton"),
-        "r_ccs": _fmt_quantity(econ.r_ccs, "$/ton"),
-        "c_cts": _fmt_quantity(econ.c_cts, "$/(ton/day)"),
-        "c_wind": _fmt_quantity(econ.c_wind, "$/kW"),
-        "c_des": _fmt_quantity(econ.c_des, "$/(m3/h)"),
-        "c_tw": _fmt_quantity(econ.c_tw, "$/m"),
-        "c_we": _fmt_quantity(econ.c_we, "$/(kg/h)"),
-        "xi_p": _fmt_quantity(econ.xi_p, "kWh/kg"),
-        "wind_capacity_factor": econ.wind_capacity_factor,
-        "eta_pump": econ.eta_pump,
-        "r_w_per_100km": econ.r_w_per_100km,
-        "e_des": [_fmt_quantity(e, "kWh/m3") for e in econ.e_des],
-        "interest_rate": econ.interest_rate,
-        "horizon_years": econ.horizon_years,
-        "product_prices": {k: _fmt_quantity(v, "$/ton")
-                           for k, v in sorted(econ.product_prices.items())},
-    }
-    if econ.c_ccs is not None:
-        econ_map["c_ccs"] = _fmt_quantity(econ.c_ccs, "$/(ton/day)")
-    if econ.c_sw is not None:
-        econ_map["c_sw"] = _fmt_quantity(econ.c_sw, "$/(m3/h)")
+    econ_map: dict[str, Any] = {}
+    for name, unit, _ in _ECON_FIELDS:
+        value = getattr(econ, name)
+        if value is not None:
+            econ_map[name] = value if unit == "dimensionless" else _fmt_quantity(value, unit)
+    econ_map["e_des"] = [_fmt_quantity(e, "kWh/m3") for e in econ.e_des]
+    econ_map["horizon_years"] = econ.horizon_years
+    econ_map["product_prices"] = {k: _fmt_quantity(v, "$/ton")
+                                  for k, v in sorted(econ.product_prices.items())}
 
     data: dict[str, Any] = {
         "econ": econ_map,
@@ -424,7 +409,7 @@ def dump_config(cfg: LoadedConfig) -> str:
                    for p in cfg.plants],
         "products": [p.name for p in cfg.products],
         "sweep": {"betas": list(cfg.sweep_betas)},
-        "policy": {"include_hydrogen_capital": cfg.include_hydrogen_capital},
+        "policy": {"include_hydrogen_capital": econ.include_hydrogen_capital},
     }
     mode = cfg.water_mode
     if isinstance(mode, water.NetworkTransfer):

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 
 from .quantities import (
     DomainError, EconParams, PlantSpec, Quantity, TimeSeries, UnitError,
-    emissions_at_capacity,
+    check_beta, emissions_at_capacity,
 )
 
 
@@ -157,8 +157,7 @@ def nexus_rates(plant: PlantSpec, product: ProductSpec,
     beta * C_bar * the corresponding stoichiometric ratio.  The water rate
     covers electrolysis feed only.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
+    check_beta(beta)
     cbar_ton_h = emissions_at_capacity(plant).value_in("ton/h")
     h2 = product.xi_h * beta * cbar_ton_h
     water = product.water_demand * beta * cbar_ton_h  # L/kg * ton/h == m3/h
@@ -182,8 +181,7 @@ def power_capital(h_max: Quantity, econ: EconParams) -> Quantity:
 def hydrogen_capital(plant: PlantSpec, product: ProductSpec, beta: float,
                      econ: EconParams) -> Quantity:
     """Electrolyzer fleet capital, sized to the peak H2 demand [$]."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
+    check_beta(beta)
     cbar_kg_h = emissions_at_capacity(plant).value_in("kg/h")
     return Quantity(product.xi_h * beta * cbar_kg_h * econ.c_we, "$")
 
@@ -191,8 +189,7 @@ def hydrogen_capital(plant: PlantSpec, product: ProductSpec, beta: float,
 def chemical_revenue(product: ProductSpec, captured: TimeSeries, beta: float,
                      econ: EconParams) -> Quantity:
     """Daily product revenue as a negative cost [$ / day]."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
+    check_beta(beta)
     if captured.dim != (1, 0, -1, 0, 0, 0):
         raise UnitError(f"captured series must be a mass flow, got {captured.unit!r}")
     price = econ.price_of(product.name)  # [$ / ton]

@@ -16,35 +16,15 @@ from . import ccss, conversion, water
 from .quantities import (
     CAPITAL, OPERATIONAL, REVENUE,
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, constant_profile, emissions_at_capacity,
+    TimeSeries, check_beta, constant_profile, emissions_at_capacity,
 )
 
 HOURS_PER_DAY = 24
 DAYS_PER_YEAR = 365
 
 
-@dataclass(frozen=True)
-class AnnualizationPolicy:
-    """How capital stocks become a daily charge."""
-
-    horizon_years: int
-    interest_rate: float
-    include_hydrogen_capital: bool = False
-
-    def __post_init__(self):
-        if self.horizon_years < 1 or int(self.horizon_years) != self.horizon_years:
-            raise DomainError("horizon_years must be an integer >= 1")
-        if self.interest_rate < 0:
-            raise DomainError("interest_rate must be >= 0")
-
-    @classmethod
-    def from_econ(cls, econ: EconParams,
-                  include_hydrogen_capital: bool = False) -> "AnnualizationPolicy":
-        return cls(econ.horizon_years, econ.interest_rate, include_hydrogen_capital)
-
-
-def daily_capital_charge(capital: Quantity, policy: AnnualizationPolicy) -> Quantity:
-    """Daily charge recovering a capital stock over the policy horizon [$ / day].
+def daily_capital_charge(capital: Quantity, econ: EconParams) -> Quantity:
+    """Daily charge recovering a capital stock over the payback horizon [$ / day].
 
     capital * (1 + lambda)^(N-1) / (365 N); with N = 1 and lambda = 0 this is
     exactly capital / 365.
@@ -52,8 +32,8 @@ def daily_capital_charge(capital: Quantity, policy: AnnualizationPolicy) -> Quan
     cap = capital.value_in("$")
     if cap < 0:
         raise DomainError("capital must be >= 0")
-    n = int(policy.horizon_years)
-    charge = cap * (1.0 + policy.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
+    n = int(econ.horizon_years)
+    charge = cap * (1.0 + econ.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
     return Quantity(charge, "$/day")
 
 
@@ -71,17 +51,12 @@ class ScenarioConfig:
     beta: float = 0.0
     product: conversion.ProductSpec | None = None
     water_mode: water.WaterMode = water.Desalination()
-    policy: AnnualizationPolicy | None = None
     capture_profile: TimeSeries | None = None   # defaults to 24 h full load
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise DomainError(f"beta must lie in [0, 1], got {self.beta!r}")
+        check_beta(self.beta)
         if self.beta > 0 and self.product is None:
             raise DomainError("a reuse scenario (beta > 0) needs a product")
-
-    def resolved_policy(self) -> AnnualizationPolicy:
-        return self.policy if self.policy is not None else AnnualizationPolicy.from_econ(self.econ)
 
 
 @dataclass(frozen=True)
@@ -130,7 +105,6 @@ def _term(label: str, fn, *args, **kwargs):
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
     plant, econ, beta = scenario.plant, scenario.econ, scenario.beta
-    policy = scenario.resolved_policy()
 
     captured = scenario.capture_profile
     if captured is None:
@@ -154,7 +128,7 @@ def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
         items.append(LedgerItem("wind farm capital", "power-capital",
                                 CAPITAL, cap_power.value_in("$"), "$"))
 
-        if policy.include_hydrogen_capital:
+        if econ.include_hydrogen_capital:
             cap_h2 = _term("hydrogen-capital", conversion.hydrogen_capital,
                            plant, product, beta, econ)
             items.append(LedgerItem("electrolyzer capital", "hydrogen-capital",
@@ -180,7 +154,7 @@ def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
                                 REVENUE, revenue.value_in("$/day"), "$/day"))
 
     capital_total = math.fsum(i.amount for i in items if i.unit == "$")
-    charge = daily_capital_charge(Quantity(capital_total, "$"), policy)
+    charge = daily_capital_charge(Quantity(capital_total, "$"), econ)
     items.append(LedgerItem("daily capital charge", "capital-charge",
                             CAPITAL, charge.value_in("$/day"), "$/day"))
 

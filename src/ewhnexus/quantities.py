@@ -245,6 +245,12 @@ class Quantity:
         return f"{self.magnitude:g} {self.unit}"
 
 
+def check_beta(beta: float) -> None:
+    """Reject a reuse fraction outside [0, 1]."""
+    if not 0.0 <= beta <= 1.0:
+        raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
+
+
 @dataclass(frozen=True)
 class PlantSpec:
     """A conventional power plant targeted for the retrofit."""
@@ -299,6 +305,7 @@ class EconParams:
     e_des: tuple[float, ...] = (3.5, 3.8, 4.1, 4.4)   # segment energies [kWh / m3]
     interest_rate: float = 0.05             # capital interest rate [-]
     horizon_years: int = 20                 # payback horizon [years]
+    include_hydrogen_capital: bool = False  # count c_we * peak H2 rate as capital
     product_prices: Mapping[str, float] = field(default_factory=dict)  # [$ / ton]
 
     def __post_init__(self):

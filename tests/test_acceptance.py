@@ -21,7 +21,7 @@ from ewhnexus.conversion import (
     BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, nexus_rates, stoichiometry,
 )
 from ewhnexus.economics import (
-    AnnualizationPolicy, ScenarioConfig, daily_capital_charge, total_daily_cost,
+    ScenarioConfig, daily_capital_charge, total_daily_cost,
 )
 from ewhnexus.presets import econ_for_cell, paper_2024
 from ewhnexus.quantities import (
@@ -233,7 +233,7 @@ def test_a6_breakeven_distances():
         query = BreakevenQuery(plant=PLANTS["biomass"], product=METHANE)
         root = breakeven_distance(query, econ).value_in("km")
         if oracle is None or abs(root - oracle) > 0.5 + 0.01:
-            failures.append(f"draw {attempts}: bisection {root:.2f} vs scan {oracle}")
+            failures.append(f"draw {attempts}: break-even {root:.2f} vs scan {oracle}")
         done += 1
     if done < 20:
         failures.append(f"only {done} sign-changing draws found in {attempts} attempts")
@@ -283,7 +283,8 @@ def test_a7_property_suite():
     if ledger.daily_total() != math.fsum(i.amount for i in items):
         failures.append("ledger total is not the exact item sum")
 
-    charge = daily_capital_charge(Quantity(1.23e7, "$"), AnnualizationPolicy(1, 0.0))
+    charge = daily_capital_charge(Quantity(1.23e7, "$"),
+                                  replace(CFG.econ, horizon_years=1, interest_rate=0.0))
     if charge.value_in("$/day") != 1.23e7 / 365.0:
         failures.append("N=1, lambda=0 annualization is not capital/365")
 

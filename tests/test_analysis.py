@@ -162,7 +162,7 @@ class TestBreakeven:
         with pytest.raises(DomainError):
             BreakevenQuery(plant=BIOMASS, product=METHANE, distance_bounds=(10.0, 5.0))
 
-    def test_bisection_agrees_with_scan_oracle_on_randomized_draws(self):
+    def test_breakeven_agrees_with_scan_oracle_on_randomized_draws(self):
         rng = random.Random(20240801)
         done = 0
         attempts = 0

@@ -1,8 +1,11 @@
 """Config ingestion, validation, round-trip export, and the CLI surface."""
 
+import copy
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 import yaml
@@ -12,7 +15,9 @@ from ewhnexus.cli import SWEEP_CSV_HEADER, main, render_sweep_csv
 from ewhnexus.config import (
     ConfigError, dump_config, load_config, load_config_text,
 )
-from ewhnexus.presets import paper_2024, resolver
+from ewhnexus.economics import ScenarioConfig, total_daily_cost
+from ewhnexus.presets import econ_for_cell, paper_2024, resolver
+from ewhnexus.quantities import TimeSeries, emissions_at_capacity
 from ewhnexus.water import NetworkTransfer
 
 
@@ -135,6 +140,21 @@ class TestRoundTrip:
         cfg2 = load_config_text(dump_config(cfg))
         assert isinstance(cfg2.water_mode, NetworkTransfer)
         assert sweep_csv(cfg) == sweep_csv(cfg2)
+
+    def test_preset_reloads_equal(self):
+        cfg = paper_2024()
+        assert load_config_text(dump_config(cfg)) == cfg
+
+    def test_every_optional_field_reloads_equal(self):
+        # fields the sweep of this config never reads must survive too
+        data = preset_dict()
+        data["econ"]["c_ccs"] = "43080 $/(ton/day)"
+        data["econ"]["c_sw"] = "90000 $/(m3/h)"
+        data["policy"]["include_hydrogen_capital"] = True
+        data["water"] = {"mode": "network_transfer", "distance": "250 km"}
+        cfg = load_config_text(yaml.safe_dump(data))
+        assert cfg.econ.c_sw == 90000.0 and cfg.econ.include_hydrogen_capital
+        assert load_config_text(dump_config(cfg)) == cfg
 
 
 class TestCli:
@@ -269,3 +289,147 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "penalty_threshold_usd_per_ton" in proc.stdout
+
+
+# -- every config key changes an output or is rejected ----------------------
+
+WATER_MODES = ({"mode": "desalination"},
+               {"mode": "network_transfer", "distance": "120 km"},
+               {"mode": "solar_seawater"})
+SOLAR_C_SW = "90000 $/(m3/h)"   # lets the solar sweep run on configs without c_sw
+
+
+def watched_outputs(data, tmp_path) -> list[str]:
+    """Outputs a config key must be able to move.
+
+    The CLI sweep under each water mode (the config's own water section where
+    its mode matches), then CLI breakeven, curve and store/reuse penalty for
+    biomass and coal.  Last, one partial-load day through the library: every
+    CLI command runs at full load, which only ever uses the top desalination
+    segment, so e_des[1..3] show nowhere else.
+    """
+    def cli(doc, *argv):
+        path = tmp_path / "flip.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            status = main(["--config", str(path), *argv])
+        return f"{status}\n{out.getvalue()}"
+
+    outputs = []
+    for water_mode in WATER_MODES:
+        doc = copy.deepcopy(data)
+        if doc["water"]["mode"] != water_mode["mode"]:
+            doc["water"] = water_mode
+        if water_mode["mode"] == "solar_seawater":
+            doc["econ"].setdefault("c_sw", SOLAR_C_SW)
+        outputs.append(cli(doc, "--command", "sweep", "--format", "csv"))
+    for plant in ("biomass", "coal"):
+        outputs.append(cli(data, "--command", "breakeven", "--plant", plant, "--format", "json"))
+        outputs.append(cli(data, "--command", "curve", "--plant", plant,
+                           "--distances", "60,260,300", "--format", "csv"))
+        outputs.append(cli(data, "--command", "penalty", "--plant", plant, "--format", "json"))
+        outputs.append(cli(data, "--command", "penalty", "--plant", plant,
+                           "--product", "methanol", "--format", "json"))
+
+    cfg = load_config_text(yaml.safe_dump(data))
+    plant, product = cfg.plant("biomass"), cfg.product("methanol")
+    full = emissions_at_capacity(plant).value_in("ton/h")
+    ramp = TimeSeries(tuple(full * (h + 0.5) / 24 for h in range(24)), "ton/h")
+    day = ScenarioConfig(plant=plant, econ=econ_for_cell(cfg, plant, product, 1.0),
+                         beta=1.0, product=product, water_mode=cfg.water_mode,
+                         capture_profile=ramp)
+    outputs.append(repr(total_daily_cost(day).daily_cost.value_in("$/day")))
+    return outputs
+
+
+def flips(data):
+    """(path, replacement) for every leaf of a config document."""
+    def leaves(node, path):
+        if isinstance(node, dict):
+            for key, child in node.items():
+                yield from leaves(child, path + (key,))
+        elif isinstance(node, list):
+            for i, child in enumerate(node):
+                yield from leaves(child, path + (i,))
+        else:
+            yield path, node
+
+    for path, value in leaves(data, ()):
+        if path == ("water", "mode"):
+            for mode in sorted({m["mode"] for m in WATER_MODES} - {value}):
+                yield path, mode
+        elif isinstance(value, bool):
+            yield path, not value
+        elif isinstance(value, int):
+            yield path, value + 1
+        elif isinstance(value, float):
+            yield path, value * 0.8
+        else:
+            number, _, unit = value.partition(" ")
+            try:
+                yield path, f"{float(number) * 0.8!r} {unit}"
+            except ValueError:
+                yield path, value + "_x"   # a name: renaming it must be caught
+
+
+def set_leaf(data, path, value):
+    doc = copy.deepcopy(data)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def flip_id(flip) -> str:
+    path, value = flip
+    return ".".join(str(k) for k in path) + f"={value}"
+
+
+def without(data, section, key):
+    doc = copy.deepcopy(data)
+    del doc[section][key]
+    return doc
+
+
+PRESET = preset_dict()
+TRANSFER = set_leaf(PRESET, ("water",), {"mode": "network_transfer", "distance": "120 km"})
+SOLAR = set_leaf(set_leaf(PRESET, ("water",), {"mode": "solar_seawater"}),
+                 ("econ", "c_sw"), SOLAR_C_SW)
+
+# key -> (why the shipped preset masks it, a config where it is live)
+MASKED = {
+    ("econ", "c_tw"): ("overridden by calibration.pipe_cost_per_m",
+                       without(PRESET, "calibration", "pipe_cost_per_m")),
+    ("econ", "r_w_per_100km"): ("overridden by the per-plant calibration entries, "
+                                "which cover all three plants",
+                                without(PRESET, "calibration", "r_w_per_100km")),
+    ("econ", "c_we"): ("has an effect only with policy.include_hydrogen_capital on",
+                       set_leaf(PRESET, ("policy", "include_hydrogen_capital"), True)),
+    ("econ", "c_sw"): ("has an effect only in solar mode", SOLAR),
+    ("water", "distance"): ("exists only in network_transfer mode", TRANSFER),
+}
+CASES = [pytest.param(PRESET, flip, id="preset:" + flip_id(flip))
+         for flip in flips(PRESET) if flip[0] not in MASKED]
+CASES += [pytest.param(base, flip, id="live:" + flip_id(flip))
+          for path, (_why, base) in MASKED.items()
+          for flip in flips(base) if flip[0] == path]
+# in the preset every other water mode is rejected; from transfer mode each one loads
+CASES += [pytest.param(TRANSFER, flip, id="transfer:" + flip_id(flip))
+          for flip in flips(TRANSFER) if flip[0] == ("water", "mode")]
+_BASELINES: dict[str, list[str]] = {}
+
+
+@pytest.mark.parametrize("base, flip", CASES)
+def test_every_key_flip_changes_an_output_or_is_rejected(base, flip, tmp_path):
+    flipped = set_leaf(base, *flip)
+    try:
+        load_config_text(yaml.safe_dump(flipped))
+    except ConfigError:
+        return
+    key = yaml.safe_dump(base)
+    if key not in _BASELINES:
+        _BASELINES[key] = watched_outputs(base, tmp_path)
+    assert watched_outputs(flipped, tmp_path) != _BASELINES[key], (
+        f"{flip_id(flip)} loads but changes no output")

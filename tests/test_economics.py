@@ -6,7 +6,7 @@ import pytest
 
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import (
-    AnnualizationPolicy, ScenarioConfig, daily_capital_charge, carbon_penalty,
+    ScenarioConfig, daily_capital_charge, carbon_penalty,
     increased_price, total_daily_cost,
 )
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
@@ -27,33 +27,35 @@ def econ(**over):
 class TestDailyCapitalCharge:
     def test_zero_interest_single_year_degenerates_to_365th(self):
         cap = Quantity(1e6, "$")
-        charge = daily_capital_charge(cap, AnnualizationPolicy(1, 0.0))
+        charge = daily_capital_charge(cap, econ(horizon_years=1, interest_rate=0.0))
         assert charge.value_in("$/day") == 1e6 / 365.0
 
     def test_zero_interest_general_horizon(self):
-        charge = daily_capital_charge(Quantity(730.0, "$"), AnnualizationPolicy(2, 0.0))
+        charge = daily_capital_charge(Quantity(730.0, "$"),
+                                      econ(horizon_years=2, interest_rate=0.0))
         assert charge.value_in("$/day") == pytest.approx(1.0, rel=1e-12)
 
     def test_reference_twenty_year_case(self):
         # oracle: 1e6 * 1.05**19 / 7300 = 346.1575610103617
-        charge = daily_capital_charge(Quantity(1e6, "$"), AnnualizationPolicy(20, 0.05))
+        charge = daily_capital_charge(Quantity(1e6, "$"),
+                                      econ(horizon_years=20, interest_rate=0.05))
         assert charge.value_in("$/day") == pytest.approx(346.1575610103617, rel=1e-12)
 
     def test_linear_in_capital(self):
-        policy = AnnualizationPolicy(20, 0.05)
-        one = daily_capital_charge(Quantity(1e6, "$"), policy).magnitude
-        five = daily_capital_charge(Quantity(5e6, "$"), policy).magnitude
+        params = econ(horizon_years=20, interest_rate=0.05)
+        one = daily_capital_charge(Quantity(1e6, "$"), params).magnitude
+        five = daily_capital_charge(Quantity(5e6, "$"), params).magnitude
         assert five == pytest.approx(5 * one, rel=1e-12)
 
     def test_strictly_increasing_in_interest_rate(self):
         charges = [daily_capital_charge(Quantity(1e6, "$"),
-                                        AnnualizationPolicy(20, lam)).magnitude
+                                        econ(horizon_years=20, interest_rate=lam)).magnitude
                    for lam in (0.0, 0.02, 0.05, 0.08)]
         assert charges == sorted(charges) and len(set(charges)) == len(charges)
 
     def test_negative_capital_rejected(self):
         with pytest.raises(DomainError):
-            daily_capital_charge(Quantity(-1.0, "$"), AnnualizationPolicy(20, 0.05))
+            daily_capital_charge(Quantity(-1.0, "$"), econ(horizon_years=20, interest_rate=0.05))
 
 
 class TestDerivedMetrics:
@@ -104,8 +106,8 @@ class TestTotalDailyCost:
     def test_hydrogen_capital_included_only_on_request(self):
         base = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE)
         with_h2 = ScenarioConfig(
-            plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
-            policy=AnnualizationPolicy(20, 0.05, include_hydrogen_capital=True))
+            plant=BIOMASS, econ=econ(include_hydrogen_capital=True), beta=1.0,
+            product=METHANE)
         t0 = {i.term for i in total_daily_cost(base).ledger.items}
         t1 = {i.term for i in total_daily_cost(with_h2).ledger.items}
         assert "hydrogen-capital" not in t0 and "hydrogen-capital" in t1
