@@ -37,7 +37,7 @@ for product in cfg.products:
 # The wind farm is sized so its average output covers the electrolyzer load.
 plant = cfg.plant("biomass")
 h2, _, _ = ew.nexus_rates(plant, cfg.product("methane"), 1.0)
-capital = ew.power_capital(h2, cfg.econ)
+capital = ew.power_capital(h2.value_in("ton/h"), cfg.econ)   # [$]
 demand_kw = cfg.econ.xi_p * h2.value_in("kg/h")
 print(f"\nBiomass/methane electrolyzer demand: {demand_kw / 1e6:.2f} GW "
-      f"-> wind capital ${capital.value_in('$') / 1e9:.2f} B")
+      f"-> wind capital ${capital / 1e9:.2f} B")

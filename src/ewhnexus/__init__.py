@@ -10,10 +10,10 @@ from .quantities import (
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
     TimeSeries, UnitError, constant_profile, emissions_at_capacity,
 )
-from .ccss import CcssPlan, ccss_capital, ccss_operational
+from .ccss import ccss_capital, ccss_operational
 from .water import (
-    Desalination, NetworkTransfer, SolarSeawater, WaterSupplyPlan,
-    desal_power, head_loss, pump_power, water_capital, water_operational,
+    Desalination, NetworkTransfer, SolarSeawater, desal_power, head_loss,
+    pump_power, water_capital, water_operational,
 )
 from .conversion import (
     BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, ProductSpec, Reaction,
@@ -32,13 +32,13 @@ from .config import ConfigError, LoadedConfig, dump_config, load_config
 from .presets import econ_for_cell, paper_2024, resolver
 
 __all__ = [
-    "BreakevenQuery", "BUILTIN_PRODUCTS", "CcssPlan",
+    "BreakevenQuery", "BUILTIN_PRODUCTS",
     "ConfigError", "CostLedger", "Desalination", "DomainError", "EconParams",
     "ETHANOL", "LedgerItem", "LoadedConfig", "METHANE", "METHANOL",
     "NetworkTransfer", "NoCrossingError", "PlantSpec",
     "ProductSpec", "Quantity", "Reaction", "ReuseAll", "ScenarioConfig",
     "ScenarioResult", "SolarSeawater", "StoreAll", "SweepGrid", "TimeSeries",
-    "UnitError", "WaterSupplyPlan", "breakeven_distance", "builtin_product",
+    "UnitError", "breakeven_distance", "builtin_product",
     "carbon_penalty", "ccss_capital", "ccss_operational", "chemical_revenue",
     "constant_profile", "daily_capital_charge", "desal_power", "dump_config",
     "econ_for_cell", "emissions_at_capacity", "head_loss", "hydrogen_capital",

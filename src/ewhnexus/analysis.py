@@ -167,19 +167,17 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     if product is None:
         from .conversion import METHANE
         product = METHANE
-    _, w_max, _ = nexus_rates(plant, product, 1.0)
-    w_val = w_max.value_in("m3/h")
+    w_max = nexus_rates(plant, product, 1.0)[1].magnitude   # [m3/h]
     cells: list[CurveCell] = []
     for d in distances:
         d_km = float(d)
         mode = water.NetworkTransfer(Quantity(d_km, "km"))
-        plan = water.WaterSupplyPlan(mode, w_max)
-        capital = water.water_capital(plan, econ)
-        cap_daily = economics.daily_capital_charge(capital, econ).value_in("$/day")
+        capital = water.water_capital(mode, w_max, econ)
+        cap_daily = economics.daily_capital_charge(capital, econ)
         for f in flows:
             f_val = float(f)
             try:
-                op_daily = 24.0 * water.pump_cost(f_val, w_val, d_km, econ)
+                op_daily = 24.0 * water.pump_cost(f_val, w_max, d_km, econ)
             except DomainError as exc:
                 cells.append(CurveCell(d_km, f_val,
                                        error=f"cell (d={d:g} km, f={f:g} m3/h): {exc}"))

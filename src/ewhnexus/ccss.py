@@ -7,47 +7,30 @@ plant's full-load daily carbon mass, operations with the captured profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
-from .quantities import (
-    DomainError, EconParams, PlantSpec, Quantity, TimeSeries,
-    UnitError, check_beta, emissions_at_capacity,
-)
+from .quantities import DomainError, EconParams, check_beta
 
 
-@dataclass(frozen=True)
-class CcssPlan:
-    """Split of captured carbon between reuse (beta) and piped storage."""
-
-    beta: float
-
-    def __post_init__(self):
-        check_beta(self.beta)
-
-
-def ccss_capital(plan: CcssPlan, plant: PlantSpec, econ: EconParams) -> Quantity:
+def ccss_capital(beta: float, cbar: float, econ: EconParams) -> float:
     """Capital to build the capture plant and the storage pipeline [$].
 
-    ((1 - beta) * c_cts + c_ccs) * C_bar, with C_bar the full-load carbon
-    mass in ton/day (the capacity basis of both unit capital costs).
+    ((1 - beta) * c_cts + c_ccs) * C_bar * 24, with C_bar the full-load
+    carbon rate [ton/h]; both unit capital costs are per ton/day.
     """
+    check_beta(beta)
     if econ.c_ccs is None:
         raise DomainError("c_ccs (capture plant capital cost) is not configured")
-    cbar_ton_day = emissions_at_capacity(plant).value_in("ton/h") * 24.0
-    unit_cost = (1.0 - plan.beta) * econ.c_cts + econ.c_ccs
-    return Quantity(unit_cost * cbar_ton_day, "$")
+    unit_cost = (1.0 - beta) * econ.c_cts + econ.c_ccs
+    return unit_cost * (cbar * 24.0)
 
 
-def ccss_operational(plan: CcssPlan, captured: TimeSeries, econ: EconParams) -> Quantity:
+def ccss_operational(beta: float, captured: Sequence[float], econ: EconParams) -> float:
     """Daily cost of running capture plus transfer-to-storage [$ / day].
 
-    Sum over the 24 hourly steps of (1-beta)*c_t*r_cts + c_t*r_ccs with
-    c_t the captured carbon mass in tons at step t.
+    Sum over the hourly captured carbon c_t [ton/h] of
+    (1-beta)*c_t*r_cts + c_t*r_ccs.
     """
-    if captured.dim != (1, 0, -1, 0, 0, 0):
-        raise UnitError(f"captured series must be a mass flow, got {captured.unit!r}")
-    if len(captured) != 24:
-        raise DomainError(f"daily operational cost needs a 24 h series, got {len(captured)} steps")
-    per_ton = (1.0 - plan.beta) * econ.r_cts + econ.r_ccs
-    tons = captured.values_in("ton/h")
-    return Quantity(sum(c * per_ton for c in tons), "$/day")
+    check_beta(beta)
+    per_ton = (1.0 - beta) * econ.r_cts + econ.r_ccs
+    return sum(c * per_ton for c in captured)

@@ -190,6 +190,7 @@ def _load_plants(section: Any, errors: list[str]) -> tuple[PlantSpec, ...]:
         errors.append("plants: must be a non-empty list of {name, capacity, emission_factor}")
         return ()
     plants = []
+    first_at: dict[str, int] = {}
     for i, entry in enumerate(section):
         path = f"plants[{i}]"
         if not isinstance(entry, Mapping):
@@ -200,6 +201,11 @@ def _load_plants(section: Any, errors: list[str]) -> tuple[PlantSpec, ...]:
         if not isinstance(name, str) or not name:
             errors.append(f"{path}.name: missing or not a string")
             continue
+        if name in first_at:
+            errors.append(f"{path}.name: duplicate plant name {name!r} "
+                          f"(first at plants[{first_at[name]}])")
+            continue
+        first_at[name] = i
         cap = parse_quantity(entry.get("capacity"), "kW", f"{path}.capacity", errors)
         ef = parse_quantity(entry.get("emission_factor"), "kg/kWh",
                             f"{path}.emission_factor", errors)
@@ -224,11 +230,16 @@ def _load_products(section: Any, errors: list[str]) -> tuple[ProductSpec, ...]:
         errors.append("products: must be a list of product names")
         return ()
     out = []
+    first_at: dict[str, int] = {}
     for i, name in enumerate(section):
         if not isinstance(name, str) or name not in BUILTIN_PRODUCTS:
             errors.append(f"products[{i}]: unknown product {name!r} "
                           f"(built-ins: {sorted(BUILTIN_PRODUCTS)})")
+        elif name in first_at:
+            errors.append(f"products[{i}]: duplicate product {name!r} "
+                          f"(first at products[{first_at[name]}])")
         else:
+            first_at[name] = i
             out.append(builtin_product(name))
     return tuple(out)
 

@@ -11,11 +11,10 @@ integer atomic masses, the alcohols' from standard ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .quantities import (
-    DomainError, EconParams, PlantSpec, Quantity, TimeSeries, UnitError,
-    check_beta, emissions_at_capacity,
+    DomainError, EconParams, PlantSpec, Quantity, check_beta, emissions_at_capacity,
 )
 
 
@@ -165,33 +164,35 @@ def nexus_rates(plant: PlantSpec, product: ProductSpec,
     return (Quantity(h2, "ton/h"), Quantity(water, "m3/h"), Quantity(chem, "ton/h"))
 
 
-def power_capital(h_max: Quantity, econ: EconParams) -> Quantity:
+def power_capital(h_max: float, econ: EconParams) -> float:
     """Capital of the wind farm powering electrolysis [$].
 
-    c_wind * (xi_p * H_bar) / capacity_factor, with xi_p * H_bar the
-    electrolyzer electrical demand in kW.
+    c_wind * (xi_p * H_bar) / capacity_factor, with H_bar = h_max the peak
+    hydrogen rate [ton/h] and xi_p * H_bar the electrolyzer demand in kW.
     """
-    h_kg_h = h_max.value_in("kg/h")
+    h_kg_h = h_max * 1000.0
     if h_kg_h < 0:
         raise DomainError("h_max must be >= 0")
     demand_kw = econ.xi_p * h_kg_h
-    return Quantity(econ.c_wind * demand_kw / econ.wind_capacity_factor, "$")
+    return econ.c_wind * demand_kw / econ.wind_capacity_factor
 
 
-def hydrogen_capital(plant: PlantSpec, product: ProductSpec, beta: float,
-                     econ: EconParams) -> Quantity:
-    """Electrolyzer fleet capital, sized to the peak H2 demand [$]."""
+def hydrogen_capital(product: ProductSpec, cbar: float, beta: float,
+                     econ: EconParams) -> float:
+    """Electrolyzer fleet capital, sized to the peak H2 demand [$].
+
+    cbar is the plant's full-load carbon rate [ton/h].
+    """
     check_beta(beta)
-    cbar_kg_h = emissions_at_capacity(plant).value_in("kg/h")
-    return Quantity(product.xi_h * beta * cbar_kg_h * econ.c_we, "$")
+    return product.xi_h * beta * (cbar * 1000.0) * econ.c_we
 
 
-def chemical_revenue(product: ProductSpec, captured: TimeSeries, beta: float,
-                     econ: EconParams) -> Quantity:
-    """Daily product revenue as a negative cost [$ / day]."""
+def chemical_revenue(product: ProductSpec, captured: Sequence[float], beta: float,
+                     econ: EconParams) -> float:
+    """Daily product revenue as a negative cost [$ / day].
+
+    ``captured`` holds the hourly captured carbon [ton/h].
+    """
     check_beta(beta)
-    if captured.dim != (1, 0, -1, 0, 0, 0):
-        raise UnitError(f"captured series must be a mass flow, got {captured.unit!r}")
     price = econ.price_of(product.name)  # [$ / ton]
-    tons = captured.values_in("ton/h")
-    return Quantity(-sum(price * product.xi_chi * beta * c for c in tons), "$/day")
+    return -sum(price * product.xi_chi * beta * c for c in captured)

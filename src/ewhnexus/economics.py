@@ -14,27 +14,25 @@ from dataclasses import dataclass
 
 from . import ccss, conversion, water
 from .quantities import (
-    CAPITAL, OPERATIONAL, REVENUE,
+    CAPITAL, OPERATIONAL, REVENUE, UNITS,
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, check_beta, constant_profile, emissions_at_capacity,
+    TimeSeries, UnitError, check_beta, emissions_at_capacity,
 )
 
 HOURS_PER_DAY = 24
 DAYS_PER_YEAR = 365
 
 
-def daily_capital_charge(capital: Quantity, econ: EconParams) -> Quantity:
-    """Daily charge recovering a capital stock over the payback horizon [$ / day].
+def daily_capital_charge(capital: float, econ: EconParams) -> float:
+    """Daily charge recovering a capital stock [$] over the payback horizon [$ / day].
 
     capital * (1 + lambda)^(N-1) / (365 N); with N = 1 and lambda = 0 this is
     exactly capital / 365.
     """
-    cap = capital.value_in("$")
-    if cap < 0:
+    if capital < 0:
         raise DomainError("capital must be >= 0")
     n = int(econ.horizon_years)
-    charge = cap * (1.0 + econ.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
-    return Quantity(charge, "$/day")
+    return capital * (1.0 + econ.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,9 @@ class ScenarioConfig:
 
     ``beta`` = 0 is pure storage: no water, power, hydrogen or revenue terms
     exist.  A positive ``beta`` needs a product; the water system and the
-    electrolyzer fleet are sized to the reuse stream.
+    electrolyzer fleet are sized to the reuse stream.  This is where a
+    scenario's units are checked: the capture profile must be a 24-step mass
+    flow and the water mode a single mode object.
     """
 
     plant: PlantSpec
@@ -57,6 +57,15 @@ class ScenarioConfig:
         check_beta(self.beta)
         if self.beta > 0 and self.product is None:
             raise DomainError("a reuse scenario (beta > 0) needs a product")
+        if not isinstance(self.water_mode, water.WaterMode):
+            raise DomainError(f"unsupported water mode {self.water_mode!r}")
+        profile = self.capture_profile
+        if profile is not None:
+            if profile.dim != UNITS["ton/h"][0]:
+                raise UnitError(f"capture_profile must be a mass flow, got {profile.unit!r}")
+            if len(profile) != HOURS_PER_DAY:
+                raise DomainError(f"capture_profile needs {HOURS_PER_DAY} hourly steps, "
+                                  f"got {len(profile)}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +86,6 @@ def increased_price(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
     per-day energy basis would be 24x larger.
     """
     cap_kw = plant.capacity.value_in("kW")
-    if cap_kw <= 0:
-        raise DomainError("plant capacity must be positive")
     return Quantity(daily_cost.value_in("$/day") / cap_kw, "$/kWh")
 
 
@@ -89,8 +96,6 @@ def carbon_penalty(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
     as much as the scenario; negative when the scenario is net revenue.
     """
     cbar_ton_day = emissions_at_capacity(plant).value_in("ton/h") * HOURS_PER_DAY
-    if cbar_ton_day <= 0:
-        raise DomainError("plant emits no carbon; the penalty threshold is undefined")
     return Quantity(daily_cost.value_in("$/day") / cbar_ton_day, "$/ton")
 
 
@@ -105,58 +110,54 @@ def _term(label: str, fn, *args, **kwargs):
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
     plant, econ, beta = scenario.plant, scenario.econ, scenario.beta
-
-    captured = scenario.capture_profile
-    if captured is None:
-        captured = constant_profile(emissions_at_capacity(plant), HOURS_PER_DAY)
-
-    plan = ccss.CcssPlan(beta)
+    cbar = emissions_at_capacity(plant).magnitude   # full-load carbon [ton/h]
+    captured = ((cbar,) * HOURS_PER_DAY if scenario.capture_profile is None
+                else scenario.capture_profile.values_in("ton/h"))
     items: list[LedgerItem] = []
 
-    cap_ccss = _term("ccss-capital", ccss.ccss_capital, plan, plant, econ)
+    cap_ccss = _term("ccss-capital", ccss.ccss_capital, beta, cbar, econ)
     items.append(LedgerItem("capture and storage pipeline capital", "ccss-capital",
-                            CAPITAL, cap_ccss.value_in("$"), "$"))
-    op_ccss = _term("ccss-operational", ccss.ccss_operational, plan, captured, econ)
+                            CAPITAL, cap_ccss, "$"))
+    op_ccss = _term("ccss-operational", ccss.ccss_operational, beta, captured, econ)
     items.append(LedgerItem("capture and transfer operations", "ccss-operational",
-                            OPERATIONAL, op_ccss.value_in("$/day"), "$/day"))
+                            OPERATIONAL, op_ccss, "$/day"))
 
     if beta > 0 and scenario.product is not None:
-        product = scenario.product
+        product, mode = scenario.product, scenario.water_mode
         h2_rate, water_rate, _ = conversion.nexus_rates(plant, product, beta)
+        h2_max, w_max = h2_rate.magnitude, water_rate.magnitude   # [ton/h], [m3/h]
 
-        cap_power = _term("power-capital", conversion.power_capital, h2_rate, econ)
+        cap_power = _term("power-capital", conversion.power_capital, h2_max, econ)
         items.append(LedgerItem("wind farm capital", "power-capital",
-                                CAPITAL, cap_power.value_in("$"), "$"))
+                                CAPITAL, cap_power, "$"))
 
         if econ.include_hydrogen_capital:
             cap_h2 = _term("hydrogen-capital", conversion.hydrogen_capital,
-                           plant, product, beta, econ)
+                           product, cbar, beta, econ)
             items.append(LedgerItem("electrolyzer capital", "hydrogen-capital",
-                                    CAPITAL, cap_h2.value_in("$"), "$"))
+                                    CAPITAL, cap_h2, "$"))
 
-        w_plan = water.WaterSupplyPlan(scenario.water_mode, water_rate)
-        cap_water = _term("water-capital", water.water_capital, w_plan, econ)
+        cap_water = _term("water-capital", water.water_capital, mode, w_max, econ)
         items.append(LedgerItem("water system capital", "water-capital",
-                                CAPITAL, cap_water.value_in("$"), "$"))
+                                CAPITAL, cap_water, "$"))
 
         # L/kg times ton/h is m3/h; same arithmetic path as nexus_rates so a
         # full-load profile lands exactly on w_max
-        flow = TimeSeries(
-            tuple(product.water_demand * beta * c for c in captured.values_in("ton/h")),
-            "m3/h")
-        op_water = _term("water-operational", water.water_operational, w_plan, flow, econ)
+        flow = tuple(product.water_demand * beta * c for c in captured)
+        op_water = _term("water-operational", water.water_operational,
+                         mode, w_max, flow, econ)
         items.append(LedgerItem("water system operations", "water-operational",
-                                OPERATIONAL, op_water.value_in("$/day"), "$/day"))
+                                OPERATIONAL, op_water, "$/day"))
 
         revenue = _term("product-revenue", conversion.chemical_revenue,
                         product, captured, beta, econ)
         items.append(LedgerItem(f"{product.name} sales", "product-revenue",
-                                REVENUE, revenue.value_in("$/day"), "$/day"))
+                                REVENUE, revenue, "$/day"))
 
     capital_total = math.fsum(i.amount for i in items if i.unit == "$")
-    charge = daily_capital_charge(Quantity(capital_total, "$"), econ)
+    charge = daily_capital_charge(capital_total, econ)
     items.append(LedgerItem("daily capital charge", "capital-charge",
-                            CAPITAL, charge.value_in("$/day"), "$/day"))
+                            CAPITAL, charge, "$/day"))
 
     ledger = CostLedger(tuple(items))
     daily = Quantity(ledger.daily_total(), "$/day")

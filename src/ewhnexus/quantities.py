@@ -2,14 +2,17 @@
 
 Dimensions are tracked over six engineering bases: mass [kg], energy [kWh],
 time [h], money [$], volume [m3] and length [m].  Every supported unit maps
-onto a dimension vector plus a scale factor to the canonical base, so mixing
-incompatible quantities (say, adding $/ton to kWh/kg) fails loudly instead of
-silently producing garbage.  Multiplication and division compose dimension
-vectors, which is all the cost formulas need.
+onto a dimension vector plus a scale factor to the canonical base, so a
+conversion between incompatible units (say, $/ton to kWh/kg) fails loudly
+instead of silently producing garbage.
+
+Units are checked where data enters: config load, ``PlantSpec``,
+``NetworkTransfer`` and a scenario's capture profile.  The cost terms then
+compute on plain floats in the units their docstrings state.
 
 Values are kept in the unit they were given and only rescaled on demand.
 That keeps round-decimal inputs (230 g/kWh, 15 $/ton, 500 MW) bit-exact
-through the common arithmetic paths.
+through conversion.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ class DomainError(ValueError):
 Dim = tuple[int, int, int, int, int, int]
 
 DIMENSIONLESS_DIM: Dim = (0, 0, 0, 0, 0, 0)
-
-_BASE_NAMES = ("kg", "kWh", "h", "$", "m3", "m")
 
 
 def _d(mass: int = 0, energy: int = 0, time: int = 0, money: int = 0,
@@ -94,30 +95,9 @@ UNITS: dict[str, tuple[Dim, tuple[int, int]]] = {
     "g/kWh": (_d(mass=1, energy=-1), (1, 1000)),
 }
 
-# Preferred display name for a handful of derived dimensions (scale 1 only).
-_CANONICAL_NAMES: dict[Dim, str] = {}
-for _name, (_dim, _scale) in UNITS.items():
-    if _scale == (1, 1) and _dim not in _CANONICAL_NAMES:
-        _CANONICAL_NAMES[_dim] = _name
-
-
 def _normalize(unit: str) -> str:
     # accept the unicode superscript spelling used in printed tables
     return unit.replace("³", "3").strip()
-
-
-def _parse_dim_label(unit: str) -> tuple[Dim, tuple[int, int]] | None:
-    """Recognize synthesized labels like 'kg^1*h^-1' (always scale 1)."""
-    exponents = dict.fromkeys(_BASE_NAMES, 0)
-    for part in unit.split("*"):
-        name, caret, exp = part.partition("^")
-        if not caret or name not in exponents or exponents[name] != 0:
-            return None
-        try:
-            exponents[name] = int(exp)
-        except ValueError:
-            return None
-    return tuple(exponents[n] for n in _BASE_NAMES), (1, 1)
 
 
 def _unit_entry(unit: str) -> tuple[Dim, tuple[int, int]]:
@@ -125,9 +105,6 @@ def _unit_entry(unit: str) -> tuple[Dim, tuple[int, int]]:
     try:
         return UNITS[unit]
     except KeyError:
-        parsed = _parse_dim_label(unit)
-        if parsed is not None:
-            return parsed
         raise UnitError(f"unknown unit {unit!r}") from None
 
 
@@ -147,13 +124,6 @@ def _unscale_value(value: float, scale: tuple[int, int]) -> float:
     if num != 1:
         value = value / num
     return value
-
-
-def _dim_label(dim: Dim) -> str:
-    if dim in _CANONICAL_NAMES:
-        return _CANONICAL_NAMES[dim]
-    parts = [f"{name}^{exp}" for name, exp in zip(_BASE_NAMES, dim) if exp]
-    return "*".join(parts) if parts else "dimensionless"
 
 
 @dataclass(frozen=True)
@@ -176,70 +146,18 @@ class Quantity:
     def dim(self) -> Dim:
         return _unit_entry(self.unit)[0]
 
-    @property
-    def canonical(self) -> float:
-        """Magnitude expressed in the canonical base units."""
-        _, scale = _unit_entry(self.unit)
-        return _scale_value(self.magnitude, scale)
-
     def to(self, unit: str) -> "Quantity":
         unit = _normalize(unit)
         if unit == self.unit:
             return self
+        dim_self, scale_self = _unit_entry(self.unit)
         dim, scale = _unit_entry(unit)
-        if dim != self.dim:
+        if dim != dim_self:
             raise UnitError(f"cannot convert {self.unit!r} to {unit!r}")
-        return Quantity(_unscale_value(self.canonical, scale), unit)
+        return Quantity(_unscale_value(_scale_value(self.magnitude, scale_self), scale), unit)
 
     def value_in(self, unit: str) -> float:
         return self.to(unit).magnitude
-
-    def _require_same_dim(self, other: "Quantity", op: str) -> None:
-        if not isinstance(other, Quantity):
-            raise UnitError(f"cannot {op} {type(other).__name__} and Quantity")
-        if other.dim != self.dim:
-            raise UnitError(f"cannot {op} {self.unit!r} and {other.unit!r}")
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dim(other, "add")
-        return Quantity(self.magnitude + other.value_in(self.unit), self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dim(other, "subtract")
-        return Quantity(self.magnitude - other.value_in(self.unit), self.unit)
-
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.magnitude, self.unit)
-
-    def __mul__(self, other):
-        if isinstance(other, Quantity):
-            dim = tuple(a + b for a, b in zip(self.dim, other.dim))
-            return Quantity(self.canonical * other.canonical, _dim_label(dim))
-        return Quantity(self.magnitude * float(other), self.unit)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            dim = tuple(a - b for a, b in zip(self.dim, other.dim))
-            return Quantity(self.canonical / other.canonical, _dim_label(dim))
-        return Quantity(self.magnitude / float(other), self.unit)
-
-    def _cmp_value(self, other: "Quantity") -> float:
-        self._require_same_dim(other, "compare")
-        return other.canonical
-
-    def __lt__(self, other):
-        return self.canonical < self._cmp_value(other)
-
-    def __le__(self, other):
-        return self.canonical <= self._cmp_value(other)
-
-    def __gt__(self, other):
-        return self.canonical > self._cmp_value(other)
-
-    def __ge__(self, other):
-        return self.canonical >= self._cmp_value(other)
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.unit}"
@@ -267,8 +185,8 @@ class PlantSpec:
                 f"emission_factor must be mass per energy, got {self.emission_factor.unit!r}")
         if not self.capacity.magnitude > 0:
             raise DomainError(f"plant {self.name!r}: capacity must be positive")
-        if self.emission_factor.magnitude < 0:
-            raise DomainError(f"plant {self.name!r}: emission_factor must be >= 0")
+        if not self.emission_factor.magnitude > 0:
+            raise DomainError(f"plant {self.name!r}: emission_factor must be positive")
 
 
 def emissions_at_capacity(plant: PlantSpec) -> Quantity:
@@ -376,14 +294,6 @@ class TimeSeries:
             raise UnitError(f"cannot express {self.unit!r} series in {unit!r}")
         return tuple(_unscale_value(_scale_value(v, scale_self), scale)
                      for v in self.values)
-
-    def total(self) -> Quantity:
-        """Sum over all steps times the 1 h step, e.g. ton/h series -> ton."""
-        rate_dim = self.dim
-        total_dim = tuple(a + b for a, b in zip(rate_dim, _d(time=1)))
-        _, scale = _unit_entry(self.unit)
-        return Quantity(_scale_value(math.fsum(self.values), scale),
-                        _dim_label(total_dim))
 
     @property
     def dim(self) -> Dim:

@@ -28,8 +28,7 @@ from ewhnexus.quantities import (
     CostLedger, DomainError, LedgerItem, Quantity,
 )
 from ewhnexus.water import (
-    Desalination, NetworkTransfer, SolarSeawater, WaterSupplyPlan,
-    desal_segment, pump_power,
+    Desalination, NetworkTransfer, SolarSeawater, desal_segment, pump_power,
 )
 
 CFG = paper_2024()
@@ -248,8 +247,8 @@ def test_a7_property_suite():
         f = rng.uniform(1e-3, 1e4)
         r = 10 ** rng.uniform(-8, -1)
         eta = rng.uniform(0.2, 1.0)
-        p1 = pump_power(Quantity(f, "m3/h"), r, eta).magnitude
-        p2 = pump_power(Quantity(2 * f, "m3/h"), r, eta).magnitude
+        p1 = pump_power(f, r, eta)
+        p2 = pump_power(2 * f, r, eta)
         if p1 > 0 and abs(p2 - 8.0 * p1) > 1e-12 * abs(8.0 * p1):
             failures.append(f"pump cubic law violated at f={f}: {p2} vs {8 * p1}")
             break
@@ -264,12 +263,17 @@ def test_a7_property_suite():
             failures.append(f"segment mismatch at f={f}: {k} vs {brute}")
             break
 
-    plan = WaterSupplyPlan(Desalination(), Quantity(188, "m3/h"))
-    if sum(plan.alpha) != 1:
-        failures.append(f"alpha not one-hot: {plan.alpha}")
+    biomass = PLANTS["biomass"]
+    for mode in (Desalination(), NetworkTransfer(Quantity(250, "km")), SolarSeawater()):
+        try:
+            ScenarioConfig(plant=biomass, econ=CFG.econ, beta=1.0, product=METHANE,
+                           water_mode=mode)
+        except (DomainError, TypeError) as exc:
+            failures.append(f"scenario rejected the single supply mode {mode!r}: {exc}")
     try:
-        WaterSupplyPlan((Desalination(), SolarSeawater()), Quantity(188, "m3/h"))
-        failures.append("plan accepted two supply modes at once")
+        ScenarioConfig(plant=biomass, econ=CFG.econ, beta=1.0, product=METHANE,
+                       water_mode=(Desalination(), SolarSeawater()))
+        failures.append("scenario accepted two supply modes at once")
     except (DomainError, TypeError):
         pass
 
@@ -283,9 +287,8 @@ def test_a7_property_suite():
     if ledger.daily_total() != math.fsum(i.amount for i in items):
         failures.append("ledger total is not the exact item sum")
 
-    charge = daily_capital_charge(Quantity(1.23e7, "$"),
-                                  replace(CFG.econ, horizon_years=1, interest_rate=0.0))
-    if charge.value_in("$/day") != 1.23e7 / 365.0:
+    charge = daily_capital_charge(1.23e7, replace(CFG.econ, horizon_years=1, interest_rate=0.0))
+    if charge != 1.23e7 / 365.0:
         failures.append("N=1, lambda=0 annualization is not capital/365")
 
     _report("A7", "pump cubic, segment scan, exclusivity, ledger, annualization", failures)

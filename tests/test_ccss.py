@@ -1,8 +1,9 @@
-"""Capture, transfer and storage cost model."""
+"""Capture, transfer and storage cost model; the terms take carbon rates in ton/h."""
 
 import pytest
 
-from ewhnexus.ccss import CcssPlan, ccss_capital, ccss_operational
+from ewhnexus.ccss import ccss_capital, ccss_operational
+from ewhnexus.economics import ScenarioConfig
 from ewhnexus.quantities import (
     DomainError, EconParams, PlantSpec, Quantity, UnitError,
     constant_profile, emissions_at_capacity,
@@ -19,74 +20,78 @@ def econ(**over):
     return EconParams(**base)
 
 
-FULL_LOAD = constant_profile(emissions_at_capacity(BIOMASS), 24)
+CBAR = emissions_at_capacity(BIOMASS).magnitude   # 115 ton/h
+FULL_LOAD = (CBAR,) * 24
 
 
 class TestPlan:
     def test_beta_bounds(self):
-        CcssPlan(0.0)
-        CcssPlan(1.0)
+        ScenarioConfig(plant=BIOMASS, econ=econ(), beta=0.0)
         for bad in (-0.1, 1.1):
             with pytest.raises(DomainError):
-                CcssPlan(bad)
+                ScenarioConfig(plant=BIOMASS, econ=econ(), beta=bad)
+            with pytest.raises(DomainError):
+                ccss_capital(bad, CBAR, econ())
+            with pytest.raises(DomainError):
+                ccss_operational(bad, FULL_LOAD, econ())
 
 
 class TestCapital:
     def test_hand_computed_storage_case(self):
         # (100 + 300) $/ton-day on 2760 ton/day -> $1.104 M
-        cap = ccss_capital(CcssPlan(0.0), BIOMASS, econ())
-        assert cap.value_in("$") == pytest.approx(1.104e6, rel=1e-12)
+        cap = ccss_capital(0.0, CBAR, econ())
+        assert cap == pytest.approx(1.104e6, rel=1e-12)
 
     def test_full_reuse_drops_the_transfer_term(self):
-        cap = ccss_capital(CcssPlan(1.0), BIOMASS, econ())
-        assert cap.value_in("$") == pytest.approx(300.0 * 2760.0, rel=1e-12)
+        cap = ccss_capital(1.0, CBAR, econ())
+        assert cap == pytest.approx(300.0 * 2760.0, rel=1e-12)
 
     def test_half_reuse_halves_only_the_transfer_term(self):
-        c0 = ccss_capital(CcssPlan(0.0), BIOMASS, econ()).value_in("$")
-        chalf = ccss_capital(CcssPlan(0.5), BIOMASS, econ()).value_in("$")
-        c1 = ccss_capital(CcssPlan(1.0), BIOMASS, econ()).value_in("$")
+        c0 = ccss_capital(0.0, CBAR, econ())
+        chalf = ccss_capital(0.5, CBAR, econ())
+        c1 = ccss_capital(1.0, CBAR, econ())
         assert c0 - chalf == pytest.approx(0.5 * 100.0 * 2760.0, rel=1e-12)
         assert c0 - c1 == pytest.approx(100.0 * 2760.0, rel=1e-12)
 
     def test_scales_linearly_with_plant_size(self):
         small = PlantSpec("s", Quantity(250, "MW"), Quantity(230, "g/kWh"))
-        assert ccss_capital(CcssPlan(0.3), BIOMASS, econ()).value_in("$") == pytest.approx(
-            2 * ccss_capital(CcssPlan(0.3), small, econ()).value_in("$"), rel=1e-12)
+        assert ccss_capital(0.3, CBAR, econ()) == pytest.approx(
+            2 * ccss_capital(0.3, emissions_at_capacity(small).magnitude, econ()), rel=1e-12)
 
     def test_unconfigured_c_ccs_is_an_error(self):
         with pytest.raises(DomainError, match="c_ccs"):
-            ccss_capital(CcssPlan(0.0), BIOMASS, econ(c_ccs=None))
+            ccss_capital(0.0, CBAR, econ(c_ccs=None))
 
 
 class TestOperational:
     def test_store_all_reference_day(self):
-        cost = ccss_operational(CcssPlan(0.0), FULL_LOAD, econ())
-        assert cost.value_in("$/day") == 165600.0  # exact: 2760 ton x (15+45)
+        cost = ccss_operational(0.0, FULL_LOAD, econ())
+        assert cost == 165600.0  # exact: 2760 ton x (15+45)
 
     def test_reuse_all_drops_transfer(self):
-        cost = ccss_operational(CcssPlan(1.0), FULL_LOAD, econ())
-        assert cost.value_in("$/day") == 124200.0  # 2760 x 45
+        cost = ccss_operational(1.0, FULL_LOAD, econ())
+        assert cost == 124200.0  # 2760 x 45
 
     def test_zero_series(self):
-        zero = constant_profile(Quantity(0, "ton/h"), 24)
-        assert ccss_operational(CcssPlan(0.0), zero, econ()).value_in("$/day") == 0.0
+        assert ccss_operational(0.0, (0.0,) * 24, econ()) == 0.0
 
     def test_non_increasing_in_beta(self):
-        costs = [ccss_operational(CcssPlan(b), FULL_LOAD, econ()).value_in("$/day")
+        costs = [ccss_operational(b, FULL_LOAD, econ())
                  for b in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert costs == sorted(costs, reverse=True)
 
     def test_beta_endpoints_differ_by_exactly_the_transfer_term(self):
-        lo = ccss_operational(CcssPlan(0.0), FULL_LOAD, econ()).value_in("$/day")
-        hi = ccss_operational(CcssPlan(1.0), FULL_LOAD, econ()).value_in("$/day")
+        lo = ccss_operational(0.0, FULL_LOAD, econ())
+        hi = ccss_operational(1.0, FULL_LOAD, econ())
         assert lo - hi == pytest.approx(2760.0 * 15.0, rel=1e-12)
 
+    # the captured series is unit-checked where it enters, at ScenarioConfig
     def test_wrong_unit_series_rejected(self):
         flow = constant_profile(Quantity(10, "m3/h"), 24)
         with pytest.raises(UnitError):
-            ccss_operational(CcssPlan(0.0), flow, econ())
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=0.0, capture_profile=flow)
 
     def test_wrong_length_series_rejected(self):
         short = constant_profile(Quantity(115, "ton/h"), 12)
         with pytest.raises(DomainError):
-            ccss_operational(CcssPlan(0.0), short, econ())
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=0.0, capture_profile=short)

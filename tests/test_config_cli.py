@@ -231,6 +231,28 @@ class TestCli:
         assert status == 2
         assert "mystery_knob" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "scenario", "penalty"])
+    def test_zero_emission_factor_exits_2_with_the_plant_path(self, command, tmp_path):
+        data = preset_dict()
+        data["plants"][1]["emission_factor"] = "0 g/kWh"
+        path = tmp_path / "clean.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", command,
+                                        "--plant", "natural_gas")
+        assert (status, out) == (2, "")
+        assert "plants[1]: plant 'natural_gas': emission_factor must be positive" in err
+
+    def test_duplicate_plant_or_product_name_exits_2(self, tmp_path):
+        data = preset_dict()
+        data["plants"].append(dict(data["plants"][0], emission_factor="820 g/kWh"))
+        data["products"] = ["methane", "methane", "ethanol"]
+        path = tmp_path / "dupes.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", "sweep")
+        assert (status, out) == (2, "")
+        assert "plants[3].name: duplicate plant name 'biomass' (first at plants[0])" in err
+        assert "products[1]: duplicate product 'methane' (first at products[0])" in err
+
     def test_computation_error_exits_3(self, tmp_path):
         # pipe so expensive that no break-even exists in the window
         data = preset_dict()

@@ -26,36 +26,32 @@ def econ(**over):
 
 class TestDailyCapitalCharge:
     def test_zero_interest_single_year_degenerates_to_365th(self):
-        cap = Quantity(1e6, "$")
-        charge = daily_capital_charge(cap, econ(horizon_years=1, interest_rate=0.0))
-        assert charge.value_in("$/day") == 1e6 / 365.0
+        charge = daily_capital_charge(1e6, econ(horizon_years=1, interest_rate=0.0))
+        assert charge == 1e6 / 365.0
 
     def test_zero_interest_general_horizon(self):
-        charge = daily_capital_charge(Quantity(730.0, "$"),
-                                      econ(horizon_years=2, interest_rate=0.0))
-        assert charge.value_in("$/day") == pytest.approx(1.0, rel=1e-12)
+        charge = daily_capital_charge(730.0, econ(horizon_years=2, interest_rate=0.0))
+        assert charge == pytest.approx(1.0, rel=1e-12)
 
     def test_reference_twenty_year_case(self):
         # oracle: 1e6 * 1.05**19 / 7300 = 346.1575610103617
-        charge = daily_capital_charge(Quantity(1e6, "$"),
-                                      econ(horizon_years=20, interest_rate=0.05))
-        assert charge.value_in("$/day") == pytest.approx(346.1575610103617, rel=1e-12)
+        charge = daily_capital_charge(1e6, econ(horizon_years=20, interest_rate=0.05))
+        assert charge == pytest.approx(346.1575610103617, rel=1e-12)
 
     def test_linear_in_capital(self):
         params = econ(horizon_years=20, interest_rate=0.05)
-        one = daily_capital_charge(Quantity(1e6, "$"), params).magnitude
-        five = daily_capital_charge(Quantity(5e6, "$"), params).magnitude
+        one = daily_capital_charge(1e6, params)
+        five = daily_capital_charge(5e6, params)
         assert five == pytest.approx(5 * one, rel=1e-12)
 
     def test_strictly_increasing_in_interest_rate(self):
-        charges = [daily_capital_charge(Quantity(1e6, "$"),
-                                        econ(horizon_years=20, interest_rate=lam)).magnitude
+        charges = [daily_capital_charge(1e6, econ(horizon_years=20, interest_rate=lam))
                    for lam in (0.0, 0.02, 0.05, 0.08)]
         assert charges == sorted(charges) and len(set(charges)) == len(charges)
 
     def test_negative_capital_rejected(self):
         with pytest.raises(DomainError):
-            daily_capital_charge(Quantity(-1.0, "$"), econ(horizon_years=20, interest_rate=0.05))
+            daily_capital_charge(-1.0, econ(horizon_years=20, interest_rate=0.05))
 
 
 class TestDerivedMetrics:
@@ -77,9 +73,8 @@ class TestDerivedMetrics:
         assert carbon_penalty(Quantity(-9700.0, "$/day"), BIOMASS).magnitude < 0
 
     def test_zero_emissions_rejected(self):
-        clean = PlantSpec("clean", Quantity(500, "MW"), Quantity(0, "g/kWh"))
         with pytest.raises(DomainError):
-            carbon_penalty(Quantity(1.0, "$/day"), clean)
+            PlantSpec("clean", Quantity(500, "MW"), Quantity(0, "g/kWh"))
 
 
 class TestTotalDailyCost:
@@ -181,3 +176,26 @@ class TestTotalDailyCost:
                              capture_profile=overload)
         with pytest.raises(DomainError, match="water-operational"):
             total_daily_cost(cfg)
+
+    def test_capture_profile_unit_is_converted_once_at_the_boundary(self):
+        from ewhnexus.quantities import TimeSeries
+        ton_h = tuple(115.0 * (h + 0.5) / 24 for h in range(24))   # a ramp [ton/h]
+        ledgers = {}
+        for unit, scale in (("ton/h", 1.0), ("ton/day", 24.0), ("kg/h", 1000.0)):
+            profile = TimeSeries(tuple(v * scale for v in ton_h), unit)
+            cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                                 capture_profile=profile)
+            ledgers[unit] = {i.term: i.amount for i in total_daily_cost(cfg).ledger.items}
+        for unit in ("ton/day", "kg/h"):
+            assert ledgers[unit].keys() == ledgers["ton/h"].keys()
+            for term, amount in ledgers["ton/h"].items():
+                assert ledgers[unit][term] == pytest.approx(amount, rel=1e-12), (unit, term)
+
+    def test_bad_capture_profile_rejected_when_the_scenario_is_built(self):
+        from ewhnexus.quantities import TimeSeries, UnitError
+        with pytest.raises(UnitError, match="mass flow"):
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                           capture_profile=TimeSeries((10.0,) * 24, "m3/h"))
+        with pytest.raises(DomainError, match="24"):
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                           capture_profile=TimeSeries((115.0,) * 23, "ton/h"))

@@ -1,4 +1,4 @@
-"""Unit algebra, plant basics, profiles and ledger arithmetic."""
+"""Unit conversion, plant basics, profiles and ledger arithmetic."""
 
 import math
 import random
@@ -17,18 +17,11 @@ def q(v, u):
 
 
 class TestQuantityAlgebra:
-    def test_same_unit_addition_is_exact(self):
-        assert (q(15, "$/ton") + q(45, "$/ton")).magnitude == 60.0
-
     def test_conversion(self):
         assert q(500, "MW").value_in("kW") == 500000.0
         assert q(2, "km").value_in("m") == 2000.0
         assert q(1, "ton/h").value_in("kg/h") == 1000.0
         assert q(2760, "ton/day").value_in("ton/h") == 115.0
-
-    def test_mismatched_addition_rejected(self):
-        with pytest.raises(UnitError):
-            q(1, "kW") + q(1, "$/ton")
 
     def test_mismatched_conversion_rejected(self):
         with pytest.raises(UnitError):
@@ -47,30 +40,14 @@ class TestQuantityAlgebra:
         assert q(1, "m³/h").unit == "m3/h"
 
     @given(a=st.sampled_from(sorted(UNITS)), b=st.sampled_from(sorted(UNITS)),
-           x=st.floats(0.1, 1e6), y=st.floats(0.1, 1e6))
-    def test_addition_defined_iff_dimensions_match(self, a, b, x, y):
-        qa, qb = q(x, a), q(y, b)
-        if qa.dim == qb.dim:
-            total = qa + qb
-            assert total.dim == qa.dim
+           x=st.floats(0.1, 1e6))
+    def test_conversion_defined_iff_dimensions_match(self, a, b, x):
+        qa = q(x, a)
+        if qa.dim == q(1, b).dim:
+            assert qa.to(b).dim == qa.dim
         else:
             with pytest.raises(UnitError):
-                qa + qb
-
-    @given(a=st.sampled_from(sorted(UNITS)), b=st.sampled_from(sorted(UNITS)),
-           x=st.floats(0.1, 1e3), y=st.floats(0.1, 1e3))
-    def test_product_composes_dimensions(self, a, b, x, y):
-        qa, qb = q(x, a), q(y, b)
-        prod = qa * qb
-        assert prod.dim == tuple(i + j for i, j in zip(qa.dim, qb.dim))
-        quot = qa / qb
-        assert quot.dim == tuple(i - j for i, j in zip(qa.dim, qb.dim))
-
-    def test_product_magnitude_is_canonical(self):
-        rate = q(115, "ton/h") * q(1, "h")
-        assert rate.value_in("ton") == 115.0
-        cost = q(2, "ton/h") * q(15, "$/ton")
-        assert cost.value_in("$/h") == 30.0
+                qa.to(b)
 
 
 class TestPlantSpec:
@@ -101,14 +78,14 @@ class TestTimeSeries:
     def test_constant_profile_sums(self):
         series = constant_profile(q(115, "ton/h"), 24)
         assert len(series) == 24
-        assert series.total().value_in("ton") == 2760.0
+        assert sum(series.values) == 2760.0
 
     def test_zero_profile(self):
         series = constant_profile(q(0, "ton/h"), 24)
         assert all(v == 0.0 for v in series.values)
 
     def test_gas_profile_sums(self):
-        assert constant_profile(q(245, "ton/h"), 24).total().value_in("ton") == 5880.0
+        assert sum(constant_profile(q(245, "ton/h"), 24).values) == 5880.0
 
     def test_non_positive_hours_rejected(self):
         with pytest.raises(DomainError):

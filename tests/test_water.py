@@ -1,19 +1,21 @@
 """Water supply section: piecewise desalination power, pump hydraulics,
-capital and operational aggregation, mode exclusivity."""
+capital and operational aggregation, mode exclusivity.  Flows are in m3/h."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ewhnexus.quantities import (
-    DomainError, EconParams, Quantity, constant_profile,
-)
+from ewhnexus.conversion import METHANE
+from ewhnexus.economics import ScenarioConfig
+from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 from ewhnexus.water import (
-    Desalination, NetworkTransfer, SolarSeawater, WaterSupplyPlan,
+    Desalination, NetworkTransfer, SolarSeawater,
     desal_power, desal_segment, effective_r_w, head_loss, pump_power,
     water_capital, water_operational,
 )
+
+BIOMASS = PlantSpec("biomass", Quantity(500, "MW"), Quantity(230, "g/kWh"))
 
 
 def econ(**over):
@@ -37,21 +39,21 @@ def brute_force_segment(f: float, w: float) -> int:
 class TestDesalination:
     def test_zero_flow_is_zero_power_segment_one(self):
         assert desal_segment(0.0, 188.0) == 1
-        p = desal_power(Quantity(0, "m3/h"), Quantity(188, "m3/h"), econ())
-        assert p.value_in("kW") == 0.0
+        p = desal_power(0.0, 188.0, econ())
+        assert p == 0.0
 
     def test_reference_segment_two_case(self):
         # f = 94 on capacity 188 sits at the top of segment 2: 3.8 kWh/m3
-        p = desal_power(Quantity(94, "m3/h"), Quantity(188, "m3/h"), econ())
-        assert p.value_in("kW") == pytest.approx(357.2, rel=1e-12)
+        p = desal_power(94.0, 188.0, econ())
+        assert p == pytest.approx(357.2, rel=1e-12)
 
     def test_flow_above_capacity_rejected(self):
         with pytest.raises(DomainError, match="capacity"):
-            desal_power(Quantity(188 * 1.01, "m3/h"), Quantity(188, "m3/h"), econ())
+            desal_power(188 * 1.01, 188.0, econ())
 
     def test_negative_flow_rejected(self):
         with pytest.raises(DomainError):
-            desal_power(Quantity(-1, "m3/h"), Quantity(188, "m3/h"), econ())
+            desal_power(-1.0, 188.0, econ())
 
     def test_segment_selection_matches_brute_force_scan(self):
         rng = random.Random(2024)
@@ -64,42 +66,42 @@ class TestDesalination:
         assert desal_segment(188.0, 188.0) == 4
 
     def test_linear_within_a_segment(self):
-        w = Quantity(400, "m3/h")
-        p1 = desal_power(Quantity(30, "m3/h"), w, econ()).magnitude
-        p2 = desal_power(Quantity(60, "m3/h"), w, econ()).magnitude
+        w = 400.0
+        p1 = desal_power(30.0, w, econ())
+        p2 = desal_power(60.0, w, econ())
         assert p2 == pytest.approx(2 * p1, rel=1e-12)
 
 
 class TestHydraulics:
     def test_head_loss_reference_case(self):
-        assert head_loss(Quantity(100, "m3/h"), 2e-4).value_in("m") == pytest.approx(2.0)
+        assert head_loss(100.0, 2e-4) == pytest.approx(2.0)
 
     def test_head_loss_zero_flow(self):
-        assert head_loss(Quantity(0, "m3/h"), 2e-4).magnitude == 0.0
+        assert head_loss(0.0, 2e-4) == 0.0
 
     def test_head_loss_quadratic(self):
-        h1 = head_loss(Quantity(50, "m3/h"), 3e-4).magnitude
-        h2 = head_loss(Quantity(100, "m3/h"), 3e-4).magnitude
+        h1 = head_loss(50.0, 3e-4)
+        h2 = head_loss(100.0, 3e-4)
         assert h2 == 4 * h1
 
     def test_pump_power_reference_case(self):
         # 2.725 W constant x 2 m head x 100 m3/h / 0.9 -> 0.6056 kW
-        p = pump_power(Quantity(100, "m3/h"), 2e-4, 0.9)
-        assert p.value_in("kW") == pytest.approx(0.605555555555, rel=1e-9)
+        p = pump_power(100.0, 2e-4, 0.9)
+        assert p == pytest.approx(0.605555555555, rel=1e-9)
 
     def test_pump_power_zero_flow(self):
-        assert pump_power(Quantity(0, "m3/h"), 2e-4, 0.9).magnitude == 0.0
+        assert pump_power(0.0, 2e-4, 0.9) == 0.0
 
     @given(f=st.floats(1e-3, 1e4), r=st.floats(1e-8, 1e-1), eta=st.floats(0.2, 1.0))
     def test_pump_cubic_law_is_bit_exact(self, f, r, eta):
-        p1 = pump_power(Quantity(f, "m3/h"), r, eta).magnitude
-        p2 = pump_power(Quantity(2 * f, "m3/h"), r, eta).magnitude
+        p1 = pump_power(f, r, eta)
+        p2 = pump_power(2 * f, r, eta)
         assert p2 == 8.0 * p1
 
     def test_eta_bounds(self):
         for eta in (0.0, -0.5, 1.5):
             with pytest.raises(DomainError):
-                pump_power(Quantity(1, "m3/h"), 2e-4, eta)
+                pump_power(1.0, 2e-4, eta)
 
     def test_effective_r_w_scales_linearly_with_distance(self):
         e = econ()
@@ -108,24 +110,24 @@ class TestHydraulics:
 
 
 class TestPlanExclusivity:
+    # alpha, the mode selector, is one-hot because a scenario holds one mode object
     def test_alpha_is_one_hot_for_every_mode(self):
-        w = Quantity(188, "m3/h")
+        kinds = (Desalination, NetworkTransfer, SolarSeawater)
         modes = (Desalination(), NetworkTransfer(Quantity(250, "km")), SolarSeawater())
         seen = set()
         for mode in modes:
-            alpha = WaterSupplyPlan(mode, w).alpha
+            cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                                 water_mode=mode)
+            alpha = tuple(int(isinstance(cfg.water_mode, kind)) for kind in kinds)
             assert sum(alpha) == 1
             seen.add(alpha)
         assert len(seen) == 3
 
     def test_multiple_modes_unconstructible(self):
-        # the plan takes exactly one mode object; collections are rejected
+        # the scenario takes exactly one mode object; collections are rejected
         with pytest.raises((DomainError, TypeError)):
-            WaterSupplyPlan((Desalination(), SolarSeawater()), Quantity(188, "m3/h"))
-
-    def test_non_positive_capacity_rejected(self):
-        with pytest.raises(DomainError):
-            WaterSupplyPlan(Desalination(), Quantity(0, "m3/h"))
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                           water_mode=(Desalination(), SolarSeawater()))
 
     def test_negative_distance_rejected(self):
         with pytest.raises(DomainError):
@@ -134,56 +136,43 @@ class TestPlanExclusivity:
 
 class TestCapital:
     def test_desalination_reference_case(self):
-        plan = WaterSupplyPlan(Desalination(), Quantity(188, "m3/h"))
-        assert water_capital(plan, econ()).value_in("$") == pytest.approx(37.6e6, rel=1e-12)
+        assert water_capital(Desalination(), 188.0, econ()) == pytest.approx(37.6e6, rel=1e-12)
 
     def test_transfer_zero_distance_is_free(self):
-        plan = WaterSupplyPlan(NetworkTransfer(Quantity(0, "km")), Quantity(188, "m3/h"))
-        assert water_capital(plan, econ()).value_in("$") == 0.0
+        assert water_capital(NetworkTransfer(Quantity(0, "km")), 188.0, econ()) == 0.0
 
     def test_transfer_linear_in_capacity_and_distance(self):
         def cap(w, d):
-            plan = WaterSupplyPlan(NetworkTransfer(Quantity(d, "km")), Quantity(w, "m3/h"))
-            return water_capital(plan, econ()).value_in("$")
-        assert cap(188, 250) == pytest.approx(188 * 160 * 250e3, rel=1e-12)
-        assert cap(376, 250) == pytest.approx(2 * cap(188, 250), rel=1e-12)
-        assert cap(188, 500) == pytest.approx(2 * cap(188, 250), rel=1e-12)
+            return water_capital(NetworkTransfer(Quantity(d, "km")), w, econ())
+        assert cap(188.0, 250) == pytest.approx(188 * 160 * 250e3, rel=1e-12)
+        assert cap(376.0, 250) == pytest.approx(2 * cap(188.0, 250), rel=1e-12)
+        assert cap(188.0, 500) == pytest.approx(2 * cap(188.0, 250), rel=1e-12)
 
     def test_solar_needs_configured_cost(self):
-        plan = WaterSupplyPlan(SolarSeawater(), Quantity(188, "m3/h"))
         with pytest.raises(DomainError, match="c_sw"):
-            water_capital(plan, econ())
-        assert water_capital(plan, econ(c_sw=1e5)).value_in("$") == pytest.approx(1.88e7)
+            water_capital(SolarSeawater(), 188.0, econ())
+        assert water_capital(SolarSeawater(), 188.0, econ(c_sw=1e5)) == pytest.approx(1.88e7)
 
 
 class TestOperational:
     def test_desalination_reference_day(self):
         # constant 94 m3/h for 24 h at segment 2 power 357.2 kW and $0.25/kWh
-        plan = WaterSupplyPlan(Desalination(), Quantity(188, "m3/h"))
-        flow = constant_profile(Quantity(94, "m3/h"), 24)
-        cost = water_operational(plan, flow, econ())
-        assert cost.value_in("$/day") == pytest.approx(2143.2, rel=1e-12)
+        cost = water_operational(Desalination(), 188.0, (94.0,) * 24, econ())
+        assert cost == pytest.approx(2143.2, rel=1e-12)
 
     def test_solar_mode_costs_nothing(self):
-        plan = WaterSupplyPlan(SolarSeawater(), Quantity(188, "m3/h"))
-        flow = constant_profile(Quantity(188, "m3/h"), 24)
-        assert water_operational(plan, flow, econ()).value_in("$/day") == 0.0
+        assert water_operational(SolarSeawater(), 188.0, (188.0,) * 24, econ()) == 0.0
 
     def test_zero_flow_costs_nothing(self):
         for mode in (Desalination(), NetworkTransfer(Quantity(100, "km"))):
-            plan = WaterSupplyPlan(mode, Quantity(188, "m3/h"))
-            flow = constant_profile(Quantity(0, "m3/h"), 24)
-            assert water_operational(plan, flow, econ()).value_in("$/day") == 0.0
+            assert water_operational(mode, 188.0, (0.0,) * 24, econ()) == 0.0
 
     def test_transfer_monotone_in_friction(self):
-        plan = WaterSupplyPlan(NetworkTransfer(Quantity(100, "km")), Quantity(188, "m3/h"))
-        flow = constant_profile(Quantity(150, "m3/h"), 24)
-        costs = [water_operational(plan, flow, econ(r_w_per_100km=r)).value_in("$/day")
+        mode = NetworkTransfer(Quantity(100, "km"))
+        costs = [water_operational(mode, 188.0, (150.0,) * 24, econ(r_w_per_100km=r))
                  for r in (1e-4, 2e-4, 4e-4, 8e-4)]
         assert costs == sorted(costs)
 
     def test_flow_bound_violation_propagates(self):
-        plan = WaterSupplyPlan(Desalination(), Quantity(100, "m3/h"))
-        flow = constant_profile(Quantity(101, "m3/h"), 24)
         with pytest.raises(DomainError, match="capacity"):
-            water_operational(plan, flow, econ())
+            water_operational(Desalination(), 100.0, (101.0,) * 24, econ())
