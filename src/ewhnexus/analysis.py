@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import economics, water
-from .conversion import ProductSpec, nexus_rates
+from .conversion import ProductSpec, _reuse_rates
 from .economics import ScenarioConfig, ScenarioResult, total_daily_cost
 from .quantities import DomainError, EconParams, PlantSpec, Quantity, check_beta
 
@@ -167,7 +167,7 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     if product is None:
         from .conversion import METHANE
         product = METHANE
-    w_max = nexus_rates(plant, product, 1.0)[1].magnitude   # [m3/h]
+    w_max = _reuse_rates(product, plant.cbar, 1.0)[1]   # [m3/h]
     cells: list[CurveCell] = []
     for d in distances:
         d_km = float(d)

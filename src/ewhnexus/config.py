@@ -277,13 +277,16 @@ def _load_sweep(section: Any, errors: list[str]) -> tuple[float, ...]:
     if not isinstance(betas, (list, tuple)) or not betas:
         errors.append("sweep.betas: must be a non-empty list of numbers")
         return (0.5, 1.0)
-    out = []
+    first_at: dict[float, int] = {}
     for i, b in enumerate(betas):
         if not isinstance(b, (int, float)) or isinstance(b, bool) or not 0.0 <= float(b) <= 1.0:
             errors.append(f"sweep.betas[{i}]: reuse fraction must lie in [0, 1], got {b!r}")
+        elif float(b) in first_at:
+            errors.append(f"sweep.betas[{i}]: repeated reuse fraction {b!r} "
+                          f"(first at sweep.betas[{first_at[float(b)]}])")
         else:
-            out.append(float(b))
-    return tuple(out)
+            first_at[float(b)] = i
+    return tuple(first_at)
 
 
 def _load_calibration(section: Any, errors: list[str]) -> Calibration:

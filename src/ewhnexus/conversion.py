@@ -10,11 +10,11 @@ integer atomic masses, the alcohols' from standard ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 from .quantities import (
-    DomainError, EconParams, PlantSpec, Quantity, check_beta, emissions_at_capacity,
+    DomainError, EconParams, PlantSpec, Quantity, check_beta,
 )
 
 
@@ -57,12 +57,18 @@ class MassRatios(NamedTuple):
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """A synthesizable chemical product with its derived mass ratios."""
+    """A synthesizable chemical product; its mass ratios are computed at construction."""
 
     name: str
     formula: Mapping[str, int]        # atoms per product molecule, e.g. {"C": 1, "H": 4}
     reaction: Reaction
     atomic_masses: AtomicMasses = STANDARD_MASSES
+    # per kg CO2 reused: kg H2, kg product, liters of electrolysis feed water (one mole
+    # per mole of H2; 1 kg == 1 L), kg reaction water out (closes the mass balance)
+    xi_h: float = field(init=False, repr=False, compare=False)
+    xi_chi: float = field(init=False, repr=False, compare=False)
+    water_demand: float = field(init=False, repr=False, compare=False)
+    water_byproduct: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "formula",
@@ -71,6 +77,11 @@ class ProductSpec:
         if unknown:
             raise DomainError(f"unsupported elements in formula: {sorted(unknown)}")
         self._check_atom_balance()
+        r = self.reaction
+        for name, mass in (("xi_h", r.h2 * self.m_h2), ("xi_chi", r.product * self.m_product),
+                           ("water_demand", r.h2 * self.m_h2o),
+                           ("water_byproduct", r.h2o * self.m_h2o)):
+            object.__setattr__(self, name, mass / (r.co2 * self.m_co2))
 
     def _check_atom_balance(self) -> None:
         r, f = self.reaction, self.formula
@@ -103,28 +114,6 @@ class ProductSpec:
         f = self.formula
         return f.get("C", 0) * am.C + f.get("H", 0) * am.H + f.get("O", 0) * am.O
 
-    @property
-    def xi_h(self) -> float:
-        r = self.reaction
-        return (r.h2 * self.m_h2) / (r.co2 * self.m_co2)
-
-    @property
-    def xi_chi(self) -> float:
-        r = self.reaction
-        return (r.product * self.m_product) / (r.co2 * self.m_co2)
-
-    @property
-    def water_demand(self) -> float:
-        # one mole of feed water per mole of electrolytic H2; 1 kg == 1 L
-        r = self.reaction
-        return (r.h2 * self.m_h2o) / (r.co2 * self.m_co2)
-
-    @property
-    def water_byproduct(self) -> float:
-        """Reaction water out, kg per kg CO2 (closes the mass balance)."""
-        r = self.reaction
-        return (r.h2o * self.m_h2o) / (r.co2 * self.m_co2)
-
 
 METHANE = ProductSpec("methane", {"C": 1, "H": 4}, Reaction(1, 4, 1, 2), INTEGER_MASSES)
 METHANOL = ProductSpec("methanol", {"C": 1, "H": 4, "O": 1}, Reaction(1, 3, 1, 1))
@@ -148,6 +137,13 @@ def stoichiometry(product: ProductSpec) -> MassRatios:
     return MassRatios(product.xi_h, product.xi_chi, product.water_demand)
 
 
+def _reuse_rates(product: ProductSpec, cbar: float, beta: float) -> tuple[float, float, float]:
+    """(H2 [ton/h], water [m3/h], product [ton/h]) for full-load carbon cbar [ton/h]."""
+    return (product.xi_h * beta * cbar,
+            product.water_demand * beta * cbar,   # L/kg * ton/h == m3/h
+            product.xi_chi * beta * cbar)
+
+
 def nexus_rates(plant: PlantSpec, product: ProductSpec,
                 beta: float) -> tuple[Quantity, Quantity, Quantity]:
     """Hydrogen, feed-water and product rates for a reuse fraction beta.
@@ -157,10 +153,7 @@ def nexus_rates(plant: PlantSpec, product: ProductSpec,
     covers electrolysis feed only.
     """
     check_beta(beta)
-    cbar_ton_h = emissions_at_capacity(plant).value_in("ton/h")
-    h2 = product.xi_h * beta * cbar_ton_h
-    water = product.water_demand * beta * cbar_ton_h  # L/kg * ton/h == m3/h
-    chem = product.xi_chi * beta * cbar_ton_h
+    h2, water, chem = _reuse_rates(product, plant.cbar, beta)
     return (Quantity(h2, "ton/h"), Quantity(water, "m3/h"), Quantity(chem, "ton/h"))
 
 

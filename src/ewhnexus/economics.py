@@ -16,7 +16,7 @@ from . import ccss, conversion, water
 from .quantities import (
     CAPITAL, OPERATIONAL, REVENUE, UNITS,
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, UnitError, check_beta, emissions_at_capacity,
+    TimeSeries, UnitError, check_beta,
 )
 
 HOURS_PER_DAY = 24
@@ -95,7 +95,7 @@ def carbon_penalty(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
     The penalty on the full-load daily carbon mass that would cost exactly
     as much as the scenario; negative when the scenario is net revenue.
     """
-    cbar_ton_day = emissions_at_capacity(plant).value_in("ton/h") * HOURS_PER_DAY
+    cbar_ton_day = plant.cbar * HOURS_PER_DAY
     return Quantity(daily_cost.value_in("$/day") / cbar_ton_day, "$/ton")
 
 
@@ -110,7 +110,7 @@ def _term(label: str, fn, *args, **kwargs):
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
     plant, econ, beta = scenario.plant, scenario.econ, scenario.beta
-    cbar = emissions_at_capacity(plant).magnitude   # full-load carbon [ton/h]
+    cbar = plant.cbar   # full-load carbon [ton/h]
     captured = ((cbar,) * HOURS_PER_DAY if scenario.capture_profile is None
                 else scenario.capture_profile.values_in("ton/h"))
     items: list[LedgerItem] = []
@@ -124,8 +124,7 @@ def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
 
     if beta > 0 and scenario.product is not None:
         product, mode = scenario.product, scenario.water_mode
-        h2_rate, water_rate, _ = conversion.nexus_rates(plant, product, beta)
-        h2_max, w_max = h2_rate.magnitude, water_rate.magnitude   # [ton/h], [m3/h]
+        h2_max, w_max, _ = conversion._reuse_rates(product, cbar, beta)  # [ton/h], [m3/h]
 
         cap_power = _term("power-capital", conversion.power_capital, h2_max, econ)
         items.append(LedgerItem("wind farm capital", "power-capital",
@@ -141,7 +140,7 @@ def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
         items.append(LedgerItem("water system capital", "water-capital",
                                 CAPITAL, cap_water, "$"))
 
-        # L/kg times ton/h is m3/h; same arithmetic path as nexus_rates so a
+        # L/kg times ton/h is m3/h; same arithmetic path as _reuse_rates so a
         # full-load profile lands exactly on w_max
         flow = tuple(product.water_demand * beta * c for c in captured)
         op_water = _term("water-operational", water.water_operational,

@@ -20,8 +20,8 @@ from dataclasses import replace
 
 from .analysis import EconResolver
 from .config import LoadedConfig, load_config
-from .conversion import ProductSpec, nexus_rates
-from .quantities import EconParams, PlantSpec, emissions_at_capacity
+from .conversion import ProductSpec, _reuse_rates
+from .quantities import EconParams, PlantSpec, check_beta
 
 
 def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
@@ -32,15 +32,14 @@ def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
     updates: dict = {}
 
     if cal.ccs_capital_total is not None:
-        cbar_ton_day = emissions_at_capacity(plant).value_in("ton/h") * 24.0
-        updates["c_ccs"] = cal.ccs_capital_total / cbar_ton_day
+        updates["c_ccs"] = cal.ccs_capital_total / (plant.cbar * 24.0)
 
     if plant.name in cal.r_w_per_100km:
         updates["r_w_per_100km"] = cal.r_w_per_100km[plant.name]
 
     if cal.pipe_cost_per_m is not None and product is not None and beta > 0:
-        _, w_max, _ = nexus_rates(plant, product, beta)
-        updates["c_tw"] = cal.pipe_cost_per_m / w_max.value_in("m3/h")
+        check_beta(beta)
+        updates["c_tw"] = cal.pipe_cost_per_m / _reuse_rates(product, plant.cbar, beta)[1]
 
     return replace(econ, **updates) if updates else econ
 

@@ -176,6 +176,7 @@ class PlantSpec:
     name: str
     capacity: Quantity          # electrical capacity [kW]
     emission_factor: Quantity   # carbon emitted per unit generated [kg/kWh]
+    cbar: float = field(init=False, repr=False, compare=False)  # full-load carbon [ton/h]
 
     def __post_init__(self):
         if self.capacity.dim != _d(energy=1, time=-1):
@@ -187,12 +188,13 @@ class PlantSpec:
             raise DomainError(f"plant {self.name!r}: capacity must be positive")
         if not self.emission_factor.magnitude > 0:
             raise DomainError(f"plant {self.name!r}: emission_factor must be positive")
+        kg_per_h = self.capacity.value_in("kW") * self.emission_factor.value_in("kg/kWh")
+        object.__setattr__(self, "cbar", kg_per_h / 1000.0)
 
 
 def emissions_at_capacity(plant: PlantSpec) -> Quantity:
     """Carbon emission rate with the plant at full output [ton/h]."""
-    kg_per_h = plant.capacity.value_in("kW") * plant.emission_factor.value_in("kg/kWh")
-    return Quantity(kg_per_h / 1000.0, "ton/h")
+    return Quantity(plant.cbar, "ton/h")
 
 
 @dataclass(frozen=True)

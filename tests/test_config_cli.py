@@ -253,6 +253,15 @@ class TestCli:
         assert "plants[3].name: duplicate plant name 'biomass' (first at plants[0])" in err
         assert "products[1]: duplicate product 'methane' (first at products[0])" in err
 
+    def test_repeated_sweep_beta_exits_2(self, tmp_path):
+        data = preset_dict()
+        data["sweep"]["betas"] = [0.5, 0.5, 1.0]
+        path = tmp_path / "repeated.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", "sweep")
+        assert (status, out) == (2, "")
+        assert "sweep.betas[1]: repeated reuse fraction 0.5 (first at sweep.betas[0])" in err
+
     def test_computation_error_exits_3(self, tmp_path):
         # pipe so expensive that no break-even exists in the window
         data = preset_dict()

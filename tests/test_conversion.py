@@ -1,9 +1,13 @@
 """Stoichiometry, nexus sizing, power/hydrogen capital H2 and product revenue."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, strategies as st
 
 from ewhnexus.conversion import (
-    ETHANOL, METHANE, METHANOL, ProductSpec, Reaction,
+    ETHANOL, INTEGER_MASSES, METHANE, METHANOL, STANDARD_MASSES, AtomicMasses,
+    ProductSpec, Reaction,
     builtin_product, chemical_revenue, hydrogen_capital, nexus_rates,
     power_capital, stoichiometry,
 )
@@ -54,6 +58,35 @@ class TestStoichiometry:
         assert builtin_product("methanol") is METHANOL
         with pytest.raises(DomainError):
             builtin_product("ammonia")
+
+
+def assert_ratios_match_atomic_mass_formulas(product):
+    am, r, f = product.atomic_masses, product.reaction, product.formula
+    m_co2 = am.C + 2.0 * am.O
+    m_h2 = 2.0 * am.H
+    m_h2o = 2.0 * am.H + am.O
+    m_product = f.get("C", 0) * am.C + f.get("H", 0) * am.H + f.get("O", 0) * am.O
+    assert product.xi_h == (r.h2 * m_h2) / (r.co2 * m_co2)
+    assert product.xi_chi == (r.product * m_product) / (r.co2 * m_co2)
+    assert product.water_demand == (r.h2 * m_h2o) / (r.co2 * m_co2)
+    assert product.water_byproduct == (r.h2o * m_h2o) / (r.co2 * m_co2)
+
+
+class TestCachedRatios:
+    @pytest.mark.parametrize("masses", [INTEGER_MASSES, STANDARD_MASSES],
+                             ids=["integer", "standard"])
+    @pytest.mark.parametrize("builtin", [METHANE, METHANOL, ETHANOL], ids=lambda p: p.name)
+    def test_builtin_ratios_are_bit_exact(self, builtin, masses):
+        product = replace(builtin, atomic_masses=masses)
+        assert_ratios_match_atomic_mass_formulas(product)
+        assert product == ProductSpec(builtin.name, builtin.formula, builtin.reaction, masses)
+        assert "xi_h" not in repr(product)
+
+    @given(builtin=st.sampled_from([METHANE, METHANOL, ETHANOL]),
+           c=st.floats(1e-3, 0.1), h=st.floats(1e-4, 0.01), o=st.floats(1e-3, 0.1))
+    def test_ratios_are_bit_exact_for_any_mass_table(self, builtin, c, h, o):
+        assert_ratios_match_atomic_mass_formulas(
+            replace(builtin, atomic_masses=AtomicMasses(C=c, H=h, O=o)))
 
 
 class TestNexusRates:

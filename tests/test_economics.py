@@ -1,6 +1,8 @@
 """Capital annualization, scenario assembly and derived decision metrics."""
 
 import math
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -9,8 +11,9 @@ from ewhnexus.economics import (
     ScenarioConfig, daily_capital_charge, carbon_penalty,
     increased_price, total_daily_cost,
 )
+from ewhnexus.presets import econ_for_cell, paper_2024
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
-from ewhnexus.water import NetworkTransfer
+from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
 BIOMASS = PlantSpec("biomass", Quantity(500, "MW"), Quantity(230, "g/kWh"))
 
@@ -199,3 +202,46 @@ class TestTotalDailyCost:
         with pytest.raises(DomainError, match="24"):
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
                            capture_profile=TimeSeries((115.0,) * 23, "ton/h"))
+
+
+class TestHotPath:
+    """Per-plant and per-product invariants stay out of the cell: counts, not timings."""
+
+    @staticmethod
+    def count_quantities(monkeypatch) -> list:
+        built = []
+        original = Quantity.__post_init__
+
+        def counting(self):
+            built.append(self.unit)
+            original(self)
+
+        monkeypatch.setattr(Quantity, "__post_init__", counting)
+        return built
+
+    @staticmethod
+    def forbid_nexus_rates(monkeypatch) -> None:
+        def forbidden(*args, **kwargs):
+            raise AssertionError("nexus_rates called inside a sweep cell")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ewhnexus" and hasattr(module, "nexus_rates"):
+                monkeypatch.setattr(module, "nexus_rates", forbidden)
+
+    @pytest.mark.parametrize("mode, limit", [
+        (Desalination(), 4),
+        (SolarSeawater(), 4),
+        (NetworkTransfer(Quantity(150.0, "km")), 5),   # + the distance in meters
+    ], ids=["desalination", "solar", "transfer"])
+    def test_reuse_cell_builds_few_quantities(self, monkeypatch, mode, limit):
+        cfg = paper_2024()
+        cfg = replace(cfg, econ=replace(cfg.econ, c_sw=2.5e5))
+        plant, product = cfg.plant("coal"), cfg.product("methanol")
+        self.forbid_nexus_rates(monkeypatch)
+        built = self.count_quantities(monkeypatch)
+
+        econ = econ_for_cell(cfg, plant, product, 1.0)
+        assert built == []
+        total_daily_cost(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
+                                        product=product, water_mode=mode))
+        assert len(built) <= limit, built

@@ -16,35 +16,74 @@ root:
         --product Q > tests/golden/penalty_P_Q.json
 
 with P in {biomass, natural_gas, coal} and Q in {methane, methanol, ethanol}.
+
+The two other water modes run the sweep on the preset with one override,
+written out by ``write_mode_config`` (``dump_config`` of the overridden
+preset):
+
+    PYTHONPATH=src:tests python -c "import test_golden as g; \\
+        g.write_mode_config('transfer', 'transfer.yaml')"
+    ewhnexus --config transfer.yaml --command sweep --format csv \\
+        > tests/golden/sweep_transfer.csv
+    PYTHONPATH=src:tests python -c "import test_golden as g; \\
+        g.write_mode_config('solar', 'solar.yaml')"
+    ewhnexus --config solar.yaml --command sweep --format csv \\
+        > tests/golden/sweep_solar.csv
 """
 
 import io
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ewhnexus.cli import main
+from ewhnexus.config import dump_config
+from ewhnexus.presets import paper_2024
+from ewhnexus.quantities import Quantity
+from ewhnexus.water import NetworkTransfer, SolarSeawater
 
 GOLDEN = Path(__file__).parent / "golden"
 PLANTS = ("biomass", "natural_gas", "coal")
 PRODUCTS = ("methane", "methanol", "ethanol")
 
 
+def _transfer(cfg):
+    return replace(cfg, water_mode=NetworkTransfer(Quantity(150.0, "km")))
+
+
+def _solar(cfg):
+    return replace(cfg, econ=replace(cfg.econ, c_sw=2.5e5), water_mode=SolarSeawater())
+
+
+# water-mode name -> override of the preset
+MODES = {"transfer": _transfer, "solar": _solar}
+
+
+def write_mode_config(mode: str, path) -> None:
+    """Write the preset with the named water-mode override to ``path``."""
+    Path(path).write_text(dump_config(MODES[mode](paper_2024())), encoding="utf-8")
+
+
 def _cases():
-    yield "sweep.csv", ["--command", "sweep", "--format", "csv"]
-    yield "curve_biomass.csv", ["--command", "curve", "--format", "csv",
-                                "--plant", "biomass", "--distances", "60,260,300"]
+    """(golden file, water-mode override or None for the preset, CLI arguments)."""
+    sweep = ["--command", "sweep", "--format", "csv"]
+    yield "sweep.csv", None, sweep
+    for mode in MODES:
+        yield f"sweep_{mode}.csv", mode, sweep
+    yield "curve_biomass.csv", None, ["--command", "curve", "--format", "csv",
+                                      "--plant", "biomass", "--distances", "60,260,300"]
     for plant in PLANTS:
-        yield f"breakeven_{plant}.json", ["--command", "breakeven", "--format", "json",
-                                          "--plant", plant]
+        yield f"breakeven_{plant}.json", None, ["--command", "breakeven", "--format",
+                                                "json", "--plant", plant]
         penalty = ["--command", "penalty", "--format", "json", "--plant", plant]
-        yield f"penalty_{plant}_store-all.json", penalty
+        yield f"penalty_{plant}_store-all.json", None, penalty
         for product in PRODUCTS:
-            yield f"penalty_{plant}_{product}.json", penalty + ["--product", product]
+            yield f"penalty_{plant}_{product}.json", None, penalty + ["--product", product]
 
 
-CASES = dict(_cases())
+CASES = {name: (mode, argv) for name, mode, argv in _cases()}
 
 
 def test_every_golden_file_has_a_case():
@@ -52,9 +91,14 @@ def test_every_golden_file_has_a_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden_file(name):
+def test_cli_output_matches_golden_file(name, tmp_path):
+    mode, argv = CASES[name]
+    config = "paper-2024"
+    if mode is not None:
+        config = str(tmp_path / f"{mode}.yaml")
+        write_mode_config(mode, config)
     out = io.StringIO()
     with redirect_stdout(out):
-        status = main(["--config", "paper-2024"] + CASES[name])
+        status = main(["--config", config] + argv)
     assert status == 0
     assert out.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,24 @@ class TestPlantSpec:
         twice_ef = emissions_at_capacity(PlantSpec("p", q(100, "MW"), q(600, "g/kWh")))
         assert twice_cap.magnitude == pytest.approx(2 * base.magnitude, rel=1e-12)
         assert twice_ef.magnitude == pytest.approx(2 * base.magnitude, rel=1e-12)
+
+    @given(cap=st.floats(1e-3, 1e7), cap_unit=st.sampled_from(["MW", "kW"]),
+           ef=st.floats(1e-3, 1e4), ef_unit=st.sampled_from(["g/kWh", "kg/kWh"]),
+           new_cap=st.floats(1e-3, 1e7))
+    def test_cached_cbar_matches_the_conversion_oracle(self, cap, cap_unit, ef, ef_unit,
+                                                       new_cap):
+        def oracle(p):
+            return p.capacity.value_in("kW") * p.emission_factor.value_in("kg/kWh") / 1000.0
+
+        plant = PlantSpec("p", q(cap, cap_unit), q(ef, ef_unit))
+        assert plant.cbar == oracle(plant)
+        assert emissions_at_capacity(plant) == q(oracle(plant), "ton/h")
+        resized = replace(plant, capacity=q(new_cap, cap_unit))
+        assert resized.cbar == oracle(resized)
+        # derived, so equality and repr ignore it
+        twin = PlantSpec("p", q(cap, cap_unit), q(ef, ef_unit))
+        object.__setattr__(twin, "cbar", -1.0)
+        assert twin == plant and repr(twin) == repr(plant)
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(DomainError):
