@@ -9,7 +9,8 @@ nothing is computed from an invalid config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -18,7 +19,7 @@ import yaml
 
 from . import water
 from .conversion import BUILTIN_PRODUCTS, ProductSpec, builtin_product
-from .quantities import EconParams, PlantSpec, Quantity, UnitError
+from .quantities import DomainError, EconParams, PlantSpec, Quantity, UnitError
 
 
 class ConfigError(ValueError):
@@ -29,18 +30,24 @@ class ConfigError(ValueError):
 PRESETS = {"paper-2024": "paper-2024.yaml"}
 
 
-def parse_quantity(text: Any, expected_unit: str, path: str, errors: list[str]) -> float | None:
-    """Parse ``"value unit"`` (or a bare number for dimensionless fields)."""
+def parse_quantity(text: Any, expected_unit: str, path: str,
+                   errors: list[str]) -> Quantity | None:
+    """Parse ``"value unit"`` (or a bare number for dimensionless fields).
+
+    The dimension is checked against ``expected_unit``; the quantity keeps
+    the unit it was written in, so round-decimal inputs stay exact.
+    """
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        if expected_unit == "dimensionless":
-            return float(text)
-        errors.append(f"{path}: expected a '<value> {expected_unit}' string, got bare number {text!r}")
-        return None
+        if expected_unit != "dimensionless":
+            errors.append(f"{path}: expected a '<value> {expected_unit}' string, "
+                          f"got bare number {text!r}")
+            return None
+        text = str(text)   # so a non-finite number is reported, as a string one is
     if not isinstance(text, str):
         errors.append(f"{path}: expected a '<value> {expected_unit}' string, got {text!r}")
         return None
     parts = text.split(None, 1)
-    if len(parts) != 2 and expected_unit != "dimensionless":
+    if not parts or (len(parts) != 2 and expected_unit != "dimensionless"):
         errors.append(f"{path}: expected '<value> {expected_unit}', got {text!r}")
         return None
     raw, unit = (parts if len(parts) == 2 else (parts[0], "dimensionless"))
@@ -50,10 +57,12 @@ def parse_quantity(text: Any, expected_unit: str, path: str, errors: list[str]) 
         errors.append(f"{path}: {raw!r} is not a number")
         return None
     try:
-        return Quantity(value, unit).value_in(expected_unit)
+        quantity = Quantity(value, unit)
+        quantity.to(expected_unit)   # the dimension check
     except UnitError as exc:
         errors.append(f"{path}: {exc} (expected {expected_unit})")
         return None
+    return quantity
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,13 @@ class Calibration:
     ccs_capital_total: float | None = None          # [$]
     pipe_cost_per_m: float | None = None            # [$ / m]
     r_w_per_100km: Mapping[str, float] = field(default_factory=dict)  # per plant
+
+    def __post_init__(self):
+        for name, value in [("ccs_capital_total", self.ccs_capital_total),
+                            ("pipe_cost_per_m", self.pipe_cost_per_m)] + [
+                (f"r_w_per_100km[{k}]", v) for k, v in self.r_w_per_100km.items()]:
+            if value is not None and (not math.isfinite(value) or value < 0):
+                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,24 +115,38 @@ class LoadedConfig:
                           f"{[p.name for p in self.products]}")
 
 
-# (config key, expected unit, required) for the econ section
-_ECON_FIELDS: tuple[tuple[str, str, bool], ...] = (
-    ("elec_price", "$/kWh", True),
-    ("r_cts", "$/ton", True),
-    ("r_ccs", "$/ton", True),
-    ("c_cts", "$/(ton/day)", True),
-    ("c_ccs", "$/(ton/day)", False),
-    ("c_wind", "$/kW", True),
-    ("c_des", "$/(m3/h)", True),
-    ("c_tw", "$/m", True),
-    ("c_sw", "$/(m3/h)", False),
-    ("c_we", "$/(kg/h)", False),
-    ("xi_p", "kWh/kg", False),
-    ("wind_capacity_factor", "dimensionless", True),
-    ("eta_pump", "dimensionless", True),
-    ("r_w_per_100km", "dimensionless", False),
-    ("interest_rate", "dimensionless", False),
+# (section, key, unit, required) for every econ, policy and calibration key,
+# in dump order.  A unit is a UNITS name, "int" or "bool"; a "[4] " prefix is
+# a list of four values, a "{} " prefix a map of names to values.  Econ and
+# policy keys are EconParams fields, calibration keys Calibration fields.
+_FIELDS: tuple[tuple[str, str, str, bool], ...] = (
+    ("econ", "elec_price", "$/kWh", True),
+    ("econ", "r_cts", "$/ton", True),
+    ("econ", "r_ccs", "$/ton", True),
+    ("econ", "c_cts", "$/(ton/day)", True),
+    ("econ", "c_ccs", "$/(ton/day)", False),
+    ("econ", "c_wind", "$/kW", True),
+    ("econ", "c_des", "$/(m3/h)", True),
+    ("econ", "c_tw", "$/m", True),
+    ("econ", "c_sw", "$/(m3/h)", False),
+    ("econ", "c_we", "$/(kg/h)", False),
+    ("econ", "xi_p", "kWh/kg", False),
+    ("econ", "wind_capacity_factor", "dimensionless", True),
+    ("econ", "eta_pump", "dimensionless", True),
+    ("econ", "r_w_per_100km", "dimensionless", False),
+    ("econ", "interest_rate", "dimensionless", False),
+    ("econ", "e_des", "[4] kWh/m3", False),
+    ("econ", "horizon_years", "int", False),
+    ("econ", "product_prices", "{} $/ton", True),
+    ("policy", "include_hydrogen_capital", "bool", False),
+    ("calibration", "ccs_capital_total", "$", False),
+    ("calibration", "pipe_cost_per_m", "$/m", False),
+    ("calibration", "r_w_per_100km", "{} dimensionless", False),
 )
+# section -> its (key, unit, required) rows
+_SECTIONS: dict[str, tuple[tuple[str, str, bool], ...]] = {
+    name: tuple((k, u, r) for s, k, u, r in _FIELDS if s == name)
+    for name in ("econ", "policy", "calibration")}
 
 _TOP_KEYS = {"econ", "plants", "products", "water", "sweep", "calibration", "policy"}
 _WATER_MODES = {"desalination", "network_transfer", "solar_seawater"}
@@ -128,61 +158,70 @@ def _check_keys(mapping: Mapping, allowed: set[str], path: str, errors: list[str
             errors.append(f"{path}{key}: unknown key (allowed: {sorted(allowed)})")
 
 
-def _load_econ(section: Any, errors: list[str]) -> EconParams | None:
+def _section(data: Mapping, name: str, allowed: set[str], errors: list[str]) -> Mapping | None:
+    """The named top-level mapping, its unknown keys reported; None if absent or not a mapping."""
+    section = data.get(name)
+    if section is None:
+        return None
     if not isinstance(section, Mapping):
-        errors.append("econ: must be a mapping of parameter names to values")
+        errors.append(f"{name}: must be a mapping")
         return None
-    allowed = {name for name, _, _ in _ECON_FIELDS} | {
-        "e_des", "horizon_years", "product_prices"}
-    _check_keys(section, allowed, "econ.", errors)
+    _check_keys(section, allowed, name + ".", errors)
+    return section
 
-    kwargs: dict[str, Any] = {}
-    for name, unit, required in _ECON_FIELDS:
-        if name not in section or section[name] is None:
-            if required:
-                errors.append(f"econ.{name}: missing required key (expected {unit})")
-            continue
-        value = parse_quantity(section[name], unit, f"econ.{name}", errors)
-        if value is not None:
-            kwargs[name] = value
 
-    if "e_des" in section and section["e_des"] is not None:
-        seg = section["e_des"]
-        if not isinstance(seg, (list, tuple)) or len(seg) != 4:
-            errors.append("econ.e_des: expected a list of exactly 4 'value kWh/m3' entries")
-        else:
-            parsed = [parse_quantity(v, "kWh/m3", f"econ.e_des[{i+1}]", errors)
-                      for i, v in enumerate(seg)]
-            if all(p is not None for p in parsed):
-                kwargs["e_des"] = tuple(parsed)
+def _parse(value: Any, unit: str, path: str, errors: list[str]) -> Any:
+    """One table value in the form its dataclass field stores, or None if invalid."""
+    if unit.startswith("[4] "):
+        if not isinstance(value, (list, tuple)) or len(value) != 4:
+            errors.append(f"{path}: expected a list of exactly 4 '<value> {unit[4:]}' entries")
+            return None
+        items = [_parse(v, unit[4:], f"{path}[{i + 1}]", errors) for i, v in enumerate(value)]
+        return None if None in items else tuple(items)
+    if unit.startswith("{} "):
+        if not isinstance(value, Mapping):
+            errors.append(f"{path}: must map names to '<value> {unit[3:]}'")
+            return None
+        entries = {k: _parse(v, unit[3:], f"{path}.{k}", errors) for k, v in value.items()}
+        return None if None in entries.values() else entries
+    if unit == "int" or unit == "bool":
+        if type(value) is not (int if unit == "int" else bool):   # a bool is no int here
+            errors.append(f"{path}: expected {'an integer' if unit == 'int' else 'true or false'}"
+                          f", got {value!r}")
+            return None
+        return value
+    quantity = parse_quantity(value, unit, path, errors)
+    return None if quantity is None else quantity.value_in(unit)
 
-    if "horizon_years" in section and section["horizon_years"] is not None:
-        n = section["horizon_years"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            errors.append(f"econ.horizon_years: expected an integer >= 1, got {n!r}")
-        else:
-            kwargs["horizon_years"] = n
 
-    prices = section.get("product_prices")
-    if prices is None:
-        errors.append("econ.product_prices: missing required key (map of product -> '$/ton')")
-    elif not isinstance(prices, Mapping):
-        errors.append("econ.product_prices: must map product names to '<value> $/ton'")
-    else:
-        parsed_prices = {}
-        for pname, ptext in prices.items():
-            v = parse_quantity(ptext, "$/ton", f"econ.product_prices.{pname}", errors)
-            if v is not None:
-                parsed_prices[pname] = v
-        kwargs["product_prices"] = parsed_prices
+def _fmt(value: Any, unit: str) -> Any:
+    """One table value as the dump writes it; ``_parse`` reads it back unchanged."""
+    if unit.startswith("[4] "):
+        return [_fmt(v, unit[4:]) for v in value]
+    if unit.startswith("{} "):
+        return {k: _fmt(v, unit[3:]) for k, v in sorted(value.items())}
+    if unit in ("int", "bool", "dimensionless"):
+        return value
+    return f"{value!r} {unit}"
 
-    if errors:
-        return None
-    try:
-        return EconParams(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"econ: {exc}")
-        return None
+
+def _load_fields(data: Mapping, name: str, errors: list[str]) -> dict[str, Any] | None:
+    """The parsed keys of one table section, or None if the section or a key is invalid."""
+    rows = _SECTIONS[name]
+    start = len(errors)
+    section = _section(data, name, {key for key, _, _ in rows}, errors)
+    if section is None:
+        if len(errors) == start and any(required for _, _, required in rows):
+            errors.append(f"{name}: missing required section")
+        return None if len(errors) > start else {}
+    values = {}
+    for key, unit, required in rows:
+        if section.get(key) is not None:
+            values[key] = _parse(section[key], unit, f"{name}.{key}", errors)
+        elif required:
+            expected = unit.replace("{} ", "a map of names to ")
+            errors.append(f"{name}.{key}: missing required key (expected {expected})")
+    return None if len(errors) > start else values
 
 
 def _load_plants(section: Any, errors: list[str]) -> tuple[PlantSpec, ...]:
@@ -212,12 +251,7 @@ def _load_plants(section: Any, errors: list[str]) -> tuple[PlantSpec, ...]:
         if cap is None or ef is None:
             continue
         try:
-            # keep the raw figures so round-decimal inputs stay exact
-            raw_cap = str(entry["capacity"]).split(None, 1)
-            raw_ef = str(entry["emission_factor"]).split(None, 1)
-            plants.append(PlantSpec(name,
-                                    Quantity(float(raw_cap[0]), raw_cap[1]),
-                                    Quantity(float(raw_ef[0]), raw_ef[1])))
+            plants.append(PlantSpec(name, cap, ef))
         except ValueError as exc:
             errors.append(f"{path}: {exc}")
     return tuple(plants)
@@ -244,13 +278,9 @@ def _load_products(section: Any, errors: list[str]) -> tuple[ProductSpec, ...]:
     return tuple(out)
 
 
-def _load_water(section: Any, errors: list[str]) -> water.WaterMode:
+def _load_water(section: Mapping | None, errors: list[str]) -> water.WaterMode:
     if section is None:
         return water.Desalination()
-    if not isinstance(section, Mapping):
-        errors.append("water: must be a mapping with 'mode' and optional 'distance'")
-        return water.Desalination()
-    _check_keys(section, {"mode", "distance"}, "water.", errors)
     mode = section.get("mode", "desalination")
     if mode not in _WATER_MODES:
         errors.append(f"water.mode: unknown mode {mode!r} (allowed: {sorted(_WATER_MODES)})")
@@ -260,19 +290,13 @@ def _load_water(section: Any, errors: list[str]) -> water.WaterMode:
         if d is None:
             errors.append("water.distance: required for network_transfer (expected km)")
             return water.Desalination()
-        return water.NetworkTransfer(Quantity(d, "km"))
-    if mode == "solar_seawater":
-        return water.SolarSeawater()
-    return water.Desalination()
+        return water.NetworkTransfer(Quantity(d.value_in("km"), "km"))
+    return water.SolarSeawater() if mode == "solar_seawater" else water.Desalination()
 
 
-def _load_sweep(section: Any, errors: list[str]) -> tuple[float, ...]:
+def _load_sweep(section: Mapping | None, errors: list[str]) -> tuple[float, ...]:
     if section is None:
         return (0.5, 1.0)
-    if not isinstance(section, Mapping):
-        errors.append("sweep: must be a mapping")
-        return (0.5, 1.0)
-    _check_keys(section, {"betas"}, "sweep.", errors)
     betas = section.get("betas", [0.5, 1.0])
     if not isinstance(betas, (list, tuple)) or not betas:
         errors.append("sweep.betas: must be a non-empty list of numbers")
@@ -289,50 +313,6 @@ def _load_sweep(section: Any, errors: list[str]) -> tuple[float, ...]:
     return tuple(first_at)
 
 
-def _load_calibration(section: Any, errors: list[str]) -> Calibration:
-    if section is None:
-        return Calibration()
-    if not isinstance(section, Mapping):
-        errors.append("calibration: must be a mapping")
-        return Calibration()
-    _check_keys(section, {"ccs_capital_total", "pipe_cost_per_m", "r_w_per_100km"},
-                "calibration.", errors)
-    total = None
-    if section.get("ccs_capital_total") is not None:
-        total = parse_quantity(section["ccs_capital_total"], "$",
-                               "calibration.ccs_capital_total", errors)
-    pipe = None
-    if section.get("pipe_cost_per_m") is not None:
-        pipe = parse_quantity(section["pipe_cost_per_m"], "$/m",
-                              "calibration.pipe_cost_per_m", errors)
-    r_w: dict[str, float] = {}
-    rw_section = section.get("r_w_per_100km")
-    if rw_section is not None:
-        if not isinstance(rw_section, Mapping):
-            errors.append("calibration.r_w_per_100km: must map plant names to coefficients")
-        else:
-            for pname, v in rw_section.items():
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-                    errors.append(f"calibration.r_w_per_100km.{pname}: must be a number >= 0")
-                else:
-                    r_w[pname] = float(v)
-    return Calibration(total, pipe, r_w)
-
-
-def _load_policy(section: Any, errors: list[str]) -> bool:
-    if section is None:
-        return False
-    if not isinstance(section, Mapping):
-        errors.append("policy: must be a mapping")
-        return False
-    _check_keys(section, {"include_hydrogen_capital"}, "policy.", errors)
-    flag = section.get("include_hydrogen_capital", False)
-    if not isinstance(flag, bool):
-        errors.append("policy.include_hydrogen_capital: must be true or false")
-        return False
-    return flag
-
-
 def load_config_text(text: str) -> LoadedConfig:
     """Validate a YAML config document; all problems are reported together."""
     try:
@@ -344,27 +324,38 @@ def load_config_text(text: str) -> LoadedConfig:
 
     errors: list[str] = []
     _check_keys(data, _TOP_KEYS, "", errors)
-    econ = _load_econ(data.get("econ"), errors) if "econ" in data else None
-    if "econ" not in data:
-        errors.append("econ: missing required section")
+    econ_values = _load_fields(data, "econ", errors)
+    policy_values = _load_fields(data, "policy", errors)
+    econ = None
+    if econ_values is not None and policy_values is not None:
+        try:
+            econ = EconParams(**econ_values, **policy_values)
+        except ValueError as exc:
+            errors.append(f"econ: {exc}")
+    calibration = None
+    calibration_values = _load_fields(data, "calibration", errors)
+    if calibration_values is not None:
+        try:
+            calibration = Calibration(**calibration_values)
+        except ValueError as exc:
+            errors.append(f"calibration: {exc}")
     plants = _load_plants(data.get("plants"), errors) if "plants" in data else ()
     if "plants" not in data:
         errors.append("plants: missing required section")
     products = _load_products(data.get("products"), errors)
-    water_mode = _load_water(data.get("water"), errors)
-    betas = _load_sweep(data.get("sweep"), errors)
-    calibration = _load_calibration(data.get("calibration"), errors)
-    include_h2 = _load_policy(data.get("policy"), errors)
+    water_mode = _load_water(_section(data, "water", {"mode", "distance"}, errors), errors)
+    betas = _load_sweep(_section(data, "sweep", {"betas"}, errors), errors)
 
-    plant_names = sorted(p.name for p in plants)
-    for pname in calibration.r_w_per_100km:
-        if pname not in plant_names:
-            errors.append(f"calibration.r_w_per_100km.{pname}: names no configured plant "
-                          f"(plants: {plant_names})")
-    if econ is not None:
-        if econ.c_ccs is None and calibration.ccs_capital_total is None:
+    if calibration is not None:
+        plant_names = sorted(p.name for p in plants)
+        for pname in calibration.r_w_per_100km:
+            if pname not in plant_names:
+                errors.append(f"calibration.r_w_per_100km.{pname}: names no configured plant "
+                              f"(plants: {plant_names})")
+        if econ is not None and econ.c_ccs is None and calibration.ccs_capital_total is None:
             errors.append("econ.c_ccs: required unless calibration.ccs_capital_total is given "
                           "(no defensible default exists)")
+    if econ is not None:
         if isinstance(water_mode, water.SolarSeawater) and econ.c_sw is None:
             errors.append("econ.c_sw: required when water.mode is solar_seawater "
                           "(expected $/(m3/h); no default exists)")
@@ -375,9 +366,8 @@ def load_config_text(text: str) -> LoadedConfig:
 
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-    assert econ is not None
-    return LoadedConfig(econ=replace(econ, include_hydrogen_capital=include_h2),
-                        plants=plants, products=products, calibration=calibration,
+    assert econ is not None and calibration is not None
+    return LoadedConfig(econ=econ, plants=plants, products=products, calibration=calibration,
                         water_mode=water_mode, sweep_betas=betas)
 
 
@@ -397,50 +387,33 @@ def load_config(path_or_preset: str | Path) -> LoadedConfig:
     return load_config_text(text)
 
 
-def _fmt_quantity(value: float, unit: str) -> str:
-    return f"{value!r} {unit}"
+def _dump_fields(obj: Any, name: str) -> dict[str, Any]:
+    """The set values of one table section; an unset key or empty optional map is left out."""
+    return {key: _fmt(value, unit) for key, unit, required in _SECTIONS[name]
+            if (value := getattr(obj, key)) is not None and (required or value != {})}
 
 
 def dump_config(cfg: LoadedConfig) -> str:
     """Serialize a resolved config; reloading it reproduces identical results."""
-    econ = cfg.econ
-    econ_map: dict[str, Any] = {}
-    for name, unit, _ in _ECON_FIELDS:
-        value = getattr(econ, name)
-        if value is not None:
-            econ_map[name] = value if unit == "dimensionless" else _fmt_quantity(value, unit)
-    econ_map["e_des"] = [_fmt_quantity(e, "kWh/m3") for e in econ.e_des]
-    econ_map["horizon_years"] = econ.horizon_years
-    econ_map["product_prices"] = {k: _fmt_quantity(v, "$/ton")
-                                  for k, v in sorted(econ.product_prices.items())}
-
     data: dict[str, Any] = {
-        "econ": econ_map,
+        "econ": _dump_fields(cfg.econ, "econ"),
         "plants": [{"name": p.name,
-                    "capacity": _fmt_quantity(p.capacity.magnitude, p.capacity.unit),
-                    "emission_factor": _fmt_quantity(p.emission_factor.magnitude,
-                                                     p.emission_factor.unit)}
+                    "capacity": _fmt(p.capacity.magnitude, p.capacity.unit),
+                    "emission_factor": _fmt(p.emission_factor.magnitude, p.emission_factor.unit)}
                    for p in cfg.plants],
         "products": [p.name for p in cfg.products],
         "sweep": {"betas": list(cfg.sweep_betas)},
-        "policy": {"include_hydrogen_capital": econ.include_hydrogen_capital},
+        "policy": _dump_fields(cfg.econ, "policy"),
     }
     mode = cfg.water_mode
     if isinstance(mode, water.NetworkTransfer):
         data["water"] = {"mode": "network_transfer",
-                         "distance": _fmt_quantity(mode.distance.magnitude, mode.distance.unit)}
+                         "distance": _fmt(mode.distance.magnitude, mode.distance.unit)}
     elif isinstance(mode, water.SolarSeawater):
         data["water"] = {"mode": "solar_seawater"}
     else:
         data["water"] = {"mode": "desalination"}
-    cal = cfg.calibration
-    cal_map: dict[str, Any] = {}
-    if cal.ccs_capital_total is not None:
-        cal_map["ccs_capital_total"] = _fmt_quantity(cal.ccs_capital_total, "$")
-    if cal.pipe_cost_per_m is not None:
-        cal_map["pipe_cost_per_m"] = _fmt_quantity(cal.pipe_cost_per_m, "$/m")
-    if cal.r_w_per_100km:
-        cal_map["r_w_per_100km"] = dict(sorted(cal.r_w_per_100km.items()))
-    if cal_map:
-        data["calibration"] = cal_map
+    calibration = _dump_fields(cfg.calibration, "calibration")
+    if calibration:
+        data["calibration"] = calibration
     return yaml.safe_dump(data, sort_keys=False, default_flow_style=False)

@@ -43,7 +43,8 @@ class ScenarioConfig:
     exist.  A positive ``beta`` needs a product; the water system and the
     electrolyzer fleet are sized to the reuse stream.  This is where a
     scenario's units are checked: the capture profile must be a 24-step mass
-    flow and the water mode a single mode object.
+    flow no step of which exceeds the plant's full-load rate C̄, and the water
+    mode a single mode object.
     """
 
     plant: PlantSpec
@@ -66,6 +67,11 @@ class ScenarioConfig:
             if len(profile) != HOURS_PER_DAY:
                 raise DomainError(f"capture_profile needs {HOURS_PER_DAY} hourly steps, "
                                   f"got {len(profile)}")
+            for h, c in enumerate(profile.values_in("ton/h")):
+                if c > self.plant.cbar:
+                    raise DomainError(f"capture_profile step {h} is {c!r} ton/h, above the "
+                                      f"full-load rate C̄ = {self.plant.cbar!r} ton/h of "
+                                      f"plant {self.plant.name!r}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,7 @@ def increased_price(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
     reference cost tables use; kept as-is rather than corrected, although a
     per-day energy basis would be 24x larger.
     """
-    cap_kw = plant.capacity.value_in("kW")
-    return Quantity(daily_cost.value_in("$/day") / cap_kw, "$/kWh")
+    return Quantity(daily_cost.value_in("$/day") / plant.capacity_kw, "$/kWh")
 
 
 def carbon_penalty(daily_cost: Quantity, plant: PlantSpec) -> Quantity:

@@ -176,6 +176,7 @@ class PlantSpec:
     name: str
     capacity: Quantity          # electrical capacity [kW]
     emission_factor: Quantity   # carbon emitted per unit generated [kg/kWh]
+    capacity_kw: float = field(init=False, repr=False, compare=False)  # capacity [kW]
     cbar: float = field(init=False, repr=False, compare=False)  # full-load carbon [ton/h]
 
     def __post_init__(self):
@@ -188,7 +189,8 @@ class PlantSpec:
             raise DomainError(f"plant {self.name!r}: capacity must be positive")
         if not self.emission_factor.magnitude > 0:
             raise DomainError(f"plant {self.name!r}: emission_factor must be positive")
-        kg_per_h = self.capacity.value_in("kW") * self.emission_factor.value_in("kg/kWh")
+        object.__setattr__(self, "capacity_kw", self.capacity.value_in("kW"))
+        kg_per_h = self.capacity_kw * self.emission_factor.value_in("kg/kWh")
         object.__setattr__(self, "cbar", kg_per_h / 1000.0)
 
 

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +13,7 @@ import yaml
 
 from ewhnexus.analysis import SweepGrid, scenario_sweep
 from ewhnexus.cli import SWEEP_CSV_HEADER, main, render_sweep_csv
+from ewhnexus import config
 from ewhnexus.config import (
     ConfigError, dump_config, load_config, load_config_text,
 )
@@ -111,6 +113,24 @@ class TestLoadConfig:
             assert "calibration.r_w_per_100km.biomas:" in message and "elec_price" in message
         else:
             pytest.fail("expected a ConfigError")
+
+    @pytest.mark.parametrize("key, text", [
+        ("ccs_capital_total", "-120.0e6 $"),
+        ("pipe_cost_per_m", "-160 $/m"),
+    ])
+    def test_negative_calibration_total_is_an_error(self, key, text):
+        data = preset_dict()
+        data["calibration"][key] = text
+        with pytest.raises(ConfigError, match=rf"calibration: {key} must be finite and >= 0"):
+            load_config_text(yaml.safe_dump(data))
+
+    def test_calibration_friction_takes_the_dimensionless_rule(self):
+        data = preset_dict()
+        data["calibration"]["r_w_per_100km"]["coal"] = -0.1
+        with pytest.raises(ConfigError, match=r"calibration: r_w_per_100km\[coal\] must be"):
+            load_config_text(yaml.safe_dump(data))
+        data["calibration"]["r_w_per_100km"]["coal"] = "0.1"   # as econ.r_w_per_100km takes it
+        assert load_config_text(yaml.safe_dump(data)).calibration.r_w_per_100km["coal"] == 0.1
 
     def test_transfer_mode_parses_distance(self):
         data = preset_dict()
@@ -262,6 +282,17 @@ class TestCli:
         assert (status, out) == (2, "")
         assert "sweep.betas[1]: repeated reuse fraction 0.5 (first at sweep.betas[0])" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "breakeven", "penalty"])
+    def test_negative_calibration_value_exits_2(self, command, tmp_path):
+        data = preset_dict()
+        data["calibration"]["pipe_cost_per_m"] = "-160 $/m"
+        path = tmp_path / "negative.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", command,
+                                        "--plant", "biomass")
+        assert (status, out) == (2, "")
+        assert "calibration: pipe_cost_per_m must be finite and >= 0, got -160.0" in err
+
     def test_computation_error_exits_3(self, tmp_path):
         # pipe so expensive that no break-even exists in the window
         data = preset_dict()
@@ -314,10 +345,14 @@ class TestCli:
             load_config_text(yaml.safe_dump(data))
 
     def test_console_entry_point(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ewhnexus.cli", "--config", "paper-2024",
              "--command", "penalty", "--plant", "biomass", "--format", "json"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "penalty_threshold_usd_per_ton" in proc.stdout
 
@@ -440,6 +475,10 @@ MASKED = {
                        set_leaf(PRESET, ("policy", "include_hydrogen_capital"), True)),
     ("econ", "c_sw"): ("has an effect only in solar mode", SOLAR),
     ("water", "distance"): ("exists only in network_transfer mode", TRANSFER),
+    ("econ", "c_ccs"): ("absent from the preset, where calibration.ccs_capital_total sets "
+                        "the capture capital",
+                        set_leaf(without(PRESET, "calibration", "ccs_capital_total"),
+                                 ("econ", "c_ccs"), "43080 $/(ton/day)")),
 }
 CASES = [pytest.param(PRESET, flip, id="preset:" + flip_id(flip))
          for flip in flips(PRESET) if flip[0] not in MASKED]
@@ -464,3 +503,8 @@ def test_every_key_flip_changes_an_output_or_is_rejected(base, flip, tmp_path):
         _BASELINES[key] = watched_outputs(base, tmp_path)
     assert watched_outputs(flipped, tmp_path) != _BASELINES[key], (
         f"{flip_id(flip)} loads but changes no output")
+
+
+def test_every_table_key_is_flipped():
+    flipped = {param.values[1][0][:2] for param in CASES}
+    assert [row[:2] for row in config._FIELDS if row[:2] not in flipped] == []

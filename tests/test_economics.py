@@ -175,10 +175,35 @@ class TestTotalDailyCost:
     def test_overload_profile_names_the_water_term(self):
         from ewhnexus.quantities import TimeSeries
         overload = TimeSeries((130.0,) * 24, "ton/h")  # above the 115 ton/h design
-        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
-                             capture_profile=overload)
-        with pytest.raises(DomainError, match="water-operational"):
-            total_daily_cost(cfg)
+        with pytest.raises(DomainError, match=r"step 0 is 130\.0 ton/h.*C̄ = 115\.0 ton/h"):
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                           capture_profile=overload)
+
+    @pytest.mark.parametrize("beta, mode", [
+        (0.0, Desalination()),
+        (1.0, Desalination()),
+        (1.0, NetworkTransfer(Quantity(150.0, "km"))),
+        (1.0, SolarSeawater()),
+    ], ids=["storage", "desalination", "transfer", "solar"])
+    def test_profile_above_full_load_is_rejected_when_the_scenario_is_built(self, beta, mode):
+        from ewhnexus.quantities import TimeSeries
+        steps = [115.0] * 24
+        steps[7] = 115.5   # one hour above the 115 ton/h design
+        with pytest.raises(DomainError, match=r"step 7 is 115\.5 ton/h.*C̄ = 115\.0"):
+            ScenarioConfig(plant=BIOMASS, econ=econ(c_sw=2.5e5), beta=beta,
+                           product=METHANE if beta else None, water_mode=mode,
+                           capture_profile=TimeSeries(steps, "ton/h"))
+
+    @pytest.mark.parametrize("name", ["biomass", "natural_gas", "coal"])
+    def test_full_load_profile_in_any_mass_flow_unit_loads(self, name):
+        from ewhnexus.quantities import TimeSeries
+        plant = paper_2024().plant(name)
+        for rate, unit in ((plant.cbar, "ton/h"), (plant.cbar * 1000, "kg/h"),
+                           (plant.cbar * 24, "ton/day")):
+            cfg = ScenarioConfig(plant=plant, econ=econ(), beta=1.0, product=METHANE,
+                                 capture_profile=TimeSeries((rate,) * 24, unit))
+            assert total_daily_cost(cfg).daily_cost.value_in("$/day") == \
+                total_daily_cost(replace(cfg, capture_profile=None)).daily_cost.value_in("$/day")
 
     def test_capture_profile_unit_is_converted_once_at_the_boundary(self):
         from ewhnexus.quantities import TimeSeries
@@ -229,9 +254,9 @@ class TestHotPath:
                 monkeypatch.setattr(module, "nexus_rates", forbidden)
 
     @pytest.mark.parametrize("mode, limit", [
-        (Desalination(), 4),
-        (SolarSeawater(), 4),
-        (NetworkTransfer(Quantity(150.0, "km")), 5),   # + the distance in meters
+        (Desalination(), 3),
+        (SolarSeawater(), 3),
+        (NetworkTransfer(Quantity(150.0, "km")), 4),   # + the distance in meters
     ], ids=["desalination", "solar", "transfer"])
     def test_reuse_cell_builds_few_quantities(self, monkeypatch, mode, limit):
         cfg = paper_2024()

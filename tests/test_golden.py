@@ -29,6 +29,14 @@ preset):
         g.write_mode_config('solar', 'solar.yaml')"
     ewhnexus --config solar.yaml --command sweep --format csv \\
         > tests/golden/sweep_solar.csv
+
+The dump goldens pin ``dump_config``'s text for the preset and for each
+override, M in {transfer, solar}:
+
+    PYTHONPATH=src:tests python -c "import test_golden as g; \\
+        g.write_mode_config(None, 'tests/golden/dump_preset.yaml')"
+    PYTHONPATH=src:tests python -c "import test_golden as g; \\
+        g.write_mode_config('M', 'tests/golden/dump_M.yaml')"
 """
 
 import io
@@ -61,9 +69,10 @@ def _solar(cfg):
 MODES = {"transfer": _transfer, "solar": _solar}
 
 
-def write_mode_config(mode: str, path) -> None:
-    """Write the preset with the named water-mode override to ``path``."""
-    Path(path).write_text(dump_config(MODES[mode](paper_2024())), encoding="utf-8")
+def write_mode_config(mode: str | None, path) -> None:
+    """Write the preset, with the named water-mode override if any, to ``path``."""
+    cfg = paper_2024() if mode is None else MODES[mode](paper_2024())
+    Path(path).write_text(dump_config(cfg), encoding="utf-8")
 
 
 def _cases():
@@ -84,10 +93,19 @@ def _cases():
 
 
 CASES = {name: (mode, argv) for name, mode, argv in _cases()}
+# dump golden -> water-mode override or None for the preset
+DUMPS = {"dump_preset.yaml": None, **{f"dump_{mode}.yaml": mode for mode in MODES}}
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *DUMPS])
+
+
+@pytest.mark.parametrize("name", sorted(DUMPS))
+def test_dump_matches_golden_file(name, tmp_path):
+    path = tmp_path / name
+    write_mode_config(DUMPS[name], path)
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
