@@ -15,13 +15,12 @@ for plant in cfg.plants:
           f"({c.value_in('ton/h') * 24:7.0f} ton/day)")
 
 # ---------------------------------------------------------------
-# Stoichiometric ratios per kg of reused CO2
+# Stoichiometric ratios per kg of reused CO2, computed once per product
 # ---------------------------------------------------------------
 print("\nPer kg of CO2 reused")
 for product in cfg.products:
-    r = ew.stoichiometry(product)
-    print(f"  {product.name:<9} H2 {r.xi_h * 1000:6.1f} g   "
-          f"feed water {r.water_demand:5.3f} L   product {r.xi_chi * 1000:6.1f} g")
+    print(f"  {product.name:<9} H2 {product.xi_h * 1000:6.1f} g   "
+          f"feed water {product.water_demand:5.3f} L   product {product.xi_chi * 1000:6.1f} g")
 
 # ---------------------------------------------------------------
 # Section sizing at full reuse (beta = 1)

@@ -8,7 +8,7 @@ chemical product, and the carbon-penalty rate that makes each option rational.
 
 from .quantities import (
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, UnitError, constant_profile, emissions_at_capacity,
+    TimeSeries, UnitError, emissions_at_capacity,
 )
 from .ccss import ccss_capital, ccss_operational
 from .water import (
@@ -17,8 +17,7 @@ from .water import (
 )
 from .conversion import (
     BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, ProductSpec, Reaction,
-    builtin_product, chemical_revenue, hydrogen_capital, nexus_rates,
-    power_capital, stoichiometry,
+    builtin_product, chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
 )
 from .economics import (
     ScenarioConfig, ScenarioResult, carbon_penalty,
@@ -40,11 +39,11 @@ __all__ = [
     "ScenarioResult", "SolarSeawater", "StoreAll", "SweepGrid", "TimeSeries",
     "UnitError", "breakeven_distance", "builtin_product",
     "carbon_penalty", "ccss_capital", "ccss_operational", "chemical_revenue",
-    "constant_profile", "daily_capital_charge", "desal_power", "dump_config",
+    "daily_capital_charge", "desal_power", "dump_config",
     "econ_for_cell", "emissions_at_capacity", "head_loss", "hydrogen_capital",
     "increased_price", "load_config", "nexus_rates", "paper_2024",
     "penalty_threshold", "power_capital", "pump_power", "resolver",
-    "scenario_sweep", "stoichiometry", "total_daily_cost",
+    "scenario_sweep", "total_daily_cost",
     "transfer_cost_curve", "water_capital", "water_operational",
 ]
 

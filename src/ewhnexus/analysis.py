@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import economics, water
-from .conversion import ProductSpec, _reuse_rates
+from .conversion import METHANE, ProductSpec, _reuse_rates
 from .economics import ScenarioConfig, ScenarioResult, total_daily_cost
 from .quantities import DomainError, EconParams, PlantSpec, Quantity, check_beta
 
-# (plant, product, beta, water_mode) -> EconParams; lets a calibrated preset
-# resolve plant-specific costs without changing any formula
-EconResolver = Callable[[PlantSpec, ProductSpec | None, float, water.WaterMode], EconParams]
+# (plant, product, beta) -> EconParams; lets a calibrated preset resolve
+# plant-specific costs without changing any formula
+EconResolver = Callable[[PlantSpec, ProductSpec | None, float], EconParams]
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
             name = product.name if product is not None else ""
             try:
                 cell_econ = (econ if econ_resolver is None
-                             else econ_resolver(plant, product, beta, grid.water_mode))
+                             else econ_resolver(plant, product, beta))
                 cfg = ScenarioConfig(plant=plant, econ=cell_econ, beta=beta,
                                      product=product, water_mode=grid.water_mode)
                 cells.append(SweepCell(plant.name, name, beta, result=total_daily_cost(cfg)))
@@ -165,7 +165,6 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     if not distances or not flows:
         raise DomainError("distances and flows must be non-empty")
     if product is None:
-        from .conversion import METHANE
         product = METHANE
     w_max = _reuse_rates(product, plant.cbar, 1.0)[1]   # [m3/h]
     cells: list[CurveCell] = []

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from . import analysis
 from .config import ConfigError, LoadedConfig, load_config
+from .conversion import _reuse_rates
 from .economics import ScenarioConfig, total_daily_cost
 from .presets import econ_for_cell, resolver
 from .quantities import DomainError, UnitError
@@ -244,8 +245,7 @@ def run(manifest: RunManifest) -> tuple[int, str, list[str]]:
         econ = econ_for_cell(cfg, plant, product, 1.0)
         flows = manifest.flows
         if not flows:
-            from .conversion import nexus_rates
-            w_max = nexus_rates(plant, product, 1.0)[1].value_in("m3/h")
+            w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
             flows = tuple(w_max * frac for frac in (0.0, 0.25, 0.5, 0.75, 1.0))
         cells = analysis.transfer_cost_curve(plant, manifest.distances, flows, econ,
                                              product=product)

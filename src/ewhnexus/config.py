@@ -58,7 +58,7 @@ def parse_quantity(text: Any, expected_unit: str, path: str,
         return None
     try:
         quantity = Quantity(value, unit)
-        quantity.to(expected_unit)   # the dimension check
+        quantity.value_in(expected_unit)   # the dimension check
     except UnitError as exc:
         errors.append(f"{path}: {exc} (expected {expected_unit})")
         return None

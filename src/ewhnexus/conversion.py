@@ -11,7 +11,7 @@ integer atomic masses, the alcohols' from standard ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .quantities import (
     DomainError, EconParams, PlantSpec, Quantity, check_beta,
@@ -47,12 +47,6 @@ class Reaction:
                 raise DomainError(f"reaction coefficient {name} must be a non-negative int")
         if self.co2 < 1 or self.product < 1:
             raise DomainError("reaction must consume CO2 and yield a product")
-
-
-class MassRatios(NamedTuple):
-    xi_h: float          # kg H2 per kg CO2 reused
-    xi_chi: float        # kg product per kg CO2 reused
-    water_demand: float  # liters electrolysis feed water per kg CO2 reused
 
 
 @dataclass(frozen=True)
@@ -130,11 +124,6 @@ def builtin_product(name: str) -> ProductSpec:
     except KeyError:
         raise DomainError(
             f"unknown product {name!r}; built-ins are {sorted(BUILTIN_PRODUCTS)}") from None
-
-
-def stoichiometry(product: ProductSpec) -> MassRatios:
-    """Derived mass ratios per kg of reused CO2."""
-    return MassRatios(product.xi_h, product.xi_chi, product.water_demand)
 
 
 def _reuse_rates(product: ProductSpec, cbar: float, beta: float) -> tuple[float, float, float]:

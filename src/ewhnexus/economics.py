@@ -10,11 +10,11 @@ emissions costs the same as running the retrofit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import ccss, conversion, water
 from .quantities import (
-    CAPITAL, OPERATIONAL, REVENUE, UNITS,
+    CAPITAL, OPERATIONAL, REVENUE,
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
     TimeSeries, UnitError, check_beta,
 )
@@ -53,6 +53,8 @@ class ScenarioConfig:
     product: conversion.ProductSpec | None = None
     water_mode: water.WaterMode = water.Desalination()
     capture_profile: TimeSeries | None = None   # defaults to 24 h full load
+    # hourly captured carbon [ton/h]: the profile, or full load without one
+    captured: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_beta(self.beta)
@@ -61,17 +63,22 @@ class ScenarioConfig:
         if not isinstance(self.water_mode, water.WaterMode):
             raise DomainError(f"unsupported water mode {self.water_mode!r}")
         profile = self.capture_profile
+        captured = (self.plant.cbar,) * HOURS_PER_DAY
         if profile is not None:
-            if profile.dim != UNITS["ton/h"][0]:
-                raise UnitError(f"capture_profile must be a mass flow, got {profile.unit!r}")
-            if len(profile) != HOURS_PER_DAY:
+            try:
+                captured = profile.values_in("ton/h")
+            except UnitError:
+                raise UnitError(
+                    f"capture_profile must be a mass flow, got {profile.unit!r}") from None
+            if len(captured) != HOURS_PER_DAY:
                 raise DomainError(f"capture_profile needs {HOURS_PER_DAY} hourly steps, "
-                                  f"got {len(profile)}")
-            for h, c in enumerate(profile.values_in("ton/h")):
+                                  f"got {len(captured)}")
+            for h, c in enumerate(captured):
                 if c > self.plant.cbar:
                     raise DomainError(f"capture_profile step {h} is {c!r} ton/h, above the "
                                       f"full-load rate C̄ = {self.plant.cbar!r} ton/h of "
                                       f"plant {self.plant.name!r}")
+        object.__setattr__(self, "captured", captured)
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,7 @@ def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
     plant, econ, beta = scenario.plant, scenario.econ, scenario.beta
     cbar = plant.cbar   # full-load carbon [ton/h]
-    captured = ((cbar,) * HOURS_PER_DAY if scenario.capture_profile is None
-                else scenario.capture_profile.values_in("ton/h"))
+    captured = scenario.captured
     items: list[LedgerItem] = []
 
     cap_ccss = _term("ccss-capital", ccss.ccss_capital, beta, cbar, econ)

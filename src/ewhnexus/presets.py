@@ -46,7 +46,7 @@ def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
 
 def resolver(cfg: LoadedConfig) -> EconResolver:
     """Cell-wise parameter resolver for scenario sweeps."""
-    def resolve(plant, product, beta, mode):
+    def resolve(plant, product, beta):
         return econ_for_cell(cfg, plant, product, beta)
     return resolve
 

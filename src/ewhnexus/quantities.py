@@ -1,14 +1,15 @@
-"""Unit-typed quantities and the core domain types shared by every module.
+"""Units at the boundary, and the core domain types shared by every module.
 
-Dimensions are tracked over six engineering bases: mass [kg], energy [kWh],
-time [h], money [$], volume [m3] and length [m].  Every supported unit maps
-onto a dimension vector plus a scale factor to the canonical base, so a
+Every supported unit maps to the base unit of its dimension and an exact
+integer ratio to it: 1 MW is 1000/1 kW, 1 ton/day is 1000/24 kg/h.  Two
+units share a dimension exactly when they share a base unit, so a
 conversion between incompatible units (say, $/ton to kWh/kg) fails loudly
 instead of silently producing garbage.
 
 Units are checked where data enters: config load, ``PlantSpec``,
-``NetworkTransfer`` and a scenario's capture profile.  The cost terms then
-compute on plain floats in the units their docstrings state.
+``NetworkTransfer`` and a scenario's capture profile.  Each check is the
+conversion that boundary makes anyway, into the unit the core uses; the cost
+terms then compute on plain floats in the units their docstrings state.
 
 Values are kept in the unit they were given and only rescaled on demand.
 That keeps round-decimal inputs (230 g/kWh, 15 $/ton, 500 MW) bit-exact
@@ -30,77 +31,67 @@ class DomainError(ValueError):
     """Input outside the physical or economic domain of an operation."""
 
 
-# Dimension exponents over (mass, energy, time, money, volume, length).
-Dim = tuple[int, int, int, int, int, int]
-
-DIMENSIONLESS_DIM: Dim = (0, 0, 0, 0, 0, 0)
-
-
-def _d(mass: int = 0, energy: int = 0, time: int = 0, money: int = 0,
-       volume: int = 0, length: int = 0) -> Dim:
-    return (mass, energy, time, money, volume, length)
-
-
-# unit name -> (dimension, scale to canonical base units as an integer ratio).
-# Rational scales keep conversions correctly rounded: 820 g/kWh becomes
-# 820/1000 kg/kWh, one exact division, not a multiply by an inexact 1e-3.
-UNITS: dict[str, tuple[Dim, tuple[int, int]]] = {
-    "dimensionless": (DIMENSIONLESS_DIM, (1, 1)),
+# unit name -> (base unit of its dimension, scale to that base as an integer
+# ratio).  Rational scales keep conversions correctly rounded: 820 g/kWh
+# becomes 820/1000 kg/kWh, one exact division, not a multiply by an inexact 1e-3.
+UNITS: dict[str, tuple[str, tuple[int, int]]] = {
+    "dimensionless": ("dimensionless", (1, 1)),
     # mass
-    "kg": (_d(mass=1), (1, 1)),
-    "g": (_d(mass=1), (1, 1000)),
-    "ton": (_d(mass=1), (1000, 1)),
+    "kg": ("kg", (1, 1)),
+    "g": ("kg", (1, 1000)),
+    "ton": ("kg", (1000, 1)),
     # energy
-    "kWh": (_d(energy=1), (1, 1)),
-    "MWh": (_d(energy=1), (1000, 1)),
+    "kWh": ("kWh", (1, 1)),
+    "MWh": ("kWh", (1000, 1)),
     # time
-    "h": (_d(time=1), (1, 1)),
-    "day": (_d(time=1), (24, 1)),
+    "h": ("h", (1, 1)),
+    "day": ("h", (24, 1)),
     # money
-    "$": (_d(money=1), (1, 1)),
-    "M$": (_d(money=1), (1000000, 1)),
+    "$": ("$", (1, 1)),
+    "M$": ("$", (1000000, 1)),
     # volume
-    "m3": (_d(volume=1), (1, 1)),
-    "L": (_d(volume=1), (1, 1000)),
+    "m3": ("m3", (1, 1)),
+    "L": ("m3", (1, 1000)),
     # length
-    "m": (_d(length=1), (1, 1)),
-    "km": (_d(length=1), (1000, 1)),
+    "m": ("m", (1, 1)),
+    "km": ("m", (1000, 1)),
     # power
-    "kW": (_d(energy=1, time=-1), (1, 1)),
-    "MW": (_d(energy=1, time=-1), (1000, 1)),
+    "kW": ("kW", (1, 1)),
+    "MW": ("kW", (1000, 1)),
     # mass flow
-    "kg/h": (_d(mass=1, time=-1), (1, 1)),
-    "ton/h": (_d(mass=1, time=-1), (1000, 1)),
-    "ton/day": (_d(mass=1, time=-1), (1000, 24)),
+    "kg/h": ("kg/h", (1, 1)),
+    "ton/h": ("kg/h", (1000, 1)),
+    "ton/day": ("kg/h", (1000, 24)),
     # volume flow
-    "m3/h": (_d(volume=1, time=-1), (1, 1)),
-    "L/h": (_d(volume=1, time=-1), (1, 1000)),
+    "m3/h": ("m3/h", (1, 1)),
+    "L/h": ("m3/h", (1, 1000)),
     # tariffs and unit costs
-    "$/kWh": (_d(money=1, energy=-1), (1, 1)),
-    "$/kg": (_d(money=1, mass=-1), (1, 1)),
-    "$/ton": (_d(money=1, mass=-1), (1, 1000)),
-    "$/kW": (_d(money=1, energy=-1, time=1), (1, 1)),
-    "$/(m3/h)": (_d(money=1, volume=-1, time=1), (1, 1)),
-    "$/(kg/h)": (_d(money=1, mass=-1, time=1), (1, 1)),
-    "$/(ton/day)": (_d(money=1, mass=-1, time=1), (24, 1000)),
-    "$/m": (_d(money=1, length=-1), (1, 1)),
-    "$/km": (_d(money=1, length=-1), (1, 1000)),
-    "$/h": (_d(money=1, time=-1), (1, 1)),
-    "$/day": (_d(money=1, time=-1), (1, 24)),
+    "$/kWh": ("$/kWh", (1, 1)),
+    "$/kg": ("$/kg", (1, 1)),
+    "$/ton": ("$/kg", (1, 1000)),
+    "$/kW": ("$/kW", (1, 1)),
+    "$/(m3/h)": ("$/(m3/h)", (1, 1)),
+    "$/(kg/h)": ("$/(kg/h)", (1, 1)),
+    "$/(ton/day)": ("$/(kg/h)", (24, 1000)),
+    "$/m": ("$/m", (1, 1)),
+    "$/km": ("$/m", (1, 1000)),
+    "$/h": ("$/h", (1, 1)),
+    "$/day": ("$/h", (1, 24)),
     # specific energies
-    "kWh/kg": (_d(energy=1, mass=-1), (1, 1)),
-    "kWh/m3": (_d(energy=1, volume=-1), (1, 1)),
+    "kWh/kg": ("kWh/kg", (1, 1)),
+    "kWh/m3": ("kWh/m3", (1, 1)),
     # emission factors
-    "kg/kWh": (_d(mass=1, energy=-1), (1, 1)),
-    "g/kWh": (_d(mass=1, energy=-1), (1, 1000)),
+    "kg/kWh": ("kg/kWh", (1, 1)),
+    "g/kWh": ("kg/kWh", (1, 1000)),
 }
+
 
 def _normalize(unit: str) -> str:
     # accept the unicode superscript spelling used in printed tables
     return unit.replace("³", "3").strip()
 
 
-def _unit_entry(unit: str) -> tuple[Dim, tuple[int, int]]:
+def _unit_entry(unit: str) -> tuple[str, tuple[int, int]]:
     unit = _normalize(unit)
     try:
         return UNITS[unit]
@@ -108,22 +99,21 @@ def _unit_entry(unit: str) -> tuple[Dim, tuple[int, int]]:
         raise UnitError(f"unknown unit {unit!r}") from None
 
 
-def _scale_value(value: float, scale: tuple[int, int]) -> float:
-    num, den = scale
-    if num != 1:
-        value = value * num
-    if den != 1:
-        value = value / den
-    return value
+def _convert(value: float, unit: str, to: str) -> float:
+    """``value`` in ``unit`` expressed in ``to``: the one place units are scaled.
 
-
-def _unscale_value(value: float, scale: tuple[int, int]) -> float:
-    num, den = scale
-    if den != 1:
-        value = value * den
-    if num != 1:
-        value = value / num
-    return value
+    Scales up to the shared base unit (x num, / den), then down to ``to``
+    (x den_to, / num_to); raises UnitError when the dimensions differ.  A
+    value already in ``to`` is returned as is: the round trip through the base
+    is not exact for every scale (x / 24 * 24 for $/day).
+    """
+    if _normalize(to) == unit:
+        return value
+    base, (num, den) = _unit_entry(unit)
+    base_to, (num_to, den_to) = _unit_entry(to)
+    if base != base_to:
+        raise UnitError(f"cannot convert {unit!r} to {to!r}")
+    return value * num / den * den_to / num_to
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,7 @@ class Quantity:
     unit: str = "dimensionless"
 
     def __post_init__(self):
-        dim, _ = _unit_entry(self.unit)  # validates the unit name
+        _unit_entry(self.unit)  # validates the unit name
         object.__setattr__(self, "unit", _normalize(self.unit))
         if not isinstance(self.magnitude, (int, float)) or isinstance(self.magnitude, bool):
             raise UnitError(f"magnitude must be a real number, got {self.magnitude!r}")
@@ -142,25 +132,24 @@ class Quantity:
         if not math.isfinite(self.magnitude):
             raise UnitError(f"magnitude must be finite, got {self.magnitude!r}")
 
-    @property
-    def dim(self) -> Dim:
-        return _unit_entry(self.unit)[0]
-
     def to(self, unit: str) -> "Quantity":
-        unit = _normalize(unit)
-        if unit == self.unit:
+        if _normalize(unit) == self.unit:
             return self
-        dim_self, scale_self = _unit_entry(self.unit)
-        dim, scale = _unit_entry(unit)
-        if dim != dim_self:
-            raise UnitError(f"cannot convert {self.unit!r} to {unit!r}")
-        return Quantity(_unscale_value(_scale_value(self.magnitude, scale_self), scale), unit)
+        return Quantity(_convert(self.magnitude, self.unit, unit), unit)
 
     def value_in(self, unit: str) -> float:
-        return self.to(unit).magnitude
+        return _convert(self.magnitude, self.unit, unit)
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.unit}"
+
+
+def _field_value(quantity: Quantity, unit: str, rule: str) -> float:
+    """``quantity`` in ``unit``; a unit of another dimension is reported as breaking ``rule``."""
+    try:
+        return quantity.value_in(unit)
+    except UnitError:
+        raise UnitError(f"{rule}, got {quantity.unit!r}") from None
 
 
 def check_beta(beta: float) -> None:
@@ -180,18 +169,15 @@ class PlantSpec:
     cbar: float = field(init=False, repr=False, compare=False)  # full-load carbon [ton/h]
 
     def __post_init__(self):
-        if self.capacity.dim != _d(energy=1, time=-1):
-            raise UnitError(f"capacity must be a power, got {self.capacity.unit!r}")
-        if self.emission_factor.dim != _d(mass=1, energy=-1):
-            raise UnitError(
-                f"emission_factor must be mass per energy, got {self.emission_factor.unit!r}")
+        capacity_kw = _field_value(self.capacity, "kW", "capacity must be a power")
+        kg_per_kwh = _field_value(self.emission_factor, "kg/kWh",
+                                  "emission_factor must be mass per energy")
         if not self.capacity.magnitude > 0:
             raise DomainError(f"plant {self.name!r}: capacity must be positive")
         if not self.emission_factor.magnitude > 0:
             raise DomainError(f"plant {self.name!r}: emission_factor must be positive")
-        object.__setattr__(self, "capacity_kw", self.capacity.value_in("kW"))
-        kg_per_h = self.capacity_kw * self.emission_factor.value_in("kg/kWh")
-        object.__setattr__(self, "cbar", kg_per_h / 1000.0)
+        object.__setattr__(self, "capacity_kw", capacity_kw)
+        object.__setattr__(self, "cbar", capacity_kw * kg_per_kwh / 1000.0)
 
 
 def emissions_at_capacity(plant: PlantSpec) -> Quantity:
@@ -289,28 +275,9 @@ class TimeSeries:
 
     def values_in(self, unit: str) -> tuple[float, ...]:
         """Values rescaled to another unit of the same dimension."""
-        unit = _normalize(unit)
-        if unit == self.unit:
+        if _normalize(unit) == self.unit:
             return self.values
-        dim_self, scale_self = _unit_entry(self.unit)
-        dim, scale = _unit_entry(unit)
-        if dim != dim_self:
-            raise UnitError(f"cannot express {self.unit!r} series in {unit!r}")
-        return tuple(_unscale_value(_scale_value(v, scale_self), scale)
-                     for v in self.values)
-
-    @property
-    def dim(self) -> Dim:
-        return _unit_entry(self.unit)[0]
-
-
-def constant_profile(rate: Quantity, hours: int) -> TimeSeries:
-    """Flat full-load profile of ``hours`` one-hour steps at ``rate``."""
-    if hours < 1 or int(hours) != hours:
-        raise DomainError(f"hours must be an integer >= 1, got {hours!r}")
-    if rate.magnitude < 0:
-        raise DomainError("rate must be >= 0 for a physical flow profile")
-    return TimeSeries((rate.magnitude,) * int(hours), rate.unit)
+        return tuple(_convert(v, self.unit, unit) for v in self.values)
 
 
 CAPITAL = "capital"

@@ -11,10 +11,10 @@ gain equals the head loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .quantities import DomainError, EconParams, Quantity, UnitError
+from .quantities import DomainError, EconParams, Quantity, _field_value
 
 # 2.725 ~= rho * g / 3600: pump power in W for flow in m3/h and head in m
 PUMP_CONSTANT_W = 2.725
@@ -29,13 +29,16 @@ class Desalination:
 class NetworkTransfer:
     """Pipe from an existing water network at the given distance."""
 
-    distance: Quantity  # [km]
+    distance: Quantity
+    km: float = field(init=False, repr=False, compare=False)  # distance [km]
+    m: float = field(init=False, repr=False, compare=False)   # distance [m]
 
     def __post_init__(self):
-        if self.distance.dim != (0, 0, 0, 0, 0, 1):
-            raise UnitError(f"distance must be a length, got {self.distance.unit!r}")
+        km = _field_value(self.distance, "km", "distance must be a length")
         if self.distance.magnitude < 0:
             raise DomainError("transfer distance must be >= 0")
+        object.__setattr__(self, "km", km)
+        object.__setattr__(self, "m", self.distance.value_in("m"))
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,7 @@ def water_capital(mode: WaterMode, w_max: float, econ: EconParams) -> float:
     if isinstance(mode, Desalination):
         return w_max * econ.c_des
     if isinstance(mode, NetworkTransfer):
-        d_m = mode.distance.value_in("m")
-        return w_max * econ.c_tw * d_m
+        return w_max * econ.c_tw * mode.m
     if econ.c_sw is None:
         raise DomainError("c_sw is not configured; a solar-seawater plan cannot be costed")
     return w_max * econ.c_sw
@@ -139,7 +141,6 @@ def water_operational(mode: WaterMode, w_max: float, flow: Sequence[float],
         for f in flow:
             total += econ.elec_price * desal_power(f, w_max, econ)
     else:
-        d_km = mode.distance.value_in("km")
         for f in flow:
-            total += pump_cost(f, w_max, d_km, econ)
+            total += pump_cost(f, w_max, mode.km, econ)
     return total

@@ -18,7 +18,7 @@ from ewhnexus.analysis import (
     BreakevenQuery, ReuseAll, StoreAll, breakeven_distance, penalty_threshold,
 )
 from ewhnexus.conversion import (
-    BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, nexus_rates, stoichiometry,
+    BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, nexus_rates,
 )
 from ewhnexus.economics import (
     ScenarioConfig, daily_capital_charge, total_daily_cost,
@@ -106,9 +106,9 @@ def test_a1_sizing_table_reproduction():
 def test_a2_stoichiometry_exactness():
     failures = []
     checks = [
-        ("methane xi_h", stoichiometry(METHANE).xi_h, 0.1818),
-        ("methanol xi_h", stoichiometry(METHANOL).xi_h, 0.1374),
-        ("ethanol xi_h", stoichiometry(ETHANOL).xi_h, 0.1374),
+        ("methane xi_h", METHANE.xi_h, 0.1818),
+        ("methanol xi_h", METHANOL.xi_h, 0.1374),
+        ("ethanol xi_h", ETHANOL.xi_h, 0.1374),
     ]
     for label, value, target in checks:
         if abs(value - target) > 5e-4:

@@ -1,0 +1,24 @@
+"""The public names: ``ewhnexus.__all__`` and what the benchmark harness reads of it."""
+
+import re
+from pathlib import Path
+
+import ewhnexus as ew
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in ew.__all__ if not hasattr(ew, name)]
+    assert missing == []
+
+
+def test_public_names_are_unique():
+    assert len(ew.__all__) == len(set(ew.__all__))
+
+
+def test_benchmark_reads_only_public_names():
+    text = (ROOT / "bench" / "workloads.py").read_text(encoding="utf-8")
+    used = set(re.findall(r"\bew\.([A-Za-z_]\w*)", text))
+    assert used, "bench/workloads.py references no ew.<name>"
+    assert sorted(used - set(ew.__all__)) == []

@@ -5,8 +5,8 @@ import pytest
 from ewhnexus.ccss import ccss_capital, ccss_operational
 from ewhnexus.economics import ScenarioConfig
 from ewhnexus.quantities import (
-    DomainError, EconParams, PlantSpec, Quantity, UnitError,
-    constant_profile, emissions_at_capacity,
+    DomainError, EconParams, PlantSpec, Quantity, TimeSeries, UnitError,
+    emissions_at_capacity,
 )
 
 BIOMASS = PlantSpec("biomass", Quantity(500, "MW"), Quantity(230, "g/kWh"))
@@ -87,11 +87,11 @@ class TestOperational:
 
     # the captured series is unit-checked where it enters, at ScenarioConfig
     def test_wrong_unit_series_rejected(self):
-        flow = constant_profile(Quantity(10, "m3/h"), 24)
+        flow = TimeSeries((10.0,) * 24, "m3/h")
         with pytest.raises(UnitError):
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=0.0, capture_profile=flow)
 
     def test_wrong_length_series_rejected(self):
-        short = constant_profile(Quantity(115, "ton/h"), 12)
+        short = TimeSeries((115.0,) * 12, "ton/h")
         with pytest.raises(DomainError):
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=0.0, capture_profile=short)

@@ -69,6 +69,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\$/kWh"):
             load_config_text(yaml.safe_dump(data))
 
+    def test_plant_unit_of_another_dimension_names_the_field(self):
+        data = preset_dict()
+        data["plants"][0]["capacity"] = "500 ton"
+        data["plants"][1]["emission_factor"] = "490 kWh"
+        with pytest.raises(ConfigError) as err:
+            load_config_text(yaml.safe_dump(data))
+        message = str(err.value)
+        assert "plants[0].capacity: cannot convert 'ton' to 'kW' (expected kW)" in message
+        assert ("plants[1].emission_factor: cannot convert 'kWh' to 'kg/kWh' "
+                "(expected kg/kWh)") in message
+
     def test_all_errors_reported_in_one_pass(self):
         data = preset_dict()
         data["econ"]["elec_price"] = "0.25 $/ton"

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from ewhnexus.conversion import (
     ETHANOL, INTEGER_MASSES, METHANE, METHANOL, STANDARD_MASSES, AtomicMasses,
     ProductSpec, Reaction,
-    builtin_product, chemical_revenue, hydrogen_capital, nexus_rates,
-    power_capital, stoichiometry,
+    builtin_product, chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
 )
 from ewhnexus.quantities import (
     DomainError, EconParams, PlantSpec, Quantity, emissions_at_capacity,
@@ -31,18 +30,18 @@ def econ(**over):
 
 class TestStoichiometry:
     def test_methane_hydrogen_ratio(self):
-        assert stoichiometry(METHANE).xi_h == pytest.approx(0.1818, abs=5e-5)
+        assert METHANE.xi_h == pytest.approx(0.1818, abs=5e-5)
 
     def test_methanol_and_ethanol_hydrogen_ratio(self):
-        assert stoichiometry(METHANOL).xi_h == pytest.approx(0.1374, abs=5e-5)
-        assert stoichiometry(ETHANOL).xi_h == pytest.approx(0.1374, abs=5e-5)
+        assert METHANOL.xi_h == pytest.approx(0.1374, abs=5e-5)
+        assert ETHANOL.xi_h == pytest.approx(0.1374, abs=5e-5)
 
     def test_methane_water_demand(self):
         # 1.64 liters of electrolysis feed water per kg CO2
-        assert stoichiometry(METHANE).water_demand == pytest.approx(1.64, abs=5e-3)
+        assert METHANE.water_demand == pytest.approx(1.64, abs=5e-3)
 
     def test_methane_product_ratio(self):
-        assert stoichiometry(METHANE).xi_chi == pytest.approx(16.0 / 44.0, rel=1e-12)
+        assert METHANE.xi_chi == pytest.approx(16.0 / 44.0, rel=1e-12)
 
     def test_atom_balance_enforced_at_construction(self):
         with pytest.raises(DomainError, match="balance"):

@@ -219,6 +219,21 @@ class TestTotalDailyCost:
             for term, amount in ledgers["ton/h"].items():
                 assert ledgers[unit][term] == pytest.approx(amount, rel=1e-12), (unit, term)
 
+    def test_capture_profile_is_rescaled_once_per_scenario(self, monkeypatch):
+        from ewhnexus.quantities import TimeSeries
+        calls = []
+        original = TimeSeries.values_in
+
+        def counting(self, unit):
+            calls.append(unit)
+            return original(self, unit)
+
+        monkeypatch.setattr(TimeSeries, "values_in", counting)
+        profile = TimeSeries((115_000.0 * (h + 0.5) / 24 for h in range(24)), "kg/h")
+        total_daily_cost(ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0,
+                                        product=METHANE, capture_profile=profile))
+        assert calls == ["ton/h"]
+
     def test_bad_capture_profile_rejected_when_the_scenario_is_built(self):
         from ewhnexus.quantities import TimeSeries, UnitError
         with pytest.raises(UnitError, match="mass flow"):
@@ -256,7 +271,7 @@ class TestHotPath:
     @pytest.mark.parametrize("mode, limit", [
         (Desalination(), 3),
         (SolarSeawater(), 3),
-        (NetworkTransfer(Quantity(150.0, "km")), 4),   # + the distance in meters
+        (NetworkTransfer(Quantity(150.0, "km")), 3),
     ], ids=["desalination", "solar", "transfer"])
     def test_reuse_cell_builds_few_quantities(self, monkeypatch, mode, limit):
         cfg = paper_2024()

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from ewhnexus.quantities import (
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, UNITS, UnitError, constant_profile, emissions_at_capacity,
+    TimeSeries, UNITS, UnitError, emissions_at_capacity,
 )
 
 
@@ -42,13 +42,21 @@ class TestQuantityAlgebra:
 
     @given(a=st.sampled_from(sorted(UNITS)), b=st.sampled_from(sorted(UNITS)),
            x=st.floats(0.1, 1e6))
-    def test_conversion_defined_iff_dimensions_match(self, a, b, x):
+    def test_conversion_defined_iff_base_units_match(self, a, b, x):
         qa = q(x, a)
-        if qa.dim == q(1, b).dim:
-            assert qa.to(b).dim == qa.dim
+        if UNITS[a][0] == UNITS[b][0]:
+            assert qa.to(b).unit == b
+            assert qa.to(b).value_in(a) == pytest.approx(x, rel=1e-12)
         else:
             with pytest.raises(UnitError):
                 qa.to(b)
+            with pytest.raises(UnitError):
+                qa.value_in(b)
+
+    def test_each_dimension_has_one_base_unit_of_scale_one(self):
+        bases = {base for base, _ in UNITS.values()}
+        for base in bases:
+            assert UNITS[base] == (base, (1, 1)), base
 
 
 class TestPlantSpec:
@@ -92,23 +100,35 @@ class TestPlantSpec:
         with pytest.raises(DomainError):
             PlantSpec("p", q(500, "MW"), q(-1, "g/kWh"))
 
+    def test_capacity_of_another_dimension_names_the_field(self):
+        with pytest.raises(UnitError, match="capacity must be a power, got 'ton'"):
+            PlantSpec("p", q(500, "ton"), q(230, "g/kWh"))
+
+    def test_emission_factor_of_another_dimension_names_the_field(self):
+        with pytest.raises(UnitError, match="emission_factor must be mass per energy, got 'kWh'"):
+            PlantSpec("p", q(500, "MW"), q(230, "kWh"))
+
 
 class TestTimeSeries:
-    def test_constant_profile_sums(self):
-        series = constant_profile(q(115, "ton/h"), 24)
+    def test_full_load_profile_sums(self):
+        series = TimeSeries((115,) * 24, "ton/h")
         assert len(series) == 24
         assert sum(series.values) == 2760.0
 
     def test_zero_profile(self):
-        series = constant_profile(q(0, "ton/h"), 24)
+        series = TimeSeries((0,) * 24, "ton/h")
         assert all(v == 0.0 for v in series.values)
 
     def test_gas_profile_sums(self):
-        assert sum(constant_profile(q(245, "ton/h"), 24).values) == 5880.0
+        assert sum(TimeSeries((245,) * 24, "ton/h").values) == 5880.0
 
-    def test_non_positive_hours_rejected(self):
-        with pytest.raises(DomainError):
-            constant_profile(q(1, "ton/h"), 0)
+    def test_values_in_matches_the_scalar_conversion_per_step(self):
+        series = TimeSeries((2760.0, 0.0, 115.5, 1e-3), "ton/day")
+        assert series.values_in("ton/day") is series.values
+        assert series.values_in("kg/h") == tuple(
+            q(v, "ton/day").value_in("kg/h") for v in series.values)
+        with pytest.raises(UnitError):
+            series.values_in("m3/h")
 
     def test_negative_values_rejected(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from ewhnexus.conversion import METHANE
 from ewhnexus.economics import ScenarioConfig
-from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
+from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity, UnitError
 from ewhnexus.water import (
     Desalination, NetworkTransfer, SolarSeawater,
     desal_power, desal_segment, effective_r_w, head_loss, pump_power,
@@ -132,6 +132,16 @@ class TestPlanExclusivity:
     def test_negative_distance_rejected(self):
         with pytest.raises(DomainError):
             NetworkTransfer(Quantity(-1, "km"))
+
+    def test_distance_of_another_dimension_names_the_field(self):
+        with pytest.raises(UnitError, match="distance must be a length, got 'kg'"):
+            NetworkTransfer(Quantity(150, "kg"))
+
+    def test_distance_is_converted_once_at_construction(self):
+        mode = NetworkTransfer(Quantity(150_000, "m"))
+        assert (mode.km, mode.m) == (150.0, 150_000.0)
+        assert mode == NetworkTransfer(Quantity(150_000, "m"))
+        assert repr(mode) == "NetworkTransfer(distance=Quantity(magnitude=150000.0, unit='m'))"
 
 
 class TestCapital:
