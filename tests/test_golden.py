@@ -37,6 +37,13 @@ override, M in {transfer, solar}:
         g.write_mode_config(None, 'tests/golden/dump_preset.yaml')"
     PYTHONPATH=src:tests python -c "import test_golden as g; \\
         g.write_mode_config('M', 'tests/golden/dump_M.yaml')"
+
+The ledger goldens pin a partial-load library scenario, which no CLI command
+can express yet: biomass reusing all its carbon as methane under the ramp
+capture profile ``RAMP``, for M in {desalination, transfer}:
+
+    PYTHONPATH=src:tests python -c "import test_golden as g; \\
+        g.write_ramp_ledger('M', 'tests/golden/ledger_ramp_M.txt')"
 """
 
 import io
@@ -48,9 +55,11 @@ import pytest
 
 from ewhnexus.cli import main
 from ewhnexus.config import dump_config
-from ewhnexus.presets import paper_2024
-from ewhnexus.quantities import Quantity
-from ewhnexus.water import NetworkTransfer, SolarSeawater
+from ewhnexus.conversion import _reuse_rates
+from ewhnexus.economics import ScenarioConfig, total_daily_cost
+from ewhnexus.presets import econ_for_cell, paper_2024
+from ewhnexus.quantities import Quantity, TimeSeries
+from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater, desal_segment
 
 GOLDEN = Path(__file__).parent / "golden"
 PLANTS = ("biomass", "natural_gas", "coal")
@@ -75,6 +84,32 @@ def write_mode_config(mode: str | None, path) -> None:
     Path(path).write_text(dump_config(cfg), encoding="utf-8")
 
 
+# hourly load fractions: idle hour, a 3 h run in the first desalination
+# segment, 14 distinct steps through segments 2 to 4, then 6 h at full load
+RAMP = (0.0, 0.2, 0.2, 0.2) + tuple(n / 20 for n in range(6, 20)) + (1.0,) * 6
+# ledger golden water mode -> water mode object
+RAMP_MODES = {"desalination": Desalination(),
+              "transfer": NetworkTransfer(Quantity(150.0, "km"))}
+
+
+def ramp_ledger(mode: str) -> str:
+    """Ledger items and metrics of the ``RAMP`` scenario, one repr a line."""
+    cfg = paper_2024()
+    plant, product = cfg.plant("biomass"), cfg.product("methane")
+    profile = TimeSeries(tuple(plant.cbar * x for x in RAMP), "ton/h")
+    result = total_daily_cost(ScenarioConfig(
+        plant=plant, econ=econ_for_cell(cfg, plant, product, 1.0), beta=1.0,
+        product=product, water_mode=RAMP_MODES[mode], capture_profile=profile))
+    lines = [repr(item) for item in result.ledger.items]
+    lines += [repr(result.daily_cost), repr(result.increased_price),
+              repr(result.carbon_penalty)]
+    return "\n".join(lines) + "\n"
+
+
+def write_ramp_ledger(mode: str, path) -> None:
+    Path(path).write_text(ramp_ledger(mode), encoding="utf-8")
+
+
 def _cases():
     """(golden file, water-mode override or None for the preset, CLI arguments)."""
     sweep = ["--command", "sweep", "--format", "csv"]
@@ -95,10 +130,26 @@ def _cases():
 CASES = {name: (mode, argv) for name, mode, argv in _cases()}
 # dump golden -> water-mode override or None for the preset
 DUMPS = {"dump_preset.yaml": None, **{f"dump_{mode}.yaml": mode for mode in MODES}}
+LEDGERS = {f"ledger_ramp_{mode}.txt": mode for mode in RAMP_MODES}
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *DUMPS])
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *DUMPS, *LEDGERS])
+
+
+def test_ramp_crosses_every_desalination_segment():
+    cfg = paper_2024()
+    plant, product = cfg.plant("biomass"), cfg.product("methane")
+    w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
+    flows = [product.water_demand * 1.0 * (plant.cbar * x) for x in RAMP]
+    assert len(RAMP) == 24
+    assert [desal_segment(f, w_max) for f in flows] == (
+        [1] * 4 + [2] * 5 + [3] * 5 + [4] * 10)
+
+
+@pytest.mark.parametrize("name", sorted(LEDGERS))
+def test_ramp_ledger_matches_golden_file(name):
+    assert ramp_ledger(LEDGERS[name]).encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(DUMPS))
