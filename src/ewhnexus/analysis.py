@@ -36,8 +36,10 @@ class SweepGrid:
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if not self.plants:
             raise DomainError("sweep grid needs at least one plant")
-        for b in self.betas:
+        for i, b in enumerate(self.betas):
             check_beta(b)
+            if b in self.betas[:i]:
+                raise DomainError(f"sweep grid: repeated reuse fraction {b!r}")
 
 
 @dataclass(frozen=True)

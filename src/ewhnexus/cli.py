@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,9 +130,13 @@ def render_curve_csv(cells: Iterable[analysis.CurveCell]) -> str:
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ConfigError(f"{flag}: expected a comma-separated list of numbers, got {text!r}")
+        values = None
+    if values is None or not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{flag}: expected a comma-separated list of finite numbers, "
+                          f"got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,6 +291,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         manifest = manifest_from_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         status, output, diagnostics = run(manifest)

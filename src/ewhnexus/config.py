@@ -9,7 +9,6 @@ nothing is computed from an invalid config.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -19,7 +18,7 @@ import yaml
 
 from . import water
 from .conversion import BUILTIN_PRODUCTS, ProductSpec, builtin_product
-from .quantities import DomainError, EconParams, PlantSpec, Quantity, UnitError
+from .quantities import EconParams, PlantSpec, Quantity, UnitError, check_nonneg
 
 
 class ConfigError(ValueError):
@@ -67,7 +66,7 @@ def parse_quantity(text: Any, expected_unit: str, path: str,
 
 @dataclass(frozen=True)
 class Calibration:
-    """Fitted, non-published cost closures used by a preset.
+    """Fitted, non-published calibration rules used by a preset.
 
     ``ccs_capital_total`` spreads one fixed capture-plant capital over the
     plant's daily carbon mass, giving the scale economy the per-ton capital
@@ -85,8 +84,8 @@ class Calibration:
         for name, value in [("ccs_capital_total", self.ccs_capital_total),
                             ("pipe_cost_per_m", self.pipe_cost_per_m)] + [
                 (f"r_w_per_100km[{k}]", v) for k, v in self.r_w_per_100km.items()]:
-            if value is not None and (not math.isfinite(value) or value < 0):
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+            if value is not None:
+                check_nonneg(name, value)
 
 
 @dataclass(frozen=True)

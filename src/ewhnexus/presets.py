@@ -1,7 +1,7 @@
 """Turning a loaded config plus its calibration block into per-cell parameters.
 
-Three closures bridge the gap between the printed cost forms and a usable
-parameter set:
+Three calibration rules bridge the gap between the printed cost forms and a
+usable parameter set:
 
 * a fixed capture-plant capital total is spread over each plant's daily
   carbon mass (strong scale economy in the per-ton capital cost),
@@ -12,11 +12,11 @@ parameter set:
   diameter each design flow would actually get.
 
 None of these change a formula; they only decide the numbers fed into it.
+A cell's parameters are the config's, already validated, with the calibrated
+fields replaced; only those fields are checked again.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .analysis import EconResolver
 from .config import LoadedConfig, load_config
@@ -41,7 +41,7 @@ def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
         check_beta(beta)
         updates["c_tw"] = cal.pipe_cost_per_m / _reuse_rates(product, plant.cbar, beta)[1]
 
-    return replace(econ, **updates) if updates else econ
+    return econ.replace_costs(**updates) if updates else econ
 
 
 def resolver(cfg: LoadedConfig) -> EconResolver:

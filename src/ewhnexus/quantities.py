@@ -19,7 +19,8 @@ through conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Mapping
 
 
@@ -185,6 +186,23 @@ def emissions_at_capacity(plant: PlantSpec) -> Quantity:
     return Quantity(plant.cbar, "ton/h")
 
 
+def check_nonneg(name: str, value: float, when_set: bool = False) -> None:
+    """Reject a non-finite or negative value of the named parameter.
+
+    ``when_set`` marks an optional parameter, whose message omits the value.
+    """
+    if not math.isfinite(value) or value < 0:
+        raise DomainError(f"{name} must be finite and >= 0 when set" if when_set
+                          else f"{name} must be finite and >= 0, got {value!r}")
+
+
+# EconParams fields that must be finite and >= 0, in the order __post_init__
+# checks them; the optional ones may also be None
+_NONNEG_FIELDS = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
+                  "c_we", "xi_p", "r_w_per_100km")
+_OPTIONAL_FIELDS = ("c_ccs", "c_sw")
+
+
 @dataclass(frozen=True)
 class EconParams:
     """Cost and process parameters, one named field per model symbol.
@@ -230,26 +248,45 @@ class EconParams:
             raise DomainError("interest_rate must be >= 0")
         if len(self.e_des) != 4:
             raise DomainError("e_des needs exactly 4 segment coefficients")
-        nonneg = {
-            "elec_price": self.elec_price, "r_cts": self.r_cts, "r_ccs": self.r_ccs,
-            "c_cts": self.c_cts, "c_wind": self.c_wind, "c_des": self.c_des,
-            "c_tw": self.c_tw, "c_we": self.c_we, "xi_p": self.xi_p,
-            "r_w_per_100km": self.r_w_per_100km,
-        }
-        for name, value in list(nonneg.items()) + [
-                (f"e_des[{i+1}]", e) for i, e in enumerate(self.e_des)] + [
-                (f"product_prices[{k}]", v) for k, v in self.product_prices.items()]:
-            if not math.isfinite(value) or value < 0:
-                raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-        for name, value in (("c_ccs", self.c_ccs), ("c_sw", self.c_sw)):
-            if value is not None and (not math.isfinite(value) or value < 0):
-                raise DomainError(f"{name} must be finite and >= 0 when set")
+        for name in _NONNEG_FIELDS:
+            check_nonneg(name, getattr(self, name))
+        for i, e in enumerate(self.e_des):
+            check_nonneg(f"e_des[{i+1}]", e)
+        for k, v in self.product_prices.items():
+            check_nonneg(f"product_prices[{k}]", v)
+        for name in _OPTIONAL_FIELDS:
+            if getattr(self, name) is not None:
+                check_nonneg(name, getattr(self, name), when_set=True)
+
+    def replace_costs(self, **costs: float) -> "EconParams":
+        """A copy with the given cost fields replaced, equal to ``dataclasses.replace``.
+
+        ``costs`` may name only fields with the "finite and >= 0" rule.  Only
+        they are checked, in ``__post_init__``'s order and with its messages:
+        every other field passed ``__post_init__`` when ``self`` was built.
+        """
+        for name in _NONNEG_FIELDS + _OPTIONAL_FIELDS:
+            if name in costs:
+                check_nonneg(name, costs[name], when_set=name in _OPTIONAL_FIELDS)
+        # field by field in __init__'s order, as __init__ sets them; going
+        # through __dict__ would materialize it and slow every attribute read
+        copy = object.__new__(type(self))
+        for name, value in zip(_ECON_FIELDS, _econ_values(self)):
+            _setattr(copy, name, value)
+        for name, value in costs.items():
+            _setattr(copy, name, value)
+        return copy
 
     def price_of(self, product_name: str) -> float:
         try:
             return self.product_prices[product_name]
         except KeyError:
             raise DomainError(f"no market price configured for product {product_name!r}") from None
+
+
+_ECON_FIELDS = tuple(f.name for f in fields(EconParams))
+_econ_values = attrgetter(*_ECON_FIELDS)
+_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)

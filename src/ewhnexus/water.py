@@ -61,7 +61,7 @@ def desal_segment(f: float, w_max: float) -> int:
         raise DomainError(f"flow {f!r} exceeds the production capacity {w_max!r}")
     if f == 0:
         return 1
-    return max(1, math.ceil(4.0 * f / w_max))
+    return math.ceil(4.0 * f / w_max) or 1   # a subnormal f / w_max rounds to 0
 
 
 def desal_power(f: float, w_max: float, econ: EconParams) -> float:
@@ -84,9 +84,7 @@ def pump_power(f: float, r_w: float, eta: float) -> float:
     """Pump power lifting flow f [m3/h] over its own head loss [kW]."""
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"pump efficiency must lie in (0, 1], got {eta!r}")
-    y = head_loss(f, r_w)
-    watts = PUMP_CONSTANT_W * y * f / eta
-    return watts / 1000.0
+    return PUMP_CONSTANT_W * head_loss(f, r_w) * f / eta / 1000.0
 
 
 def effective_r_w(econ: EconParams, distance_km: float) -> float:
@@ -107,8 +105,7 @@ def pump_cost(f: float, w_max: float, distance_km: float, econ: EconParams) -> f
     """
     if not 0.0 <= f <= w_max:
         raise DomainError(f"flow {f:g} m3/h outside the production capacity [0, {w_max:g}]")
-    r_w = effective_r_w(econ, distance_km)
-    return econ.elec_price * pump_power(f, r_w, econ.eta_pump)
+    return econ.elec_price * pump_power(f, effective_r_w(econ, distance_km), econ.eta_pump)
 
 
 def water_capital(mode: WaterMode, w_max: float, econ: EconParams) -> float:
@@ -133,14 +130,25 @@ def water_operational(mode: WaterMode, w_max: float, flow: Sequence[float],
     ``flow`` holds the hourly water flows [m3/h], each within [0, w_max].
     Desalination pays for the piecewise RO power, transfer for pumping.
     Solar seawater buys no grid electricity at all, so its cost is zero.
+    An hour whose flow equals the previous hour's reuses that hour's price,
+    so a full-load day prices one hour and adds it 24 times.
     """
     if isinstance(mode, SolarSeawater):
         return 0.0
     total = 0.0
+    last = cost = math.nan   # nan equals no flow, so the first hour is priced
     if isinstance(mode, Desalination):
+        elec_price = econ.elec_price
         for f in flow:
-            total += econ.elec_price * desal_power(f, w_max, econ)
+            if f != last:
+                last = f
+                cost = elec_price * desal_power(f, w_max, econ)
+            total += cost
     else:
+        km = mode.km
         for f in flow:
-            total += pump_cost(f, w_max, mode.km, econ)
+            if f != last:
+                last = f
+                cost = pump_cost(f, w_max, km, econ)
+            total += cost
     return total

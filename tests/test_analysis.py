@@ -52,6 +52,11 @@ class TestSweep:
             ("natural_gas", "methanol", 0.5), ("natural_gas", "methanol", 1.0),
         ]
 
+    @pytest.mark.parametrize("betas", [(0.5, 0.5), (1.0, 0.5, 1), (0.0, -0.0)])
+    def test_repeated_beta_rejected(self, betas):
+        with pytest.raises(DomainError, match="sweep grid: repeated reuse fraction"):
+            SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas)
+
     def test_empty_products_gives_storage_rows_only(self):
         grid = SweepGrid(plants=CFG.plants, products=())
         cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))

@@ -293,6 +293,20 @@ class TestCli:
         assert (status, out) == (2, "")
         assert "sweep.betas[1]: repeated reuse fraction 0.5 (first at sweep.betas[0])" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--distances", "60,abc"), ("--flows", "10,,x"),
+        ("--distances", "nan"), ("--distances", "60,inf"), ("--flows", "1,-inf"),
+    ])
+    def test_malformed_number_list_exits_2(self, flag, value):
+        argv = ["--config", "paper-2024", "--command", "curve", "--plant", "biomass",
+                "--distances", "60,260"]
+        if flag == "--distances":
+            argv = argv[:-2]
+        status, out, err = self.run_cli(*argv, flag, value)
+        assert (status, out) == (2, "")
+        assert err == (f"config error: {flag}: expected a comma-separated list of "
+                       f"finite numbers, got {value!r}\n")
+
     @pytest.mark.parametrize("command", ["sweep", "breakeven", "penalty"])
     def test_negative_calibration_value_exits_2(self, command, tmp_path):
         data = preset_dict()

@@ -6,12 +6,14 @@ from dataclasses import replace
 
 import pytest
 
+from ewhnexus import water
+from ewhnexus.analysis import SweepGrid, scenario_sweep
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import (
     ScenarioConfig, daily_capital_charge, carbon_penalty,
     increased_price, total_daily_cost,
 )
-from ewhnexus.presets import econ_for_cell, paper_2024
+from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
@@ -245,7 +247,7 @@ class TestTotalDailyCost:
 
 
 class TestHotPath:
-    """Per-plant and per-product invariants stay out of the cell: counts, not timings."""
+    """What a sweep cell does and does not repeat: counts, not timings."""
 
     @staticmethod
     def count_quantities(monkeypatch) -> list:
@@ -285,3 +287,38 @@ class TestHotPath:
         total_daily_cost(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
                                         product=product, water_mode=mode))
         assert len(built) <= limit, built
+
+    def test_sweep_cell_runs_no_econ_validation(self, monkeypatch):
+        cfg = paper_2024()
+        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas)
+        runs = []
+        original = EconParams.__post_init__
+
+        def counting(self):
+            runs.append(self)
+            original(self)
+
+        monkeypatch.setattr(EconParams, "__post_init__", counting)
+        cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
+        assert all(c.error is None for c in cells) and len(cells) == 21
+        assert runs == []
+
+    @pytest.mark.parametrize("mode, priced_by", [
+        (Desalination(), "desal_power"),
+        (NetworkTransfer(Quantity(150.0, "km")), "pump_cost"),
+    ], ids=["desalination", "transfer"])
+    def test_full_load_day_prices_one_hour(self, monkeypatch, mode, priced_by):
+        cfg = paper_2024()
+        plant, product = cfg.plant("coal"), cfg.product("methanol")
+        calls = []
+        original = getattr(water, priced_by)
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(water, priced_by, counting)
+        econ = econ_for_cell(cfg, plant, product, 1.0)
+        total_daily_cost(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
+                                        product=product, water_mode=mode))
+        assert len(calls) == 1, calls

@@ -1,9 +1,15 @@
 """Calibration resolution: how a preset turns into per-cell parameters."""
 
-import pytest
+import math
+from dataclasses import fields, replace
 
-from ewhnexus.conversion import METHANE, nexus_rates
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ewhnexus.config import Calibration
+from ewhnexus.conversion import METHANE, _reuse_rates, nexus_rates
 from ewhnexus.presets import econ_for_cell, paper_2024
+from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 
 
 CFG = paper_2024()
@@ -41,3 +47,65 @@ class TestEconForCell:
         econ = econ_for_cell(CFG, other)
         assert econ.r_w_per_100km == 2.0e-4
         assert econ.c_ccs == pytest.approx(120.0e6 / (300000 * 0.9 / 1000 * 24), rel=1e-9)
+
+
+class TestCellCopy:
+    """``econ_for_cell`` copies the validated base instead of ``dataclasses.replace``."""
+
+    @staticmethod
+    def outcome(fn):
+        """The EconParams ``fn`` returns as its fields, or the error it raises."""
+        try:
+            econ = fn()
+        except (DomainError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+        assert type(econ) is EconParams
+        return [(f.name, getattr(econ, f.name)) for f in fields(econ)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ccs=st.none() | st.floats(0.0, 1e12),
+           pipe=st.none() | st.floats(0.0, 1e6),
+           r_w=st.dictionaries(st.sampled_from(["biomass", "coal", "lignite"]),
+                               st.floats(0.0, 1.0)),
+           plant=st.sampled_from(["biomass", "natural_gas", "coal"]),
+           product=st.sampled_from([None, "methane", "methanol", "ethanol"]),
+           beta=st.floats(0.0, 1.0))
+    def test_equals_dataclasses_replace(self, ccs, pipe, r_w, plant, product, beta):
+        cfg = replace(CFG, calibration=Calibration(ccs_capital_total=ccs,
+                                                   pipe_cost_per_m=pipe,
+                                                   r_w_per_100km=r_w))
+        spec = cfg.plant(plant)
+        prod = cfg.product(product) if product else None
+
+        def replaced():
+            updates = {}
+            if ccs is not None:
+                updates["c_ccs"] = ccs / (spec.cbar * 24.0)
+            if plant in r_w:
+                updates["r_w_per_100km"] = r_w[plant]
+            if pipe is not None and prod is not None and beta > 0:
+                updates["c_tw"] = pipe / _reuse_rates(prod, spec.cbar, beta)[1]
+            return replace(cfg.econ, **updates)
+
+        expected = self.outcome(replaced)
+        assert self.outcome(lambda: econ_for_cell(cfg, spec, prod, beta)) == expected
+        if isinstance(expected, list):
+            assert econ_for_cell(cfg, spec, prod, beta) == replaced()
+
+    bad = st.sampled_from([-1.0, -1e-300, math.nan, math.inf, -math.inf])
+
+    @settings(max_examples=200, deadline=None)
+    @given(updates=st.dictionaries(
+        st.sampled_from(["c_ccs", "r_w_per_100km", "c_tw"]),
+        st.floats(0.0, 1e9) | bad, min_size=1))
+    def test_changed_fields_are_checked_with_the_same_text(self, updates):
+        assert (self.outcome(lambda: CFG.econ.replace_costs(**updates))
+                == self.outcome(lambda: replace(CFG.econ, **updates)))
+
+    def test_non_finite_derived_cost_raises_the_replace_text(self):
+        # a plant this small spreads the capture capital to an infinite c_ccs
+        tiny = PlantSpec("tiny", Quantity(1, "kW"), Quantity(1e-310, "kg/kWh"))
+        expected = (DomainError, "c_ccs must be finite and >= 0 when set")
+        assert self.outcome(
+            lambda: replace(CFG.econ, c_ccs=120.0e6 / (tiny.cbar * 24.0))) == expected
+        assert self.outcome(lambda: econ_for_cell(CFG, tiny)) == expected

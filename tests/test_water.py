@@ -1,17 +1,18 @@
 """Water supply section: piecewise desalination power, pump hydraulics,
 capital and operational aggregation, mode exclusivity.  Flows are in m3/h."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ewhnexus.conversion import METHANE
 from ewhnexus.economics import ScenarioConfig
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity, UnitError
 from ewhnexus.water import (
     Desalination, NetworkTransfer, SolarSeawater,
-    desal_power, desal_segment, effective_r_w, head_loss, pump_power,
+    desal_power, desal_segment, effective_r_w, head_loss, pump_cost, pump_power,
     water_capital, water_operational,
 )
 
@@ -186,3 +187,66 @@ class TestOperational:
     def test_flow_bound_violation_propagates(self):
         with pytest.raises(DomainError, match="capacity"):
             water_operational(Desalination(), 100.0, (101.0,) * 24, econ())
+
+
+def price_every_hour(mode, w_max, flow, econ):
+    """Oracle for ``water_operational``: prices each hour on its own."""
+    if isinstance(mode, SolarSeawater):
+        return 0.0
+    total = 0.0
+    for f in flow:
+        if isinstance(mode, Desalination):
+            total += econ.elec_price * desal_power(f, w_max, econ)
+        else:
+            total += pump_cost(f, w_max, mode.km, econ)
+    return total
+
+
+def outcome(fn):
+    """The float ``fn`` returns, bit for bit, or the error it raises."""
+    try:
+        return fn().hex()
+    except (DomainError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# hourly flow as a fraction of w_max: segment boundaries, signed zeros, anything
+fractions = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+# a day as runs of equal flows, cut to 24 hours
+runs = st.lists(st.tuples(fractions, st.integers(1, 24)), min_size=1, max_size=24)
+modes = st.sampled_from([Desalination(), SolarSeawater()]) | st.builds(
+    NetworkTransfer, st.builds(Quantity, st.floats(0.0, 1000.0), st.just("km")))
+
+
+def day(run_list, w_max):
+    hours = [w_max * x for x, n in run_list for _ in range(n)]
+    return tuple((hours * 24)[:24])
+
+
+class TestRunsPricedOnce:
+    """A run of equal hourly flows is priced once and added once per hour."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mode=modes, run_list=runs, w_max=st.floats(1e-3, 1e4),
+           elec=st.floats(0.0, 1.0), r_w=st.floats(0.0, 1.0), eta=st.floats(0.05, 1.0))
+    def test_equals_pricing_every_hour(self, mode, run_list, w_max, elec, r_w, eta):
+        e = econ(elec_price=elec, r_w_per_100km=r_w, eta_pump=eta)
+        flow = day(run_list, w_max)
+        assert (outcome(lambda: water_operational(mode, w_max, flow, e))
+                == outcome(lambda: price_every_hour(mode, w_max, flow, e)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mode=modes, run_list=runs, hour=st.integers(0, 23),
+           bad=st.sampled_from([-1.0, -1e-300, 1.5, math.inf, math.nan]))
+    def test_out_of_range_hour_raises_the_same_error(self, mode, run_list, hour, bad):
+        flow = list(day(run_list, 188.0))
+        flow[hour] = 188.0 * bad
+        flow = tuple(flow)
+        assert (outcome(lambda: water_operational(mode, 188.0, flow, econ()))
+                == outcome(lambda: price_every_hour(mode, 188.0, flow, econ())))
+
+    @example(f=5e-324, w=1e300)   # f / w rounds to 0
+    @given(f=st.floats(0.0, 1e4, exclude_min=True), w=st.floats(1e-3, 1e300))
+    def test_segment_matches_the_ceiling_form(self, f, w):
+        f = min(f, w)
+        assert desal_segment(f, w) == max(1, math.ceil(4.0 * f / w))
