@@ -44,6 +44,13 @@ capture profile ``RAMP``, for M in {desalination, transfer}:
 
     PYTHONPATH=src:tests python -c "import test_golden as g; \\
         g.write_ramp_ledger('M', 'tests/golden/ledger_ramp_M.txt')"
+
+The sweep ledger golden pins every ledger item and metric of every preset
+sweep cell, in desalination, 150 km transfer and solar-seawater mode, and in
+desalination mode with the electrolyzer capital counted:
+
+    PYTHONPATH=src:tests python -c "import test_golden as g; \\
+        g.write_sweep_ledger('tests/golden/ledger_sweep.txt')"
 """
 
 import io
@@ -53,11 +60,12 @@ from pathlib import Path
 
 import pytest
 
+from ewhnexus.analysis import SweepGrid, scenario_sweep
 from ewhnexus.cli import main
 from ewhnexus.config import dump_config
 from ewhnexus.conversion import _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
-from ewhnexus.presets import econ_for_cell, paper_2024
+from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import Quantity, TimeSeries
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater, desal_segment
 
@@ -74,8 +82,14 @@ def _solar(cfg):
     return replace(cfg, econ=replace(cfg.econ, c_sw=2.5e5), water_mode=SolarSeawater())
 
 
+def _hydrogen_capital(cfg):
+    return replace(cfg, econ=replace(cfg.econ, include_hydrogen_capital=True))
+
+
 # water-mode name -> override of the preset
 MODES = {"transfer": _transfer, "solar": _solar}
+# sweep ledger section -> override of the preset, or None for the preset
+SWEEP_LEDGER_SECTIONS = {"desalination": None, **MODES, "hydrogen-capital": _hydrogen_capital}
 
 
 def write_mode_config(mode: str | None, path) -> None:
@@ -100,14 +114,35 @@ def ramp_ledger(mode: str) -> str:
     result = total_daily_cost(ScenarioConfig(
         plant=plant, econ=econ_for_cell(cfg, plant, product, 1.0), beta=1.0,
         product=product, water_mode=RAMP_MODES[mode], capture_profile=profile))
+    return "\n".join(_result_lines(result)) + "\n"
+
+
+def _result_lines(result) -> list[str]:
+    """The repr of every ledger item, then of the three metrics."""
     lines = [repr(item) for item in result.ledger.items]
     lines += [repr(result.daily_cost), repr(result.increased_price),
               repr(result.carbon_penalty)]
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def write_ramp_ledger(mode: str, path) -> None:
     Path(path).write_text(ramp_ledger(mode), encoding="utf-8")
+
+
+def sweep_ledger() -> str:
+    """Every cell of the preset sweep in each ``SWEEP_LEDGER_SECTIONS`` section."""
+    lines = []
+    for section, override in SWEEP_LEDGER_SECTIONS.items():
+        cfg = paper_2024() if override is None else override(paper_2024())
+        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
+        for cell in scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg)):
+            lines.append(f"# {section}: {cell.plant} {cell.product or '-'} beta={cell.beta!r}")
+            lines += [cell.error] if cell.result is None else _result_lines(cell.result)
+    return "\n".join(lines) + "\n"
+
+
+def write_sweep_ledger(path) -> None:
+    Path(path).write_text(sweep_ledger(), encoding="utf-8")
 
 
 def _cases():
@@ -131,10 +166,12 @@ CASES = {name: (mode, argv) for name, mode, argv in _cases()}
 # dump golden -> water-mode override or None for the preset
 DUMPS = {"dump_preset.yaml": None, **{f"dump_{mode}.yaml": mode for mode in MODES}}
 LEDGERS = {f"ledger_ramp_{mode}.txt": mode for mode in RAMP_MODES}
+SWEEP_LEDGER = "ledger_sweep.txt"
 
 
 def test_every_golden_file_has_a_case():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted([*CASES, *DUMPS, *LEDGERS])
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
+        [*CASES, *DUMPS, *LEDGERS, SWEEP_LEDGER])
 
 
 def test_ramp_crosses_every_desalination_segment():
@@ -150,6 +187,10 @@ def test_ramp_crosses_every_desalination_segment():
 @pytest.mark.parametrize("name", sorted(LEDGERS))
 def test_ramp_ledger_matches_golden_file(name):
     assert ramp_ledger(LEDGERS[name]).encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_sweep_ledger_matches_golden_file():
+    assert sweep_ledger().encode("utf-8") == (GOLDEN / SWEEP_LEDGER).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(DUMPS))
