@@ -176,5 +176,5 @@ def chemical_revenue(product: ProductSpec, captured: Sequence[float], beta: floa
     ``captured`` holds the hourly captured carbon [ton/h].
     """
     check_beta(beta)
-    price = econ.price_of(product.name)  # [$ / ton]
-    return -sum(price * product.xi_chi * beta * c for c in captured)
+    k = econ.price_of(product.name) * product.xi_chi * beta   # [$ / ton captured]
+    return -sum(k * c for c in captured)

@@ -111,68 +111,64 @@ def carbon_penalty(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
     return Quantity(daily_cost.value_in("$/day") / cbar_ton_day, "$/ton")
 
 
-def _term(label: str, fn, *args, **kwargs):
-    """Evaluate one cost term, naming it if its domain check fails."""
-    try:
-        return fn(*args, **kwargs)
-    except DomainError as exc:
-        raise DomainError(f"{label}: {exc}") from exc
-
-
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
-    plant, econ, beta = scenario.plant, scenario.econ, scenario.beta
+    plant, econ, beta, product = scenario.plant, scenario.econ, scenario.beta, scenario.product
     cbar = plant.cbar   # full-load carbon [ton/h]
     captured = scenario.captured
-    items: list[LedgerItem] = []
+    reuse = beta > 0 and product is not None
+    hydrogen = econ.include_hydrogen_capital
 
-    cap_ccss = _term("ccss-capital", ccss.ccss_capital, beta, cbar, econ)
-    items.append(LedgerItem("capture and storage pipeline capital", "ccss-capital",
-                            CAPITAL, cap_ccss, "$"))
-    op_ccss = _term("ccss-operational", ccss.ccss_operational, beta, captured, econ)
-    items.append(LedgerItem("capture and transfer operations", "ccss-operational",
-                            OPERATIONAL, op_ccss, "$/day"))
+    term = "ccss-capital"   # tag of the running term, named in its DomainError
+    try:
+        cap_ccss = ccss.ccss_capital(beta, cbar, econ)
+        term = "ccss-operational"
+        op_ccss = ccss.ccss_operational(beta, captured, econ)
+        if reuse:
+            mode = scenario.water_mode
+            h2_max, w_max, _ = conversion._reuse_rates(product, cbar, beta)  # [ton/h], [m3/h]
+            term = "power-capital"
+            cap_power = conversion.power_capital(h2_max, econ)
+            if hydrogen:
+                term = "hydrogen-capital"
+                cap_h2 = conversion.hydrogen_capital(product, cbar, beta, econ)
+            term = "water-capital"
+            cap_water = water.water_capital(mode, w_max, econ)
+            # L/kg times ton/h is m3/h; same arithmetic path as _reuse_rates so a
+            # full-load profile lands exactly on w_max
+            k = product.water_demand * beta
+            term = "water-operational"
+            op_water = water.water_operational(mode, w_max, tuple(k * c for c in captured), econ)
+            term = "product-revenue"
+            revenue = conversion.chemical_revenue(product, captured, beta, econ)
+    except DomainError as exc:
+        raise DomainError(f"{term}: {exc}") from exc
 
-    if beta > 0 and scenario.product is not None:
-        product, mode = scenario.product, scenario.water_mode
-        h2_max, w_max, _ = conversion._reuse_rates(product, cbar, beta)  # [ton/h], [m3/h]
-
-        cap_power = _term("power-capital", conversion.power_capital, h2_max, econ)
-        items.append(LedgerItem("wind farm capital", "power-capital",
-                                CAPITAL, cap_power, "$"))
-
-        if econ.include_hydrogen_capital:
-            cap_h2 = _term("hydrogen-capital", conversion.hydrogen_capital,
-                           product, cbar, beta, econ)
+    items = [LedgerItem("capture and storage pipeline capital", "ccss-capital",
+                        CAPITAL, cap_ccss, "$"),
+             LedgerItem("capture and transfer operations", "ccss-operational",
+                        OPERATIONAL, op_ccss, "$/day")]
+    # the totals are fsums of the amounts in hand, in item order: fsum is
+    # exact, so they equal the ledger's capital_total() and daily_total()
+    capital, flows = [cap_ccss], [op_ccss]
+    if reuse:
+        items.append(LedgerItem("wind farm capital", "power-capital", CAPITAL, cap_power, "$"))
+        if hydrogen:
             items.append(LedgerItem("electrolyzer capital", "hydrogen-capital",
                                     CAPITAL, cap_h2, "$"))
+        items += (LedgerItem("water system capital", "water-capital", CAPITAL, cap_water, "$"),
+                  LedgerItem("water system operations", "water-operational",
+                             OPERATIONAL, op_water, "$/day"),
+                  LedgerItem(f"{product.name} sales", "product-revenue",
+                             REVENUE, revenue, "$/day"))
+        capital += (cap_power, cap_h2, cap_water) if hydrogen else (cap_power, cap_water)
+        flows += (op_water, revenue)
 
-        cap_water = _term("water-capital", water.water_capital, mode, w_max, econ)
-        items.append(LedgerItem("water system capital", "water-capital",
-                                CAPITAL, cap_water, "$"))
-
-        # L/kg times ton/h is m3/h; same arithmetic path as _reuse_rates so a
-        # full-load profile lands exactly on w_max
-        flow = tuple(product.water_demand * beta * c for c in captured)
-        op_water = _term("water-operational", water.water_operational,
-                         mode, w_max, flow, econ)
-        items.append(LedgerItem("water system operations", "water-operational",
-                                OPERATIONAL, op_water, "$/day"))
-
-        revenue = _term("product-revenue", conversion.chemical_revenue,
-                        product, captured, beta, econ)
-        items.append(LedgerItem(f"{product.name} sales", "product-revenue",
-                                REVENUE, revenue, "$/day"))
-
-    capital_total = math.fsum(i.amount for i in items if i.unit == "$")
-    charge = daily_capital_charge(capital_total, econ)
-    items.append(LedgerItem("daily capital charge", "capital-charge",
-                            CAPITAL, charge, "$/day"))
-
-    ledger = CostLedger(tuple(items))
-    daily = Quantity(ledger.daily_total(), "$/day")
+    charge = daily_capital_charge(math.fsum(capital), econ)
+    items.append(LedgerItem("daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))
+    daily = Quantity(math.fsum(flows + [charge]), "$/day")
     return ScenarioResult(
-        ledger=ledger,
+        ledger=CostLedger(tuple(items)),
         daily_cost=daily,
         increased_price=increased_price(daily, plant),
         carbon_penalty=carbon_penalty(daily, plant),

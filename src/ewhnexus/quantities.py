@@ -19,6 +19,7 @@ through conversion.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Mapping
@@ -323,23 +324,28 @@ REVENUE = "revenue"
 _KINDS = (CAPITAL, OPERATIONAL, REVENUE)
 
 
-@dataclass(frozen=True)
-class LedgerItem:
-    """One itemized flow: a capital stock [$] or a daily flow [$/day]."""
+class LedgerItem(namedtuple("LedgerItem", "label term kind amount unit")):
+    """One itemized flow: a capital stock [$] or a daily flow [$/day].
 
-    label: str
-    term: str     # tag of the producing formula, e.g. "ccss-capital"
-    kind: str     # capital | operational | revenue
-    amount: float
-    unit: str     # "$" or "$/day"
+    ``term`` tags the producing formula (e.g. "ccss-capital"), ``kind`` is
+    capital, operational or revenue.  A checked named tuple: immutable, equal
+    by value (also to a plain tuple of its fields), with a dataclass's repr.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"ledger kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.unit not in ("$", "$/day"):
-            raise DomainError(f"ledger unit must be '$' or '$/day', got {self.unit!r}")
-        if not math.isfinite(self.amount):
-            raise DomainError(f"ledger amount must be finite ({self.label})")
+    __slots__ = ()
+
+    def __new__(cls, label: str, term: str, kind: str, amount: float, unit: str):
+        if kind not in _KINDS:
+            raise DomainError(f"ledger kind must be one of {_KINDS}, got {kind!r}")
+        if unit not in ("$", "$/day"):
+            raise DomainError(f"ledger unit must be '$' or '$/day', got {unit!r}")
+        if not math.isfinite(amount):
+            raise DomainError(f"ledger amount must be finite ({label})")
+        return tuple.__new__(cls, (label, term, kind, amount, unit))
+
+    @classmethod
+    def _make(cls, iterable) -> "LedgerItem":
+        return cls(*iterable)   # namedtuple's own, which _replace calls, skips the checks
 
 
 @dataclass(frozen=True)

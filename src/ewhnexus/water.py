@@ -55,10 +55,8 @@ def desal_segment(f: float, w_max: float) -> int:
     Boundaries are lower-exclusive and upper-inclusive; f = 0 belongs to the
     first segment.
     """
-    if f < 0:
-        raise DomainError(f"flow must be >= 0, got {f!r}")
-    if f > w_max:
-        raise DomainError(f"flow {f!r} exceeds the production capacity {w_max!r}")
+    if not 0.0 <= f <= w_max:   # false for a NaN flow too
+        raise DomainError(f"flow {f!r} m3/h outside the production capacity [0, {w_max!r}]")
     if f == 0:
         return 1
     return math.ceil(4.0 * f / w_max) or 1   # a subnormal f / w_max rounds to 0

@@ -5,8 +5,9 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ewhnexus import water
+from ewhnexus import ccss, conversion, water
 from ewhnexus.analysis import SweepGrid, scenario_sweep
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import (
@@ -14,10 +15,20 @@ from ewhnexus.economics import (
     increased_price, total_daily_cost,
 )
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
-from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
+from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity, TimeSeries
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
 BIOMASS = PlantSpec("biomass", Quantity(500, "MW"), Quantity(230, "g/kWh"))
+# ledger term tag -> (module, name) of the cost term producing it
+TERMS = {
+    "ccss-capital": (ccss, "ccss_capital"),
+    "ccss-operational": (ccss, "ccss_operational"),
+    "power-capital": (conversion, "power_capital"),
+    "hydrogen-capital": (conversion, "hydrogen_capital"),
+    "water-capital": (water, "water_capital"),
+    "water-operational": (water, "water_operational"),
+    "product-revenue": (conversion, "chemical_revenue"),
+}
 
 
 def econ(**over):
@@ -138,6 +149,26 @@ class TestTotalDailyCost:
         with pytest.raises(DomainError, match="water-capital"):
             total_daily_cost(cfg)
 
+    @pytest.mark.parametrize("tag", list(TERMS))
+    def test_domain_error_is_prefixed_with_its_term_tag(self, monkeypatch, tag):
+        def boom(*args):
+            raise DomainError("boom")
+
+        monkeypatch.setattr(*TERMS[tag], boom)
+        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(include_hydrogen_capital=True),
+                             beta=1.0, product=METHANE)
+        with pytest.raises(DomainError) as info:
+            total_daily_cost(cfg)
+        assert str(info.value) == f"{tag}: boom"
+        assert str(info.value.__cause__) == "boom"
+
+    def test_overflowing_amount_is_rejected_without_a_term_tag(self):
+        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(c_wind=1e308), beta=1.0,
+                             product=METHANE)
+        with pytest.raises(DomainError) as info:
+            total_daily_cost(cfg)
+        assert str(info.value) == "ledger amount must be finite (wind farm capital)"
+
     def test_transfer_scenario_runs(self):
         cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=ETHANOL,
                              water_mode=NetworkTransfer(Quantity(250, "km")))
@@ -244,6 +275,38 @@ class TestTotalDailyCost:
         with pytest.raises(DomainError, match="24"):
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
                            capture_profile=TimeSeries((115.0,) * 23, "ton/h"))
+
+
+SOLAR_PRESET = replace(paper_2024(), econ=replace(paper_2024().econ, c_sw=2.5e5))
+water_modes = st.sampled_from([Desalination(), SolarSeawater()]) | st.builds(
+    NetworkTransfer, st.builds(Quantity, st.floats(0.0, 1000.0), st.just("km")))
+
+
+class TestTotalsAgainstTheLedger:
+    """The totals ``total_daily_cost`` takes from its amounts equal the ledger's own."""
+
+    # a β below 1e-6 makes the calibrated pipe cost per unit flow overflow
+    @settings(max_examples=300, deadline=None)
+    @given(plant=st.sampled_from(SOLAR_PRESET.plants),
+           product=st.sampled_from(SOLAR_PRESET.products),
+           beta=st.sampled_from([0.5, 1.0]) | st.floats(1e-6, 1.0),
+           mode=water_modes, hydrogen=st.booleans(),
+           load=st.none() | st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24))
+    def test_totals_and_metrics_equal_the_oracles(self, plant, product, beta, mode,
+                                                  hydrogen, load):
+        cell_econ = replace(econ_for_cell(SOLAR_PRESET, plant, product, beta),
+                            include_hydrogen_capital=hydrogen)
+        profile = None if load is None else TimeSeries(
+            tuple(plant.cbar * x for x in load), "ton/h")
+        result = total_daily_cost(ScenarioConfig(
+            plant=plant, econ=cell_econ, beta=beta, product=product, water_mode=mode,
+            capture_profile=profile))
+        ledger = result.ledger
+        assert result.daily_cost.magnitude == ledger.daily_total()
+        assert [i.amount for i in ledger.items if i.term == "capital-charge"] == [
+            daily_capital_charge(ledger.capital_total(), cell_econ)]
+        assert result.increased_price == increased_price(result.daily_cost, plant)
+        assert result.carbon_penalty == carbon_penalty(result.daily_cost, plant)
 
 
 class TestHotPath:

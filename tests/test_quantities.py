@@ -1,6 +1,7 @@
 """Unit conversion, plant basics, profiles and ledger arithmetic."""
 
 import math
+import pickle
 import random
 from dataclasses import replace
 
@@ -168,6 +169,29 @@ class TestCostLedger:
     def test_non_finite_amount_rejected(self):
         with pytest.raises(DomainError):
             LedgerItem("x", "t", "capital", float("nan"), "$")
+
+    def test_bad_kind_rejected(self):
+        with pytest.raises(DomainError) as info:
+            LedgerItem("x", "t", "subsidy", 1.0, "$/day")
+        assert str(info.value) == ("ledger kind must be one of ('capital', 'operational', "
+                                   "'revenue'), got 'subsidy'")
+
+    def test_bad_unit_rejected(self):
+        with pytest.raises(DomainError) as info:
+            LedgerItem("x", "t", "capital", 1.0, "M$")
+        assert str(info.value) == "ledger unit must be '$' or '$/day', got 'M$'"
+
+    def test_item_is_immutable_and_equal_by_value(self):
+        item = LedgerItem("x", "t", "capital", 1.0, "$")
+        for name in ("label", "term", "kind", "amount", "unit"):
+            with pytest.raises(AttributeError):
+                setattr(item, name, getattr(item, name))
+        assert item == LedgerItem("x", "t", "capital", 1.0, "$")
+        assert item != LedgerItem("x", "t", "capital", 2.0, "$")
+        assert hash(item) == hash(LedgerItem("x", "t", "capital", 1.0, "$"))
+        with pytest.raises(DomainError, match="finite"):
+            item._replace(amount=math.inf)
+        assert pickle.loads(pickle.dumps(item)) == item
 
 
 class TestEconParams:

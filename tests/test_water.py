@@ -56,6 +56,12 @@ class TestDesalination:
         with pytest.raises(DomainError):
             desal_power(-1.0, 188.0, econ())
 
+    def test_nan_flow_rejected_naming_the_flow(self):
+        with pytest.raises(DomainError, match="flow nan m3/h"):
+            desal_segment(math.nan, 188.0)
+        with pytest.raises(DomainError, match="flow nan m3/h"):
+            water_operational(Desalination(), 188.0, (94.0,) * 23 + (math.nan,), econ())
+
     def test_segment_selection_matches_brute_force_scan(self):
         rng = random.Random(2024)
         w = 188.0
