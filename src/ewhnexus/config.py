@@ -14,8 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-import yaml
-
+from . import _yaml as yaml
 from . import water
 from .conversion import BUILTIN_PRODUCTS, ProductSpec, builtin_product
 from .quantities import EconParams, PlantSpec, Quantity, UnitError, check_nonneg

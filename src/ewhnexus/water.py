@@ -73,7 +73,7 @@ def desal_power(f: float, w_max: float, econ: EconParams) -> float:
 
 def head_loss(f: float, r_w: float) -> float:
     """Friction head along the pipe, r_w * f^2 [m], for flow f [m3/h]."""
-    if f < 0:
+    if not 0.0 <= f:   # false for a NaN flow too
         raise DomainError(f"flow must be >= 0, got {f!r}")
     return r_w * f * f
 
@@ -91,7 +91,7 @@ def effective_r_w(econ: EconParams, distance_km: float) -> float:
     The configured coefficient is stated per 100 km and scales linearly with
     distance, the standard behavior of friction head.
     """
-    if distance_km < 0:
+    if not 0.0 <= distance_km:   # false for a NaN distance too
         raise DomainError("distance must be >= 0")
     return econ.r_w_per_100km * distance_km / 100.0
 

@@ -115,6 +115,18 @@ class TestHydraulics:
         assert effective_r_w(e, 100.0) == pytest.approx(2e-4)
         assert effective_r_w(e, 250.0) == pytest.approx(5e-4)
 
+    @pytest.mark.parametrize("f", [-1.0, math.nan])
+    def test_negative_or_nan_flow_rejected(self, f):
+        with pytest.raises(DomainError, match="flow must be >= 0"):
+            head_loss(f, 2e-4)
+        with pytest.raises(DomainError, match="flow must be >= 0"):
+            pump_power(f, 2e-4, 0.9)
+
+    @pytest.mark.parametrize("d", [-1.0, math.nan])
+    def test_negative_or_nan_distance_rejected(self, d):
+        with pytest.raises(DomainError, match="distance must be >= 0"):
+            effective_r_w(econ(), d)
+
 
 class TestPlanExclusivity:
     # alpha, the mode selector, is one-hot because a scenario holds one mode object

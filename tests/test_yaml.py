@@ -1,0 +1,117 @@
+"""The YAML layer under ``config``: libyaml's C loader and dumper when PyYAML
+has them, the pure-Python ones otherwise, with equal documents and dump text."""
+
+import io
+import re
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from importlib import resources
+from pathlib import Path
+from unittest import mock
+
+import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from ewhnexus import _yaml, config
+from ewhnexus.cli import main
+from ewhnexus.config import ConfigError, dump_config, load_config_text
+
+GOLDEN = Path(__file__).parent / "golden"
+PRESET_TEXT = resources.files("ewhnexus").joinpath("presets", "paper-2024.yaml").read_text()
+DOCUMENTS = {"paper-2024.yaml": PRESET_TEXT,
+             **{p.name: p.read_text() for p in sorted(GOLDEN.glob("dump_*.yaml"))}}
+MALFORMED = {"truncated flow list": "econ: [1, 2",
+             "tab indent": "econ:\n\telec_price: 0.25 $/kWh\n"}
+
+
+def pure_python():
+    """Run ``config`` on PyYAML's pure-Python loader and dumper inside the block."""
+    return mock.patch.multiple(_yaml, _Loader=yaml.SafeLoader, _Dumper=yaml.SafeDumper)
+
+
+def test_libyaml_is_used_when_pyyaml_has_it():
+    # the C parser makes a config load about ten times faster; losing it costs every CLI call
+    if yaml.__with_libyaml__:
+        assert (_yaml._Loader, _yaml._Dumper) == (yaml.CSafeLoader, yaml.CSafeDumper)
+    else:
+        assert (_yaml._Loader, _yaml._Dumper) == (yaml.SafeLoader, yaml.SafeDumper)
+    assert config.yaml is _yaml
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_both_loaders_give_equal_configs_and_dumps(name):
+    text = DOCUMENTS[name]
+    fast = load_config_text(text)
+    with pure_python():
+        slow = load_config_text(text)
+        slow_dump = dump_config(slow)
+    assert fast == slow
+    assert dump_config(fast) == slow_dump
+    if name.startswith("dump_"):
+        assert slow_dump == text
+
+
+def _jitter_magnitudes(draw, node):
+    """The preset tree with every ``"value unit"`` magnitude and bare float redrawn."""
+    if isinstance(node, dict):
+        return {k: _jitter_magnitudes(draw, v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_jitter_magnitudes(draw, v) for v in node]
+    if isinstance(node, str) and " " in node:
+        unit = node.split(" ", 1)[1]
+        mantissa = draw(st.floats(1.0, 10.0, exclude_max=True))
+        return f"{mantissa * 10.0 ** draw(st.integers(-30, 30))!r} {unit}"
+    if isinstance(node, float):
+        return draw(st.floats(1e-9, 1.0))
+    return node
+
+
+@st.composite
+def jittered_configs(draw):
+    data = _jitter_magnitudes(draw, yaml.safe_load(PRESET_TEXT))
+    data["econ"]["horizon_years"] = draw(st.integers(1, 60))
+    data["sweep"]["betas"] = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20,
+                                           unique=True))
+    data["policy"]["include_hydrogen_capital"] = draw(st.booleans())
+    mode = draw(st.sampled_from(["desalination", "network_transfer", "solar_seawater"]))
+    data["water"] = {"mode": mode}
+    if mode == "solar_seawater" or draw(st.booleans()):
+        data["econ"]["c_sw"] = f"{draw(st.floats(0.0, 1e30))!r} $/(m3/h)"
+    if mode == "network_transfer":
+        data["water"]["distance"] = f"{draw(st.floats(0.0, 1e4))!r} km"
+    return load_config_text(yaml.safe_dump(data, sort_keys=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=jittered_configs())
+def test_jittered_configs_dump_and_reload_alike_on_both(cfg):
+    fast = dump_config(cfg)
+    with pure_python():
+        slow = dump_config(cfg)
+        reloaded_slow = load_config_text(fast)
+    assert fast == slow
+    assert reloaded_slow == load_config_text(fast) == cfg
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("on_pure_python", [False, True])
+def test_malformed_yaml_is_a_located_config_error(case, on_pure_python):
+    with pure_python() if on_pure_python else nullcontext():
+        with pytest.raises(ConfigError) as info:
+            load_config_text(MALFORMED[case])
+    message = str(info.value)
+    assert message.startswith("config is not valid YAML: ")
+    assert re.search(r"line \d+, column \d+", message)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_yaml_exits_2_from_the_cli(case, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text(MALFORMED[case])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(["--config", str(path), "--command", "sweep"])
+    assert status == 2
+    assert "config is not valid YAML: " in err.getvalue()
+    assert re.search(r"line \d+, column \d+", err.getvalue())
+    assert out.getvalue() == ""
