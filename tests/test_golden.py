@@ -17,6 +17,28 @@ root:
 
 with P in {biomass, natural_gas, coal} and Q in {methane, methanol, ethanol}.
 
+The other formats are pinned once per command, the table format as a .txt
+file (``curve --format table`` writes CSV):
+
+    ewhnexus --config paper-2024 --command sweep --format table > tests/golden/sweep.txt
+    ewhnexus --config paper-2024 --command sweep --format json > tests/golden/sweep.json
+    ewhnexus --config paper-2024 --command scenario --format F --plant coal \\
+        --product methanol --beta 0.5 > tests/golden/scenario_coal_methanol.E
+    ewhnexus --config paper-2024 --command breakeven --format table --plant biomass \\
+        > tests/golden/breakeven_biomass.txt
+    ewhnexus --config paper-2024 --command breakeven --format csv --plant biomass \\
+        > tests/golden/breakeven_biomass.csv
+    ewhnexus --config paper-2024 --command curve --format table --plant biomass \\
+        --distances 60,260,300 > tests/golden/curve_biomass.txt
+    ewhnexus --config paper-2024 --command curve --format json --plant biomass \\
+        --distances 60,260,300 > tests/golden/curve_biomass.json
+    ewhnexus --config paper-2024 --command penalty --format table --plant coal \\
+        --product methanol > tests/golden/penalty_coal_methanol.txt
+    ewhnexus --config paper-2024 --command penalty --format csv --plant coal \\
+        --product methanol > tests/golden/penalty_coal_methanol.csv
+
+with F in {table, csv, json} written to the extension E in {txt, csv, json}.
+
 The two other water modes run the sweep on the preset with one override,
 written out by ``write_mode_config`` (``dump_config`` of the overridden
 preset):
@@ -72,6 +94,8 @@ from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater, desal_s
 GOLDEN = Path(__file__).parent / "golden"
 PLANTS = ("biomass", "natural_gas", "coal")
 PRODUCTS = ("methane", "methanol", "ethanol")
+# golden file extension -> --format
+FORMATS = {"txt": "table", "csv": "csv", "json": "json"}
 
 
 def _transfer(cfg):
@@ -160,6 +184,21 @@ def _cases():
         yield f"penalty_{plant}_store-all.json", None, penalty
         for product in PRODUCTS:
             yield f"penalty_{plant}_{product}.json", None, penalty + ["--product", product]
+    yield "sweep.txt", None, ["--command", "sweep", "--format", "table"]
+    yield "sweep.json", None, ["--command", "sweep", "--format", "json"]
+    curve = ["--command", "curve", "--plant", "biomass", "--distances", "60,260,300"]
+    yield "curve_biomass.txt", None, curve + ["--format", "table"]
+    yield "curve_biomass.json", None, curve + ["--format", "json"]
+    for ext, fmt in FORMATS.items():
+        yield f"scenario_coal_methanol.{ext}", None, [
+            "--command", "scenario", "--format", fmt, "--plant", "coal",
+            "--product", "methanol", "--beta", "0.5"]
+    for ext in ("txt", "csv"):
+        yield f"breakeven_biomass.{ext}", None, [
+            "--command", "breakeven", "--format", FORMATS[ext], "--plant", "biomass"]
+        yield f"penalty_coal_methanol.{ext}", None, [
+            "--command", "penalty", "--format", FORMATS[ext], "--plant", "coal",
+            "--product", "methanol"]
 
 
 CASES = {name: (mode, argv) for name, mode, argv in _cases()}
