@@ -4,7 +4,7 @@
 
 import ewhnexus as ew
 from ewhnexus.analysis import SweepGrid, scenario_sweep
-from ewhnexus.cli import render_sweep_table
+from ewhnexus.cli import render_sweep_table, sweep_row
 from ewhnexus.presets import resolver
 
 cfg = ew.paper_2024()
@@ -13,7 +13,7 @@ grid = SweepGrid(plants=cfg.plants, products=cfg.products, betas=cfg.sweep_betas
                  water_mode=cfg.water_mode)
 cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
 
-print(render_sweep_table(cells))
+print(render_sweep_table([sweep_row(c) for c in cells]))
 
 # Negative daily cost means the product sales out-earn every cost including
 # the annualized capital.  Methane does that at full reuse for all three

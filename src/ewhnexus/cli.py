@@ -1,9 +1,13 @@
 """Command-line front end: validate a config, run one command, write tables.
 
-Commands map one-to-one onto the analysis layer: ``scenario`` evaluates a
+Each command is one row of ``COMMANDS``: the flags it requires, a function
+from the invocation and the loaded config to a list of row dicts, the columns
+of those rows, and what ``--format table`` writes.  ``scenario`` evaluates a
 single cell, ``sweep`` the whole grid, ``breakeven`` the water-supply
 break-even distance, ``curve`` the transfer cost surface and ``penalty`` a
-carbon-penalty threshold.  Output is a human table, CSV or JSON.  Exit codes:
+carbon-penalty threshold.  A row with an ``error`` key is a failed cell: it is
+reported on stderr, shown in the sweep table and left out of CSV and JSON.
+Output is a human table, CSV or JSON.  Exit codes:
 0 success, 2 invalid config or usage, 3 computation domain error, 4 I/O error.
 """
 
@@ -15,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import analysis
 from .config import ConfigError, LoadedConfig, load_config
@@ -24,12 +28,13 @@ from .economics import ScenarioConfig, total_daily_cost
 from .presets import econ_for_cell, resolver
 from .quantities import DomainError, UnitError
 
-SWEEP_CSV_HEADER = ("plant,product,beta,capital_usd,operational_usd_per_day,"
-                    "revenue_usd_per_day,daily_cost_usd_per_day,"
-                    "increased_price_usd_per_kwh,carbon_penalty_usd_per_ton")
+SWEEP_COLUMNS = ("plant", "product", "beta", "capital_usd", "operational_usd_per_day",
+                 "revenue_usd_per_day", "daily_cost_usd_per_day",
+                 "increased_price_usd_per_kwh", "carbon_penalty_usd_per_ton")
+SWEEP_CSV_HEADER = ",".join(SWEEP_COLUMNS)
 
-CURVE_CSV_HEADER = ("distance_km,flow_m3_per_h,capital_usd_per_day,"
-                    "operational_usd_per_day,total_usd_per_day")
+CURVE_COLUMNS = ("distance_km", "flow_m3_per_h", "capital_usd_per_day",
+                 "operational_usd_per_day", "total_usd_per_day")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,7 +47,7 @@ class RunManifest:
     """One CLI invocation: what to run, on which config, written where."""
 
     config_path: str
-    command: str                     # scenario | sweep | breakeven | curve | penalty
+    command: str                     # a key of COMMANDS
     output_format: str = "table"     # table | csv | json
     output_path: str | None = None
     plant: str | None = None
@@ -52,21 +57,102 @@ class RunManifest:
     flows: tuple[float, ...] = ()
 
 
-def _sweep_row(cell: analysis.SweepCell) -> dict:
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: what it needs, what it computes and how it is laid out."""
+
+    required: tuple[str, ...]        # RunManifest fields that must be given
+    rows: Callable[[RunManifest, LoadedConfig], list[dict]]
+    columns: tuple[str, ...]         # CSV column order
+    table: str                       # --format table: sweep | record | csv
+
+
+def sweep_row(cell: analysis.SweepCell) -> dict:
+    """A sweep cell as a row of ``SWEEP_COLUMNS``, or an error row if it failed."""
     r = cell.result
-    assert r is not None
+    if r is None:
+        return {"plant": cell.plant, "product": cell.product, "beta": cell.beta,
+                "error": cell.error}
     led = r.ledger
-    return {
-        "plant": cell.plant,
-        "product": cell.product,
-        "beta": cell.beta,
-        "capital_usd": led.capital_total(),
-        "operational_usd_per_day": led.operational_total(),
-        "revenue_usd_per_day": led.revenue_total(),
-        "daily_cost_usd_per_day": r.daily_cost.value_in("$/day"),
-        "increased_price_usd_per_kwh": r.increased_price.value_in("$/kWh"),
-        "carbon_penalty_usd_per_ton": r.carbon_penalty.value_in("$/ton"),
-    }
+    return dict(zip(SWEEP_COLUMNS, (
+        cell.plant, cell.product, cell.beta, led.capital_total(), led.operational_total(),
+        led.revenue_total(), r.daily_cost.value_in("$/day"),
+        r.increased_price.value_in("$/kWh"), r.carbon_penalty.value_in("$/ton"))))
+
+
+def _sweep_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
+    grid = analysis.SweepGrid(plants=cfg.plants, products=cfg.products,
+                              betas=cfg.sweep_betas, water_mode=cfg.water_mode)
+    cells = analysis.scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
+    return [sweep_row(cell) for cell in cells]
+
+
+def _scenario_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
+    plant = cfg.plant(manifest.plant)
+    if manifest.beta is not None and not 0.0 <= manifest.beta <= 1.0:
+        raise ConfigError(f"--beta must lie in [0, 1], got {manifest.beta!r}")
+    if manifest.product is not None and manifest.beta is None:
+        raise ConfigError("--product needs --beta (reuse fraction in (0, 1])")
+    beta = manifest.beta if manifest.beta is not None else 0.0
+    product = cfg.product(manifest.product) if manifest.product else None
+    econ = econ_for_cell(cfg, plant, product, beta)
+    scenario = ScenarioConfig(plant=plant, econ=econ, beta=beta, product=product,
+                              water_mode=cfg.water_mode)
+    return [sweep_row(analysis.SweepCell(plant.name, product.name if product else "",
+                                         beta, result=total_daily_cost(scenario)))]
+
+
+def _breakeven_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
+    plant = cfg.plant(manifest.plant)
+    product = cfg.product(manifest.product or "methane")
+    query = analysis.BreakevenQuery(plant=plant, product=product)
+    distance = analysis.breakeven_distance(query, econ_for_cell(cfg, plant, product, 1.0))
+    return [{"plant": plant.name, "product": product.name,
+             "breakeven_distance_km": distance.value_in("km")}]
+
+
+def _curve_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
+    plant = cfg.plant(manifest.plant)
+    product = cfg.product(manifest.product or "methane")
+    econ = econ_for_cell(cfg, plant, product, 1.0)
+    flows = manifest.flows
+    if not flows:
+        w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
+        flows = tuple(w_max * frac for frac in (0.0, 0.25, 0.5, 0.75, 1.0))
+    cells = analysis.transfer_cost_curve(plant, manifest.distances, flows, econ,
+                                         product=product)
+    return [{"error": c.error} if c.error is not None else dict(zip(CURVE_COLUMNS, (
+        c.distance_km, c.flow_m3_h, c.capital_daily, c.operational_daily, c.total_daily)))
+        for c in cells]
+
+
+def _penalty_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
+    plant = cfg.plant(manifest.plant)
+    if manifest.product:
+        product = cfg.product(manifest.product)
+        strategy: analysis.Strategy = analysis.ReuseAll(product)
+        label = f"reuse-all ({product.name})"
+    else:
+        product, strategy, label = None, analysis.StoreAll(), "store-all"
+    # with no product, econ_for_cell applies no pipe calibration, whatever beta
+    threshold = analysis.penalty_threshold(plant, strategy,
+                                           econ_for_cell(cfg, plant, product, 1.0),
+                                           water_mode=cfg.water_mode)
+    return [{"plant": plant.name, "strategy": label,
+             "penalty_threshold_usd_per_ton": threshold.value_in("$/ton")}]
+
+
+# command name -> Command, in the order of --command's choices
+COMMANDS = {
+    "scenario": Command(("plant",), _scenario_rows, SWEEP_COLUMNS, "sweep"),
+    "sweep": Command((), _sweep_rows, SWEEP_COLUMNS, "sweep"),
+    "breakeven": Command(("plant",), _breakeven_rows,
+                         ("plant", "product", "breakeven_distance_km"), "record"),
+    # the curve table stays CSV, which existing readers of it parse
+    "curve": Command(("plant", "distances"), _curve_rows, CURVE_COLUMNS, "csv"),
+    "penalty": Command(("plant",), _penalty_rows,
+                       ("plant", "strategy", "penalty_threshold_usd_per_ton"), "record"),
+}
 
 
 def _fmt_cell(value) -> str:
@@ -75,18 +161,10 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def render_sweep_csv(cells: Iterable[analysis.SweepCell]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for cell in cells:
-        if cell.result is None:
-            continue
-        row = _sweep_row(cell)
-        lines.append(",".join(_fmt_cell(row[k]) for k in SWEEP_CSV_HEADER.split(",")))
+def render_csv(rows: Sequence[dict], columns: Sequence[str]) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt_cell(row[k]) for k in columns) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def render_sweep_json(cells: Iterable[analysis.SweepCell]) -> str:
-    return json.dumps([_sweep_row(c) for c in cells if c.result is not None], indent=2) + "\n"
 
 
 def _musd(value: float) -> str:
@@ -94,19 +172,18 @@ def _musd(value: float) -> str:
     return f"{value / 1e6:.4g}"
 
 
-def render_sweep_table(cells: Iterable[analysis.SweepCell]) -> str:
+def render_sweep_table(rows: Sequence[dict]) -> str:
     header = (f"{'plant':<12} {'product':<9} {'beta':>4}  {'capital':>9}  "
               f"{'op/day':>9}  {'rev/day':>9}  {'cost/day':>9}  "
               f"{'uplift':>8}  {'penalty':>8}")
     unit_row = (f"{'':<12} {'':<9} {'':>4}  {'M$':>9}  {'M$':>9}  {'M$':>9}  "
                 f"{'M$':>9}  {'$/kWh':>8}  {'$/ton':>8}")
     lines = [header, unit_row, "-" * len(header)]
-    for cell in cells:
-        if cell.result is None:
-            lines.append(f"{cell.plant:<12} {cell.product or '-':<9} {cell.beta:>4.2g}  "
-                         f"error: {cell.error}")
+    for row in rows:
+        if "error" in row:
+            lines.append(f"{row['plant']:<12} {row['product'] or '-':<9} {row['beta']:>4.2g}  "
+                         f"error: {row['error']}")
             continue
-        row = _sweep_row(cell)
         lines.append(
             f"{row['plant']:<12} {row['product'] or 'storage':<9} {row['beta']:>4.2g}  "
             f"{_musd(row['capital_usd']):>9}  "
@@ -118,14 +195,21 @@ def render_sweep_table(cells: Iterable[analysis.SweepCell]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_curve_csv(cells: Iterable[analysis.CurveCell]) -> str:
-    lines = [CURVE_CSV_HEADER]
-    for c in cells:
-        if c.error is not None:
-            continue
-        lines.append(",".join(_fmt_cell(v) for v in (
-            c.distance_km, c.flow_m3_h, c.capital_daily, c.operational_daily, c.total_daily)))
-    return "\n".join(lines) + "\n"
+def render_record_table(record: dict) -> str:
+    width = max(len(k) for k in record)
+    return "".join(f"{k:<{width}}  {_fmt_cell(v)}\n" for k, v in record.items())
+
+
+def render_output(command: Command, output_format: str, rows: list[dict]) -> str:
+    """``rows`` in ``output_format``; a record command has exactly one row."""
+    done = [row for row in rows if "error" not in row]
+    if output_format == "json":
+        return json.dumps(done[0] if command.table == "record" else done, indent=2) + "\n"
+    if output_format == "csv" or command.table == "csv":
+        return render_csv(done, command.columns)
+    if command.table == "record":
+        return render_record_table(done[0])
+    return render_sweep_table(rows)
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -146,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "with water, wind and hydrogen sections.")
     parser.add_argument("--config", required=True,
                         help="path to a YAML config, or a preset name such as 'paper-2024'")
-    parser.add_argument("--command", required=True,
-                        choices=("scenario", "sweep", "breakeven", "curve", "penalty"))
+    parser.add_argument("--command", required=True, choices=tuple(COMMANDS))
     parser.add_argument("--format", default="table", choices=("table", "csv", "json"))
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--plant", default=None, help="plant name from the config")
@@ -160,8 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()   # built once: parse_args leaves it unchanged
+
+
 def manifest_from_args(argv: Sequence[str]) -> RunManifest:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return RunManifest(
         config_path=args.config,
         command=args.command,
@@ -175,114 +261,21 @@ def manifest_from_args(argv: Sequence[str]) -> RunManifest:
     )
 
 
-def _require_plant(manifest: RunManifest, cfg: LoadedConfig):
-    if manifest.plant is None:
-        raise ConfigError(f"--plant is required for '{manifest.command}'")
-    return cfg.plant(manifest.plant)
-
-
-def _single_result_output(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        keys = list(payload)
-        return (",".join(keys) + "\n" +
-                ",".join(_fmt_cell(payload[k]) for k in keys) + "\n")
-    width = max(len(k) for k in payload)
-    return "".join(f"{k:<{width}}  {_fmt_cell(v)}\n" for k, v in payload.items())
-
-
 def run(manifest: RunManifest) -> tuple[int, str, list[str]]:
     """Execute one manifest; returns (exit status, output, diagnostics).
 
-    Diagnostics go to stderr, never into the rendered table, so a partially
-    failing sweep still writes schema-clean output for the cells that ran.
+    Diagnostics go to stderr, never into CSV or JSON, so a partially failing
+    sweep or curve still writes schema-clean output for the cells that ran.
     """
     cfg = load_config(manifest.config_path)
-
-    if manifest.command == "sweep":
-        grid = analysis.SweepGrid(plants=cfg.plants, products=cfg.products,
-                                  betas=cfg.sweep_betas, water_mode=cfg.water_mode)
-        cells = analysis.scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
-        failures = [c.error for c in cells if c.error is not None]
-        if manifest.output_format == "csv":
-            out = render_sweep_csv(cells)
-        elif manifest.output_format == "json":
-            out = render_sweep_json(cells)
-        else:
-            out = render_sweep_table(cells)
-        return (EXIT_COMPUTE if failures else EXIT_OK), out, failures
-
-    if manifest.command == "scenario":
-        plant = _require_plant(manifest, cfg)
-        if manifest.beta is not None and not 0.0 <= manifest.beta <= 1.0:
-            raise ConfigError(f"--beta must lie in [0, 1], got {manifest.beta!r}")
-        if manifest.product is not None and manifest.beta is None:
-            raise ConfigError("--product needs --beta (reuse fraction in (0, 1])")
-        beta = manifest.beta if manifest.beta is not None else 0.0
-        product = cfg.product(manifest.product) if manifest.product else None
-        econ = econ_for_cell(cfg, plant, product, beta)
-        scenario = ScenarioConfig(plant=plant, econ=econ, beta=beta, product=product,
-                                  water_mode=cfg.water_mode)
-        result = total_daily_cost(scenario)
-        cell = analysis.SweepCell(plant.name, product.name if product else "",
-                                  beta, result=result)
-        if manifest.output_format == "csv":
-            return EXIT_OK, render_sweep_csv([cell]), []
-        if manifest.output_format == "json":
-            return EXIT_OK, render_sweep_json([cell]), []
-        return EXIT_OK, render_sweep_table([cell]), []
-
-    if manifest.command == "breakeven":
-        plant = _require_plant(manifest, cfg)
-        product = cfg.product(manifest.product) if manifest.product else cfg.product("methane")
-        query = analysis.BreakevenQuery(plant=plant, product=product)
-        distance = analysis.breakeven_distance(query, econ_for_cell(cfg, plant, product, 1.0))
-        payload = {"plant": plant.name, "product": product.name,
-                   "breakeven_distance_km": distance.value_in("km")}
-        return EXIT_OK, _single_result_output(payload, manifest.output_format), []
-
-    if manifest.command == "curve":
-        plant = _require_plant(manifest, cfg)
-        if not manifest.distances:
-            raise ConfigError("--distances is required for 'curve'")
-        product = cfg.product(manifest.product) if manifest.product else cfg.product("methane")
-        econ = econ_for_cell(cfg, plant, product, 1.0)
-        flows = manifest.flows
-        if not flows:
-            w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
-            flows = tuple(w_max * frac for frac in (0.0, 0.25, 0.5, 0.75, 1.0))
-        cells = analysis.transfer_cost_curve(plant, manifest.distances, flows, econ,
-                                             product=product)
-        failures = [c.error for c in cells if c.error is not None]
-        out = render_curve_csv(cells)
-        if manifest.output_format == "json":
-            out = json.dumps([
-                {"distance_km": c.distance_km, "flow_m3_per_h": c.flow_m3_h,
-                 "capital_usd_per_day": c.capital_daily,
-                 "operational_usd_per_day": c.operational_daily,
-                 "total_usd_per_day": c.total_daily}
-                for c in cells if c.error is None], indent=2) + "\n"
-        return (EXIT_COMPUTE if failures else EXIT_OK), out, failures
-
-    if manifest.command == "penalty":
-        plant = _require_plant(manifest, cfg)
-        if manifest.product:
-            product = cfg.product(manifest.product)
-            strategy: analysis.Strategy = analysis.ReuseAll(product)
-            econ = econ_for_cell(cfg, plant, product, 1.0)
-            label = f"reuse-all ({product.name})"
-        else:
-            strategy = analysis.StoreAll()
-            econ = econ_for_cell(cfg, plant)
-            label = "store-all"
-        threshold = analysis.penalty_threshold(plant, strategy, econ,
-                                               water_mode=cfg.water_mode)
-        payload = {"plant": plant.name, "strategy": label,
-                   "penalty_threshold_usd_per_ton": threshold.value_in("$/ton")}
-        return EXIT_OK, _single_result_output(payload, manifest.output_format), []
-
-    raise ConfigError(f"unknown command {manifest.command!r}")
+    command = COMMANDS[manifest.command]
+    for flag in command.required:
+        if getattr(manifest, flag) in (None, ()):
+            raise ConfigError(f"--{flag} is required for '{manifest.command}'")
+    rows = command.rows(manifest, cfg)
+    failures = [row["error"] for row in rows if "error" in row]
+    out = render_output(command, manifest.output_format, rows)
+    return (EXIT_COMPUTE if failures else EXIT_OK), out, failures
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import ewhnexus as ew
+from ewhnexus import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,3 +23,13 @@ def test_benchmark_reads_only_public_names():
     used = set(re.findall(r"\bew\.([A-Za-z_]\w*)", text))
     assert used, "bench/workloads.py references no ew.<name>"
     assert sorted(used - set(ew.__all__)) == []
+
+
+def test_benchmark_reads_only_cli_names_that_exist():
+    # bench/tracer.py spans every cli function named render_*
+    text = (ROOT / "bench" / "workloads.py").read_text(encoding="utf-8")
+    used = set(re.findall(r"\bcli\.([A-Za-z_]\w*)", text))
+    assert used, "bench/workloads.py references no cli.<name>"
+    assert sorted(name for name in used if not hasattr(cli, name)) == []
+    assert [name for name, value in vars(cli).items()
+            if name.startswith("render_") and callable(value)]

@@ -12,11 +12,14 @@ import pytest
 import yaml
 
 from ewhnexus.analysis import SweepGrid, scenario_sweep
-from ewhnexus.cli import SWEEP_CSV_HEADER, main, render_sweep_csv
+from ewhnexus.cli import (
+    COMMANDS, SWEEP_COLUMNS, SWEEP_CSV_HEADER, main, render_csv, sweep_row,
+)
 from ewhnexus import config
 from ewhnexus.config import (
     ConfigError, dump_config, load_config, load_config_text,
 )
+from ewhnexus.conversion import _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import TimeSeries, emissions_at_capacity
@@ -33,7 +36,8 @@ def preset_dict():
 def sweep_csv(cfg) -> str:
     grid = SweepGrid(plants=cfg.plants, products=cfg.products, betas=cfg.sweep_betas,
                      water_mode=cfg.water_mode)
-    return render_sweep_csv(scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg)))
+    cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
+    return render_csv([sweep_row(c) for c in cells if c.result is not None], SWEEP_COLUMNS)
 
 
 class TestLoadConfig:
@@ -345,10 +349,41 @@ class TestCli:
         assert all("error" not in line for line in lines)
         assert "999999" in err and "outside" in err
 
-    def test_missing_plant_flag_exits_2(self):
-        status, _, err = self.run_cli("--config", "paper-2024", "--command", "breakeven")
-        assert status == 2
-        assert "--plant" in err
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_out_of_capacity_curve_flows_exit_3_in_every_format(self, fmt):
+        cfg = paper_2024()
+        w_max = _reuse_rates(cfg.product("methane"), cfg.plant("biomass").cbar, 1.0)[1]
+        flows = (0.5 * w_max, w_max, 1.5 * w_max, 999999.0)
+        status, out, err = self.run_cli(
+            "--config", "paper-2024", "--command", "curve", "--plant", "biomass",
+            "--distances", "60,260", "--flows", ",".join(map(repr, flows)), "--format", fmt)
+        assert status == 3
+        bad = [f"error: cell (d={d:g} km, f={f:g} m3/h): " for d in (60.0, 260.0)
+               for f in flows[2:]]
+        lines = err.splitlines()
+        assert len(lines) == len(bad)
+        assert all(line.startswith(prefix) for line, prefix in zip(lines, bad))
+        if fmt == "json":
+            points = [(r["distance_km"], r["flow_m3_per_h"]) for r in json.loads(out)]
+        else:   # the curve table is CSV
+            points = [tuple(map(float, line.split(",")[:2])) for line in out.splitlines()[1:]]
+        assert points == [(d, f) for d in (60.0, 260.0) for f in flows[:2]]
+
+    def test_required_flags_per_command(self):
+        assert {name: command.required for name, command in COMMANDS.items()} == {
+            "scenario": ("plant",), "sweep": (), "breakeven": ("plant",),
+            "curve": ("plant", "distances"), "penalty": ("plant",)}
+
+    @pytest.mark.parametrize("command, flag", [
+        (name, flag) for name, command in COMMANDS.items() for flag in command.required])
+    def test_missing_required_flag_exits_2(self, command, flag):
+        values = {"plant": "biomass", "distances": "60"}
+        given = [arg for other in COMMANDS[command].required if other != flag
+                 for arg in (f"--{other}", values[other])]
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", command,
+                                        *given)
+        assert (status, out, err) == (2, "", f"config error: --{flag} is required for "
+                                             f"'{command}'\n")
 
     def test_out_of_range_beta_flag_exits_2(self):
         status, _, err = self.run_cli("--config", "paper-2024", "--command", "scenario",
