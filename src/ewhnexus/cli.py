@@ -1,12 +1,13 @@
 """Command-line front end: validate a config, run one command, write tables.
 
 Each command is one row of ``COMMANDS``: the flags it requires, a function
-from the invocation and the loaded config to a list of row dicts, the columns
-of those rows, and what ``--format table`` writes.  ``scenario`` evaluates a
-single cell, ``sweep`` the whole grid, ``breakeven`` the water-supply
-break-even distance, ``curve`` the transfer cost surface and ``penalty`` a
-carbon-penalty threshold.  A row with an ``error`` key is a failed cell: it is
-reported on stderr, shown in the sweep table and left out of CSV and JSON.
+from the parsed arguments and the loaded config to a list of row dicts, the
+columns of those rows, and what ``--format table`` writes.  ``scenario``
+evaluates a single cell, ``sweep`` the whole grid, ``breakeven`` the
+water-supply break-even distance, ``curve`` the transfer cost surface and
+``penalty`` a carbon-penalty threshold.  A row with an ``error`` key is a
+failed cell: it is reported on stderr, shown in the sweep table and left out
+of CSV and JSON.
 Output is a human table, CSV or JSON.  Exit codes:
 0 success, 2 invalid config or usage, 3 computation domain error, 4 I/O error.
 """
@@ -43,26 +44,11 @@ EXIT_IO = 4
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    """One CLI invocation: what to run, on which config, written where."""
-
-    config_path: str
-    command: str                     # a key of COMMANDS
-    output_format: str = "table"     # table | csv | json
-    output_path: str | None = None
-    plant: str | None = None
-    product: str | None = None
-    beta: float | None = None
-    distances: tuple[float, ...] = ()
-    flows: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
 class Command:
     """One CLI command: what it needs, what it computes and how it is laid out."""
 
-    required: tuple[str, ...]        # RunManifest fields that must be given
-    rows: Callable[[RunManifest, LoadedConfig], list[dict]]
+    required: tuple[str, ...]        # parser destinations that must be given
+    rows: Callable[[argparse.Namespace, LoadedConfig], list[dict]]
     columns: tuple[str, ...]         # CSV column order
     table: str                       # --format table: sweep | record | csv
 
@@ -80,21 +66,23 @@ def sweep_row(cell: analysis.SweepCell) -> dict:
         r.increased_price.value_in("$/kWh"), r.carbon_penalty.value_in("$/ton"))))
 
 
-def _sweep_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
+def _sweep_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     grid = analysis.SweepGrid(plants=cfg.plants, products=cfg.products,
                               betas=cfg.sweep_betas, water_mode=cfg.water_mode)
     cells = analysis.scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
     return [sweep_row(cell) for cell in cells]
 
 
-def _scenario_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
-    plant = cfg.plant(manifest.plant)
-    if manifest.beta is not None and not 0.0 <= manifest.beta <= 1.0:
-        raise ConfigError(f"--beta must lie in [0, 1], got {manifest.beta!r}")
-    if manifest.product is not None and manifest.beta is None:
+def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
+    plant = cfg.plant(args.plant)
+    if args.beta is not None and not 0.0 <= args.beta <= 1.0:
+        raise ConfigError(f"--beta must lie in [0, 1], got {args.beta!r}")
+    if args.product is not None and args.beta is None:
         raise ConfigError("--product needs --beta (reuse fraction in (0, 1])")
-    beta = manifest.beta if manifest.beta is not None else 0.0
-    product = cfg.product(manifest.product) if manifest.product else None
+    beta = args.beta if args.beta is not None else 0.0
+    if beta > 0 and not args.product:
+        raise ConfigError(f"--beta {beta!r} needs --product (reuse makes a product)")
+    product = cfg.product(args.product) if args.product else None
     econ = econ_for_cell(cfg, plant, product, beta)
     scenario = ScenarioConfig(plant=plant, econ=econ, beta=beta, product=product,
                               water_mode=cfg.water_mode)
@@ -102,34 +90,34 @@ def _scenario_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
                                          beta, result=total_daily_cost(scenario)))]
 
 
-def _breakeven_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
-    plant = cfg.plant(manifest.plant)
-    product = cfg.product(manifest.product or "methane")
+def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
+    plant = cfg.plant(args.plant)
+    product = cfg.product(args.product or "methane")
     query = analysis.BreakevenQuery(plant=plant, product=product)
     distance = analysis.breakeven_distance(query, econ_for_cell(cfg, plant, product, 1.0))
     return [{"plant": plant.name, "product": product.name,
              "breakeven_distance_km": distance.value_in("km")}]
 
 
-def _curve_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
-    plant = cfg.plant(manifest.plant)
-    product = cfg.product(manifest.product or "methane")
+def _curve_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
+    plant = cfg.plant(args.plant)
+    product = cfg.product(args.product or "methane")
     econ = econ_for_cell(cfg, plant, product, 1.0)
-    flows = manifest.flows
+    flows = args.flows
     if not flows:
         w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
         flows = tuple(w_max * frac for frac in (0.0, 0.25, 0.5, 0.75, 1.0))
-    cells = analysis.transfer_cost_curve(plant, manifest.distances, flows, econ,
+    cells = analysis.transfer_cost_curve(plant, args.distances, flows, econ,
                                          product=product)
     return [{"error": c.error} if c.error is not None else dict(zip(CURVE_COLUMNS, (
         c.distance_km, c.flow_m3_h, c.capital_daily, c.operational_daily, c.total_daily)))
         for c in cells]
 
 
-def _penalty_rows(manifest: RunManifest, cfg: LoadedConfig) -> list[dict]:
-    plant = cfg.plant(manifest.plant)
-    if manifest.product:
-        product = cfg.product(manifest.product)
+def _penalty_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
+    plant = cfg.plant(args.plant)
+    if args.product:
+        product = cfg.product(args.product)
         strategy: analysis.Strategy = analysis.ReuseAll(product)
         label = f"reuse-all ({product.name})"
     else:
@@ -212,9 +200,10 @@ def render_output(command: Command, output_format: str, rows: list[dict]) -> str
     return render_sweep_table(rows)
 
 
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
+def _parse_float_list(text: str | None, flag: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated flag value; () when the flag is not given."""
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        values = tuple(float(part) for part in (text or "").split(",") if part.strip())
     except ValueError:
         values = None
     if values is None or not all(math.isfinite(v) for v in values):
@@ -246,67 +235,45 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()   # built once: parse_args leaves it unchanged
 
 
-def manifest_from_args(argv: Sequence[str]) -> RunManifest:
-    args = _PARSER.parse_args(argv)
-    return RunManifest(
-        config_path=args.config,
-        command=args.command,
-        output_format=args.format,
-        output_path=args.out,
-        plant=args.plant,
-        product=args.product,
-        beta=args.beta,
-        distances=_parse_float_list(args.distances, "--distances") if args.distances else (),
-        flows=_parse_float_list(args.flows, "--flows") if args.flows else (),
-    )
-
-
-def run(manifest: RunManifest) -> tuple[int, str, list[str]]:
-    """Execute one manifest; returns (exit status, output, diagnostics).
+def run(args: argparse.Namespace) -> tuple[int, str, list[str]]:
+    """Execute one parsed invocation; returns (exit status, output, diagnostics).
 
     Diagnostics go to stderr, never into CSV or JSON, so a partially failing
     sweep or curve still writes schema-clean output for the cells that ran.
     """
-    cfg = load_config(manifest.config_path)
-    command = COMMANDS[manifest.command]
+    args = argparse.Namespace(**{**vars(args),
+                                 "distances": _parse_float_list(args.distances, "--distances"),
+                                 "flows": _parse_float_list(args.flows, "--flows")})
+    cfg = load_config(args.config)
+    command = COMMANDS[args.command]
     for flag in command.required:
-        if getattr(manifest, flag) in (None, ()):
-            raise ConfigError(f"--{flag} is required for '{manifest.command}'")
-    rows = command.rows(manifest, cfg)
+        if getattr(args, flag) in (None, ()):
+            raise ConfigError(f"--{flag} is required for '{args.command}'")
+    rows = command.rows(args, cfg)
     failures = [row["error"] for row in rows if "error" in row]
-    out = render_output(command, manifest.output_format, rows)
+    out = render_output(command, args.format, rows)
     return (EXIT_COMPUTE if failures else EXIT_OK), out, failures
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        manifest = manifest_from_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
-        status, output, diagnostics = run(manifest)
+        status, output, diagnostics = run(args)
+        for line in diagnostics:
+            print(f"error: {line}", file=sys.stderr)
+        if args.out:
+            Path(args.out).write_text(output, encoding="utf-8")
+        else:
+            sys.stdout.write(output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DomainError, UnitError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    for line in diagnostics:
-        print(f"error: {line}", file=sys.stderr)
-    try:
-        if manifest.output_path:
-            Path(manifest.output_path).write_text(output, encoding="utf-8")
-        else:
-            sys.stdout.write(output)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -200,7 +200,7 @@ def check_nonneg(name: str, value: float, when_set: bool = False) -> None:
 # EconParams fields that must be finite and >= 0, in the order __post_init__
 # checks them; the optional ones may also be None
 _NONNEG_FIELDS = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
-                  "c_we", "xi_p", "r_w_per_100km")
+                  "c_we", "xi_p", "r_w_per_100km", "interest_rate")
 _OPTIONAL_FIELDS = ("c_ccs", "c_sw")
 
 
@@ -243,10 +243,9 @@ class EconParams:
             raise DomainError("wind_capacity_factor must lie in (0, 1]")
         if not 0.0 < self.eta_pump <= 1.0:
             raise DomainError("eta_pump must lie in (0, 1]")
-        if self.horizon_years < 1 or int(self.horizon_years) != self.horizon_years:
+        # not >= 1 for NaN; int() of an infinite value would overflow
+        if not 1 <= self.horizon_years < math.inf or int(self.horizon_years) != self.horizon_years:
             raise DomainError("horizon_years must be an integer >= 1")
-        if self.interest_rate < 0:
-            raise DomainError("interest_rate must be >= 0")
         if len(self.e_des) != 4:
             raise DomainError("e_des needs exactly 4 segment coefficients")
         for name in _NONNEG_FIELDS:

@@ -133,20 +133,22 @@ def water_operational(mode: WaterMode, w_max: float, flow: Sequence[float],
     """
     if isinstance(mode, SolarSeawater):
         return 0.0
-    total = 0.0
-    last = cost = math.nan   # nan equals no flow, so the first hour is priced
+    # price(f) is the grid bill for one hour at flow f [$]
     if isinstance(mode, Desalination):
         elec_price = econ.elec_price
-        for f in flow:
-            if f != last:
-                last = f
-                cost = elec_price * desal_power(f, w_max, econ)
-            total += cost
+
+        def price(f: float) -> float:
+            return elec_price * desal_power(f, w_max, econ)
     else:
         km = mode.km
-        for f in flow:
-            if f != last:
-                last = f
-                cost = pump_cost(f, w_max, km, econ)
-            total += cost
+
+        def price(f: float) -> float:
+            return pump_cost(f, w_max, km, econ)
+    total = 0.0
+    last = cost = math.nan   # nan equals no flow, so the first hour is priced
+    for f in flow:
+        if f != last:
+            last = f
+            cost = price(f)
+        total += cost
     return total

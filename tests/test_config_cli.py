@@ -158,6 +158,45 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="preset"):
             load_config("no-such-file.yaml")
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("econ",), "0.25 $/kWh", "econ: must be a mapping"),
+        (("water",), ["desalination"], "water: must be a mapping"),
+        (("econ", "e_des"), ["3.5 kWh/m3"] * 3,
+         "econ.e_des: expected a list of exactly 4 '<value> kWh/m3' entries"),
+        (("econ", "e_des"), "3.5 kWh/m3",
+         "econ.e_des: expected a list of exactly 4 '<value> kWh/m3' entries"),
+        (("econ", "product_prices"), "1400 $/ton",
+         "econ.product_prices: must map names to '<value> $/ton'"),
+        (("calibration", "r_w_per_100km"), 0.2,
+         "calibration.r_w_per_100km: must map names to '<value> dimensionless'"),
+        (("econ", "horizon_years"), 2.5, "econ.horizon_years: expected an integer, got 2.5"),
+        (("policy", "include_hydrogen_capital"), "yes",
+         "policy.include_hydrogen_capital: expected true or false, got 'yes'"),
+        (("econ", "elec_price"), "abc $/kWh", "econ.elec_price: 'abc' is not a number"),
+        (("econ", "elec_price"), "0.25", "econ.elec_price: expected '<value> $/kWh', got '0.25'"),
+        (("plants",), {"name": "coal"},
+         "plants: must be a non-empty list of {name, capacity, emission_factor}"),
+        (("plants", 1), "natural_gas", "plants[1]: must be a mapping"),
+        (("plants", 1), {"capacity": "500 MW", "emission_factor": "490 g/kWh"},
+         "plants[1].name: missing or not a string"),
+        (("products",), "methane", "products: must be a list of product names"),
+        (("sweep", "betas"), [], "sweep.betas: must be a non-empty list of numbers"),
+        ((), ["econ", "plants"], "config must be a YAML mapping at the top level"),
+    ])
+    def test_malformed_shape_names_the_path(self, path, value, message):
+        data = preset_dict()
+        if path:
+            *parents, last = path
+            target = data
+            for key in parents:
+                target = target[key]
+            target[last] = value
+        else:
+            data = value
+        with pytest.raises(ConfigError) as err:
+            load_config_text(yaml.safe_dump(data))
+        assert message in [line.strip() for line in str(err.value).splitlines()]
+
 
 class TestRoundTrip:
     def test_export_reload_is_bit_identical(self):
@@ -369,6 +408,35 @@ class TestCli:
             points = [tuple(map(float, line.split(",")[:2])) for line in out.splitlines()[1:]]
         assert points == [(d, f) for d in (60.0, 260.0) for f in flows[:2]]
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_failing_sweep_cells_exit_3_in_every_format(self, fmt, tmp_path):
+        # the config loads, but every methane cell's revenue overflows to inf
+        data = preset_dict()
+        data["econ"]["product_prices"]["methane"] = "1e308 $/ton"
+        path = tmp_path / "huge_methane.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", "sweep",
+                                        "--format", fmt)
+        assert status == 3
+        plants = [p["name"] for p in data["plants"]]
+        failed = [(p, b) for p in plants for b in (0.5, 1)]
+        assert err.splitlines() == [
+            f"error: cell ({p}, methane, beta={b}): ledger amount must be finite "
+            "(methane sales)" for p, b in failed]
+        if fmt == "table":
+            rows = [line.split()[:4] for line in out.splitlines()[3:]]
+            assert [r[:3] for r in rows if r[3] == "error:"] == [
+                [p, "methane", f"{b:g}"] for p, b in failed]
+            assert len(rows) == 21
+            return
+        if fmt == "json":
+            rows = [(r["plant"], r["product"]) for r in json.loads(out)]
+        else:
+            assert out.splitlines()[0] == SWEEP_CSV_HEADER
+            rows = [tuple(line.split(",")[:2]) for line in out.splitlines()[1:]]
+        assert len(rows) == 21 - len(failed)
+        assert ("biomass", "methanol") in rows and all(r[1] != "methane" for r in rows)
+
     def test_required_flags_per_command(self):
         assert {name: command.required for name, command in COMMANDS.items()} == {
             "scenario": ("plant",), "sweep": (), "breakeven": ("plant",),
@@ -392,11 +460,16 @@ class TestCli:
         assert status == 2
         assert "--beta" in err
 
-    def test_product_without_beta_exits_2(self):
-        status, _, err = self.run_cli("--config", "paper-2024", "--command", "scenario",
-                                      "--plant", "biomass", "--product", "methane")
-        assert status == 2
-        assert "--beta" in err
+    @pytest.mark.parametrize("argv, message", [
+        (("--product", "methane"), "--product needs --beta"),
+        (("--beta", "0.5"), "--beta 0.5 needs --product"),
+        (("--product", "", "--beta", "0.5"), "--beta 0.5 needs --product"),
+    ], ids=["product-without-beta", "beta-without-product", "beta-with-empty-product"])
+    def test_product_without_beta_exits_2(self, argv, message):
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", "scenario",
+                                        "--plant", "biomass", *argv)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"config error: {message}")
 
     def test_bare_number_for_dimensioned_key_is_an_error(self):
         data = preset_dict()

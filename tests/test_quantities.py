@@ -221,6 +221,16 @@ class TestEconParams:
         with pytest.raises(DomainError):
             EconParams(**self.kwargs(r_ccs=-1.0))
 
+    @pytest.mark.parametrize("name, value", [
+        ("interest_rate", math.nan), ("interest_rate", math.inf), ("interest_rate", -math.inf),
+        ("interest_rate", -0.01), ("horizon_years", math.nan), ("horizon_years", math.inf),
+        ("horizon_years", -math.inf), ("horizon_years", 0), ("horizon_years", 2.5),
+    ])
+    def test_non_finite_or_out_of_range_financing_rejected(self, name, value):
+        # horizon_years=1 once turned a NaN or infinite interest_rate into a finite cost
+        with pytest.raises(DomainError, match=name):
+            EconParams(**self.kwargs(**{"horizon_years": 1, name: value}))
+
     def test_missing_price_reported_with_product_name(self):
         econ = EconParams(**self.kwargs())
         with pytest.raises(DomainError, match="ethanol"):
