@@ -33,4 +33,7 @@ def ccss_operational(beta: float, captured: Sequence[float], econ: EconParams) -
     """
     check_beta(beta)
     per_ton = (1.0 - beta) * econ.r_cts + econ.r_ccs
-    return sum(c * per_ton for c in captured)
+    total = 0.0   # left to right: sum() compensates on Python >= 3.12
+    for c in captured:
+        total += c * per_ton
+    return total

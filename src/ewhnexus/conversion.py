@@ -177,4 +177,7 @@ def chemical_revenue(product: ProductSpec, captured: Sequence[float], beta: floa
     """
     check_beta(beta)
     k = econ.price_of(product.name) * product.xi_chi * beta   # [$ / ton captured]
-    return -sum(k * c for c in captured)
+    total = 0.0   # left to right, as ccss_operational
+    for c in captured:
+        total += k * c
+    return -total

@@ -98,7 +98,7 @@ def increased_price(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
     reference cost tables use; kept as-is rather than corrected, although a
     per-day energy basis would be 24x larger.
     """
-    return Quantity(daily_cost.value_in("$/day") / plant.capacity_kw, "$/kWh")
+    return Quantity._computed(daily_cost.value_in("$/day") / plant.capacity_kw, "$/kWh")
 
 
 def carbon_penalty(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
@@ -108,7 +108,7 @@ def carbon_penalty(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
     as much as the scenario; negative when the scenario is net revenue.
     """
     cbar_ton_day = plant.cbar * HOURS_PER_DAY
-    return Quantity(daily_cost.value_in("$/day") / cbar_ton_day, "$/ton")
+    return Quantity._computed(daily_cost.value_in("$/day") / cbar_ton_day, "$/ton")
 
 
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
@@ -138,35 +138,35 @@ def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
             # full-load profile lands exactly on w_max
             k = product.water_demand * beta
             term = "water-operational"
-            op_water = water.water_operational(mode, w_max, tuple(k * c for c in captured), econ)
+            op_water = water.water_operational(mode, w_max, [k * c for c in captured], econ)
             term = "product-revenue"
             revenue = conversion.chemical_revenue(product, captured, beta, econ)
     except DomainError as exc:
         raise DomainError(f"{term}: {exc}") from exc
 
-    items = [LedgerItem("capture and storage pipeline capital", "ccss-capital",
-                        CAPITAL, cap_ccss, "$"),
-             LedgerItem("capture and transfer operations", "ccss-operational",
-                        OPERATIONAL, op_ccss, "$/day")]
+    # the kinds and units below are the ledger's own literals: only amounts are checked
+    item = LedgerItem._computed
+    items = [item("capture and storage pipeline capital", "ccss-capital",
+                  CAPITAL, cap_ccss, "$"),
+             item("capture and transfer operations", "ccss-operational",
+                  OPERATIONAL, op_ccss, "$/day")]
     # the totals are fsums of the amounts in hand, in item order: fsum is
     # exact, so they equal the ledger's capital_total() and daily_total()
     capital, flows = [cap_ccss], [op_ccss]
     if reuse:
-        items.append(LedgerItem("wind farm capital", "power-capital", CAPITAL, cap_power, "$"))
+        items.append(item("wind farm capital", "power-capital", CAPITAL, cap_power, "$"))
         if hydrogen:
-            items.append(LedgerItem("electrolyzer capital", "hydrogen-capital",
-                                    CAPITAL, cap_h2, "$"))
-        items += (LedgerItem("water system capital", "water-capital", CAPITAL, cap_water, "$"),
-                  LedgerItem("water system operations", "water-operational",
-                             OPERATIONAL, op_water, "$/day"),
-                  LedgerItem(f"{product.name} sales", "product-revenue",
-                             REVENUE, revenue, "$/day"))
+            items.append(item("electrolyzer capital", "hydrogen-capital", CAPITAL, cap_h2, "$"))
+        items += (item("water system capital", "water-capital", CAPITAL, cap_water, "$"),
+                  item("water system operations", "water-operational",
+                       OPERATIONAL, op_water, "$/day"),
+                  item(f"{product.name} sales", "product-revenue", REVENUE, revenue, "$/day"))
         capital += (cap_power, cap_h2, cap_water) if hydrogen else (cap_power, cap_water)
         flows += (op_water, revenue)
 
     charge = daily_capital_charge(math.fsum(capital), econ)
-    items.append(LedgerItem("daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))
-    daily = Quantity(math.fsum(flows + [charge]), "$/day")
+    items.append(item("daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))
+    daily = Quantity._computed(math.fsum(flows + [charge]), "$/day")
     return ScenarioResult(
         ledger=CostLedger(tuple(items)),
         daily_cost=daily,

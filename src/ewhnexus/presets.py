@@ -13,7 +13,9 @@ usable parameter set:
 
 None of these change a formula; they only decide the numbers fed into it.
 A cell's parameters are the config's, already validated, with the calibrated
-fields replaced; only those fields are checked again.
+fields replaced; only those fields are checked again.  The first two rules
+depend on the plant alone: a sweep's resolver applies them once per plant,
+and then replaces only the pipe unit cost of each reuse cell.
 """
 
 from __future__ import annotations
@@ -21,7 +23,17 @@ from __future__ import annotations
 from .analysis import EconResolver
 from .config import LoadedConfig, load_config
 from .conversion import ProductSpec, _reuse_rates
-from .quantities import EconParams, PlantSpec, check_beta
+from .quantities import DomainError, EconParams, PlantSpec, check_beta
+
+
+def _pipe_unit_cost(cfg: LoadedConfig, plant: PlantSpec,
+                    product: ProductSpec | None, beta: float) -> float | None:
+    """Calibrated water-pipe unit cost ``c_tw`` of a reuse cell, or None if the rule is off."""
+    pipe_cost_per_m = cfg.calibration.pipe_cost_per_m
+    if pipe_cost_per_m is None or product is None or not beta > 0:
+        return None
+    check_beta(beta)
+    return pipe_cost_per_m / _reuse_rates(product, plant.cbar, beta)[1]
 
 
 def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
@@ -37,17 +49,27 @@ def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
     if plant.name in cal.r_w_per_100km:
         updates["r_w_per_100km"] = cal.r_w_per_100km[plant.name]
 
-    if cal.pipe_cost_per_m is not None and product is not None and beta > 0:
-        check_beta(beta)
-        updates["c_tw"] = cal.pipe_cost_per_m / _reuse_rates(product, plant.cbar, beta)[1]
+    c_tw = _pipe_unit_cost(cfg, plant, product, beta)
+    if c_tw is not None:
+        updates["c_tw"] = c_tw
 
     return econ.replace_costs(**updates) if updates else econ
 
 
 def resolver(cfg: LoadedConfig) -> EconResolver:
-    """Cell-wise parameter resolver for scenario sweeps."""
+    """Cell-wise ``econ_for_cell`` for scenario sweeps, calibrating each plant object once."""
+    # keyed by identity, not name; holding the plant keeps its id from being reused
+    per_plant: dict[int, tuple[PlantSpec, EconParams]] = {}
+
     def resolve(plant, product, beta):
-        return econ_for_cell(cfg, plant, product, beta)
+        hit = per_plant.get(id(plant))
+        if hit is None:
+            try:
+                hit = per_plant[id(plant)] = (plant, econ_for_cell(cfg, plant))
+            except DomainError:   # raise what the whole cell's calibration raises first
+                return econ_for_cell(cfg, plant, product, beta)
+        c_tw = _pipe_unit_cost(cfg, plant, product, beta)
+        return hit[1] if c_tw is None else hit[1].replace_costs(c_tw=c_tw)
     return resolve
 
 

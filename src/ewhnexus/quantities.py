@@ -134,6 +134,16 @@ class Quantity:
         if not math.isfinite(self.magnitude):
             raise UnitError(f"magnitude must be finite, got {self.magnitude!r}")
 
+    @classmethod
+    def _computed(cls, magnitude: float, unit: str) -> "Quantity":
+        """A float the core computed, in a registered normalized unit: checks finiteness only."""
+        if not math.isfinite(magnitude):
+            raise UnitError(f"magnitude must be finite, got {magnitude!r}")
+        quantity = object.__new__(cls)
+        _setattr(quantity, "magnitude", magnitude)
+        _setattr(quantity, "unit", unit)
+        return quantity
+
     def to(self, unit: str) -> "Quantity":
         if _normalize(unit) == self.unit:
             return self
@@ -202,6 +212,7 @@ def check_nonneg(name: str, value: float, when_set: bool = False) -> None:
 _NONNEG_FIELDS = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
                   "c_we", "xi_p", "r_w_per_100km", "interest_rate")
 _OPTIONAL_FIELDS = ("c_ccs", "c_sw")
+_COST_FIELDS = _NONNEG_FIELDS + _OPTIONAL_FIELDS   # what replace_costs may set
 
 
 @dataclass(frozen=True)
@@ -261,11 +272,15 @@ class EconParams:
     def replace_costs(self, **costs: float) -> "EconParams":
         """A copy with the given cost fields replaced, equal to ``dataclasses.replace``.
 
-        ``costs`` may name only fields with the "finite and >= 0" rule.  Only
-        they are checked, in ``__post_init__``'s order and with its messages:
-        every other field passed ``__post_init__`` when ``self`` was built.
+        ``costs`` may name only fields with the "finite and >= 0" rule; any
+        other name is a DomainError.  Only they are checked, in
+        ``__post_init__``'s order and with its messages: every other field
+        passed ``__post_init__`` when ``self`` was built.
         """
-        for name in _NONNEG_FIELDS + _OPTIONAL_FIELDS:
+        for name in costs:
+            if name not in _COST_FIELDS:
+                raise DomainError(f"replace_costs cannot set {name!r}: not a cost field")
+        for name in _COST_FIELDS:
             if name in costs:
                 check_nonneg(name, costs[name], when_set=name in _OPTIONAL_FIELDS)
         # field by field in __init__'s order, as __init__ sets them; going
@@ -338,6 +353,11 @@ class LedgerItem(namedtuple("LedgerItem", "label term kind amount unit")):
             raise DomainError(f"ledger kind must be one of {_KINDS}, got {kind!r}")
         if unit not in ("$", "$/day"):
             raise DomainError(f"ledger unit must be '$' or '$/day', got {unit!r}")
+        return cls._computed(label, term, kind, amount, unit)
+
+    @classmethod
+    def _computed(cls, label: str, term: str, kind: str, amount: float, unit: str):
+        """An item of the core's own literal kind and unit: checks the amount only."""
         if not math.isfinite(amount):
             raise DomainError(f"ledger amount must be finite ({label})")
         return tuple.__new__(cls, (label, term, kind, amount, unit))

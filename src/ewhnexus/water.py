@@ -133,22 +133,13 @@ def water_operational(mode: WaterMode, w_max: float, flow: Sequence[float],
     """
     if isinstance(mode, SolarSeawater):
         return 0.0
-    # price(f) is the grid bill for one hour at flow f [$]
-    if isinstance(mode, Desalination):
-        elec_price = econ.elec_price
-
-        def price(f: float) -> float:
-            return elec_price * desal_power(f, w_max, econ)
-    else:
-        km = mode.km
-
-        def price(f: float) -> float:
-            return pump_cost(f, w_max, km, econ)
+    desal = isinstance(mode, Desalination)
     total = 0.0
     last = cost = math.nan   # nan equals no flow, so the first hour is priced
     for f in flow:
-        if f != last:
+        if f != last:   # cost is the grid bill for one hour at flow f [$]
             last = f
-            cost = price(f)
+            cost = (econ.elec_price * desal_power(f, w_max, econ) if desal
+                    else pump_cost(f, w_max, mode.km, econ))
         total += cost
     return total

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ewhnexus import ccss, conversion, water
+from ewhnexus import ccss, conversion, presets, water
 from ewhnexus.analysis import SweepGrid, scenario_sweep
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import (
@@ -15,7 +15,9 @@ from ewhnexus.economics import (
     increased_price, total_daily_cost,
 )
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
-from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity, TimeSeries
+from ewhnexus.quantities import (
+    DomainError, EconParams, PlantSpec, Quantity, TimeSeries, UnitError,
+)
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
 BIOMASS = PlantSpec("biomass", Quantity(500, "MW"), Quantity(230, "g/kWh"))
@@ -309,6 +311,41 @@ class TestTotalsAgainstTheLedger:
         assert result.carbon_penalty == carbon_penalty(result.daily_cost, plant)
 
 
+def fold(terms) -> float:
+    """Left-to-right float sum from 0.0, the order the hourly sums are pinned to."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+class TestHourlySums:
+    """Hourly sums add left to right, not as ``sum()``, which compensates on Python 3.12."""
+
+    hour = st.floats(0.0, 1e4, allow_subnormal=False)
+    # full-load days (every hour equal) and uneven ones
+    days = (st.builds(lambda c: [c] * 24, hour)
+            | st.lists(hour, min_size=24, max_size=24)
+            | st.lists(st.sampled_from([0.1, 0.7, 1e-3, 115.0]), min_size=24, max_size=24))
+
+    @settings(max_examples=300, deadline=None)
+    @given(captured=days, beta=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           product=st.sampled_from([METHANE, METHANOL, ETHANOL]))
+    def test_equal_a_left_to_right_fold(self, captured, beta, product):
+        params = econ()
+        per_ton = (1.0 - beta) * params.r_cts + params.r_ccs
+        assert ccss.ccss_operational(beta, captured, params) == fold(
+            c * per_ton for c in captured)
+        k = params.price_of(product.name) * product.xi_chi * beta
+        assert conversion.chemical_revenue(product, captured, beta, params) == -fold(
+            k * c for c in captured)
+
+    def test_a_day_where_compensation_differs(self):
+        # 24 x 0.1 folds to 2.400000000000001; compensated summation gives 2.4000000000000004
+        params = econ(r_cts=0.0, r_ccs=1.0)
+        assert ccss.ccss_operational(0.0, [0.1] * 24, params) == 2.400000000000001
+
+
 class TestHotPath:
     """What a sweep cell does and does not repeat: counts, not timings."""
 
@@ -333,12 +370,10 @@ class TestHotPath:
             if name.split(".")[0] == "ewhnexus" and hasattr(module, "nexus_rates"):
                 monkeypatch.setattr(module, "nexus_rates", forbidden)
 
-    @pytest.mark.parametrize("mode, limit", [
-        (Desalination(), 3),
-        (SolarSeawater(), 3),
-        (NetworkTransfer(Quantity(150.0, "km")), 3),
+    @pytest.mark.parametrize("mode", [
+        Desalination(), SolarSeawater(), NetworkTransfer(Quantity(150.0, "km")),
     ], ids=["desalination", "solar", "transfer"])
-    def test_reuse_cell_builds_few_quantities(self, monkeypatch, mode, limit):
+    def test_reuse_cell_builds_few_quantities(self, monkeypatch, mode):
         cfg = paper_2024()
         cfg = replace(cfg, econ=replace(cfg.econ, c_sw=2.5e5))
         plant, product = cfg.plant("coal"), cfg.product("methanol")
@@ -347,9 +382,14 @@ class TestHotPath:
 
         econ = econ_for_cell(cfg, plant, product, 1.0)
         assert built == []
-        total_daily_cost(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
-                                        product=product, water_mode=mode))
-        assert len(built) <= limit, built
+        result = total_daily_cost(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
+                                                 product=product, water_mode=mode))
+        assert built == []
+        # the results are the public type all the same
+        assert all(type(q) is Quantity for q in (
+            result.daily_cost, result.increased_price, result.carbon_penalty))
+        assert [q.unit for q in (result.daily_cost, result.increased_price,
+                                 result.carbon_penalty)] == ["$/day", "$/kWh", "$/ton"]
 
     def test_sweep_cell_runs_no_econ_validation(self, monkeypatch):
         cfg = paper_2024()
@@ -365,6 +405,38 @@ class TestHotPath:
         cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
         assert all(c.error is None for c in cells) and len(cells) == 21
         assert runs == []
+
+    def test_preset_sweep_calibrates_each_plant_once(self, monkeypatch):
+        cfg = paper_2024()
+        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas)
+        calls = []
+        original = presets.econ_for_cell
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(presets, "econ_for_cell", counting)
+        cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
+        assert all(c.error is None for c in cells) and len(cells) == 21
+        assert [args[1] for args in calls] == list(cfg.plants)
+
+    def test_core_built_result_still_rejects_overflow(self):
+        # a 1e-300 kW plant turns any sizable daily cost into an infinite price uplift
+        tiny = PlantSpec("tiny", Quantity(1e-300, "kW"), Quantity(820, "g/kWh"))
+        with pytest.raises(UnitError, match="magnitude must be finite"):
+            increased_price(Quantity(1e9, "$/day"), tiny)
+        # the same through a whole scenario: 1000 ton/h at 1e6 $/ton is a finite daily cost
+        heavy = PlantSpec("heavy", Quantity(1e-300, "kW"), Quantity(1e306, "kg/kWh"))
+        with pytest.raises(UnitError, match="magnitude must be finite, got inf"):
+            total_daily_cost(ScenarioConfig(plant=heavy, econ=econ(r_ccs=1e6), beta=0.0))
+
+    def test_overflowing_term_still_rejected_by_its_ledger_item(self):
+        huge = PlantSpec("huge", Quantity(1e300, "MW"), Quantity(1e3, "kg/kWh"))
+        with pytest.raises(DomainError) as info:
+            total_daily_cost(ScenarioConfig(plant=huge, econ=econ(), beta=0.0))
+        assert str(info.value) == ("ledger amount must be finite "
+                                   "(capture and storage pipeline capital)")
 
     @pytest.mark.parametrize("mode, priced_by", [
         (Desalination(), "desal_power"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ewhnexus.config import Calibration
 from ewhnexus.conversion import METHANE, _reuse_rates, nexus_rates
-from ewhnexus.presets import econ_for_cell, paper_2024
+from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 
 
@@ -109,3 +109,46 @@ class TestCellCopy:
         assert self.outcome(
             lambda: replace(CFG.econ, c_ccs=120.0e6 / (tiny.cbar * 24.0))) == expected
         assert self.outcome(lambda: econ_for_cell(CFG, tiny)) == expected
+
+
+class TestResolver:
+    """A sweep's resolver calibrates each plant once and answers as ``econ_for_cell``."""
+
+    # coal's name twice: a cache keyed by name would hand the second the first's c_ccs
+    PLANTS = CFG.plants + (PlantSpec("coal", Quantity(500, "MW"), Quantity(410, "g/kWh")),
+                           PlantSpec("lignite", Quantity(300, "MW"), Quantity(900, "g/kWh")))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(st.tuples(st.sampled_from(range(len(PLANTS))),
+                                    st.sampled_from([None, "methane", "methanol", "ethanol"]),
+                                    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+                          min_size=1, max_size=30),
+           pipe=st.sampled_from([None, 160.0]))
+    def test_equals_econ_for_cell_field_for_field(self, cells, pipe):
+        cfg = replace(CFG, calibration=replace(CFG.calibration, pipe_cost_per_m=pipe))
+        resolve = resolver(cfg)
+        for index, product, beta in cells:
+            plant = self.PLANTS[index]
+            prod = cfg.product(product) if product else None
+            # fields, or the error of a cell whose tiny beta overflows c_tw
+            assert (TestCellCopy.outcome(lambda: resolve(plant, prod, beta))
+                    == TestCellCopy.outcome(lambda: econ_for_cell(cfg, plant, prod, beta)))
+
+    def test_plants_sharing_a_name_get_their_own_costs(self):
+        resolve = resolver(CFG)
+        coal, half_coal = CFG.plant("coal"), self.PLANTS[3]
+        assert resolve(coal, None, 0.0).c_ccs == econ_for_cell(CFG, coal).c_ccs
+        assert resolve(half_coal, None, 0.0).c_ccs == econ_for_cell(CFG, half_coal).c_ccs
+        assert resolve(half_coal, None, 0.0).c_ccs == 2.0 * resolve(coal, None, 0.0).c_ccs
+
+    @pytest.mark.parametrize("product, beta", [(None, 0.0), (METHANE, 0.5), (METHANE, 1.5)])
+    def test_a_failing_calibration_raises_what_econ_for_cell_raises(self, product, beta):
+        # c_ccs and this cell's c_tw both overflow; econ_for_cell reports c_tw first
+        tiny = PlantSpec("tiny", Quantity(1e-305, "kW"), Quantity(820, "g/kWh"))
+        resolve = resolver(CFG)
+        for _ in range(2):
+            with pytest.raises(DomainError) as expected:
+                econ_for_cell(CFG, tiny, product, beta)
+            with pytest.raises(DomainError) as got:
+                resolve(tiny, product, beta)
+            assert str(got.value) == str(expected.value)

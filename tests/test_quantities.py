@@ -60,6 +60,23 @@ class TestQuantityAlgebra:
             assert UNITS[base] == (base, (1, 1)), base
 
 
+class TestCoreBuiltQuantity:
+    def test_equals_the_checked_constructor(self):
+        for value, unit in ((1.5, "$/day"), (-0.0, "$/kWh"), (2.0e-308, "$/ton")):
+            built = Quantity._computed(value, unit)
+            assert type(built) is Quantity and built == Quantity(value, unit)
+            assert built.magnitude.hex() == value.hex()
+            assert str(built) == str(Quantity(value, unit))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_keeps_the_finiteness_check(self, value):
+        with pytest.raises(UnitError) as info:
+            Quantity._computed(value, "$/day")
+        with pytest.raises(UnitError) as checked:
+            Quantity(value, "$/day")
+        assert str(info.value) == str(checked.value) == f"magnitude must be finite, got {value!r}"
+
+
 class TestPlantSpec:
     def test_emissions_at_capacity_reference_plants(self):
         # 500 MW at 230/490/820 g per kWh
@@ -181,6 +198,14 @@ class TestCostLedger:
             LedgerItem("x", "t", "capital", 1.0, "M$")
         assert str(info.value) == "ledger unit must be '$' or '$/day', got 'M$'"
 
+    def test_core_built_item_checks_only_its_amount(self):
+        item = LedgerItem._computed("x", "t", "capital", 1.0, "$")
+        assert type(item) is LedgerItem and item == LedgerItem("x", "t", "capital", 1.0, "$")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError) as info:
+                LedgerItem._computed("pipe", "t", "capital", bad, "$")
+            assert str(info.value) == "ledger amount must be finite (pipe)"
+
     def test_item_is_immutable_and_equal_by_value(self):
         item = LedgerItem("x", "t", "capital", 1.0, "$")
         for name in ("label", "term", "kind", "amount", "unit"):
@@ -235,3 +260,21 @@ class TestEconParams:
         econ = EconParams(**self.kwargs())
         with pytest.raises(DomainError, match="ethanol"):
             econ.price_of("ethanol")
+
+    @pytest.mark.parametrize("name, value", [
+        ("eta_pump", 5.0), ("horizon_years", math.nan), ("bogus", 1),
+    ])
+    def test_replace_costs_rejects_a_non_cost_field(self, name, value):
+        # these once slipped through unchecked: eta_pump 5.0, a NaN horizon, a new attribute
+        econ = EconParams(**self.kwargs())
+        with pytest.raises(DomainError) as info:
+            econ.replace_costs(c_tw=1.0, **{name: value})
+        assert str(info.value) == f"replace_costs cannot set {name!r}: not a cost field"
+        assert not hasattr(econ, "bogus") and econ.eta_pump == 0.9
+
+    def test_replace_costs_still_sets_every_cost_field(self):
+        econ = EconParams(**self.kwargs())
+        names = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
+                 "c_we", "xi_p", "r_w_per_100km", "interest_rate", "c_ccs", "c_sw")
+        costs = {name: float(i) for i, name in enumerate(names)}
+        assert econ.replace_costs(**costs) == replace(econ, **costs)
