@@ -19,6 +19,7 @@ from .quantities import DomainError, EconParams, PlantSpec, Quantity, check_beta
 # (plant, product, beta) -> EconParams; lets a calibrated preset resolve
 # plant-specific costs without changing any formula
 EconResolver = Callable[[PlantSpec, ProductSpec | None, float], EconParams]
+DEFAULT_BETAS: tuple[float, ...] = (0.5, 1.0)   # reuse fractions of a sweep that names none
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class SweepGrid:
 
     plants: tuple[PlantSpec, ...]
     products: tuple[ProductSpec, ...]
-    betas: tuple[float, ...] = (0.5, 1.0)
+    betas: tuple[float, ...] = DEFAULT_BETAS
     water_mode: water.WaterMode = water.Desalination()
 
     def __post_init__(self):
@@ -40,6 +41,8 @@ class SweepGrid:
             check_beta(b)
             if b in self.betas[:i]:
                 raise DomainError(f"sweep grid: repeated reuse fraction {b!r}")
+        if 0.0 in self.betas:
+            raise DomainError("sweep grid: beta 0 is the storage row, which every plant gets")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,12 @@
 
 Each command is one row of ``COMMANDS``: the flags it requires, a function
 from the parsed arguments and the loaded config to a list of row dicts, the
-columns of those rows, and what ``--format table`` writes.  ``scenario``
-evaluates a single cell, ``sweep`` the whole grid, ``breakeven`` the
-water-supply break-even distance, ``curve`` the transfer cost surface and
-``penalty`` a carbon-penalty threshold.  A row with an ``error`` key is a
-failed cell: it is reported on stderr, shown in the sweep table and left out
-of CSV and JSON.
+columns of those rows, what ``--format table`` writes and the flags it reads
+if given; any other command flag is a usage error.  ``scenario`` evaluates
+a single cell, ``sweep`` the whole grid, ``breakeven`` the water-supply
+break-even distance, ``curve`` the transfer cost surface and ``penalty`` a
+carbon-penalty threshold.  A row with an ``error`` key is a failed cell: it
+is reported on stderr, shown in the sweep table and left out of CSV and JSON.
 Output is a human table, CSV or JSON.  Exit codes:
 0 success, 2 invalid config or usage, 3 computation domain error, 4 I/O error.
 """
@@ -51,6 +51,7 @@ class Command:
     rows: Callable[[argparse.Namespace, LoadedConfig], list[dict]]
     columns: tuple[str, ...]         # CSV column order
     table: str                       # --format table: sweep | record | csv
+    optional: tuple[str, ...] = ()   # parser destinations read if given
 
 
 def sweep_row(cell: analysis.SweepCell) -> dict:
@@ -77,9 +78,9 @@ def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
     if args.beta is not None and not 0.0 <= args.beta <= 1.0:
         raise ConfigError(f"--beta must lie in [0, 1], got {args.beta!r}")
-    if args.product is not None and args.beta is None:
+    beta = args.beta or 0.0
+    if args.product is not None and not beta:
         raise ConfigError("--product needs --beta (reuse fraction in (0, 1])")
-    beta = args.beta if args.beta is not None else 0.0
     if beta > 0 and not args.product:
         raise ConfigError(f"--beta {beta!r} needs --product (reuse makes a product)")
     product = cfg.product(args.product) if args.product else None
@@ -132,15 +133,19 @@ def _penalty_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
 
 # command name -> Command, in the order of --command's choices
 COMMANDS = {
-    "scenario": Command(("plant",), _scenario_rows, SWEEP_COLUMNS, "sweep"),
+    "scenario": Command(("plant",), _scenario_rows, SWEEP_COLUMNS, "sweep", ("product", "beta")),
     "sweep": Command((), _sweep_rows, SWEEP_COLUMNS, "sweep"),
     "breakeven": Command(("plant",), _breakeven_rows,
-                         ("plant", "product", "breakeven_distance_km"), "record"),
+                         ("plant", "product", "breakeven_distance_km"), "record", ("product",)),
     # the curve table stays CSV, which existing readers of it parse
-    "curve": Command(("plant", "distances"), _curve_rows, CURVE_COLUMNS, "csv"),
+    "curve": Command(("plant", "distances"), _curve_rows, CURVE_COLUMNS, "csv",
+                     ("product", "flows")),
     "penalty": Command(("plant",), _penalty_rows,
-                       ("plant", "strategy", "penalty_threshold_usd_per_ton"), "record"),
+                       ("plant", "strategy", "penalty_threshold_usd_per_ton"), "record",
+                       ("product",)),
 }
+# every parser destination that some command reads
+_FLAGS = tuple(dict.fromkeys(f for c in COMMANDS.values() for f in c.required + c.optional))
 
 
 def _fmt_cell(value) -> str:
@@ -246,9 +251,12 @@ def run(args: argparse.Namespace) -> tuple[int, str, list[str]]:
                                  "flows": _parse_float_list(args.flows, "--flows")})
     cfg = load_config(args.config)
     command = COMMANDS[args.command]
-    for flag in command.required:
-        if getattr(args, flag) in (None, ()):
+    for flag in _FLAGS:
+        given = getattr(args, flag) not in (None, ())
+        if not given and flag in command.required:
             raise ConfigError(f"--{flag} is required for '{args.command}'")
+        if given and flag not in command.required + command.optional:
+            raise ConfigError(f"'{args.command}' does not read --{flag}")
     rows = command.rows(args, cfg)
     failures = [row["error"] for row in rows if "error" in row]
     out = render_output(command, args.format, rows)

@@ -16,6 +16,7 @@ from typing import Any, Mapping
 
 from . import _yaml as yaml
 from . import water
+from .analysis import DEFAULT_BETAS
 from .conversion import BUILTIN_PRODUCTS, ProductSpec, builtin_product
 from .quantities import EconParams, PlantSpec, Quantity, UnitError, check_nonneg
 
@@ -96,7 +97,7 @@ class LoadedConfig:
     products: tuple[ProductSpec, ...]
     calibration: Calibration = Calibration()
     water_mode: water.WaterMode = water.Desalination()
-    sweep_betas: tuple[float, ...] = (0.5, 1.0)
+    sweep_betas: tuple[float, ...] = DEFAULT_BETAS
 
     def plant(self, name: str) -> PlantSpec:
         for p in self.plants:
@@ -147,7 +148,11 @@ _SECTIONS: dict[str, tuple[tuple[str, str, bool], ...]] = {
     for name in ("econ", "policy", "calibration")}
 
 _TOP_KEYS = {"econ", "plants", "products", "water", "sweep", "calibration", "policy"}
-_WATER_MODES = {"desalination", "network_transfer", "solar_seawater"}
+# water.mode name -> (mode type, {key the mode takes: unit}); load and dump read it
+_WATER_MODES: dict[str, tuple[type, dict[str, str]]] = {
+    "desalination": (water.Desalination, {}), "solar_seawater": (water.SolarSeawater, {}),
+    "network_transfer": (water.NetworkTransfer, {"distance": "km"})}
+_WATER_KEYS = {"mode"}.union(*(keys for _, keys in _WATER_MODES.values()))
 
 
 def _check_keys(mapping: Mapping, allowed: set[str], path: str, errors: list[str]) -> None:
@@ -276,33 +281,39 @@ def _load_products(section: Any, errors: list[str]) -> tuple[ProductSpec, ...]:
     return tuple(out)
 
 
-def _load_water(section: Mapping | None, errors: list[str]) -> water.WaterMode:
-    if section is None:
-        return water.Desalination()
-    mode = section.get("mode", "desalination")
-    if mode not in _WATER_MODES:
-        errors.append(f"water.mode: unknown mode {mode!r} (allowed: {sorted(_WATER_MODES)})")
-        return water.Desalination()
-    if mode == "network_transfer":
-        d = parse_quantity(section.get("distance"), "km", "water.distance", errors)
-        if d is None:
-            errors.append("water.distance: required for network_transfer (expected km)")
-            return water.Desalination()
-        return water.NetworkTransfer(Quantity(d.value_in("km"), "km"))
-    return water.SolarSeawater() if mode == "solar_seawater" else water.Desalination()
+def _load_water(section: Mapping, errors: list[str]) -> water.WaterMode | None:
+    name = section.get("mode", "desalination")
+    if name not in _WATER_MODES:
+        errors.append(f"water.mode: unknown mode {name!r} (allowed: {sorted(_WATER_MODES)})")
+        return None
+    mode, keys = _WATER_MODES[name]
+    errors.extend(f"water.{key}: {name} mode takes no {key}"
+                  for key in sorted(_WATER_KEYS.intersection(section) - {"mode", *keys}))
+    values = {}
+    for key, unit in keys.items():
+        value = _parse(section.get(key), unit, f"water.{key}", errors)
+        if value is None:
+            errors.append(f"water.{key}: required for {name} (expected {unit})")
+            return None
+        values[key] = Quantity(value, unit)
+    try:
+        return mode(**values)
+    except ValueError as exc:
+        errors.append(f"water: {exc}")
+        return None
 
 
-def _load_sweep(section: Mapping | None, errors: list[str]) -> tuple[float, ...]:
-    if section is None:
-        return (0.5, 1.0)
-    betas = section.get("betas", [0.5, 1.0])
+def _load_sweep(section: Mapping, errors: list[str]) -> tuple[float, ...]:
+    betas = section.get("betas", DEFAULT_BETAS)
     if not isinstance(betas, (list, tuple)) or not betas:
         errors.append("sweep.betas: must be a non-empty list of numbers")
-        return (0.5, 1.0)
+        return DEFAULT_BETAS
     first_at: dict[float, int] = {}
     for i, b in enumerate(betas):
         if not isinstance(b, (int, float)) or isinstance(b, bool) or not 0.0 <= float(b) <= 1.0:
             errors.append(f"sweep.betas[{i}]: reuse fraction must lie in [0, 1], got {b!r}")
+        elif b == 0:
+            errors.append(f"sweep.betas[{i}]: beta 0 is the storage row, which every plant gets")
         elif float(b) in first_at:
             errors.append(f"sweep.betas[{i}]: repeated reuse fraction {b!r} "
                           f"(first at sweep.betas[{first_at[float(b)]}])")
@@ -341,8 +352,8 @@ def load_config_text(text: str) -> LoadedConfig:
     if "plants" not in data:
         errors.append("plants: missing required section")
     products = _load_products(data.get("products"), errors)
-    water_mode = _load_water(_section(data, "water", {"mode", "distance"}, errors), errors)
-    betas = _load_sweep(_section(data, "sweep", {"betas"}, errors), errors)
+    water_mode = _load_water(_section(data, "water", _WATER_KEYS, errors) or {}, errors)
+    betas = _load_sweep(_section(data, "sweep", {"betas"}, errors) or {}, errors)
 
     if calibration is not None:
         plant_names = sorted(p.name for p in plants)
@@ -404,13 +415,10 @@ def dump_config(cfg: LoadedConfig) -> str:
         "policy": _dump_fields(cfg.econ, "policy"),
     }
     mode = cfg.water_mode
-    if isinstance(mode, water.NetworkTransfer):
-        data["water"] = {"mode": "network_transfer",
-                         "distance": _fmt(mode.distance.magnitude, mode.distance.unit)}
-    elif isinstance(mode, water.SolarSeawater):
-        data["water"] = {"mode": "solar_seawater"}
-    else:
-        data["water"] = {"mode": "desalination"}
+    name, keys = next((name, keys) for name, (kind, keys) in _WATER_MODES.items()
+                      if type(mode) is kind)
+    data["water"] = {"mode": name, **{key: _fmt(getattr(mode, key).magnitude,
+                                                getattr(mode, key).unit) for key in keys}}
     calibration = _dump_fields(cfg.calibration, "calibration")
     if calibration:
         data["calibration"] = calibration

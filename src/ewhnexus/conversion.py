@@ -70,15 +70,7 @@ class ProductSpec:
         unknown = set(self.formula) - {"C", "H", "O"}
         if unknown:
             raise DomainError(f"unsupported elements in formula: {sorted(unknown)}")
-        self._check_atom_balance()
-        r = self.reaction
-        for name, mass in (("xi_h", r.h2 * self.m_h2), ("xi_chi", r.product * self.m_product),
-                           ("water_demand", r.h2 * self.m_h2o),
-                           ("water_byproduct", r.h2o * self.m_h2o)):
-            object.__setattr__(self, name, mass / (r.co2 * self.m_co2))
-
-    def _check_atom_balance(self) -> None:
-        r, f = self.reaction, self.formula
+        am, f, r = self.atomic_masses, self.formula, self.reaction
         balances = {
             "C": r.co2 - r.product * f.get("C", 0),
             "H": 2 * r.h2 - r.product * f.get("H", 0) - 2 * r.h2o,
@@ -87,26 +79,13 @@ class ProductSpec:
         bad = {el: d for el, d in balances.items() if d != 0}
         if bad:
             raise DomainError(f"reaction for {self.name!r} does not balance: {bad}")
-
-    @property
-    def m_co2(self) -> float:
-        am = self.atomic_masses
-        return am.C + 2.0 * am.O
-
-    @property
-    def m_h2(self) -> float:
-        return 2.0 * self.atomic_masses.H
-
-    @property
-    def m_h2o(self) -> float:
-        am = self.atomic_masses
-        return 2.0 * am.H + am.O
-
-    @property
-    def m_product(self) -> float:
-        am = self.atomic_masses
-        f = self.formula
-        return f.get("C", 0) * am.C + f.get("H", 0) * am.H + f.get("O", 0) * am.O
+        co2 = am.C + 2.0 * am.O   # molar masses [kg/mol]
+        h2 = 2.0 * am.H
+        h2o = 2.0 * am.H + am.O
+        chi = f.get("C", 0) * am.C + f.get("H", 0) * am.H + f.get("O", 0) * am.O
+        for name, mass in (("xi_h", r.h2 * h2), ("xi_chi", r.product * chi),
+                           ("water_demand", r.h2 * h2o), ("water_byproduct", r.h2o * h2o)):
+            object.__setattr__(self, name, mass / (r.co2 * co2))
 
 
 METHANE = ProductSpec("methane", {"C": 1, "H": 4}, Reaction(1, 4, 1, 2), INTEGER_MASSES)

@@ -57,6 +57,11 @@ class TestSweep:
         with pytest.raises(DomainError, match="sweep grid: repeated reuse fraction"):
             SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas)
 
+    @pytest.mark.parametrize("betas", [(0.0,), (0.5, -0.0)])
+    def test_zero_beta_rejected_as_the_storage_row(self, betas):
+        with pytest.raises(DomainError, match="sweep grid: beta 0 is the storage row"):
+            SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas)
+
     def test_empty_products_gives_storage_rows_only(self):
         grid = SweepGrid(plants=CFG.plants, products=())
         cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))

@@ -1,5 +1,6 @@
 """The public names: ``ewhnexus.__all__`` and what the benchmark harness reads of it."""
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -33,3 +34,18 @@ def test_benchmark_reads_only_cli_names_that_exist():
     assert sorted(name for name in used if not hasattr(cli, name)) == []
     assert [name for name, value in vars(cli).items()
             if name.startswith("render_") and callable(value)]
+
+
+def test_every_benchmark_trace_target_exists():
+    # a removed or renamed target would only show up in the traced run's
+    # missing_trace_targets, and the per-layer row would read empty
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+        assert tracer.verify_bindings() == []
+    finally:
+        tracer.uninstall()

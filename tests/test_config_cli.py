@@ -154,6 +154,32 @@ class TestLoadConfig:
         assert isinstance(cfg.water_mode, NetworkTransfer)
         assert cfg.water_mode.distance.value_in("km") == 250.0
 
+    @pytest.mark.parametrize("mode", ["desalination", "solar_seawater"])
+    def test_distance_outside_transfer_mode_is_an_error(self, mode):
+        # the key would change nothing and the dump would drop it
+        data = preset_dict()
+        data["water"] = {"mode": mode, "distance": "10 km"}
+        data["econ"]["c_sw"] = "90000 $/(m3/h)"
+        with pytest.raises(ConfigError, match=rf"water\.distance: {mode} mode takes no distance"):
+            load_config_text(yaml.safe_dump(data))
+
+    def test_negative_transfer_distance_is_a_config_error(self):
+        data = preset_dict()
+        data["water"] = {"mode": "network_transfer", "distance": "-5 km"}
+        data["econ"]["c_wind"] = "-1 $/kW"
+        with pytest.raises(ConfigError) as info:
+            load_config_text(yaml.safe_dump(data))
+        assert "water: transfer distance must be >= 0" in str(info.value)
+        assert "c_wind" in str(info.value)   # reported together with the other errors
+
+    @pytest.mark.parametrize("betas", [[0.0, 1.0], [0.5, 0]])
+    def test_zero_sweep_beta_is_the_storage_row(self, betas):
+        data = preset_dict()
+        data["sweep"]["betas"] = betas
+        with pytest.raises(ConfigError, match=rf"sweep\.betas\[{betas.index(0)}\]: beta 0 is the "
+                                              "storage row"):
+            load_config_text(yaml.safe_dump(data))
+
     def test_unknown_config_source_is_a_config_error(self):
         with pytest.raises(ConfigError, match="preset"):
             load_config("no-such-file.yaml")
@@ -453,6 +479,50 @@ class TestCli:
         assert (status, out, err) == (2, "", f"config error: --{flag} is required for "
                                              f"'{command}'\n")
 
+    def test_optional_flags_per_command(self):
+        assert {name: command.optional for name, command in COMMANDS.items()} == {
+            "scenario": ("product", "beta"), "sweep": (), "breakeven": ("product",),
+            "curve": ("product", "flows"), "penalty": ("product",)}
+
+    @pytest.mark.parametrize("command, argv, unread", [
+        ("breakeven", ("--plant", "coal", "--beta", "0.3", "--flows", "1,2"), "--beta"),
+        ("breakeven", ("--plant", "coal", "--flows", "1,2"), "--flows"),
+        ("sweep", ("--plant", "coal", "--product", "methane"), "--plant"),
+        ("sweep", ("--product", "methane"), "--product"),
+        ("scenario", ("--plant", "coal", "--distances", "60"), "--distances"),
+        ("curve", ("--plant", "coal", "--distances", "60", "--beta", "1"), "--beta"),
+        ("penalty", ("--plant", "coal", "--beta", "1"), "--beta"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, command, argv, unread):
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", command, *argv)
+        assert (status, out, err) == (2, "", f"config error: '{command}' does not read {unread}\n")
+
+    @pytest.mark.parametrize("beta", ["0", "0.0", "-0"])
+    def test_product_with_zero_beta_exits_2(self, beta):
+        # a zero reuse fraction is the storage row, which has no product
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", "scenario",
+                                        "--plant", "coal", "--product", "methane",
+                                        "--beta", beta)
+        assert (status, out) == (2, "")
+        assert err == "config error: --product needs --beta (reuse fraction in (0, 1])\n"
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("water", {"mode": "desalination", "distance": "10 km"},
+         "water.distance: desalination mode takes no distance"),
+        ("water", {"mode": "network_transfer", "distance": "-5 km"},
+         "water: transfer distance must be >= 0"),
+        ("sweep", {"betas": [0.0, 1.0]},
+         "sweep.betas[0]: beta 0 is the storage row, which every plant gets"),
+    ], ids=["distance-outside-transfer", "negative-distance", "zero-beta"])
+    def test_water_or_sweep_section_error_exits_2(self, section, value, message, tmp_path):
+        data = preset_dict()
+        data[section] = value
+        path = tmp_path / "section.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", "sweep")
+        assert (status, out) == (2, "")
+        assert message in err
+
     def test_out_of_range_beta_flag_exits_2(self):
         status, _, err = self.run_cli("--config", "paper-2024", "--command", "scenario",
                                       "--plant", "biomass", "--product", "methane",
@@ -618,9 +688,12 @@ CASES = [pytest.param(PRESET, flip, id="preset:" + flip_id(flip))
 CASES += [pytest.param(base, flip, id="live:" + flip_id(flip))
           for path, (_why, base) in MASKED.items()
           for flip in flips(base) if flip[0] == path]
-# in the preset every other water mode is rejected; from transfer mode each one loads
-CASES += [pytest.param(TRANSFER, flip, id="transfer:" + flip_id(flip))
-          for flip in flips(TRANSFER) if flip[0] == ("water", "mode")]
+# in the preset every other water mode is rejected (transfer needs a distance, solar
+# c_sw), and from transfer mode too (only transfer takes a distance); from solar mode
+# desalination loads
+CASES += [pytest.param(base, flip, id=f"{label}:" + flip_id(flip))
+          for label, base in (("transfer", TRANSFER), ("solar", SOLAR))
+          for flip in flips(base) if flip[0] == ("water", "mode")]
 _BASELINES: dict[str, list[str]] = {}
 
 
@@ -636,6 +709,20 @@ def test_every_key_flip_changes_an_output_or_is_rejected(base, flip, tmp_path):
         _BASELINES[key] = watched_outputs(base, tmp_path)
     assert watched_outputs(flipped, tmp_path) != _BASELINES[key], (
         f"{flip_id(flip)} loads but changes no output")
+
+
+def test_a_water_mode_flip_loads():
+    # a rejected flip passes the flip test, so one mode flip must load to be compared
+    loaded = []
+    for param in CASES:
+        base, flip = param.values
+        if flip[0] == ("water", "mode"):
+            try:
+                load_config_text(yaml.safe_dump(set_leaf(base, *flip)))
+            except ConfigError:
+                continue
+            loaded.append(param.id)
+    assert loaded == ["solar:water.mode=desalination"]
 
 
 def test_every_table_key_is_flipped():

@@ -70,8 +70,8 @@ def _jitter_magnitudes(draw, node):
 def jittered_configs(draw):
     data = _jitter_magnitudes(draw, yaml.safe_load(PRESET_TEXT))
     data["econ"]["horizon_years"] = draw(st.integers(1, 60))
-    data["sweep"]["betas"] = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20,
-                                           unique=True))
+    data["sweep"]["betas"] = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                                           max_size=20, unique=True))
     data["policy"]["include_hydrogen_capital"] = draw(st.booleans())
     mode = draw(st.sampled_from(["desalination", "network_transfer", "solar_seawater"]))
     data["water"] = {"mode": mode}
