@@ -8,6 +8,7 @@ rest of the sweep.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -146,16 +147,17 @@ def breakeven_distance(query: BreakevenQuery, econ: EconParams) -> Quantity:
     return Quantity(lo + (hi - lo) * g_lo / (g_lo - g_hi), "km")
 
 
-@dataclass(frozen=True)
-class CurveCell:
-    """One (distance, flow) point of the transfer cost surface [$ / day]."""
+class CurveCell(namedtuple("CurveCell", "distance_km flow_m3_h capital_daily "
+                           "operational_daily total_daily error",
+                           defaults=(None, None, None, None))):
+    """One (distance, flow) point of the transfer cost surface [$ / day].
 
-    distance_km: float
-    flow_m3_h: float
-    capital_daily: float | None = None
-    operational_daily: float | None = None
-    total_daily: float | None = None
-    error: str | None = None
+    The three amounts are set, or ``error`` is.  A named tuple: immutable,
+    equal by value (also to a plain tuple of its fields), with a dataclass's
+    repr.
+    """
+
+    __slots__ = ()
 
 
 def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
@@ -166,27 +168,33 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     Capital is the annualized pipe charge for the plant's full-reuse water
     capacity; operations price the pumping power at each flow.  Flow bound
     violations are reported per cell.
+
+    The operational column is 24 times one hour's pumping bill.  A full-load
+    scenario's ``water-operational`` ledger item adds the 24 equal hours one
+    by one instead, so the two agree to rounding only (a relative gap of a
+    few units in the last place), not bit for bit.
     """
     if not distances or not flows:
         raise DomainError("distances and flows must be non-empty")
     if product is None:
         product = METHANE
     w_max = _reuse_rates(product, plant.cbar, 1.0)[1]   # [m3/h]
+    pump_cost = water.pump_cost
+    points = [(f, float(f)) for f in flows]   # the caller's flow names its error cell
     cells: list[CurveCell] = []
     for d in distances:
         d_km = float(d)
         mode = water.NetworkTransfer(Quantity(d_km, "km"))
-        capital = water.water_capital(mode, w_max, econ)
-        cap_daily = economics.daily_capital_charge(capital, econ)
-        for f in flows:
-            f_val = float(f)
+        cap_daily = economics.daily_capital_charge(water.water_capital(mode, w_max, econ), econ)
+        for f, f_val in points:
             try:
-                op_daily = 24.0 * water.pump_cost(f_val, w_max, d_km, econ)
+                op_daily = 24.0 * pump_cost(f_val, w_max, d_km, econ)
             except DomainError as exc:
                 cells.append(CurveCell(d_km, f_val,
                                        error=f"cell (d={d:g} km, f={f:g} m3/h): {exc}"))
                 continue
-            cells.append(CurveCell(d_km, f_val, cap_daily, op_daily, cap_daily + op_daily))
+            cells.append(tuple.__new__(CurveCell, (d_km, f_val, cap_daily, op_daily,
+                                                   cap_daily + op_daily, None)))
     return tuple(cells)
 
 

@@ -93,7 +93,7 @@ def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
 
 def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
-    product = cfg.product(args.product or "methane")
+    product = cfg.product("methane" if args.product is None else args.product)
     query = analysis.BreakevenQuery(plant=plant, product=product)
     distance = analysis.breakeven_distance(query, econ_for_cell(cfg, plant, product, 1.0))
     return [{"plant": plant.name, "product": product.name,
@@ -102,7 +102,7 @@ def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
 
 def _curve_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
-    product = cfg.product(args.product or "methane")
+    product = cfg.product("methane" if args.product is None else args.product)
     econ = econ_for_cell(cfg, plant, product, 1.0)
     flows = args.flows
     if not flows:
@@ -117,7 +117,7 @@ def _curve_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
 
 def _penalty_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
-    if args.product:
+    if args.product is not None:
         product = cfg.product(args.product)
         strategy: analysis.Strategy = analysis.ReuseAll(product)
         label = f"reuse-all ({product.name})"

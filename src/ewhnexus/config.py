@@ -291,9 +291,11 @@ def _load_water(section: Mapping, errors: list[str]) -> water.WaterMode | None:
                   for key in sorted(_WATER_KEYS.intersection(section) - {"mode", *keys}))
     values = {}
     for key, unit in keys.items():
-        value = _parse(section.get(key), unit, f"water.{key}", errors)
-        if value is None:
+        if section.get(key) is None:
             errors.append(f"water.{key}: required for {name} (expected {unit})")
+            return None
+        value = _parse(section[key], unit, f"water.{key}", errors)
+        if value is None:   # _parse has reported why
             return None
         values[key] = Quantity(value, unit)
     try:

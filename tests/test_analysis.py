@@ -1,19 +1,22 @@
 """Scenario sweeps, break-even search, transfer curves, penalty thresholds."""
 
+import math
+import pickle
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ewhnexus.analysis import (
-    BreakevenQuery, NoCrossingError, ReuseAll, StoreAll, SweepGrid,
+    BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepGrid,
     breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
 )
-from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
-from ewhnexus.economics import ScenarioConfig, total_daily_cost
+from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, _reuse_rates
+from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, EconParams, Quantity
-from ewhnexus.water import NetworkTransfer
+from ewhnexus.water import NetworkTransfer, pump_cost, water_capital
 
 CFG = paper_2024()
 BIOMASS = CFG.plant("biomass")
@@ -202,6 +205,22 @@ class TestBreakeven:
             done += 1
 
 
+def curve_oracle(d, f, w_max: float, econ: EconParams) -> str:
+    """The repr of the curve cell at caller distance d and flow f, priced on its own."""
+    d_km, f_m3_h = float(d), float(f)
+    if not 0.0 <= f_m3_h <= w_max:
+        error = (f"cell (d={d:g} km, f={f:g} m3/h): flow {f_m3_h:g} m3/h outside the "
+                 f"production capacity [0, {w_max:g}]")
+        return (f"CurveCell(distance_km={d_km!r}, flow_m3_h={f_m3_h!r}, capital_daily=None, "
+                f"operational_daily=None, total_daily=None, error={error!r})")
+    capital = daily_capital_charge(
+        water_capital(NetworkTransfer(Quantity(d, "km")), w_max, econ), econ)
+    operational = 24.0 * pump_cost(f_m3_h, w_max, d_km, econ)
+    return (f"CurveCell(distance_km={d_km!r}, flow_m3_h={f_m3_h!r}, "
+            f"capital_daily={capital!r}, operational_daily={operational!r}, "
+            f"total_daily={capital + operational!r}, error=None)")
+
+
 class TestTransferCurve:
     ECON = econ_for_cell(CFG, BIOMASS, METHANE, 1.0)
 
@@ -236,6 +255,89 @@ class TestTransferCurve:
     def test_empty_axes_rejected(self):
         with pytest.raises(DomainError):
             transfer_cost_curve(BIOMASS, [], [1.0], self.ECON)
+
+    def test_negative_distance_raises_out_of_the_whole_curve(self):
+        with pytest.raises(DomainError, match="transfer distance must be >= 0"):
+            transfer_cost_curve(BIOMASS, [60.0, -1.0], [90.0], self.ECON)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plant=st.sampled_from(CFG.plants),
+           product=st.none() | st.sampled_from(CFG.products),
+           distances=st.lists(st.just(0) | st.just(0.0) | st.integers(0, 600)
+                              | st.floats(0.0, 1000.0), min_size=1, max_size=4))
+    def test_every_cell_matches_the_per_point_oracle(self, data, plant, product, distances):
+        w_max = _reuse_rates(product or METHANE, plant.cbar, 1.0)[1]
+        flow = (st.floats(0.0, 1.0).map(lambda x: x * w_max) | st.just(w_max)
+                | st.integers(-5, int(w_max) + 5) | st.just(math.nan)
+                | st.floats(-w_max, -1e-9) | st.floats(1.0, 3.0).map(lambda x: x * w_max))
+        flows = data.draw(st.lists(flow, min_size=1, max_size=5))
+        econ = econ_for_cell(CFG, plant, product, 1.0)
+        cells = transfer_cost_curve(plant, distances, flows, econ, product=product)
+        expected = [curve_oracle(d, f, w_max, econ) for d in distances for f in flows]
+        assert [repr(c) for c in cells] == expected
+
+
+class TestCurveRoundingGap:
+    def test_full_load_column_and_ledger_item_agree_to_rounding(self):
+        """``24 * hour`` against 24 hours added one by one: equal to a few ulps."""
+        rng = random.Random(16)
+        differ = 0
+        for _ in range(200):
+            plant, product = rng.choice(CFG.plants), rng.choice(CFG.products)
+            d = rng.uniform(0.0, 1000.0)
+            econ = econ_for_cell(CFG, plant, product, 1.0)
+            w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
+            column = transfer_cost_curve(plant, [d], [w_max], econ,
+                                         product=product)[0].operational_daily
+            result = total_daily_cost(ScenarioConfig(
+                plant=plant, econ=econ, beta=1.0, product=product,
+                water_mode=NetworkTransfer(Quantity(d, "km"))))
+            (item,) = [i.amount for i in result.ledger.items if i.term == "water-operational"]
+            assert abs(column - item) <= 1e-14 * abs(item), (plant.name, product.name, d)
+            differ += column != item
+        # the docstring and README say the two differ in the last bits; if this
+        # reads 0, that statement is stale
+        assert differ > 0
+
+
+class TestCurveCell:
+    # reprs taken from the frozen-dataclass CurveCell this type replaced
+    COMPUTED = ("CurveCell(distance_km=60.0, flow_m3_h=50.0, capital_daily=3323.112585699472, "
+                "operational_daily=269.6962689570955, total_daily=3592.8088546565677, "
+                "error=None)")
+    FAILED = ("CurveCell(distance_km=60.0, flow_m3_h=1000000.0, capital_daily=None, "
+              "operational_daily=None, total_daily=None, error='cell (d=60 km, f=1e+06 m3/h): "
+              "flow 1e+06 m3/h outside the production capacity [0, 188.182]')")
+
+    def cells(self):
+        return transfer_cost_curve(BIOMASS, [60], [50, 1e6],
+                                   econ_for_cell(CFG, BIOMASS, METHANE, 1.0))
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert [repr(c) for c in self.cells()] == [self.COMPUTED, self.FAILED]
+
+    def test_fields_and_defaults(self):
+        assert CurveCell._fields == ("distance_km", "flow_m3_h", "capital_daily",
+                                     "operational_daily", "total_daily", "error")
+        cell = CurveCell(1.0, 2.0)
+        assert cell == (1.0, 2.0, None, None, None, None)
+        assert type(self.cells()[0]) is CurveCell
+
+    def test_error_cell_has_no_amounts(self):
+        failed = self.cells()[1]
+        assert failed.error is not None
+        assert (failed.capital_daily, failed.operational_daily, failed.total_daily) == (
+            None, None, None)
+
+    def test_immutable_and_picklable(self):
+        computed, failed = self.cells()
+        with pytest.raises(AttributeError):
+            computed.total_daily = 0.0
+        with pytest.raises(AttributeError):
+            computed.note = "x"   # no instance dict
+        for cell in (computed, failed):
+            back = pickle.loads(pickle.dumps(cell))
+            assert type(back) is CurveCell and repr(back) == repr(cell)
 
 
 class TestPenaltyThreshold:

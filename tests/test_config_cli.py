@@ -163,6 +163,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"water\.distance: {mode} mode takes no distance"):
             load_config_text(yaml.safe_dump(data))
 
+    @pytest.mark.parametrize("distance", ["nan km", "10 kg", "ten km", 10])
+    def test_malformed_transfer_distance_is_reported_once(self, distance):
+        data = preset_dict()
+        data["water"] = {"mode": "network_transfer", "distance": distance}
+        with pytest.raises(ConfigError) as info:
+            load_config_text(yaml.safe_dump(data))
+        lines = [line for line in str(info.value).splitlines() if "water.distance" in line]
+        assert len(lines) == 1 and "required" not in lines[0], lines
+
+    def test_missing_transfer_distance_is_required(self):
+        data = preset_dict()
+        data["water"] = {"mode": "network_transfer"}
+        with pytest.raises(ConfigError, match=r"water\.distance: required for "
+                                              r"network_transfer \(expected km\)"):
+            load_config_text(yaml.safe_dump(data))
+
     def test_negative_transfer_distance_is_a_config_error(self):
         data = preset_dict()
         data["water"] = {"mode": "network_transfer", "distance": "-5 km"}
@@ -540,6 +556,16 @@ class TestCli:
                                         "--plant", "biomass", *argv)
         assert (status, out) == (2, "")
         assert err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("command, argv", [
+        ("breakeven", ()), ("curve", ("--distances", "60")), ("penalty", ())])
+    def test_empty_product_name_exits_2(self, command, argv):
+        # an empty name is no product name, not the command's default product
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", command,
+                                        "--plant", "coal", "--product", "", *argv)
+        assert (status, out) == (2, "")
+        assert err == ("config error: unknown product ''; configured products are "
+                       "['methane', 'methanol', 'ethanol']\n")
 
     def test_bare_number_for_dimensioned_key_is_an_error(self):
         data = preset_dict()

@@ -32,12 +32,17 @@ file (``curve --format table`` writes CSV):
         --distances 60,260,300 > tests/golden/curve_biomass.txt
     ewhnexus --config paper-2024 --command curve --format json --plant biomass \\
         --distances 60,260,300 > tests/golden/curve_biomass.json
+    ewhnexus --config paper-2024 --command curve --format F --plant biomass \\
+        --distances 0,60,300 --flows 0,50,188.18181818181822 \\
+        > tests/golden/curve_biomass_flows.E
     ewhnexus --config paper-2024 --command penalty --format table --plant coal \\
         --product methanol > tests/golden/penalty_coal_methanol.txt
     ewhnexus --config paper-2024 --command penalty --format csv --plant coal \\
         --product methanol > tests/golden/penalty_coal_methanol.csv
 
-with F in {table, csv, json} written to the extension E in {txt, csv, json}.
+with F in {table, csv, json} written to the extension E in {txt, csv, json};
+the flows curve is pinned as csv and json only.  Its flows are zero, an
+integer and exactly the biomass methane capacity (the repr of its ``w_max``).
 
 The two other water modes run the sweep on the preset with one override,
 written out by ``write_mode_config`` (``dump_config`` of the overridden
@@ -96,6 +101,8 @@ PLANTS = ("biomass", "natural_gas", "coal")
 PRODUCTS = ("methane", "methanol", "ethanol")
 # golden file extension -> --format
 FORMATS = {"txt": "table", "csv": "csv", "json": "json"}
+# biomass methane full-reuse water capacity [m3/h], a flow of the flows curve
+CURVE_W_MAX = 188.18181818181822
 
 
 def _transfer(cfg):
@@ -189,6 +196,10 @@ def _cases():
     curve = ["--command", "curve", "--plant", "biomass", "--distances", "60,260,300"]
     yield "curve_biomass.txt", None, curve + ["--format", "table"]
     yield "curve_biomass.json", None, curve + ["--format", "json"]
+    flows = ["--command", "curve", "--plant", "biomass", "--distances", "0,60,300",
+             "--flows", f"0,50,{CURVE_W_MAX!r}"]
+    for ext in ("csv", "json"):
+        yield f"curve_biomass_flows.{ext}", None, flows + ["--format", FORMATS[ext]]
     for ext, fmt in FORMATS.items():
         yield f"scenario_coal_methanol.{ext}", None, [
             "--command", "scenario", "--format", fmt, "--plant", "coal",
@@ -211,6 +222,12 @@ SWEEP_LEDGER = "ledger_sweep.txt"
 def test_every_golden_file_has_a_case():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
         [*CASES, *DUMPS, *LEDGERS, SWEEP_LEDGER])
+
+
+def test_flows_curve_ends_at_full_capacity():
+    cfg = paper_2024()
+    w_max = _reuse_rates(cfg.product("methane"), cfg.plant("biomass").cbar, 1.0)[1]
+    assert w_max == CURVE_W_MAX
 
 
 def test_ramp_crosses_every_desalination_segment():
