@@ -25,7 +25,7 @@ print(f"cheapest cell: {best.plant} / {best.product or 'storage'} at beta={best.
 
 # A single cell comes with its itemized ledger.
 plant, product = cfg.plant("biomass"), cfg.product("methane")
-econ = ew.econ_for_cell(cfg, plant, product, 1.0)
+econ = ew.econ_for_cell(cfg, plant)
 result = ew.total_daily_cost(ew.ScenarioConfig(plant=plant, econ=econ, beta=1.0,
                                                product=product))
 print("\nbiomass / methane / beta=1 ledger:")

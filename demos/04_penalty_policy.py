@@ -14,7 +14,6 @@ for plant in cfg.plants:
     thr = penalty_threshold(plant, StoreAll(), econ)
     print(f"{plant.name:<12} {'store everything':<22} {thr.value_in('$/ton'):15.2f}")
     for product in cfg.products:
-        econ = ew.econ_for_cell(cfg, plant, product, 1.0)
         thr = penalty_threshold(plant, ReuseAll(product), econ)
         print(f"{'':<12} {'reuse all -> ' + product.name:<22} "
               f"{thr.value_in('$/ton'):15.2f}")

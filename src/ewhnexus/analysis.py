@@ -17,9 +17,9 @@ from .conversion import METHANE, ProductSpec, _reuse_rates
 from .economics import ScenarioConfig, ScenarioResult, total_daily_cost
 from .quantities import DomainError, EconParams, PlantSpec, Quantity, check_beta
 
-# (plant, product, beta) -> EconParams; lets a calibrated preset resolve
-# plant-specific costs without changing any formula
-EconResolver = Callable[[PlantSpec, ProductSpec | None, float], EconParams]
+# plant -> EconParams; lets a calibrated preset resolve plant-specific costs
+# without changing any formula
+EconResolver = Callable[[PlantSpec], EconParams]
 DEFAULT_BETAS: tuple[float, ...] = (0.5, 1.0)   # reuse fractions of a sweep that names none
 
 
@@ -62,24 +62,31 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
     """Evaluate every cell of the grid plus one storage row per plant.
 
     Ordering is deterministic: plants in the given order, the storage row
-    first, then products in the given order with betas ascending.
+    first, then products in the given order with betas ascending.  The
+    resolver is called once per plant; if it fails, each of that plant's
+    cells carries its error.
     """
     cells: list[SweepCell] = []
     betas = tuple(sorted(grid.betas))
+    coords = [(None, "", 0.0)] + [(p, p.name, b) for p in grid.products for b in betas]
+
+    def failed(plant: PlantSpec, name: str, beta: float, exc: Exception) -> SweepCell:
+        return SweepCell(plant.name, name, beta,
+                         error=f"cell ({plant.name}, {name or '-'}, beta={beta:g}): {exc}")
+
     for plant in grid.plants:
-        coords = [(None, 0.0)] + [(p, b) for p in grid.products for b in betas]
-        for product, beta in coords:
-            name = product.name if product is not None else ""
+        try:
+            plant_econ = econ if econ_resolver is None else econ_resolver(plant)
+        except (DomainError, ValueError) as exc:
+            cells += [failed(plant, name, beta, exc) for _, name, beta in coords]
+            continue
+        for product, name, beta in coords:
             try:
-                cell_econ = (econ if econ_resolver is None
-                             else econ_resolver(plant, product, beta))
-                cfg = ScenarioConfig(plant=plant, econ=cell_econ, beta=beta,
+                cfg = ScenarioConfig(plant=plant, econ=plant_econ, beta=beta,
                                      product=product, water_mode=grid.water_mode)
                 cells.append(SweepCell(plant.name, name, beta, result=total_daily_cost(cfg)))
             except (DomainError, ValueError) as exc:
-                cells.append(SweepCell(plant.name, name, beta,
-                                       error=f"cell ({plant.name}, {name or '-'}, "
-                                             f"beta={beta:g}): {exc}"))
+                cells.append(failed(plant, name, beta, exc))
     return tuple(cells)
 
 
@@ -165,8 +172,9 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
                         product: ProductSpec | None = None) -> tuple[CurveCell, ...]:
     """Daily transfer cost split per (distance, flow) cell.
 
-    Capital is the annualized pipe charge for the plant's full-reuse water
-    capacity; operations price the pumping power at each flow.  Flow bound
+    Capital is the annualized charge of the pipe, priced per meter, so it
+    varies with distance alone; operations price the pumping power at each
+    flow, up to the plant's full-reuse water capacity.  Flow bound
     violations are reported per cell.
 
     The operational column is 24 times one hour's pumping bill.  A full-load

@@ -84,9 +84,8 @@ def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     if beta > 0 and not args.product:
         raise ConfigError(f"--beta {beta!r} needs --product (reuse makes a product)")
     product = cfg.product(args.product) if args.product else None
-    econ = econ_for_cell(cfg, plant, product, beta)
-    scenario = ScenarioConfig(plant=plant, econ=econ, beta=beta, product=product,
-                              water_mode=cfg.water_mode)
+    scenario = ScenarioConfig(plant=plant, econ=econ_for_cell(cfg, plant), beta=beta,
+                              product=product, water_mode=cfg.water_mode)
     return [sweep_row(analysis.SweepCell(plant.name, product.name if product else "",
                                          beta, result=total_daily_cost(scenario)))]
 
@@ -95,7 +94,7 @@ def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
     product = cfg.product("methane" if args.product is None else args.product)
     query = analysis.BreakevenQuery(plant=plant, product=product)
-    distance = analysis.breakeven_distance(query, econ_for_cell(cfg, plant, product, 1.0))
+    distance = analysis.breakeven_distance(query, econ_for_cell(cfg, plant))
     return [{"plant": plant.name, "product": product.name,
              "breakeven_distance_km": distance.value_in("km")}]
 
@@ -103,13 +102,12 @@ def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
 def _curve_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
     product = cfg.product("methane" if args.product is None else args.product)
-    econ = econ_for_cell(cfg, plant, product, 1.0)
     flows = args.flows
     if not flows:
         w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
         flows = tuple(w_max * frac for frac in (0.0, 0.25, 0.5, 0.75, 1.0))
-    cells = analysis.transfer_cost_curve(plant, args.distances, flows, econ,
-                                         product=product)
+    cells = analysis.transfer_cost_curve(plant, args.distances, flows,
+                                         econ_for_cell(cfg, plant), product=product)
     return [{"error": c.error} if c.error is not None else dict(zip(CURVE_COLUMNS, (
         c.distance_km, c.flow_m3_h, c.capital_daily, c.operational_daily, c.total_daily)))
         for c in cells]
@@ -122,10 +120,8 @@ def _penalty_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
         strategy: analysis.Strategy = analysis.ReuseAll(product)
         label = f"reuse-all ({product.name})"
     else:
-        product, strategy, label = None, analysis.StoreAll(), "store-all"
-    # with no product, econ_for_cell applies no pipe calibration, whatever beta
-    threshold = analysis.penalty_threshold(plant, strategy,
-                                           econ_for_cell(cfg, plant, product, 1.0),
+        strategy, label = analysis.StoreAll(), "store-all"
+    threshold = analysis.penalty_threshold(plant, strategy, econ_for_cell(cfg, plant),
                                            water_mode=cfg.water_mode)
     return [{"plant": plant.name, "strategy": label,
              "penalty_threshold_usd_per_ton": threshold.value_in("$/ton")}]

@@ -70,19 +70,16 @@ class Calibration:
 
     ``ccs_capital_total`` spreads one fixed capture-plant capital over the
     plant's daily carbon mass, giving the scale economy the per-ton capital
-    guidance implies.  ``pipe_cost_per_m`` treats the water-pipe capital
-    (capacity times unit cost) jointly as one per-meter pipe cost.
-    ``r_w_per_100km`` carries per-plant friction coefficients for pipes sized
-    to each plant's design flow.
+    guidance implies.  ``r_w_per_100km`` carries per-plant friction
+    coefficients for pipes sized to each plant's design flow.  Both depend on
+    the plant alone.
     """
 
     ccs_capital_total: float | None = None          # [$]
-    pipe_cost_per_m: float | None = None            # [$ / m]
     r_w_per_100km: Mapping[str, float] = field(default_factory=dict)  # per plant
 
     def __post_init__(self):
-        for name, value in [("ccs_capital_total", self.ccs_capital_total),
-                            ("pipe_cost_per_m", self.pipe_cost_per_m)] + [
+        for name, value in [("ccs_capital_total", self.ccs_capital_total)] + [
                 (f"r_w_per_100km[{k}]", v) for k, v in self.r_w_per_100km.items()]:
             if value is not None:
                 check_nonneg(name, value)
@@ -139,7 +136,6 @@ _FIELDS: tuple[tuple[str, str, str, bool], ...] = (
     ("econ", "product_prices", "{} $/ton", True),
     ("policy", "include_hydrogen_capital", "bool", False),
     ("calibration", "ccs_capital_total", "$", False),
-    ("calibration", "pipe_cost_per_m", "$/m", False),
     ("calibration", "r_w_per_100km", "{} dimensionless", False),
 )
 # section -> its (key, unit, required) rows

@@ -109,13 +109,14 @@ def pump_cost(f: float, w_max: float, distance_km: float, econ: EconParams) -> f
 def water_capital(mode: WaterMode, w_max: float, econ: EconParams) -> float:
     """Capital of the supply system sized for w_max [m3/h] [$].
 
-    Desalination: W * c_des.  Network transfer: W * c_tw * d with d in
-    meters.  Solar seawater: W * c_sw, which must be configured.
+    Desalination: W * c_des.  Solar seawater: W * c_sw, which must be
+    configured.  Network transfer: the paper prints W * c_tw * d; the
+    engine prices the pipe per meter, c_tw [$ / m] * d [m], whatever W.
     """
     if isinstance(mode, Desalination):
         return w_max * econ.c_des
     if isinstance(mode, NetworkTransfer):
-        return w_max * econ.c_tw * mode.m
+        return econ.c_tw * mode.m
     if econ.c_sw is None:
         raise DomainError("c_sw is not configured; a solar-seawater plan cannot be costed")
     return w_max * econ.c_sw

@@ -220,7 +220,7 @@ def test_a6_breakeven_distances():
             r_w_per_100km=10 ** rng.uniform(-4.0, -0.7),
             c_des=rng.uniform(5e4, 4e5),
             e_des=(3.5, 3.8, 4.1, rng.uniform(4.4, 12.0)),
-            c_tw=rng.uniform(80.0, 400.0) / 188.18181818181816,
+            c_tw=rng.uniform(80.0, 400.0),
             interest_rate=rng.uniform(0.0, 0.08),
             horizon_years=rng.choice((5, 10, 20, 30)),
         )

@@ -47,7 +47,7 @@ class TestLoadConfig:
         assert [p.name for p in cfg.products] == ["methane", "methanol", "ethanol"]
         assert cfg.econ.elec_price == 0.25
         assert cfg.econ.xi_p == 52.5
-        assert cfg.calibration.pipe_cost_per_m == 160.0
+        assert cfg.econ.c_tw == 160.0
 
     def test_unknown_key_is_a_hard_error_with_path(self):
         data = preset_dict()
@@ -131,7 +131,6 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("key, text", [
         ("ccs_capital_total", "-120.0e6 $"),
-        ("pipe_cost_per_m", "-160 $/m"),
     ])
     def test_negative_calibration_total_is_an_error(self, key, text):
         data = preset_dict()
@@ -395,18 +394,28 @@ class TestCli:
     @pytest.mark.parametrize("command", ["sweep", "breakeven", "penalty"])
     def test_negative_calibration_value_exits_2(self, command, tmp_path):
         data = preset_dict()
-        data["calibration"]["pipe_cost_per_m"] = "-160 $/m"
+        data["calibration"]["ccs_capital_total"] = "-120.0e6 $"
         path = tmp_path / "negative.yaml"
         path.write_text(yaml.safe_dump(data))
         status, out, err = self.run_cli("--config", str(path), "--command", command,
                                         "--plant", "biomass")
         assert (status, out) == (2, "")
-        assert "calibration: pipe_cost_per_m must be finite and >= 0, got -160.0" in err
+        assert "calibration: ccs_capital_total must be finite and >= 0, got -120000000.0" in err
+
+    def test_removed_pipe_calibration_key_exits_2(self, tmp_path):
+        # the pipe is priced per meter by econ.c_tw; no per-cell pipe rule is left
+        data = preset_dict()
+        data["calibration"]["pipe_cost_per_m"] = "160 $/m"
+        path = tmp_path / "pipe.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", "sweep")
+        assert (status, out) == (2, "")
+        assert "calibration.pipe_cost_per_m: unknown key" in err
 
     def test_computation_error_exits_3(self, tmp_path):
         # pipe so expensive that no break-even exists in the window
         data = preset_dict()
-        data["calibration"]["pipe_cost_per_m"] = "100000000 $/m"
+        data["econ"]["c_tw"] = "100000000 $/m"
         cfg_path = tmp_path / "nocross.yaml"
         cfg_path.write_text(yaml.safe_dump(data))
         status, _, err = self.run_cli("--config", str(cfg_path), "--command", "breakeven",
@@ -695,8 +704,6 @@ SOLAR = set_leaf(set_leaf(PRESET, ("water",), {"mode": "solar_seawater"}),
 
 # key -> (why the shipped preset masks it, a config where it is live)
 MASKED = {
-    ("econ", "c_tw"): ("overridden by calibration.pipe_cost_per_m",
-                       without(PRESET, "calibration", "pipe_cost_per_m")),
     ("econ", "r_w_per_100km"): ("overridden by the per-plant calibration entries, "
                                 "which cover all three plants",
                                 without(PRESET, "calibration", "r_w_per_100km")),

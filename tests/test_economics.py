@@ -177,6 +177,22 @@ class TestTotalDailyCost:
         result = total_daily_cost(cfg)
         assert any(i.term == "water-capital" for i in result.ledger.items)
 
+    @settings(max_examples=200, deadline=None)
+    @given(plant=st.sampled_from(paper_2024().plants),
+           product=st.sampled_from([METHANE, METHANOL, ETHANOL]),
+           betas=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2, max_size=2),
+           d_km=st.floats(0.0, 1000.0))
+    def test_transfer_pipe_capital_is_per_meter_whatever_the_capacity(self, plant, product,
+                                                                       betas, d_km):
+        # c_tw is in $/m: a 61 km biomass/methane pipe costs 160 * 61,000 $, not
+        # W * 160 * 61,000 = 1.8e9 $
+        mode = NetworkTransfer(Quantity(d_km, "km"))
+        for beta in betas:
+            result = total_daily_cost(ScenarioConfig(plant=plant, econ=econ(), beta=beta,
+                                                     product=product, water_mode=mode))
+            assert [i.amount for i in result.ledger.items if i.term == "water-capital"] == [
+                econ().c_tw * mode.m]
+
     def test_result_metrics_recomputable_from_daily_cost(self):
         cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANOL)
         r = total_daily_cost(cfg)
@@ -287,11 +303,10 @@ water_modes = st.sampled_from([Desalination(), SolarSeawater()]) | st.builds(
 class TestTotalsAgainstTheLedger:
     """The totals ``total_daily_cost`` takes from its amounts equal the ledger's own."""
 
-    # a β below 1e-6 makes the calibrated pipe cost per unit flow overflow
     @settings(max_examples=300, deadline=None)
     @given(plant=st.sampled_from(SOLAR_PRESET.plants),
            product=st.sampled_from(SOLAR_PRESET.products),
-           beta=st.sampled_from([0.5, 1.0]) | st.floats(1e-6, 1.0),
+           beta=st.sampled_from([0.5, 1.0, 5e-324]) | st.floats(0.0, 1.0, exclude_min=True),
            mode=water_modes, hydrogen=st.booleans(),
            load=st.none() | st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24))
     def test_totals_and_metrics_equal_the_oracles(self, plant, product, beta, mode,

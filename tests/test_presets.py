@@ -1,4 +1,4 @@
-"""Calibration resolution: how a preset turns into per-cell parameters."""
+"""Calibration resolution: how a preset turns into per-plant parameters."""
 
 import math
 from dataclasses import fields, replace
@@ -6,10 +6,15 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ewhnexus.analysis import SweepCell, SweepGrid, scenario_sweep
 from ewhnexus.config import Calibration
 from ewhnexus.conversion import METHANE, _reuse_rates, nexus_rates
+from ewhnexus.economics import ScenarioConfig, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
+from ewhnexus.water import (
+    Desalination, NetworkTransfer, SolarSeawater, water_capital,
+)
 
 
 CFG = paper_2024()
@@ -33,9 +38,10 @@ class TestEconForCell:
     def test_pipe_cost_counted_once_per_meter(self):
         plant = CFG.plant("biomass")
         econ = econ_for_cell(CFG, plant, METHANE, 1.0)
+        assert econ == econ_for_cell(CFG, plant)   # only the plant is calibrated
         w_max = nexus_rates(plant, METHANE, 1.0)[1].value_in("m3/h")
-        # the capacity-times-unit-cost product equals the per-meter pipe cost
-        assert econ.c_tw * w_max == pytest.approx(160.0, rel=1e-12)
+        mode = NetworkTransfer(Quantity(61, "km"))
+        assert water_capital(mode, w_max, econ) == 160.0 * 61_000.0
 
     def test_storage_cell_keeps_base_pipe_cost(self):
         econ = econ_for_cell(CFG, CFG.plant("biomass"))
@@ -64,16 +70,13 @@ class TestCellCopy:
 
     @settings(max_examples=200, deadline=None)
     @given(ccs=st.none() | st.floats(0.0, 1e12),
-           pipe=st.none() | st.floats(0.0, 1e6),
            r_w=st.dictionaries(st.sampled_from(["biomass", "coal", "lignite"]),
                                st.floats(0.0, 1.0)),
            plant=st.sampled_from(["biomass", "natural_gas", "coal"]),
            product=st.sampled_from([None, "methane", "methanol", "ethanol"]),
            beta=st.floats(0.0, 1.0))
-    def test_equals_dataclasses_replace(self, ccs, pipe, r_w, plant, product, beta):
-        cfg = replace(CFG, calibration=Calibration(ccs_capital_total=ccs,
-                                                   pipe_cost_per_m=pipe,
-                                                   r_w_per_100km=r_w))
+    def test_equals_dataclasses_replace(self, ccs, r_w, plant, product, beta):
+        cfg = replace(CFG, calibration=Calibration(ccs_capital_total=ccs, r_w_per_100km=r_w))
         spec = cfg.plant(plant)
         prod = cfg.product(product) if product else None
 
@@ -83,8 +86,6 @@ class TestCellCopy:
                 updates["c_ccs"] = ccs / (spec.cbar * 24.0)
             if plant in r_w:
                 updates["r_w_per_100km"] = r_w[plant]
-            if pipe is not None and prod is not None and beta > 0:
-                updates["c_tw"] = pipe / _reuse_rates(prod, spec.cbar, beta)[1]
             return replace(cfg.econ, **updates)
 
         expected = self.outcome(replaced)
@@ -117,38 +118,111 @@ class TestResolver:
     # coal's name twice: a cache keyed by name would hand the second the first's c_ccs
     PLANTS = CFG.plants + (PlantSpec("coal", Quantity(500, "MW"), Quantity(410, "g/kWh")),
                            PlantSpec("lignite", Quantity(300, "MW"), Quantity(900, "g/kWh")))
+    # so small that the capture capital spread over its daily mass overflows
+    TINY = PlantSpec("tiny", Quantity(1e-305, "kW"), Quantity(820, "g/kWh"))
 
     @settings(max_examples=200, deadline=None)
-    @given(cells=st.lists(st.tuples(st.sampled_from(range(len(PLANTS))),
-                                    st.sampled_from([None, "methane", "methanol", "ethanol"]),
-                                    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-                          min_size=1, max_size=30),
-           pipe=st.sampled_from([None, 160.0]))
-    def test_equals_econ_for_cell_field_for_field(self, cells, pipe):
-        cfg = replace(CFG, calibration=replace(CFG.calibration, pipe_cost_per_m=pipe))
-        resolve = resolver(cfg)
-        for index, product, beta in cells:
+    @given(plants=st.lists(st.sampled_from(range(len(PLANTS))), min_size=1, max_size=6))
+    def test_equals_econ_for_cell_field_for_field(self, plants):
+        resolve = resolver(CFG)
+        for index in plants:
             plant = self.PLANTS[index]
-            prod = cfg.product(product) if product else None
-            # fields, or the error of a cell whose tiny beta overflows c_tw
-            assert (TestCellCopy.outcome(lambda: resolve(plant, prod, beta))
-                    == TestCellCopy.outcome(lambda: econ_for_cell(cfg, plant, prod, beta)))
+            assert (TestCellCopy.outcome(lambda: resolve(plant))
+                    == TestCellCopy.outcome(lambda: econ_for_cell(CFG, plant)))
 
     def test_plants_sharing_a_name_get_their_own_costs(self):
         resolve = resolver(CFG)
         coal, half_coal = CFG.plant("coal"), self.PLANTS[3]
-        assert resolve(coal, None, 0.0).c_ccs == econ_for_cell(CFG, coal).c_ccs
-        assert resolve(half_coal, None, 0.0).c_ccs == econ_for_cell(CFG, half_coal).c_ccs
-        assert resolve(half_coal, None, 0.0).c_ccs == 2.0 * resolve(coal, None, 0.0).c_ccs
+        assert resolve(coal).c_ccs == econ_for_cell(CFG, coal).c_ccs
+        assert resolve(half_coal).c_ccs == econ_for_cell(CFG, half_coal).c_ccs
+        assert resolve(half_coal).c_ccs == 2.0 * resolve(coal).c_ccs
 
-    @pytest.mark.parametrize("product, beta", [(None, 0.0), (METHANE, 0.5), (METHANE, 1.5)])
-    def test_a_failing_calibration_raises_what_econ_for_cell_raises(self, product, beta):
-        # c_ccs and this cell's c_tw both overflow; econ_for_cell reports c_tw first
-        tiny = PlantSpec("tiny", Quantity(1e-305, "kW"), Quantity(820, "g/kWh"))
+    def test_a_failing_calibration_raises_what_econ_for_cell_raises(self):
         resolve = resolver(CFG)
         for _ in range(2):
             with pytest.raises(DomainError) as expected:
-                econ_for_cell(CFG, tiny, product, beta)
+                econ_for_cell(CFG, self.TINY)
             with pytest.raises(DomainError) as got:
-                resolve(tiny, product, beta)
+                resolve(self.TINY)
             assert str(got.value) == str(expected.value)
+
+    def test_a_failing_calibration_errs_every_cell_of_its_plant(self):
+        grid = SweepGrid((CFG.plant("coal"), self.TINY), CFG.products, (0.5, 1.0))
+        cells = scenario_sweep(grid, CFG.econ, resolver(CFG))
+        assert all(c.error is None for c in cells if c.plant == "coal")
+        errors = [c.error for c in cells if c.plant == "tiny"]
+        assert errors == [f"cell (tiny, {q}, beta={b:g}): c_ccs must be finite and >= 0 when set"
+                          for q, b in [("-", 0.0)] + [(p.name, b) for p in CFG.products
+                                                      for b in (0.5, 1.0)]]
+
+
+def sweep_oracle(grid: SweepGrid, cfg) -> tuple[SweepCell, ...]:
+    """``scenario_sweep`` of a calibrated config, one ``econ_for_cell`` per cell."""
+    cells = []
+    for plant in grid.plants:
+        for product, beta in [(None, 0.0)] + [(p, b) for p in grid.products
+                                              for b in sorted(grid.betas)]:
+            name = product.name if product is not None else ""
+            try:
+                result = total_daily_cost(ScenarioConfig(
+                    plant=plant, econ=econ_for_cell(cfg, plant, product, beta), beta=beta,
+                    product=product, water_mode=grid.water_mode))
+            except (DomainError, ValueError) as exc:
+                cells.append(SweepCell(plant.name, name, beta, error=(
+                    f"cell ({plant.name}, {name or '-'}, beta={beta:g}): {exc}")))
+            else:
+                cells.append(SweepCell(plant.name, name, beta, result=result))
+    return tuple(cells)
+
+
+water_modes = st.sampled_from([Desalination(), SolarSeawater()]) | st.builds(
+    NetworkTransfer, st.builds(Quantity, st.floats(0.0, 1000.0), st.just("km")))
+
+
+class TestSweepPerPlant:
+    """A sweep calibrates per plant and gives what per-cell calibration gives, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(plants=st.lists(st.sampled_from(TestResolver.PLANTS + (TestResolver.TINY,)),
+                           min_size=1, max_size=5),
+           products=st.lists(st.sampled_from(CFG.products), min_size=1, max_size=3,
+                             unique_by=lambda p: p.name),
+           betas=st.lists(st.sampled_from([0.5, 1.0, 5e-324])
+                          | st.floats(0.0, 1.0, exclude_min=True),
+                          min_size=1, max_size=4, unique=True),
+           mode=water_modes, c_sw=st.none() | st.just(2.5e5))
+    def test_equals_a_loop_of_econ_for_cell(self, plants, products, betas, mode, c_sw):
+        cfg = replace(CFG, econ=replace(CFG.econ, c_sw=c_sw))
+        grid = SweepGrid(plants, products, betas, mode)
+        assert repr(scenario_sweep(grid, cfg.econ, resolver(cfg))) == repr(
+            sweep_oracle(grid, cfg))
+
+    @pytest.mark.parametrize("mode", [
+        Desalination(), SolarSeawater(), NetworkTransfer(Quantity(150.0, "km")),
+    ], ids=["desalination", "solar", "transfer"])
+    def test_a_denormal_reuse_fraction_evaluates(self, mode):
+        # the per-cell pipe calibration divided by W and overflowed to c_tw = inf here
+        cfg = replace(CFG, econ=replace(CFG.econ, c_sw=2.5e5))
+        cells = scenario_sweep(SweepGrid(cfg.plants, cfg.products, (5e-324,), mode),
+                               cfg.econ, resolver(cfg))
+        assert [c.error for c in cells] == [None] * 12
+
+
+class TestPerMeterPipe:
+    """Pricing the pipe per meter moves the old calibrated capital by at most 2 ulp."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(plant=st.sampled_from(CFG.plants), product=st.sampled_from(CFG.products),
+           beta=st.sampled_from([0.5, 1.0]) | st.floats(1e-300, 1.0),
+           d_km=st.floats(0.0, 1000.0))
+    def test_within_two_ulp_of_the_calibrated_form(self, plant, product, beta, d_km):
+        # beta >= 1e-300 keeps W a normal float, where the old quotient 160 / W is finite
+        mode = NetworkTransfer(Quantity(d_km, "km"))
+        result = total_daily_cost(ScenarioConfig(plant=plant, econ=econ_for_cell(CFG, plant),
+                                                 beta=beta, product=product, water_mode=mode))
+        [new] = [i.amount for i in result.ledger.items if i.term == "water-capital"]
+        w = _reuse_rates(product, plant.cbar, beta)[1]
+        old = w * (160.0 / w) * mode.m
+        assert abs(new - old) <= 2 * math.ulp(old)
+        if beta in (0.5, 1.0):   # the preset's sweep cells: the same bits
+            assert new == old

@@ -170,11 +170,12 @@ class TestCapital:
     def test_transfer_zero_distance_is_free(self):
         assert water_capital(NetworkTransfer(Quantity(0, "km")), 188.0, econ()) == 0.0
 
-    def test_transfer_linear_in_capacity_and_distance(self):
+    def test_transfer_linear_in_distance_not_capacity(self):
         def cap(w, d):
             return water_capital(NetworkTransfer(Quantity(d, "km")), w, econ())
-        assert cap(188.0, 250) == pytest.approx(188 * 160 * 250e3, rel=1e-12)
-        assert cap(376.0, 250) == pytest.approx(2 * cap(188.0, 250), rel=1e-12)
+        # c_tw is per meter of pipe: the capacity does not size it
+        assert cap(188.0, 250) == 160 * 250e3
+        assert cap(376.0, 250) == cap(188.0, 250)
         assert cap(188.0, 500) == pytest.approx(2 * cap(188.0, 250), rel=1e-12)
 
     def test_solar_needs_configured_cost(self):
