@@ -5,10 +5,15 @@ Configs are plain YAML.  Every dimensioned value is written as a
 anywhere in the file are hard errors so typos cannot silently fall back to
 defaults.  All validation problems are collected and reported in one pass;
 nothing is computed from an invalid config.
+
+``load_config`` validates each distinct text once per process and hands every
+caller of that text the same read-only ``LoadedConfig``; ``load_config_text``
+always parses.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -18,7 +23,8 @@ from . import _yaml as yaml
 from . import water
 from .analysis import DEFAULT_BETAS
 from .conversion import BUILTIN_PRODUCTS, ProductSpec, builtin_product
-from .quantities import EconParams, PlantSpec, Quantity, UnitError, check_nonneg
+from .quantities import (EconParams, FrozenMap, PlantSpec, Quantity, UnitError,
+                         check_nonneg)
 
 
 class ConfigError(ValueError):
@@ -76,9 +82,10 @@ class Calibration:
     """
 
     ccs_capital_total: float | None = None          # [$]
-    r_w_per_100km: Mapping[str, float] = field(default_factory=dict)  # per plant
+    r_w_per_100km: Mapping[str, float] = field(default_factory=FrozenMap)  # per plant
 
     def __post_init__(self):
+        object.__setattr__(self, "r_w_per_100km", FrozenMap(self.r_w_per_100km))
         for name, value in [("ccs_capital_total", self.ccs_capital_total)] + [
                 (f"r_w_per_100km[{k}]", v) for k, v in self.r_w_per_100km.items()]:
             if value is not None:
@@ -379,19 +386,31 @@ def load_config_text(text: str) -> LoadedConfig:
 
 
 def load_config(path_or_preset: str | Path) -> LoadedConfig:
-    """Load a config file, or a shipped preset by name (e.g. 'paper-2024')."""
+    """Load a config file, or a shipped preset by name (e.g. 'paper-2024').
+
+    The text is read on every call, so an edited file reloads; a text already
+    validated in this process returns the same read-only config.
+    """
     path = Path(path_or_preset)
     if not path.exists() and str(path_or_preset) in PRESETS:
         text = resources.files("ewhnexus").joinpath(
             "presets", PRESETS[str(path_or_preset)]).read_text(encoding="utf-8")
-        return load_config_text(text)
+        return _validated(text)
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(
             f"config {path_or_preset!r} is neither a file nor a known preset "
             f"({sorted(PRESETS)})") from None
-    return load_config_text(text)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path_or_preset!r} is not UTF-8 text: {exc}") from None
+    return _validated(text)
+
+
+@functools.lru_cache(maxsize=16)   # a batch of CLI calls reads a handful of configs
+def _validated(text: str) -> LoadedConfig:
+    """``load_config_text`` once per distinct text; a ConfigError is raised, never kept."""
+    return load_config_text(text)   # the module global, so a rebinding sees every parse
 
 
 def _dump_fields(obj: Any, name: str) -> dict[str, Any]:

@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 class UnitError(ValueError):
@@ -156,6 +156,32 @@ class Quantity:
         return f"{self.magnitude:g} {self.unit}"
 
 
+class FrozenMap(Mapping):
+    """A read-only map of names to values, equal to a dict of the same items.
+
+    A loaded config is shared by every caller that loads the same text, so
+    its maps refuse item writes with a TypeError.  It pickles and copies
+    like any object with slots.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Mapping | Iterable[tuple] = ()):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __repr__(self) -> str:
+        return f"FrozenMap({self._items!r})"
+
+
 def _field_value(quantity: Quantity, unit: str, rule: str) -> float:
     """``quantity`` in ``unit``; a unit of another dimension is reported as breaking ``rule``."""
     try:
@@ -249,7 +275,7 @@ class EconParams:
     def __post_init__(self):
         object.__setattr__(self, "e_des", tuple(float(e) for e in self.e_des))
         object.__setattr__(self, "product_prices",
-                           dict((k, float(v)) for k, v in self.product_prices.items()))
+                           FrozenMap((k, float(v)) for k, v in self.product_prices.items()))
         if not 0.0 < self.wind_capacity_factor <= 1.0:
             raise DomainError("wind_capacity_factor must lie in (0, 1]")
         if not 0.0 < self.eta_pump <= 1.0:

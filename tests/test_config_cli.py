@@ -1,12 +1,15 @@
 """Config ingestion, validation, round-trip export, and the CLI surface."""
 
 import copy
+import dataclasses
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import pytest
 import yaml
@@ -17,7 +20,7 @@ from ewhnexus.cli import (
 )
 from ewhnexus import config
 from ewhnexus.config import (
-    ConfigError, dump_config, load_config, load_config_text,
+    Calibration, ConfigError, dump_config, load_config, load_config_text,
 )
 from ewhnexus.conversion import _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
@@ -26,11 +29,12 @@ from ewhnexus.quantities import TimeSeries, emissions_at_capacity
 from ewhnexus.water import NetworkTransfer
 
 
+PRESET_TEXT = resources.files("ewhnexus").joinpath("presets", "paper-2024.yaml").read_text()
+
+
 def preset_dict():
     """The shipped preset as a mutable dict, for targeted corruption."""
-    from importlib import resources
-    text = resources.files("ewhnexus").joinpath("presets", "paper-2024.yaml").read_text()
-    return yaml.safe_load(text)
+    return yaml.safe_load(PRESET_TEXT)
 
 
 def sweep_csv(cfg) -> str:
@@ -428,6 +432,14 @@ class TestCli:
                                       "--out", "/nonexistent-dir/x.csv")
         assert status == 4
 
+    def test_config_that_is_not_utf8_exits_2_naming_the_path(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(PRESET_TEXT.encode("utf-8") + b"# caf\xe9 \xff\n")
+        status, out, err = self.run_cli("--config", str(path), "--command", "sweep")
+        assert (status, out) == (2, "")
+        assert err.startswith(f"config error: config {str(path)!r} is not UTF-8 text: ")
+        assert "can't decode byte 0xe9" in err
+
     def test_failing_curve_cell_keeps_csv_clean_and_reports_on_stderr(self):
         status, out, err = self.run_cli("--config", "paper-2024", "--command", "curve",
                                         "--plant", "biomass", "--distances", "60",
@@ -593,6 +605,143 @@ class TestCli:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "penalty_threshold_usd_per_ton" in proc.stdout
+
+
+def fresh_text(tag: str) -> str:
+    """The preset's text with a comment no other test writes, so no earlier load has it."""
+    return f"{PRESET_TEXT}# {tag}\n"
+
+
+def counting_parses(monkeypatch) -> list[str]:
+    """The texts ``load_config_text`` is called on from now on."""
+    parsed = []
+    original = config.load_config_text
+
+    def counting(text):
+        parsed.append(text)
+        return original(text)
+
+    monkeypatch.setattr(config, "load_config_text", counting)
+    return parsed
+
+
+class TestConfigCache:
+    """``load_config`` validates each distinct text once; the file is read every call."""
+
+    def test_unchanged_file_is_validated_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(fresh_text(f"validated once {tmp_path}"))
+        parsed = counting_parses(monkeypatch)
+        first = load_config(path)
+        assert load_config(str(path)) is first
+        assert parsed == [path.read_text()]
+
+    def test_rewritten_file_reloads_between_cli_calls(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        argv = ["--config", str(path), "--command", "breakeven", "--plant", "biomass",
+                "--format", "json"]
+        outputs = []
+        for price in ("0.25 $/kWh", "0.3 $/kWh"):
+            data = preset_dict()
+            data["econ"]["elec_price"] = price
+            path.write_text(yaml.safe_dump(data))
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(argv) == 0
+            outputs.append(out.getvalue())
+            assert load_config(path).econ.elec_price == float(price.split()[0])
+        assert outputs[0] != outputs[1]
+
+    def test_invalid_text_reports_every_error_on_every_call(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(fresh_text(f"valid first {tmp_path}"))
+        load_config(path)
+        data = preset_dict()
+        data["econ"]["mystery_knob"] = 3
+        data["econ"]["c_wind"] = "1030 $/kWh"
+        path.write_text(yaml.safe_dump(data))
+        parsed = counting_parses(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ConfigError) as info:
+                load_config(path)
+            lines = str(info.value).splitlines()
+            assert lines[0] == "invalid config:" and len(lines) == 3
+            assert "econ.mystery_knob: unknown key" in lines[1] + lines[2]
+            assert "econ.c_wind: " in lines[1] + lines[2]
+        assert len(parsed) == 2
+
+    def test_preset_name_and_a_copy_of_its_file_share_one_config(self, tmp_path):
+        path = tmp_path / "copy.yaml"
+        path.write_text(PRESET_TEXT)
+        assert load_config(path) is load_config("paper-2024") == load_config_text(PRESET_TEXT)
+
+    def test_cache_holds_at_most_its_bound(self, tmp_path, monkeypatch):
+        bound = config._validated.cache_info().maxsize
+        assert bound is not None and bound >= 4
+        parsed = counting_parses(monkeypatch)
+        texts = [fresh_text(f"bound {i} {tmp_path}") for i in range(bound + 3)]
+        for text in texts:
+            path = tmp_path / "cfg.yaml"
+            path.write_text(text)
+            load_config(path)
+        assert parsed == texts
+        assert config._validated.cache_info().currsize == bound
+
+
+class TestSharedConfig:
+    """A loaded config is handed to every caller of its text, so it cannot change."""
+
+    @pytest.mark.parametrize("section, key, name", [
+        ("econ", "product_prices", "methane"),
+        ("calibration", "r_w_per_100km", "coal"),
+    ])
+    def test_maps_refuse_writes(self, section, key, name):
+        mapping = getattr(getattr(paper_2024(), section), key)
+        before = dict(mapping)
+        with pytest.raises(TypeError):
+            mapping[name] = 1.0
+        with pytest.raises(TypeError):
+            del mapping[name]
+        with pytest.raises(TypeError):
+            mapping["new"] = 1.0
+        again = paper_2024()
+        assert getattr(getattr(again, section), key) == before
+        assert again == load_config_text(PRESET_TEXT)
+
+    def test_maps_equal_the_dicts_they_hold(self):
+        cfg = paper_2024()
+        assert cfg.econ.product_prices == {"methane": 1400.0, "methanol": 616.0,
+                                           "ethanol": 493.0}
+        assert cfg.calibration.r_w_per_100km == yaml.safe_load(PRESET_TEXT)["calibration"][
+            "r_w_per_100km"]
+        assert cfg.econ.product_prices != {"methane": 1400.0}
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda cfg: pickle.loads(pickle.dumps(cfg)), copy.deepcopy, copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_loaded_config_copies_equal(self, copy_of):
+        cfg = paper_2024()
+        copied = copy_of(cfg)
+        assert copied == cfg
+        assert dump_config(copied) == dump_config(cfg)
+        assert sweep_csv(copied) == sweep_csv(cfg)
+
+    def test_replace_takes_a_new_price_map(self):
+        econ = paper_2024().econ
+        prices = {k: v * 2 for k, v in econ.product_prices.items()}
+        doubled = dataclasses.replace(econ, product_prices=prices)
+        assert doubled.product_prices == prices
+        assert doubled.price_of("methane") == 2 * econ.price_of("methane")
+        prices["methane"] = 0.0
+        assert doubled.price_of("methane") == 2800.0
+        assert econ.price_of("methane") == 1400.0
+
+    def test_calibration_keeps_its_own_copy(self):
+        given = {"coal": 0.1}
+        calibration = Calibration(ccs_capital_total=1.0, r_w_per_100km=given)
+        given["coal"] = 5.0
+        given["biomass"] = 0.2
+        assert calibration.r_w_per_100km == {"coal": 0.1}
 
 
 # -- every config key changes an output or is rejected ----------------------

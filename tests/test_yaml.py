@@ -104,6 +104,66 @@ def test_malformed_yaml_is_a_located_config_error(case, on_pure_python):
     assert re.search(r"line \d+, column \d+", message)
 
 
+def test_each_text_parse_builds_a_new_config():
+    # load_config keeps validated configs; load_config_text must parse every time,
+    # or the loader parity tests above would compare a config with itself
+    first, second = load_config_text(PRESET_TEXT), load_config_text(PRESET_TEXT)
+    assert first == second and first is not second
+    assert first.econ is not second.econ and first.plants[0] is not second.plants[0]
+
+
+def _repeat_key(text, key, value):
+    """``text`` with a ``key: value`` line inserted above the first line setting ``key``."""
+    lines = text.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.lstrip().startswith(f"{key}:"))
+    indent = lines[at][:len(lines[at]) - len(lines[at].lstrip())]
+    return "".join(lines[:at] + [f"{indent}{key}: {value}\n"] + lines[at:])
+
+
+DUMP_TEXT = DOCUMENTS["dump_preset.yaml"]
+# case -> (the preset dump with one key repeated, that key)
+REPEATED = {
+    "top level": (_repeat_key(DUMP_TEXT, "products", "[methane]"), "products"),
+    "econ": (_repeat_key(DUMP_TEXT, "elec_price", "99.0 $/kWh"), "elec_price"),
+    "nested map": (_repeat_key(DUMP_TEXT, "methanol", "1.0 $/ton"), "methanol"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED))
+@pytest.mark.parametrize("on_pure_python", [False, True])
+def test_repeated_key_is_a_config_error_marking_both_lines(case, on_pure_python):
+    text, key = REPEATED[case]
+    lines = [i + 1 for i, line in enumerate(text.splitlines())
+             if line.lstrip().startswith(f"{key}:")][:2]
+    with pure_python() if on_pure_python else nullcontext():
+        with pytest.raises(ConfigError) as info:
+            load_config_text(text)
+    message = str(info.value)
+    assert message.startswith(f"config is not valid YAML: key {key!r} first appears\n")
+    assert f"found duplicate key {key!r}" in message
+    assert [int(n) for n in re.findall(r"line (\d+), column \d+", message)] == lines
+
+
+@pytest.mark.parametrize("on_pure_python", [False, True])
+def test_keys_repeated_only_across_mappings_or_by_merge_load(on_pure_python):
+    text = "a: &x {b: 1, c: 2}\nd:\n  <<: *x\n  b: 3\ne: {b: 4}\n"
+    with pure_python() if on_pure_python else nullcontext():
+        assert _yaml.safe_load(text) == {"a": {"b": 1, "c": 2}, "d": {"b": 3, "c": 2},
+                                         "e": {"b": 4}}
+        assert _yaml.safe_load("") is None
+
+
+def test_repeated_key_exits_2_from_the_cli(tmp_path):
+    path = tmp_path / "repeated.yaml"
+    path.write_text(REPEATED["econ"][0])
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(["--config", str(path), "--command", "sweep"])
+    assert (status, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("config error: config is not valid YAML: ")
+    assert "found duplicate key 'elec_price'" in err.getvalue()
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_yaml_exits_2_from_the_cli(case, tmp_path):
     path = tmp_path / "bad.yaml"
