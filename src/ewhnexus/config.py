@@ -14,7 +14,8 @@ always parses.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -77,8 +78,9 @@ class Calibration:
     ``ccs_capital_total`` spreads one fixed capture-plant capital over the
     plant's daily carbon mass, giving the scale economy the per-ton capital
     guidance implies.  ``r_w_per_100km`` carries per-plant friction
-    coefficients for pipes sized to each plant's design flow.  Both depend on
-    the plant alone.
+    coefficients for pipes sized to each plant's design flow, standing in for
+    the pipe diameter each design flow would get.  Both depend on the plant
+    alone; neither changes a formula, only the numbers fed into it.
     """
 
     ccs_capital_total: float | None = None          # [$]
@@ -91,10 +93,25 @@ class Calibration:
             if value is not None:
                 check_nonneg(name, value)
 
+    def apply(self, econ: EconParams, plant: PlantSpec) -> EconParams:
+        """``econ`` calibrated for ``plant``, checked by ``EconParams`` itself."""
+        updates: dict[str, float] = {}
+        if self.ccs_capital_total is not None:
+            # a carbon rate that underflows to 0 gives an infinite c_ccs; EconParams rejects it
+            updates["c_ccs"] = (self.ccs_capital_total / (plant.cbar * 24.0) if plant.cbar
+                                else math.inf)
+        if plant.name in self.r_w_per_100km:
+            updates["r_w_per_100km"] = self.r_w_per_100km[plant.name]
+        return replace(econ, **updates) if updates else econ
+
 
 @dataclass(frozen=True)
 class LoadedConfig:
-    """A validated parameter set ready for scenario construction."""
+    """A validated parameter set ready for scenario construction.
+
+    ``plant_econs`` holds each plant's calibrated parameters, in plant order,
+    built once here; a ConfigError names every plant whose calibration fails.
+    """
 
     econ: EconParams
     plants: tuple[PlantSpec, ...]
@@ -102,6 +119,18 @@ class LoadedConfig:
     calibration: Calibration = Calibration()
     water_mode: water.WaterMode = water.Desalination()
     sweep_betas: tuple[float, ...] = DEFAULT_BETAS
+    plant_econs: tuple[EconParams, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        econs, errors = [], []
+        for plant in self.plants:
+            try:
+                econs.append(self.calibration.apply(self.econ, plant))
+            except ValueError as exc:
+                errors.append(f"plant {plant.name!r}: calibrated {exc}")
+        if errors:
+            raise ConfigError("\n  ".join(errors))
+        object.__setattr__(self, "plant_econs", tuple(econs))
 
     def plant(self, name: str) -> PlantSpec:
         for p in self.plants:
@@ -286,7 +315,7 @@ def _load_products(section: Any, errors: list[str]) -> tuple[ProductSpec, ...]:
 
 def _load_water(section: Mapping, errors: list[str]) -> water.WaterMode | None:
     name = section.get("mode", "desalination")
-    if name not in _WATER_MODES:
+    if not isinstance(name, str) or name not in _WATER_MODES:
         errors.append(f"water.mode: unknown mode {name!r} (allowed: {sorted(_WATER_MODES)})")
         return None
     mode, keys = _WATER_MODES[name]
@@ -366,9 +395,11 @@ def load_config_text(text: str) -> LoadedConfig:
             if pname not in plant_names:
                 errors.append(f"calibration.r_w_per_100km.{pname}: names no configured plant "
                               f"(plants: {plant_names})")
-        if econ is not None and econ.c_ccs is None and calibration.ccs_capital_total is None:
+        if econ is not None and (econ.c_ccs is None) == (calibration.ccs_capital_total is None):
             errors.append("econ.c_ccs: required unless calibration.ccs_capital_total is given "
-                          "(no defensible default exists)")
+                          "(no defensible default exists)" if econ.c_ccs is None else
+                          "econ.c_ccs: not allowed with calibration.ccs_capital_total, which "
+                          "sets the capture capital per plant")
     if econ is not None:
         if isinstance(water_mode, water.SolarSeawater) and econ.c_sw is None:
             errors.append("econ.c_sw: required when water.mode is solar_seawater "
@@ -378,11 +409,16 @@ def load_config_text(text: str) -> LoadedConfig:
                 errors.append(f"econ.product_prices.{p.name}: missing price for a "
                               "configured product (expected $/ton)")
 
+    cfg = None
+    if econ is not None and calibration is not None:
+        try:   # calibrates each plant, so a failing plant is reported with the rest
+            cfg = LoadedConfig(econ=econ, plants=plants, products=products,
+                               calibration=calibration, water_mode=water_mode, sweep_betas=betas)
+        except ConfigError as exc:
+            errors.append(str(exc))
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-    assert econ is not None and calibration is not None
-    return LoadedConfig(econ=econ, plants=plants, products=products, calibration=calibration,
-                        water_mode=water_mode, sweep_betas=betas)
+    return cfg
 
 
 def load_config(path_or_preset: str | Path) -> LoadedConfig:

@@ -1,17 +1,9 @@
-"""Turning a loaded config plus its calibration block into per-plant parameters.
+"""Per-plant parameters of a loaded config, and the shipped preset.
 
-Two calibration rules bridge the gap between the printed cost forms and a
-usable parameter set:
-
-* a fixed capture-plant capital total is spread over each plant's daily
-  carbon mass (strong scale economy in the per-ton capital cost),
-* pipe friction coefficients are fitted per plant, standing in for the pipe
-  diameter each design flow would actually get.
-
-Neither changes a formula; they only decide the numbers fed into it.  Both
-depend on the plant alone, so a sweep calibrates each plant once.  A
-plant's parameters are the config's, already validated, with the calibrated
-fields replaced; only those fields are checked again.
+The calibration rules (capture capital spread over each plant's daily carbon
+mass, per-plant pipe friction) live on ``config.Calibration``.  A loaded
+config applies them to each of its plants once, when it is built; this
+module hands out those parameters.
 """
 
 from __future__ import annotations
@@ -24,22 +16,17 @@ from .quantities import EconParams, PlantSpec
 
 def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
                   product: ProductSpec | None = None, beta: float = 0.0) -> EconParams:
-    """Economic parameters for one scenario cell with calibration applied.
+    """The calibrated economic parameters of ``plant`` under ``cfg``.
 
-    Only the plant affects the result; a caller may name the cell's product
-    and reuse fraction as well.
+    A plant of ``cfg.plants`` (the same object) gets the parameters the
+    config built for it; any other plant is calibrated on the spot, and a
+    DomainError says why its parameters are invalid.  ``product`` and
+    ``beta`` are accepted and ignored, for callers of the four-argument form.
     """
-    econ = cfg.econ
-    cal = cfg.calibration
-    updates: dict = {}
-
-    if cal.ccs_capital_total is not None:
-        updates["c_ccs"] = cal.ccs_capital_total / (plant.cbar * 24.0)
-
-    if plant.name in cal.r_w_per_100km:
-        updates["r_w_per_100km"] = cal.r_w_per_100km[plant.name]
-
-    return econ.replace_costs(**updates) if updates else econ
+    for configured, econ in zip(cfg.plants, cfg.plant_econs):
+        if configured is plant:
+            return econ
+    return cfg.calibration.apply(cfg.econ, plant)
 
 
 def resolver(cfg: LoadedConfig) -> EconResolver:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 
@@ -238,7 +237,6 @@ def check_nonneg(name: str, value: float, when_set: bool = False) -> None:
 _NONNEG_FIELDS = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
                   "c_we", "xi_p", "r_w_per_100km", "interest_rate")
 _OPTIONAL_FIELDS = ("c_ccs", "c_sw")
-_COST_FIELDS = _NONNEG_FIELDS + _OPTIONAL_FIELDS   # what replace_costs may set
 
 
 @dataclass(frozen=True)
@@ -295,29 +293,6 @@ class EconParams:
             if getattr(self, name) is not None:
                 check_nonneg(name, getattr(self, name), when_set=True)
 
-    def replace_costs(self, **costs: float) -> "EconParams":
-        """A copy with the given cost fields replaced, equal to ``dataclasses.replace``.
-
-        ``costs`` may name only fields with the "finite and >= 0" rule; any
-        other name is a DomainError.  Only they are checked, in
-        ``__post_init__``'s order and with its messages: every other field
-        passed ``__post_init__`` when ``self`` was built.
-        """
-        for name in costs:
-            if name not in _COST_FIELDS:
-                raise DomainError(f"replace_costs cannot set {name!r}: not a cost field")
-        for name in _COST_FIELDS:
-            if name in costs:
-                check_nonneg(name, costs[name], when_set=name in _OPTIONAL_FIELDS)
-        # field by field in __init__'s order, as __init__ sets them; going
-        # through __dict__ would materialize it and slow every attribute read
-        copy = object.__new__(type(self))
-        for name, value in zip(_ECON_FIELDS, _econ_values(self)):
-            _setattr(copy, name, value)
-        for name, value in costs.items():
-            _setattr(copy, name, value)
-        return copy
-
     def price_of(self, product_name: str) -> float:
         try:
             return self.product_prices[product_name]
@@ -325,8 +300,6 @@ class EconParams:
             raise DomainError(f"no market price configured for product {product_name!r}") from None
 
 
-_ECON_FIELDS = tuple(f.name for f in fields(EconParams))
-_econ_values = attrgetter(*_ECON_FIELDS)
 _setattr = object.__setattr__
 
 

@@ -119,6 +119,31 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="c_ccs"):
             load_config_text(yaml.safe_dump(data))
 
+    def test_c_ccs_with_a_capture_capital_total_is_an_error(self):
+        # the calibration sets c_ccs per plant; a configured value would be ignored
+        data = preset_dict()
+        data["econ"]["c_ccs"] = "1 $/(ton/day)"
+        with pytest.raises(ConfigError) as info:
+            load_config_text(yaml.safe_dump(data))
+        assert str(info.value) == (
+            "invalid config:\n  econ.c_ccs: not allowed with calibration.ccs_capital_total, "
+            "which sets the capture capital per plant")
+
+    # a capture capital spread over so small a daily mass overflows c_ccs; the
+    # second carbon rate underflows to 0
+    @pytest.mark.parametrize("emission_factor", ["820 g/kWh", "1e-300 kg/kWh"])
+    def test_a_plant_too_small_for_the_capture_capital_is_an_error(self, emission_factor):
+        data = preset_dict()
+        data["plants"].append({"name": "tiny", "capacity": "1e-305 kW",
+                               "emission_factor": emission_factor})
+        data["water"] = {"mode": "no_such_mode"}   # reported in the same pass
+        with pytest.raises(ConfigError) as info:
+            load_config_text(yaml.safe_dump(data))
+        assert str(info.value).split("\n")[1:] == [
+            "  water.mode: unknown mode 'no_such_mode' (allowed: "
+            "['desalination', 'network_transfer', 'solar_seawater'])",
+            "  plant 'tiny': calibrated c_ccs must be finite and >= 0 when set"]
+
     def test_calibration_key_naming_no_plant_is_an_error(self):
         # a typo must not silently drop biomass back to the default friction
         data = preset_dict()
@@ -267,6 +292,7 @@ class TestRoundTrip:
     def test_every_optional_field_reloads_equal(self):
         # fields the sweep of this config never reads must survive too
         data = preset_dict()
+        del data["calibration"]["ccs_capital_total"]   # which c_ccs may not be given with
         data["econ"]["c_ccs"] = "43080 $/(ton/day)"
         data["econ"]["c_sw"] = "90000 $/(m3/h)"
         data["policy"]["include_hydrogen_capital"] = True
@@ -416,6 +442,18 @@ class TestCli:
         assert (status, out) == (2, "")
         assert "calibration.pipe_cost_per_m: unknown key" in err
 
+    def test_capture_capital_errors_exit_2_naming_the_plant(self, tmp_path):
+        data = preset_dict()
+        data["econ"]["c_ccs"] = "1 $/(ton/day)"
+        data["plants"].append({"name": "tiny", "capacity": "1e-305 kW",
+                               "emission_factor": "820 g/kWh"})
+        path = tmp_path / "capture.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", "sweep")
+        assert (status, out) == (2, "")
+        assert "econ.c_ccs: not allowed with calibration.ccs_capital_total" in err
+        assert "plant 'tiny': calibrated c_ccs must be finite and >= 0 when set" in err
+
     def test_computation_error_exits_3(self, tmp_path):
         # pipe so expensive that no break-even exists in the window
         data = preset_dict()
@@ -550,7 +588,12 @@ class TestCli:
          "water: transfer distance must be >= 0"),
         ("sweep", {"betas": [0.0, 1.0]},
          "sweep.betas[0]: beta 0 is the storage row, which every plant gets"),
-    ], ids=["distance-outside-transfer", "negative-distance", "zero-beta"])
+        ("water", {"mode": ["desalination"]},
+         "water.mode: unknown mode ['desalination'] (allowed: "),
+        ("water", {"mode": {"desalination": None}},
+         "water.mode: unknown mode {'desalination': None} (allowed: "),
+    ], ids=["distance-outside-transfer", "negative-distance", "zero-beta", "mode-list",
+            "mode-mapping"])
     def test_water_or_sweep_section_error_exits_2(self, section, value, message, tmp_path):
         data = preset_dict()
         data[section] = value

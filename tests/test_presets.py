@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ewhnexus.analysis import SweepCell, SweepGrid, scenario_sweep
-from ewhnexus.config import Calibration
+from ewhnexus.config import Calibration, ConfigError
 from ewhnexus.conversion import METHANE, _reuse_rates, nexus_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
@@ -56,7 +56,7 @@ class TestEconForCell:
 
 
 class TestCellCopy:
-    """``econ_for_cell`` copies the validated base instead of ``dataclasses.replace``."""
+    """``econ_for_cell`` gives what ``dataclasses.replace`` gives, built once per plant."""
 
     @staticmethod
     def outcome(fn):
@@ -93,15 +93,31 @@ class TestCellCopy:
         if isinstance(expected, list):
             assert econ_for_cell(cfg, spec, prod, beta) == replaced()
 
-    bad = st.sampled_from([-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_a_configured_plant_gets_one_object_built_with_the_config(self, monkeypatch):
+        built = [econ_for_cell(CFG, plant) for plant in CFG.plants]
+        checks = []
+        post_init = EconParams.__post_init__
+        monkeypatch.setattr(EconParams, "__post_init__",
+                            lambda econ: checks.append(econ) or post_init(econ))
+        for plant, econ in zip(CFG.plants, built):
+            for product in (None,) + CFG.products:
+                assert econ_for_cell(CFG, plant, product, 1.0) is econ
+            assert resolver(CFG)(plant) is econ
+        assert checks == []
+        lignite = TestResolver.PLANTS[-1]   # no plant of CFG: calibrated on each call
+        assert econ_for_cell(CFG, lignite) == econ_for_cell(CFG, lignite)
+        assert len(checks) == 2
 
-    @settings(max_examples=200, deadline=None)
-    @given(updates=st.dictionaries(
-        st.sampled_from(["c_ccs", "r_w_per_100km", "c_tw"]),
-        st.floats(0.0, 1e9) | bad, min_size=1))
-    def test_changed_fields_are_checked_with_the_same_text(self, updates):
-        assert (self.outcome(lambda: CFG.econ.replace_costs(**updates))
-                == self.outcome(lambda: replace(CFG.econ, **updates)))
+    def test_a_replaced_config_is_calibrated_again(self):
+        cfg = replace(CFG, econ=replace(CFG.econ, c_sw=123456.0))
+        for plant in cfg.plants:
+            assert econ_for_cell(cfg, plant).c_sw == 123456.0
+            assert econ_for_cell(cfg, plant) == replace(econ_for_cell(CFG, plant), c_sw=123456.0)
+
+    def test_a_config_with_a_failing_plant_cannot_be_built(self):
+        with pytest.raises(ConfigError) as info:
+            replace(CFG, plants=CFG.plants + (TestResolver.TINY,))
+        assert str(info.value) == "plant 'tiny': calibrated c_ccs must be finite and >= 0 when set"
 
     def test_non_finite_derived_cost_raises_the_replace_text(self):
         # a plant this small spreads the capture capital to an infinite c_ccs

@@ -260,21 +260,3 @@ class TestEconParams:
         econ = EconParams(**self.kwargs())
         with pytest.raises(DomainError, match="ethanol"):
             econ.price_of("ethanol")
-
-    @pytest.mark.parametrize("name, value", [
-        ("eta_pump", 5.0), ("horizon_years", math.nan), ("bogus", 1),
-    ])
-    def test_replace_costs_rejects_a_non_cost_field(self, name, value):
-        # these once slipped through unchecked: eta_pump 5.0, a NaN horizon, a new attribute
-        econ = EconParams(**self.kwargs())
-        with pytest.raises(DomainError) as info:
-            econ.replace_costs(c_tw=1.0, **{name: value})
-        assert str(info.value) == f"replace_costs cannot set {name!r}: not a cost field"
-        assert not hasattr(econ, "bogus") and econ.eta_pump == 0.9
-
-    def test_replace_costs_still_sets_every_cost_field(self):
-        econ = EconParams(**self.kwargs())
-        names = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
-                 "c_we", "xi_p", "r_w_per_100km", "interest_rate", "c_ccs", "c_sw")
-        costs = {name: float(i) for i, name in enumerate(names)}
-        assert econ.replace_costs(**costs) == replace(econ, **costs)
