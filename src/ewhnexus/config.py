@@ -23,7 +23,7 @@ from typing import Any, Mapping
 from . import _yaml as yaml
 from . import water
 from .analysis import DEFAULT_BETAS
-from .conversion import BUILTIN_PRODUCTS, ProductSpec, builtin_product
+from .conversion import BUILTIN_PRODUCTS, ProductSpec
 from .quantities import (EconParams, FrozenMap, PlantSpec, Quantity, UnitError,
                          check_nonneg)
 
@@ -105,12 +105,65 @@ class Calibration:
         return replace(econ, **updates) if updates else econ
 
 
+def _config_errors(econ: EconParams | None, plants: tuple[PlantSpec, ...] | None,
+                   products: tuple[ProductSpec, ...] | None, calibration: Calibration | None,
+                   water_mode: water.WaterMode | None, sweep_betas: tuple[float, ...] | None
+                   ) -> tuple[list[str], tuple[EconParams, ...]]:
+    """Every broken rule between a config's entries and sections, and each plant calibrated.
+
+    A section that failed to load is None, and the rules that read it are
+    skipped.  An entry is named by its index, its YAML position when loaded.
+    """
+    errors: list[str] = []
+    for section, entries, rule in (("plants", plants, ".name: duplicate plant name"),
+                                   ("products", products, ": duplicate product")):
+        seen: dict[Any, int] = {}
+        for i, entry in enumerate(entries or ()):
+            if seen.setdefault(entry.name, i) != i:
+                errors.append(f"{section}[{i}]{rule} {entry.name!r} "
+                              f"(first at {section}[{seen[entry.name]}])")
+    seen = {}
+    for i, b in enumerate(sweep_betas or ()):
+        if isinstance(b, bool) or not isinstance(b, (int, float)) or not 0.0 <= b <= 1.0:
+            errors.append(f"sweep.betas[{i}]: reuse fraction must lie in [0, 1], got {b!r}")
+        elif b == 0:
+            errors.append(f"sweep.betas[{i}]: beta 0 is the storage row, which every plant gets")
+        elif seen.setdefault(b, i) != i:
+            errors.append(f"sweep.betas[{i}]: repeated reuse fraction {b!r} "
+                          f"(first at sweep.betas[{seen[b]}])")
+    if calibration is not None and plants is not None:
+        names = sorted(p.name for p in plants)
+        errors.extend(f"calibration.r_w_per_100km.{name}: names no configured plant "
+                      f"(plants: {names})" for name in calibration.r_w_per_100km
+                      if name not in names)
+    if econ is None:
+        return errors, ()
+    if calibration is not None and (econ.c_ccs is None) == (calibration.ccs_capital_total is None):
+        errors.append("econ.c_ccs: required unless calibration.ccs_capital_total is given "
+                      "(no defensible default exists)" if econ.c_ccs is None else
+                      "econ.c_ccs: not allowed with calibration.ccs_capital_total, which "
+                      "sets the capture capital per plant")
+    if isinstance(water_mode, water.SolarSeawater) and econ.c_sw is None:
+        errors.append("econ.c_sw: required when water.mode is solar_seawater "
+                      "(expected $/(m3/h); no default exists)")
+    errors.extend(f"econ.product_prices.{p.name}: missing price for a configured product "
+                  "(expected $/ton)" for p in products or () if p.name not in econ.product_prices)
+    econs = []
+    for plant in (plants or ()) if calibration is not None else ():
+        try:
+            econs.append(calibration.apply(econ, plant))
+        except ValueError as exc:
+            errors.append(f"plant {plant.name!r}: calibrated {exc}")
+    return errors, tuple(econs)
+
+
 @dataclass(frozen=True)
 class LoadedConfig:
     """A validated parameter set ready for scenario construction.
 
-    ``plant_econs`` holds each plant's calibrated parameters, in plant order,
-    built once here; a ConfigError names every plant whose calibration fails.
+    Loaded, constructed or made by ``dataclasses.replace``, it raises a
+    ConfigError listing each rule of ``_config_errors`` it breaks.
+    ``plant_econs`` holds each plant's calibrated parameters, built once here.
     """
 
     econ: EconParams
@@ -122,15 +175,11 @@ class LoadedConfig:
     plant_econs: tuple[EconParams, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        econs, errors = [], []
-        for plant in self.plants:
-            try:
-                econs.append(self.calibration.apply(self.econ, plant))
-            except ValueError as exc:
-                errors.append(f"plant {plant.name!r}: calibrated {exc}")
+        errors, econs = _config_errors(self.econ, self.plants, self.products, self.calibration,
+                                       self.water_mode, self.sweep_betas)
         if errors:
             raise ConfigError("\n  ".join(errors))
-        object.__setattr__(self, "plant_econs", tuple(econs))
+        object.__setattr__(self, "plant_econs", econs)
 
     def plant(self, name: str) -> PlantSpec:
         for p in self.plants:
@@ -240,31 +289,38 @@ def _fmt(value: Any, unit: str) -> Any:
     return f"{value!r} {unit}"
 
 
-def _load_fields(data: Mapping, name: str, errors: list[str]) -> dict[str, Any] | None:
-    """The parsed keys of one table section, or None if the section or a key is invalid."""
-    rows = _SECTIONS[name]
+def _load_table(data: Mapping, kind: type, names: tuple[str, ...], errors: list[str]) -> Any:
+    """``kind`` built from the keys of the named table sections, or None if any is invalid."""
     start = len(errors)
-    section = _section(data, name, {key for key, _, _ in rows}, errors)
-    if section is None:
-        if len(errors) == start and any(required for _, _, required in rows):
-            errors.append(f"{name}: missing required section")
-        return None if len(errors) > start else {}
     values = {}
-    for key, unit, required in rows:
-        if section.get(key) is not None:
-            values[key] = _parse(section[key], unit, f"{name}.{key}", errors)
-        elif required:
-            expected = unit.replace("{} ", "a map of names to ")
-            errors.append(f"{name}.{key}: missing required key (expected {expected})")
-    return None if len(errors) > start else values
+    for name in names:
+        rows = _SECTIONS[name]
+        section = _section(data, name, {key for key, _, _ in rows}, errors)
+        if section is None and data.get(name) is None and any(r for _, _, r in rows):
+            errors.append(f"{name}: missing required section")
+        for key, unit, required in rows if section is not None else ():
+            if section.get(key) is not None:
+                values[key] = _parse(section[key], unit, f"{name}.{key}", errors)
+            elif required:
+                expected = unit.replace("{} ", "a map of names to ")
+                errors.append(f"{name}.{key}: missing required key (expected {expected})")
+    if len(errors) > start:
+        return None
+    try:
+        return kind(**values)
+    except ValueError as exc:
+        errors.append(f"{names[0]}: {exc}")
+        return None
 
 
-def _load_plants(section: Any, errors: list[str]) -> tuple[PlantSpec, ...]:
+def _load_plants(data: Mapping, errors: list[str]) -> tuple[PlantSpec, ...] | None:
+    section = data.get("plants")
     if not isinstance(section, (list, tuple)) or not section:
-        errors.append("plants: must be a non-empty list of {name, capacity, emission_factor}")
-        return ()
+        errors.append("plants: missing required section" if "plants" not in data else
+                      "plants: must be a non-empty list of {name, capacity, emission_factor}")
+        return None
+    start = len(errors)
     plants = []
-    first_at: dict[str, int] = {}
     for i, entry in enumerate(section):
         path = f"plants[{i}]"
         if not isinstance(entry, Mapping):
@@ -275,42 +331,28 @@ def _load_plants(section: Any, errors: list[str]) -> tuple[PlantSpec, ...]:
         if not isinstance(name, str) or not name:
             errors.append(f"{path}.name: missing or not a string")
             continue
-        if name in first_at:
-            errors.append(f"{path}.name: duplicate plant name {name!r} "
-                          f"(first at plants[{first_at[name]}])")
-            continue
-        first_at[name] = i
         cap = parse_quantity(entry.get("capacity"), "kW", f"{path}.capacity", errors)
         ef = parse_quantity(entry.get("emission_factor"), "kg/kWh",
                             f"{path}.emission_factor", errors)
-        if cap is None or ef is None:
-            continue
-        try:
-            plants.append(PlantSpec(name, cap, ef))
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-    return tuple(plants)
+        if cap is not None and ef is not None:
+            try:
+                plants.append(PlantSpec(name, cap, ef))
+            except ValueError as exc:
+                errors.append(f"{path}: {exc}")
+    return None if len(errors) > start else tuple(plants)
 
 
-def _load_products(section: Any, errors: list[str]) -> tuple[ProductSpec, ...]:
+def _load_products(section: Any, errors: list[str]) -> tuple[ProductSpec, ...] | None:
     if section is None:
         return ()
     if not isinstance(section, (list, tuple)):
         errors.append("products: must be a list of product names")
-        return ()
-    out = []
-    first_at: dict[str, int] = {}
-    for i, name in enumerate(section):
-        if not isinstance(name, str) or name not in BUILTIN_PRODUCTS:
-            errors.append(f"products[{i}]: unknown product {name!r} "
-                          f"(built-ins: {sorted(BUILTIN_PRODUCTS)})")
-        elif name in first_at:
-            errors.append(f"products[{i}]: duplicate product {name!r} "
-                          f"(first at products[{first_at[name]}])")
-        else:
-            first_at[name] = i
-            out.append(builtin_product(name))
-    return tuple(out)
+        return None
+    unknown = [f"products[{i}]: unknown product {name!r} (built-ins: {sorted(BUILTIN_PRODUCTS)})"
+               for i, name in enumerate(section)
+               if not isinstance(name, str) or name not in BUILTIN_PRODUCTS]
+    errors.extend(unknown)
+    return None if unknown else tuple(BUILTIN_PRODUCTS[name] for name in section)
 
 
 def _load_water(section: Mapping, errors: list[str]) -> water.WaterMode | None:
@@ -337,23 +379,13 @@ def _load_water(section: Mapping, errors: list[str]) -> water.WaterMode | None:
         return None
 
 
-def _load_sweep(section: Mapping, errors: list[str]) -> tuple[float, ...]:
+def _load_sweep(section: Mapping, errors: list[str]) -> tuple[float, ...] | None:
     betas = section.get("betas", DEFAULT_BETAS)
     if not isinstance(betas, (list, tuple)) or not betas:
         errors.append("sweep.betas: must be a non-empty list of numbers")
-        return DEFAULT_BETAS
-    first_at: dict[float, int] = {}
-    for i, b in enumerate(betas):
-        if not isinstance(b, (int, float)) or isinstance(b, bool) or not 0.0 <= float(b) <= 1.0:
-            errors.append(f"sweep.betas[{i}]: reuse fraction must lie in [0, 1], got {b!r}")
-        elif b == 0:
-            errors.append(f"sweep.betas[{i}]: beta 0 is the storage row, which every plant gets")
-        elif float(b) in first_at:
-            errors.append(f"sweep.betas[{i}]: repeated reuse fraction {b!r} "
-                          f"(first at sweep.betas[{first_at[float(b)]}])")
-        else:
-            first_at[float(b)] = i
-    return tuple(first_at)
+        return None
+    # numbers as the floats the dump writes; _config_errors reports any other entry
+    return tuple(float(b) if type(b) in (int, float) else b for b in betas)
 
 
 def load_config_text(text: str) -> LoadedConfig:
@@ -367,53 +399,18 @@ def load_config_text(text: str) -> LoadedConfig:
 
     errors: list[str] = []
     _check_keys(data, _TOP_KEYS, "", errors)
-    econ_values = _load_fields(data, "econ", errors)
-    policy_values = _load_fields(data, "policy", errors)
-    econ = None
-    if econ_values is not None and policy_values is not None:
+    sections = {   # each None if its section is invalid
+        "econ": _load_table(data, EconParams, ("econ", "policy"), errors),
+        "calibration": _load_table(data, Calibration, ("calibration",), errors),
+        "plants": _load_plants(data, errors),
+        "products": _load_products(data.get("products"), errors),
+        "water_mode": _load_water(_section(data, "water", _WATER_KEYS, errors) or {}, errors),
+        "sweep_betas": _load_sweep(_section(data, "sweep", {"betas"}, errors) or {}, errors)}
+    if None in sections.values():   # the rules that read only sections which loaded
+        errors.extend(_config_errors(**sections)[0])
+    else:
         try:
-            econ = EconParams(**econ_values, **policy_values)
-        except ValueError as exc:
-            errors.append(f"econ: {exc}")
-    calibration = None
-    calibration_values = _load_fields(data, "calibration", errors)
-    if calibration_values is not None:
-        try:
-            calibration = Calibration(**calibration_values)
-        except ValueError as exc:
-            errors.append(f"calibration: {exc}")
-    plants = _load_plants(data.get("plants"), errors) if "plants" in data else ()
-    if "plants" not in data:
-        errors.append("plants: missing required section")
-    products = _load_products(data.get("products"), errors)
-    water_mode = _load_water(_section(data, "water", _WATER_KEYS, errors) or {}, errors)
-    betas = _load_sweep(_section(data, "sweep", {"betas"}, errors) or {}, errors)
-
-    if calibration is not None:
-        plant_names = sorted(p.name for p in plants)
-        for pname in calibration.r_w_per_100km:
-            if pname not in plant_names:
-                errors.append(f"calibration.r_w_per_100km.{pname}: names no configured plant "
-                              f"(plants: {plant_names})")
-        if econ is not None and (econ.c_ccs is None) == (calibration.ccs_capital_total is None):
-            errors.append("econ.c_ccs: required unless calibration.ccs_capital_total is given "
-                          "(no defensible default exists)" if econ.c_ccs is None else
-                          "econ.c_ccs: not allowed with calibration.ccs_capital_total, which "
-                          "sets the capture capital per plant")
-    if econ is not None:
-        if isinstance(water_mode, water.SolarSeawater) and econ.c_sw is None:
-            errors.append("econ.c_sw: required when water.mode is solar_seawater "
-                          "(expected $/(m3/h); no default exists)")
-        for p in products:
-            if p.name not in econ.product_prices:
-                errors.append(f"econ.product_prices.{p.name}: missing price for a "
-                              "configured product (expected $/ton)")
-
-    cfg = None
-    if econ is not None and calibration is not None:
-        try:   # calibrates each plant, so a failing plant is reported with the rest
-            cfg = LoadedConfig(econ=econ, plants=plants, products=products,
-                               calibration=calibration, water_mode=water_mode, sweep_betas=betas)
+            cfg = LoadedConfig(**sections)
         except ConfigError as exc:
             errors.append(str(exc))
     if errors:

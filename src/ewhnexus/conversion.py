@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .quantities import (
-    DomainError, EconParams, PlantSpec, Quantity, check_beta,
+    DomainError, EconParams, FrozenMap, PlantSpec, Quantity, check_beta,
 )
 
 
@@ -51,7 +51,10 @@ class Reaction:
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """A synthesizable chemical product; its mass ratios are computed at construction."""
+    """A synthesizable chemical product; its mass ratios are computed at construction.
+
+    ``formula`` is read-only, since every loaded config shares the built-ins.
+    """
 
     name: str
     formula: Mapping[str, int]        # atoms per product molecule, e.g. {"C": 1, "H": 4}
@@ -66,7 +69,7 @@ class ProductSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "formula",
-                           {k: int(v) for k, v in self.formula.items() if v})
+                           FrozenMap((k, int(v)) for k, v in self.formula.items() if v))
         unknown = set(self.formula) - {"C", "H", "O"}
         if unknown:
             raise DomainError(f"unsupported elements in formula: {sorted(unknown)}")

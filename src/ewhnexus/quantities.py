@@ -213,8 +213,12 @@ class PlantSpec:
             raise DomainError(f"plant {self.name!r}: capacity must be positive")
         if not self.emission_factor.magnitude > 0:
             raise DomainError(f"plant {self.name!r}: emission_factor must be positive")
+        cbar = capacity_kw * kg_per_kwh / 1000.0
+        if not math.isfinite(cbar):   # false for an infinite capacity in kW too
+            raise DomainError(f"plant {self.name!r}: capacity in kW and full-load carbon rate "
+                              f"must be finite, got {capacity_kw!r} kW and {cbar!r} ton/h")
         object.__setattr__(self, "capacity_kw", capacity_kw)
-        object.__setattr__(self, "cbar", capacity_kw * kg_per_kwh / 1000.0)
+        object.__setattr__(self, "cbar", cbar)
 
 
 def emissions_at_capacity(plant: PlantSpec) -> Quantity:

@@ -37,8 +37,11 @@ class NetworkTransfer:
         km = _field_value(self.distance, "km", "distance must be a length")
         if self.distance.magnitude < 0:
             raise DomainError("transfer distance must be >= 0")
+        m = self.distance.value_in("m")
+        if not math.isfinite(m):   # false for an infinite distance in km too
+            raise DomainError(f"transfer distance must be finite in km and m, got {self.distance}")
         object.__setattr__(self, "km", km)
-        object.__setattr__(self, "m", self.distance.value_in("m"))
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)

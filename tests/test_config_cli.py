@@ -13,6 +13,7 @@ from importlib import resources
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from ewhnexus.analysis import SweepGrid, scenario_sweep
 from ewhnexus.cli import (
@@ -25,8 +26,8 @@ from ewhnexus.config import (
 from ewhnexus.conversion import _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
-from ewhnexus.quantities import TimeSeries, emissions_at_capacity
-from ewhnexus.water import NetworkTransfer
+from ewhnexus.quantities import Quantity, TimeSeries, emissions_at_capacity
+from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
 
 PRESET_TEXT = resources.files("ewhnexus").joinpath("presets", "paper-2024.yaml").read_text()
@@ -240,6 +241,7 @@ class TestLoadConfig:
         (("calibration", "r_w_per_100km"), 0.2,
          "calibration.r_w_per_100km: must map names to '<value> dimensionless'"),
         (("econ", "horizon_years"), 2.5, "econ.horizon_years: expected an integer, got 2.5"),
+        (("econ", "eta_pump"), 1.5, "econ: eta_pump must lie in (0, 1]"),
         (("policy", "include_hydrogen_capital"), "yes",
          "policy.include_hydrogen_capital: expected true or false, got 'yes'"),
         (("econ", "elec_price"), "abc $/kWh", "econ.elec_price: 'abc' is not a number"),
@@ -300,6 +302,105 @@ class TestRoundTrip:
         cfg = load_config_text(yaml.safe_dump(data))
         assert cfg.econ.c_sw == 90000.0 and cfg.econ.include_hydrogen_capital
         assert load_config_text(dump_config(cfg)) == cfg
+
+
+def without_product(cfg, name):
+    """``cfg`` with ``name`` dropped from its price map."""
+    prices = {k: v for k, v in cfg.econ.product_prices.items() if k != name}
+    return dataclasses.replace(cfg, econ=dataclasses.replace(cfg.econ, product_prices=prices))
+
+
+# name -> (an edit of the preset document, the same edit of the loaded preset)
+RULE_EDITS = {
+    "solar-without-c_sw": (lambda d: d.update(water={"mode": "solar_seawater"}),
+                           lambda c: dataclasses.replace(c, water_mode=SolarSeawater())),
+    "product-without-price": (lambda d: d["econ"]["product_prices"].pop("ethanol"),
+                              lambda c: without_product(c, "ethanol")),
+    "c_ccs-with-capital-total": (
+        lambda d: d["econ"].update(c_ccs="1 $/(ton/day)"),
+        lambda c: dataclasses.replace(c, econ=dataclasses.replace(c.econ, c_ccs=1.0))),
+    "calibration-of-dropped-plants": (lambda d: d.update(plants=d["plants"][:1]),
+                                      lambda c: dataclasses.replace(c, plants=c.plants[:1])),
+    "repeated-plant": (lambda d: d["plants"].append(d["plants"][0]),
+                       lambda c: dataclasses.replace(c, plants=c.plants + c.plants[:1])),
+    "repeated-product": (lambda d: d["products"].append("methane"),
+                         lambda c: dataclasses.replace(c, products=c.products + c.products[:1])),
+    "zero-beta": (lambda d: d["sweep"].update(betas=[0.0, 1.0]),
+                  lambda c: dataclasses.replace(c, sweep_betas=(0.0, 1.0))),
+    "repeated-beta": (lambda d: d["sweep"].update(betas=[0.5, 0.5]),
+                      lambda c: dataclasses.replace(c, sweep_betas=(0.5, 0.5))),
+    "beta-above-one": (lambda d: d["sweep"].update(betas=[0.5, 1.5]),
+                       lambda c: dataclasses.replace(c, sweep_betas=(0.5, 1.5))),
+}
+
+
+def mostly(valid, invalid):
+    """Draws of ``valid`` three times in four, else of ``invalid``."""
+    return st.integers(0, 3).flatmap(lambda k: invalid if k == 3 else valid)
+
+
+def distinct_or_not(elements, min_size=0):
+    """Lists of ``elements``, most of them without a repeat."""
+    return mostly(st.lists(elements, min_size=min_size, max_size=3, unique=True),
+                  st.lists(elements, min_size=max(min_size, 2), max_size=4))
+
+
+class TestConfigRules:
+    """A config built by ``dataclasses.replace`` obeys the rules a loaded one does."""
+
+    @pytest.mark.parametrize("edit_text, edit_config", RULE_EDITS.values(), ids=RULE_EDITS)
+    def test_replace_raises_the_loaders_lines(self, edit_text, edit_config):
+        data = preset_dict()
+        edit_text(data)
+        with pytest.raises(ConfigError) as loaded:   # keeps the preset's calibration order
+            load_config_text(yaml.safe_dump(data, sort_keys=False))
+        with pytest.raises(ConfigError) as built:
+            edit_config(paper_2024())
+        assert str(loaded.value) == "invalid config:\n  " + str(built.value)
+
+    def test_missing_plants_section_is_one_error(self):
+        # the calibration rules read the plants, so they are skipped
+        data = preset_dict()
+        del data["plants"]
+        with pytest.raises(ConfigError) as info:
+            load_config_text(yaml.safe_dump(data))
+        assert str(info.value) == "invalid config:\n  plants: missing required section"
+
+    # each edit is drawn valid more often than not, so that many reach the round trip
+    @settings(max_examples=100, deadline=None)
+    @given(plants=distinct_or_not(st.sampled_from(range(3)), min_size=1),
+           products=distinct_or_not(st.sampled_from(["methane", "methanol", "ethanol"])),
+           betas=mostly(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
+                                 max_size=3, unique=True),
+                        st.lists(st.sampled_from([0.0, 0.5, 1.5]), min_size=1, max_size=3)),
+           mode=st.sampled_from([Desalination(), SolarSeawater()])
+           | st.builds(NetworkTransfer, st.builds(Quantity, st.floats(0.0, 500.0),
+                                                  st.just("km"))),
+           c_sw=mostly(st.floats(0.0, 1e6), st.none()), c_ccs=st.none() | st.floats(0.0, 1e5),
+           unpriced=mostly(st.none(), st.sampled_from(["methane", "methanol", "ethanol"])),
+           friction=mostly(st.sampled_from(["configured plants", "none"]),
+                           st.just("preset plants")))
+    def test_every_replace_edit_raises_or_round_trips(self, plants, products, betas, mode,
+                                                      c_sw, c_ccs, unpriced, friction):
+        base = paper_2024()
+        chosen = tuple(base.plants[i] for i in plants)
+        kept = {"preset plants": set(base.calibration.r_w_per_100km), "none": set(),
+                "configured plants": {p.name for p in chosen}}[friction]
+        r_w = {k: v for k, v in base.calibration.r_w_per_100km.items() if k in kept}
+        prices = {k: v for k, v in base.econ.product_prices.items() if k != unpriced}
+        try:
+            cfg = dataclasses.replace(
+                base, plants=chosen, products=tuple(base.product(p) for p in products),
+                sweep_betas=tuple(betas), water_mode=mode,
+                econ=dataclasses.replace(base.econ, c_sw=c_sw, c_ccs=c_ccs,
+                                         product_prices=prices),
+                calibration=Calibration(
+                    base.calibration.ccs_capital_total if c_ccs is None else None, r_w))
+        except ConfigError:
+            return
+        reloaded = load_config_text(dump_config(cfg))
+        assert reloaded == cfg
+        assert sweep_csv(reloaded) == sweep_csv(cfg)
 
 
 class TestCli:
@@ -397,6 +498,43 @@ class TestCli:
         assert (status, out) == (2, "")
         assert "plants[3].name: duplicate plant name 'biomass' (first at plants[0])" in err
         assert "products[1]: duplicate product 'methane' (first at products[0])" in err
+
+    def test_product_without_a_price_exits_2(self, tmp_path):
+        data = preset_dict()
+        del data["econ"]["product_prices"]["methanol"]
+        path = tmp_path / "unpriced.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", "sweep")
+        assert (status, out) == (2, "")
+        assert err == ("config error: invalid config:\n  econ.product_prices.methanol: missing "
+                       "price for a configured product (expected $/ton)\n")
+
+    def test_unknown_plant_exits_2(self):
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", "scenario",
+                                        "--plant", "lignite")
+        assert (status, out) == (2, "")
+        assert err == ("config error: unknown plant 'lignite'; configured plants are "
+                       "['biomass', 'natural_gas', 'coal']\n")
+
+    @pytest.mark.parametrize("command", ["scenario", "breakeven", "sweep", "penalty"])
+    def test_plant_whose_capacity_overflows_exits_2(self, command, tmp_path):
+        data = preset_dict()
+        data["plants"][0]["capacity"] = "1e308 MW"
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(data))
+        argv = ("--plant", "biomass") if command != "sweep" else ()
+        status, out, err = self.run_cli("--config", str(path), "--command", command, *argv)
+        assert (status, out) == (2, "")
+        assert "plants[0]: plant 'biomass': capacity in kW and full-load carbon rate" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_curve_distance_that_overflows_exits_3(self, fmt):
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", "curve",
+                                        "--plant", "biomass", "--distances", "60,1e308",
+                                        "--format", fmt)
+        assert (status, out) == (3, "")
+        assert err == ("computation error: transfer distance must be finite in km and m, "
+                       "got 1e+308 km\n")
 
     def test_repeated_sweep_beta_exits_2(self, tmp_path):
         data = preset_dict()
@@ -586,14 +724,16 @@ class TestCli:
          "water.distance: desalination mode takes no distance"),
         ("water", {"mode": "network_transfer", "distance": "-5 km"},
          "water: transfer distance must be >= 0"),
+        ("water", {"mode": "network_transfer", "distance": "1e308 km"},
+         "water: transfer distance must be finite in km and m, got 1e+308 km"),
         ("sweep", {"betas": [0.0, 1.0]},
          "sweep.betas[0]: beta 0 is the storage row, which every plant gets"),
         ("water", {"mode": ["desalination"]},
          "water.mode: unknown mode ['desalination'] (allowed: "),
         ("water", {"mode": {"desalination": None}},
          "water.mode: unknown mode {'desalination': None} (allowed: "),
-    ], ids=["distance-outside-transfer", "negative-distance", "zero-beta", "mode-list",
-            "mode-mapping"])
+    ], ids=["distance-outside-transfer", "negative-distance", "overflowing-distance",
+            "zero-beta", "mode-list", "mode-mapping"])
     def test_water_or_sweep_section_error_exits_2(self, section, value, message, tmp_path):
         data = preset_dict()
         data[section] = value

@@ -81,6 +81,17 @@ class TestCachedRatios:
         assert product == ProductSpec(builtin.name, builtin.formula, builtin.reaction, masses)
         assert "xi_h" not in repr(product)
 
+    @pytest.mark.parametrize("builtin", [METHANE, METHANOL, ETHANOL], ids=lambda p: p.name)
+    def test_formula_is_read_only_and_equals_its_dict(self, builtin):
+        # every loaded config shares the built-in products
+        before = dict(builtin.formula)
+        with pytest.raises(TypeError):
+            builtin.formula["H"] = 99
+        with pytest.raises(TypeError):
+            del builtin.formula["C"]
+        assert builtin.formula == before and builtin_product(builtin.name).formula == before
+        assert METHANE.formula == {"C": 1, "H": 4} != {"C": 1, "H": 5}
+
     @given(builtin=st.sampled_from([METHANE, METHANOL, ETHANOL]),
            c=st.floats(1e-3, 0.1), h=st.floats(1e-4, 0.01), o=st.floats(1e-3, 0.1))
     def test_ratios_are_bit_exact_for_any_mass_table(self, builtin, c, h, o):

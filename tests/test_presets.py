@@ -76,7 +76,19 @@ class TestCellCopy:
            product=st.sampled_from([None, "methane", "methanol", "ethanol"]),
            beta=st.floats(0.0, 1.0))
     def test_equals_dataclasses_replace(self, ccs, r_w, plant, product, beta):
-        cfg = replace(CFG, calibration=Calibration(ccs_capital_total=ccs, r_w_per_100km=r_w))
+        calibration = Calibration(ccs_capital_total=ccs, r_w_per_100km=r_w)
+        # the config rules reject a calibration that names no plant, and no capture capital
+        broken = [line for line, rejected in (
+            ("calibration.r_w_per_100km.lignite: names no configured plant "
+             "(plants: ['biomass', 'coal', 'natural_gas'])", "lignite" in r_w),
+            ("econ.c_ccs: required unless calibration.ccs_capital_total is given "
+             "(no defensible default exists)", ccs is None)) if rejected]
+        if broken:
+            with pytest.raises(ConfigError) as info:
+                replace(CFG, calibration=calibration)
+            assert str(info.value) == "\n  ".join(broken)
+            return
+        cfg = replace(CFG, calibration=calibration)
         spec = cfg.plant(plant)
         prod = cfg.product(product) if product else None
 

@@ -118,6 +118,17 @@ class TestPlantSpec:
         with pytest.raises(DomainError):
             PlantSpec("p", q(500, "MW"), q(-1, "g/kWh"))
 
+    @pytest.mark.parametrize("capacity, emission_factor, rates", [
+        ((1e308, "MW"), (230, "g/kWh"), "inf kW and inf ton/h"),
+        ((500, "MW"), (1e306, "kg/kWh"), "500000.0 kW and inf ton/h"),
+    ], ids=["capacity", "carbon-rate"])
+    def test_capacity_or_carbon_rate_that_overflows_names_the_plant(self, capacity,
+                                                                   emission_factor, rates):
+        with pytest.raises(DomainError) as info:
+            PlantSpec("big", q(*capacity), q(*emission_factor))
+        assert str(info.value) == ("plant 'big': capacity in kW and full-load carbon rate "
+                                   f"must be finite, got {rates}")
+
     def test_capacity_of_another_dimension_names_the_field(self):
         with pytest.raises(UnitError, match="capacity must be a power, got 'ton'"):
             PlantSpec("p", q(500, "ton"), q(230, "g/kWh"))

@@ -152,6 +152,11 @@ class TestPlanExclusivity:
         with pytest.raises(DomainError):
             NetworkTransfer(Quantity(-1, "km"))
 
+    @pytest.mark.parametrize("distance", [(1e308, "km"), (1e306, "km")])
+    def test_distance_that_overflows_in_meters_rejected(self, distance):
+        with pytest.raises(DomainError, match="transfer distance must be finite in km and m"):
+            NetworkTransfer(Quantity(*distance))
+
     def test_distance_of_another_dimension_names_the_field(self):
         with pytest.raises(UnitError, match="distance must be a length, got 'kg'"):
             NetworkTransfer(Quantity(150, "kg"))
