@@ -8,6 +8,7 @@ rest of the sweep.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -118,17 +119,25 @@ def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[
     """Daily-cost gap between piping water from distance d and desalinating.
 
     Both alternatives are full scenarios at beta = 1, so every non-water term
-    cancels in the difference.
+    cancels in the difference.  The desalination scenario is priced once,
+    here, as ``total_daily_cost`` prices it; its terms that do not depend on
+    the water mode are kept, so each g(d) prices only the pipe's capital and
+    pumping, then assembles and checks the totals as a full transfer scenario
+    would, with the same errors.
     """
-    desal_cfg = ScenarioConfig(plant=query.plant, econ=econ, beta=1.0,
-                               product=query.product, water_mode=water.Desalination())
-    desal_cost = total_daily_cost(desal_cfg).daily_cost.value_in("$/day")
+    plant, product = query.plant, query.product
+    terms = economics._cost_terms(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
+                                                 product=product,
+                                                 water_mode=water.Desalination()))
+    desal_cost = economics._assemble(terms, plant, product, econ)[1].magnitude
+    w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
+    flow = (w_max,) * economics.HOURS_PER_DAY   # full load: every hour carries w_max
+    before, after = terms[:4], terms[6:]   # the terms around the two water terms
 
     def g(d_km: float) -> float:
-        cfg = ScenarioConfig(plant=query.plant, econ=econ, beta=1.0,
-                             product=query.product,
-                             water_mode=water.NetworkTransfer(Quantity(d_km, "km")))
-        return total_daily_cost(cfg).daily_cost.value_in("$/day") - desal_cost
+        mode = water.NetworkTransfer(Quantity._computed(d_km, "km"))   # d_km is a float
+        transfer = before + economics._water_terms(mode, w_max, flow, econ) + after
+        return economics._assemble(transfer, plant, product, econ)[1].magnitude - desal_cost
 
     return g
 
@@ -137,8 +146,9 @@ def breakeven_distance(query: BreakevenQuery, econ: EconParams) -> Quantity:
     """Pipe length at which network transfer stops beating desalination [km].
 
     The window-end secant is exact: the gap is affine in d (pipe capital, r_w).
-    Raises NoCrossingError (with both endpoint gaps) if one option dominates
-    over the whole window.
+    A solve prices the terms that do not depend on the water mode once, and
+    the pipe's water terms at each window end.  Raises NoCrossingError (with
+    both endpoint gaps) if one option dominates over the whole window.
     """
     g = _transfer_minus_desal(query, econ)
     lo, hi = query.distance_bounds
@@ -174,8 +184,11 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
 
     Capital is the annualized charge of the pipe, priced per meter, so it
     varies with distance alone; operations price the pumping power at each
-    flow, up to the plant's full-reuse water capacity.  Flow bound
-    violations are reported per cell.
+    flow, up to the plant's full-reuse water capacity.  Each flow is checked
+    once, and each distance's length, friction and capital charge are
+    computed once.  A distance that is negative or not finite in km and m
+    raises out of the whole curve; a flow outside the capacity, or a cell
+    whose capital, operations or total is not finite, is an error cell.
 
     The operational column is 24 times one hour's pumping bill.  A full-load
     scenario's ``water-operational`` ledger item adds the 24 equal hours one
@@ -187,22 +200,35 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     if product is None:
         product = METHANE
     w_max = _reuse_rates(product, plant.cbar, 1.0)[1]   # [m3/h]
-    pump_cost = water.pump_cost
-    points = [(f, float(f)) for f in flows]   # the caller's flow names its error cell
+    points = []   # (the caller's flow, which names its cells, the flow [m3/h], its error)
+    for f in flows:
+        f_val = float(f)
+        try:
+            water.check_flow(f_val, w_max)
+            points.append((f, f_val, None))
+        except DomainError as exc:
+            points.append((f, f_val, str(exc)))
+    pump_bill, isfinite, new = water.pump_bill, math.isfinite, tuple.__new__
     cells: list[CurveCell] = []
+    add = cells.append
     for d in distances:
         d_km = float(d)
-        mode = water.NetworkTransfer(Quantity(d_km, "km"))
-        cap_daily = economics.daily_capital_charge(water.water_capital(mode, w_max, econ), econ)
-        for f, f_val in points:
-            try:
-                op_daily = 24.0 * pump_cost(f_val, w_max, d_km, econ)
-            except DomainError as exc:
-                cells.append(CurveCell(d_km, f_val,
-                                       error=f"cell (d={d:g} km, f={f:g} m3/h): {exc}"))
-                continue
-            cells.append(tuple.__new__(CurveCell, (d_km, f_val, cap_daily, op_daily,
-                                                   cap_daily + op_daily, None)))
+        m = water.pipe_length_m(Quantity._computed(d_km, "km"))
+        r_w = water.effective_r_w(econ, d_km)
+        cap_daily = economics.daily_capital_charge(water.pipe_capital(m, econ), econ)
+        for f, f_val, error in points:
+            if error is None:
+                op_daily = 24.0 * pump_bill(f_val, r_w, econ)
+                total = cap_daily + op_daily
+                if isfinite(total):   # so are both parts
+                    add(new(CurveCell, (d_km, f_val, cap_daily, op_daily, total, None)))
+                    continue
+                error = next(f"{name} must be finite, got {value!r} $/day"
+                             for name, value in (("capital charge", cap_daily),
+                                                 ("operational cost", op_daily),
+                                                 ("total cost", total))
+                             if not isfinite(value))
+            add(CurveCell(d_km, f_val, error=f"cell (d={d:g} km, f={f:g} m3/h): {error}"))
     return tuple(cells)
 
 

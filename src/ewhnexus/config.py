@@ -115,6 +115,10 @@ def _config_errors(econ: EconParams | None, plants: tuple[PlantSpec, ...] | None
     skipped.  An entry is named by its index, its YAML position when loaded.
     """
     errors: list[str] = []
+    if plants is not None and not plants:
+        errors.append("plants: must be a non-empty list of {name, capacity, emission_factor}")
+    if sweep_betas is not None and not sweep_betas:
+        errors.append("sweep.betas: must be a non-empty list of numbers")
     for section, entries, rule in (("plants", plants, ".name: duplicate plant name"),
                                    ("products", products, ": duplicate product")):
         seen: dict[Any, int] = {}
@@ -315,7 +319,7 @@ def _load_table(data: Mapping, kind: type, names: tuple[str, ...], errors: list[
 
 def _load_plants(data: Mapping, errors: list[str]) -> tuple[PlantSpec, ...] | None:
     section = data.get("plants")
-    if not isinstance(section, (list, tuple)) or not section:
+    if not isinstance(section, (list, tuple)):   # _config_errors rejects an empty list
         errors.append("plants: missing required section" if "plants" not in data else
                       "plants: must be a non-empty list of {name, capacity, emission_factor}")
         return None
@@ -381,7 +385,7 @@ def _load_water(section: Mapping, errors: list[str]) -> water.WaterMode | None:
 
 def _load_sweep(section: Mapping, errors: list[str]) -> tuple[float, ...] | None:
     betas = section.get("betas", DEFAULT_BETAS)
-    if not isinstance(betas, (list, tuple)) or not betas:
+    if not isinstance(betas, (list, tuple)):   # _config_errors rejects an empty list
         errors.append("sweep.betas: must be a non-empty list of numbers")
         return None
     # numbers as the floats the dump writes; _config_errors reports any other entry

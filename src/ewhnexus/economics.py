@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import ccss, conversion, water
 from .quantities import (
@@ -113,37 +114,76 @@ def carbon_penalty(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
 
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
+    items, daily, price, penalty = _assemble(_cost_terms(scenario), scenario.plant,
+                                             scenario.product, scenario.econ)
+    return ScenarioResult(ledger=CostLedger(items), daily_cost=daily,
+                          increased_price=price, carbon_penalty=penalty)
+
+
+def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
+    """The scenario's cost amounts in ledger order, each unchecked.
+
+    (ccss capital, ccss operations, wind capital, electrolyzer capital, water
+    capital, water operations, product revenue): capital in [$], flows in
+    [$ / day].  A storage scenario has only the first two, the electrolyzer
+    only counts when the policy includes it, and an absent term is None.  The
+    terms are computed in this order, so a DomainError is the first term's,
+    re-raised as "<term>: <message>".
+    """
     plant, econ, beta, product = scenario.plant, scenario.econ, scenario.beta, scenario.product
     cbar = plant.cbar   # full-load carbon [ton/h]
     captured = scenario.captured
-    reuse = beta > 0 and product is not None
-    hydrogen = econ.include_hydrogen_capital
-
     term = "ccss-capital"   # tag of the running term, named in its DomainError
     try:
         cap_ccss = ccss.ccss_capital(beta, cbar, econ)
         term = "ccss-operational"
         op_ccss = ccss.ccss_operational(beta, captured, econ)
-        if reuse:
-            mode = scenario.water_mode
-            h2_max, w_max, _ = conversion._reuse_rates(product, cbar, beta)  # [ton/h], [m3/h]
-            term = "power-capital"
-            cap_power = conversion.power_capital(h2_max, econ)
-            if hydrogen:
-                term = "hydrogen-capital"
-                cap_h2 = conversion.hydrogen_capital(product, cbar, beta, econ)
-            term = "water-capital"
-            cap_water = water.water_capital(mode, w_max, econ)
-            # L/kg times ton/h is m3/h; same arithmetic path as _reuse_rates so a
-            # full-load profile lands exactly on w_max
-            k = product.water_demand * beta
-            term = "water-operational"
-            op_water = water.water_operational(mode, w_max, [k * c for c in captured], econ)
-            term = "product-revenue"
-            revenue = conversion.chemical_revenue(product, captured, beta, econ)
+        if not (beta > 0 and product is not None):
+            return (cap_ccss, op_ccss, None, None, None, None, None)
+        h2_max, w_max, _ = conversion._reuse_rates(product, cbar, beta)  # [ton/h], [m3/h]
+        term = "power-capital"
+        cap_power = conversion.power_capital(h2_max, econ)
+        cap_h2 = None
+        if econ.include_hydrogen_capital:
+            term = "hydrogen-capital"
+            cap_h2 = conversion.hydrogen_capital(product, cbar, beta, econ)
+    except DomainError as exc:
+        raise DomainError(f"{term}: {exc}") from exc
+    # L/kg times ton/h is m3/h; same arithmetic path as _reuse_rates so a full-load
+    # profile lands exactly on w_max
+    k = product.water_demand * beta
+    cap_water, op_water = _water_terms(scenario.water_mode, w_max, [k * c for c in captured],
+                                       econ)
+    try:
+        revenue = conversion.chemical_revenue(product, captured, beta, econ)
+    except DomainError as exc:
+        raise DomainError(f"product-revenue: {exc}") from exc
+    return (cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue)
+
+
+def _water_terms(mode: water.WaterMode, w_max: float, flow: Sequence[float],
+                 econ: EconParams) -> tuple[float, float]:
+    """Water capital [$] and daily water operations [$ / day], tagged as in ``_cost_terms``."""
+    term = "water-capital"
+    try:
+        capital = water.water_capital(mode, w_max, econ)
+        term = "water-operational"
+        return capital, water.water_operational(mode, w_max, flow, econ)
     except DomainError as exc:
         raise DomainError(f"{term}: {exc}") from exc
 
+
+def _assemble(terms: tuple[float | None, ...], plant: PlantSpec,
+              product: conversion.ProductSpec | None, econ: EconParams
+              ) -> tuple[tuple[LedgerItem, ...], Quantity, Quantity, Quantity]:
+    """The ledger rows of ``_cost_terms``' amounts, and the decision metrics of their total.
+
+    Returns (rows, net daily cost, price uplift, carbon penalty).  Each row
+    checks that its amount is finite, in ledger order, before anything is
+    summed; the capital is then charged daily over the horizon and added to
+    the flows.
+    """
+    cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
     # the kinds and units below are the ledger's own literals: only amounts are checked
     item = LedgerItem._computed
     items = [item("capture and storage pipeline capital", "ccss-capital",
@@ -153,23 +193,18 @@ def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     # the totals are fsums of the amounts in hand, in item order: fsum is
     # exact, so they equal the ledger's capital_total() and daily_total()
     capital, flows = [cap_ccss], [op_ccss]
-    if reuse:
+    if cap_power is not None:   # a reuse scenario
         items.append(item("wind farm capital", "power-capital", CAPITAL, cap_power, "$"))
-        if hydrogen:
+        if cap_h2 is not None:
             items.append(item("electrolyzer capital", "hydrogen-capital", CAPITAL, cap_h2, "$"))
         items += (item("water system capital", "water-capital", CAPITAL, cap_water, "$"),
                   item("water system operations", "water-operational",
                        OPERATIONAL, op_water, "$/day"),
                   item(f"{product.name} sales", "product-revenue", REVENUE, revenue, "$/day"))
-        capital += (cap_power, cap_h2, cap_water) if hydrogen else (cap_power, cap_water)
+        capital += (cap_power, cap_water) if cap_h2 is None else (cap_power, cap_h2, cap_water)
         flows += (op_water, revenue)
 
     charge = daily_capital_charge(math.fsum(capital), econ)
     items.append(item("daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))
     daily = Quantity._computed(math.fsum(flows + [charge]), "$/day")
-    return ScenarioResult(
-        ledger=CostLedger(tuple(items)),
-        daily_cost=daily,
-        increased_price=increased_price(daily, plant),
-        carbon_penalty=carbon_penalty(daily, plant),
-    )
+    return tuple(items), daily, increased_price(daily, plant), carbon_penalty(daily, plant)

@@ -35,13 +35,18 @@ class NetworkTransfer:
 
     def __post_init__(self):
         km = _field_value(self.distance, "km", "distance must be a length")
-        if self.distance.magnitude < 0:
-            raise DomainError("transfer distance must be >= 0")
-        m = self.distance.value_in("m")
-        if not math.isfinite(m):   # false for an infinite distance in km too
-            raise DomainError(f"transfer distance must be finite in km and m, got {self.distance}")
+        object.__setattr__(self, "m", pipe_length_m(self.distance))
         object.__setattr__(self, "km", km)
-        object.__setattr__(self, "m", m)
+
+
+def pipe_length_m(distance: Quantity) -> float:
+    """Length of a transfer pipe [m]; the distance must be >= 0 and finite in km and m."""
+    if distance.magnitude < 0:
+        raise DomainError("transfer distance must be >= 0")
+    m = distance.value_in("m")
+    if not math.isfinite(m):   # false for an infinite distance in km too
+        raise DomainError(f"transfer distance must be finite in km and m, got {distance}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -99,14 +104,29 @@ def effective_r_w(econ: EconParams, distance_km: float) -> float:
     return econ.r_w_per_100km * distance_km / 100.0
 
 
+def pump_bill(f: float, r_w: float, econ: EconParams) -> float:
+    """Grid electricity bill for pumping flow f [m3/h] for one hour [$].
+
+    The price of ``pump_power`` for a head-loss coefficient r_w [h2/m5], in
+    its grouping, unchecked: the caller has checked f >= 0, and
+    ``EconParams`` the pump efficiency.
+    """
+    return econ.elec_price * (PUMP_CONSTANT_W * (r_w * f * f) * f / econ.eta_pump / 1000.0)
+
+
 def pump_cost(f: float, w_max: float, distance_km: float, econ: EconParams) -> float:
     """Grid electricity bill for pumping flow f [m3/h] down the pipe for one hour [$].
 
     The flow must lie within [0, w_max], the production capacity [m3/h].
     """
+    check_flow(f, w_max)
+    return pump_bill(f, effective_r_w(econ, distance_km), econ)
+
+
+def check_flow(f: float, w_max: float) -> None:
+    """Reject a pumped flow f outside [0, w_max], the production capacity [m3/h]."""
     if not 0.0 <= f <= w_max:
         raise DomainError(f"flow {f:g} m3/h outside the production capacity [0, {w_max:g}]")
-    return econ.elec_price * pump_power(f, effective_r_w(econ, distance_km), econ.eta_pump)
 
 
 def water_capital(mode: WaterMode, w_max: float, econ: EconParams) -> float:
@@ -119,10 +139,15 @@ def water_capital(mode: WaterMode, w_max: float, econ: EconParams) -> float:
     if isinstance(mode, Desalination):
         return w_max * econ.c_des
     if isinstance(mode, NetworkTransfer):
-        return econ.c_tw * mode.m
+        return pipe_capital(mode.m, econ)
     if econ.c_sw is None:
         raise DomainError("c_sw is not configured; a solar-seawater plan cannot be costed")
     return w_max * econ.c_sw
+
+
+def pipe_capital(m: float, econ: EconParams) -> float:
+    """Capital of a transfer pipe m meters long [$]: c_tw [$ / m] * m, whatever the flow."""
+    return econ.c_tw * m
 
 
 def water_operational(mode: WaterMode, w_max: float, flow: Sequence[float],

@@ -3,19 +3,22 @@
 import math
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ewhnexus import analysis, ccss, conversion, economics, water
 from ewhnexus.analysis import (
     BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepGrid,
     breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
 )
-from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, _reuse_rates
+from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, ProductSpec, Reaction, _reuse_rates
 from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
-from ewhnexus.quantities import DomainError, EconParams, Quantity
+from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 from ewhnexus.water import NetworkTransfer, pump_cost, water_capital
 
 CFG = paper_2024()
@@ -205,6 +208,171 @@ class TestBreakeven:
             done += 1
 
 
+def solve_outcome(query: BreakevenQuery, econ: EconParams):
+    """What ``breakeven_distance`` returns or raises, bit for bit."""
+    try:
+        return breakeven_distance(query, econ).magnitude.hex()
+    except NoCrossingError as exc:
+        return NoCrossingError, str(exc), exc.g_lo.hex(), exc.g_hi.hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def priced_per_scenario(query: BreakevenQuery, econ: EconParams):
+    """The gap as the solve priced it before its terms were shared: two full scenarios."""
+    return cost_gap(query.plant, query.product, econ)
+
+
+# no config prices it, so its revenue term raises
+FORMIC_ACID = ProductSpec("formic_acid", {"C": 1, "H": 2, "O": 2}, Reaction(1, 1, 1, 0))
+# rates finite, but the wind capital and the pumping bill overflow
+HUGE = PlantSpec("huge", Quantity(1e302, "MW"), Quantity(230, "g/kWh"))
+# every decision metric divides by a capacity near 0
+TINY = PlantSpec("tiny", Quantity(1e-300, "kW"), Quantity(820, "g/kWh"))
+
+
+def rarely(common, rare):
+    """Draws of ``rare`` one time in ten, else of ``common``."""
+    return st.sampled_from([common] * 9 + [rare]).flatmap(lambda s: s)
+
+
+@st.composite
+def breakeven_cases(draw):
+    plant = draw(rarely(st.sampled_from(CFG.plants) | st.builds(
+        PlantSpec, st.just("drawn"), st.builds(Quantity, st.floats(1e-3, 1e4), st.just("MW")),
+        st.builds(Quantity, st.floats(1.0, 2000.0), st.just("g/kWh"))),
+        st.sampled_from([HUGE, TINY])))
+    product = draw(rarely(st.sampled_from(CFG.products), st.just(FORMIC_ACID)))
+    try:
+        calibrated = CFG.calibration.apply(CFG.econ, plant)
+    except DomainError:   # a capture capital spread over a carbon rate near 0 is infinite
+        calibrated = replace(CFG.econ, c_ccs=1.0)
+    over = draw(st.just({}) | st.fixed_dictionaries({}, optional={
+        "c_ccs": rarely(st.floats(0.0, 1e6), st.none()),   # None: no capture capital set
+        "include_hydrogen_capital": st.just(True),
+        "c_tw": rarely(st.floats(0.0, 1e4), st.just(1e303)),
+        "r_w_per_100km": st.floats(0.0, 1e-2),
+        "c_des": st.floats(0.0, 1e6),
+        "interest_rate": st.floats(0.0, 0.2),
+        "horizon_years": st.integers(1, 60)}))
+    # the preset's roots lie between 61 and 395 km
+    lo = draw(rarely(st.floats(0.0, 20.0).map(lambda x: x * x),
+                     st.sampled_from([-0.0, -1e-300, -5.0])))
+    hi = draw(rarely(st.floats(400.5, 2000.0) | st.floats(lo, 2000.0, exclude_min=True),
+                     st.sampled_from([math.inf, 1e306])))
+    return BreakevenQuery(plant, product, (lo, hi)), replace(calibrated, **over)
+
+
+class TestBreakevenAgainstFullScenarios:
+    """The solve prices the mode-free terms once; the result and every error are unchanged."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=breakeven_cases())
+    @example(case=(BreakevenQuery(COAL, METHANE), replace(CFG.econ, c_ccs=None)))
+    @example(case=(BreakevenQuery(HUGE, METHANE), econ_for_cell(CFG, HUGE)))
+    @example(case=(BreakevenQuery(TINY, METHANE), replace(CFG.econ, c_ccs=1.0)))
+    @example(case=(BreakevenQuery(BIOMASS, FORMIC_ACID), econ_for_cell(CFG, BIOMASS)))
+    @example(case=(BreakevenQuery(BIOMASS, METHANE, (-5.0, 100.0)), econ_for_cell(CFG, BIOMASS)))
+    @example(case=(BreakevenQuery(BIOMASS, METHANE, (62.0, 1000.0)), econ_for_cell(CFG, BIOMASS)))
+    @example(case=(BreakevenQuery(GAS, ETHANOL, (10.0, math.inf)), econ_for_cell(CFG, GAS)))
+    @example(case=(BreakevenQuery(GAS, METHANOL),
+                   replace(econ_for_cell(CFG, GAS), include_hydrogen_capital=True)))
+    @example(case=(BreakevenQuery(COAL, METHANE), replace(econ_for_cell(CFG, COAL), c_tw=1e303)))
+    @example(case=(BreakevenQuery(COAL, METHANE),
+                   replace(econ_for_cell(CFG, COAL), r_w_per_100km=1e302)))
+    def test_outcome_matches_pricing_two_full_scenarios(self, case):
+        query, econ = case
+        with mock.patch.object(analysis, "_transfer_minus_desal", priced_per_scenario):
+            expected = solve_outcome(query, econ)
+        assert solve_outcome(query, econ) == expected
+
+    @pytest.mark.parametrize("case, outcome", [
+        ((COAL, replace(CFG.econ, c_ccs=None)),
+         "ccss-capital: c_ccs (capture plant capital cost) is not configured"),
+        ((HUGE, econ_for_cell(CFG, HUGE)), "ledger amount must be finite (wind farm capital)"),
+        ((COAL, replace(econ_for_cell(CFG, COAL), c_tw=1e303)),
+         "ledger amount must be finite (water system capital)"),
+        ((COAL, replace(econ_for_cell(CFG, COAL), r_w_per_100km=1e302)),
+         "ledger amount must be finite (water system operations)"),
+        ((BIOMASS, econ_for_cell(CFG, BIOMASS)), None),
+    ], ids=["unset-c_ccs", "huge-plant", "pipe-capital", "pumping", "preset"])
+    def test_the_examples_reach_the_errors_they_are_for(self, case, outcome):
+        plant, econ = case
+        query = BreakevenQuery(plant, METHANE)
+        if outcome is None:
+            assert breakeven_distance(query, econ).value_in("km") == pytest.approx(61.0)
+        else:
+            with pytest.raises(DomainError) as info:
+                breakeven_distance(query, econ)
+            assert str(info.value) == outcome
+
+
+class TestWorkCounts:
+    """The terms a solve or a curve prices, counted through the module attributes."""
+
+    @staticmethod
+    def counted(monkeypatch, calls: Counter, *targets) -> Counter:
+        for module, name in targets:
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @staticmethod
+    def count_quantities(monkeypatch, calls: Counter) -> Counter:
+        """Every Quantity built, checked (``__post_init__``) or computed (``_computed``)."""
+        post_init, computed = Quantity.__post_init__, Quantity.__dict__["_computed"].__func__
+
+        def counting_post_init(self):
+            calls["Quantity"] += 1
+            post_init(self)
+
+        def counting_computed(cls, magnitude, unit):
+            calls["Quantity"] += 1
+            return computed(cls, magnitude, unit)
+
+        monkeypatch.setattr(Quantity, "__post_init__", counting_post_init)
+        monkeypatch.setattr(Quantity, "_computed", classmethod(counting_computed))
+        return calls
+
+    def test_one_solve_prices_each_mode_free_term_once(self, monkeypatch):
+        calls = self.counted(monkeypatch, Counter(),
+                             (ccss, "ccss_capital"), (ccss, "ccss_operational"),
+                             (conversion, "power_capital"), (conversion, "chemical_revenue"),
+                             (water, "water_capital"), (water, "water_operational"),
+                             (economics, "total_daily_cost"))
+        query, econ = BreakevenQuery(COAL, METHANOL), econ_for_cell(CFG, COAL)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            breakeven_distance(query, econ)
+            counts.append(dict(calls))
+        # the water terms are priced for desalination and at both window ends
+        assert counts == [{"ccss_capital": 1, "ccss_operational": 1, "power_capital": 1,
+                           "chemical_revenue": 1, "water_capital": 3,
+                           "water_operational": 3}] * 2
+
+    @pytest.mark.parametrize("n_flows", [1, 11])
+    def test_a_curve_builds_one_quantity_per_distance_and_none_per_flow(self, monkeypatch,
+                                                                        n_flows):
+        calls = self.count_quantities(monkeypatch, Counter())
+        self.counted(monkeypatch, calls, (water, "pump_bill"), (water, "check_flow"),
+                     (water, "pipe_length_m"), (economics, "daily_capital_charge"))
+        w_max = _reuse_rates(METHANE, BIOMASS.cbar, 1.0)[1]
+        distances = [10.0 * k for k in range(51)]
+        flows = [w_max * k / n_flows for k in range(n_flows)] + [2.0 * w_max]   # one error
+        econ = econ_for_cell(CFG, BIOMASS)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            cells = transfer_cost_curve(BIOMASS, distances, flows, econ)
+            counts.append(dict(calls))
+        assert sum(c.error is not None for c in cells) == len(distances)
+        assert counts == [{"Quantity": 51, "pipe_length_m": 51, "daily_capital_charge": 51,
+                           "check_flow": n_flows + 1, "pump_bill": 51 * n_flows}] * 2
+
+
 def curve_oracle(d, f, w_max: float, econ: EconParams) -> str:
     """The repr of the curve cell at caller distance d and flow f, priced on its own."""
     d_km, f_m3_h = float(d), float(f)
@@ -216,9 +384,17 @@ def curve_oracle(d, f, w_max: float, econ: EconParams) -> str:
     capital = daily_capital_charge(
         water_capital(NetworkTransfer(Quantity(d, "km")), w_max, econ), econ)
     operational = 24.0 * pump_cost(f_m3_h, w_max, d_km, econ)
+    total = capital + operational
+    for name, value in (("capital charge", capital), ("operational cost", operational),
+                        ("total cost", total)):
+        if not math.isfinite(value):
+            error = f"cell (d={d:g} km, f={f:g} m3/h): {name} must be finite, got {value!r} $/day"
+            return (f"CurveCell(distance_km={d_km!r}, flow_m3_h={f_m3_h!r}, "
+                    f"capital_daily=None, operational_daily=None, total_daily=None, "
+                    f"error={error!r})")
     return (f"CurveCell(distance_km={d_km!r}, flow_m3_h={f_m3_h!r}, "
             f"capital_daily={capital!r}, operational_daily={operational!r}, "
-            f"total_daily={capital + operational!r}, error=None)")
+            f"total_daily={total!r}, error=None)")
 
 
 class TestTransferCurve:
@@ -261,7 +437,10 @@ class TestTransferCurve:
             transfer_cost_curve(BIOMASS, [60.0, -1.0], [90.0], self.ECON)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), plant=st.sampled_from(CFG.plants),
+    @given(data=st.data(), plant=st.sampled_from(CFG.plants) | st.builds(   # or one that overflows
+               PlantSpec, st.just("huge"), st.builds(Quantity, st.floats(1e90, 1e303),
+                                                     st.just("MW")),
+               st.sampled_from([p.emission_factor for p in CFG.plants])),
            product=st.none() | st.sampled_from(CFG.products),
            distances=st.lists(st.just(0) | st.just(0.0) | st.integers(0, 600)
                               | st.floats(0.0, 1000.0), min_size=1, max_size=4))
@@ -271,7 +450,7 @@ class TestTransferCurve:
                 | st.integers(-5, int(w_max) + 5) | st.just(math.nan)
                 | st.floats(-w_max, -1e-9) | st.floats(1.0, 3.0).map(lambda x: x * w_max))
         flows = data.draw(st.lists(flow, min_size=1, max_size=5))
-        econ = econ_for_cell(CFG, plant, product, 1.0)
+        econ = econ_for_cell(CFG, plant)
         cells = transfer_cost_curve(plant, distances, flows, econ, product=product)
         expected = [curve_oracle(d, f, w_max, econ) for d in distances for f in flows]
         assert [repr(c) for c in cells] == expected

@@ -331,6 +331,9 @@ RULE_EDITS = {
                       lambda c: dataclasses.replace(c, sweep_betas=(0.5, 0.5))),
     "beta-above-one": (lambda d: d["sweep"].update(betas=[0.5, 1.5]),
                        lambda c: dataclasses.replace(c, sweep_betas=(0.5, 1.5))),
+    "no-plants": (lambda d: d.update(plants=[]), lambda c: dataclasses.replace(c, plants=())),
+    "no-betas": (lambda d: d["sweep"].update(betas=[]),
+                 lambda c: dataclasses.replace(c, sweep_betas=())),
 }
 
 
@@ -339,10 +342,10 @@ def mostly(valid, invalid):
     return st.integers(0, 3).flatmap(lambda k: invalid if k == 3 else valid)
 
 
-def distinct_or_not(elements, min_size=0):
+def distinct_or_not(elements):
     """Lists of ``elements``, most of them without a repeat."""
-    return mostly(st.lists(elements, min_size=min_size, max_size=3, unique=True),
-                  st.lists(elements, min_size=max(min_size, 2), max_size=4))
+    return mostly(st.lists(elements, max_size=3, unique=True),
+                  st.lists(elements, min_size=2, max_size=4))
 
 
 class TestConfigRules:
@@ -368,11 +371,11 @@ class TestConfigRules:
 
     # each edit is drawn valid more often than not, so that many reach the round trip
     @settings(max_examples=100, deadline=None)
-    @given(plants=distinct_or_not(st.sampled_from(range(3)), min_size=1),
+    @given(plants=distinct_or_not(st.sampled_from(range(3))),
            products=distinct_or_not(st.sampled_from(["methane", "methanol", "ethanol"])),
-           betas=mostly(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1,
-                                 max_size=3, unique=True),
-                        st.lists(st.sampled_from([0.0, 0.5, 1.5]), min_size=1, max_size=3)),
+           betas=mostly(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=3,
+                                 unique=True),
+                        st.lists(st.sampled_from([0.0, 0.5, 1.5]), max_size=3)),
            mode=st.sampled_from([Desalination(), SolarSeawater()])
            | st.builds(NetworkTransfer, st.builds(Quantity, st.floats(0.0, 500.0),
                                                   st.just("km"))),
@@ -535,6 +538,28 @@ class TestCli:
         assert (status, out) == (3, "")
         assert err == ("computation error: transfer distance must be finite in km and m, "
                        "got 1e+308 km\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_curve_cost_that_overflows_is_an_error_cell(self, fmt, tmp_path):
+        # the rates are finite, but the cubic pumping bill of every flow above 0 is not
+        data = preset_dict()
+        data["plants"][0]["capacity"] = "1e302 MW"
+        path = tmp_path / "huge.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", "curve",
+                                        "--plant", "biomass", "--distances", "10",
+                                        "--format", fmt)
+        assert status == 3
+        lines = err.splitlines()
+        assert len(lines) == 4
+        assert all(line.startswith("error: cell (d=10 km, f=") and line.endswith(
+            " m3/h): operational cost must be finite, got inf $/day") for line in lines)
+        assert "inf" not in out.lower()
+        if fmt == "json":
+            flows = [row["flow_m3_per_h"] for row in json.loads(out)]
+        else:
+            flows = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert flows == [0.0]   # the zero-flow row is finite and kept
 
     def test_repeated_sweep_beta_exits_2(self, tmp_path):
         data = preset_dict()
