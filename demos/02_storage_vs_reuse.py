@@ -3,15 +3,11 @@
 # and prints the decision table.
 
 import ewhnexus as ew
-from ewhnexus.analysis import SweepGrid, scenario_sweep
 from ewhnexus.cli import render_sweep_table, sweep_row
-from ewhnexus.presets import resolver
 
 cfg = ew.paper_2024()
 
-grid = SweepGrid(plants=cfg.plants, products=cfg.products, betas=cfg.sweep_betas,
-                 water_mode=cfg.water_mode)
-cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
+cells = cfg.sweep()   # the preset's plants, products, betas and water supply
 
 print(render_sweep_table([sweep_row(c) for c in cells]))
 
@@ -24,10 +20,7 @@ print(f"cheapest cell: {best.plant} / {best.product or 'storage'} at beta={best.
       f"-> {best.result.daily_cost.value_in('$/day') / 1e6:+.3f} M$/day")
 
 # A single cell comes with its itemized ledger.
-plant, product = cfg.plant("biomass"), cfg.product("methane")
-econ = ew.econ_for_cell(cfg, plant)
-result = ew.total_daily_cost(ew.ScenarioConfig(plant=plant, econ=econ, beta=1.0,
-                                               product=product))
+result = ew.total_daily_cost(cfg.scenario(cfg.plant("biomass"), cfg.product("methane"), 1.0))
 print("\nbiomass / methane / beta=1 ledger:")
 for item in result.ledger.items:
     print(f"  {item.label:<36} {item.amount / 1e6:12.3f} M{item.unit}")

@@ -13,7 +13,7 @@ methane = cfg.product("methane")
 # ---------------------------------------------------------------
 print("Desalination pays off beyond ...")
 for plant in cfg.plants:
-    econ = ew.econ_for_cell(cfg, plant)
+    econ = cfg.econ_for(plant)
     query = BreakevenQuery(plant=plant, product=methane)
     d = breakeven_distance(query, econ)
     print(f"  {plant.name:<12} {d.value_in('km'):6.1f} km")
@@ -22,7 +22,7 @@ for plant in cfg.plants:
 # Transfer cost surface for the biomass plant
 # ---------------------------------------------------------------
 plant = cfg.plant("biomass")
-econ = ew.econ_for_cell(cfg, plant)
+econ = cfg.econ_for(plant)
 w_max = ew.nexus_rates(plant, methane, 1.0)[1].value_in("m3/h")
 flows = [w_max * frac for frac in (0.0, 0.25, 0.5, 0.75, 1.0)]
 

@@ -10,11 +10,11 @@ cfg = ew.paper_2024()
 
 print(f"{'plant':<12} {'strategy':<22} {'threshold $/ton':>15}")
 for plant in cfg.plants:
-    econ = ew.econ_for_cell(cfg, plant)
+    econ = cfg.econ_for(plant)
     thr = penalty_threshold(plant, StoreAll(), econ)
     print(f"{plant.name:<12} {'store everything':<22} {thr.value_in('$/ton'):15.2f}")
     for product in cfg.products:
-        thr = penalty_threshold(plant, ReuseAll(product), econ)
+        thr = penalty_threshold(plant, ReuseAll(product), econ, water_mode=cfg.water_mode)
         print(f"{'':<12} {'reuse all -> ' + product.name:<22} "
               f"{thr.value_in('$/ton'):15.2f}")
 

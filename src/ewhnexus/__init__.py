@@ -17,7 +17,7 @@ from .water import (
 )
 from .conversion import (
     BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, ProductSpec, Reaction,
-    builtin_product, chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
+    chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
 )
 from .economics import (
     ScenarioConfig, ScenarioResult, carbon_penalty,
@@ -37,7 +37,7 @@ __all__ = [
     "NetworkTransfer", "NoCrossingError", "PlantSpec",
     "ProductSpec", "Quantity", "Reaction", "ReuseAll", "ScenarioConfig",
     "ScenarioResult", "SolarSeawater", "StoreAll", "SweepGrid", "TimeSeries",
-    "UnitError", "breakeven_distance", "builtin_product",
+    "UnitError", "breakeven_distance",
     "carbon_penalty", "ccss_capital", "ccss_operational", "chemical_revenue",
     "daily_capital_charge", "desal_power", "dump_config",
     "econ_for_cell", "emissions_at_capacity", "head_loss", "hydrogen_capital",

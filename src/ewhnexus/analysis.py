@@ -16,12 +16,31 @@ from typing import Callable, Sequence
 from . import economics, water
 from .conversion import METHANE, ProductSpec, _reuse_rates
 from .economics import ScenarioConfig, ScenarioResult, total_daily_cost
-from .quantities import DomainError, EconParams, PlantSpec, Quantity, check_beta
+from .quantities import DomainError, EconParams, PlantSpec, Quantity
 
 # plant -> EconParams; lets a calibrated preset resolve plant-specific costs
 # without changing any formula
 EconResolver = Callable[[PlantSpec], EconParams]
 DEFAULT_BETAS: tuple[float, ...] = (0.5, 1.0)   # reuse fractions of a sweep that names none
+
+
+def beta_errors(betas: Sequence, path: str) -> list[str]:
+    """One line per broken rule of a sweep's reuse fractions, each entry named ``path[i]``.
+
+    An entry is a number (not a bool) in [0, 1], not 0 (the storage row every
+    plant already gets) and not repeated.
+    """
+    errors: list[str] = []
+    seen: dict[float, int] = {}
+    for i, b in enumerate(betas):
+        if isinstance(b, bool) or not isinstance(b, (int, float)) or not 0.0 <= b <= 1.0:
+            errors.append(f"{path}[{i}]: reuse fraction must lie in [0, 1], got {b!r}")
+        elif b == 0:
+            errors.append(f"{path}[{i}]: beta 0 is the storage row, which every plant gets")
+        elif seen.setdefault(b, i) != i:
+            errors.append(f"{path}[{i}]: repeated reuse fraction {b!r} "
+                          f"(first at {path}[{seen[b]}])")
+    return errors
 
 
 @dataclass(frozen=True)
@@ -36,15 +55,13 @@ class SweepGrid:
     def __post_init__(self):
         object.__setattr__(self, "plants", tuple(self.plants))
         object.__setattr__(self, "products", tuple(self.products))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        betas = tuple(self.betas)
         if not self.plants:
             raise DomainError("sweep grid needs at least one plant")
-        for i, b in enumerate(self.betas):
-            check_beta(b)
-            if b in self.betas[:i]:
-                raise DomainError(f"sweep grid: repeated reuse fraction {b!r}")
-        if 0.0 in self.betas:
-            raise DomainError("sweep grid: beta 0 is the storage row, which every plant gets")
+        errors = beta_errors(betas, "betas")
+        if errors:
+            raise DomainError(errors[0])
+        object.__setattr__(self, "betas", tuple(float(b) for b in betas))
 
 
 @dataclass(frozen=True)

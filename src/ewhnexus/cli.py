@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 from . import analysis
 from .config import ConfigError, LoadedConfig, load_config
 from .conversion import _reuse_rates
-from .economics import ScenarioConfig, total_daily_cost
-from .presets import econ_for_cell, resolver
+from .economics import total_daily_cost
 from .quantities import DomainError, UnitError
 
 SWEEP_COLUMNS = ("plant", "product", "beta", "capital_usd", "operational_usd_per_day",
@@ -68,10 +67,7 @@ def sweep_row(cell: analysis.SweepCell) -> dict:
 
 
 def _sweep_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
-    grid = analysis.SweepGrid(plants=cfg.plants, products=cfg.products,
-                              betas=cfg.sweep_betas, water_mode=cfg.water_mode)
-    cells = analysis.scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
-    return [sweep_row(cell) for cell in cells]
+    return [sweep_row(cell) for cell in cfg.sweep()]
 
 
 def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
@@ -84,17 +80,16 @@ def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     if beta > 0 and not args.product:
         raise ConfigError(f"--beta {beta!r} needs --product (reuse makes a product)")
     product = cfg.product(args.product) if args.product else None
-    scenario = ScenarioConfig(plant=plant, econ=econ_for_cell(cfg, plant), beta=beta,
-                              product=product, water_mode=cfg.water_mode)
+    result = total_daily_cost(cfg.scenario(plant, product, beta))
     return [sweep_row(analysis.SweepCell(plant.name, product.name if product else "",
-                                         beta, result=total_daily_cost(scenario)))]
+                                         beta, result=result))]
 
 
 def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
     product = cfg.product("methane" if args.product is None else args.product)
     query = analysis.BreakevenQuery(plant=plant, product=product)
-    distance = analysis.breakeven_distance(query, econ_for_cell(cfg, plant))
+    distance = analysis.breakeven_distance(query, cfg.econ_for(plant))
     return [{"plant": plant.name, "product": product.name,
              "breakeven_distance_km": distance.value_in("km")}]
 
@@ -107,7 +102,7 @@ def _curve_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
         w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
         flows = tuple(w_max * frac for frac in (0.0, 0.25, 0.5, 0.75, 1.0))
     cells = analysis.transfer_cost_curve(plant, args.distances, flows,
-                                         econ_for_cell(cfg, plant), product=product)
+                                         cfg.econ_for(plant), product=product)
     return [{"error": c.error} if c.error is not None else dict(zip(CURVE_COLUMNS, (
         c.distance_km, c.flow_m3_h, c.capital_daily, c.operational_daily, c.total_daily)))
         for c in cells]
@@ -121,7 +116,7 @@ def _penalty_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
         label = f"reuse-all ({product.name})"
     else:
         strategy, label = analysis.StoreAll(), "store-all"
-    threshold = analysis.penalty_threshold(plant, strategy, econ_for_cell(cfg, plant),
+    threshold = analysis.penalty_threshold(plant, strategy, cfg.econ_for(plant),
                                            water_mode=cfg.water_mode)
     return [{"plant": plant.name, "strategy": label,
              "penalty_threshold_usd_per_ton": threshold.value_in("$/ton")}]

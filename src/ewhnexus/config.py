@@ -22,8 +22,9 @@ from typing import Any, Mapping
 
 from . import _yaml as yaml
 from . import water
-from .analysis import DEFAULT_BETAS
+from .analysis import DEFAULT_BETAS, SweepCell, SweepGrid, beta_errors, scenario_sweep
 from .conversion import BUILTIN_PRODUCTS, ProductSpec
+from .economics import ScenarioConfig
 from .quantities import (EconParams, FrozenMap, PlantSpec, Quantity, UnitError,
                          check_nonneg)
 
@@ -126,15 +127,7 @@ def _config_errors(econ: EconParams | None, plants: tuple[PlantSpec, ...] | None
             if seen.setdefault(entry.name, i) != i:
                 errors.append(f"{section}[{i}]{rule} {entry.name!r} "
                               f"(first at {section}[{seen[entry.name]}])")
-    seen = {}
-    for i, b in enumerate(sweep_betas or ()):
-        if isinstance(b, bool) or not isinstance(b, (int, float)) or not 0.0 <= b <= 1.0:
-            errors.append(f"sweep.betas[{i}]: reuse fraction must lie in [0, 1], got {b!r}")
-        elif b == 0:
-            errors.append(f"sweep.betas[{i}]: beta 0 is the storage row, which every plant gets")
-        elif seen.setdefault(b, i) != i:
-            errors.append(f"sweep.betas[{i}]: repeated reuse fraction {b!r} "
-                          f"(first at sweep.betas[{seen[b]}])")
+    errors.extend(beta_errors(sweep_betas or (), "sweep.betas"))
     if calibration is not None and plants is not None:
         names = sorted(p.name for p in plants)
         errors.extend(f"calibration.r_w_per_100km.{name}: names no configured plant "
@@ -184,6 +177,28 @@ class LoadedConfig:
         if errors:
             raise ConfigError("\n  ".join(errors))
         object.__setattr__(self, "plant_econs", econs)
+
+    def econ_for(self, plant: PlantSpec) -> EconParams:
+        """``plant``'s calibrated parameters, built with the config for a plant of ``plants``.
+
+        Any other object, even an equal plant, is calibrated on the spot; a
+        DomainError says why its parameters are invalid.
+        """
+        for configured, econ in zip(self.plants, self.plant_econs):
+            if configured is plant:
+                return econ
+        return self.calibration.apply(self.econ, plant)
+
+    def scenario(self, plant: PlantSpec, product: ProductSpec | None = None,
+                 beta: float = 0.0) -> ScenarioConfig:
+        """One cell: ``plant`` at reuse fraction ``beta`` in this config's water mode."""
+        return ScenarioConfig(plant=plant, econ=self.econ_for(plant), beta=beta,
+                              product=product, water_mode=self.water_mode)
+
+    def sweep(self) -> tuple[SweepCell, ...]:
+        """Every cell of this config's grid: its plants, products, betas and water mode."""
+        grid = SweepGrid(self.plants, self.products, self.sweep_betas, self.water_mode)
+        return scenario_sweep(grid, self.econ, econ_resolver=self.econ_for)
 
     def plant(self, name: str) -> PlantSpec:
         for p in self.plants:

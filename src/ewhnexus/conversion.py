@@ -100,14 +100,6 @@ BUILTIN_PRODUCTS: dict[str, ProductSpec] = {
 }
 
 
-def builtin_product(name: str) -> ProductSpec:
-    try:
-        return BUILTIN_PRODUCTS[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown product {name!r}; built-ins are {sorted(BUILTIN_PRODUCTS)}") from None
-
-
 def _reuse_rates(product: ProductSpec, cbar: float, beta: float) -> tuple[float, float, float]:
     """(H2 [ton/h], water [m3/h], product [ton/h]) for full-load carbon cbar [ton/h]."""
     return (product.xi_h * beta * cbar,

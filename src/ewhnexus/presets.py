@@ -1,10 +1,4 @@
-"""Per-plant parameters of a loaded config, and the shipped preset.
-
-The calibration rules (capture capital spread over each plant's daily carbon
-mass, per-plant pipe friction) live on ``config.Calibration``.  A loaded
-config applies them to each of its plants once, when it is built; this
-module hands out those parameters.
-"""
+"""The four-argument form of ``LoadedConfig.econ_for``, and the shipped preset."""
 
 from __future__ import annotations
 
@@ -16,17 +10,8 @@ from .quantities import EconParams, PlantSpec
 
 def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
                   product: ProductSpec | None = None, beta: float = 0.0) -> EconParams:
-    """The calibrated economic parameters of ``plant`` under ``cfg``.
-
-    A plant of ``cfg.plants`` (the same object) gets the parameters the
-    config built for it; any other plant is calibrated on the spot, and a
-    DomainError says why its parameters are invalid.  ``product`` and
-    ``beta`` are accepted and ignored, for callers of the four-argument form.
-    """
-    for configured, econ in zip(cfg.plants, cfg.plant_econs):
-        if configured is plant:
-            return econ
-    return cfg.calibration.apply(cfg.econ, plant)
+    """``cfg.econ_for(plant)``; ``product`` and ``beta`` are accepted and ignored."""
+    return cfg.econ_for(plant)
 
 
 def resolver(cfg: LoadedConfig) -> EconResolver:

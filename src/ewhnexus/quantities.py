@@ -143,11 +143,6 @@ class Quantity:
         _setattr(quantity, "unit", unit)
         return quantity
 
-    def to(self, unit: str) -> "Quantity":
-        if _normalize(unit) == self.unit:
-            return self
-        return Quantity(_convert(self.magnitude, self.unit, unit), unit)
-
     def value_in(self, unit: str) -> float:
         return _convert(self.magnitude, self.unit, unit)
 

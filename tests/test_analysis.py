@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -15,6 +16,7 @@ from ewhnexus.analysis import (
     BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepGrid,
     breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
 )
+from ewhnexus.config import ConfigError
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, ProductSpec, Reaction, _reuse_rates
 from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
@@ -58,15 +60,38 @@ class TestSweep:
             ("natural_gas", "methanol", 0.5), ("natural_gas", "methanol", 1.0),
         ]
 
-    @pytest.mark.parametrize("betas", [(0.5, 0.5), (1.0, 0.5, 1), (0.0, -0.0)])
-    def test_repeated_beta_rejected(self, betas):
-        with pytest.raises(DomainError, match="sweep grid: repeated reuse fraction"):
+    @pytest.mark.parametrize("betas, message", [
+        ((0.5, 0.5), "betas[1]: repeated reuse fraction 0.5 (first at betas[0])"),
+        ((1.0, 0.5, 1), "betas[2]: repeated reuse fraction 1 (first at betas[0])")],
+        ids=["0.5-twice", "1.0-then-1"])
+    def test_repeated_beta_rejected(self, betas, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas)
 
-    @pytest.mark.parametrize("betas", [(0.0,), (0.5, -0.0)])
-    def test_zero_beta_rejected_as_the_storage_row(self, betas):
-        with pytest.raises(DomainError, match="sweep grid: beta 0 is the storage row"):
+    # a zero repeated as -0.0 is reported as the storage row, not as a repeat
+    @pytest.mark.parametrize("betas, index", [((0.0,), 0), ((0.5, -0.0), 1), ((0.0, -0.0), 0)])
+    def test_zero_beta_rejected_as_the_storage_row(self, betas, index):
+        message = f"betas[{index}]: beta 0 is the storage row, which every plant gets"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas)
+
+    @pytest.mark.parametrize("betas", [
+        (True,), ("0.5",), (1.5,), (math.nan,), (0.0,), (-0.0,), (0.5, 0.5), (1, 1.0),
+        (0.5,), (1,), (5e-324, 1.0)], ids=repr)
+    def test_grid_and_config_share_one_beta_rule(self, betas):
+        # the grid raises the first line the config raises, named after its own field
+        try:
+            replace(CFG, sweep_betas=betas)
+        except ConfigError as exc:
+            expected = str(exc).split("\n  ")[0].replace("sweep.betas[", "betas[")
+        else:
+            expected = None
+        try:
+            SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas)
+        except DomainError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
     def test_empty_products_gives_storage_rows_only(self):
         grid = SweepGrid(plants=CFG.plants, products=())

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ewhnexus.conversion import (
-    ETHANOL, INTEGER_MASSES, METHANE, METHANOL, STANDARD_MASSES, AtomicMasses,
+    BUILTIN_PRODUCTS, ETHANOL, INTEGER_MASSES, METHANE, METHANOL, STANDARD_MASSES, AtomicMasses,
     ProductSpec, Reaction,
-    builtin_product, chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
+    chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
 )
 from ewhnexus.quantities import (
     DomainError, EconParams, PlantSpec, Quantity, emissions_at_capacity,
@@ -53,11 +53,6 @@ class TestStoichiometry:
             mass_out = product.xi_chi + product.water_byproduct
             assert mass_out == pytest.approx(mass_in, rel=1e-9)
 
-    def test_builtin_lookup(self):
-        assert builtin_product("methanol") is METHANOL
-        with pytest.raises(DomainError):
-            builtin_product("ammonia")
-
 
 def assert_ratios_match_atomic_mass_formulas(product):
     am, r, f = product.atomic_masses, product.reaction, product.formula
@@ -89,7 +84,7 @@ class TestCachedRatios:
             builtin.formula["H"] = 99
         with pytest.raises(TypeError):
             del builtin.formula["C"]
-        assert builtin.formula == before and builtin_product(builtin.name).formula == before
+        assert builtin.formula == before and BUILTIN_PRODUCTS[builtin.name].formula == before
         assert METHANE.formula == {"C": 1, "H": 4} != {"C": 1, "H": 5}
 
     @given(builtin=st.sampled_from([METHANE, METHANOL, ETHANOL]),

@@ -254,3 +254,63 @@ class TestPerMeterPipe:
         assert abs(new - old) <= 2 * math.ulp(old)
         if beta in (0.5, 1.0):   # the preset's sweep cells: the same bits
             assert new == old
+
+
+
+# capacity so large that every reuse cell overflows to an error cell
+HUGE = PlantSpec("huge", Quantity(1e302, "MW"), Quantity(230, "g/kWh"))
+
+
+@st.composite
+def configs(draw):
+    """The preset with drawn plants, products, betas and water mode; every draw is valid."""
+    plants = draw(st.lists(st.sampled_from(CFG.plants + (TestResolver.PLANTS[-1], HUGE)),
+                           min_size=1, max_size=4, unique_by=lambda p: p.name))
+    products = draw(st.lists(st.sampled_from(CFG.products), max_size=3,
+                             unique_by=lambda p: p.name))
+    betas = draw(st.lists(st.sampled_from([0.5, 1.0, 5e-324])
+                          | st.floats(0.0, 1.0, exclude_min=True),
+                          min_size=1, max_size=3, unique=True))
+    named = {p.name for p in plants}
+    r_w = {k: v for k, v in CFG.calibration.r_w_per_100km.items() if k in named}
+    return replace(CFG, plants=tuple(plants), products=tuple(products),
+                   sweep_betas=tuple(betas), water_mode=draw(water_modes),
+                   econ=replace(CFG.econ, c_sw=2.5e5),
+                   calibration=Calibration(CFG.calibration.ccs_capital_total, r_w))
+
+
+class TestConfigFactory:
+    """A config's ``scenario`` and ``sweep`` build what a caller used to build by hand."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=configs(), data=st.data())
+    def test_scenario_is_the_hand_built_cell(self, cfg, data):
+        # a plant of the config, or one it calibrates on the spot
+        plant = data.draw(st.sampled_from(cfg.plants + TestResolver.PLANTS[3:]))
+        product = data.draw(st.sampled_from((None,) + cfg.products))
+        beta = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+
+        def by_hand():
+            return ScenarioConfig(plant=plant, econ=econ_for_cell(cfg, plant), beta=beta,
+                                  product=product, water_mode=cfg.water_mode)
+
+        def outcome(build):
+            """The scenario's fields and its result's repr, or the error either raises."""
+            try:
+                scenario = build()
+            except (DomainError, ValueError) as exc:
+                return type(exc), str(exc)
+            try:
+                result = repr(total_daily_cost(scenario))
+            except (DomainError, ValueError) as exc:
+                result = (type(exc), str(exc))
+            return [(f.name, getattr(scenario, f.name)) for f in fields(scenario)], result
+
+        assert outcome(lambda: cfg.scenario(plant, product, beta)) == outcome(by_hand)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=configs())
+    def test_sweep_is_the_hand_built_grid(self, cfg):
+        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
+        assert repr(cfg.sweep()) == repr(
+            scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg)))
