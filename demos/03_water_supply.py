@@ -28,7 +28,7 @@ flows = [w_max * frac for frac in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 print(f"\nDaily transfer cost for biomass (capacity {w_max:.0f} m3/h)")
 print(f"  {'d [km]':>7} {'f [m3/h]':>9} {'capital $/d':>12} {'pumping $/d':>12} {'total $/d':>10}")
-for cell in transfer_cost_curve(plant, [60.0, 260.0, 300.0], flows, econ):
+for cell in transfer_cost_curve(plant, [60.0, 260.0, 300.0], flows, econ, methane):
     print(f"  {cell.distance_km:7.0f} {cell.flow_m3_h:9.1f} "
           f"{cell.capital_daily:12.0f} {cell.operational_daily:12.0f} "
           f"{cell.total_daily:10.0f}")

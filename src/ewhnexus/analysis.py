@@ -14,28 +14,32 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import economics, water
-from .conversion import METHANE, ProductSpec, _reuse_rates
+from .conversion import ProductSpec, _reuse_rates
 from .economics import ScenarioConfig, ScenarioResult, total_daily_cost
-from .quantities import DomainError, EconParams, PlantSpec, Quantity
+from .quantities import DomainError, EconParams, PlantSpec, Quantity, check_beta
 
 # plant -> EconParams; lets a calibrated preset resolve plant-specific costs
 # without changing any formula
 EconResolver = Callable[[PlantSpec], EconParams]
-DEFAULT_BETAS: tuple[float, ...] = (0.5, 1.0)   # reuse fractions of a sweep that names none
 
 
 def beta_errors(betas: Sequence, path: str) -> list[str]:
     """One line per broken rule of a sweep's reuse fractions, each entry named ``path[i]``.
 
-    An entry is a number (not a bool) in [0, 1], not 0 (the storage row every
-    plant already gets) and not repeated.
+    An entry is a number, a reuse fraction by ``check_beta``, not 0 (the
+    storage row every plant already gets) and not repeated.
     """
     errors: list[str] = []
     seen: dict[float, int] = {}
     for i, b in enumerate(betas):
-        if isinstance(b, bool) or not isinstance(b, (int, float)) or not 0.0 <= b <= 1.0:
-            errors.append(f"{path}[{i}]: reuse fraction must lie in [0, 1], got {b!r}")
-        elif b == 0:
+        try:
+            if not isinstance(b, (int, float)):   # a YAML string, list or null
+                raise DomainError(f"reuse fraction must be a number, got {b!r}")
+            check_beta(b)
+        except DomainError as exc:
+            errors.append(f"{path}[{i}]: {exc}")
+            continue
+        if b == 0:
             errors.append(f"{path}[{i}]: beta 0 is the storage row, which every plant gets")
         elif seen.setdefault(b, i) != i:
             errors.append(f"{path}[{i}]: repeated reuse fraction {b!r} "
@@ -49,8 +53,8 @@ class SweepGrid:
 
     plants: tuple[PlantSpec, ...]
     products: tuple[ProductSpec, ...]
-    betas: tuple[float, ...] = DEFAULT_BETAS
-    water_mode: water.WaterMode = water.Desalination()
+    betas: tuple[float, ...]
+    water_mode: water.WaterMode
 
     def __post_init__(self):
         object.__setattr__(self, "plants", tuple(self.plants))
@@ -196,7 +200,7 @@ class CurveCell(namedtuple("CurveCell", "distance_km flow_m3_h capital_daily "
 
 def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
                         flows: Sequence[float], econ: EconParams,
-                        product: ProductSpec | None = None) -> tuple[CurveCell, ...]:
+                        product: ProductSpec) -> tuple[CurveCell, ...]:
     """Daily transfer cost split per (distance, flow) cell.
 
     Capital is the annualized charge of the pipe, priced per meter, so it
@@ -214,8 +218,6 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     """
     if not distances or not flows:
         raise DomainError("distances and flows must be non-empty")
-    if product is None:
-        product = METHANE
     w_max = _reuse_rates(product, plant.cbar, 1.0)[1]   # [m3/h]
     points = []   # (the caller's flow, which names its cells, the flow [m3/h], its error)
     for f in flows:
@@ -265,13 +267,14 @@ Strategy = StoreAll | ReuseAll
 
 
 def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
-                      water_mode: water.WaterMode = water.Desalination()) -> Quantity:
-    """Minimum carbon penalty making the strategy beat emitting-and-paying [$ / ton]."""
-    if isinstance(strategy, StoreAll):
-        cfg = ScenarioConfig(plant=plant, econ=econ, beta=0.0)
-    elif isinstance(strategy, ReuseAll):
-        cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0,
-                             product=strategy.product, water_mode=water_mode)
-    else:
+                      water_mode: water.WaterMode | None = None) -> Quantity:
+    """Minimum carbon penalty making the strategy beat emitting-and-paying [$ / ton].
+
+    ``ReuseAll`` needs a water mode, as any reuse scenario does; ``StoreAll`` none.
+    """
+    if not isinstance(strategy, Strategy):
         raise DomainError(f"unknown strategy {strategy!r}")
+    reuse = isinstance(strategy, ReuseAll)
+    cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0 if reuse else 0.0,
+                         product=strategy.product if reuse else None, water_mode=water_mode)
     return total_daily_cost(cfg).carbon_penalty

@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 from . import _yaml as yaml
 from . import water
-from .analysis import DEFAULT_BETAS, SweepCell, SweepGrid, beta_errors, scenario_sweep
+from .analysis import SweepCell, SweepGrid, beta_errors, scenario_sweep
 from .conversion import BUILTIN_PRODUCTS, ProductSpec
 from .economics import ScenarioConfig
 from .quantities import (EconParams, FrozenMap, PlantSpec, Quantity, UnitError,
@@ -35,6 +35,7 @@ class ConfigError(ValueError):
 
 #: packaged preset names -> resource file
 PRESETS = {"paper-2024": "paper-2024.yaml"}
+DEFAULT_BETAS: tuple[float, ...] = (0.5, 1.0)   # a config's betas without sweep.betas
 
 
 def parse_quantity(text: Any, expected_unit: str, path: str,
@@ -166,9 +167,9 @@ class LoadedConfig:
     econ: EconParams
     plants: tuple[PlantSpec, ...]
     products: tuple[ProductSpec, ...]
-    calibration: Calibration = Calibration()
-    water_mode: water.WaterMode = water.Desalination()
-    sweep_betas: tuple[float, ...] = DEFAULT_BETAS
+    calibration: Calibration
+    water_mode: water.WaterMode
+    sweep_betas: tuple[float, ...]
     plant_econs: tuple[EconParams, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -41,18 +41,18 @@ class ScenarioConfig:
     """One fully specified retrofit scenario.
 
     ``beta`` = 0 is pure storage: no water, power, hydrogen or revenue terms
-    exist.  A positive ``beta`` needs a product; the water system and the
-    electrolyzer fleet are sized to the reuse stream.  This is where a
-    scenario's units are checked: the capture profile must be a 24-step mass
-    flow no step of which exceeds the plant's full-load rate C̄, and the water
-    mode a single mode object.
+    exist, and no water mode is needed.  A positive ``beta`` needs a product
+    and a water mode; the water system and the electrolyzer fleet are sized to
+    the reuse stream.  This is where a scenario's units are checked: the
+    capture profile must be a 24-step mass flow no step of which exceeds the
+    plant's full-load rate C̄, and the water mode a single mode object.
     """
 
     plant: PlantSpec
     econ: EconParams
     beta: float = 0.0
     product: conversion.ProductSpec | None = None
-    water_mode: water.WaterMode = water.Desalination()
+    water_mode: water.WaterMode | None = None   # None: no water system
     capture_profile: TimeSeries | None = None   # defaults to 24 h full load
     # hourly captured carbon [ton/h]: the profile, or full load without one
     captured: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -61,7 +61,9 @@ class ScenarioConfig:
         check_beta(self.beta)
         if self.beta > 0 and self.product is None:
             raise DomainError("a reuse scenario (beta > 0) needs a product")
-        if not isinstance(self.water_mode, water.WaterMode):
+        if self.beta > 0 and self.water_mode is None:
+            raise DomainError("a reuse scenario (beta > 0) needs a water mode")
+        if self.water_mode is not None and not isinstance(self.water_mode, water.WaterMode):
             raise DomainError(f"unsupported water mode {self.water_mode!r}")
         profile = self.capture_profile
         captured = (self.plant.cbar,) * HOURS_PER_DAY

@@ -185,9 +185,9 @@ def _field_value(quantity: Quantity, unit: str, rule: str) -> float:
 
 
 def check_beta(beta: float) -> None:
-    """Reject a reuse fraction outside [0, 1]."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta!r}")
+    """Reject a reuse fraction outside [0, 1], or a bool."""
+    if type(beta) is bool or not 0.0 <= beta <= 1.0:   # bool has no subclasses
+        raise DomainError(f"reuse fraction must lie in [0, 1], got {beta!r}")
 
 
 @dataclass(frozen=True)

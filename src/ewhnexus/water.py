@@ -63,8 +63,7 @@ def desal_segment(f: float, w_max: float) -> int:
     Boundaries are lower-exclusive and upper-inclusive; f = 0 belongs to the
     first segment.
     """
-    if not 0.0 <= f <= w_max:   # false for a NaN flow too
-        raise DomainError(f"flow {f!r} m3/h outside the production capacity [0, {w_max!r}]")
+    check_flow(f, w_max)
     if f == 0:
         return 1
     return math.ceil(4.0 * f / w_max) or 1   # a subnormal f / w_max rounds to 0
@@ -114,18 +113,9 @@ def pump_bill(f: float, r_w: float, econ: EconParams) -> float:
     return econ.elec_price * (PUMP_CONSTANT_W * (r_w * f * f) * f / econ.eta_pump / 1000.0)
 
 
-def pump_cost(f: float, w_max: float, distance_km: float, econ: EconParams) -> float:
-    """Grid electricity bill for pumping flow f [m3/h] down the pipe for one hour [$].
-
-    The flow must lie within [0, w_max], the production capacity [m3/h].
-    """
-    check_flow(f, w_max)
-    return pump_bill(f, effective_r_w(econ, distance_km), econ)
-
-
 def check_flow(f: float, w_max: float) -> None:
-    """Reject a pumped flow f outside [0, w_max], the production capacity [m3/h]."""
-    if not 0.0 <= f <= w_max:
+    """Reject a flow f outside [0, w_max], the production capacity [m3/h]."""
+    if not 0.0 <= f <= w_max:   # false for a NaN flow too
         raise DomainError(f"flow {f:g} m3/h outside the production capacity [0, {w_max:g}]")
 
 
@@ -163,12 +153,16 @@ def water_operational(mode: WaterMode, w_max: float, flow: Sequence[float],
     if isinstance(mode, SolarSeawater):
         return 0.0
     desal = isinstance(mode, Desalination)
+    r_w = None if desal else effective_r_w(econ, mode.km)
     total = 0.0
     last = cost = math.nan   # nan equals no flow, so the first hour is priced
     for f in flow:
         if f != last:   # cost is the grid bill for one hour at flow f [$]
             last = f
-            cost = (econ.elec_price * desal_power(f, w_max, econ) if desal
-                    else pump_cost(f, w_max, mode.km, econ))
+            if desal:
+                cost = econ.elec_price * desal_power(f, w_max, econ)
+            else:
+                check_flow(f, w_max)
+                cost = pump_bill(f, r_w, econ)
         total += cost
     return total

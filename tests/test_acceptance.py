@@ -165,7 +165,8 @@ def test_a5_sign_reproduction():
     for plant_name, plant in PLANTS.items():
         for product, want_negative in ((METHANE, True), (ETHANOL, False)):
             econ = econ_for_cell(CFG, plant, product, 1.0)
-            cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0, product=product)
+            cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0, product=product,
+                                 water_mode=Desalination())
             daily = total_daily_cost(cfg).daily_cost.value_in("$/day")
             if want_negative and daily >= 0:
                 failures.append(f"{plant_name}/{product.name}: {daily:.0f} $/day, expected < 0")
@@ -176,7 +177,8 @@ def test_a5_sign_reproduction():
 
 def _cost_gap(plant, product, econ):
     desal = total_daily_cost(ScenarioConfig(
-        plant=plant, econ=econ, beta=1.0, product=product)).daily_cost.value_in("$/day")
+        plant=plant, econ=econ, beta=1.0, product=product,
+        water_mode=Desalination())).daily_cost.value_in("$/day")
 
     def g(d_km: float) -> float:
         cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0, product=product,
@@ -304,13 +306,13 @@ def test_a8_penalty_policy_thresholds():
                         f"vs 75.09 (+/-2%)")
 
     econ_meoh = econ_for_cell(CFG, biomass, METHANOL, 1.0)
-    methanol = penalty_threshold(biomass, ReuseAll(METHANOL), econ_meoh)
+    methanol = penalty_threshold(biomass, ReuseAll(METHANOL), econ_meoh, water_mode=CFG.water_mode)
     if abs(methanol.value_in("$/ton") - 26.71) > 0.05 * 26.71:
         failures.append(f"methanol reuse-all threshold {methanol.value_in('$/ton'):.2f} "
                         f"vs 26.71 (+/-5%)")
 
     econ_ch4 = econ_for_cell(CFG, biomass, METHANE, 1.0)
-    methane = penalty_threshold(biomass, ReuseAll(METHANE), econ_ch4)
+    methane = penalty_threshold(biomass, ReuseAll(METHANE), econ_ch4, water_mode=CFG.water_mode)
     if methane.value_in("$/ton") >= 0:
         failures.append(f"methane reuse-all threshold {methane.value_in('$/ton'):.2f}, "
                         "expected negative")

@@ -16,12 +16,15 @@ from ewhnexus.analysis import (
     BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepGrid,
     breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
 )
-from ewhnexus.config import ConfigError
+from ewhnexus.config import ConfigError, LoadedConfig
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, ProductSpec, Reaction, _reuse_rates
 from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
-from ewhnexus.water import NetworkTransfer, pump_cost, water_capital
+from ewhnexus.water import (
+    Desalination, NetworkTransfer, SolarSeawater, check_flow, effective_r_w, pump_bill,
+    water_capital,
+)
 
 CFG = paper_2024()
 BIOMASS = CFG.plant("biomass")
@@ -41,14 +44,14 @@ def plain_econ(**over):
 class TestSweep:
     def test_reference_grid_has_21_rows(self):
         grid = SweepGrid(plants=CFG.plants, products=CFG.products,
-                         betas=CFG.sweep_betas)
+                         betas=CFG.sweep_betas, water_mode=CFG.water_mode)
         cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
         assert len(cells) == 21
         assert all(c.error is None for c in cells)
 
     def test_ordering_plant_then_product_then_beta(self):
         grid = SweepGrid(plants=(BIOMASS, GAS), products=(METHANE, METHANOL),
-                         betas=(1.0, 0.5))
+                         betas=(1.0, 0.5), water_mode=CFG.water_mode)
         cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
         coords = [(c.plant, c.product, c.beta) for c in cells]
         assert coords == [
@@ -66,14 +69,16 @@ class TestSweep:
         ids=["0.5-twice", "1.0-then-1"])
     def test_repeated_beta_rejected(self, betas, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas)
+            SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas,
+                      water_mode=CFG.water_mode)
 
     # a zero repeated as -0.0 is reported as the storage row, not as a repeat
     @pytest.mark.parametrize("betas, index", [((0.0,), 0), ((0.5, -0.0), 1), ((0.0, -0.0), 0)])
     def test_zero_beta_rejected_as_the_storage_row(self, betas, index):
         message = f"betas[{index}]: beta 0 is the storage row, which every plant gets"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas)
+            SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas,
+                      water_mode=CFG.water_mode)
 
     @pytest.mark.parametrize("betas", [
         (True,), ("0.5",), (1.5,), (math.nan,), (0.0,), (-0.0,), (0.5, 0.5), (1, 1.0),
@@ -87,20 +92,23 @@ class TestSweep:
         else:
             expected = None
         try:
-            SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas)
+            SweepGrid(plants=CFG.plants, products=CFG.products, betas=betas,
+                      water_mode=CFG.water_mode)
         except DomainError as exc:
             assert str(exc) == expected
         else:
             assert expected is None
 
     def test_empty_products_gives_storage_rows_only(self):
-        grid = SweepGrid(plants=CFG.plants, products=())
+        grid = SweepGrid(plants=CFG.plants, products=(), betas=CFG.sweep_betas,
+                         water_mode=CFG.water_mode)
         cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
         assert [(c.plant, c.product, c.beta) for c in cells] == [
             ("biomass", "", 0.0), ("natural_gas", "", 0.0), ("coal", "", 0.0)]
 
     def test_methane_column_cheaper_than_ethanol_at_full_reuse(self):
-        grid = SweepGrid(plants=CFG.plants, products=(METHANE, ETHANOL), betas=(1.0,))
+        grid = SweepGrid(plants=CFG.plants, products=(METHANE, ETHANOL), betas=(1.0,),
+                         water_mode=CFG.water_mode)
         cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
         by_coord = {(c.plant, c.product): c.result for c in cells if c.product}
         for plant in ("biomass", "natural_gas", "coal"):
@@ -109,7 +117,8 @@ class TestSweep:
             assert methane < ethanol
 
     def test_deterministic_bit_identical_output(self):
-        grid = SweepGrid(plants=CFG.plants, products=CFG.products, betas=CFG.sweep_betas)
+        grid = SweepGrid(plants=CFG.plants, products=CFG.products, betas=CFG.sweep_betas,
+                         water_mode=CFG.water_mode)
         a = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
         b = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
         for ca, cb in zip(a, b):
@@ -118,7 +127,8 @@ class TestSweep:
 
     def test_failing_cell_reports_coordinates_without_aborting(self):
         badecon = plain_econ(product_prices={"methane": 1400.0, "ethanol": 493.0})
-        grid = SweepGrid(plants=(BIOMASS,), products=(METHANE, METHANOL), betas=(1.0,))
+        grid = SweepGrid(plants=(BIOMASS,), products=(METHANE, METHANOL), betas=(1.0,),
+                         water_mode=CFG.water_mode)
         cells = scenario_sweep(grid, badecon)
         errors = [c for c in cells if c.error is not None]
         fine = [c for c in cells if c.result is not None]
@@ -128,7 +138,7 @@ class TestSweep:
 
     def test_invalid_beta_rejected_by_grid(self):
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
-            SweepGrid(plants=(BIOMASS,), products=(), betas=(1.2,))
+            SweepGrid(plants=(BIOMASS,), products=(), betas=(1.2,), water_mode=CFG.water_mode)
 
 
 def scan_oracle(g, lo_km: int, hi_km: int) -> float | None:
@@ -146,7 +156,8 @@ def scan_oracle(g, lo_km: int, hi_km: int) -> float | None:
 
 def cost_gap(plant, product, econ):
     desal = total_daily_cost(ScenarioConfig(
-        plant=plant, econ=econ, beta=1.0, product=product)).daily_cost.value_in("$/day")
+        plant=plant, econ=econ, beta=1.0, product=product,
+        water_mode=Desalination())).daily_cost.value_in("$/day")
 
     def g(d_km: float) -> float:
         cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0, product=product,
@@ -391,7 +402,7 @@ class TestWorkCounts:
         counts = []
         for _ in range(2):
             calls.clear()
-            cells = transfer_cost_curve(BIOMASS, distances, flows, econ)
+            cells = transfer_cost_curve(BIOMASS, distances, flows, econ, METHANE)
             counts.append(dict(calls))
         assert sum(c.error is not None for c in cells) == len(distances)
         assert counts == [{"Quantity": 51, "pipe_length_m": 51, "daily_capital_charge": 51,
@@ -408,7 +419,8 @@ def curve_oracle(d, f, w_max: float, econ: EconParams) -> str:
                 f"operational_daily=None, total_daily=None, error={error!r})")
     capital = daily_capital_charge(
         water_capital(NetworkTransfer(Quantity(d, "km")), w_max, econ), econ)
-    operational = 24.0 * pump_cost(f_m3_h, w_max, d_km, econ)
+    check_flow(f_m3_h, w_max)
+    operational = 24.0 * pump_bill(f_m3_h, effective_r_w(econ, d_km), econ)
     total = capital + operational
     for name, value in (("capital charge", capital), ("operational cost", operational),
                         ("total cost", total)):
@@ -426,51 +438,51 @@ class TestTransferCurve:
     ECON = econ_for_cell(CFG, BIOMASS, METHANE, 1.0)
 
     def test_zero_flow_column_has_zero_operational_cost(self):
-        cells = transfer_cost_curve(BIOMASS, [60.0, 260.0, 300.0], [0.0, 90.0], self.ECON)
+        cells = transfer_cost_curve(BIOMASS, [60.0, 260.0, 300.0], [0.0, 90.0], self.ECON, METHANE)
         for c in cells:
             if c.flow_m3_h == 0.0:
                 assert c.operational_daily == 0.0
 
     def test_operational_cell_is_cubic_in_flow(self):
-        cells = transfer_cost_curve(BIOMASS, [100.0], [40.0, 80.0], self.ECON)
+        cells = transfer_cost_curve(BIOMASS, [100.0], [40.0, 80.0], self.ECON, METHANE)
         by_flow = {c.flow_m3_h: c for c in cells}
         assert by_flow[80.0].operational_daily == pytest.approx(
             8 * by_flow[40.0].operational_daily, rel=1e-12)
 
     def test_capital_row_linear_in_distance(self):
-        cells = transfer_cost_curve(BIOMASS, [50.0, 100.0, 200.0], [90.0], self.ECON)
+        cells = transfer_cost_curve(BIOMASS, [50.0, 100.0, 200.0], [90.0], self.ECON, METHANE)
         caps = [c.capital_daily for c in cells]
         assert caps[1] == pytest.approx(2 * caps[0], rel=1e-12)
         assert caps[2] == pytest.approx(4 * caps[0], rel=1e-12)
 
     def test_total_is_capital_plus_operational(self):
-        cells = transfer_cost_curve(BIOMASS, [60.0], [90.0], self.ECON)
+        cells = transfer_cost_curve(BIOMASS, [60.0], [90.0], self.ECON, METHANE)
         c = cells[0]
         assert c.total_daily == pytest.approx(c.capital_daily + c.operational_daily)
 
     def test_flow_bound_violation_marks_cell_only(self):
-        cells = transfer_cost_curve(BIOMASS, [60.0], [90.0, 1e6], self.ECON)
+        cells = transfer_cost_curve(BIOMASS, [60.0], [90.0, 1e6], self.ECON, METHANE)
         assert cells[0].error is None
         assert cells[1].error is not None and "1e+06" in cells[1].error
 
     def test_empty_axes_rejected(self):
         with pytest.raises(DomainError):
-            transfer_cost_curve(BIOMASS, [], [1.0], self.ECON)
+            transfer_cost_curve(BIOMASS, [], [1.0], self.ECON, METHANE)
 
     def test_negative_distance_raises_out_of_the_whole_curve(self):
         with pytest.raises(DomainError, match="transfer distance must be >= 0"):
-            transfer_cost_curve(BIOMASS, [60.0, -1.0], [90.0], self.ECON)
+            transfer_cost_curve(BIOMASS, [60.0, -1.0], [90.0], self.ECON, METHANE)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), plant=st.sampled_from(CFG.plants) | st.builds(   # or one that overflows
                PlantSpec, st.just("huge"), st.builds(Quantity, st.floats(1e90, 1e303),
                                                      st.just("MW")),
                st.sampled_from([p.emission_factor for p in CFG.plants])),
-           product=st.none() | st.sampled_from(CFG.products),
+           product=st.sampled_from(CFG.products),
            distances=st.lists(st.just(0) | st.just(0.0) | st.integers(0, 600)
                               | st.floats(0.0, 1000.0), min_size=1, max_size=4))
     def test_every_cell_matches_the_per_point_oracle(self, data, plant, product, distances):
-        w_max = _reuse_rates(product or METHANE, plant.cbar, 1.0)[1]
+        w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
         flow = (st.floats(0.0, 1.0).map(lambda x: x * w_max) | st.just(w_max)
                 | st.integers(-5, int(w_max) + 5) | st.just(math.nan)
                 | st.floats(-w_max, -1e-9) | st.floats(1.0, 3.0).map(lambda x: x * w_max))
@@ -515,7 +527,7 @@ class TestCurveCell:
 
     def cells(self):
         return transfer_cost_curve(BIOMASS, [60], [50, 1e6],
-                                   econ_for_cell(CFG, BIOMASS, METHANE, 1.0))
+                                   econ_for_cell(CFG, BIOMASS, METHANE, 1.0), METHANE)
 
     def test_repr_is_the_dataclass_repr(self):
         assert [repr(c) for c in self.cells()] == [self.COMPUTED, self.FAILED]
@@ -553,7 +565,8 @@ class TestPenaltyThreshold:
     def test_methane_reuse_threshold_negative_everywhere(self):
         for plant in (BIOMASS, GAS, COAL):
             econ = econ_for_cell(CFG, plant, METHANE, 1.0)
-            assert penalty_threshold(plant, ReuseAll(METHANE), econ).magnitude < 0
+            assert penalty_threshold(plant, ReuseAll(METHANE), econ,
+                                     water_mode=CFG.water_mode).magnitude < 0
 
     def test_store_all_exceeds_every_reuse_threshold(self):
         for plant in (BIOMASS, GAS, COAL):
@@ -561,8 +574,37 @@ class TestPenaltyThreshold:
                                       econ_for_cell(CFG, plant)).magnitude
             for product in (METHANE, METHANOL, ETHANOL):
                 econ = econ_for_cell(CFG, plant, product, 1.0)
-                assert store > penalty_threshold(plant, ReuseAll(product), econ).magnitude
+                assert store > penalty_threshold(plant, ReuseAll(product), econ,
+                                                 water_mode=CFG.water_mode).magnitude
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DomainError):
             penalty_threshold(BIOMASS, "store", econ_for_cell(CFG, BIOMASS))
+
+    def test_reuse_all_without_water_mode_rejected(self):
+        with pytest.raises(DomainError,
+                           match=r"^a reuse scenario \(beta > 0\) needs a water mode$"):
+            penalty_threshold(BIOMASS, ReuseAll(METHANE), econ_for_cell(CFG, BIOMASS))
+
+    @pytest.mark.parametrize("mode", [
+        Desalination(), NetworkTransfer(Quantity(150.0, "km")), SolarSeawater()],
+        ids=["desalination", "transfer", "solar"])
+    def test_store_all_needs_no_water_mode(self, mode):
+        econ = econ_for_cell(CFG, BIOMASS)
+        bare = penalty_threshold(BIOMASS, StoreAll(), econ)
+        assert repr(bare) == repr(penalty_threshold(BIOMASS, StoreAll(), econ, water_mode=mode))
+
+
+class TestNoDefaultPicksACellsInputs:
+    # the betas, water mode and product come from the config or the caller
+    ECON = econ_for_cell(CFG, BIOMASS)
+
+    @pytest.mark.parametrize("call", [
+        lambda econ: SweepGrid(CFG.plants, CFG.products),
+        lambda econ: SweepGrid(CFG.plants, CFG.products, CFG.sweep_betas),
+        lambda econ: transfer_cost_curve(BIOMASS, [60.0], [90.0], econ),
+        lambda econ: LoadedConfig(CFG.econ, CFG.plants, CFG.products),
+    ], ids=["grid-betas", "grid-water-mode", "curve-product", "config-sections"])
+    def test_leaving_an_input_out_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="missing"):
+            call(self.ECON)

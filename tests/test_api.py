@@ -1,11 +1,13 @@
-"""The public names: ``ewhnexus.__all__`` and what the benchmark harness reads of it."""
+"""The public names: ``ewhnexus.__all__`` and what the benchmark harness reads of it;
+and where the defaults that pick a cell's inputs may live."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
 
 import ewhnexus as ew
-from ewhnexus import cli
+from ewhnexus import cli, conversion
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,3 +51,40 @@ def test_every_benchmark_trace_target_exists():
         assert tracer.verify_bindings() == []
     finally:
         tracer.uninstall()
+
+
+# what a default outside config.py may not name: a water mode, the default reuse
+# fractions of a sweep, or a built-in product; only the config loader picks these
+PICKED_INPUTS = {"Desalination", "NetworkTransfer", "SolarSeawater", "DEFAULT_BETAS"} | {
+    name for name, value in vars(conversion).items()
+    if isinstance(value, conversion.ProductSpec)}
+
+
+def is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def defaults(tree: ast.AST):
+    """Every parameter default and dataclass field default in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from node.args.defaults
+            yield from (d for d in node.args.kw_defaults if d is not None)
+        elif isinstance(node, ast.ClassDef) and any(
+                is_dataclass_decorator(d) for d in node.decorator_list):
+            yield from (stmt.value for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None)
+
+
+def test_only_the_config_picks_a_water_mode_betas_or_a_product_by_default():
+    assert {"METHANE", "METHANOL", "ETHANOL"} <= PICKED_INPUTS
+    found = []
+    for path in sorted((ROOT / "src" / "ewhnexus").glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for default in defaults(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(default)}
+            if names & PICKED_INPUTS:
+                found.append(f"{path.name}:{default.lineno}: {ast.unparse(default)}")
+    assert found == []

@@ -16,7 +16,7 @@ from ewhnexus.economics import (
 )
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import (
-    DomainError, EconParams, PlantSpec, Quantity, TimeSeries, UnitError,
+    DomainError, EconParams, PlantSpec, Quantity, TimeSeries, UnitError, check_beta,
 )
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
@@ -104,23 +104,26 @@ class TestTotalDailyCost:
         assert result.ledger.revenue_total() == 0.0
 
     def test_ledger_total_equals_item_sum_exactly(self):
-        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE)
+        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                             water_mode=Desalination())
         result = total_daily_cost(cfg)
         by_hand = math.fsum(i.amount for i in result.ledger.items if i.unit == "$/day")
         assert result.daily_cost.value_in("$/day") == by_hand
 
     def test_reuse_scenario_itemizes_every_section(self):
-        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE)
+        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                             water_mode=Desalination())
         terms = {i.term for i in total_daily_cost(cfg).ledger.items}
         assert terms == {"ccss-capital", "ccss-operational", "power-capital",
                          "water-capital", "water-operational", "product-revenue",
                          "capital-charge"}
 
     def test_hydrogen_capital_included_only_on_request(self):
-        base = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE)
+        base = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                              water_mode=Desalination())
         with_h2 = ScenarioConfig(
             plant=BIOMASS, econ=econ(include_hydrogen_capital=True), beta=1.0,
-            product=METHANE)
+            product=METHANE, water_mode=Desalination())
         t0 = {i.term for i in total_daily_cost(base).ledger.items}
         t1 = {i.term for i in total_daily_cost(with_h2).ledger.items}
         assert "hydrogen-capital" not in t0 and "hydrogen-capital" in t1
@@ -130,7 +133,7 @@ class TestTotalDailyCost:
     def test_monotone_in_product_price_and_capture_cost(self):
         def daily(**over):
             cfg = ScenarioConfig(plant=BIOMASS, econ=econ(**over), beta=1.0,
-                                 product=METHANOL)
+                                 product=METHANOL, water_mode=Desalination())
             return total_daily_cost(cfg).daily_cost.value_in("$/day")
 
         base_prices = {"methane": 1400.0, "methanol": 616.0, "ethanol": 493.0}
@@ -143,6 +146,33 @@ class TestTotalDailyCost:
     def test_beta_without_product_rejected(self):
         with pytest.raises(DomainError):
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=0.5)
+
+    def test_reuse_without_water_mode_rejected(self):
+        with pytest.raises(DomainError,
+                           match=r"^a reuse scenario \(beta > 0\) needs a water mode$"):
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE)
+
+    @pytest.mark.parametrize("mode", [
+        Desalination(), NetworkTransfer(Quantity(150.0, "km")), SolarSeawater()],
+        ids=["desalination", "transfer", "solar"])
+    def test_storage_needs_no_water_mode(self, mode):
+        bare = total_daily_cost(ScenarioConfig(plant=BIOMASS, econ=econ(), beta=0.0))
+        moded = total_daily_cost(ScenarioConfig(plant=BIOMASS, econ=econ(), beta=0.0,
+                                                water_mode=mode))
+        assert repr(bare) == repr(moded)
+
+    @pytest.mark.parametrize("beta", [True, False])
+    def test_bool_beta_rejected(self, beta):
+        # a bool is no reuse fraction, although True == 1 and False == 0
+        message = rf"^reuse fraction must lie in \[0, 1\], got {beta!r}$"
+        with pytest.raises(DomainError, match=message):
+            check_beta(beta)
+        with pytest.raises(DomainError, match=message):
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=beta, product=METHANE,
+                           water_mode=Desalination())
+        cfg = paper_2024()
+        with pytest.raises(DomainError, match=message):
+            cfg.scenario(cfg.plant("coal"), cfg.product("methane"), beta)
 
     def test_domain_error_names_the_offending_term(self):
         from ewhnexus.water import SolarSeawater
@@ -158,7 +188,7 @@ class TestTotalDailyCost:
 
         monkeypatch.setattr(*TERMS[tag], boom)
         cfg = ScenarioConfig(plant=BIOMASS, econ=econ(include_hydrogen_capital=True),
-                             beta=1.0, product=METHANE)
+                             beta=1.0, product=METHANE, water_mode=Desalination())
         with pytest.raises(DomainError) as info:
             total_daily_cost(cfg)
         assert str(info.value) == f"{tag}: boom"
@@ -166,7 +196,7 @@ class TestTotalDailyCost:
 
     def test_overflowing_amount_is_rejected_without_a_term_tag(self):
         cfg = ScenarioConfig(plant=BIOMASS, econ=econ(c_wind=1e308), beta=1.0,
-                             product=METHANE)
+                             product=METHANE, water_mode=Desalination())
         with pytest.raises(DomainError) as info:
             total_daily_cost(cfg)
         assert str(info.value) == "ledger amount must be finite (wind farm capital)"
@@ -194,7 +224,8 @@ class TestTotalDailyCost:
                 econ().c_tw * mode.m]
 
     def test_result_metrics_recomputable_from_daily_cost(self):
-        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANOL)
+        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANOL,
+                             water_mode=Desalination())
         r = total_daily_cost(cfg)
         assert r.increased_price.magnitude == pytest.approx(
             increased_price(r.daily_cost, BIOMASS).magnitude, rel=1e-12)
@@ -204,10 +235,12 @@ class TestTotalDailyCost:
     def test_partial_load_profile_scales_flows_not_capital(self):
         from ewhnexus.quantities import TimeSeries
         full = total_daily_cost(
-            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE))
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                           water_mode=Desalination()))
         half_profile = TimeSeries((57.5,) * 24, "ton/h")
         half = total_daily_cost(
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                           water_mode=Desalination(),
                            capture_profile=half_profile))
         # capital stays sized to full capacity, flows halve; water operations
         # drop more than 2x because half flow sits on a cheaper segment
@@ -228,6 +261,7 @@ class TestTotalDailyCost:
         overload = TimeSeries((130.0,) * 24, "ton/h")  # above the 115 ton/h design
         with pytest.raises(DomainError, match=r"step 0 is 130\.0 ton/h.*C̄ = 115\.0 ton/h"):
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                           water_mode=Desalination(),
                            capture_profile=overload)
 
     @pytest.mark.parametrize("beta, mode", [
@@ -252,6 +286,7 @@ class TestTotalDailyCost:
         for rate, unit in ((plant.cbar, "ton/h"), (plant.cbar * 1000, "kg/h"),
                            (plant.cbar * 24, "ton/day")):
             cfg = ScenarioConfig(plant=plant, econ=econ(), beta=1.0, product=METHANE,
+                                 water_mode=Desalination(),
                                  capture_profile=TimeSeries((rate,) * 24, unit))
             assert total_daily_cost(cfg).daily_cost.value_in("$/day") == \
                 total_daily_cost(replace(cfg, capture_profile=None)).daily_cost.value_in("$/day")
@@ -263,6 +298,7 @@ class TestTotalDailyCost:
         for unit, scale in (("ton/h", 1.0), ("ton/day", 24.0), ("kg/h", 1000.0)):
             profile = TimeSeries(tuple(v * scale for v in ton_h), unit)
             cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                                 water_mode=Desalination(),
                                  capture_profile=profile)
             ledgers[unit] = {i.term: i.amount for i in total_daily_cost(cfg).ledger.items}
         for unit in ("ton/day", "kg/h"):
@@ -282,16 +318,19 @@ class TestTotalDailyCost:
         monkeypatch.setattr(TimeSeries, "values_in", counting)
         profile = TimeSeries((115_000.0 * (h + 0.5) / 24 for h in range(24)), "kg/h")
         total_daily_cost(ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0,
-                                        product=METHANE, capture_profile=profile))
+                                        product=METHANE, water_mode=Desalination(),
+                                        capture_profile=profile))
         assert calls == ["ton/h"]
 
     def test_bad_capture_profile_rejected_when_the_scenario_is_built(self):
         from ewhnexus.quantities import TimeSeries, UnitError
         with pytest.raises(UnitError, match="mass flow"):
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                           water_mode=Desalination(),
                            capture_profile=TimeSeries((10.0,) * 24, "m3/h"))
         with pytest.raises(DomainError, match="24"):
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                           water_mode=Desalination(),
                            capture_profile=TimeSeries((115.0,) * 23, "ton/h"))
 
 
@@ -408,7 +447,7 @@ class TestHotPath:
 
     def test_sweep_cell_runs_no_econ_validation(self, monkeypatch):
         cfg = paper_2024()
-        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas)
+        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
         runs = []
         original = EconParams.__post_init__
 
@@ -423,7 +462,7 @@ class TestHotPath:
 
     def test_preset_sweep_calibrates_each_plant_once(self, monkeypatch):
         cfg = paper_2024()
-        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas)
+        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
         calls = []
         original = presets.econ_for_cell
 
@@ -455,7 +494,7 @@ class TestHotPath:
 
     @pytest.mark.parametrize("mode, priced_by", [
         (Desalination(), "desal_power"),
-        (NetworkTransfer(Quantity(150.0, "km")), "pump_cost"),
+        (NetworkTransfer(Quantity(150.0, "km")), "pump_bill"),
     ], ids=["desalination", "transfer"])
     def test_full_load_day_prices_one_hour(self, monkeypatch, mode, priced_by):
         cfg = paper_2024()

@@ -175,7 +175,8 @@ class TestResolver:
             assert str(got.value) == str(expected.value)
 
     def test_a_failing_calibration_errs_every_cell_of_its_plant(self):
-        grid = SweepGrid((CFG.plant("coal"), self.TINY), CFG.products, (0.5, 1.0))
+        grid = SweepGrid((CFG.plant("coal"), self.TINY), CFG.products, (0.5, 1.0),
+                         CFG.water_mode)
         cells = scenario_sweep(grid, CFG.econ, resolver(CFG))
         assert all(c.error is None for c in cells if c.plant == "coal")
         errors = [c.error for c in cells if c.plant == "tiny"]

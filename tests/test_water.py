@@ -11,8 +11,8 @@ from ewhnexus.conversion import METHANE
 from ewhnexus.economics import ScenarioConfig
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity, UnitError
 from ewhnexus.water import (
-    Desalination, NetworkTransfer, SolarSeawater,
-    desal_power, desal_segment, effective_r_w, head_loss, pump_cost, pump_power,
+    Desalination, NetworkTransfer, SolarSeawater, check_flow,
+    desal_power, desal_segment, effective_r_w, head_loss, pump_bill, pump_power,
     water_capital, water_operational,
 )
 
@@ -222,7 +222,8 @@ def price_every_hour(mode, w_max, flow, econ):
         if isinstance(mode, Desalination):
             total += econ.elec_price * desal_power(f, w_max, econ)
         else:
-            total += pump_cost(f, w_max, mode.km, econ)
+            check_flow(f, w_max)
+            total += pump_bill(f, effective_r_w(econ, mode.km), econ)
     return total
 
 
