@@ -33,10 +33,12 @@ for product in cfg.products:
         print(f"    {plant.name:<12} {h2.value_in('ton/h'):6.1f} | "
               f"{water.value_in('m3/h'):6.1f} | {chem.value_in('ton/h'):6.1f}")
 
-# The wind farm is sized so its average output covers the electrolyzer load.
-plant = cfg.plant("biomass")
-h2, _, _ = ew.nexus_rates(plant, cfg.product("methane"), 1.0)
-capital = ew.power_capital(h2.value_in("ton/h"), cfg.econ)   # [$]
+# The wind farm is sized so its average output covers the electrolyzer load;
+# its capital is the power-capital row of a full-reuse scenario's ledger.
+plant, methane = cfg.plant("biomass"), cfg.product("methane")
+h2, _, _ = ew.nexus_rates(plant, methane, 1.0)
+ledger = ew.total_daily_cost(cfg.scenario(plant, methane, 1.0)).ledger
+capital = next(i.amount for i in ledger.items if i.term == "power-capital")   # [$]
 demand_kw = cfg.econ.xi_p * h2.value_in("kg/h")
 print(f"\nBiomass/methane electrolyzer demand: {demand_kw / 1e6:.2f} GW "
       f"-> wind capital ${capital / 1e9:.2f} B")

@@ -10,18 +10,12 @@ from .quantities import (
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
     TimeSeries, UnitError, emissions_at_capacity,
 )
-from .ccss import ccss_capital, ccss_operational
-from .water import (
-    Desalination, NetworkTransfer, SolarSeawater, desal_power, head_loss,
-    pump_power, water_capital, water_operational,
-)
+from .water import Desalination, NetworkTransfer, SolarSeawater
 from .conversion import (
-    BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, ProductSpec, Reaction,
-    chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
+    BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, ProductSpec, Reaction, nexus_rates,
 )
 from .economics import (
-    ScenarioConfig, ScenarioResult, carbon_penalty,
-    daily_capital_charge, increased_price, total_daily_cost,
+    ScenarioConfig, ScenarioResult, carbon_penalty, increased_price, total_daily_cost,
 )
 from .analysis import (
     BreakevenQuery, NoCrossingError, ReuseAll, StoreAll, SweepGrid,
@@ -31,20 +25,14 @@ from .config import ConfigError, LoadedConfig, dump_config, load_config
 from .presets import econ_for_cell, paper_2024, resolver
 
 __all__ = [
-    "BreakevenQuery", "BUILTIN_PRODUCTS",
-    "ConfigError", "CostLedger", "Desalination", "DomainError", "EconParams",
-    "ETHANOL", "LedgerItem", "LoadedConfig", "METHANE", "METHANOL",
-    "NetworkTransfer", "NoCrossingError", "PlantSpec",
-    "ProductSpec", "Quantity", "Reaction", "ReuseAll", "ScenarioConfig",
-    "ScenarioResult", "SolarSeawater", "StoreAll", "SweepGrid", "TimeSeries",
-    "UnitError", "breakeven_distance",
-    "carbon_penalty", "ccss_capital", "ccss_operational", "chemical_revenue",
-    "daily_capital_charge", "desal_power", "dump_config",
-    "econ_for_cell", "emissions_at_capacity", "head_loss", "hydrogen_capital",
-    "increased_price", "load_config", "nexus_rates", "paper_2024",
-    "penalty_threshold", "power_capital", "pump_power", "resolver",
-    "scenario_sweep", "total_daily_cost",
-    "transfer_cost_curve", "water_capital", "water_operational",
+    "BreakevenQuery", "BUILTIN_PRODUCTS", "ConfigError", "CostLedger", "Desalination",
+    "DomainError", "EconParams", "ETHANOL", "LedgerItem", "LoadedConfig", "METHANE",
+    "METHANOL", "NetworkTransfer", "NoCrossingError", "PlantSpec", "ProductSpec",
+    "Quantity", "Reaction", "ReuseAll", "ScenarioConfig", "ScenarioResult", "SolarSeawater",
+    "StoreAll", "SweepGrid", "TimeSeries", "UnitError", "breakeven_distance",
+    "carbon_penalty", "dump_config", "econ_for_cell", "emissions_at_capacity",
+    "increased_price", "load_config", "nexus_rates", "paper_2024", "penalty_threshold",
+    "resolver", "scenario_sweep", "total_daily_cost", "transfer_cost_curve",
 ]
 
 __version__ = "0.1.0"

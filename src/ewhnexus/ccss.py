@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .quantities import DomainError, EconParams, check_beta
+from .quantities import DomainError, EconParams
 
 
 def ccss_capital(beta: float, cbar: float, econ: EconParams) -> float:
@@ -18,7 +18,6 @@ def ccss_capital(beta: float, cbar: float, econ: EconParams) -> float:
     ((1 - beta) * c_cts + c_ccs) * C_bar * 24, with C_bar the full-load
     carbon rate [ton/h]; both unit capital costs are per ton/day.
     """
-    check_beta(beta)
     if econ.c_ccs is None:
         raise DomainError("c_ccs (capture plant capital cost) is not configured")
     unit_cost = (1.0 - beta) * econ.c_cts + econ.c_ccs
@@ -31,7 +30,6 @@ def ccss_operational(beta: float, captured: Sequence[float], econ: EconParams) -
     Sum over the hourly captured carbon c_t [ton/h] of
     (1-beta)*c_t*r_cts + c_t*r_ccs.
     """
-    check_beta(beta)
     per_ton = (1.0 - beta) * econ.r_cts + econ.r_ccs
     total = 0.0   # left to right: sum() compensates on Python >= 3.12
     for c in captured:

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 from . import analysis
 from .config import ConfigError, LoadedConfig, load_config
-from .conversion import _reuse_rates
+from .conversion import ProductSpec, _reuse_rates
 from .economics import total_daily_cost
-from .quantities import DomainError, UnitError
+from .quantities import DomainError, PlantSpec, UnitError, check_beta
 
 SWEEP_COLUMNS = ("plant", "product", "beta", "capital_usd", "operational_usd_per_day",
                  "revenue_usd_per_day", "daily_cost_usd_per_day",
@@ -72,9 +72,11 @@ def _sweep_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
 
 def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
-    if args.beta is not None and not 0.0 <= args.beta <= 1.0:
-        raise ConfigError(f"--beta must lie in [0, 1], got {args.beta!r}")
-    beta = args.beta or 0.0
+    beta = args.beta or 0.0   # a NaN flag is truthy, so check_beta sees it
+    try:
+        check_beta(beta)
+    except DomainError as exc:
+        raise ConfigError(f"--beta: {exc}") from exc
     if args.product is not None and not beta:
         raise ConfigError("--product needs --beta (reuse fraction in (0, 1])")
     if beta > 0 and not args.product:
@@ -85,9 +87,13 @@ def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
                                          beta, result=result))]
 
 
+def _plant_product(args: argparse.Namespace, cfg: LoadedConfig) -> tuple[PlantSpec, ProductSpec]:
+    """The ``--plant`` and ``--product`` of a break-even or curve; methane without the flag."""
+    return cfg.plant(args.plant), cfg.product("methane" if args.product is None else args.product)
+
+
 def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
-    plant = cfg.plant(args.plant)
-    product = cfg.product("methane" if args.product is None else args.product)
+    plant, product = _plant_product(args, cfg)
     query = analysis.BreakevenQuery(plant=plant, product=product)
     distance = analysis.breakeven_distance(query, cfg.econ_for(plant))
     return [{"plant": plant.name, "product": product.name,
@@ -95,8 +101,7 @@ def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
 
 
 def _curve_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
-    plant = cfg.plant(args.plant)
-    product = cfg.product("methane" if args.product is None else args.product)
+    plant, product = _plant_product(args, cfg)
     flows = args.flows
     if not flows:
         w_max = _reuse_rates(product, plant.cbar, 1.0)[1]

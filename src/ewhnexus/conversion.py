@@ -126,11 +126,7 @@ def power_capital(h_max: float, econ: EconParams) -> float:
     c_wind * (xi_p * H_bar) / capacity_factor, with H_bar = h_max the peak
     hydrogen rate [ton/h] and xi_p * H_bar the electrolyzer demand in kW.
     """
-    h_kg_h = h_max * 1000.0
-    if h_kg_h < 0:
-        raise DomainError("h_max must be >= 0")
-    demand_kw = econ.xi_p * h_kg_h
-    return econ.c_wind * demand_kw / econ.wind_capacity_factor
+    return econ.c_wind * (econ.xi_p * (h_max * 1000.0)) / econ.wind_capacity_factor
 
 
 def hydrogen_capital(product: ProductSpec, cbar: float, beta: float,
@@ -139,7 +135,6 @@ def hydrogen_capital(product: ProductSpec, cbar: float, beta: float,
 
     cbar is the plant's full-load carbon rate [ton/h].
     """
-    check_beta(beta)
     return product.xi_h * beta * (cbar * 1000.0) * econ.c_we
 
 
@@ -149,7 +144,6 @@ def chemical_revenue(product: ProductSpec, captured: Sequence[float], beta: floa
 
     ``captured`` holds the hourly captured carbon [ton/h].
     """
-    check_beta(beta)
     k = econ.price_of(product.name) * product.xi_chi * beta   # [$ / ton captured]
     total = 0.0   # left to right, as ccss_operational
     for c in captured:

@@ -30,8 +30,6 @@ def daily_capital_charge(capital: float, econ: EconParams) -> float:
     capital * (1 + lambda)^(N-1) / (365 N); with N = 1 and lambda = 0 this is
     exactly capital / 365.
     """
-    if capital < 0:
-        raise DomainError("capital must be >= 0")
     n = int(econ.horizon_years)
     return capital * (1.0 + econ.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
 
@@ -206,7 +204,15 @@ def _assemble(terms: tuple[float | None, ...], plant: PlantSpec,
         capital += (cap_power, cap_water) if cap_h2 is None else (cap_power, cap_h2, cap_water)
         flows += (op_water, revenue)
 
-    charge = daily_capital_charge(math.fsum(capital), econ)
+    charge = daily_capital_charge(_total(capital), econ)
     items.append(item("daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))
-    daily = Quantity._computed(math.fsum(flows + [charge]), "$/day")
+    daily = Quantity._computed(_total(flows + [charge]), "$/day")
     return tuple(items), daily, increased_price(daily, plant), carbon_penalty(daily, plant)
+
+
+def _total(amounts: list[float]) -> float:
+    """The exact sum of finite amounts, or inf, which fails the cell, where fsum overflows."""
+    try:
+        return math.fsum(amounts)
+    except OverflowError:
+        return math.inf

@@ -61,9 +61,8 @@ def desal_segment(f: float, w_max: float) -> int:
     """Segment index k in 1..4 for flow f, intervals (0.25(k-1)W, 0.25kW].
 
     Boundaries are lower-exclusive and upper-inclusive; f = 0 belongs to the
-    first segment.
+    first segment.  The caller keeps f within [0, w_max].
     """
-    check_flow(f, w_max)
     if f == 0:
         return 1
     return math.ceil(4.0 * f / w_max) or 1   # a subnormal f / w_max rounds to 0
@@ -78,18 +77,9 @@ def desal_power(f: float, w_max: float, econ: EconParams) -> float:
     return econ.e_des[k - 1] * f
 
 
-def head_loss(f: float, r_w: float) -> float:
-    """Friction head along the pipe, r_w * f^2 [m], for flow f [m3/h]."""
-    if not 0.0 <= f:   # false for a NaN flow too
-        raise DomainError(f"flow must be >= 0, got {f!r}")
-    return r_w * f * f
-
-
 def pump_power(f: float, r_w: float, eta: float) -> float:
-    """Pump power lifting flow f [m3/h] over its own head loss [kW]."""
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"pump efficiency must lie in (0, 1], got {eta!r}")
-    return PUMP_CONSTANT_W * head_loss(f, r_w) * f / eta / 1000.0
+    """Pump power lifting flow f [m3/h] over its own friction head r_w * f^2 [m] [kW]."""
+    return PUMP_CONSTANT_W * (r_w * f * f) * f / eta / 1000.0
 
 
 def effective_r_w(econ: EconParams, distance_km: float) -> float:
@@ -98,17 +88,13 @@ def effective_r_w(econ: EconParams, distance_km: float) -> float:
     The configured coefficient is stated per 100 km and scales linearly with
     distance, the standard behavior of friction head.
     """
-    if not 0.0 <= distance_km:   # false for a NaN distance too
-        raise DomainError("distance must be >= 0")
     return econ.r_w_per_100km * distance_km / 100.0
 
 
 def pump_bill(f: float, r_w: float, econ: EconParams) -> float:
     """Grid electricity bill for pumping flow f [m3/h] for one hour [$].
 
-    The price of ``pump_power`` for a head-loss coefficient r_w [h2/m5], in
-    its grouping, unchecked: the caller has checked f >= 0, and
-    ``EconParams`` the pump efficiency.
+    The price of ``pump_power`` for a head-loss coefficient r_w [h2/m5], in its grouping.
     """
     return econ.elec_price * (PUMP_CONSTANT_W * (r_w * f * f) * f / econ.eta_pump / 1000.0)
 
@@ -162,7 +148,6 @@ def water_operational(mode: WaterMode, w_max: float, flow: Sequence[float],
             if desal:
                 cost = econ.elec_price * desal_power(f, w_max, econ)
             else:
-                check_flow(f, w_max)
                 cost = pump_bill(f, r_w, econ)
         total += cost
     return total

@@ -1,10 +1,15 @@
 """The public names: ``ewhnexus.__all__`` and what the benchmark harness reads of it;
-and where the defaults that pick a cell's inputs may live."""
+the checks the public entries make; and where the defaults that pick a cell's inputs
+may live."""
 
 import ast
 import importlib.util
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 import ewhnexus as ew
 from ewhnexus import cli, conversion
@@ -19,6 +24,72 @@ def test_every_public_name_resolves():
 
 def test_public_names_are_unique():
     assert len(ew.__all__) == len(set(ew.__all__))
+
+
+def test_the_cost_terms_are_not_public():
+    # they compute on floats the public entries below have checked
+    kernels = {"ccss_capital", "ccss_operational", "water_capital", "water_operational",
+               "desal_power", "pump_power", "power_capital", "hydrogen_capital",
+               "chemical_revenue", "daily_capital_charge"}
+    assert sorted(kernels & set(ew.__all__)) == []
+    assert not hasattr(ew.water, "head_loss")   # folded into pump_power
+
+
+CFG = ew.paper_2024()
+BIOMASS = CFG.plant("biomass")
+W_MAX = ew.nexus_rates(BIOMASS, ew.METHANE, 1.0)[1].value_in("m3/h")
+ECON = ew.econ_for_cell(CFG, BIOMASS)
+
+
+def scenario(beta=0.0, profile=None):
+    return ew.ScenarioConfig(plant=BIOMASS, econ=ECON, beta=beta, capture_profile=profile)
+
+
+def curve(distance=60.0, flow=0.5 * W_MAX):
+    """The curve's one cell at the distance [km] and flow [m3/h]."""
+    return ew.transfer_cost_curve(BIOMASS, [distance], [flow], ECON, ew.METHANE)[0]
+
+
+def overload():
+    """A full-load day whose hour 7 is above the plant's full-load rate C̄ = 115 ton/h."""
+    steps = [BIOMASS.cbar] * 24
+    steps[7] = 115.5
+    return ew.TimeSeries(steps, "ton/h")
+
+
+def curve_error(flow):
+    return (f"cell (d=60 km, f={flow:g} m3/h): flow {flow:g} m3/h outside the "
+            f"production capacity [0, {W_MAX:g}]")
+
+
+D, U = ew.DomainError, ew.UnitError
+
+
+@pytest.mark.parametrize("build, error, message", [
+    *[(lambda b=b: scenario(b), D, f"reuse fraction must lie in [0, 1], got {b!r}")
+      for b in (-0.1, 1.1, math.nan, True)],
+    (lambda: scenario(profile=overload()), D,
+     "capture_profile step 7 is 115.5 ton/h, above the full-load rate C̄ = 115.0 ton/h "
+     "of plant 'biomass'"),
+    # a curve reports a flow outside [0, W] in its cell, and raises for a bad distance
+    *[(lambda f=f: curve(flow=f).error, None, curve_error(f))
+      for f in (-1.0, math.nan, 2 * W_MAX)],
+    (lambda: curve(distance=-1.0), D, "transfer distance must be >= 0"),
+    (lambda: curve(distance=math.nan), U, "magnitude must be finite, got nan"),
+    (lambda: ew.NetworkTransfer(ew.Quantity(-1.0, "km")), D, "transfer distance must be >= 0"),
+    *[(lambda e=e: replace(ECON, eta_pump=e), D, "eta_pump must lie in (0, 1]")
+      for e in (0.0, 1.5)],
+], ids=["beta=-0.1", "beta=1.1", "beta=nan", "beta=True", "profile-above-cbar",
+        "curve-flow=-1", "curve-flow=nan", "curve-flow-above-W", "curve-distance=-1",
+        "curve-distance=nan", "transfer-distance=-1", "eta_pump=0", "eta_pump=1.5"])
+def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, error,
+                                                                        message):
+    if error is None:
+        assert build() == message
+        return
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_benchmark_reads_only_public_names():

@@ -30,10 +30,6 @@ class TestPlan:
         for bad in (-0.1, 1.1):
             with pytest.raises(DomainError):
                 ScenarioConfig(plant=BIOMASS, econ=econ(), beta=bad)
-            with pytest.raises(DomainError):
-                ccss_capital(bad, CBAR, econ())
-            with pytest.raises(DomainError):
-                ccss_operational(bad, FULL_LOAD, econ())
 
 
 class TestCapital:

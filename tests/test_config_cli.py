@@ -672,6 +672,29 @@ class TestCli:
             points = [tuple(map(float, line.split(",")[:2])) for line in out.splitlines()[1:]]
         assert points == [(d, f) for d in (60.0, 260.0) for f in flows[:2]]
 
+    @pytest.mark.parametrize("command", ["sweep", "scenario"])
+    def test_capital_total_that_overflows_exits_3_naming_the_charge(self, command, tmp_path):
+        # every capital item of a reuse cell is finite, but their sum overflows fsum
+        data = preset_dict()
+        data["plants"][0]["capacity"] = "1e302 MW"
+        data["sweep"]["betas"] = [0.3359375]
+        path = tmp_path / "huge_biomass.yaml"
+        path.write_text(yaml.safe_dump(data))
+        argv = ("--plant", "biomass", "--product", "methane", "--beta", "0.3359375")
+        status, out, err = self.run_cli("--config", str(path), "--command", command,
+                                        *(argv if command == "scenario" else ()))
+        assert status == 3
+        if command == "scenario":
+            assert (out, err) == (
+                "", "computation error: ledger amount must be finite (daily capital charge)\n")
+            return
+        assert err.splitlines() == [
+            f"error: cell (biomass, {p}, beta=0.335938): ledger amount must be finite "
+            "(daily capital charge)" for p in ("methane", "methanol", "ethanol")]
+        rows = [line.split()[:4] for line in out.splitlines()[3:]]
+        assert [r[:2] for r in rows if r[3] == "error:"] == [
+            ["biomass", p] for p in ("methane", "methanol", "ethanol")]
+
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_failing_sweep_cells_exit_3_in_every_format(self, fmt, tmp_path):
         # the config loads, but every methane cell's revenue overflows to inf
@@ -774,6 +797,15 @@ class TestCli:
                                       "--beta", "1.5")
         assert status == 2
         assert "--beta" in err
+
+    @pytest.mark.parametrize("beta", ["1.5", "-0.1", "nan"])
+    def test_beta_flag_outside_the_reuse_range_exits_2_with_the_beta_rule(self, beta):
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", "scenario",
+                                        "--plant", "biomass", "--product", "methane",
+                                        "--beta", beta)
+        assert (status, out) == (2, "")
+        assert err == (f"config error: --beta: reuse fraction must lie in [0, 1], "
+                       f"got {float(beta)!r}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (("--product", "methane"), "--product needs --beta"),

@@ -67,10 +67,6 @@ class TestDailyCapitalCharge:
                    for lam in (0.0, 0.02, 0.05, 0.08)]
         assert charges == sorted(charges) and len(set(charges)) == len(charges)
 
-    def test_negative_capital_rejected(self):
-        with pytest.raises(DomainError):
-            daily_capital_charge(-1.0, econ(horizon_years=20, interest_rate=0.05))
-
 
 class TestDerivedMetrics:
     def test_increased_price_reference_rows(self):
@@ -200,6 +196,20 @@ class TestTotalDailyCost:
         with pytest.raises(DomainError) as info:
             total_daily_cost(cfg)
         assert str(info.value) == "ledger amount must be finite (wind farm capital)"
+
+    @pytest.mark.parametrize("over, error, message", [
+        # every capital item is finite, their sum is not
+        (dict(c_wind=5e301, c_des=7e305), DomainError,
+         "ledger amount must be finite (daily capital charge)"),
+        # every flow is finite, their sum with the capital charge is not
+        (dict(r_ccs=6e304, elec_price=1e303), UnitError, "magnitude must be finite, got inf"),
+    ], ids=["capital", "daily"])
+    def test_a_total_that_overflows_fails_the_cell(self, over, error, message):
+        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(**over), beta=1.0,
+                             product=METHANE, water_mode=Desalination())
+        with pytest.raises(error) as info:
+            total_daily_cost(cfg)
+        assert str(info.value) == message
 
     def test_transfer_scenario_runs(self):
         cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=ETHANOL,

