@@ -157,7 +157,8 @@ def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[
 
     def g(d_km: float) -> float:
         mode = water.NetworkTransfer(Quantity._computed(d_km, "km"))   # d_km is a float
-        transfer = before + economics._water_terms(mode, w_max, flow, econ) + after
+        transfer = (before + (water.water_capital(mode, w_max, econ),
+                              water.water_operational(mode, w_max, flow, econ)) + after)
         return economics._assemble(transfer, plant, product, econ)[1].magnitude - desal_cost
 
     return g
@@ -232,7 +233,7 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     add = cells.append
     for d in distances:
         d_km = float(d)
-        m = water.pipe_length_m(Quantity._computed(d_km, "km"))
+        m = water.pipe_length_m(d_km, "km")
         r_w = water.effective_r_w(econ, d_km)
         cap_daily = economics.daily_capital_charge(water.pipe_capital(m, econ), econ)
         for f, f_val, error in points:

@@ -9,17 +9,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .quantities import DomainError, EconParams
+from .quantities import EconParams
 
 
 def ccss_capital(beta: float, cbar: float, econ: EconParams) -> float:
     """Capital to build the capture plant and the storage pipeline [$].
 
     ((1 - beta) * c_cts + c_ccs) * C_bar * 24, with C_bar the full-load
-    carbon rate [ton/h]; both unit capital costs are per ton/day.
+    carbon rate [ton/h]; both unit capital costs are per ton/day (c_ccs set).
     """
-    if econ.c_ccs is None:
-        raise DomainError("c_ccs (capture plant capital cost) is not configured")
     unit_cost = (1.0 - beta) * econ.c_cts + econ.c_ccs
     return unit_cost * (cbar * 24.0)
 

@@ -142,9 +142,9 @@ def chemical_revenue(product: ProductSpec, captured: Sequence[float], beta: floa
                      econ: EconParams) -> float:
     """Daily product revenue as a negative cost [$ / day].
 
-    ``captured`` holds the hourly captured carbon [ton/h].
+    ``captured`` holds the hourly captured carbon [ton/h]; the product has a price.
     """
-    k = econ.price_of(product.name) * product.xi_chi * beta   # [$ / ton captured]
+    k = econ.product_prices[product.name] * product.xi_chi * beta   # [$ / ton captured]
     total = 0.0   # left to right, as ccss_operational
     for c in captured:
         total += k * c

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from . import ccss, conversion, water
 from .quantities import (
-    CAPITAL, OPERATIONAL, REVENUE,
+    CAPITAL, DAYS_PER_YEAR, OPERATIONAL, REVENUE,
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
     TimeSeries, UnitError, check_beta,
 )
 
 HOURS_PER_DAY = 24
-DAYS_PER_YEAR = 365
 
 
 def daily_capital_charge(capital: float, econ: EconParams) -> float:
@@ -126,51 +124,39 @@ def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
     (ccss capital, ccss operations, wind capital, electrolyzer capital, water
     capital, water operations, product revenue): capital in [$], flows in
     [$ / day].  A storage scenario has only the first two, the electrolyzer
-    only counts when the policy includes it, and an absent term is None.  The
-    terms are computed in this order, so a DomainError is the first term's,
-    re-raised as "<term>: <message>".
+    only counts when the policy includes it, and an absent term is None.
+    Before any term is priced, a cost the scenario needs but the parameters
+    leave unset is a DomainError named by its ledger term, in ledger order;
+    the kernels themselves raise nothing.
     """
     plant, econ, beta, product = scenario.plant, scenario.econ, scenario.beta, scenario.product
+    reuse = beta > 0 and product is not None
+    if econ.c_ccs is None:
+        raise DomainError("ccss-capital: c_ccs (capture plant capital cost) is not configured")
+    if reuse and econ.c_sw is None and isinstance(scenario.water_mode, water.SolarSeawater):
+        raise DomainError("water-capital: c_sw is not configured; a solar-seawater plan "
+                          "cannot be costed")
+    if reuse and product.name not in econ.product_prices:
+        raise DomainError(f"product-revenue: no market price configured for product "
+                          f"{product.name!r}")
     cbar = plant.cbar   # full-load carbon [ton/h]
     captured = scenario.captured
-    term = "ccss-capital"   # tag of the running term, named in its DomainError
-    try:
-        cap_ccss = ccss.ccss_capital(beta, cbar, econ)
-        term = "ccss-operational"
-        op_ccss = ccss.ccss_operational(beta, captured, econ)
-        if not (beta > 0 and product is not None):
-            return (cap_ccss, op_ccss, None, None, None, None, None)
-        h2_max, w_max, _ = conversion._reuse_rates(product, cbar, beta)  # [ton/h], [m3/h]
-        term = "power-capital"
-        cap_power = conversion.power_capital(h2_max, econ)
-        cap_h2 = None
-        if econ.include_hydrogen_capital:
-            term = "hydrogen-capital"
-            cap_h2 = conversion.hydrogen_capital(product, cbar, beta, econ)
-    except DomainError as exc:
-        raise DomainError(f"{term}: {exc}") from exc
+    cap_ccss = ccss.ccss_capital(beta, cbar, econ)
+    op_ccss = ccss.ccss_operational(beta, captured, econ)
+    if not reuse:
+        return (cap_ccss, op_ccss, None, None, None, None, None)
+    h2_max, w_max, _ = conversion._reuse_rates(product, cbar, beta)  # [ton/h], [m3/h]
+    cap_power = conversion.power_capital(h2_max, econ)
+    cap_h2 = (conversion.hydrogen_capital(product, cbar, beta, econ)
+              if econ.include_hydrogen_capital else None)
     # L/kg times ton/h is m3/h; same arithmetic path as _reuse_rates so a full-load
     # profile lands exactly on w_max
     k = product.water_demand * beta
-    cap_water, op_water = _water_terms(scenario.water_mode, w_max, [k * c for c in captured],
-                                       econ)
-    try:
-        revenue = conversion.chemical_revenue(product, captured, beta, econ)
-    except DomainError as exc:
-        raise DomainError(f"product-revenue: {exc}") from exc
+    mode = scenario.water_mode
+    cap_water = water.water_capital(mode, w_max, econ)
+    op_water = water.water_operational(mode, w_max, [k * c for c in captured], econ)
+    revenue = conversion.chemical_revenue(product, captured, beta, econ)
     return (cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue)
-
-
-def _water_terms(mode: water.WaterMode, w_max: float, flow: Sequence[float],
-                 econ: EconParams) -> tuple[float, float]:
-    """Water capital [$] and daily water operations [$ / day], tagged as in ``_cost_terms``."""
-    term = "water-capital"
-    try:
-        capital = water.water_capital(mode, w_max, econ)
-        term = "water-operational"
-        return capital, water.water_operational(mode, w_max, flow, econ)
-    except DomainError as exc:
-        raise DomainError(f"{term}: {exc}") from exc
 
 
 def _assemble(terms: tuple[float | None, ...], plant: PlantSpec,

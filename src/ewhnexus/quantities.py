@@ -231,6 +231,8 @@ def check_nonneg(name: str, value: float, when_set: bool = False) -> None:
                           else f"{name} must be finite and >= 0, got {value!r}")
 
 
+DAYS_PER_YEAR = 365   # of the daily capital charge, which EconParams checks can be formed
+
 # EconParams fields that must be finite and >= 0, in the order __post_init__
 # checks them; the optional ones may also be None
 _NONNEG_FIELDS = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
@@ -245,8 +247,8 @@ class EconParams:
     Scalars are stored in the unit stated on each field; the config layer
     converts arbitrary "value unit" inputs into these fields.  ``c_ccs`` and
     ``c_sw`` have no defensible defaults, so they stay unset until a config
-    or preset provides them; using an operation that needs an unset cost is
-    an error at that call.
+    or preset provides them; pricing a scenario that needs an unset cost,
+    or a product without a price, is an error (``economics._cost_terms``).
     """
 
     elec_price: float                       # electricity tariff [$ / kWh]
@@ -291,12 +293,13 @@ class EconParams:
         for name in _OPTIONAL_FIELDS:
             if getattr(self, name) is not None:
                 check_nonneg(name, getattr(self, name), when_set=True)
-
-    def price_of(self, product_name: str) -> float:
-        try:
-            return self.product_prices[product_name]
-        except KeyError:
-            raise DomainError(f"no market price configured for product {product_name!r}") from None
+        n = int(self.horizon_years)
+        try:   # daily_capital_charge's factor and divisor; float ** raises on overflow
+            (1.0 + self.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
+        except OverflowError:
+            raise DomainError("interest_rate and horizon_years overflow the capital charge "
+                              f"(1 + interest_rate)^(horizon_years - 1) / ({DAYS_PER_YEAR} "
+                              "horizon_years)") from None
 
 
 _setattr = object.__setattr__

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .quantities import DomainError, EconParams, Quantity, _field_value
+from .quantities import DomainError, EconParams, Quantity, _convert, _field_value
 
 # 2.725 ~= rho * g / 3600: pump power in W for flow in m3/h and head in m
 PUMP_CONSTANT_W = 2.725
@@ -35,17 +35,18 @@ class NetworkTransfer:
 
     def __post_init__(self):
         km = _field_value(self.distance, "km", "distance must be a length")
-        object.__setattr__(self, "m", pipe_length_m(self.distance))
+        object.__setattr__(self, "m", pipe_length_m(self.distance.magnitude, self.distance.unit))
         object.__setattr__(self, "km", km)
 
 
-def pipe_length_m(distance: Quantity) -> float:
-    """Length of a transfer pipe [m]; the distance must be >= 0 and finite in km and m."""
-    if distance.magnitude < 0:
+def pipe_length_m(magnitude: float, unit: str) -> float:
+    """Length [m] of a pipe ``magnitude`` ``unit`` long, which is >= 0 and finite in km and m."""
+    if magnitude < 0:
         raise DomainError("transfer distance must be >= 0")
-    m = distance.value_in("m")
-    if not math.isfinite(m):   # false for an infinite distance in km too
-        raise DomainError(f"transfer distance must be finite in km and m, got {distance}")
+    m = _convert(magnitude, unit, "m")
+    if not math.isfinite(m):   # false for an infinite or NaN distance in km too
+        raise DomainError(f"transfer distance must be finite in km and m, "
+                          f"got {magnitude:g} {unit}")
     return m
 
 
@@ -108,16 +109,14 @@ def check_flow(f: float, w_max: float) -> None:
 def water_capital(mode: WaterMode, w_max: float, econ: EconParams) -> float:
     """Capital of the supply system sized for w_max [m3/h] [$].
 
-    Desalination: W * c_des.  Solar seawater: W * c_sw, which must be
-    configured.  Network transfer: the paper prints W * c_tw * d; the
-    engine prices the pipe per meter, c_tw [$ / m] * d [m], whatever W.
+    Desalination: W * c_des.  Solar seawater: W * c_sw, which is set.
+    Network transfer: the paper prints W * c_tw * d; the engine prices the
+    pipe per meter, c_tw [$ / m] * d [m], whatever W.
     """
     if isinstance(mode, Desalination):
         return w_max * econ.c_des
     if isinstance(mode, NetworkTransfer):
         return pipe_capital(mode.m, econ)
-    if econ.c_sw is None:
-        raise DomainError("c_sw is not configured; a solar-seawater plan cannot be costed")
     return w_max * econ.c_sw
 
 

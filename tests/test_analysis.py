@@ -390,8 +390,7 @@ class TestWorkCounts:
                            "water_operational": 3}] * 2
 
     @pytest.mark.parametrize("n_flows", [1, 11])
-    def test_a_curve_builds_one_quantity_per_distance_and_none_per_flow(self, monkeypatch,
-                                                                        n_flows):
+    def test_a_curve_builds_no_quantity(self, monkeypatch, n_flows):
         calls = self.count_quantities(monkeypatch, Counter())
         self.counted(monkeypatch, calls, (water, "pump_bill"), (water, "check_flow"),
                      (water, "pipe_length_m"), (economics, "daily_capital_charge"))
@@ -405,7 +404,7 @@ class TestWorkCounts:
             cells = transfer_cost_curve(BIOMASS, distances, flows, econ, METHANE)
             counts.append(dict(calls))
         assert sum(c.error is not None for c in cells) == len(distances)
-        assert counts == [{"Quantity": 51, "pipe_length_m": 51, "daily_capital_charge": 51,
+        assert counts == [{"pipe_length_m": 51, "daily_capital_charge": 51,
                            "check_flow": n_flows + 1, "pump_bill": 51 * n_flows}] * 2
 
 

@@ -26,13 +26,34 @@ def test_public_names_are_unique():
     assert len(ew.__all__) == len(set(ew.__all__))
 
 
+# module -> the cost kernels it holds: plain arithmetic on floats that the
+# public entries below have checked
+KERNELS = {
+    "ccss": {"ccss_capital", "ccss_operational"},
+    "water": {"water_capital", "water_operational", "desal_power", "desal_segment",
+              "pump_power", "pump_bill", "effective_r_w", "pipe_capital"},
+    "conversion": {"power_capital", "hydrogen_capital", "chemical_revenue"},
+    "economics": {"daily_capital_charge"},
+}
+
+
 def test_the_cost_terms_are_not_public():
-    # they compute on floats the public entries below have checked
-    kernels = {"ccss_capital", "ccss_operational", "water_capital", "water_operational",
-               "desal_power", "pump_power", "power_capital", "hydrogen_capital",
-               "chemical_revenue", "daily_capital_charge"}
-    assert sorted(kernels & set(ew.__all__)) == []
+    assert sorted(set().union(*KERNELS.values()) & set(ew.__all__)) == []
     assert not hasattr(ew.water, "head_loss")   # folded into pump_power
+
+
+def test_the_cost_kernels_raise_nothing():
+    # economics._cost_terms rejects unset costs and prices before any kernel runs
+    found, raising = set(), []
+    for module, names in KERNELS.items():
+        source = (ROOT / "src" / "ewhnexus" / f"{module}.py").read_text(encoding="utf-8")
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                found.add(node.name)
+                if any(isinstance(n, ast.Raise) for n in ast.walk(node)):
+                    raising.append(node.name)
+    assert found == set().union(*KERNELS.values())
+    assert raising == []
 
 
 CFG = ew.paper_2024()
@@ -62,7 +83,7 @@ def curve_error(flow):
             f"production capacity [0, {W_MAX:g}]")
 
 
-D, U = ew.DomainError, ew.UnitError
+D = ew.DomainError
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -75,7 +96,8 @@ D, U = ew.DomainError, ew.UnitError
     *[(lambda f=f: curve(flow=f).error, None, curve_error(f))
       for f in (-1.0, math.nan, 2 * W_MAX)],
     (lambda: curve(distance=-1.0), D, "transfer distance must be >= 0"),
-    (lambda: curve(distance=math.nan), U, "magnitude must be finite, got nan"),
+    (lambda: curve(distance=math.nan), D,
+     "transfer distance must be finite in km and m, got nan km"),
     (lambda: ew.NetworkTransfer(ew.Quantity(-1.0, "km")), D, "transfer distance must be >= 0"),
     *[(lambda e=e: replace(ECON, eta_pump=e), D, "eta_pump must lie in (0, 1]")
       for e in (0.0, 1.5)],

@@ -54,10 +54,6 @@ class TestCapital:
         assert ccss_capital(0.3, CBAR, econ()) == pytest.approx(
             2 * ccss_capital(0.3, emissions_at_capacity(small).magnitude, econ()), rel=1e-12)
 
-    def test_unconfigured_c_ccs_is_an_error(self):
-        with pytest.raises(DomainError, match="c_ccs"):
-            ccss_capital(0.0, CBAR, econ(c_ccs=None))
-
 
 class TestOperational:
     def test_store_all_reference_day(self):

@@ -695,6 +695,21 @@ class TestCli:
         assert [r[:2] for r in rows if r[3] == "error:"] == [
             ["biomass", p] for p in ("methane", "methanol", "ethanol")]
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep",), ("curve", "--plant", "coal", "--distances", "10"),
+        ("breakeven", "--plant", "coal"), ("penalty", "--plant", "coal")],
+        ids=["sweep", "curve", "breakeven", "penalty"])
+    def test_capital_charge_that_overflows_exits_2(self, argv, tmp_path):
+        data = preset_dict()
+        data["econ"].update(interest_rate=1.0e10, horizon_years=100)
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", *argv)
+        assert (status, out) == (2, "")
+        assert err == ("config error: invalid config:\n  econ: interest_rate and horizon_years "
+                       "overflow the capital charge (1 + interest_rate)^(horizon_years - 1) / "
+                       "(365 horizon_years)\n")
+
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_failing_sweep_cells_exit_3_in_every_format(self, fmt, tmp_path):
         # the config loads, but every methane cell's revenue overflows to inf
@@ -971,10 +986,10 @@ class TestSharedConfig:
         prices = {k: v * 2 for k, v in econ.product_prices.items()}
         doubled = dataclasses.replace(econ, product_prices=prices)
         assert doubled.product_prices == prices
-        assert doubled.price_of("methane") == 2 * econ.price_of("methane")
+        assert doubled.product_prices["methane"] == 2 * econ.product_prices["methane"]
         prices["methane"] = 0.0
-        assert doubled.price_of("methane") == 2800.0
-        assert econ.price_of("methane") == 1400.0
+        assert doubled.product_prices["methane"] == 2800.0
+        assert econ.product_prices["methane"] == 1400.0
 
     def test_calibration_keeps_its_own_copy(self):
         given = {"coal": 0.1}

@@ -160,9 +160,5 @@ class TestRevenue:
     def test_zero_beta_no_revenue(self):
         assert chemical_revenue(METHANE, self.FULL_LOAD, 0.0, econ()) == 0.0
 
-    def test_missing_price_is_an_error(self):
-        with pytest.raises(DomainError, match="price"):
-            chemical_revenue(METHANE, self.FULL_LOAD, 1.0, econ(product_prices={}))
-
     def test_revenue_is_negative_cost(self):
         assert chemical_revenue(METHANE, self.FULL_LOAD, 0.7, econ()) < 0

@@ -7,8 +7,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ewhnexus import ccss, conversion, presets, water
-from ewhnexus.analysis import SweepGrid, scenario_sweep
+from ewhnexus import ccss, conversion, economics, presets, water
+from ewhnexus.analysis import (
+    BreakevenQuery, ReuseAll, SweepGrid, breakeven_distance, penalty_threshold, scenario_sweep,
+)
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import (
     ScenarioConfig, daily_capital_charge, carbon_penalty,
@@ -31,6 +33,24 @@ TERMS = {
     "water-operational": (water, "water_operational"),
     "product-revenue": (conversion, "chemical_revenue"),
 }
+
+
+# unset input -> (what leaves it unset, the water mode, the error of a reuse cell)
+UNSET = {
+    "c_ccs": ({"c_ccs": None}, Desalination(),
+              "ccss-capital: c_ccs (capture plant capital cost) is not configured"),
+    "c_sw": ({"c_sw": None}, SolarSeawater(),
+             "water-capital: c_sw is not configured; a solar-seawater plan cannot be costed"),
+    "price": ({"product_prices": {"methanol": 616.0}}, Desalination(),
+              "product-revenue: no market price configured for product 'methane'"),
+}
+
+
+def raised(call) -> str:
+    """The message of the DomainError that ``call()`` raises."""
+    with pytest.raises(DomainError) as info:
+        call()
+    return str(info.value)
 
 
 def econ(**over):
@@ -170,25 +190,40 @@ class TestTotalDailyCost:
         with pytest.raises(DomainError, match=message):
             cfg.scenario(cfg.plant("coal"), cfg.product("methane"), beta)
 
-    def test_domain_error_names_the_offending_term(self):
-        from ewhnexus.water import SolarSeawater
-        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(c_sw=None), beta=1.0,
-                             product=METHANE, water_mode=SolarSeawater())
-        with pytest.raises(DomainError, match="water-capital"):
-            total_daily_cost(cfg)
+    @pytest.mark.parametrize("unset", list(UNSET))
+    def test_an_unset_cost_fails_each_entry_before_any_term(self, monkeypatch, unset):
+        def never(*args):   # a DomainError, so the sweep's storage cell reports it
+            raise DomainError("a cost kernel ran")
 
-    @pytest.mark.parametrize("tag", list(TERMS))
-    def test_domain_error_is_prefixed_with_its_term_tag(self, monkeypatch, tag):
-        def boom(*args):
-            raise DomainError("boom")
+        for module, name in [*TERMS.values(), (economics, "daily_capital_charge")]:
+            monkeypatch.setattr(module, name, never)
+        over, mode, message = UNSET[unset]
+        params = econ(include_hydrogen_capital=True, **over)
+        cfg = ScenarioConfig(plant=BIOMASS, econ=params, beta=1.0, product=METHANE,
+                             water_mode=mode)
+        grid = SweepGrid([BIOMASS], [METHANE], [1.0], mode)
+        errors = {"total_daily_cost": raised(lambda: total_daily_cost(cfg)),
+                  "sweep": scenario_sweep(grid, params)[-1].error,
+                  "penalty_threshold": raised(
+                      lambda: penalty_threshold(BIOMASS, ReuseAll(METHANE), params, mode))}
+        expected = dict.fromkeys(errors, message)
+        expected["sweep"] = f"cell (biomass, methane, beta=1): {message}"
+        if unset != "c_sw":   # a break-even solve prices desalination and transfer only
+            query = BreakevenQuery(BIOMASS, METHANE)
+            errors["breakeven"] = raised(lambda: breakeven_distance(query, params))
+            expected["breakeven"] = message
+        assert errors == expected
 
-        monkeypatch.setattr(*TERMS[tag], boom)
-        cfg = ScenarioConfig(plant=BIOMASS, econ=econ(include_hydrogen_capital=True),
-                             beta=1.0, product=METHANE, water_mode=Desalination())
-        with pytest.raises(DomainError) as info:
-            total_daily_cost(cfg)
-        assert str(info.value) == f"{tag}: boom"
-        assert str(info.value.__cause__) == "boom"
+    def test_unset_costs_are_reported_in_ledger_order(self):
+        # a storage cell needs neither c_sw nor a price, even in solar mode
+        grid = SweepGrid([BIOMASS], [METHANE], [1.0], SolarSeawater())
+        bare = econ(c_sw=None, product_prices={})
+        errors = [[cell.error for cell in scenario_sweep(grid, params)]
+                  for params in (replace(bare, c_ccs=None), bare)]
+        assert errors == [
+            [f"cell (biomass, -, beta=0): {UNSET['c_ccs'][2]}",
+             f"cell (biomass, methane, beta=1): {UNSET['c_ccs'][2]}"],
+            [None, f"cell (biomass, methane, beta=1): {UNSET['c_sw'][2]}"]]
 
     def test_overflowing_amount_is_rejected_without_a_term_tag(self):
         cfg = ScenarioConfig(plant=BIOMASS, econ=econ(c_wind=1e308), beta=1.0,
@@ -400,7 +435,7 @@ class TestHourlySums:
         per_ton = (1.0 - beta) * params.r_cts + params.r_ccs
         assert ccss.ccss_operational(beta, captured, params) == fold(
             c * per_ton for c in captured)
-        k = params.price_of(product.name) * product.xi_chi * beta
+        k = params.product_prices[product.name] * product.xi_chi * beta
         assert conversion.chemical_revenue(product, captured, beta, params) == -fold(
             k * c for c in captured)
 

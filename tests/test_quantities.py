@@ -242,6 +242,23 @@ class TestEconParams:
         econ = EconParams(**self.kwargs())
         assert econ.xi_p == 52.5 and econ.horizon_years == 20
 
+    @pytest.mark.parametrize("over", [
+        {"interest_rate": 1.0e10, "horizon_years": 100}, {"horizon_years": 100_000_000},
+        {"interest_rate": 0.0, "horizon_years": 10 ** 306},   # 365 * 10^306 is no float
+        {"interest_rate": 0.0, "horizon_years": 10 ** 400},   # 10^400 - 1 is no float
+    ], ids=["rate", "horizon", "days", "int"])
+    def test_a_capital_charge_that_overflows_rejected(self, over):
+        # float ** raises OverflowError where it overflows, so the charge cannot be formed
+        message = ("interest_rate and horizon_years overflow the capital charge "
+                   "(1 + interest_rate)^(horizon_years - 1) / (365 horizon_years)")
+        for build in (lambda: EconParams(**self.kwargs(**over)),
+                      lambda: replace(EconParams(**self.kwargs()), **over)):
+            with pytest.raises(DomainError) as info:
+                build()
+            assert str(info.value) == message
+        # a factor that is finite is accepted, even if the charge it makes is not
+        EconParams(**self.kwargs(interest_rate=1.0e10, horizon_years=31))
+
     def test_e_des_must_have_four_segments(self):
         with pytest.raises(DomainError):
             EconParams(**self.kwargs(e_des=(3.5, 3.8, 4.1)))
@@ -265,8 +282,3 @@ class TestEconParams:
         # horizon_years=1 once turned a NaN or infinite interest_rate into a finite cost
         with pytest.raises(DomainError, match=name):
             EconParams(**self.kwargs(**{"horizon_years": 1, name: value}))
-
-    def test_missing_price_reported_with_product_name(self):
-        econ = EconParams(**self.kwargs())
-        with pytest.raises(DomainError, match="ethanol"):
-            econ.price_of("ethanol")

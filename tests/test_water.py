@@ -155,9 +155,7 @@ class TestCapital:
         assert cap(376.0, 250) == cap(188.0, 250)
         assert cap(188.0, 500) == pytest.approx(2 * cap(188.0, 250), rel=1e-12)
 
-    def test_solar_needs_configured_cost(self):
-        with pytest.raises(DomainError, match="c_sw"):
-            water_capital(SolarSeawater(), 188.0, econ())
+    def test_solar_capital_is_capacity_times_c_sw(self):
         assert water_capital(SolarSeawater(), 188.0, econ(c_sw=1e5)) == pytest.approx(1.88e7)
 
 
