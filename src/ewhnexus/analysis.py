@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from . import economics, water
 from .conversion import ProductSpec, _reuse_rates
 from .economics import ScenarioConfig, ScenarioResult, total_daily_cost
-from .quantities import DomainError, EconParams, PlantSpec, Quantity, check_beta
+from .quantities import HOURS_PER_DAY, DomainError, EconParams, PlantSpec, Quantity, check_beta
 
 # plant -> EconParams; lets a calibrated preset resolve plant-specific costs
 # without changing any formula
@@ -152,7 +152,7 @@ def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[
                                                  water_mode=water.Desalination()))
     desal_cost = economics._assemble(terms, plant, product, econ)[1].magnitude
     w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
-    flow = (w_max,) * economics.HOURS_PER_DAY   # full load: every hour carries w_max
+    flow = (w_max,) * HOURS_PER_DAY   # full load: every hour carries w_max
     before, after = terms[:4], terms[6:]   # the terms around the two water terms
 
     def g(d_km: float) -> float:
@@ -228,7 +228,9 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
             points.append((f, f_val, None))
         except DomainError as exc:
             points.append((f, f_val, str(exc)))
-    pump_bill, isfinite, new = water.pump_bill, math.isfinite, tuple.__new__
+    pump_power, isfinite, new = water.pump_power, math.isfinite, tuple.__new__
+    # as a float: float * float is the multiply CPython specializes, with the same bits
+    hours, price, eta = float(HOURS_PER_DAY), econ.elec_price, econ.eta_pump
     cells: list[CurveCell] = []
     add = cells.append
     for d in distances:
@@ -238,7 +240,7 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
         cap_daily = economics.daily_capital_charge(water.pipe_capital(m, econ), econ)
         for f, f_val, error in points:
             if error is None:
-                op_daily = 24.0 * pump_bill(f_val, r_w, econ)
+                op_daily = hours * (price * pump_power(f_val, r_w, eta))
                 total = cap_daily + op_daily
                 if isfinite(total):   # so are both parts
                     add(new(CurveCell, (d_km, f_val, cap_daily, op_daily, total, None)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .quantities import EconParams
+from .quantities import HOURS_PER_DAY, EconParams
 
 
 def ccss_capital(beta: float, cbar: float, econ: EconParams) -> float:
@@ -19,7 +19,7 @@ def ccss_capital(beta: float, cbar: float, econ: EconParams) -> float:
     carbon rate [ton/h]; both unit capital costs are per ton/day (c_ccs set).
     """
     unit_cost = (1.0 - beta) * econ.c_cts + econ.c_ccs
-    return unit_cost * (cbar * 24.0)
+    return unit_cost * (cbar * HOURS_PER_DAY)
 
 
 def ccss_operational(beta: float, captured: Sequence[float], econ: EconParams) -> float:

@@ -89,7 +89,11 @@ def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
 
 def _plant_product(args: argparse.Namespace, cfg: LoadedConfig) -> tuple[PlantSpec, ProductSpec]:
     """The ``--plant`` and ``--product`` of a break-even or curve; methane without the flag."""
-    return cfg.plant(args.plant), cfg.product("methane" if args.product is None else args.product)
+    plant = cfg.plant(args.plant)
+    if args.product is None and "methane" not in (p.name for p in cfg.products):
+        raise ConfigError(f"--product not given, and its default 'methane' is not configured; "
+                          f"pass --product, one of {[p.name for p in cfg.products]}")
+    return plant, cfg.product("methane" if args.product is None else args.product)
 
 
 def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:

@@ -25,8 +25,8 @@ from . import water
 from .analysis import SweepCell, SweepGrid, beta_errors, scenario_sweep
 from .conversion import BUILTIN_PRODUCTS, ProductSpec
 from .economics import ScenarioConfig
-from .quantities import (EconParams, FrozenMap, PlantSpec, Quantity, UnitError,
-                         check_nonneg)
+from .quantities import (HOURS_PER_DAY, EconParams, FrozenMap, PlantSpec, Quantity,
+                         UnitError, check_nonneg)
 
 
 class ConfigError(ValueError):
@@ -100,8 +100,8 @@ class Calibration:
         updates: dict[str, float] = {}
         if self.ccs_capital_total is not None:
             # a carbon rate that underflows to 0 gives an infinite c_ccs; EconParams rejects it
-            updates["c_ccs"] = (self.ccs_capital_total / (plant.cbar * 24.0) if plant.cbar
-                                else math.inf)
+            updates["c_ccs"] = (self.ccs_capital_total / (plant.cbar * HOURS_PER_DAY)
+                                if plant.cbar else math.inf)
         if plant.name in self.r_w_per_100km:
             updates["r_w_per_100km"] = self.r_w_per_100km[plant.name]
         return replace(econ, **updates) if updates else econ
@@ -128,6 +128,10 @@ def _config_errors(econ: EconParams | None, plants: tuple[PlantSpec, ...] | None
             if seen.setdefault(entry.name, i) != i:
                 errors.append(f"{section}[{i}]{rule} {entry.name!r} "
                               f"(first at {section}[{seen[entry.name]}])")
+    # a plant name goes as written into a CSV field and a table cell
+    errors.extend(f"plants[{i}].name: plant name {p.name!r} must be printable and contain "
+                  "no ',' or '\"'" for i, p in enumerate(plants or ())
+                  if not p.name.isprintable() or "," in p.name or '"' in p.name)
     errors.extend(beta_errors(sweep_betas or (), "sweep.betas"))
     if calibration is not None and plants is not None:
         names = sorted(p.name for p in plants)
@@ -202,18 +206,18 @@ class LoadedConfig:
         return scenario_sweep(grid, self.econ, econ_resolver=self.econ_for)
 
     def plant(self, name: str) -> PlantSpec:
-        for p in self.plants:
-            if p.name == name:
-                return p
-        raise ConfigError(f"unknown plant {name!r}; configured plants are "
-                          f"{[p.name for p in self.plants]}")
+        return _named(self.plants, name, "plant")
 
     def product(self, name: str) -> ProductSpec:
-        for p in self.products:
-            if p.name == name:
-                return p
-        raise ConfigError(f"unknown product {name!r}; configured products are "
-                          f"{[p.name for p in self.products]}")
+        return _named(self.products, name, "product")
+
+
+def _named(entries: tuple, name: str, kind: str) -> Any:
+    for entry in entries:
+        if entry.name == name:
+            return entry
+    raise ConfigError(f"unknown {kind} {name!r}; configured {kind}s are "
+                      f"{[entry.name for entry in entries]}")
 
 
 # (section, key, unit, required) for every econ, policy and calibration key,

@@ -14,22 +14,10 @@ from dataclasses import dataclass, field
 
 from . import ccss, conversion, water
 from .quantities import (
-    CAPITAL, DAYS_PER_YEAR, OPERATIONAL, REVENUE,
+    CAPITAL, HOURS_PER_DAY, OPERATIONAL, REVENUE,
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, UnitError, check_beta,
+    TimeSeries, UnitError, check_beta, daily_capital_charge,
 )
-
-HOURS_PER_DAY = 24
-
-
-def daily_capital_charge(capital: float, econ: EconParams) -> float:
-    """Daily charge recovering a capital stock [$] over the payback horizon [$ / day].
-
-    capital * (1 + lambda)^(N-1) / (365 N); with N = 1 and lambda = 0 this is
-    exactly capital / 365.
-    """
-    n = int(econ.horizon_years)
-    return capital * (1.0 + econ.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
 
 
 @dataclass(frozen=True)

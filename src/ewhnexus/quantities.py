@@ -231,7 +231,19 @@ def check_nonneg(name: str, value: float, when_set: bool = False) -> None:
                           else f"{name} must be finite and >= 0, got {value!r}")
 
 
-DAYS_PER_YEAR = 365   # of the daily capital charge, which EconParams checks can be formed
+HOURS_PER_DAY = 24
+DAYS_PER_YEAR = 365
+
+
+def daily_capital_charge(capital: float, econ: EconParams) -> float:
+    """Daily charge recovering a capital stock [$] over the payback horizon [$ / day].
+
+    capital * (1 + lambda)^(N-1) / (365 N); with N = 1 and lambda = 0 this is
+    exactly capital / 365.  ``EconParams`` checks that the factor can be formed.
+    """
+    n = int(econ.horizon_years)
+    return capital * (1.0 + econ.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
+
 
 # EconParams fields that must be finite and >= 0, in the order __post_init__
 # checks them; the optional ones may also be None
@@ -293,9 +305,8 @@ class EconParams:
         for name in _OPTIONAL_FIELDS:
             if getattr(self, name) is not None:
                 check_nonneg(name, getattr(self, name), when_set=True)
-        n = int(self.horizon_years)
-        try:   # daily_capital_charge's factor and divisor; float ** raises on overflow
-            (1.0 + self.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
+        try:   # float ** raises on overflow
+            daily_capital_charge(1.0, self)
         except OverflowError:
             raise DomainError("interest_rate and horizon_years overflow the capital charge "
                               f"(1 + interest_rate)^(horizon_years - 1) / ({DAYS_PER_YEAR} "

@@ -92,14 +92,6 @@ def effective_r_w(econ: EconParams, distance_km: float) -> float:
     return econ.r_w_per_100km * distance_km / 100.0
 
 
-def pump_bill(f: float, r_w: float, econ: EconParams) -> float:
-    """Grid electricity bill for pumping flow f [m3/h] for one hour [$].
-
-    The price of ``pump_power`` for a head-loss coefficient r_w [h2/m5], in its grouping.
-    """
-    return econ.elec_price * (PUMP_CONSTANT_W * (r_w * f * f) * f / econ.eta_pump / 1000.0)
-
-
 def check_flow(f: float, w_max: float) -> None:
     """Reject a flow f outside [0, w_max], the production capacity [m3/h]."""
     if not 0.0 <= f <= w_max:   # false for a NaN flow too
@@ -144,9 +136,7 @@ def water_operational(mode: WaterMode, w_max: float, flow: Sequence[float],
     for f in flow:
         if f != last:   # cost is the grid bill for one hour at flow f [$]
             last = f
-            if desal:
-                cost = econ.elec_price * desal_power(f, w_max, econ)
-            else:
-                cost = pump_bill(f, r_w, econ)
+            power = desal_power(f, w_max, econ) if desal else pump_power(f, r_w, econ.eta_pump)
+            cost = econ.elec_price * power
         total += cost
     return total

@@ -22,7 +22,7 @@ from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 from ewhnexus.water import (
-    Desalination, NetworkTransfer, SolarSeawater, check_flow, effective_r_w, pump_bill,
+    Desalination, NetworkTransfer, SolarSeawater, check_flow, effective_r_w, pump_power,
     water_capital,
 )
 
@@ -392,7 +392,7 @@ class TestWorkCounts:
     @pytest.mark.parametrize("n_flows", [1, 11])
     def test_a_curve_builds_no_quantity(self, monkeypatch, n_flows):
         calls = self.count_quantities(monkeypatch, Counter())
-        self.counted(monkeypatch, calls, (water, "pump_bill"), (water, "check_flow"),
+        self.counted(monkeypatch, calls, (water, "pump_power"), (water, "check_flow"),
                      (water, "pipe_length_m"), (economics, "daily_capital_charge"))
         w_max = _reuse_rates(METHANE, BIOMASS.cbar, 1.0)[1]
         distances = [10.0 * k for k in range(51)]
@@ -405,7 +405,7 @@ class TestWorkCounts:
             counts.append(dict(calls))
         assert sum(c.error is not None for c in cells) == len(distances)
         assert counts == [{"pipe_length_m": 51, "daily_capital_charge": 51,
-                           "check_flow": n_flows + 1, "pump_bill": 51 * n_flows}] * 2
+                           "check_flow": n_flows + 1, "pump_power": 51 * n_flows}] * 2
 
 
 def curve_oracle(d, f, w_max: float, econ: EconParams) -> str:
@@ -419,7 +419,8 @@ def curve_oracle(d, f, w_max: float, econ: EconParams) -> str:
     capital = daily_capital_charge(
         water_capital(NetworkTransfer(Quantity(d, "km")), w_max, econ), econ)
     check_flow(f_m3_h, w_max)
-    operational = 24.0 * pump_bill(f_m3_h, effective_r_w(econ, d_km), econ)
+    operational = 24.0 * (econ.elec_price * pump_power(f_m3_h, effective_r_w(econ, d_km),
+                                                       econ.eta_pump))
     total = capital + operational
     for name, value in (("capital charge", capital), ("operational cost", operational),
                         ("total cost", total)):

@@ -31,10 +31,11 @@ def test_public_names_are_unique():
 KERNELS = {
     "ccss": {"ccss_capital", "ccss_operational"},
     "water": {"water_capital", "water_operational", "desal_power", "desal_segment",
-              "pump_power", "pump_bill", "effective_r_w", "pipe_capital"},
+              "pump_power", "effective_r_w", "pipe_capital"},
     "conversion": {"power_capital", "hydrogen_capital", "chemical_revenue"},
-    "economics": {"daily_capital_charge"},
+    "quantities": {"daily_capital_charge"},
 }
+SOURCES = sorted((ROOT / "src" / "ewhnexus").glob("*.py"))
 
 
 def test_the_cost_terms_are_not_public():
@@ -54,6 +55,44 @@ def test_the_cost_kernels_raise_nothing():
                     raising.append(node.name)
     assert found == set().union(*KERNELS.values())
     assert raising == []
+
+
+def holders(predicate) -> list[str]:
+    """``module.name`` of each top-level statement in ``src/`` holding a node the predicate
+    accepts; a statement that is not a def or class is named by its line."""
+    found = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(predicate(node) for node in ast.walk(top)):
+                found.append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    return found
+
+
+def test_the_pump_constant_is_read_by_pump_power_alone():
+    assert holders(lambda node: isinstance(node, ast.Name) and node.id == "PUMP_CONSTANT_W"
+                   and isinstance(node.ctx, ast.Load)) == ["water.pump_power"]
+
+
+def test_the_capital_charge_power_is_raised_by_daily_capital_charge_alone():
+    # (1 + lambda) ** (n - 1): a power whose exponent is one less than something
+    def charge_power(node):
+        exponent = getattr(node, "right", None)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(exponent, ast.BinOp) and isinstance(exponent.op, ast.Sub)
+                and getattr(exponent.right, "value", None) == 1)
+
+    assert holders(charge_power) == ["quantities.daily_capital_charge"]
+
+
+def test_nothing_in_the_package_or_its_tests_imports_numpy_or_scipy():
+    found = []
+    for path in SOURCES + sorted((ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}: {m}" for m in modules
+                      if m.split(".")[0] in ("numpy", "scipy")]
+    assert found == []
 
 
 CFG = ew.paper_2024()
@@ -173,7 +212,7 @@ def defaults(tree: ast.AST):
 def test_only_the_config_picks_a_water_mode_betas_or_a_product_by_default():
     assert {"METHANE", "METHANOL", "ETHANOL"} <= PICKED_INPUTS
     found = []
-    for path in sorted((ROOT / "src" / "ewhnexus").glob("*.py")):
+    for path in SOURCES:
         if path.name == "config.py":
             continue
         for default in defaults(ast.parse(path.read_text(encoding="utf-8"))):

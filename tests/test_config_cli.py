@@ -332,6 +332,12 @@ RULE_EDITS = {
     "beta-above-one": (lambda d: d["sweep"].update(betas=[0.5, 1.5]),
                        lambda c: dataclasses.replace(c, sweep_betas=(0.5, 1.5))),
     "no-plants": (lambda d: d.update(plants=[]), lambda c: dataclasses.replace(c, plants=())),
+    **{f"plant-name-{tag}": (
+        lambda d, n=name: d["plants"].append(dict(d["plants"][0], name=n)),
+        lambda c, n=name: dataclasses.replace(
+            c, plants=c.plants + (dataclasses.replace(c.plants[0], name=n),)))
+       for tag, name in (("with-comma", "bio,mass"), ("with-quote", 'bio"mass'),
+                         ("with-newline", "bio\nmass"))},
     "no-betas": (lambda d: d["sweep"].update(betas=[]),
                  lambda c: dataclasses.replace(c, sweep_betas=())),
 }
@@ -501,6 +507,20 @@ class TestCli:
         assert (status, out) == (2, "")
         assert "plants[3].name: duplicate plant name 'biomass' (first at plants[0])" in err
         assert "products[1]: duplicate product 'methane' (first at products[0])" in err
+
+    @pytest.mark.parametrize("name", ["bio,mass", 'bio"mass', "bio\nmass", "bio\tmass"])
+    def test_plant_name_that_breaks_a_csv_row_exits_2(self, name, tmp_path):
+        data = preset_dict()
+        data["plants"][0]["name"] = name
+        data["calibration"]["r_w_per_100km"][name] = (
+            data["calibration"]["r_w_per_100km"].pop("biomass"))
+        path = tmp_path / "names.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", "sweep",
+                                        "--format", "csv")
+        assert (status, out) == (2, "")
+        assert err == (f"config error: invalid config:\n  plants[0].name: plant name {name!r} "
+                       "must be printable and contain no ',' or '\"'\n")
 
     def test_product_without_a_price_exits_2(self, tmp_path):
         data = preset_dict()
@@ -832,6 +852,24 @@ class TestCli:
                                         "--plant", "biomass", *argv)
         assert (status, out) == (2, "")
         assert err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("command, argv", [
+        ("breakeven", ()), ("curve", ("--distances", "60"))])
+    def test_default_product_that_is_not_configured_exits_2(self, command, argv, tmp_path):
+        data = preset_dict()
+        data["products"] = ["methanol"]
+        path = tmp_path / "methanol.yaml"
+        path.write_text(yaml.safe_dump(data))
+        status, out, err = self.run_cli("--config", str(path), "--command", command,
+                                        "--plant", "coal", *argv)
+        assert (status, out) == (2, "")
+        assert err == ("config error: --product not given, and its default 'methane' is not "
+                       "configured; pass --product, one of ['methanol']\n")
+        status, out, err = self.run_cli("--config", str(path), "--command", command,
+                                        "--plant", "coal", "--product", "methane", *argv)
+        assert (status, out) == (2, "")
+        assert err == ("config error: unknown product 'methane'; configured products are "
+                       "['methanol']\n")
 
     @pytest.mark.parametrize("command, argv", [
         ("breakeven", ()), ("curve", ("--distances", "60")), ("penalty", ())])

@@ -539,7 +539,7 @@ class TestHotPath:
 
     @pytest.mark.parametrize("mode, priced_by", [
         (Desalination(), "desal_power"),
-        (NetworkTransfer(Quantity(150.0, "km")), "pump_bill"),
+        (NetworkTransfer(Quantity(150.0, "km")), "pump_power"),
     ], ids=["desalination", "transfer"])
     def test_full_load_day_prices_one_hour(self, monkeypatch, mode, priced_by):
         cfg = paper_2024()

@@ -12,7 +12,7 @@ from ewhnexus.economics import ScenarioConfig
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity, UnitError
 from ewhnexus.water import (
     Desalination, NetworkTransfer, SolarSeawater, desal_power, desal_segment,
-    effective_r_w, pump_bill, pump_power, water_capital, water_operational,
+    effective_r_w, pump_power, water_capital, water_operational,
 )
 
 BIOMASS = PlantSpec("biomass", Quantity(500, "MW"), Quantity(230, "g/kWh"))
@@ -188,7 +188,8 @@ def price_every_hour(mode, w_max, flow, econ):
         if isinstance(mode, Desalination):
             total += econ.elec_price * desal_power(f, w_max, econ)
         else:
-            total += pump_bill(f, effective_r_w(econ, mode.km), econ)
+            total += econ.elec_price * pump_power(f, effective_r_w(econ, mode.km),
+                                                  econ.eta_pump)
     return total
 
 
