@@ -12,7 +12,7 @@ from .quantities import (
 )
 from .water import Desalination, NetworkTransfer, SolarSeawater
 from .conversion import (
-    BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, ProductSpec, Reaction, nexus_rates,
+    BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, ProductSpec, nexus_rates,
 )
 from .economics import (
     ScenarioConfig, ScenarioResult, carbon_penalty, increased_price, total_daily_cost,
@@ -28,7 +28,7 @@ __all__ = [
     "BreakevenQuery", "BUILTIN_PRODUCTS", "ConfigError", "CostLedger", "Desalination",
     "DomainError", "EconParams", "ETHANOL", "LedgerItem", "LoadedConfig", "METHANE",
     "METHANOL", "NetworkTransfer", "NoCrossingError", "PlantSpec", "ProductSpec",
-    "Quantity", "Reaction", "ReuseAll", "ScenarioConfig", "ScenarioResult", "SolarSeawater",
+    "Quantity", "ReuseAll", "ScenarioConfig", "ScenarioResult", "SolarSeawater",
     "StoreAll", "SweepGrid", "TimeSeries", "UnitError", "breakeven_distance",
     "carbon_penalty", "dump_config", "econ_for_cell", "emissions_at_capacity",
     "increased_price", "load_config", "nexus_rates", "paper_2024", "penalty_threshold",

@@ -9,17 +9,18 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .quantities import HOURS_PER_DAY, EconParams
+from .quantities import EconParams
 
 
-def ccss_capital(beta: float, cbar: float, econ: EconParams) -> float:
+def ccss_capital(beta: float, cbar_day: float, econ: EconParams) -> float:
     """Capital to build the capture plant and the storage pipeline [$].
 
-    ((1 - beta) * c_cts + c_ccs) * C_bar * 24, with C_bar the full-load
-    carbon rate [ton/h]; both unit capital costs are per ton/day (c_ccs set).
+    ((1 - beta) * c_cts + c_ccs) * C_bar * 24, with C_bar * 24 = cbar_day the
+    full-load daily carbon mass [ton/day]; both unit capital costs are per
+    ton/day (c_ccs set).
     """
     unit_cost = (1.0 - beta) * econ.c_cts + econ.c_ccs
-    return unit_cost * (cbar * HOURS_PER_DAY)
+    return unit_cost * cbar_day
 
 
 def ccss_operational(beta: float, captured: Sequence[float], econ: EconParams) -> float:

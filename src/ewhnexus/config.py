@@ -25,8 +25,7 @@ from . import water
 from .analysis import SweepCell, SweepGrid, beta_errors, scenario_sweep
 from .conversion import BUILTIN_PRODUCTS, ProductSpec
 from .economics import ScenarioConfig
-from .quantities import (HOURS_PER_DAY, EconParams, FrozenMap, PlantSpec, Quantity,
-                         UnitError, check_nonneg)
+from .quantities import EconParams, FrozenMap, PlantSpec, Quantity, UnitError, check_nonneg
 
 
 class ConfigError(ValueError):
@@ -100,8 +99,8 @@ class Calibration:
         updates: dict[str, float] = {}
         if self.ccs_capital_total is not None:
             # a carbon rate that underflows to 0 gives an infinite c_ccs; EconParams rejects it
-            updates["c_ccs"] = (self.ccs_capital_total / (plant.cbar * HOURS_PER_DAY)
-                                if plant.cbar else math.inf)
+            updates["c_ccs"] = (self.ccs_capital_total / plant.cbar_day
+                                if plant.cbar_day else math.inf)
         if plant.name in self.r_w_per_100km:
             updates["r_w_per_100km"] = self.r_w_per_100km[plant.name]
         return replace(econ, **updates) if updates else econ

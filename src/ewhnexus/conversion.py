@@ -1,11 +1,12 @@
 """Hydrogen production, chemical synthesis stoichiometry, and product revenue.
 
-Each product is defined by its hydrogenation reaction; every mass ratio is
-derived from the stored atomic masses, so atom balance implies exact mass
-balance.  The atomic mass table travels with the product: the shipped
-definitions reproduce the reference hydrogen requirements (182 g H2 per kg
-CO2 for methane, 137.4 g for methanol and ethanol) exactly, methane's from
-integer atomic masses, the alcohols' from standard ones.
+Each product is made by hydrogenating CO2, and its molecular formula fixes
+that reaction, so every product balances its atoms by construction; every
+mass ratio is derived from the reaction and the stored atomic masses, so it
+balances mass exactly.  The atomic mass table travels with the product: the
+shipped definitions reproduce the reference hydrogen requirements (182 g H2
+per kg CO2 for methane, 137.4 g for methanol and ethanol) exactly, methane's
+from integer atomic masses, the alcohols' from standard ones.
 """
 
 from __future__ import annotations
@@ -32,33 +33,17 @@ STANDARD_MASSES = AtomicMasses(C=0.012011, H=0.001008, O=0.015999)
 
 
 @dataclass(frozen=True)
-class Reaction:
-    """Moles in a CO2 + b H2 -> c product + e H2O."""
-
-    co2: int
-    h2: int
-    product: int
-    h2o: int
-
-    def __post_init__(self):
-        for name, n in (("co2", self.co2), ("h2", self.h2),
-                        ("product", self.product), ("h2o", self.h2o)):
-            if not isinstance(n, int) or n < 0:
-                raise DomainError(f"reaction coefficient {name} must be a non-negative int")
-        if self.co2 < 1 or self.product < 1:
-            raise DomainError("reaction must consume CO2 and yield a product")
-
-
-@dataclass(frozen=True)
 class ProductSpec:
-    """A synthesizable chemical product; its mass ratios are computed at construction.
+    """A product made by hydrogenating CO2; its mass ratios are computed at construction.
 
-    ``formula`` is read-only, since every loaded config shares the built-ins.
+    The formula fixes the reaction k CO2 + b H2 -> n P + e H2O: the C, O and H
+    balances give k = n c, e = n (2c - o) and b = (n h + 2e) / 2, with n = 2
+    when h is odd and 1 otherwise.  ``formula`` is read-only, since every loaded
+    config shares the built-ins.
     """
 
     name: str
     formula: Mapping[str, int]        # atoms per product molecule, e.g. {"C": 1, "H": 4}
-    reaction: Reaction
     atomic_masses: AtomicMasses = STANDARD_MASSES
     # per kg CO2 reused: kg H2, kg product, liters of electrolysis feed water (one mole
     # per mole of H2; 1 kg == 1 L), kg reaction water out (closes the mass balance)
@@ -68,32 +53,34 @@ class ProductSpec:
     water_byproduct: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "formula",
-                           FrozenMap((k, int(v)) for k, v in self.formula.items() if v))
-        unknown = set(self.formula) - {"C", "H", "O"}
+        for el, v in self.formula.items():
+            if type(v) is not int or v < 0:
+                raise DomainError(f"{self.name}: atom count of {el!r} must be an int >= 0, "
+                                  f"got {v!r}")
+        f = FrozenMap((el, v) for el, v in self.formula.items() if v)
+        object.__setattr__(self, "formula", f)
+        unknown = set(f) - {"C", "H", "O"}
         if unknown:
             raise DomainError(f"unsupported elements in formula: {sorted(unknown)}")
-        am, f, r = self.atomic_masses, self.formula, self.reaction
-        balances = {
-            "C": r.co2 - r.product * f.get("C", 0),
-            "H": 2 * r.h2 - r.product * f.get("H", 0) - 2 * r.h2o,
-            "O": 2 * r.co2 - r.product * f.get("O", 0) - r.h2o,
-        }
-        bad = {el: d for el, d in balances.items() if d != 0}
-        if bad:
-            raise DomainError(f"reaction for {self.name!r} does not balance: {bad}")
+        c, h, o = f.get("C", 0), f.get("H", 0), f.get("O", 0)
+        if c == 0 or 2 * c < o:
+            raise DomainError(f"{self.name} cannot be made from CO2 and H2 alone: {dict(f)}")
+        n = 2 if h % 2 else 1     # product molecules: H2 brings hydrogen in pairs
+        k, e = n * c, n * (2 * c - o)
+        b = (n * h + 2 * e) // 2
+        am = self.atomic_masses
         co2 = am.C + 2.0 * am.O   # molar masses [kg/mol]
         h2 = 2.0 * am.H
         h2o = 2.0 * am.H + am.O
-        chi = f.get("C", 0) * am.C + f.get("H", 0) * am.H + f.get("O", 0) * am.O
-        for name, mass in (("xi_h", r.h2 * h2), ("xi_chi", r.product * chi),
-                           ("water_demand", r.h2 * h2o), ("water_byproduct", r.h2o * h2o)):
-            object.__setattr__(self, name, mass / (r.co2 * co2))
+        chi = c * am.C + h * am.H + o * am.O
+        for name, mass in (("xi_h", b * h2), ("xi_chi", n * chi),
+                           ("water_demand", b * h2o), ("water_byproduct", e * h2o)):
+            object.__setattr__(self, name, mass / (k * co2))
 
 
-METHANE = ProductSpec("methane", {"C": 1, "H": 4}, Reaction(1, 4, 1, 2), INTEGER_MASSES)
-METHANOL = ProductSpec("methanol", {"C": 1, "H": 4, "O": 1}, Reaction(1, 3, 1, 1))
-ETHANOL = ProductSpec("ethanol", {"C": 2, "H": 6, "O": 1}, Reaction(2, 6, 1, 3))
+METHANE = ProductSpec("methane", {"C": 1, "H": 4}, INTEGER_MASSES)
+METHANOL = ProductSpec("methanol", {"C": 1, "H": 4, "O": 1})
+ETHANOL = ProductSpec("ethanol", {"C": 2, "H": 6, "O": 1})
 
 BUILTIN_PRODUCTS: dict[str, ProductSpec] = {
     p.name: p for p in (METHANE, METHANOL, ETHANOL)

@@ -94,8 +94,7 @@ def carbon_penalty(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
     The penalty on the full-load daily carbon mass that would cost exactly
     as much as the scenario; negative when the scenario is net revenue.
     """
-    cbar_ton_day = plant.cbar * HOURS_PER_DAY
-    return Quantity._computed(daily_cost.value_in("$/day") / cbar_ton_day, "$/ton")
+    return Quantity._computed(daily_cost.value_in("$/day") / plant.cbar_day, "$/ton")
 
 
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
@@ -129,7 +128,7 @@ def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
                           f"{product.name!r}")
     cbar = plant.cbar   # full-load carbon [ton/h]
     captured = scenario.captured
-    cap_ccss = ccss.ccss_capital(beta, cbar, econ)
+    cap_ccss = ccss.ccss_capital(beta, plant.cbar_day, econ)
     op_ccss = ccss.ccss_operational(beta, captured, econ)
     if not reuse:
         return (cap_ccss, op_ccss, None, None, None, None, None)

@@ -199,6 +199,7 @@ class PlantSpec:
     emission_factor: Quantity   # carbon emitted per unit generated [kg/kWh]
     capacity_kw: float = field(init=False, repr=False, compare=False)  # capacity [kW]
     cbar: float = field(init=False, repr=False, compare=False)  # full-load carbon [ton/h]
+    cbar_day: float = field(init=False, repr=False, compare=False)  # its daily mass [ton/day]
 
     def __post_init__(self):
         capacity_kw = _field_value(self.capacity, "kW", "capacity must be a power")
@@ -214,6 +215,7 @@ class PlantSpec:
                               f"must be finite, got {capacity_kw!r} kW and {cbar!r} ton/h")
         object.__setattr__(self, "capacity_kw", capacity_kw)
         object.__setattr__(self, "cbar", cbar)
+        object.__setattr__(self, "cbar_day", cbar * HOURS_PER_DAY)
 
 
 def emissions_at_capacity(plant: PlantSpec) -> Quantity:
@@ -331,8 +333,7 @@ class TimeSeries:
         if not vals:
             raise DomainError("time series must not be empty")
         for i, v in enumerate(vals):
-            if not math.isfinite(v) or v < 0:
-                raise DomainError(f"series value at step {i} must be finite and >= 0, got {v!r}")
+            check_nonneg(f"series value at step {i}", v)
 
     def __len__(self) -> int:
         return len(self.values)

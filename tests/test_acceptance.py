@@ -113,11 +113,11 @@ def test_a2_stoichiometry_exactness():
     for label, value, target in checks:
         if abs(value - target) > 5e-4:
             failures.append(f"{label} = {value:.6f}, expected {target} +/- 0.0005")
-    # atom balance is construction-enforced; a broken reaction must not build
-    from ewhnexus.conversion import ProductSpec, Reaction
+    # the reaction is derived from the formula; a product CO2 and H2 cannot make must not build
+    from ewhnexus.conversion import ProductSpec
     try:
-        ProductSpec("broken", {"C": 1, "H": 4}, Reaction(1, 3, 1, 2))
-        failures.append("unbalanced reaction was accepted")
+        ProductSpec("broken", {"C": 1, "H": 2, "O": 3})
+        failures.append("a product that CO2 and H2 cannot make was accepted")
     except DomainError:
         pass
     for product in (METHANE, METHANOL, ETHANOL):

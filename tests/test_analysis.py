@@ -17,7 +17,7 @@ from ewhnexus.analysis import (
     breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
 )
 from ewhnexus.config import ConfigError, LoadedConfig
-from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, ProductSpec, Reaction, _reuse_rates
+from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, ProductSpec, _reuse_rates
 from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
@@ -260,7 +260,7 @@ def priced_per_scenario(query: BreakevenQuery, econ: EconParams):
 
 
 # no config prices it, so its revenue term raises
-FORMIC_ACID = ProductSpec("formic_acid", {"C": 1, "H": 2, "O": 2}, Reaction(1, 1, 1, 0))
+FORMIC_ACID = ProductSpec("formic_acid", {"C": 1, "H": 2, "O": 2})
 # rates finite, but the wind capital and the pumping bill overflow
 HUGE = PlantSpec("huge", Quantity(1e302, "MW"), Quantity(230, "g/kWh"))
 # every decision metric divides by a capacity near 0

@@ -73,6 +73,17 @@ def test_the_pump_constant_is_read_by_pump_power_alone():
                    and isinstance(node.ctx, ast.Load)) == ["water.pump_power"]
 
 
+def test_the_daily_carbon_mass_is_computed_by_plantspec_alone():
+    # cbar * HOURS_PER_DAY in either order, each factor a name or an attribute
+    def daily_carbon(node):
+        factors = {getattr(side, "id", getattr(side, "attr", None))
+                   for side in (getattr(node, "left", None), getattr(node, "right", None))}
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and factors == {"cbar", "HOURS_PER_DAY"})
+
+    assert holders(daily_carbon) == ["quantities.PlantSpec"]
+
+
 def test_the_capital_charge_power_is_raised_by_daily_capital_charge_alone():
     # (1 + lambda) ** (n - 1): a power whose exponent is one less than something
     def charge_power(node):

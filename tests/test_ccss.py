@@ -1,4 +1,5 @@
-"""Capture, transfer and storage cost model; the terms take carbon rates in ton/h."""
+"""Capture, transfer and storage cost model; capital takes the daily carbon mass in ton/day,
+operations the hourly carbon rates in ton/h."""
 
 import pytest
 
@@ -21,6 +22,7 @@ def econ(**over):
 
 
 CBAR = emissions_at_capacity(BIOMASS).magnitude   # 115 ton/h
+CBAR_DAY = BIOMASS.cbar_day                        # 2760 ton/day
 FULL_LOAD = (CBAR,) * 24
 
 
@@ -35,24 +37,24 @@ class TestPlan:
 class TestCapital:
     def test_hand_computed_storage_case(self):
         # (100 + 300) $/ton-day on 2760 ton/day -> $1.104 M
-        cap = ccss_capital(0.0, CBAR, econ())
+        cap = ccss_capital(0.0, CBAR_DAY, econ())
         assert cap == pytest.approx(1.104e6, rel=1e-12)
 
     def test_full_reuse_drops_the_transfer_term(self):
-        cap = ccss_capital(1.0, CBAR, econ())
+        cap = ccss_capital(1.0, CBAR_DAY, econ())
         assert cap == pytest.approx(300.0 * 2760.0, rel=1e-12)
 
     def test_half_reuse_halves_only_the_transfer_term(self):
-        c0 = ccss_capital(0.0, CBAR, econ())
-        chalf = ccss_capital(0.5, CBAR, econ())
-        c1 = ccss_capital(1.0, CBAR, econ())
+        c0 = ccss_capital(0.0, CBAR_DAY, econ())
+        chalf = ccss_capital(0.5, CBAR_DAY, econ())
+        c1 = ccss_capital(1.0, CBAR_DAY, econ())
         assert c0 - chalf == pytest.approx(0.5 * 100.0 * 2760.0, rel=1e-12)
         assert c0 - c1 == pytest.approx(100.0 * 2760.0, rel=1e-12)
 
     def test_scales_linearly_with_plant_size(self):
         small = PlantSpec("s", Quantity(250, "MW"), Quantity(230, "g/kWh"))
-        assert ccss_capital(0.3, CBAR, econ()) == pytest.approx(
-            2 * ccss_capital(0.3, emissions_at_capacity(small).magnitude, econ()), rel=1e-12)
+        assert ccss_capital(0.3, CBAR_DAY, econ()) == pytest.approx(
+            2 * ccss_capital(0.3, small.cbar_day, econ()), rel=1e-12)
 
 
 class TestOperational:

@@ -1,5 +1,6 @@
 """Stoichiometry, nexus sizing, power/hydrogen capital H2 and product revenue."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from ewhnexus.conversion import (
     BUILTIN_PRODUCTS, ETHANOL, INTEGER_MASSES, METHANE, METHANOL, STANDARD_MASSES, AtomicMasses,
-    ProductSpec, Reaction,
-    chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
+    ProductSpec, chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
 )
 from ewhnexus.quantities import (
     DomainError, EconParams, PlantSpec, Quantity, emissions_at_capacity,
@@ -43,9 +43,18 @@ class TestStoichiometry:
     def test_methane_product_ratio(self):
         assert METHANE.xi_chi == pytest.approx(16.0 / 44.0, rel=1e-12)
 
-    def test_atom_balance_enforced_at_construction(self):
-        with pytest.raises(DomainError, match="balance"):
-            ProductSpec("broken", {"C": 1, "H": 4}, Reaction(1, 3, 1, 2))
+    def test_a_product_with_more_oxygen_than_its_co2_is_rejected(self):
+        with pytest.raises(DomainError,
+                           match=r"broken cannot be made from CO2 and H2 alone: .*'O': 3"):
+            ProductSpec("broken", {"C": 1, "H": 2, "O": 3})
+
+    @pytest.mark.parametrize("element, count", [
+        ("C", 1.5), ("C", 1.0), ("C", "1"), ("C", True), ("C", -1), ("H", None), ("O", 0.4),
+    ], ids=repr)
+    def test_an_atom_count_that_is_not_an_int_at_least_zero_is_rejected(self, element, count):
+        with pytest.raises(DomainError,
+                           match=rf"atom count of '{element}' must be an int >= 0, got"):
+            ProductSpec("odd", {"C": 1, "H": 4, element: count})
 
     def test_mass_conservation_per_kg_co2(self):
         for product in (METHANE, METHANOL, ETHANOL):
@@ -54,16 +63,48 @@ class TestStoichiometry:
             assert mass_out == pytest.approx(mass_in, rel=1e-9)
 
 
-def assert_ratios_match_atomic_mass_formulas(product):
-    am, r, f = product.atomic_masses, product.reaction, product.formula
+# moles in the built-ins' reactions: (co2, h2, product, h2o)
+REACTIONS = {"methane": (1, 4, 1, 2), "methanol": (1, 3, 1, 1), "ethanol": (2, 6, 1, 3)}
+
+
+def assert_ratios_match_atomic_mass_formulas(product, reaction=None):
+    am, f = product.atomic_masses, product.formula
+    co2, h2, n, h2o = reaction or REACTIONS[product.name]
     m_co2 = am.C + 2.0 * am.O
     m_h2 = 2.0 * am.H
     m_h2o = 2.0 * am.H + am.O
     m_product = f.get("C", 0) * am.C + f.get("H", 0) * am.H + f.get("O", 0) * am.O
-    assert product.xi_h == (r.h2 * m_h2) / (r.co2 * m_co2)
-    assert product.xi_chi == (r.product * m_product) / (r.co2 * m_co2)
-    assert product.water_demand == (r.h2 * m_h2o) / (r.co2 * m_co2)
-    assert product.water_byproduct == (r.h2o * m_h2o) / (r.co2 * m_co2)
+    assert product.xi_h == (h2 * m_h2) / (co2 * m_co2)
+    assert product.xi_chi == (n * m_product) / (co2 * m_co2)
+    assert product.water_demand == (h2 * m_h2o) / (co2 * m_co2)
+    assert product.water_byproduct == (h2o * m_h2o) / (co2 * m_co2)
+
+
+def balanced_reactions(c, h, o):
+    """Every (co2, h2, product, h2o) of k CO2 + b H2 -> n P + e H2O with at most two
+    product molecules that balances C, H and O, found by search."""
+    moles = itertools.product((1, 2), range(1, 2 * c + 1), range(2 * h + 8 * c + 1),
+                              range(4 * c + 1))
+    return [(k, b, n, e) for n, k, b, e in moles
+            if k == n * c and 2 * b == n * h + 2 * e and 2 * k == n * o + e]
+
+
+class TestDerivedReaction:
+    @given(c=st.integers(0, 5), h=st.integers(0, 12), o=st.integers(0, 12))
+    def test_a_formula_builds_the_least_balanced_reaction_or_none(self, c, h, o):
+        formula = {"C": c, "H": h, "O": o}
+        found = balanced_reactions(c, h, o)
+        try:
+            spec = ProductSpec("p", formula)
+        except DomainError as err:
+            assert "cannot be made from CO2 and H2 alone" in str(err)
+            assert c == 0 or 2 * c < o
+            assert found == []
+            return
+        assert spec.formula == {el: v for el, v in formula.items() if v}
+        # the fewest product molecules
+        assert_ratios_match_atomic_mass_formulas(spec, min(found, key=lambda r: r[2]))
+        assert 1.0 + spec.xi_h == pytest.approx(spec.xi_chi + spec.water_byproduct, rel=1e-9)
 
 
 class TestCachedRatios:
@@ -73,7 +114,7 @@ class TestCachedRatios:
     def test_builtin_ratios_are_bit_exact(self, builtin, masses):
         product = replace(builtin, atomic_masses=masses)
         assert_ratios_match_atomic_mass_formulas(product)
-        assert product == ProductSpec(builtin.name, builtin.formula, builtin.reaction, masses)
+        assert product == ProductSpec(builtin.name, builtin.formula, masses)
         assert "xi_h" not in repr(product)
 
     @pytest.mark.parametrize("builtin", [METHANE, METHANOL, ETHANOL], ids=lambda p: p.name)

@@ -101,9 +101,11 @@ class TestPlantSpec:
 
         plant = PlantSpec("p", q(cap, cap_unit), q(ef, ef_unit))
         assert plant.cbar == oracle(plant)
+        assert plant.cbar_day == oracle(plant) * 24
         assert emissions_at_capacity(plant) == q(oracle(plant), "ton/h")
         resized = replace(plant, capacity=q(new_cap, cap_unit))
         assert resized.cbar == oracle(resized)
+        assert resized.cbar_day == oracle(resized) * 24
         # derived, so equality and repr ignore it
         twin = PlantSpec("p", q(cap, cap_unit), q(ef, ef_unit))
         object.__setattr__(twin, "cbar", -1.0)
