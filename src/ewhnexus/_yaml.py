@@ -1,54 +1,42 @@
 """The YAML parser and emitter behind ``config``: libyaml's when PyYAML has it.
 
-``config`` imports this module as ``yaml`` and calls ``safe_load`` and
-``safe_dump`` on it, so the parse stays one module-attribute call that an
-outside tracer can rebind.  The C and pure-Python classes load equal
-documents and dump identical text; only the wording of syntax errors differs.
-Both reject a key repeated within one mapping, where PyYAML alone keeps the
-last value.
+``config`` imports this module as ``yaml``, so each parse is one call of
+``yaml.safe_load`` that an outside tracer can rebind.  The C and pure-Python
+classes load equal documents and dump identical text, and reject a key
+repeated within one mapping or merge source as they construct it, where
+PyYAML alone keeps the last value; only the wording of syntax errors differs.
 """
 
 import yaml
 from yaml import YAMLError
-from yaml.constructor import ConstructorError
-
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-_MERGE = "tag:yaml.org,2002:merge"
 
 
-def _reject_repeated_keys(root) -> None:
-    """Raise a ConstructorError marking both places of a key a mapping repeats."""
-    todo, seen = [root], set()
-    while todo:
-        node = todo.pop()
-        if id(node) in seen or isinstance(node, yaml.ScalarNode):
-            continue
-        seen.add(id(node))
-        if isinstance(node, yaml.SequenceNode):
-            todo.extend(node.value)
-            continue
+class _RejectRepeatedKeys:
+    """A loader mixin: PyYAML flattens each mapping and merge source, and this checks its keys."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.checked = set()   # nodes whose own keys are checked: a second flatten sees merged ones
+
+    def flatten_mapping(self, node):
         first = {}   # (tag, text) of each scalar key -> where it first appears
-        for key, value in node.value:
-            if isinstance(key, yaml.ScalarNode) and key.tag != _MERGE:
+        for key, _ in () if node in self.checked else node.value:
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
                 if (key.tag, key.value) in first:
-                    raise ConstructorError(f"key {key.value!r} first appears",
-                                           first[key.tag, key.value],
-                                           f"found duplicate key {key.value!r}", key.start_mark)
+                    raise yaml.constructor.ConstructorError(
+                        f"key {key.value!r} first appears", first[key.tag, key.value],
+                        f"found duplicate key {key.value!r}", key.start_mark)
                 first[key.tag, key.value] = key.start_mark
-            todo += key, value
+        self.checked.add(node)
+        super().flatten_mapping(node)
+
+
+_Loader = type("_Loader", (_RejectRepeatedKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def safe_load(text):
-    loader = _Loader(text)
-    try:
-        node = loader.get_single_node()
-        if node is None:
-            return None
-        _reject_repeated_keys(node)
-        return loader.construct_document(node)
-    finally:
-        loader.dispose()
+    return yaml.load(text, Loader=_Loader)
 
 
 def safe_dump(data, **kw):

@@ -79,9 +79,9 @@ def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
         raise ConfigError(f"--beta: {exc}") from exc
     if args.product is not None and not beta:
         raise ConfigError("--product needs --beta (reuse fraction in (0, 1])")
-    if beta > 0 and not args.product:
+    if beta > 0 and args.product is None:
         raise ConfigError(f"--beta {beta!r} needs --product (reuse makes a product)")
-    product = cfg.product(args.product) if args.product else None
+    product = None if args.product is None else cfg.product(args.product)
     result = total_daily_cost(cfg.scenario(plant, product, beta))
     return [sweep_row(analysis.SweepCell(plant.name, product.name if product else "",
                                          beta, result=result))]

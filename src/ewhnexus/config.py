@@ -158,12 +158,16 @@ def _config_errors(econ: EconParams | None, plants: tuple[PlantSpec, ...] | None
     return errors, tuple(econs)
 
 
+def _tuple_of(entries: Any, kind: type) -> bool:
+    return isinstance(entries, tuple) and all(isinstance(e, kind) for e in entries)
+
+
 @dataclass(frozen=True)
 class LoadedConfig:
     """A validated parameter set ready for scenario construction.
 
     Loaded, constructed or made by ``dataclasses.replace``, it raises a
-    ConfigError listing each rule of ``_config_errors`` it breaks.
+    ConfigError naming each mistyped field, else each ``_config_errors`` rule it breaks.
     ``plant_econs`` holds each plant's calibrated parameters, built once here.
     """
 
@@ -176,8 +180,17 @@ class LoadedConfig:
     plant_econs: tuple[EconParams, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        errors, econs = _config_errors(self.econ, self.plants, self.products, self.calibration,
-                                       self.water_mode, self.sweep_betas)
+        # first, as _config_errors reads a None as a section that failed to load
+        errors = [f"{name}: must be {kind}, got {getattr(self, name)!r}" for name, kind, ok in (
+            ("econ", "an EconParams", isinstance(self.econ, EconParams)),
+            ("plants", "a tuple of PlantSpec", _tuple_of(self.plants, PlantSpec)),
+            ("products", "a tuple of ProductSpec", _tuple_of(self.products, ProductSpec)),
+            ("calibration", "a Calibration", isinstance(self.calibration, Calibration)),
+            ("water_mode", "a water mode instance", isinstance(self.water_mode, water.WaterMode)),
+            ("sweep_betas", "a tuple", isinstance(self.sweep_betas, tuple))) if not ok]
+        if not errors:
+            errors, econs = _config_errors(self.econ, self.plants, self.products,
+                                           self.calibration, self.water_mode, self.sweep_betas)
         if errors:
             raise ConfigError("\n  ".join(errors))
         object.__setattr__(self, "plant_econs", econs)
@@ -391,10 +404,9 @@ def _load_water(section: Mapping, errors: list[str]) -> water.WaterMode | None:
         if section.get(key) is None:
             errors.append(f"water.{key}: required for {name} (expected {unit})")
             return None
-        value = _parse(section[key], unit, f"water.{key}", errors)
-        if value is None:   # _parse has reported why
+        values[key] = parse_quantity(section[key], unit, f"water.{key}", errors)
+        if values[key] is None:   # parse_quantity has reported why
             return None
-        values[key] = Quantity(value, unit)
     try:
         return mode(**values)
     except ValueError as exc:

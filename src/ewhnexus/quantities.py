@@ -155,7 +155,7 @@ class FrozenMap(Mapping):
 
     A loaded config is shared by every caller that loads the same text, so
     its maps refuse item writes with a TypeError.  It pickles and copies
-    like any object with slots.
+    like any object with slots, and hashes when its values do.
     """
 
     __slots__ = ("_items",)
@@ -174,6 +174,9 @@ class FrozenMap(Mapping):
 
     def __repr__(self) -> str:
         return f"FrozenMap({self._items!r})"
+
+    def __hash__(self) -> int:   # equal maps hold equal items, so they hash alike
+        return hash(frozenset(self._items.items()))
 
 
 def _field_value(quantity: Quantity, unit: str, rule: str) -> float:

@@ -26,7 +26,7 @@ from ewhnexus.config import (
 from ewhnexus.conversion import _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
-from ewhnexus.quantities import Quantity, TimeSeries, emissions_at_capacity
+from ewhnexus.quantities import FrozenMap, Quantity, TimeSeries, emissions_at_capacity
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
 
@@ -287,6 +287,17 @@ class TestRoundTrip:
         assert isinstance(cfg2.water_mode, NetworkTransfer)
         assert sweep_csv(cfg) == sweep_csv(cfg2)
 
+    def test_transfer_distance_keeps_the_unit_it_was_written_in(self):
+        # 256480 m rescaled to km and back is 256480.00000000003 m
+        data = preset_dict()
+        data["water"] = {"mode": "network_transfer", "distance": "256480 m"}
+        cfg = load_config_text(yaml.safe_dump(data))
+        assert cfg.water_mode == NetworkTransfer(Quantity(256480.0, "m"))
+        assert cfg.water_mode.m == 256480.0
+        assert "distance: 256480.0 m\n" in dump_config(cfg)
+        built = dataclasses.replace(paper_2024(), water_mode=cfg.water_mode)
+        assert load_config_text(dump_config(built)) == built == cfg
+
     def test_preset_reloads_equal(self):
         cfg = paper_2024()
         assert load_config_text(dump_config(cfg)) == cfg
@@ -354,8 +365,30 @@ def distinct_or_not(elements):
                   st.lists(elements, min_size=2, max_size=4))
 
 
+NOT_WATER_MODES = (None, "desalination", Desalination)
+
+
 class TestConfigRules:
     """A config built by ``dataclasses.replace`` obeys the rules a loaded one does."""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"water_mode": None}, "water_mode: must be a water mode instance, got None"),
+        ({"water_mode": "desalination"},
+         "water_mode: must be a water mode instance, got 'desalination'"),
+        ({"water_mode": Desalination}, "water_mode: must be a water mode instance, got <class"),
+        ({"econ": None}, "econ: must be an EconParams, got None"),
+        ({"calibration": None}, "calibration: must be a Calibration, got None"),
+        ({"plants": ("coal",)}, "plants: must be a tuple of PlantSpec, got ('coal',)"),
+        ({"products": None, "sweep_betas": [0.5]},
+         "products: must be a tuple of ProductSpec, got None\n"
+         "  sweep_betas: must be a tuple, got [0.5]"),
+    ], ids=["mode-none", "mode-name", "mode-class", "econ-none", "calibration-none",
+            "plant-name", "products-none-and-betas-list"])
+    def test_replace_with_a_field_of_another_type_raises_naming_it(self, edit, message):
+        # _config_errors reads a None section as one that failed to load, and skips its rules
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(paper_2024(), **edit)
+        assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize("edit_text, edit_config", RULE_EDITS.values(), ids=RULE_EDITS)
     def test_replace_raises_the_loaders_lines(self, edit_text, edit_config):
@@ -384,7 +417,9 @@ class TestConfigRules:
                         st.lists(st.sampled_from([0.0, 0.5, 1.5]), max_size=3)),
            mode=st.sampled_from([Desalination(), SolarSeawater()])
            | st.builds(NetworkTransfer, st.builds(Quantity, st.floats(0.0, 500.0),
-                                                  st.just("km"))),
+                                                  st.just("km"))
+                       | st.builds(Quantity, st.floats(0.0, 500_000.0), st.just("m")))
+           | st.sampled_from(NOT_WATER_MODES),
            c_sw=mostly(st.floats(0.0, 1e6), st.none()), c_ccs=st.none() | st.floats(0.0, 1e5),
            unpriced=mostly(st.none(), st.sampled_from(["methane", "methanol", "ethanol"])),
            friction=mostly(st.sampled_from(["configured plants", "none"]),
@@ -407,6 +442,7 @@ class TestConfigRules:
                     base.calibration.ccs_capital_total if c_ccs is None else None, r_w))
         except ConfigError:
             return
+        assert not any(mode is m for m in NOT_WATER_MODES)
         reloaded = load_config_text(dump_config(cfg))
         assert reloaded == cfg
         assert sweep_csv(reloaded) == sweep_csv(cfg)
@@ -845,8 +881,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (("--product", "methane"), "--product needs --beta"),
         (("--beta", "0.5"), "--beta 0.5 needs --product"),
-        (("--product", "", "--beta", "0.5"), "--beta 0.5 needs --product"),
-    ], ids=["product-without-beta", "beta-without-product", "beta-with-empty-product"])
+    ], ids=["product-without-beta", "beta-without-product"])
     def test_product_without_beta_exits_2(self, argv, message):
         status, out, err = self.run_cli("--config", "paper-2024", "--command", "scenario",
                                         "--plant", "biomass", *argv)
@@ -872,7 +907,8 @@ class TestCli:
                        "['methanol']\n")
 
     @pytest.mark.parametrize("command, argv", [
-        ("breakeven", ()), ("curve", ("--distances", "60")), ("penalty", ())])
+        ("breakeven", ()), ("curve", ("--distances", "60")), ("penalty", ()),
+        ("scenario", ("--beta", "0.5"))])
     def test_empty_product_name_exits_2(self, command, argv):
         # an empty name is no product name, not the command's default product
         status, out, err = self.run_cli("--config", "paper-2024", "--command", command,
@@ -1028,6 +1064,19 @@ class TestSharedConfig:
         prices["methane"] = 0.0
         assert doubled.product_prices["methane"] == 2800.0
         assert econ.product_prices["methane"] == 1400.0
+
+    def test_configs_and_products_hash(self):
+        first, second = load_config_text(PRESET_TEXT), load_config_text(PRESET_TEXT)
+        assert first is not second and hash(first) == hash(second)
+        assert hash(first.econ) == hash(second.econ)
+        plant = first.plants[0]
+        costs = {p: total_daily_cost(first.scenario(plant, p, 1.0)) for p in first.products}
+        assert [p.name for p in costs] == ["methane", "methanol", "ethanol"]
+        equal = dataclasses.replace(second.product("methanol"))   # a new, equal product
+        assert equal is not first.product("methanol")
+        assert costs[equal] is costs[first.product("methanol")]
+        with pytest.raises(TypeError):   # a map holding a dict is as unhashable as the dict
+            hash(FrozenMap({"a": {}}))
 
     def test_calibration_keeps_its_own_copy(self):
         given = {"coal": 0.1}

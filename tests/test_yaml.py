@@ -24,17 +24,21 @@ MALFORMED = {"truncated flow list": "econ: [1, 2",
              "tab indent": "econ:\n\telec_price: 0.25 $/kWh\n"}
 
 
+class PurePythonLoader(_yaml._RejectRepeatedKeys, yaml.SafeLoader):
+    """PyYAML's pure-Python loader with the repeated-key check of ``_yaml._Loader``."""
+
+
 def pure_python():
     """Run ``config`` on PyYAML's pure-Python loader and dumper inside the block."""
-    return mock.patch.multiple(_yaml, _Loader=yaml.SafeLoader, _Dumper=yaml.SafeDumper)
+    return mock.patch.multiple(_yaml, _Loader=PurePythonLoader, _Dumper=yaml.SafeDumper)
 
 
 def test_libyaml_is_used_when_pyyaml_has_it():
     # the C parser makes a config load about ten times faster; losing it costs every CLI call
-    if yaml.__with_libyaml__:
-        assert (_yaml._Loader, _yaml._Dumper) == (yaml.CSafeLoader, yaml.CSafeDumper)
-    else:
-        assert (_yaml._Loader, _yaml._Dumper) == (yaml.SafeLoader, yaml.SafeDumper)
+    base, dumper = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__ else
+                    (yaml.SafeLoader, yaml.SafeDumper))
+    assert _yaml._Loader.__bases__ == (_yaml._RejectRepeatedKeys, base)
+    assert _yaml._Dumper is dumper
     assert config.yaml is _yaml
 
 
@@ -147,10 +151,41 @@ def test_repeated_key_is_a_config_error_marking_both_lines(case, on_pure_python)
 @pytest.mark.parametrize("on_pure_python", [False, True])
 def test_keys_repeated_only_across_mappings_or_by_merge_load(on_pure_python):
     text = "a: &x {b: 1, c: 2}\nd:\n  <<: *x\n  b: 3\ne: {b: 4}\n"
+    # PyYAML flattens ``dev`` again when ``prod`` merges it, with ``base``'s ``a`` merged in
+    chained = "base: &b {a: 1}\ndev: &d\n  <<: *b\n  a: 2\nprod: {<<: *d}\n"
     with pure_python() if on_pure_python else nullcontext():
         assert _yaml.safe_load(text) == {"a": {"b": 1, "c": 2}, "d": {"b": 3, "c": 2},
                                          "e": {"b": 4}}
+        assert _yaml.safe_load(chained) == {"base": {"a": 1}, "dev": {"a": 2}, "prod": {"a": 2}}
+        assert _yaml.safe_load("1: a\n'1': b\n") == {1: "a", "1": "b"}
         assert _yaml.safe_load("") is None
+
+
+# case -> a document repeating key b within one merge source, on lines 2 and 3
+REPEATED_IN_MERGE = {"merged map": "d:\n  <<: {b: 1,\n        b: 2}\n",
+                     "merged list": "d:\n  <<: [{c: 0}, {b: 1,\n              b: 2}]\n",
+                     "merged twice": "d:\n  <<: &x {b: 1,\n        b: 2}\ne: {<<: *x}\n"}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_IN_MERGE))
+@pytest.mark.parametrize("on_pure_python", [False, True])
+def test_key_repeated_within_a_merge_source_is_an_error_marking_both(case, on_pure_python):
+    # a merge source is flattened, never constructed as a mapping of its own
+    with pure_python() if on_pure_python else nullcontext():
+        with pytest.raises(yaml.YAMLError) as info:
+            _yaml.safe_load(REPEATED_IN_MERGE[case])
+    message = str(info.value)
+    assert message.startswith("key 'b' first appears\n")
+    assert "found duplicate key 'b'" in message
+    assert [int(n) for n in re.findall(r"line (\d+), column \d+", message)] == [2, 3]
+
+
+@pytest.mark.parametrize("on_pure_python", [False, True])
+def test_mapping_key_repeating_a_key_is_a_config_error(on_pure_python):
+    # PyYAML meets the key as an unhashable mapping before it constructs it
+    with pure_python() if on_pure_python else nullcontext():
+        with pytest.raises(ConfigError, match="found unhashable key"):
+            load_config_text("? {a: 1, a: 2}\n: 3\n")
 
 
 def test_repeated_key_exits_2_from_the_cli(tmp_path):
