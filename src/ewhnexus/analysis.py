@@ -140,17 +140,17 @@ def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[
     """Daily-cost gap between piping water from distance d and desalinating.
 
     Both alternatives are full scenarios at beta = 1, so every non-water term
-    cancels in the difference.  The desalination scenario is priced once,
-    here, as ``total_daily_cost`` prices it; its terms that do not depend on
-    the water mode are kept, so each g(d) prices only the pipe's capital and
-    pumping, then assembles and checks the totals as a full transfer scenario
-    would, with the same errors.
+    cancels in the difference.  The desalination scenario's terms are priced
+    once, here; those that do not depend on the water mode are kept, so each
+    g(d) prices only the pipe's capital and pumping.  Both daily costs come
+    from ``economics._daily``, with every check and error of a full scenario
+    but no ledger.
     """
     plant, product = query.plant, query.product
     terms = economics._cost_terms(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
                                                  product=product,
                                                  water_mode=water.Desalination()))
-    desal_cost = economics._assemble(terms, plant, product, econ)[1].magnitude
+    desal_cost = economics._daily(terms, plant, product, econ)[1]
     w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
     flow = (w_max,) * HOURS_PER_DAY   # full load: every hour carries w_max
     before, after = terms[:4], terms[6:]   # the terms around the two water terms
@@ -159,7 +159,7 @@ def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[
         mode = water.NetworkTransfer(Quantity._computed(d_km, "km"))   # d_km is a float
         transfer = (before + (water.water_capital(mode, w_max, econ),
                               water.water_operational(mode, w_max, flow, econ)) + after)
-        return economics._assemble(transfer, plant, product, econ)[1].magnitude - desal_cost
+        return economics._daily(transfer, plant, product, econ)[1] - desal_cost
 
     return g
 
@@ -274,10 +274,12 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
     """Minimum carbon penalty making the strategy beat emitting-and-paying [$ / ton].
 
     ``ReuseAll`` needs a water mode, as any reuse scenario does; ``StoreAll`` none.
+    It is the scenario's ``total_daily_cost`` carbon penalty, from its daily total alone.
     """
     if not isinstance(strategy, Strategy):
         raise DomainError(f"unknown strategy {strategy!r}")
     reuse = isinstance(strategy, ReuseAll)
     cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0 if reuse else 0.0,
                          product=strategy.product if reuse else None, water_mode=water_mode)
-    return total_daily_cost(cfg).carbon_penalty
+    daily = economics._daily(economics._cost_terms(cfg), plant, cfg.product, econ)[1]
+    return Quantity._computed(daily / plant.cbar_day, "$/ton")

@@ -25,7 +25,9 @@ from . import water
 from .analysis import SweepCell, SweepGrid, beta_errors, scenario_sweep
 from .conversion import BUILTIN_PRODUCTS, ProductSpec
 from .economics import ScenarioConfig
-from .quantities import EconParams, FrozenMap, PlantSpec, Quantity, UnitError, check_nonneg
+from .quantities import (
+    EconParams, FrozenMap, PlantSpec, Quantity, UnitError, check_map, check_nonneg,
+)
 
 
 class ConfigError(ValueError):
@@ -88,6 +90,7 @@ class Calibration:
     r_w_per_100km: Mapping[str, float] = field(default_factory=FrozenMap)  # per plant
 
     def __post_init__(self):
+        check_map("r_w_per_100km", self.r_w_per_100km)
         object.__setattr__(self, "r_w_per_100km", FrozenMap(self.r_w_per_100km))
         for name, value in [("ccs_capital_total", self.ccs_capital_total)] + [
                 (f"r_w_per_100km[{k}]", v) for k, v in self.r_w_per_100km.items()]:

@@ -146,41 +146,74 @@ def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
     return (cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue)
 
 
+def _daily(terms: tuple[float | None, ...], plant: PlantSpec,
+           product: conversion.ProductSpec | None, econ: EconParams) -> tuple[float, float]:
+    """The daily capital charge and net daily cost of ``_cost_terms``' amounts [$ / day].
+
+    The one daily-total rule.  It checks, in ledger order, each amount (named
+    by its row's label), the capital charge, then the daily cost, price uplift
+    and carbon penalty, with the errors their ledger rows and quantities raise.
+    """
+    isfinite = math.isfinite
+    cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
+    if cap_power is None:   # a storage scenario
+        capital, flows = [cap_ccss], [op_ccss]
+    else:
+        capital = ([cap_ccss, cap_power, cap_water] if cap_h2 is None
+                   else [cap_ccss, cap_power, cap_h2, cap_water])
+        flows = [op_ccss, op_water, revenue]
+    if not isfinite(sum(capital) + sum(flows)):   # an amount is not finite, or they overflow
+        for label, _, _, amount, _ in _rows(terms, product):
+            if not isfinite(amount):
+                raise DomainError(f"ledger amount must be finite ({label})")
+    # the totals are fsums of the amounts in hand: fsum is exact, so they equal
+    # the ledger's capital_total() and daily_total() in any item order
+    charge = daily_capital_charge(_total(capital), econ)
+    if not isfinite(charge):
+        raise DomainError("ledger amount must be finite (daily capital charge)")
+    flows.append(charge)
+    daily = _total(flows)
+    for per in (1.0, plant.capacity_kw, plant.cbar_day):   # daily cost, price, penalty
+        if not isfinite(daily / per):
+            raise UnitError(f"magnitude must be finite, got {daily / per!r}")
+    return charge, daily
+
+
+def _rows(terms: tuple[float | None, ...],
+          product: conversion.ProductSpec | None) -> list[LedgerItem]:
+    """The ledger rows of ``_cost_terms``' amounts, in ledger order, none of them checked."""
+    cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
+    new = tuple.__new__   # the kinds and units are the ledger's own literals
+    rows = [new(LedgerItem, ("capture and storage pipeline capital", "ccss-capital", CAPITAL,
+                             cap_ccss, "$")),
+            new(LedgerItem, ("capture and transfer operations", "ccss-operational", OPERATIONAL,
+                             op_ccss, "$/day"))]
+    if cap_power is not None:   # a reuse scenario
+        rows.append(new(LedgerItem, ("wind farm capital", "power-capital", CAPITAL,
+                                     cap_power, "$")))
+        if cap_h2 is not None:
+            rows.append(new(LedgerItem, ("electrolyzer capital", "hydrogen-capital", CAPITAL,
+                                         cap_h2, "$")))
+        rows += (new(LedgerItem, ("water system capital", "water-capital", CAPITAL,
+                                  cap_water, "$")),
+                 new(LedgerItem, ("water system operations", "water-operational", OPERATIONAL,
+                                  op_water, "$/day")),
+                 new(LedgerItem, (f"{product.name} sales", "product-revenue", REVENUE,
+                                  revenue, "$/day")))
+    return rows
+
+
 def _assemble(terms: tuple[float | None, ...], plant: PlantSpec,
               product: conversion.ProductSpec | None, econ: EconParams
               ) -> tuple[tuple[LedgerItem, ...], Quantity, Quantity, Quantity]:
-    """The ledger rows of ``_cost_terms``' amounts, and the decision metrics of their total.
-
-    Returns (rows, net daily cost, price uplift, carbon penalty).  Each row
-    checks that its amount is finite, in ledger order, before anything is
-    summed; the capital is then charged daily over the horizon and added to
-    the flows.
-    """
-    cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
-    # the kinds and units below are the ledger's own literals: only amounts are checked
-    item = LedgerItem._computed
-    items = [item("capture and storage pipeline capital", "ccss-capital",
-                  CAPITAL, cap_ccss, "$"),
-             item("capture and transfer operations", "ccss-operational",
-                  OPERATIONAL, op_ccss, "$/day")]
-    # the totals are fsums of the amounts in hand, in item order: fsum is
-    # exact, so they equal the ledger's capital_total() and daily_total()
-    capital, flows = [cap_ccss], [op_ccss]
-    if cap_power is not None:   # a reuse scenario
-        items.append(item("wind farm capital", "power-capital", CAPITAL, cap_power, "$"))
-        if cap_h2 is not None:
-            items.append(item("electrolyzer capital", "hydrogen-capital", CAPITAL, cap_h2, "$"))
-        items += (item("water system capital", "water-capital", CAPITAL, cap_water, "$"),
-                  item("water system operations", "water-operational",
-                       OPERATIONAL, op_water, "$/day"),
-                  item(f"{product.name} sales", "product-revenue", REVENUE, revenue, "$/day"))
-        capital += (cap_power, cap_water) if cap_h2 is None else (cap_power, cap_h2, cap_water)
-        flows += (op_water, revenue)
-
-    charge = daily_capital_charge(_total(capital), econ)
-    items.append(item("daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))
-    daily = Quantity._computed(_total(flows + [charge]), "$/day")
-    return tuple(items), daily, increased_price(daily, plant), carbon_penalty(daily, plant)
+    """(ledger rows, daily cost, price uplift, carbon penalty) from floats ``_daily`` checked."""
+    charge, daily = _daily(terms, plant, product, econ)
+    rows = _rows(terms, product)
+    rows.append(tuple.__new__(LedgerItem, ("daily capital charge", "capital-charge", CAPITAL,
+                                           charge, "$/day")))
+    quantity = Quantity._computed
+    return (tuple(rows), quantity(daily, "$/day"), quantity(daily / plant.capacity_kw, "$/kWh"),
+            quantity(daily / plant.cbar_day, "$/ton"))
 
 
 def _total(amounts: list[float]) -> float:

@@ -205,6 +205,8 @@ class PlantSpec:
     cbar_day: float = field(init=False, repr=False, compare=False)  # its daily mass [ton/day]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DomainError(f"plant name must be a string, got {self.name!r}")
         capacity_kw = _field_value(self.capacity, "kW", "capacity must be a power")
         kg_per_kwh = _field_value(self.emission_factor, "kg/kWh",
                                   "emission_factor must be mass per energy")
@@ -224,6 +226,12 @@ class PlantSpec:
 def emissions_at_capacity(plant: PlantSpec) -> Quantity:
     """Carbon emission rate with the plant at full output [ton/h]."""
     return Quantity(plant.cbar, "ton/h")
+
+
+def check_map(name: str, value: object) -> None:
+    """Reject a value of the named map parameter that is not a map."""
+    if not isinstance(value, Mapping):
+        raise DomainError(f"{name} must be a map of names to numbers, got {value!r}")
 
 
 def check_nonneg(name: str, value: float, when_set: bool = False) -> None:
@@ -290,6 +298,7 @@ class EconParams:
 
     def __post_init__(self):
         object.__setattr__(self, "e_des", tuple(float(e) for e in self.e_des))
+        check_map("product_prices", self.product_prices)
         object.__setattr__(self, "product_prices",
                            FrozenMap((k, float(v)) for k, v in self.product_prices.items()))
         if not 0.0 < self.wind_capacity_factor <= 1.0:
@@ -369,11 +378,6 @@ class LedgerItem(namedtuple("LedgerItem", "label term kind amount unit")):
             raise DomainError(f"ledger kind must be one of {_KINDS}, got {kind!r}")
         if unit not in ("$", "$/day"):
             raise DomainError(f"ledger unit must be '$' or '$/day', got {unit!r}")
-        return cls._computed(label, term, kind, amount, unit)
-
-    @classmethod
-    def _computed(cls, label: str, term: str, kind: str, amount: float, unit: str):
-        """An item of the core's own literal kind and unit: checks the amount only."""
         if not math.isfinite(amount):
             raise DomainError(f"ledger amount must be finite ({label})")
         return tuple.__new__(cls, (label, term, kind, amount, unit))

@@ -577,6 +577,18 @@ class TestPenaltyThreshold:
                 assert store > penalty_threshold(plant, ReuseAll(product), econ,
                                                  water_mode=CFG.water_mode).magnitude
 
+    @pytest.mark.parametrize("plant", [BIOMASS, GAS, COAL], ids=lambda p: p.name)
+    def test_equals_the_scenarios_carbon_penalty(self, plant):
+        # priced from the daily total alone: the same Quantity, bit for bit
+        for product in (None, METHANE, METHANOL, ETHANOL):
+            beta = 0.0 if product is None else 1.0
+            econ = econ_for_cell(CFG, plant, product, beta)
+            strategy = StoreAll() if product is None else ReuseAll(product)
+            cell = ScenarioConfig(plant=plant, econ=econ, beta=beta, product=product,
+                                  water_mode=CFG.water_mode)
+            assert (penalty_threshold(plant, strategy, econ, water_mode=CFG.water_mode)
+                    == total_daily_cost(cell).carbon_penalty)
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DomainError):
             penalty_threshold(BIOMASS, "store", econ_for_cell(CFG, BIOMASS))

@@ -95,6 +95,22 @@ def test_the_capital_charge_power_is_raised_by_daily_capital_charge_alone():
     assert holders(charge_power) == ["quantities.daily_capital_charge"]
 
 
+def calls(name: str):
+    """A predicate accepting a call of ``name``, bare or as an attribute."""
+    return lambda node: (isinstance(node, ast.Call)
+                         and getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
+
+
+def test_one_daily_total_rule():
+    # economics._daily sums the amounts and charges the capital; what reads a total calls it
+    assert [h for h in holders(calls("daily_capital_charge"))
+            if h.startswith("economics.")] == ["economics._daily"]
+    assert holders(calls("_total")) == ["economics._daily"]
+    assert holders(calls("_daily")) == ["analysis._transfer_minus_desal",
+                                        "analysis.penalty_threshold", "economics._assemble"]
+    assert holders(calls("_assemble")) == ["economics.total_daily_cost"]
+
+
 def test_nothing_in_the_package_or_its_tests_imports_numpy_or_scipy():
     found = []
     for path in SOURCES + sorted((ROOT / "tests").rglob("*.py")):

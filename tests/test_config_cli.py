@@ -26,7 +26,9 @@ from ewhnexus.config import (
 from ewhnexus.conversion import _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
-from ewhnexus.quantities import FrozenMap, Quantity, TimeSeries, emissions_at_capacity
+from ewhnexus.quantities import (
+    DomainError, FrozenMap, Quantity, TimeSeries, emissions_at_capacity,
+)
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
 
@@ -389,6 +391,22 @@ class TestConfigRules:
         with pytest.raises(ConfigError) as info:
             dataclasses.replace(paper_2024(), **edit)
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("name", [None, 7])
+    def test_a_plant_name_that_is_not_a_string_raises_naming_it(self, name):
+        cfg = paper_2024()
+        with pytest.raises(DomainError) as info:
+            dataclasses.replace(cfg, plants=(dataclasses.replace(cfg.plants[0], name=name),))
+        assert str(info.value) == f"plant name must be a string, got {name!r}"
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda cfg: dataclasses.replace(cfg.econ, product_prices=None), "product_prices"),
+        (lambda cfg: Calibration(cfg.calibration.ccs_capital_total, None), "r_w_per_100km"),
+    ], ids=["product-prices", "friction"])
+    def test_a_none_map_raises_naming_it(self, build, field):
+        with pytest.raises(DomainError) as info:
+            build(paper_2024())
+        assert str(info.value) == f"{field} must be a map of names to numbers, got None"
 
     @pytest.mark.parametrize("edit_text, edit_config", RULE_EDITS.values(), ids=RULE_EDITS)
     def test_replace_raises_the_loaders_lines(self, edit_text, edit_config):

@@ -5,7 +5,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ewhnexus import ccss, conversion, economics, presets, water
 from ewhnexus.analysis import (
@@ -18,7 +18,7 @@ from ewhnexus.economics import (
 )
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import (
-    DomainError, EconParams, PlantSpec, Quantity, TimeSeries, UnitError, check_beta,
+    DomainError, EconParams, LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError, check_beta,
 )
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
@@ -408,6 +408,72 @@ class TestTotalsAgainstTheLedger:
             daily_capital_charge(ledger.capital_total(), cell_econ)]
         assert result.increased_price == increased_price(result.daily_cost, plant)
         assert result.carbon_penalty == carbon_penalty(result.daily_cost, plant)
+
+
+def failure(call) -> tuple[type, str] | None:
+    """The type and message of the ValueError ``call()`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestDailyAgainstAssemble:
+    """``_daily``, the one daily-total rule, is the total ``_assemble`` reports, bit for bit,
+    with the same errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plant=st.sampled_from(SOLAR_PRESET.plants),
+           product=st.sampled_from(SOLAR_PRESET.products),
+           beta=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           mode=water_modes, hydrogen=st.booleans(),
+           bad=st.sampled_from([math.inf, -math.inf, math.nan]) | st.floats(1e307, 1.7e308),
+           at=st.sets(st.integers(0, 6), min_size=1, max_size=3))
+    @example(plant=SOLAR_PRESET.plants[0], product=METHANE, beta=1.0, mode=Desalination(),
+             hydrogen=True, bad=1.7e308, at={2, 3})   # the capital overflows
+    @example(plant=SOLAR_PRESET.plants[0], product=METHANE, beta=1.0, mode=Desalination(),
+             hydrogen=False, bad=1.7e308, at={1, 5})   # the flows overflow
+    def test_same_totals_and_errors(self, plant, product, beta, mode, hydrogen, bad, at):
+        cell_econ = replace(econ_for_cell(SOLAR_PRESET, plant, product, beta),
+                            include_hydrogen_capital=hydrogen)
+        terms = economics._cost_terms(ScenarioConfig(plant=plant, econ=cell_econ, beta=beta,
+                                                     product=product, water_mode=mode))
+        charge, daily = economics._daily(terms, plant, product, cell_econ)
+        rows, cost, price, penalty = economics._assemble(terms, plant, product, cell_econ)
+        assert [r.amount.hex() for r in rows if r.term == "capital-charge"] == [charge.hex()]
+        assert cost.magnitude.hex() == daily.hex()
+        assert price.magnitude == daily / plant.capacity_kw
+        assert penalty.magnitude == daily / plant.cbar_day
+        assert all(type(r) is LedgerItem and r == LedgerItem(*r) for r in rows)
+        # bad amounts where the cell has terms: a non-finite one fails on the first such
+        # row, in ledger order; huge finite ones may overflow a total
+        present = [i for i, t in enumerate(terms) if t is not None]
+        at = sorted(at & set(present))
+        broken = tuple(bad if i in at else t for i, t in enumerate(terms))
+        expected = failure(lambda: economics._assemble(broken, plant, product, cell_econ))
+        assert failure(lambda: economics._daily(broken, plant, product, cell_econ)) == expected
+        if at and not math.isfinite(bad):
+            label = rows[present.index(at[0])].label
+            assert expected == (DomainError, f"ledger amount must be finite ({label})")
+
+    @pytest.mark.parametrize("cell", [
+        ScenarioConfig(plant=BIOMASS, econ=econ(r_ccs=6e304, elec_price=1e303), beta=1.0,
+                       product=METHANE, water_mode=Desalination()),
+        # a 1e-300 kW plant: a finite daily cost over its capacity overflows
+        ScenarioConfig(plant=PlantSpec("heavy", Quantity(1e-300, "kW"), Quantity(1e306, "kg/kWh")),
+                       econ=econ(r_ccs=1e6)),
+        # a near-zero carbon rate: the pipe's capital over the daily carbon mass overflows
+        ScenarioConfig(plant=PlantSpec("light", Quantity(500, "MW"), Quantity(1e-310, "kg/kWh")),
+                       econ=econ(), beta=1.0, product=METHANE,
+                       water_mode=NetworkTransfer(Quantity(100.0, "km"))),
+    ], ids=["daily-cost", "price", "penalty"])
+    def test_a_metric_that_overflows_fails_both(self, cell):
+        terms = economics._cost_terms(cell)
+        expected = (UnitError, "magnitude must be finite, got inf")
+        assert failure(lambda: total_daily_cost(cell)) == expected
+        assert failure(lambda: economics._daily(terms, cell.plant, cell.product,
+                                                cell.econ)) == expected
 
 
 def fold(terms) -> float:

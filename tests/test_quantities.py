@@ -196,8 +196,10 @@ class TestCostLedger:
             i.amount for i in ledger.items if i.unit == "$")
 
     def test_non_finite_amount_rejected(self):
-        with pytest.raises(DomainError):
-            LedgerItem("x", "t", "capital", float("nan"), "$")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError) as info:
+                LedgerItem("pipe", "t", "capital", bad, "$")
+            assert str(info.value) == "ledger amount must be finite (pipe)"
 
     def test_bad_kind_rejected(self):
         with pytest.raises(DomainError) as info:
@@ -209,14 +211,6 @@ class TestCostLedger:
         with pytest.raises(DomainError) as info:
             LedgerItem("x", "t", "capital", 1.0, "M$")
         assert str(info.value) == "ledger unit must be '$' or '$/day', got 'M$'"
-
-    def test_core_built_item_checks_only_its_amount(self):
-        item = LedgerItem._computed("x", "t", "capital", 1.0, "$")
-        assert type(item) is LedgerItem and item == LedgerItem("x", "t", "capital", 1.0, "$")
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError) as info:
-                LedgerItem._computed("pipe", "t", "capital", bad, "$")
-            assert str(info.value) == "ledger amount must be finite (pipe)"
 
     def test_item_is_immutable_and_equal_by_value(self):
         item = LedgerItem("x", "t", "capital", 1.0, "$")
