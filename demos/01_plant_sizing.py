@@ -10,9 +10,7 @@ cfg = ew.paper_2024()
 # ---------------------------------------------------------------
 print("Carbon emissions at full load")
 for plant in cfg.plants:
-    c = ew.emissions_at_capacity(plant)
-    print(f"  {plant.name:<12} {c.value_in('ton/h'):6.0f} ton/h "
-          f"({c.value_in('ton/h') * 24:7.0f} ton/day)")
+    print(f"  {plant.name:<12} {plant.cbar:6.0f} ton/h ({plant.cbar_day:7.0f} ton/day)")
 
 # ---------------------------------------------------------------
 # Stoichiometric ratios per kg of reused CO2, computed once per product

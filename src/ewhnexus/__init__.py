@@ -7,16 +7,13 @@ chemical product, and the carbon-penalty rate that makes each option rational.
 """
 
 from .quantities import (
-    CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, UnitError, emissions_at_capacity,
+    CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError,
 )
 from .water import Desalination, NetworkTransfer, SolarSeawater
 from .conversion import (
     BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, ProductSpec, nexus_rates,
 )
-from .economics import (
-    ScenarioConfig, ScenarioResult, carbon_penalty, increased_price, total_daily_cost,
-)
+from .economics import ScenarioConfig, ScenarioResult, total_daily_cost
 from .analysis import (
     BreakevenQuery, NoCrossingError, ReuseAll, StoreAll, SweepGrid,
     breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
@@ -29,9 +26,8 @@ __all__ = [
     "DomainError", "EconParams", "ETHANOL", "LedgerItem", "LoadedConfig", "METHANE",
     "METHANOL", "NetworkTransfer", "NoCrossingError", "PlantSpec", "ProductSpec",
     "Quantity", "ReuseAll", "ScenarioConfig", "ScenarioResult", "SolarSeawater",
-    "StoreAll", "SweepGrid", "TimeSeries", "UnitError", "breakeven_distance",
-    "carbon_penalty", "dump_config", "econ_for_cell", "emissions_at_capacity",
-    "increased_price", "load_config", "nexus_rates", "paper_2024", "penalty_threshold",
+    "StoreAll", "SweepGrid", "TimeSeries", "UnitError", "breakeven_distance", "dump_config",
+    "econ_for_cell", "load_config", "nexus_rates", "paper_2024", "penalty_threshold",
     "resolver", "scenario_sweep", "total_daily_cost", "transfer_cost_curve",
 ]
 

@@ -26,15 +26,13 @@ EconResolver = Callable[[PlantSpec], EconParams]
 def beta_errors(betas: Sequence, path: str) -> list[str]:
     """One line per broken rule of a sweep's reuse fractions, each entry named ``path[i]``.
 
-    An entry is a number, a reuse fraction by ``check_beta``, not 0 (the
-    storage row every plant already gets) and not repeated.
+    An entry is a reuse fraction by ``check_beta``, not 0 (the storage row every
+    plant already gets) and not repeated.
     """
     errors: list[str] = []
     seen: dict[float, int] = {}
     for i, b in enumerate(betas):
         try:
-            if not isinstance(b, (int, float)):   # a YAML string, list or null
-                raise DomainError(f"reuse fraction must be a number, got {b!r}")
             check_beta(b)
         except DomainError as exc:
             errors.append(f"{path}[{i}]: {exc}")
@@ -281,5 +279,5 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
     reuse = isinstance(strategy, ReuseAll)
     cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0 if reuse else 0.0,
                          product=strategy.product if reuse else None, water_mode=water_mode)
-    daily = economics._daily(economics._cost_terms(cfg), plant, cfg.product, econ)[1]
-    return Quantity._computed(daily / plant.cbar_day, "$/ton")
+    return Quantity._computed(
+        economics._daily(economics._cost_terms(cfg), plant, cfg.product, econ)[3], "$/ton")

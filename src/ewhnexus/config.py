@@ -14,7 +14,6 @@ always parses.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -101,9 +100,7 @@ class Calibration:
         """``econ`` calibrated for ``plant``, checked by ``EconParams`` itself."""
         updates: dict[str, float] = {}
         if self.ccs_capital_total is not None:
-            # a carbon rate that underflows to 0 gives an infinite c_ccs; EconParams rejects it
-            updates["c_ccs"] = (self.ccs_capital_total / plant.cbar_day
-                                if plant.cbar_day else math.inf)
+            updates["c_ccs"] = self.ccs_capital_total / plant.cbar_day
         if plant.name in self.r_w_per_100km:
             updates["r_w_per_100km"] = self.r_w_per_100km[plant.name]
         return replace(econ, **updates) if updates else econ

@@ -78,31 +78,17 @@ class ScenarioResult:
     carbon_penalty: Quantity   # [$ / ton]
 
 
-def increased_price(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
-    """Electricity price uplift recovering the daily cost [$ / kWh].
-
-    Divides the daily cost by one hour of full generation, the relation the
-    reference cost tables use; kept as-is rather than corrected, although a
-    per-day energy basis would be 24x larger.
-    """
-    return Quantity._computed(daily_cost.value_in("$/day") / plant.capacity_kw, "$/kWh")
-
-
-def carbon_penalty(daily_cost: Quantity, plant: PlantSpec) -> Quantity:
-    """Break-even emission penalty rate [$ / ton].
-
-    The penalty on the full-load daily carbon mass that would cost exactly
-    as much as the scenario; negative when the scenario is net revenue.
-    """
-    return Quantity._computed(daily_cost.value_in("$/day") / plant.cbar_day, "$/ton")
-
-
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
-    items, daily, price, penalty = _assemble(_cost_terms(scenario), scenario.plant,
-                                             scenario.product, scenario.econ)
-    return ScenarioResult(ledger=CostLedger(items), daily_cost=daily,
-                          increased_price=price, carbon_penalty=penalty)
+    terms, product = _cost_terms(scenario), scenario.product
+    charge, daily, price, penalty = _daily(terms, scenario.plant, product, scenario.econ)
+    rows = _rows(terms, product)
+    rows.append(tuple.__new__(LedgerItem, ("daily capital charge", "capital-charge", CAPITAL,
+                                           charge, "$/day")))
+    quantity = Quantity._computed
+    return ScenarioResult(ledger=CostLedger(rows), daily_cost=quantity(daily, "$/day"),
+                          increased_price=quantity(price, "$/kWh"),
+                          carbon_penalty=quantity(penalty, "$/ton"))
 
 
 def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
@@ -147,12 +133,19 @@ def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
 
 
 def _daily(terms: tuple[float | None, ...], plant: PlantSpec,
-           product: conversion.ProductSpec | None, econ: EconParams) -> tuple[float, float]:
-    """The daily capital charge and net daily cost of ``_cost_terms``' amounts [$ / day].
+           product: conversion.ProductSpec | None, econ: EconParams
+           ) -> tuple[float, float, float, float]:
+    """The capital charge, daily cost [$ / day], price uplift [$ / kWh] and carbon
+    penalty [$ / ton] of ``_cost_terms``' amounts.
 
-    The one daily-total rule.  It checks, in ledger order, each amount (named
-    by its row's label), the capital charge, then the daily cost, price uplift
-    and carbon penalty, with the errors their ledger rows and quantities raise.
+    The one daily-total rule and the one place a metric is divided out.  It
+    checks, in ledger order, each amount (named by its row's label), the
+    capital charge, then the daily cost, uplift and penalty, with the errors
+    their ledger rows and quantities raise.  The uplift is over one hour of
+    full generation, the relation the reference cost tables use; kept as-is
+    rather than corrected, although a per-day energy basis would be 24x
+    larger.  The penalty is the rate on the full-load daily carbon mass that
+    costs as much as the scenario; negative when the scenario is net revenue.
     """
     isfinite = math.isfinite
     cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
@@ -173,10 +166,11 @@ def _daily(terms: tuple[float | None, ...], plant: PlantSpec,
         raise DomainError("ledger amount must be finite (daily capital charge)")
     flows.append(charge)
     daily = _total(flows)
-    for per in (1.0, plant.capacity_kw, plant.cbar_day):   # daily cost, price, penalty
-        if not isfinite(daily / per):
-            raise UnitError(f"magnitude must be finite, got {daily / per!r}")
-    return charge, daily
+    price, penalty = daily / plant.capacity_kw, daily / plant.cbar_day
+    for metric in (daily, price, penalty):
+        if not isfinite(metric):
+            raise UnitError(f"magnitude must be finite, got {metric!r}")
+    return charge, daily, price, penalty
 
 
 def _rows(terms: tuple[float | None, ...],
@@ -201,19 +195,6 @@ def _rows(terms: tuple[float | None, ...],
                  new(LedgerItem, (f"{product.name} sales", "product-revenue", REVENUE,
                                   revenue, "$/day")))
     return rows
-
-
-def _assemble(terms: tuple[float | None, ...], plant: PlantSpec,
-              product: conversion.ProductSpec | None, econ: EconParams
-              ) -> tuple[tuple[LedgerItem, ...], Quantity, Quantity, Quantity]:
-    """(ledger rows, daily cost, price uplift, carbon penalty) from floats ``_daily`` checked."""
-    charge, daily = _daily(terms, plant, product, econ)
-    rows = _rows(terms, product)
-    rows.append(tuple.__new__(LedgerItem, ("daily capital charge", "capital-charge", CAPITAL,
-                                           charge, "$/day")))
-    quantity = Quantity._computed
-    return (tuple(rows), quantity(daily, "$/day"), quantity(daily / plant.capacity_kw, "$/kWh"),
-            quantity(daily / plant.cbar_day, "$/ton"))
 
 
 def _total(amounts: list[float]) -> float:

@@ -188,7 +188,9 @@ def _field_value(quantity: Quantity, unit: str, rule: str) -> float:
 
 
 def check_beta(beta: float) -> None:
-    """Reject a reuse fraction outside [0, 1], or a bool."""
+    """Reject a reuse fraction that is not a number, a bool, or one outside [0, 1]."""
+    if not isinstance(beta, (int, float)):   # a string, list or None
+        raise DomainError(f"reuse fraction must be a number, got {beta!r}")
     if type(beta) is bool or not 0.0 <= beta <= 1.0:   # bool has no subclasses
         raise DomainError(f"reuse fraction must lie in [0, 1], got {beta!r}")
 
@@ -218,14 +220,12 @@ class PlantSpec:
         if not math.isfinite(cbar):   # false for an infinite capacity in kW too
             raise DomainError(f"plant {self.name!r}: capacity in kW and full-load carbon rate "
                               f"must be finite, got {capacity_kw!r} kW and {cbar!r} ton/h")
+        if not cbar > 0:   # the product underflowed: no cell could divide by it
+            raise DomainError(f"plant {self.name!r}: full-load carbon rate must be positive, "
+                              f"got {cbar!r} ton/h")
         object.__setattr__(self, "capacity_kw", capacity_kw)
         object.__setattr__(self, "cbar", cbar)
         object.__setattr__(self, "cbar_day", cbar * HOURS_PER_DAY)
-
-
-def emissions_at_capacity(plant: PlantSpec) -> Quantity:
-    """Carbon emission rate with the plant at full output [ton/h]."""
-    return Quantity(plant.cbar, "ton/h")
 
 
 def check_map(name: str, value: object) -> None:

@@ -107,8 +107,22 @@ def test_one_daily_total_rule():
             if h.startswith("economics.")] == ["economics._daily"]
     assert holders(calls("_total")) == ["economics._daily"]
     assert holders(calls("_daily")) == ["analysis._transfer_minus_desal",
-                                        "analysis.penalty_threshold", "economics._assemble"]
-    assert holders(calls("_assemble")) == ["economics.total_daily_cost"]
+                                        "analysis.penalty_threshold", "economics.total_daily_cost"]
+
+
+def divides_by(attr: str):
+    """A predicate accepting a division, plain or augmented, by an attribute ``attr``."""
+    return lambda node: (isinstance(node, (ast.BinOp, ast.AugAssign))
+                         and isinstance(node.op, ast.Div)
+                         and getattr(getattr(node, "right", getattr(node, "value", None)),
+                                     "attr", None) == attr)
+
+
+def test_each_cell_metric_is_divided_out_by_daily_alone():
+    # the price uplift and the carbon penalty; Calibration.apply spreads a capture plant's
+    # capital over the daily carbon mass
+    assert holders(divides_by("capacity_kw")) == ["economics._daily"]
+    assert holders(divides_by("cbar_day")) == ["config.Calibration", "economics._daily"]
 
 
 def test_nothing_in_the_package_or_its_tests_imports_numpy_or_scipy():
@@ -155,6 +169,10 @@ D = ew.DomainError
 @pytest.mark.parametrize("build, error, message", [
     *[(lambda b=b: scenario(b), D, f"reuse fraction must lie in [0, 1], got {b!r}")
       for b in (-0.1, 1.1, math.nan, True)],
+    *[(build, D, f"reuse fraction must be a number, got {b!r}") for build, b in (
+        (lambda: scenario("0.5"), "0.5"),
+        (lambda: CFG.scenario(BIOMASS, ew.METHANE, None), None),
+        (lambda: ew.nexus_rates(BIOMASS, ew.METHANE, [0.5]), [0.5]))],
     (lambda: scenario(profile=overload()), D,
      "capture_profile step 7 is 115.5 ton/h, above the full-load rate C̄ = 115.0 ton/h "
      "of plant 'biomass'"),
@@ -167,7 +185,8 @@ D = ew.DomainError
     (lambda: ew.NetworkTransfer(ew.Quantity(-1.0, "km")), D, "transfer distance must be >= 0"),
     *[(lambda e=e: replace(ECON, eta_pump=e), D, "eta_pump must lie in (0, 1]")
       for e in (0.0, 1.5)],
-], ids=["beta=-0.1", "beta=1.1", "beta=nan", "beta=True", "profile-above-cbar",
+], ids=["beta=-0.1", "beta=1.1", "beta=nan", "beta=True", "beta='0.5'",
+        "loaded-scenario-beta=None", "nexus_rates-beta=[0.5]", "profile-above-cbar",
         "curve-flow=-1", "curve-flow=nan", "curve-flow-above-W", "curve-distance=-1",
         "curve-distance=nan", "transfer-distance=-1", "eta_pump=0", "eta_pump=1.5"])
 def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, error,

@@ -5,10 +5,7 @@ import pytest
 
 from ewhnexus.ccss import ccss_capital, ccss_operational
 from ewhnexus.economics import ScenarioConfig
-from ewhnexus.quantities import (
-    DomainError, EconParams, PlantSpec, Quantity, TimeSeries, UnitError,
-    emissions_at_capacity,
-)
+from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity, TimeSeries, UnitError
 
 BIOMASS = PlantSpec("biomass", Quantity(500, "MW"), Quantity(230, "g/kWh"))
 
@@ -21,8 +18,8 @@ def econ(**over):
     return EconParams(**base)
 
 
-CBAR = emissions_at_capacity(BIOMASS).magnitude   # 115 ton/h
-CBAR_DAY = BIOMASS.cbar_day                        # 2760 ton/day
+CBAR = BIOMASS.cbar           # 115 ton/h
+CBAR_DAY = BIOMASS.cbar_day   # 2760 ton/day
 FULL_LOAD = (CBAR,) * 24
 
 

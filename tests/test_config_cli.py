@@ -26,9 +26,7 @@ from ewhnexus.config import (
 from ewhnexus.conversion import _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
-from ewhnexus.quantities import (
-    DomainError, FrozenMap, Quantity, TimeSeries, emissions_at_capacity,
-)
+from ewhnexus.quantities import DomainError, FrozenMap, Quantity, TimeSeries
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
 
@@ -133,19 +131,25 @@ class TestLoadConfig:
             "which sets the capture capital per plant")
 
     # a capture capital spread over so small a daily mass overflows c_ccs; the
-    # second carbon rate underflows to 0
-    @pytest.mark.parametrize("emission_factor", ["820 g/kWh", "1e-300 kg/kWh"])
-    def test_a_plant_too_small_for_the_capture_capital_is_an_error(self, emission_factor):
+    # second carbon rate underflows to 0, which the plant itself rejects while loading
+    @pytest.mark.parametrize("emission_factor, plant_error, calibrated_error", [
+        ("820 g/kWh", [], ["plant 'tiny': calibrated c_ccs must be finite and >= 0 when set"]),
+        ("1e-300 kg/kWh", ["plants[3]: plant 'tiny': full-load carbon rate must be positive, "
+                           "got 0.0 ton/h"], []),
+    ], ids=["820 g/kWh", "1e-300 kg/kWh"])
+    def test_a_plant_too_small_for_the_capture_capital_is_an_error(
+            self, emission_factor, plant_error, calibrated_error):
         data = preset_dict()
         data["plants"].append({"name": "tiny", "capacity": "1e-305 kW",
                                "emission_factor": emission_factor})
         data["water"] = {"mode": "no_such_mode"}   # reported in the same pass
         with pytest.raises(ConfigError) as info:
             load_config_text(yaml.safe_dump(data))
-        assert str(info.value).split("\n")[1:] == [
-            "  water.mode: unknown mode 'no_such_mode' (allowed: "
+        assert str(info.value).split("\n")[1:] == [f"  {line}" for line in [
+            *plant_error,
+            "water.mode: unknown mode 'no_such_mode' (allowed: "
             "['desalination', 'network_transfer', 'solar_seawater'])",
-            "  plant 'tiny': calibrated c_ccs must be finite and >= 0 when set"]
+            *calibrated_error]]
 
     def test_calibration_key_naming_no_plant_is_an_error(self):
         # a typo must not silently drop biomass back to the default friction
@@ -603,6 +607,18 @@ class TestCli:
         status, out, err = self.run_cli("--config", str(path), "--command", command, *argv)
         assert (status, out) == (2, "")
         assert "plants[0]: plant 'biomass': capacity in kW and full-load carbon rate" in err
+
+    @pytest.mark.parametrize("command", ["scenario", "breakeven", "sweep", "penalty"])
+    def test_plant_whose_carbon_rate_underflows_exits_2(self, command, tmp_path):
+        data = preset_dict()
+        data["plants"][0].update(capacity="1e-300 kW", emission_factor="1e-300 kg/kWh")
+        path = tmp_path / "zero.yaml"
+        path.write_text(yaml.safe_dump(data))
+        argv = ("--plant", "biomass") if command != "sweep" else ()
+        status, out, err = self.run_cli("--config", str(path), "--command", command, *argv)
+        assert (status, out) == (2, "")
+        assert ("plants[0]: plant 'biomass': full-load carbon rate must be positive, "
+                "got 0.0 ton/h") in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_curve_distance_that_overflows_exits_3(self, fmt):
@@ -1147,7 +1163,7 @@ def watched_outputs(data, tmp_path) -> list[str]:
 
     cfg = load_config_text(yaml.safe_dump(data))
     plant, product = cfg.plant("biomass"), cfg.product("methanol")
-    full = emissions_at_capacity(plant).value_in("ton/h")
+    full = plant.cbar
     ramp = TimeSeries(tuple(full * (h + 0.5) / 24 for h in range(24)), "ton/h")
     day = ScenarioConfig(plant=plant, econ=econ_for_cell(cfg, plant, product, 1.0),
                          beta=1.0, product=product, water_mode=cfg.water_mode,

@@ -10,13 +10,11 @@ from ewhnexus.conversion import (
     BUILTIN_PRODUCTS, ETHANOL, INTEGER_MASSES, METHANE, METHANOL, STANDARD_MASSES, AtomicMasses,
     ProductSpec, chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
 )
-from ewhnexus.quantities import (
-    DomainError, EconParams, PlantSpec, Quantity, emissions_at_capacity,
-)
+from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 
 BIOMASS = PlantSpec("biomass", Quantity(500, "MW"), Quantity(230, "g/kWh"))
 COAL = PlantSpec("coal", Quantity(500, "MW"), Quantity(820, "g/kWh"))
-BIOMASS_CBAR = emissions_at_capacity(BIOMASS).magnitude   # 115 ton/h
+BIOMASS_CBAR = BIOMASS.cbar   # 115 ton/h
 
 
 def econ(**over):

@@ -12,10 +12,7 @@ from ewhnexus.analysis import (
     BreakevenQuery, ReuseAll, SweepGrid, breakeven_distance, penalty_threshold, scenario_sweep,
 )
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
-from ewhnexus.economics import (
-    ScenarioConfig, daily_capital_charge, carbon_penalty,
-    increased_price, total_daily_cost,
-)
+from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import (
     DomainError, EconParams, LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError, check_beta,
@@ -88,23 +85,37 @@ class TestDailyCapitalCharge:
         assert charges == sorted(charges) and len(set(charges)) == len(charges)
 
 
+def storage_costing(daily: float, plant: PlantSpec = BIOMASS):
+    """The storage scenario of ``plant`` whose daily cost is ``daily`` [$ / day]: no capital,
+    and ``daily / cbar_day`` per ton piped to storage."""
+    result = total_daily_cost(ScenarioConfig(plant=plant, econ=econ(
+        c_cts=0.0, c_ccs=0.0, r_cts=0.0, r_ccs=daily / plant.cbar_day), beta=0.0))
+    assert result.daily_cost.value_in("$/day") == pytest.approx(daily, rel=1e-12, abs=0.0)
+    return result
+
+
 class TestDerivedMetrics:
     def test_increased_price_reference_rows(self):
-        assert increased_price(Quantity(0.207e6, "$/day"), BIOMASS).value_in(
+        assert storage_costing(0.207e6).increased_price.value_in(
             "$/kWh") == pytest.approx(0.414, rel=1e-9)
-        assert increased_price(Quantity(0.395e6, "$/day"), BIOMASS).value_in(
+        assert storage_costing(0.395e6).increased_price.value_in(
             "$/kWh") == pytest.approx(0.79, rel=1e-9)
-        assert increased_price(Quantity(0.0, "$/day"), BIOMASS).magnitude == 0.0
+        assert storage_costing(0.0).increased_price.magnitude == 0.0
 
     def test_carbon_penalty_reference_rows(self):
-        assert carbon_penalty(Quantity(0.207e6, "$/day"), BIOMASS).value_in(
+        assert storage_costing(0.207e6).carbon_penalty.value_in(
             "$/ton") == pytest.approx(75.0, rel=1e-9)
         coal = PlantSpec("coal", Quantity(500, "MW"), Quantity(820, "g/kWh"))
-        assert carbon_penalty(Quantity(0.633e6, "$/day"), coal).value_in(
+        assert storage_costing(0.633e6, coal).carbon_penalty.value_in(
             "$/ton") == pytest.approx(64.329, abs=1e-3)
 
     def test_negative_daily_cost_gives_negative_threshold(self):
-        assert carbon_penalty(Quantity(-9700.0, "$/day"), BIOMASS).magnitude < 0
+        # methane sold at a price its reuse more than pays for
+        result = total_daily_cost(ScenarioConfig(
+            plant=BIOMASS, econ=econ(product_prices={"methane": 1e5}), beta=1.0,
+            product=METHANE, water_mode=Desalination()))
+        assert result.daily_cost.magnitude < 0
+        assert result.carbon_penalty.magnitude < 0
 
     def test_zero_emissions_rejected(self):
         with pytest.raises(DomainError):
@@ -272,10 +283,8 @@ class TestTotalDailyCost:
         cfg = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANOL,
                              water_mode=Desalination())
         r = total_daily_cost(cfg)
-        assert r.increased_price.magnitude == pytest.approx(
-            increased_price(r.daily_cost, BIOMASS).magnitude, rel=1e-12)
-        assert r.carbon_penalty.magnitude == pytest.approx(
-            carbon_penalty(r.daily_cost, BIOMASS).magnitude, rel=1e-12)
+        assert r.increased_price == Quantity(r.daily_cost.magnitude / 500_000.0, "$/kWh")
+        assert r.carbon_penalty == Quantity(r.daily_cost.magnitude / 2760.0, "$/ton")
 
     def test_partial_load_profile_scales_flows_not_capital(self):
         from ewhnexus.quantities import TimeSeries
@@ -406,8 +415,9 @@ class TestTotalsAgainstTheLedger:
         assert result.daily_cost.magnitude == ledger.daily_total()
         assert [i.amount for i in ledger.items if i.term == "capital-charge"] == [
             daily_capital_charge(ledger.capital_total(), cell_econ)]
-        assert result.increased_price == increased_price(result.daily_cost, plant)
-        assert result.carbon_penalty == carbon_penalty(result.daily_cost, plant)
+        daily = result.daily_cost.magnitude
+        assert result.increased_price == Quantity(daily / plant.capacity_kw, "$/kWh")
+        assert result.carbon_penalty == Quantity(daily / plant.cbar_day, "$/ton")
 
 
 def failure(call) -> tuple[type, str] | None:
@@ -419,9 +429,34 @@ def failure(call) -> tuple[type, str] | None:
     return None
 
 
-class TestDailyAgainstAssemble:
-    """``_daily``, the one daily-total rule, is the total ``_assemble`` reports, bit for bit,
-    with the same errors."""
+def fsum_or_inf(amounts) -> float:
+    try:
+        return math.fsum(amounts)
+    except OverflowError:
+        return math.inf
+
+
+def expected_failure(rows, plant, cell_econ) -> tuple[type, str] | None:
+    """The error a cell with these ledger rows must raise, from fsums of the rows: the first
+    non-finite amount in ledger order, then the capital charge, daily cost, price uplift
+    and carbon penalty."""
+    for row in rows:
+        if not math.isfinite(row.amount):
+            return DomainError, f"ledger amount must be finite ({row.label})"
+    charge = daily_capital_charge(fsum_or_inf(r.amount for r in rows if r.unit == "$"),
+                                  cell_econ)
+    if not math.isfinite(charge):
+        return DomainError, "ledger amount must be finite (daily capital charge)"
+    daily = fsum_or_inf([r.amount for r in rows if r.unit == "$/day"] + [charge])
+    for metric in (daily, daily / plant.capacity_kw, daily / plant.cbar_day):
+        if not math.isfinite(metric):
+            return UnitError, f"magnitude must be finite, got {metric!r}"
+    return None
+
+
+class TestDailyAgainstTheResult:
+    """``_daily``, the one daily-total rule, gives the metrics ``total_daily_cost`` reports,
+    bit for bit, and fails as the ledger rows say it must."""
 
     @settings(max_examples=300, deadline=None)
     @given(plant=st.sampled_from(SOLAR_PRESET.plants),
@@ -437,24 +472,26 @@ class TestDailyAgainstAssemble:
     def test_same_totals_and_errors(self, plant, product, beta, mode, hydrogen, bad, at):
         cell_econ = replace(econ_for_cell(SOLAR_PRESET, plant, product, beta),
                             include_hydrogen_capital=hydrogen)
-        terms = economics._cost_terms(ScenarioConfig(plant=plant, econ=cell_econ, beta=beta,
-                                                     product=product, water_mode=mode))
-        charge, daily = economics._daily(terms, plant, product, cell_econ)
-        rows, cost, price, penalty = economics._assemble(terms, plant, product, cell_econ)
+        cell = ScenarioConfig(plant=plant, econ=cell_econ, beta=beta, product=product,
+                              water_mode=mode)
+        terms = economics._cost_terms(cell)
+        charge, daily, price, penalty = economics._daily(terms, plant, product, cell_econ)
+        result = total_daily_cost(cell)
+        rows = result.ledger.items
         assert [r.amount.hex() for r in rows if r.term == "capital-charge"] == [charge.hex()]
-        assert cost.magnitude.hex() == daily.hex()
-        assert price.magnitude == daily / plant.capacity_kw
-        assert penalty.magnitude == daily / plant.cbar_day
+        assert result.daily_cost.magnitude.hex() == daily.hex()
+        assert result.increased_price.magnitude == price
+        assert result.carbon_penalty.magnitude == penalty
         assert all(type(r) is LedgerItem and r == LedgerItem(*r) for r in rows)
         # bad amounts where the cell has terms: a non-finite one fails on the first such
         # row, in ledger order; huge finite ones may overflow a total
         present = [i for i, t in enumerate(terms) if t is not None]
         at = sorted(at & set(present))
         broken = tuple(bad if i in at else t for i, t in enumerate(terms))
-        expected = failure(lambda: economics._assemble(broken, plant, product, cell_econ))
+        expected = expected_failure(economics._rows(broken, product), plant, cell_econ)
         assert failure(lambda: economics._daily(broken, plant, product, cell_econ)) == expected
         if at and not math.isfinite(bad):
-            label = rows[present.index(at[0])].label
+            label = economics._rows(terms, product)[present.index(at[0])].label
             assert expected == (DomainError, f"ledger amount must be finite ({label})")
 
     @pytest.mark.parametrize("cell", [
@@ -589,9 +626,12 @@ class TestHotPath:
     def test_core_built_result_still_rejects_overflow(self):
         # a 1e-300 kW plant turns any sizable daily cost into an infinite price uplift
         tiny = PlantSpec("tiny", Quantity(1e-300, "kW"), Quantity(820, "g/kWh"))
-        with pytest.raises(UnitError, match="magnitude must be finite"):
-            increased_price(Quantity(1e9, "$/day"), tiny)
-        # the same through a whole scenario: 1000 ton/h at 1e6 $/ton is a finite daily cost
+        with pytest.raises(UnitError, match="magnitude must be finite, got inf"):
+            # a pipe's capital does not shrink with the plant: 1e9 $/m over 100 km
+            total_daily_cost(ScenarioConfig(plant=tiny, econ=econ(c_tw=1e9), beta=1.0,
+                                            product=METHANE,
+                                            water_mode=NetworkTransfer(Quantity(100.0, "km"))))
+        # or a storage scenario: 1000 ton/h at 1e6 $/ton is a finite daily cost
         heavy = PlantSpec("heavy", Quantity(1e-300, "kW"), Quantity(1e306, "kg/kWh"))
         with pytest.raises(UnitError, match="magnitude must be finite, got inf"):
             total_daily_cost(ScenarioConfig(plant=heavy, econ=econ(r_ccs=1e6), beta=0.0))

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from ewhnexus.quantities import (
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, UNITS, UnitError, emissions_at_capacity,
+    TimeSeries, UNITS, UnitError,
 )
 
 
@@ -82,14 +82,14 @@ class TestPlantSpec:
         cases = [(230, 115.0), (490, 245.0), (820, 410.0)]
         for ef, expected in cases:
             plant = PlantSpec("p", q(500, "MW"), q(ef, "g/kWh"))
-            assert emissions_at_capacity(plant).value_in("ton/h") == expected
+            assert plant.cbar == expected
 
     def test_emissions_linear_in_capacity_and_factor(self):
-        base = emissions_at_capacity(PlantSpec("p", q(100, "MW"), q(300, "g/kWh")))
-        twice_cap = emissions_at_capacity(PlantSpec("p", q(200, "MW"), q(300, "g/kWh")))
-        twice_ef = emissions_at_capacity(PlantSpec("p", q(100, "MW"), q(600, "g/kWh")))
-        assert twice_cap.magnitude == pytest.approx(2 * base.magnitude, rel=1e-12)
-        assert twice_ef.magnitude == pytest.approx(2 * base.magnitude, rel=1e-12)
+        base = PlantSpec("p", q(100, "MW"), q(300, "g/kWh")).cbar
+        twice_cap = PlantSpec("p", q(200, "MW"), q(300, "g/kWh")).cbar
+        twice_ef = PlantSpec("p", q(100, "MW"), q(600, "g/kWh")).cbar
+        assert twice_cap == pytest.approx(2 * base, rel=1e-12)
+        assert twice_ef == pytest.approx(2 * base, rel=1e-12)
 
     @given(cap=st.floats(1e-3, 1e7), cap_unit=st.sampled_from(["MW", "kW"]),
            ef=st.floats(1e-3, 1e4), ef_unit=st.sampled_from(["g/kWh", "kg/kWh"]),
@@ -102,7 +102,6 @@ class TestPlantSpec:
         plant = PlantSpec("p", q(cap, cap_unit), q(ef, ef_unit))
         assert plant.cbar == oracle(plant)
         assert plant.cbar_day == oracle(plant) * 24
-        assert emissions_at_capacity(plant) == q(oracle(plant), "ton/h")
         resized = replace(plant, capacity=q(new_cap, cap_unit))
         assert resized.cbar == oracle(resized)
         assert resized.cbar_day == oracle(resized) * 24
@@ -129,6 +128,16 @@ class TestPlantSpec:
             PlantSpec("big", q(*capacity), q(*emission_factor))
         assert str(info.value) == ("plant 'big': capacity in kW and full-load carbon rate "
                                    f"must be finite, got {rates}")
+
+    @pytest.mark.parametrize("capacity, emission_factor", [
+        ((1e-300, "kW"), (1e-300, "kg/kWh")),
+        ((500, "MW"), (5e-324, "g/kWh")),
+    ], ids=["carbon-rate", "emission-factor-in-kg/kWh"])
+    def test_carbon_rate_that_underflows_names_the_plant(self, capacity, emission_factor):
+        with pytest.raises(DomainError) as info:
+            PlantSpec("z", q(*capacity), q(*emission_factor))
+        assert str(info.value) == ("plant 'z': full-load carbon rate must be positive, "
+                                   "got 0.0 ton/h")
 
     def test_capacity_of_another_dimension_names_the_field(self):
         with pytest.raises(UnitError, match="capacity must be a power, got 'ton'"):
