@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from . import economics, water
 from .conversion import ProductSpec, _reuse_rates
-from .economics import ScenarioConfig, ScenarioResult, total_daily_cost
+from .economics import ScenarioConfig
 from .quantities import HOURS_PER_DAY, DomainError, EconParams, PlantSpec, Quantity, check_beta
 
 # plant -> EconParams; lets a calibrated preset resolve plant-specific costs
@@ -47,7 +47,7 @@ def beta_errors(betas: Sequence, path: str) -> list[str]:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian scenario grid; a beta = 0 storage row is added per plant."""
+    """Cartesian scenario grid, checked once; a beta = 0 storage row is added per plant."""
 
     plants: tuple[PlantSpec, ...]
     products: tuple[ProductSpec, ...]
@@ -64,17 +64,14 @@ class SweepGrid:
         if errors:
             raise DomainError(errors[0])
         object.__setattr__(self, "betas", tuple(float(b) for b in betas))
+        water.check_mode(self.water_mode)
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """One evaluated grid cell; exactly one of result/error is set."""
+class SweepCell(namedtuple("SweepCell", "plant product beta result error",
+                           defaults=(None, None))):
+    """One grid cell, a named tuple: result or error is set; product "" is the storage row."""
 
-    plant: str
-    product: str          # "" for the storage row
-    beta: float
-    result: ScenarioResult | None = None
-    error: str | None = None
+    __slots__ = ()
 
 
 def scenario_sweep(grid: SweepGrid, econ: EconParams,
@@ -87,24 +84,26 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
     cells carries its error.
     """
     cells: list[SweepCell] = []
-    betas = tuple(sorted(grid.betas))
+    betas, mode = tuple(sorted(grid.betas)), grid.water_mode
     coords = [(None, "", 0.0)] + [(p, p.name, b) for p in grid.products for b in betas]
 
     def failed(plant: PlantSpec, name: str, beta: float, exc: Exception) -> SweepCell:
         return SweepCell(plant.name, name, beta,
                          error=f"cell ({plant.name}, {name or '-'}, beta={beta:g}): {exc}")
 
+    cell, new = ScenarioConfig._grid_cell, tuple.__new__
     for plant in grid.plants:
         try:
             plant_econ = econ if econ_resolver is None else econ_resolver(plant)
         except (DomainError, ValueError) as exc:
             cells += [failed(plant, name, beta, exc) for _, name, beta in coords]
             continue
+        captured = (plant.cbar,) * HOURS_PER_DAY
         for product, name, beta in coords:
             try:
-                cfg = ScenarioConfig(plant=plant, econ=plant_econ, beta=beta,
-                                     product=product, water_mode=grid.water_mode)
-                cells.append(SweepCell(plant.name, name, beta, result=total_daily_cost(cfg)))
+                result = economics.total_daily_cost(
+                    cell(plant, plant_econ, beta, product, mode, captured))
+                cells.append(new(SweepCell, (plant.name, name, beta, result, None)))
             except (DomainError, ValueError) as exc:
                 cells.append(failed(plant, name, beta, exc))
     return tuple(cells)

@@ -456,14 +456,12 @@ def load_config_text(text: str) -> LoadedConfig:
 def load_config(path_or_preset: str | Path) -> LoadedConfig:
     """Load a config file, or a shipped preset by name (e.g. 'paper-2024').
 
-    The text is read on every call, so an edited file reloads; a text already
-    validated in this process returns the same read-only config.
+    A file is read on every call, so an edited file reloads, and a shipped preset
+    once per process; a text already validated returns the same read-only config.
     """
     path = Path(path_or_preset)
     if not path.exists() and str(path_or_preset) in PRESETS:
-        text = resources.files("ewhnexus").joinpath(
-            "presets", PRESETS[str(path_or_preset)]).read_text(encoding="utf-8")
-        return _validated(text)
+        return _validated(_preset_text(str(path_or_preset)))
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -473,6 +471,11 @@ def load_config(path_or_preset: str | Path) -> LoadedConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path_or_preset!r} is not UTF-8 text: {exc}") from None
     return _validated(text)
+
+
+@functools.cache   # a shipped preset does not change while the process runs
+def _preset_text(name: str) -> str:
+    return resources.files("ewhnexus").joinpath("presets", PRESETS[name]).read_text("utf-8")
 
 
 @functools.lru_cache(maxsize=16)   # a batch of CLI calls reads a handful of configs

@@ -10,6 +10,7 @@ emissions costs the same as running the retrofit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import ccss, conversion, water
@@ -47,8 +48,8 @@ class ScenarioConfig:
             raise DomainError("a reuse scenario (beta > 0) needs a product")
         if self.beta > 0 and self.water_mode is None:
             raise DomainError("a reuse scenario (beta > 0) needs a water mode")
-        if self.water_mode is not None and not isinstance(self.water_mode, water.WaterMode):
-            raise DomainError(f"unsupported water mode {self.water_mode!r}")
+        if self.water_mode is not None:
+            water.check_mode(self.water_mode)
         profile = self.capture_profile
         captured = (self.plant.cbar,) * HOURS_PER_DAY
         if profile is not None:
@@ -67,28 +68,34 @@ class ScenarioConfig:
                                       f"plant {self.plant.name!r}")
         object.__setattr__(self, "captured", captured)
 
+    @classmethod
+    def _grid_cell(cls, plant: PlantSpec, econ: EconParams, beta: float,
+                   product: conversion.ProductSpec | None, water_mode: water.WaterMode,
+                   captured: tuple[float, ...]) -> "ScenarioConfig":
+        """A cell of a checked ``SweepGrid``, built unchecked; ``captured`` is the full-load day."""
+        cell = object.__new__(cls)
+        vars(cell).update(plant=plant, econ=econ, beta=beta, product=product,
+                          water_mode=water_mode, capture_profile=None, captured=captured)
+        return cell
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Itemized ledger plus the decision metrics derived from its total."""
 
-    ledger: CostLedger
-    daily_cost: Quantity       # [$ / day]
-    increased_price: Quantity  # [$ / kWh]
-    carbon_penalty: Quantity   # [$ / ton]
+class ScenarioResult(namedtuple("ScenarioResult",
+                                "ledger daily_cost increased_price carbon_penalty")):
+    """Itemized ledger plus its total's metrics [$/day, $/kWh, $/ton]; a named tuple."""
+
+    __slots__ = ()
 
 
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
     terms, product = _cost_terms(scenario), scenario.product
     charge, daily, price, penalty = _daily(terms, scenario.plant, product, scenario.econ)
-    rows = _rows(terms, product)
-    rows.append(tuple.__new__(LedgerItem, ("daily capital charge", "capital-charge", CAPITAL,
-                                           charge, "$/day")))
+    ledger = object.__new__(CostLedger)   # the rows of checked amounts, one tuple built once
+    object.__setattr__(ledger, "items", (*_rows(terms, product), tuple.__new__(LedgerItem, (
+        "daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))))
     quantity = Quantity._computed
-    return ScenarioResult(ledger=CostLedger(rows), daily_cost=quantity(daily, "$/day"),
-                          increased_price=quantity(price, "$/kWh"),
-                          carbon_penalty=quantity(penalty, "$/ton"))
+    return tuple.__new__(ScenarioResult, (ledger, quantity(daily, "$/day"),
+                                          quantity(price, "$/kWh"), quantity(penalty, "$/ton")))
 
 
 def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:

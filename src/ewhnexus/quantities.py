@@ -166,6 +166,9 @@ class FrozenMap(Mapping):
     def __getitem__(self, key):
         return self._items[key]
 
+    def __contains__(self, key) -> bool:   # Mapping's calls __getitem__ inside a try
+        return key in self._items
+
     def __iter__(self):
         return iter(self._items)
 

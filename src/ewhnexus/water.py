@@ -58,6 +58,12 @@ class SolarSeawater:
 WaterMode = Desalination | NetworkTransfer | SolarSeawater
 
 
+def check_mode(mode) -> None:
+    """The one water-mode rule of a scenario and a sweep grid: a single mode instance."""
+    if not isinstance(mode, WaterMode):
+        raise DomainError(f"unsupported water mode {mode!r}")
+
+
 def desal_segment(f: float, w_max: float) -> int:
     """Segment index k in 1..4 for flow f, intervals (0.25(k-1)W, 0.25kW].
 

@@ -13,12 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from ewhnexus import analysis, ccss, conversion, economics, water
 from ewhnexus.analysis import (
-    BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepGrid,
+    BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepCell, SweepGrid,
     breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
 )
 from ewhnexus.config import ConfigError, LoadedConfig
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, ProductSpec, _reuse_rates
-from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
+from ewhnexus.economics import (
+    ScenarioConfig, ScenarioResult, daily_capital_charge, total_daily_cost,
+)
 from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 from ewhnexus.water import (
@@ -139,6 +141,63 @@ class TestSweep:
     def test_invalid_beta_rejected_by_grid(self):
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
             SweepGrid(plants=(BIOMASS,), products=(), betas=(1.2,), water_mode=CFG.water_mode)
+
+    @pytest.mark.parametrize("mode", [None, Desalination, "desalination"],
+                             ids=["none", "mode-class", "mode-name"])
+    def test_grid_rejects_what_is_not_a_water_mode(self, mode):
+        # with the scenario's own message, so a sweep cell need not check its mode again
+        message = f"unsupported water mode {mode!r}"
+        with pytest.raises(DomainError) as info:
+            SweepGrid(plants=CFG.plants, products=CFG.products, betas=CFG.sweep_betas,
+                      water_mode=mode)
+        assert str(info.value) == message
+        if mode is not None:   # a storage scenario needs no mode, but rejects a non-mode
+            with pytest.raises(DomainError) as info:
+                ScenarioConfig(plant=BIOMASS, econ=CFG.econ, water_mode=mode)
+            assert str(info.value) == message
+
+
+class TestSweepRecords:
+    """A sweep's cells and their results are named tuples with a dataclass's repr."""
+
+    def cells(self) -> tuple[SweepCell, SweepCell]:
+        """A computed storage cell and a methane cell that fails for want of a price."""
+        grid = SweepGrid((BIOMASS,), (METHANE,), (1.0,), CFG.water_mode)
+        computed, failed = scenario_sweep(grid, plain_econ(product_prices={"ethanol": 493.0}))
+        assert computed.error is None and failed.result is None
+        return computed, failed
+
+    @staticmethod
+    def dataclass_repr(record) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, record))
+        return f"{type(record).__name__}({fields})"
+
+    def test_fields_defaults_and_types(self):
+        assert SweepCell._fields == ("plant", "product", "beta", "result", "error")
+        assert ScenarioResult._fields == ("ledger", "daily_cost", "increased_price",
+                                          "carbon_penalty")
+        assert SweepCell("biomass", "", 0.0) == ("biomass", "", 0.0, None, None)
+        computed, failed = self.cells()
+        assert type(computed) is SweepCell and type(failed) is SweepCell
+        assert type(computed.result) is ScenarioResult
+        assert failed.error.startswith("cell (biomass, methane, beta=1): product-revenue: ")
+
+    def test_repr_is_the_dataclass_repr(self):
+        computed, failed = self.cells()
+        for record in (computed, failed, computed.result):
+            assert repr(record) == self.dataclass_repr(record)
+
+    def test_immutable_and_picklable(self):
+        computed, failed = self.cells()
+        for record in (computed, failed, computed.result):
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+            with pytest.raises(AttributeError):
+                record.note = "x"   # no instance dict
+            assert not hasattr(record, "__dict__")
+            back = pickle.loads(pickle.dumps(record))
+            assert type(back) is type(record) and repr(back) == repr(record)
+        assert computed._replace(error="x").error == "x" and computed.error is None
 
 
 def scan_oracle(g, lo_km: int, hi_km: int) -> float | None:

@@ -110,6 +110,14 @@ def test_one_daily_total_rule():
                                         "analysis.penalty_threshold", "economics.total_daily_cost"]
 
 
+def test_unchecked_scenarios_are_built_by_the_sweep_alone():
+    # ScenarioConfig._grid_cell skips the scenario's checks, which the sweep's grid has made
+    def names_grid_cell(node):
+        return getattr(node, "attr", getattr(node, "id", None)) == "_grid_cell"
+
+    assert holders(names_grid_cell) == ["analysis.scenario_sweep"]
+
+
 def divides_by(attr: str):
     """A predicate accepting a division, plain or augmented, by an attribute ``attr``."""
     return lambda node: (isinstance(node, (ast.BinOp, ast.AugAssign))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 import yaml
@@ -1051,6 +1052,23 @@ class TestConfigCache:
         assert config._validated.cache_info().currsize == bound
 
 
+class TestPresetText:
+    """A shipped preset is read once per process; a file is read on every call."""
+
+    def test_two_loads_read_the_preset_once(self, monkeypatch):
+        reads = []
+
+        def files(package):
+            reads.append(package)
+            return resources.files(package)
+
+        monkeypatch.setattr(config, "resources", SimpleNamespace(files=files))
+        config._preset_text.cache_clear()
+        first = load_config("paper-2024")
+        assert load_config("paper-2024") is first and paper_2024() is first
+        assert reads == ["ewhnexus"]
+
+
 class TestSharedConfig:
     """A loaded config is handed to every caller of its text, so it cannot change."""
 
@@ -1111,6 +1129,18 @@ class TestSharedConfig:
         assert costs[equal] is costs[first.product("methanol")]
         with pytest.raises(TypeError):   # a map holding a dict is as unhashable as the dict
             hash(FrozenMap({"a": {}}))
+
+    @pytest.mark.parametrize("key", ["methane", "hydrogen"])
+    def test_membership_answers_from_the_dict_it_holds(self, key):
+        items = {"methane": 1400.0}
+        assert "__contains__" in vars(FrozenMap)   # not Mapping's try around __getitem__
+        assert (key in FrozenMap(items)) is (key in items)
+
+    def test_membership_of_an_unhashable_key_is_a_type_error(self):
+        items = {"methane": 1400.0}
+        for mapping in (items, FrozenMap(items)):
+            with pytest.raises(TypeError, match="unhashable"):
+                ["methane"] in mapping
 
     def test_calibration_keeps_its_own_copy(self):
         given = {"coal": 0.1}

@@ -608,6 +608,31 @@ class TestHotPath:
         assert all(c.error is None for c in cells) and len(cells) == 21
         assert runs == []
 
+    @pytest.mark.parametrize("mode", [
+        Desalination(), SolarSeawater(), NetworkTransfer(Quantity(150.0, "km")),
+    ], ids=["desalination", "solar", "transfer"])
+    def test_sweep_prices_each_cell_once_and_checks_no_scenario(self, monkeypatch, mode):
+        # the grid has checked every input, so no cell runs ScenarioConfig's checks
+        grid = SweepGrid(SOLAR_PRESET.plants, SOLAR_PRESET.products, SOLAR_PRESET.sweep_betas,
+                         mode)
+        priced, checked = [], []
+        original, post_init = economics.total_daily_cost, ScenarioConfig.__post_init__
+
+        def counting(scenario):
+            priced.append((scenario.plant.name, scenario.beta))
+            return original(scenario)
+
+        def checking(self):
+            checked.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(economics, "total_daily_cost", counting)
+        monkeypatch.setattr(ScenarioConfig, "__post_init__", checking)
+        cells = scenario_sweep(grid, SOLAR_PRESET.econ, econ_resolver=resolver(SOLAR_PRESET))
+        assert all(c.error is None for c in cells) and len(cells) == 21
+        assert priced == [(c.plant, c.beta) for c in cells]
+        assert checked == []
+
     def test_preset_sweep_calibrates_each_plant_once(self, monkeypatch):
         cfg = paper_2024()
         grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)

@@ -318,3 +318,24 @@ class TestConfigFactory:
         grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
         assert repr(cfg.sweep()) == repr(
             scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg)))
+
+
+class TestGridCell:
+    """``ScenarioConfig._grid_cell`` builds, unchecked, what the checked constructor builds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(plant=st.sampled_from(TestResolver.PLANTS + (TestResolver.TINY, HUGE)),
+           product=st.sampled_from(CFG.products),
+           beta=st.sampled_from([0.0, 5e-324, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           mode=water_modes)
+    @example(plant=CFG.plants[0], product=METHANE, beta=5e-324, mode=Desalination())
+    @example(plant=CFG.plants[0], product=METHANE, beta=1.0, mode=SolarSeawater())
+    def test_equals_the_checked_scenario(self, plant, product, beta, mode):
+        product = product if beta > 0 else None   # as a sweep pairs them
+        cell = ScenarioConfig._grid_cell(plant, CFG.econ, beta, product, mode,
+                                         (plant.cbar,) * 24)
+        checked = ScenarioConfig(plant=plant, econ=CFG.econ, beta=beta, product=product,
+                                 water_mode=mode)
+        assert type(cell) is ScenarioConfig and cell == checked
+        assert cell.captured == checked.captured
+        assert vars(cell) == vars(checked) and repr(cell) == repr(checked)
