@@ -18,8 +18,8 @@ from .analysis import (
     BreakevenQuery, NoCrossingError, ReuseAll, StoreAll, SweepGrid,
     breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
 )
-from .config import ConfigError, LoadedConfig, dump_config, load_config
-from .presets import econ_for_cell, paper_2024, resolver
+from .config import ConfigError, LoadedConfig, dump_config, load_config, paper_2024
+from .presets import econ_for_cell, resolver
 
 __all__ = [
     "BreakevenQuery", "BUILTIN_PRODUCTS", "ConfigError", "CostLedger", "Desalination",

@@ -18,11 +18,6 @@ from .conversion import ProductSpec, _reuse_rates
 from .economics import ScenarioConfig
 from .quantities import HOURS_PER_DAY, DomainError, EconParams, PlantSpec, Quantity, check_beta
 
-# plant -> EconParams; lets a calibrated preset resolve plant-specific costs
-# without changing any formula
-EconResolver = Callable[[PlantSpec], EconParams]
-
-
 def beta_errors(betas: Sequence, path: str) -> list[str]:
     """One line per broken rule of a sweep's reuse fractions, each entry named ``path[i]``.
 
@@ -75,7 +70,8 @@ class SweepCell(namedtuple("SweepCell", "plant product beta result error",
 
 
 def scenario_sweep(grid: SweepGrid, econ: EconParams,
-                   econ_resolver: EconResolver | None = None) -> tuple[SweepCell, ...]:
+                   econ_resolver: Callable[[PlantSpec], EconParams] | None = None
+                   ) -> tuple[SweepCell, ...]:
     """Evaluate every cell of the grid plus one storage row per plant.
 
     Ordering is deterministic: plants in the given order, the storage row
@@ -95,16 +91,14 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
     for plant in grid.plants:
         try:
             plant_econ = econ if econ_resolver is None else econ_resolver(plant)
-        except (DomainError, ValueError) as exc:
+        except ValueError as exc:
             cells += [failed(plant, name, beta, exc) for _, name, beta in coords]
             continue
-        captured = (plant.cbar,) * HOURS_PER_DAY
         for product, name, beta in coords:
             try:
-                result = economics.total_daily_cost(
-                    cell(plant, plant_econ, beta, product, mode, captured))
+                result = economics.total_daily_cost(cell(plant, plant_econ, beta, product, mode))
                 cells.append(new(SweepCell, (plant.name, name, beta, result, None)))
-            except (DomainError, ValueError) as exc:
+            except ValueError as exc:
                 cells.append(failed(plant, name, beta, exc))
     return tuple(cells)
 

@@ -473,6 +473,11 @@ def load_config(path_or_preset: str | Path) -> LoadedConfig:
     return _validated(text)
 
 
+def paper_2024() -> LoadedConfig:
+    """The shipped calibrated preset (see presets/paper-2024.yaml)."""
+    return load_config("paper-2024")
+
+
 @functools.cache   # a shipped preset does not change while the process runs
 def _preset_text(name: str) -> str:
     return resources.files("ewhnexus").joinpath("presets", PRESETS[name]).read_text("utf-8")

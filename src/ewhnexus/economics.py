@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ccss, conversion, water
 from .quantities import (
@@ -30,7 +30,8 @@ class ScenarioConfig:
     and a water mode; the water system and the electrolyzer fleet are sized to
     the reuse stream.  This is where a scenario's units are checked: the
     capture profile must be a 24-step mass flow no step of which exceeds the
-    plant's full-load rate C̄, and the water mode a single mode object.
+    plant's full-load rate C̄, and is kept in ton/h; the water mode must be a
+    single mode object.
     """
 
     plant: PlantSpec
@@ -38,9 +39,7 @@ class ScenarioConfig:
     beta: float = 0.0
     product: conversion.ProductSpec | None = None
     water_mode: water.WaterMode | None = None   # None: no water system
-    capture_profile: TimeSeries | None = None   # defaults to 24 h full load
-    # hourly captured carbon [ton/h]: the profile, or full load without one
-    captured: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    capture_profile: TimeSeries | None = None   # [ton/h]; defaults to 24 h full load
 
     def __post_init__(self):
         check_beta(self.beta)
@@ -51,7 +50,6 @@ class ScenarioConfig:
         if self.water_mode is not None:
             water.check_mode(self.water_mode)
         profile = self.capture_profile
-        captured = (self.plant.cbar,) * HOURS_PER_DAY
         if profile is not None:
             try:
                 captured = profile.values_in("ton/h")
@@ -66,16 +64,17 @@ class ScenarioConfig:
                     raise DomainError(f"capture_profile step {h} is {c!r} ton/h, above the "
                                       f"full-load rate C̄ = {self.plant.cbar!r} ton/h of "
                                       f"plant {self.plant.name!r}")
-        object.__setattr__(self, "captured", captured)
+            if profile.unit != "ton/h":   # kept in ton/h, so it is converted once
+                object.__setattr__(self, "capture_profile", TimeSeries(captured, "ton/h"))
 
     @classmethod
     def _grid_cell(cls, plant: PlantSpec, econ: EconParams, beta: float,
-                   product: conversion.ProductSpec | None, water_mode: water.WaterMode,
-                   captured: tuple[float, ...]) -> "ScenarioConfig":
-        """A cell of a checked ``SweepGrid``, built unchecked; ``captured`` is the full-load day."""
+                   product: conversion.ProductSpec | None,
+                   water_mode: water.WaterMode) -> "ScenarioConfig":
+        """A full-load cell of a checked ``SweepGrid``, built unchecked."""
         cell = object.__new__(cls)
         vars(cell).update(plant=plant, econ=econ, beta=beta, product=product,
-                          water_mode=water_mode, capture_profile=None, captured=captured)
+                          water_mode=water_mode, capture_profile=None)
         return cell
 
 
@@ -120,7 +119,8 @@ def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
         raise DomainError(f"product-revenue: no market price configured for product "
                           f"{product.name!r}")
     cbar = plant.cbar   # full-load carbon [ton/h]
-    captured = scenario.captured
+    profile = scenario.capture_profile
+    captured = (cbar,) * HOURS_PER_DAY if profile is None else profile.values
     cap_ccss = ccss.ccss_capital(beta, plant.cbar_day, econ)
     op_ccss = ccss.ccss_operational(beta, captured, econ)
     if not reuse:

@@ -1,9 +1,11 @@
-"""The four-argument form of ``LoadedConfig.econ_for``, and the shipped preset."""
+"""The benchmark's two forms of ``LoadedConfig.econ_for``; they exist only because
+the benchmark harness calls them.  Everything else calls ``cfg.econ_for``."""
 
 from __future__ import annotations
 
-from .analysis import EconResolver
-from .config import LoadedConfig, load_config
+from typing import Callable
+
+from .config import LoadedConfig
 from .conversion import ProductSpec
 from .quantities import EconParams, PlantSpec
 
@@ -14,11 +16,6 @@ def econ_for_cell(cfg: LoadedConfig, plant: PlantSpec,
     return cfg.econ_for(plant)
 
 
-def resolver(cfg: LoadedConfig) -> EconResolver:
+def resolver(cfg: LoadedConfig) -> Callable[[PlantSpec], EconParams]:
     """A plant's ``econ_for_cell``, which a scenario sweep calls once per plant."""
     return lambda plant: econ_for_cell(cfg, plant)
-
-
-def paper_2024() -> LoadedConfig:
-    """The shipped calibrated preset (see presets/paper-2024.yaml)."""
-    return load_config("paper-2024")

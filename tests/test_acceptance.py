@@ -17,13 +17,13 @@ import pytest
 from ewhnexus.analysis import (
     BreakevenQuery, ReuseAll, StoreAll, breakeven_distance, penalty_threshold,
 )
+from ewhnexus.config import paper_2024
 from ewhnexus.conversion import (
     BUILTIN_PRODUCTS, ETHANOL, METHANE, METHANOL, nexus_rates,
 )
 from ewhnexus.economics import (
     ScenarioConfig, daily_capital_charge, total_daily_cost,
 )
-from ewhnexus.presets import econ_for_cell, paper_2024
 from ewhnexus.quantities import (
     CostLedger, DomainError, LedgerItem, Quantity,
 )
@@ -150,7 +150,7 @@ def test_a4_storage_operational_oracle():
     failures = []
     runs = []
     for _ in range(3):
-        econ = econ_for_cell(CFG, PLANTS["biomass"])
+        econ = CFG.econ_for(PLANTS["biomass"])
         result = total_daily_cost(ScenarioConfig(plant=PLANTS["biomass"], econ=econ, beta=0.0))
         runs.append(result.ledger.operational_total())
     if any(r != 165600.0 for r in runs):
@@ -164,7 +164,7 @@ def test_a5_sign_reproduction():
     failures = []
     for plant_name, plant in PLANTS.items():
         for product, want_negative in ((METHANE, True), (ETHANOL, False)):
-            econ = econ_for_cell(CFG, plant, product, 1.0)
+            econ = CFG.econ_for(plant)
             cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0, product=product,
                                  water_mode=Desalination())
             daily = total_daily_cost(cfg).daily_cost.value_in("$/day")
@@ -203,7 +203,7 @@ def test_a6_breakeven_distances():
     got = {}
     for plant_name, target in BREAKEVEN_TARGETS_KM.items():
         plant = PLANTS[plant_name]
-        econ = econ_for_cell(CFG, plant, METHANE, 1.0)
+        econ = CFG.econ_for(plant)
         query = BreakevenQuery(plant=plant, product=METHANE)
         d = breakeven_distance(query, econ).value_in("km")
         got[plant_name] = d
@@ -216,7 +216,7 @@ def test_a6_breakeven_distances():
     done, attempts = 0, 0
     while done < 20 and attempts < 200:
         attempts += 1
-        econ = econ_for_cell(CFG, PLANTS["biomass"], METHANE, 1.0)
+        econ = CFG.econ_for(PLANTS["biomass"])
         econ = replace(
             econ,
             r_w_per_100km=10 ** rng.uniform(-4.0, -0.7),
@@ -300,18 +300,18 @@ def test_a8_penalty_policy_thresholds():
     failures = []
     biomass = PLANTS["biomass"]
 
-    store = penalty_threshold(biomass, StoreAll(), econ_for_cell(CFG, biomass))
+    store = penalty_threshold(biomass, StoreAll(), CFG.econ_for(biomass))
     if abs(store.value_in("$/ton") - 75.09) > 0.02 * 75.09:
         failures.append(f"store-all threshold {store.value_in('$/ton'):.2f} "
                         f"vs 75.09 (+/-2%)")
 
-    econ_meoh = econ_for_cell(CFG, biomass, METHANOL, 1.0)
+    econ_meoh = CFG.econ_for(biomass)
     methanol = penalty_threshold(biomass, ReuseAll(METHANOL), econ_meoh, water_mode=CFG.water_mode)
     if abs(methanol.value_in("$/ton") - 26.71) > 0.05 * 26.71:
         failures.append(f"methanol reuse-all threshold {methanol.value_in('$/ton'):.2f} "
                         f"vs 26.71 (+/-5%)")
 
-    econ_ch4 = econ_for_cell(CFG, biomass, METHANE, 1.0)
+    econ_ch4 = CFG.econ_for(biomass)
     methane = penalty_threshold(biomass, ReuseAll(METHANE), econ_ch4, water_mode=CFG.water_mode)
     if methane.value_in("$/ton") >= 0:
         failures.append(f"methane reuse-all threshold {methane.value_in('$/ton'):.2f}, "

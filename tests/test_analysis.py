@@ -16,12 +16,11 @@ from ewhnexus.analysis import (
     BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepCell, SweepGrid,
     breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
 )
-from ewhnexus.config import ConfigError, LoadedConfig
+from ewhnexus.config import ConfigError, LoadedConfig, paper_2024
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, ProductSpec, _reuse_rates
 from ewhnexus.economics import (
     ScenarioConfig, ScenarioResult, daily_capital_charge, total_daily_cost,
 )
-from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 from ewhnexus.water import (
     Desalination, NetworkTransfer, SolarSeawater, check_flow, effective_r_w, pump_power,
@@ -45,16 +44,14 @@ def plain_econ(**over):
 
 class TestSweep:
     def test_reference_grid_has_21_rows(self):
-        grid = SweepGrid(plants=CFG.plants, products=CFG.products,
-                         betas=CFG.sweep_betas, water_mode=CFG.water_mode)
-        cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
+        cells = CFG.sweep()
         assert len(cells) == 21
         assert all(c.error is None for c in cells)
 
     def test_ordering_plant_then_product_then_beta(self):
         grid = SweepGrid(plants=(BIOMASS, GAS), products=(METHANE, METHANOL),
                          betas=(1.0, 0.5), water_mode=CFG.water_mode)
-        cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
+        cells = scenario_sweep(grid, CFG.econ, econ_resolver=CFG.econ_for)
         coords = [(c.plant, c.product, c.beta) for c in cells]
         assert coords == [
             ("biomass", "", 0.0),
@@ -104,14 +101,14 @@ class TestSweep:
     def test_empty_products_gives_storage_rows_only(self):
         grid = SweepGrid(plants=CFG.plants, products=(), betas=CFG.sweep_betas,
                          water_mode=CFG.water_mode)
-        cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
+        cells = scenario_sweep(grid, CFG.econ, econ_resolver=CFG.econ_for)
         assert [(c.plant, c.product, c.beta) for c in cells] == [
             ("biomass", "", 0.0), ("natural_gas", "", 0.0), ("coal", "", 0.0)]
 
     def test_methane_column_cheaper_than_ethanol_at_full_reuse(self):
         grid = SweepGrid(plants=CFG.plants, products=(METHANE, ETHANOL), betas=(1.0,),
                          water_mode=CFG.water_mode)
-        cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
+        cells = scenario_sweep(grid, CFG.econ, econ_resolver=CFG.econ_for)
         by_coord = {(c.plant, c.product): c.result for c in cells if c.product}
         for plant in ("biomass", "natural_gas", "coal"):
             methane = by_coord[(plant, "methane")].daily_cost.value_in("$/day")
@@ -119,10 +116,7 @@ class TestSweep:
             assert methane < ethanol
 
     def test_deterministic_bit_identical_output(self):
-        grid = SweepGrid(plants=CFG.plants, products=CFG.products, betas=CFG.sweep_betas,
-                         water_mode=CFG.water_mode)
-        a = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
-        b = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
+        a, b = CFG.sweep(), CFG.sweep()
         for ca, cb in zip(a, b):
             assert ca.result.daily_cost.magnitude == cb.result.daily_cost.magnitude
             assert ca.result.ledger == cb.result.ledger
@@ -230,7 +224,7 @@ class TestBreakeven:
     def test_calibrated_distances_and_ordering(self):
         got = {}
         for plant in (BIOMASS, GAS, COAL):
-            econ = econ_for_cell(CFG, plant, METHANE, 1.0)
+            econ = CFG.econ_for(plant)
             q = BreakevenQuery(plant=plant, product=METHANE)
             got[plant.name] = breakeven_distance(q, econ).value_in("km")
         assert got["biomass"] == pytest.approx(61.0, abs=0.2)
@@ -242,14 +236,14 @@ class TestBreakeven:
         # the friction coefficients were fitted to these distances, and the
         # closed form has no bracket width to blur them
         for plant, target in ((BIOMASS, 61.0), (GAS, 261.0), (COAL, 301.0)):
-            econ = econ_for_cell(CFG, plant, METHANE, 1.0)
+            econ = CFG.econ_for(plant)
             root = breakeven_distance(BreakevenQuery(plant=plant, product=METHANE), econ)
             assert root.value_in("km") == pytest.approx(target, abs=1e-6)
 
     def test_ordering_holds_with_uncalibrated_shared_friction(self):
         got = []
         for plant in (BIOMASS, GAS, COAL):
-            econ = econ_for_cell(CFG, plant, METHANE, 1.0)
+            econ = CFG.econ_for(plant)
             econ = replace(econ, r_w_per_100km=2e-4)
             q = BreakevenQuery(plant=plant, product=METHANE)
             got.append(breakeven_distance(q, econ).value_in("km"))
@@ -257,7 +251,7 @@ class TestBreakeven:
 
     def test_no_crossing_reports_both_endpoint_gaps(self):
         # an absurdly expensive pipe never beats desalination
-        econ = econ_for_cell(CFG, BIOMASS, METHANE, 1.0)
+        econ = CFG.econ_for(BIOMASS)
         econ = replace(econ, c_tw=1e6)
         q = BreakevenQuery(plant=BIOMASS, product=METHANE)
         with pytest.raises(NoCrossingError) as exc_info:
@@ -266,12 +260,24 @@ class TestBreakeven:
         # a window that starts just past the calibrated 61 km root
         q = BreakevenQuery(plant=BIOMASS, product=METHANE, distance_bounds=(62.0, 1000.0))
         with pytest.raises(NoCrossingError) as exc_info:
-            breakeven_distance(q, econ_for_cell(CFG, BIOMASS, METHANE, 1.0))
+            breakeven_distance(q, CFG.econ_for(BIOMASS))
         assert (exc_info.value.g_lo > 0) == (exc_info.value.g_hi > 0)
 
-    def test_bounds_validation(self):
-        with pytest.raises(DomainError):
-            BreakevenQuery(plant=BIOMASS, product=METHANE, distance_bounds=(10.0, 5.0))
+    @pytest.mark.parametrize("bounds", [(10.0, 5.0), (5.0, 5.0)], ids=["reversed", "empty"])
+    def test_bounds_validation(self, bounds):
+        with pytest.raises(DomainError, match=r"^distance bounds must satisfy d_lo < d_hi$"):
+            BreakevenQuery(plant=BIOMASS, product=METHANE, distance_bounds=bounds)
+
+    @pytest.mark.parametrize("other", [-5.0, 5.0], ids=["other-end-below", "other-end-above"])
+    @pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
+    def test_a_zero_gap_at_a_window_end_is_the_root(self, monkeypatch, end, other):
+        # the window end itself, whichever sign the other end's gap has
+        bounds = (20.0, 300.0)
+        monkeypatch.setattr(analysis, "_transfer_minus_desal",
+                            lambda query, econ: lambda d: 0.0 if d == bounds[end] else other)
+        query = BreakevenQuery(BIOMASS, METHANE, bounds)
+        assert repr(breakeven_distance(query, CFG.econ_for(BIOMASS))) == repr(
+            Quantity(bounds[end], "km"))
 
     def test_breakeven_agrees_with_scan_oracle_on_randomized_draws(self):
         rng = random.Random(20240801)
@@ -280,7 +286,7 @@ class TestBreakeven:
         while done < 20:
             attempts += 1
             assert attempts < 200, "could not find enough sign-changing draws"
-            econ = econ_for_cell(CFG, BIOMASS, METHANE, 1.0)
+            econ = CFG.econ_for(BIOMASS)
             econ = replace(
                 econ,
                 r_w_per_100km=10 ** rng.uniform(-4.0, -0.7),
@@ -364,17 +370,17 @@ class TestBreakevenAgainstFullScenarios:
     @settings(max_examples=400, deadline=None)
     @given(case=breakeven_cases())
     @example(case=(BreakevenQuery(COAL, METHANE), replace(CFG.econ, c_ccs=None)))
-    @example(case=(BreakevenQuery(HUGE, METHANE), econ_for_cell(CFG, HUGE)))
+    @example(case=(BreakevenQuery(HUGE, METHANE), CFG.econ_for(HUGE)))
     @example(case=(BreakevenQuery(TINY, METHANE), replace(CFG.econ, c_ccs=1.0)))
-    @example(case=(BreakevenQuery(BIOMASS, FORMIC_ACID), econ_for_cell(CFG, BIOMASS)))
-    @example(case=(BreakevenQuery(BIOMASS, METHANE, (-5.0, 100.0)), econ_for_cell(CFG, BIOMASS)))
-    @example(case=(BreakevenQuery(BIOMASS, METHANE, (62.0, 1000.0)), econ_for_cell(CFG, BIOMASS)))
-    @example(case=(BreakevenQuery(GAS, ETHANOL, (10.0, math.inf)), econ_for_cell(CFG, GAS)))
+    @example(case=(BreakevenQuery(BIOMASS, FORMIC_ACID), CFG.econ_for(BIOMASS)))
+    @example(case=(BreakevenQuery(BIOMASS, METHANE, (-5.0, 100.0)), CFG.econ_for(BIOMASS)))
+    @example(case=(BreakevenQuery(BIOMASS, METHANE, (62.0, 1000.0)), CFG.econ_for(BIOMASS)))
+    @example(case=(BreakevenQuery(GAS, ETHANOL, (10.0, math.inf)), CFG.econ_for(GAS)))
     @example(case=(BreakevenQuery(GAS, METHANOL),
-                   replace(econ_for_cell(CFG, GAS), include_hydrogen_capital=True)))
-    @example(case=(BreakevenQuery(COAL, METHANE), replace(econ_for_cell(CFG, COAL), c_tw=1e303)))
+                   replace(CFG.econ_for(GAS), include_hydrogen_capital=True)))
+    @example(case=(BreakevenQuery(COAL, METHANE), replace(CFG.econ_for(COAL), c_tw=1e303)))
     @example(case=(BreakevenQuery(COAL, METHANE),
-                   replace(econ_for_cell(CFG, COAL), r_w_per_100km=1e302)))
+                   replace(CFG.econ_for(COAL), r_w_per_100km=1e302)))
     def test_outcome_matches_pricing_two_full_scenarios(self, case):
         query, econ = case
         with mock.patch.object(analysis, "_transfer_minus_desal", priced_per_scenario):
@@ -384,12 +390,12 @@ class TestBreakevenAgainstFullScenarios:
     @pytest.mark.parametrize("case, outcome", [
         ((COAL, replace(CFG.econ, c_ccs=None)),
          "ccss-capital: c_ccs (capture plant capital cost) is not configured"),
-        ((HUGE, econ_for_cell(CFG, HUGE)), "ledger amount must be finite (wind farm capital)"),
-        ((COAL, replace(econ_for_cell(CFG, COAL), c_tw=1e303)),
+        ((HUGE, CFG.econ_for(HUGE)), "ledger amount must be finite (wind farm capital)"),
+        ((COAL, replace(CFG.econ_for(COAL), c_tw=1e303)),
          "ledger amount must be finite (water system capital)"),
-        ((COAL, replace(econ_for_cell(CFG, COAL), r_w_per_100km=1e302)),
+        ((COAL, replace(CFG.econ_for(COAL), r_w_per_100km=1e302)),
          "ledger amount must be finite (water system operations)"),
-        ((BIOMASS, econ_for_cell(CFG, BIOMASS)), None),
+        ((BIOMASS, CFG.econ_for(BIOMASS)), None),
     ], ids=["unset-c_ccs", "huge-plant", "pipe-capital", "pumping", "preset"])
     def test_the_examples_reach_the_errors_they_are_for(self, case, outcome):
         plant, econ = case
@@ -437,7 +443,7 @@ class TestWorkCounts:
                              (conversion, "power_capital"), (conversion, "chemical_revenue"),
                              (water, "water_capital"), (water, "water_operational"),
                              (economics, "total_daily_cost"))
-        query, econ = BreakevenQuery(COAL, METHANOL), econ_for_cell(CFG, COAL)
+        query, econ = BreakevenQuery(COAL, METHANOL), CFG.econ_for(COAL)
         counts = []
         for _ in range(2):
             calls.clear()
@@ -456,7 +462,7 @@ class TestWorkCounts:
         w_max = _reuse_rates(METHANE, BIOMASS.cbar, 1.0)[1]
         distances = [10.0 * k for k in range(51)]
         flows = [w_max * k / n_flows for k in range(n_flows)] + [2.0 * w_max]   # one error
-        econ = econ_for_cell(CFG, BIOMASS)
+        econ = CFG.econ_for(BIOMASS)
         counts = []
         for _ in range(2):
             calls.clear()
@@ -494,7 +500,7 @@ def curve_oracle(d, f, w_max: float, econ: EconParams) -> str:
 
 
 class TestTransferCurve:
-    ECON = econ_for_cell(CFG, BIOMASS, METHANE, 1.0)
+    ECON = CFG.econ_for(BIOMASS)
 
     def test_zero_flow_column_has_zero_operational_cost(self):
         cells = transfer_cost_curve(BIOMASS, [60.0, 260.0, 300.0], [0.0, 90.0], self.ECON, METHANE)
@@ -546,7 +552,7 @@ class TestTransferCurve:
                 | st.integers(-5, int(w_max) + 5) | st.just(math.nan)
                 | st.floats(-w_max, -1e-9) | st.floats(1.0, 3.0).map(lambda x: x * w_max))
         flows = data.draw(st.lists(flow, min_size=1, max_size=5))
-        econ = econ_for_cell(CFG, plant)
+        econ = CFG.econ_for(plant)
         cells = transfer_cost_curve(plant, distances, flows, econ, product=product)
         expected = [curve_oracle(d, f, w_max, econ) for d in distances for f in flows]
         assert [repr(c) for c in cells] == expected
@@ -560,7 +566,7 @@ class TestCurveRoundingGap:
         for _ in range(200):
             plant, product = rng.choice(CFG.plants), rng.choice(CFG.products)
             d = rng.uniform(0.0, 1000.0)
-            econ = econ_for_cell(CFG, plant, product, 1.0)
+            econ = CFG.econ_for(plant)
             w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
             column = transfer_cost_curve(plant, [d], [w_max], econ,
                                          product=product)[0].operational_daily
@@ -586,7 +592,7 @@ class TestCurveCell:
 
     def cells(self):
         return transfer_cost_curve(BIOMASS, [60], [50, 1e6],
-                                   econ_for_cell(CFG, BIOMASS, METHANE, 1.0), METHANE)
+                                   CFG.econ_for(BIOMASS), METHANE)
 
     def test_repr_is_the_dataclass_repr(self):
         assert [repr(c) for c in self.cells()] == [self.COMPUTED, self.FAILED]
@@ -617,22 +623,22 @@ class TestCurveCell:
 
 class TestPenaltyThreshold:
     def test_store_all_biomass(self):
-        econ = econ_for_cell(CFG, BIOMASS)
+        econ = CFG.econ_for(BIOMASS)
         thr = penalty_threshold(BIOMASS, StoreAll(), econ)
         assert thr.value_in("$/ton") == pytest.approx(75.09, rel=0.02)
 
     def test_methane_reuse_threshold_negative_everywhere(self):
         for plant in (BIOMASS, GAS, COAL):
-            econ = econ_for_cell(CFG, plant, METHANE, 1.0)
+            econ = CFG.econ_for(plant)
             assert penalty_threshold(plant, ReuseAll(METHANE), econ,
                                      water_mode=CFG.water_mode).magnitude < 0
 
     def test_store_all_exceeds_every_reuse_threshold(self):
         for plant in (BIOMASS, GAS, COAL):
             store = penalty_threshold(plant, StoreAll(),
-                                      econ_for_cell(CFG, plant)).magnitude
+                                      CFG.econ_for(plant)).magnitude
             for product in (METHANE, METHANOL, ETHANOL):
-                econ = econ_for_cell(CFG, plant, product, 1.0)
+                econ = CFG.econ_for(plant)
                 assert store > penalty_threshold(plant, ReuseAll(product), econ,
                                                  water_mode=CFG.water_mode).magnitude
 
@@ -641,34 +647,33 @@ class TestPenaltyThreshold:
         # priced from the daily total alone: the same Quantity, bit for bit
         for product in (None, METHANE, METHANOL, ETHANOL):
             beta = 0.0 if product is None else 1.0
-            econ = econ_for_cell(CFG, plant, product, beta)
+            econ = CFG.econ_for(plant)
             strategy = StoreAll() if product is None else ReuseAll(product)
-            cell = ScenarioConfig(plant=plant, econ=econ, beta=beta, product=product,
-                                  water_mode=CFG.water_mode)
+            cell = CFG.scenario(plant, product, beta)
             assert (penalty_threshold(plant, strategy, econ, water_mode=CFG.water_mode)
                     == total_daily_cost(cell).carbon_penalty)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(DomainError):
-            penalty_threshold(BIOMASS, "store", econ_for_cell(CFG, BIOMASS))
+            penalty_threshold(BIOMASS, "store", CFG.econ_for(BIOMASS))
 
     def test_reuse_all_without_water_mode_rejected(self):
         with pytest.raises(DomainError,
                            match=r"^a reuse scenario \(beta > 0\) needs a water mode$"):
-            penalty_threshold(BIOMASS, ReuseAll(METHANE), econ_for_cell(CFG, BIOMASS))
+            penalty_threshold(BIOMASS, ReuseAll(METHANE), CFG.econ_for(BIOMASS))
 
     @pytest.mark.parametrize("mode", [
         Desalination(), NetworkTransfer(Quantity(150.0, "km")), SolarSeawater()],
         ids=["desalination", "transfer", "solar"])
     def test_store_all_needs_no_water_mode(self, mode):
-        econ = econ_for_cell(CFG, BIOMASS)
+        econ = CFG.econ_for(BIOMASS)
         bare = penalty_threshold(BIOMASS, StoreAll(), econ)
         assert repr(bare) == repr(penalty_threshold(BIOMASS, StoreAll(), econ, water_mode=mode))
 
 
 class TestNoDefaultPicksACellsInputs:
     # the betas, water mode and product come from the config or the caller
-    ECON = econ_for_cell(CFG, BIOMASS)
+    ECON = CFG.econ_for(BIOMASS)
 
     @pytest.mark.parametrize("call", [
         lambda econ: SweepGrid(CFG.plants, CFG.products),

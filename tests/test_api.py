@@ -1,6 +1,6 @@
 """The public names: ``ewhnexus.__all__`` and what the benchmark harness reads of it;
-the checks the public entries make; and where the defaults that pick a cell's inputs
-may live."""
+the checks the public entries make; where the defaults that pick a cell's inputs
+may live; and who may call the benchmark's two forms in ``presets``."""
 
 import ast
 import importlib.util
@@ -147,7 +147,7 @@ def test_nothing_in_the_package_or_its_tests_imports_numpy_or_scipy():
 CFG = ew.paper_2024()
 BIOMASS = CFG.plant("biomass")
 W_MAX = ew.nexus_rates(BIOMASS, ew.METHANE, 1.0)[1].value_in("m3/h")
-ECON = ew.econ_for_cell(CFG, BIOMASS)
+ECON = CFG.econ_for(BIOMASS)
 
 
 def scenario(beta=0.0, profile=None):
@@ -205,6 +205,48 @@ def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, er
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def scopes(paths, predicate) -> list[str]:
+    """``module.Outer.inner`` of the innermost def or class around each node the
+    predicate accepts; a node outside any is named by its module."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if predicate(node):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+# every Python file but the benchmark harness's
+PROGRAM = sorted(path for folder in ("src", "tests", "demos")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def test_the_benchmark_forms_are_called_by_the_benchmark_alone():
+    # presets.econ_for_cell and presets.resolver exist because bench/workloads.py calls
+    # them; everything else reaches a plant's parameters through LoadedConfig
+    tree = ast.parse((ROOT / "src" / "ewhnexus" / "presets.py").read_text(encoding="utf-8"))
+    body = [node for node in tree.body[1:]   # after the docstring
+            if not isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [getattr(node, "name", None) for node in body] == ["econ_for_cell", "resolver"]
+    for name in ("econ_for_cell", "resolver"):
+        callers = scopes(PROGRAM, calls(name))
+        assert callers, name
+        assert [c for c in callers if c != "presets.resolver"
+                and not c.startswith("test_presets.TestBenchmarkForms.")] == [], name
+    assert scopes(PROGRAM, lambda node: "EconResolver" in (
+        getattr(node, "id", None), getattr(node, "attr", None),
+        getattr(node, "name", None))) == []
+    assert scopes(SOURCES, lambda node: isinstance(node, ast.keyword)
+                  and node.arg == "econ_resolver") == ["config.LoadedConfig.sweep"]
 
 
 def test_benchmark_reads_only_public_names():

@@ -16,17 +16,15 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from ewhnexus.analysis import SweepGrid, scenario_sweep
 from ewhnexus.cli import (
     COMMANDS, SWEEP_COLUMNS, SWEEP_CSV_HEADER, main, render_csv, sweep_row,
 )
 from ewhnexus import config
 from ewhnexus.config import (
-    Calibration, ConfigError, dump_config, load_config, load_config_text,
+    Calibration, ConfigError, dump_config, load_config, load_config_text, paper_2024,
 )
 from ewhnexus.conversion import _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
-from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import DomainError, FrozenMap, Quantity, TimeSeries
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
@@ -40,9 +38,7 @@ def preset_dict():
 
 
 def sweep_csv(cfg) -> str:
-    grid = SweepGrid(plants=cfg.plants, products=cfg.products, betas=cfg.sweep_betas,
-                     water_mode=cfg.water_mode)
-    cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
+    cells = cfg.sweep()
     return render_csv([sweep_row(c) for c in cells if c.result is not None], SWEEP_COLUMNS)
 
 
@@ -1195,9 +1191,8 @@ def watched_outputs(data, tmp_path) -> list[str]:
     plant, product = cfg.plant("biomass"), cfg.product("methanol")
     full = plant.cbar
     ramp = TimeSeries(tuple(full * (h + 0.5) / 24 for h in range(24)), "ton/h")
-    day = ScenarioConfig(plant=plant, econ=econ_for_cell(cfg, plant, product, 1.0),
-                         beta=1.0, product=product, water_mode=cfg.water_mode,
-                         capture_profile=ramp)
+    day = ScenarioConfig(plant=plant, econ=cfg.econ_for(plant), beta=1.0, product=product,
+                         water_mode=cfg.water_mode, capture_profile=ramp)
     outputs.append(repr(total_daily_cost(day).daily_cost.value_in("$/day")))
     return outputs
 

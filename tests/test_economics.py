@@ -7,13 +7,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ewhnexus import ccss, conversion, economics, presets, water
+from ewhnexus import ccss, conversion, economics, water
 from ewhnexus.analysis import (
     BreakevenQuery, ReuseAll, SweepGrid, breakeven_distance, penalty_threshold, scenario_sweep,
 )
+from ewhnexus.config import paper_2024
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
-from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import (
     DomainError, EconParams, LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError, check_beta,
 )
@@ -376,6 +376,21 @@ class TestTotalDailyCost:
                                         capture_profile=profile))
         assert calls == ["ton/h"]
 
+    def test_a_profile_is_kept_in_ton_per_hour(self):
+        from ewhnexus.quantities import TimeSeries
+        kg_h = TimeSeries((115_000.0 * (h + 0.5) / 24 for h in range(24)), "kg/h")
+        ton_h = TimeSeries(kg_h.values_in("ton/h"), "ton/h")
+
+        def scenario(profile):
+            return ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
+                                  water_mode=Desalination(), capture_profile=profile)
+
+        kept = scenario(kg_h)
+        assert kept.capture_profile == ton_h and kept.capture_profile.unit == "ton/h"
+        assert scenario(ton_h).capture_profile is ton_h   # already in ton/h: the same object
+        assert kept == scenario(ton_h) and not hasattr(kept, "captured")
+        assert total_daily_cost(kept).ledger == total_daily_cost(scenario(ton_h)).ledger
+
     def test_bad_capture_profile_rejected_when_the_scenario_is_built(self):
         from ewhnexus.quantities import TimeSeries, UnitError
         with pytest.raises(UnitError, match="mass flow"):
@@ -404,8 +419,7 @@ class TestTotalsAgainstTheLedger:
            load=st.none() | st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24))
     def test_totals_and_metrics_equal_the_oracles(self, plant, product, beta, mode,
                                                   hydrogen, load):
-        cell_econ = replace(econ_for_cell(SOLAR_PRESET, plant, product, beta),
-                            include_hydrogen_capital=hydrogen)
+        cell_econ = replace(SOLAR_PRESET.econ_for(plant), include_hydrogen_capital=hydrogen)
         profile = None if load is None else TimeSeries(
             tuple(plant.cbar * x for x in load), "ton/h")
         result = total_daily_cost(ScenarioConfig(
@@ -470,8 +484,7 @@ class TestDailyAgainstTheResult:
     @example(plant=SOLAR_PRESET.plants[0], product=METHANE, beta=1.0, mode=Desalination(),
              hydrogen=False, bad=1.7e308, at={1, 5})   # the flows overflow
     def test_same_totals_and_errors(self, plant, product, beta, mode, hydrogen, bad, at):
-        cell_econ = replace(econ_for_cell(SOLAR_PRESET, plant, product, beta),
-                            include_hydrogen_capital=hydrogen)
+        cell_econ = replace(SOLAR_PRESET.econ_for(plant), include_hydrogen_capital=hydrogen)
         cell = ScenarioConfig(plant=plant, econ=cell_econ, beta=beta, product=product,
                               water_mode=mode)
         terms = economics._cost_terms(cell)
@@ -582,7 +595,7 @@ class TestHotPath:
         self.forbid_nexus_rates(monkeypatch)
         built = self.count_quantities(monkeypatch)
 
-        econ = econ_for_cell(cfg, plant, product, 1.0)
+        econ = cfg.econ_for(plant)
         assert built == []
         result = total_daily_cost(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
                                                  product=product, water_mode=mode))
@@ -595,7 +608,6 @@ class TestHotPath:
 
     def test_sweep_cell_runs_no_econ_validation(self, monkeypatch):
         cfg = paper_2024()
-        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
         runs = []
         original = EconParams.__post_init__
 
@@ -604,7 +616,7 @@ class TestHotPath:
             original(self)
 
         monkeypatch.setattr(EconParams, "__post_init__", counting)
-        cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
+        cells = cfg.sweep()
         assert all(c.error is None for c in cells) and len(cells) == 21
         assert runs == []
 
@@ -628,25 +640,10 @@ class TestHotPath:
 
         monkeypatch.setattr(economics, "total_daily_cost", counting)
         monkeypatch.setattr(ScenarioConfig, "__post_init__", checking)
-        cells = scenario_sweep(grid, SOLAR_PRESET.econ, econ_resolver=resolver(SOLAR_PRESET))
+        cells = scenario_sweep(grid, SOLAR_PRESET.econ, econ_resolver=SOLAR_PRESET.econ_for)
         assert all(c.error is None for c in cells) and len(cells) == 21
         assert priced == [(c.plant, c.beta) for c in cells]
         assert checked == []
-
-    def test_preset_sweep_calibrates_each_plant_once(self, monkeypatch):
-        cfg = paper_2024()
-        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
-        calls = []
-        original = presets.econ_for_cell
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(presets, "econ_for_cell", counting)
-        cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
-        assert all(c.error is None for c in cells) and len(cells) == 21
-        assert [args[1] for args in calls] == list(cfg.plants)
 
     def test_core_built_result_still_rejects_overflow(self):
         # a 1e-300 kW plant turns any sizable daily cost into an infinite price uplift
@@ -683,7 +680,7 @@ class TestHotPath:
             return original(*args)
 
         monkeypatch.setattr(water, priced_by, counting)
-        econ = econ_for_cell(cfg, plant, product, 1.0)
+        econ = cfg.econ_for(plant)
         total_daily_cost(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
                                         product=product, water_mode=mode))
         assert len(calls) == 1, calls

@@ -87,12 +87,10 @@ from pathlib import Path
 
 import pytest
 
-from ewhnexus.analysis import SweepGrid, scenario_sweep
 from ewhnexus.cli import main
-from ewhnexus.config import dump_config
+from ewhnexus.config import dump_config, paper_2024
 from ewhnexus.conversion import _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
-from ewhnexus.presets import econ_for_cell, paper_2024, resolver
 from ewhnexus.quantities import Quantity, TimeSeries
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater, desal_segment
 
@@ -143,8 +141,8 @@ def ramp_ledger(mode: str) -> str:
     plant, product = cfg.plant("biomass"), cfg.product("methane")
     profile = TimeSeries(tuple(plant.cbar * x for x in RAMP), "ton/h")
     result = total_daily_cost(ScenarioConfig(
-        plant=plant, econ=econ_for_cell(cfg, plant, product, 1.0), beta=1.0,
-        product=product, water_mode=RAMP_MODES[mode], capture_profile=profile))
+        plant=plant, econ=cfg.econ_for(plant), beta=1.0, product=product,
+        water_mode=RAMP_MODES[mode], capture_profile=profile))
     return "\n".join(_result_lines(result)) + "\n"
 
 
@@ -165,8 +163,7 @@ def sweep_ledger() -> str:
     lines = []
     for section, override in SWEEP_LEDGER_SECTIONS.items():
         cfg = paper_2024() if override is None else override(paper_2024())
-        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
-        for cell in scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg)):
+        for cell in cfg.sweep():
             lines.append(f"# {section}: {cell.plant} {cell.product or '-'} beta={cell.beta!r}")
             lines += [cell.error] if cell.result is None else _result_lines(cell.result)
     return "\n".join(lines) + "\n"

@@ -1,16 +1,19 @@
-"""Calibration resolution: how a preset turns into per-plant parameters."""
+"""Calibration resolution: how a preset turns into per-plant parameters, and the two
+forms of it that the benchmark harness calls."""
 
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ewhnexus import presets
 from ewhnexus.analysis import SweepCell, SweepGrid, scenario_sweep
-from ewhnexus.config import Calibration, ConfigError
+from ewhnexus.config import Calibration, ConfigError, paper_2024
 from ewhnexus.conversion import METHANE, _reuse_rates, nexus_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
-from ewhnexus.presets import econ_for_cell, paper_2024, resolver
+from ewhnexus.presets import econ_for_cell, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
 from ewhnexus.water import (
     Desalination, NetworkTransfer, SolarSeawater, water_capital,
@@ -20,43 +23,42 @@ from ewhnexus.water import (
 CFG = paper_2024()
 
 
-class TestEconForCell:
+class TestEconFor:
     def test_capture_capital_spread_over_daily_mass(self):
         # one fixed build cost divided by ton/day at full load
         for name, daily_tons in (("biomass", 2760.0), ("natural_gas", 5880.0),
                                  ("coal", 9840.0)):
-            econ = econ_for_cell(CFG, CFG.plant(name))
+            econ = CFG.econ_for(CFG.plant(name))
             assert econ.c_ccs == pytest.approx(120.0e6 / daily_tons, rel=1e-12)
 
     def test_friction_coefficient_override_per_plant(self):
-        biomass = econ_for_cell(CFG, CFG.plant("biomass"))
-        coal = econ_for_cell(CFG, CFG.plant("coal"))
+        biomass = CFG.econ_for(CFG.plant("biomass"))
+        coal = CFG.econ_for(CFG.plant("coal"))
         assert biomass.r_w_per_100km == pytest.approx(0.197942215748327)
         assert coal.r_w_per_100km == pytest.approx(0.0028758166332518258)
         assert biomass.r_w_per_100km > coal.r_w_per_100km  # wider pipe, less friction
 
     def test_pipe_cost_counted_once_per_meter(self):
         plant = CFG.plant("biomass")
-        econ = econ_for_cell(CFG, plant, METHANE, 1.0)
-        assert econ == econ_for_cell(CFG, plant)   # only the plant is calibrated
+        econ = CFG.econ_for(plant)
         w_max = nexus_rates(plant, METHANE, 1.0)[1].value_in("m3/h")
         mode = NetworkTransfer(Quantity(61, "km"))
         assert water_capital(mode, w_max, econ) == 160.0 * 61_000.0
 
     def test_storage_cell_keeps_base_pipe_cost(self):
-        econ = econ_for_cell(CFG, CFG.plant("biomass"))
+        econ = CFG.econ_for(CFG.plant("biomass"))
         assert econ.c_tw == 160.0
 
     def test_unknown_plant_keeps_base_friction(self):
         from ewhnexus.quantities import PlantSpec, Quantity
         other = PlantSpec("lignite", Quantity(300, "MW"), Quantity(900, "g/kWh"))
-        econ = econ_for_cell(CFG, other)
+        econ = CFG.econ_for(other)
         assert econ.r_w_per_100km == 2.0e-4
         assert econ.c_ccs == pytest.approx(120.0e6 / (300000 * 0.9 / 1000 * 24), rel=1e-9)
 
 
 class TestCellCopy:
-    """``econ_for_cell`` gives what ``dataclasses.replace`` gives, built once per plant."""
+    """``econ_for`` gives what ``dataclasses.replace`` gives, built once per plant."""
 
     @staticmethod
     def outcome(fn):
@@ -72,10 +74,8 @@ class TestCellCopy:
     @given(ccs=st.none() | st.floats(0.0, 1e12),
            r_w=st.dictionaries(st.sampled_from(["biomass", "coal", "lignite"]),
                                st.floats(0.0, 1.0)),
-           plant=st.sampled_from(["biomass", "natural_gas", "coal"]),
-           product=st.sampled_from([None, "methane", "methanol", "ethanol"]),
-           beta=st.floats(0.0, 1.0))
-    def test_equals_dataclasses_replace(self, ccs, r_w, plant, product, beta):
+           plant=st.sampled_from(["biomass", "natural_gas", "coal"]))
+    def test_equals_dataclasses_replace(self, ccs, r_w, plant):
         calibration = Calibration(ccs_capital_total=ccs, r_w_per_100km=r_w)
         # the config rules reject a calibration that names no plant, and no capture capital
         broken = [line for line, rejected in (
@@ -90,7 +90,6 @@ class TestCellCopy:
             return
         cfg = replace(CFG, calibration=calibration)
         spec = cfg.plant(plant)
-        prod = cfg.product(product) if product else None
 
         def replaced():
             updates = {}
@@ -101,30 +100,28 @@ class TestCellCopy:
             return replace(cfg.econ, **updates)
 
         expected = self.outcome(replaced)
-        assert self.outcome(lambda: econ_for_cell(cfg, spec, prod, beta)) == expected
+        assert self.outcome(lambda: cfg.econ_for(spec)) == expected
         if isinstance(expected, list):
-            assert econ_for_cell(cfg, spec, prod, beta) == replaced()
+            assert cfg.econ_for(spec) == replaced()
 
     def test_a_configured_plant_gets_one_object_built_with_the_config(self, monkeypatch):
-        built = [econ_for_cell(CFG, plant) for plant in CFG.plants]
+        built = [CFG.econ_for(plant) for plant in CFG.plants]
         checks = []
         post_init = EconParams.__post_init__
         monkeypatch.setattr(EconParams, "__post_init__",
                             lambda econ: checks.append(econ) or post_init(econ))
         for plant, econ in zip(CFG.plants, built):
-            for product in (None,) + CFG.products:
-                assert econ_for_cell(CFG, plant, product, 1.0) is econ
-            assert resolver(CFG)(plant) is econ
+            assert CFG.econ_for(plant) is econ
         assert checks == []
         lignite = TestResolver.PLANTS[-1]   # no plant of CFG: calibrated on each call
-        assert econ_for_cell(CFG, lignite) == econ_for_cell(CFG, lignite)
+        assert CFG.econ_for(lignite) == CFG.econ_for(lignite)
         assert len(checks) == 2
 
     def test_a_replaced_config_is_calibrated_again(self):
         cfg = replace(CFG, econ=replace(CFG.econ, c_sw=123456.0))
         for plant in cfg.plants:
-            assert econ_for_cell(cfg, plant).c_sw == 123456.0
-            assert econ_for_cell(cfg, plant) == replace(econ_for_cell(CFG, plant), c_sw=123456.0)
+            assert cfg.econ_for(plant).c_sw == 123456.0
+            assert cfg.econ_for(plant) == replace(CFG.econ_for(plant), c_sw=123456.0)
 
     def test_a_config_with_a_failing_plant_cannot_be_built(self):
         with pytest.raises(ConfigError) as info:
@@ -137,11 +134,11 @@ class TestCellCopy:
         expected = (DomainError, "c_ccs must be finite and >= 0 when set")
         assert self.outcome(
             lambda: replace(CFG.econ, c_ccs=120.0e6 / (tiny.cbar * 24.0))) == expected
-        assert self.outcome(lambda: econ_for_cell(CFG, tiny)) == expected
+        assert self.outcome(lambda: CFG.econ_for(tiny)) == expected
 
 
 class TestResolver:
-    """A sweep's resolver calibrates each plant once and answers as ``econ_for_cell``."""
+    """A sweep's resolver, ``cfg.econ_for``, calibrates each plant as that plant."""
 
     # coal's name twice: a cache keyed by name would hand the second the first's c_ccs
     PLANTS = CFG.plants + (PlantSpec("coal", Quantity(500, "MW"), Quantity(410, "g/kWh")),
@@ -149,35 +146,14 @@ class TestResolver:
     # so small that the capture capital spread over its daily mass overflows
     TINY = PlantSpec("tiny", Quantity(1e-305, "kW"), Quantity(820, "g/kWh"))
 
-    @settings(max_examples=200, deadline=None)
-    @given(plants=st.lists(st.sampled_from(range(len(PLANTS))), min_size=1, max_size=6))
-    def test_equals_econ_for_cell_field_for_field(self, plants):
-        resolve = resolver(CFG)
-        for index in plants:
-            plant = self.PLANTS[index]
-            assert (TestCellCopy.outcome(lambda: resolve(plant))
-                    == TestCellCopy.outcome(lambda: econ_for_cell(CFG, plant)))
-
     def test_plants_sharing_a_name_get_their_own_costs(self):
-        resolve = resolver(CFG)
         coal, half_coal = CFG.plant("coal"), self.PLANTS[3]
-        assert resolve(coal).c_ccs == econ_for_cell(CFG, coal).c_ccs
-        assert resolve(half_coal).c_ccs == econ_for_cell(CFG, half_coal).c_ccs
-        assert resolve(half_coal).c_ccs == 2.0 * resolve(coal).c_ccs
-
-    def test_a_failing_calibration_raises_what_econ_for_cell_raises(self):
-        resolve = resolver(CFG)
-        for _ in range(2):
-            with pytest.raises(DomainError) as expected:
-                econ_for_cell(CFG, self.TINY)
-            with pytest.raises(DomainError) as got:
-                resolve(self.TINY)
-            assert str(got.value) == str(expected.value)
+        assert CFG.econ_for(half_coal).c_ccs == 2.0 * CFG.econ_for(coal).c_ccs
 
     def test_a_failing_calibration_errs_every_cell_of_its_plant(self):
         grid = SweepGrid((CFG.plant("coal"), self.TINY), CFG.products, (0.5, 1.0),
                          CFG.water_mode)
-        cells = scenario_sweep(grid, CFG.econ, resolver(CFG))
+        cells = scenario_sweep(grid, CFG.econ, CFG.econ_for)
         assert all(c.error is None for c in cells if c.plant == "coal")
         errors = [c.error for c in cells if c.plant == "tiny"]
         assert errors == [f"cell (tiny, {q}, beta={b:g}): c_ccs must be finite and >= 0 when set"
@@ -186,7 +162,7 @@ class TestResolver:
 
 
 def sweep_oracle(grid: SweepGrid, cfg) -> tuple[SweepCell, ...]:
-    """``scenario_sweep`` of a calibrated config, one ``econ_for_cell`` per cell."""
+    """``scenario_sweep`` of a calibrated config, one checked scenario per cell."""
     cells = []
     for plant in grid.plants:
         for product, beta in [(None, 0.0)] + [(p, b) for p in grid.products
@@ -194,7 +170,7 @@ def sweep_oracle(grid: SweepGrid, cfg) -> tuple[SweepCell, ...]:
             name = product.name if product is not None else ""
             try:
                 result = total_daily_cost(ScenarioConfig(
-                    plant=plant, econ=econ_for_cell(cfg, plant, product, beta), beta=beta,
+                    plant=plant, econ=cfg.econ_for(plant), beta=beta,
                     product=product, water_mode=grid.water_mode))
             except (DomainError, ValueError) as exc:
                 cells.append(SweepCell(plant.name, name, beta, error=(
@@ -220,10 +196,10 @@ class TestSweepPerPlant:
                           | st.floats(0.0, 1.0, exclude_min=True),
                           min_size=1, max_size=4, unique=True),
            mode=water_modes, c_sw=st.none() | st.just(2.5e5))
-    def test_equals_a_loop_of_econ_for_cell(self, plants, products, betas, mode, c_sw):
+    def test_equals_a_loop_of_checked_cells(self, plants, products, betas, mode, c_sw):
         cfg = replace(CFG, econ=replace(CFG.econ, c_sw=c_sw))
         grid = SweepGrid(plants, products, betas, mode)
-        assert repr(scenario_sweep(grid, cfg.econ, resolver(cfg))) == repr(
+        assert repr(scenario_sweep(grid, cfg.econ, cfg.econ_for)) == repr(
             sweep_oracle(grid, cfg))
 
     @pytest.mark.parametrize("mode", [
@@ -233,7 +209,7 @@ class TestSweepPerPlant:
         # the per-cell pipe calibration divided by W and overflowed to c_tw = inf here
         cfg = replace(CFG, econ=replace(CFG.econ, c_sw=2.5e5))
         cells = scenario_sweep(SweepGrid(cfg.plants, cfg.products, (5e-324,), mode),
-                               cfg.econ, resolver(cfg))
+                               cfg.econ, cfg.econ_for)
         assert [c.error for c in cells] == [None] * 12
 
 
@@ -247,7 +223,7 @@ class TestPerMeterPipe:
     def test_within_two_ulp_of_the_calibrated_form(self, plant, product, beta, d_km):
         # beta >= 1e-300 keeps W a normal float, where the old quotient 160 / W is finite
         mode = NetworkTransfer(Quantity(d_km, "km"))
-        result = total_daily_cost(ScenarioConfig(plant=plant, econ=econ_for_cell(CFG, plant),
+        result = total_daily_cost(ScenarioConfig(plant=plant, econ=CFG.econ_for(plant),
                                                  beta=beta, product=product, water_mode=mode))
         [new] = [i.amount for i in result.ledger.items if i.term == "water-capital"]
         w = _reuse_rates(product, plant.cbar, beta)[1]
@@ -292,7 +268,7 @@ class TestConfigFactory:
         beta = data.draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
 
         def by_hand():
-            return ScenarioConfig(plant=plant, econ=econ_for_cell(cfg, plant), beta=beta,
+            return ScenarioConfig(plant=plant, econ=cfg.econ_for(plant), beta=beta,
                                   product=product, water_mode=cfg.water_mode)
 
         def outcome(build):
@@ -317,7 +293,7 @@ class TestConfigFactory:
     def test_sweep_is_the_hand_built_grid(self, cfg):
         grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
         assert repr(cfg.sweep()) == repr(
-            scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg)))
+            scenario_sweep(grid, cfg.econ, econ_resolver=cfg.econ_for))
 
 
 class TestGridCell:
@@ -332,10 +308,73 @@ class TestGridCell:
     @example(plant=CFG.plants[0], product=METHANE, beta=1.0, mode=SolarSeawater())
     def test_equals_the_checked_scenario(self, plant, product, beta, mode):
         product = product if beta > 0 else None   # as a sweep pairs them
-        cell = ScenarioConfig._grid_cell(plant, CFG.econ, beta, product, mode,
-                                         (plant.cbar,) * 24)
+        cell = ScenarioConfig._grid_cell(plant, CFG.econ, beta, product, mode)
         checked = ScenarioConfig(plant=plant, econ=CFG.econ, beta=beta, product=product,
                                  water_mode=mode)
         assert type(cell) is ScenarioConfig and cell == checked
-        assert cell.captured == checked.captured
         assert vars(cell) == vars(checked) and repr(cell) == repr(checked)
+
+
+class TestBenchmarkForms:
+    """``econ_for_cell`` and ``resolver``, which only the benchmark harness calls, are
+    ``cfg.econ_for``; a sweep through ``resolver`` is ``cfg.sweep()`` and calls
+    ``presets.econ_for_cell`` once per plant, the call the benchmark's tracer counts."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(product=st.sampled_from((None,) + CFG.products),
+           beta=st.sampled_from([0.0, 0.5, 1.0, 1.5, -1.0, math.nan]) | st.floats())
+    def test_econ_for_cell_is_econ_for_whatever_the_product_and_beta(self, product, beta):
+        # a beta outside [0, 1] too: the function ignores it
+        for plant in CFG.plants:
+            econ = CFG.econ_for(plant)
+            assert econ_for_cell(CFG, plant) is econ
+            assert econ_for_cell(CFG, plant, product, beta) is econ
+
+    def test_resolver_is_econ_for(self):
+        resolve = resolver(CFG)
+        for plant in CFG.plants:
+            assert resolve(plant) is CFG.econ_for(plant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plants=st.lists(st.sampled_from(range(len(TestResolver.PLANTS))),
+                           min_size=1, max_size=6))
+    def test_resolver_equals_econ_for_field_for_field(self, plants):
+        # a plant of no config is calibrated on each call, so it is equal, not the same
+        resolve = resolver(CFG)
+        for index in plants:
+            plant = TestResolver.PLANTS[index]
+            assert (TestCellCopy.outcome(lambda: resolve(plant))
+                    == TestCellCopy.outcome(lambda: CFG.econ_for(plant)))
+
+    def test_a_failing_calibration_raises_what_econ_for_raises(self):
+        resolve = resolver(CFG)
+        for _ in range(2):
+            with pytest.raises(DomainError) as expected:
+                CFG.econ_for(TestResolver.TINY)
+            with pytest.raises(DomainError) as got:
+                resolve(TestResolver.TINY)
+            assert str(got.value) == str(expected.value)
+
+    def test_preset_sweep_calibrates_each_plant_once(self, monkeypatch):
+        grid = SweepGrid(CFG.plants, CFG.products, CFG.sweep_betas, CFG.water_mode)
+        calls = []
+        original = presets.econ_for_cell
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(presets, "econ_for_cell", counting)
+        cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
+        assert all(c.error is None for c in cells) and len(cells) == 21
+        assert [args[1] for args in calls] == list(CFG.plants)
+        assert repr(cells) == repr(CFG.sweep())
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=configs())
+    def test_a_sweep_through_resolver_is_the_config_sweep(self, cfg):
+        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
+        with mock.patch.object(presets, "econ_for_cell", wraps=presets.econ_for_cell) as calls:
+            cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
+        assert [c.args[1] for c in calls.call_args_list] == list(cfg.plants)
+        assert repr(cells) == repr(cfg.sweep())

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +58,22 @@ class TestQuantityAlgebra:
         bases = {base for base, _ in UNITS.values()}
         for base in bases:
             assert UNITS[base] == (base, (1, 1)), base
+
+    @pytest.mark.parametrize("unit", sorted(u for u in UNITS if "/" in u))
+    def test_a_compound_unit_is_its_parts(self, unit):
+        # e.g. ton = 1000 kg and day = 24 h, so $/(ton/day) is 24/1000 $/(kg/h)
+        def base_and_scale(name):
+            if "/" not in name:
+                base, scale = UNITS[name]
+                return base, Fraction(*scale)
+            num, den = name.split("/", 1)
+            (num_base, num_scale), (den_base, den_scale) = (
+                base_and_scale(num), base_and_scale(den.removeprefix("(").removesuffix(")")))
+            den_base = f"({den_base})" if den.startswith("(") else den_base
+            return f"{num_base}/{den_base}", num_scale / den_scale
+
+        base, scale = UNITS[unit]
+        assert (base, Fraction(*scale)) == base_and_scale(unit)
 
 
 class TestCoreBuiltQuantity:
@@ -267,6 +284,11 @@ class TestEconParams:
     def test_e_des_must_have_four_segments(self):
         with pytest.raises(DomainError):
             EconParams(**self.kwargs(e_des=(3.5, 3.8, 4.1)))
+
+    def test_e_des_default_and_a_negative_segment(self):
+        assert EconParams(**self.kwargs()).e_des == (3.5, 3.8, 4.1, 4.4)
+        with pytest.raises(DomainError, match=r"^e_des\[2\] must be finite and >= 0, got -1\.0$"):
+            EconParams(**self.kwargs(e_des=(3.5, -1.0, 4.1, 4.4)))
 
     def test_capacity_factor_bounds(self):
         with pytest.raises(DomainError):
