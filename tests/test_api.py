@@ -57,11 +57,12 @@ def test_the_cost_kernels_raise_nothing():
     assert raising == []
 
 
-def holders(predicate) -> list[str]:
-    """``module.name`` of each top-level statement in ``src/`` holding a node the predicate
-    accepts; a statement that is not a def or class is named by its line."""
+def holders(predicate, paths=SOURCES) -> list[str]:
+    """``module.name`` of each top-level statement in ``paths`` (``src/`` by default)
+    holding a node the predicate accepts; a statement that is not a def or class is
+    named by its line."""
     found = []
-    for path in SOURCES:
+    for path in paths:
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             if any(predicate(node) for node in ast.walk(top)):
                 found.append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
@@ -207,46 +208,17 @@ def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, er
     assert str(info.value) == message
 
 
-def scopes(paths, predicate) -> list[str]:
-    """``module.Outer.inner`` of the innermost def or class around each node the
-    predicate accepts; a node outside any is named by its module."""
-    found = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}"
-        if predicate(node):
-            found.append(scope)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    for path in paths:
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return found
-
-
-# every Python file but the benchmark harness's
-PROGRAM = sorted(path for folder in ("src", "tests", "demos")
-                 for path in (ROOT / folder).rglob("*.py"))
-
-
 def test_the_benchmark_forms_are_called_by_the_benchmark_alone():
-    # presets.econ_for_cell and presets.resolver exist because bench/workloads.py calls
-    # them; everything else reaches a plant's parameters through LoadedConfig
-    tree = ast.parse((ROOT / "src" / "ewhnexus" / "presets.py").read_text(encoding="utf-8"))
-    body = [node for node in tree.body[1:]   # after the docstring
-            if not isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert [getattr(node, "name", None) for node in body] == ["econ_for_cell", "resolver"]
-    for name in ("econ_for_cell", "resolver"):
-        callers = scopes(PROGRAM, calls(name))
-        assert callers, name
-        assert [c for c in callers if c != "presets.resolver"
-                and not c.startswith("test_presets.TestBenchmarkForms.")] == [], name
-    assert scopes(PROGRAM, lambda node: "EconResolver" in (
-        getattr(node, "id", None), getattr(node, "attr", None),
-        getattr(node, "name", None))) == []
-    assert scopes(SOURCES, lambda node: isinstance(node, ast.keyword)
-                  and node.arg == "econ_resolver") == ["config.LoadedConfig.sweep"]
+    # bench/workloads.py calls presets.econ_for_cell and presets.resolver; everything
+    # else reaches a plant's parameters through LoadedConfig
+    program = sorted(path for folder in ("src", "tests", "demos")
+                     for path in (ROOT / folder).rglob("*.py"))
+    assert holders(calls("econ_for_cell"), program) == [
+        "presets.resolver", "test_presets.test_the_benchmark_forms_are_econ_for"]
+    assert holders(calls("resolver"), program) == [
+        "test_presets.test_the_benchmark_forms_are_econ_for"]
+    assert holders(lambda node: isinstance(node, ast.keyword)
+                   and node.arg == "econ_resolver") == ["config.LoadedConfig"]
 
 
 def test_benchmark_reads_only_public_names():

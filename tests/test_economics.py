@@ -645,6 +645,20 @@ class TestHotPath:
         assert priced == [(c.plant, c.beta) for c in cells]
         assert checked == []
 
+    def test_preset_sweep_calibrates_each_plant_once(self):
+        cfg = paper_2024()
+        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
+        calls = []
+
+        def resolve(plant):
+            calls.append(plant)
+            return cfg.econ_for(plant)
+
+        cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolve)
+        assert all(c.error is None for c in cells) and len(cells) == 21
+        assert calls == list(cfg.plants)
+        assert repr(cells) == repr(cfg.sweep())
+
     def test_core_built_result_still_rejects_overflow(self):
         # a 1e-300 kW plant turns any sizable daily cost into an infinite price uplift
         tiny = PlantSpec("tiny", Quantity(1e-300, "kW"), Quantity(820, "g/kWh"))

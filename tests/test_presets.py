@@ -3,12 +3,10 @@ forms of it that the benchmark harness calls."""
 
 import math
 from dataclasses import fields, replace
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ewhnexus import presets
 from ewhnexus.analysis import SweepCell, SweepGrid, scenario_sweep
 from ewhnexus.config import Calibration, ConfigError, paper_2024
 from ewhnexus.conversion import METHANE, _reuse_rates, nexus_rates
@@ -315,66 +313,12 @@ class TestGridCell:
         assert vars(cell) == vars(checked) and repr(cell) == repr(checked)
 
 
-class TestBenchmarkForms:
-    """``econ_for_cell`` and ``resolver``, which only the benchmark harness calls, are
-    ``cfg.econ_for``; a sweep through ``resolver`` is ``cfg.sweep()`` and calls
-    ``presets.econ_for_cell`` once per plant, the call the benchmark's tracer counts."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(product=st.sampled_from((None,) + CFG.products),
-           beta=st.sampled_from([0.0, 0.5, 1.0, 1.5, -1.0, math.nan]) | st.floats())
-    def test_econ_for_cell_is_econ_for_whatever_the_product_and_beta(self, product, beta):
-        # a beta outside [0, 1] too: the function ignores it
-        for plant in CFG.plants:
-            econ = CFG.econ_for(plant)
-            assert econ_for_cell(CFG, plant) is econ
-            assert econ_for_cell(CFG, plant, product, beta) is econ
-
-    def test_resolver_is_econ_for(self):
-        resolve = resolver(CFG)
-        for plant in CFG.plants:
-            assert resolve(plant) is CFG.econ_for(plant)
-
-    @settings(max_examples=200, deadline=None)
-    @given(plants=st.lists(st.sampled_from(range(len(TestResolver.PLANTS))),
-                           min_size=1, max_size=6))
-    def test_resolver_equals_econ_for_field_for_field(self, plants):
-        # a plant of no config is calibrated on each call, so it is equal, not the same
-        resolve = resolver(CFG)
-        for index in plants:
-            plant = TestResolver.PLANTS[index]
-            assert (TestCellCopy.outcome(lambda: resolve(plant))
-                    == TestCellCopy.outcome(lambda: CFG.econ_for(plant)))
-
-    def test_a_failing_calibration_raises_what_econ_for_raises(self):
-        resolve = resolver(CFG)
-        for _ in range(2):
-            with pytest.raises(DomainError) as expected:
-                CFG.econ_for(TestResolver.TINY)
-            with pytest.raises(DomainError) as got:
-                resolve(TestResolver.TINY)
-            assert str(got.value) == str(expected.value)
-
-    def test_preset_sweep_calibrates_each_plant_once(self, monkeypatch):
-        grid = SweepGrid(CFG.plants, CFG.products, CFG.sweep_betas, CFG.water_mode)
-        calls = []
-        original = presets.econ_for_cell
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(presets, "econ_for_cell", counting)
-        cells = scenario_sweep(grid, CFG.econ, econ_resolver=resolver(CFG))
-        assert all(c.error is None for c in cells) and len(cells) == 21
-        assert [args[1] for args in calls] == list(CFG.plants)
-        assert repr(cells) == repr(CFG.sweep())
-
-    @settings(max_examples=100, deadline=None)
-    @given(cfg=configs())
-    def test_a_sweep_through_resolver_is_the_config_sweep(self, cfg):
-        grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
-        with mock.patch.object(presets, "econ_for_cell", wraps=presets.econ_for_cell) as calls:
-            cells = scenario_sweep(grid, cfg.econ, econ_resolver=resolver(cfg))
-        assert [c.args[1] for c in calls.call_args_list] == list(cfg.plants)
-        assert repr(cells) == repr(cfg.sweep())
+def test_the_benchmark_forms_are_econ_for():
+    # the benchmark harness calls these two; econ_for_cell ignores a product and beta
+    resolve = resolver(CFG)
+    for plant in CFG.plants:
+        econ = CFG.econ_for(plant)
+        assert econ_for_cell(CFG, plant) is econ_for_cell(CFG, plant, METHANE, 0.5) is econ
+        assert resolve(plant) is econ
+    grid = SweepGrid(CFG.plants, CFG.products, CFG.sweep_betas, CFG.water_mode)
+    assert repr(scenario_sweep(grid, CFG.econ, econ_resolver=resolve)) == repr(CFG.sweep())
