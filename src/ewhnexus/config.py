@@ -304,11 +304,7 @@ def _parse(value: Any, unit: str, path: str, errors: list[str]) -> Any:
             return None
         entries = {k: _parse(v, unit[3:], f"{path}.{k}", errors) for k, v in value.items()}
         return None if None in entries.values() else entries
-    if unit == "int" or unit == "bool":
-        if type(value) is not (int if unit == "int" else bool):   # a bool is no int here
-            errors.append(f"{path}: expected {'an integer' if unit == 'int' else 'true or false'}"
-                          f", got {value!r}")
-            return None
+    if unit in ("int", "bool"):   # EconParams states their rules
         return value
     quantity = parse_quantity(value, unit, path, errors)
     return None if quantity is None else quantity.value_in(unit)
@@ -344,8 +340,9 @@ def _load_table(data: Mapping, kind: type, names: tuple[str, ...], errors: list[
         return None
     try:
         return kind(**values)
-    except ValueError as exc:
-        errors.append(f"{names[0]}: {exc}")
+    except ValueError as exc:   # labelled by the section read that holds the key named first
+        hits = [(str(exc).find(k), n) for n in names for k, _, _ in _SECTIONS[n] if k in str(exc)]
+        errors.append(f"{min(hits, default=(0, names[0]))[1]}: {exc}")
         return None
 
 
@@ -363,16 +360,12 @@ def _load_plants(data: Mapping, errors: list[str]) -> tuple[PlantSpec, ...] | No
             errors.append(f"{path}: must be a mapping")
             continue
         _check_keys(entry, {"name", "capacity", "emission_factor"}, path + ".", errors)
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            errors.append(f"{path}.name: missing or not a string")
-            continue
         cap = parse_quantity(entry.get("capacity"), "kW", f"{path}.capacity", errors)
         ef = parse_quantity(entry.get("emission_factor"), "kg/kWh",
                             f"{path}.emission_factor", errors)
         if cap is not None and ef is not None:
             try:
-                plants.append(PlantSpec(name, cap, ef))
+                plants.append(PlantSpec(entry.get("name"), cap, ef))
             except ValueError as exc:
                 errors.append(f"{path}: {exc}")
     return None if len(errors) > start else tuple(plants)

@@ -200,7 +200,7 @@ def check_beta(beta: float) -> None:
 
 @dataclass(frozen=True)
 class PlantSpec:
-    """A conventional power plant targeted for the retrofit."""
+    """A conventional power plant targeted for the retrofit, named by a non-empty string."""
 
     name: str
     capacity: Quantity          # electrical capacity [kW]
@@ -210,8 +210,8 @@ class PlantSpec:
     cbar_day: float = field(init=False, repr=False, compare=False)  # its daily mass [ton/day]
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise DomainError(f"plant name must be a string, got {self.name!r}")
+        if not isinstance(self.name, str) or not self.name:
+            raise DomainError(f"plant name must be a non-empty string, got {self.name!r}")
         capacity_kw = _field_value(self.capacity, "kW", "capacity must be a power")
         kg_per_kwh = _field_value(self.emission_factor, "kg/kWh",
                                   "emission_factor must be mass per energy")
@@ -254,10 +254,10 @@ DAYS_PER_YEAR = 365
 def daily_capital_charge(capital: float, econ: EconParams) -> float:
     """Daily charge recovering a capital stock [$] over the payback horizon [$ / day].
 
-    capital * (1 + lambda)^(N-1) / (365 N); with N = 1 and lambda = 0 this is
-    exactly capital / 365.  ``EconParams`` checks that the factor can be formed.
+    capital * (1 + lambda)^(N-1) / (365 N), exactly capital / 365 for N = 1 and
+    lambda = 0.  ``EconParams`` checks that N is an int >= 1 and the factor can be formed.
     """
-    n = int(econ.horizon_years)
+    n = econ.horizon_years
     return capital * (1.0 + econ.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
 
 
@@ -272,11 +272,12 @@ _OPTIONAL_FIELDS = ("c_ccs", "c_sw")
 class EconParams:
     """Cost and process parameters, one named field per model symbol.
 
-    Scalars are stored in the unit stated on each field; the config layer
-    converts arbitrary "value unit" inputs into these fields.  ``c_ccs`` and
-    ``c_sw`` have no defensible defaults, so they stay unset until a config
-    or preset provides them; pricing a scenario that needs an unset cost,
-    or a product without a price, is an error (``economics._cost_terms``).
+    Scalars are stored in the unit stated on each field; the config layer converts
+    "value unit" inputs into them, and passes ``horizon_years`` (an int >= 1, not a
+    bool) and ``include_hydrogen_capital`` (a bool) through for this class to check.
+    ``c_ccs`` and ``c_sw`` have no defensible defaults, so they stay unset until a
+    config or preset provides them; pricing a scenario that needs an unset cost, or
+    a product without a price, is an error (``economics._cost_terms``).
     """
 
     elec_price: float                       # electricity tariff [$ / kWh]
@@ -308,9 +309,11 @@ class EconParams:
             raise DomainError("wind_capacity_factor must lie in (0, 1]")
         if not 0.0 < self.eta_pump <= 1.0:
             raise DomainError("eta_pump must lie in (0, 1]")
-        # not >= 1 for NaN; int() of an infinite value would overflow
-        if not 1 <= self.horizon_years < math.inf or int(self.horizon_years) != self.horizon_years:
-            raise DomainError("horizon_years must be an integer >= 1")
+        if type(self.horizon_years) is not int or self.horizon_years < 1:   # a bool is no int
+            raise DomainError(f"horizon_years must be an integer >= 1, got {self.horizon_years!r}")
+        if type(self.include_hydrogen_capital) is not bool:
+            raise DomainError("include_hydrogen_capital must be true or false, got "
+                              f"{self.include_hydrogen_capital!r}")
         if len(self.e_des) != 4:
             raise DomainError("e_des needs exactly 4 segment coefficients")
         for name in _NONNEG_FIELDS:
