@@ -143,7 +143,7 @@ def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[
                                                  water_mode=water.Desalination()))
     desal_cost = economics._daily(terms, plant, product, econ)[1]
     w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
-    flow = (w_max,) * HOURS_PER_DAY   # full load: every hour carries w_max
+    flow = ((w_max, HOURS_PER_DAY),)   # full load: every hour carries w_max
     before, after = terms[:4], terms[6:]   # the terms around the two water terms
 
     def g(d_km: float) -> float:

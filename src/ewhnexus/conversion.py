@@ -125,14 +125,16 @@ def hydrogen_capital(product: ProductSpec, cbar: float, beta: float,
     return product.xi_h * beta * (cbar * 1000.0) * econ.c_we
 
 
-def chemical_revenue(product: ProductSpec, captured: Sequence[float], beta: float,
-                     econ: EconParams) -> float:
+def chemical_revenue(product: ProductSpec, captured: Sequence[tuple[float, int]],
+                     beta: float, econ: EconParams) -> float:
     """Daily product revenue as a negative cost [$ / day].
 
-    ``captured`` holds the hourly captured carbon [ton/h]; the product has a price.
+    ``captured`` is the day's captured carbon [ton/h] as (c, hours) runs; the product has a price.
     """
     k = econ.product_prices[product.name] * product.xi_chi * beta   # [$ / ton captured]
     total = 0.0   # left to right, as ccss_operational
-    for c in captured:
-        total += k * c
+    for c, hours in captured:
+        revenue = k * c
+        for _ in range(hours):
+            total += revenue
     return -total

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import groupby
 
 from . import ccss, conversion, water
 from .quantities import (
@@ -73,8 +74,9 @@ class ScenarioConfig:
                    water_mode: water.WaterMode) -> "ScenarioConfig":
         """A full-load cell of a checked ``SweepGrid``, built unchecked."""
         cell = object.__new__(cls)
-        vars(cell).update(plant=plant, econ=econ, beta=beta, product=product,
-                          water_mode=water_mode, capture_profile=None)
+        object.__setattr__(cell, "__dict__", {
+            "plant": plant, "econ": econ, "beta": beta, "product": product,
+            "water_mode": water_mode, "capture_profile": None})
         return cell
 
 
@@ -90,7 +92,7 @@ def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     terms, product = _cost_terms(scenario), scenario.product
     charge, daily, price, penalty = _daily(terms, scenario.plant, product, scenario.econ)
     ledger = object.__new__(CostLedger)   # the rows of checked amounts, one tuple built once
-    object.__setattr__(ledger, "items", (*_rows(terms, product), tuple.__new__(LedgerItem, (
+    object.__setattr__(ledger, "items", _rows(terms, product, tuple.__new__(LedgerItem, (
         "daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))))
     quantity = Quantity._computed
     return tuple.__new__(ScenarioResult, (ledger, quantity(daily, "$/day"),
@@ -120,7 +122,7 @@ def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
                           f"{product.name!r}")
     cbar = plant.cbar   # full-load carbon [ton/h]
     profile = scenario.capture_profile
-    captured = (cbar,) * HOURS_PER_DAY if profile is None else profile.values
+    captured = ((cbar, HOURS_PER_DAY),) if profile is None else _hour_runs(profile.values)
     cap_ccss = ccss.ccss_capital(beta, plant.cbar_day, econ)
     op_ccss = ccss.ccss_operational(beta, captured, econ)
     if not reuse:
@@ -134,9 +136,14 @@ def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
     k = product.water_demand * beta
     mode = scenario.water_mode
     cap_water = water.water_capital(mode, w_max, econ)
-    op_water = water.water_operational(mode, w_max, [k * c for c in captured], econ)
+    op_water = water.water_operational(mode, w_max, [(k * c, n) for c, n in captured], econ)
     revenue = conversion.chemical_revenue(product, captured, beta, econ)
     return (cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue)
+
+
+def _hour_runs(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
+    """Hourly ``values`` as the ``(value, hours)`` runs of equal consecutive hours, in order."""
+    return tuple((value, len(tuple(run))) for value, run in groupby(values))
 
 
 def _daily(terms: tuple[float | None, ...], plant: PlantSpec,
@@ -180,9 +187,9 @@ def _daily(terms: tuple[float | None, ...], plant: PlantSpec,
     return charge, daily, price, penalty
 
 
-def _rows(terms: tuple[float | None, ...],
-          product: conversion.ProductSpec | None) -> list[LedgerItem]:
-    """The ledger rows of ``_cost_terms``' amounts, in ledger order, none of them checked."""
+def _rows(terms: tuple[float | None, ...], product: conversion.ProductSpec | None,
+          *last: LedgerItem) -> tuple[LedgerItem, ...]:
+    """The ledger rows of ``_cost_terms``' amounts in ledger order, then ``last``; none checked."""
     cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
     new = tuple.__new__   # the kinds and units are the ledger's own literals
     rows = [new(LedgerItem, ("capture and storage pipeline capital", "ccss-capital", CAPITAL,
@@ -201,7 +208,8 @@ def _rows(terms: tuple[float | None, ...],
                                   op_water, "$/day")),
                  new(LedgerItem, (f"{product.name} sales", "product-revenue", REVENUE,
                                   revenue, "$/day")))
-    return rows
+    rows += last
+    return tuple(rows)
 
 
 def _total(amounts: list[float]) -> float:

@@ -117,7 +117,7 @@ def _convert(value: float, unit: str, to: str) -> float:
     return value * num / den * den_to / num_to
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quantity:
     """A finite magnitude tagged with one of the registered units."""
 

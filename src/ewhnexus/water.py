@@ -123,26 +123,24 @@ def pipe_capital(m: float, econ: EconParams) -> float:
     return econ.c_tw * m
 
 
-def water_operational(mode: WaterMode, w_max: float, flow: Sequence[float],
+def water_operational(mode: WaterMode, w_max: float, flow: Sequence[tuple[float, int]],
                       econ: EconParams) -> float:
     """Daily electricity cost of producing or moving the water [$ / day].
 
-    ``flow`` holds the hourly water flows [m3/h], each within [0, w_max].
-    Desalination pays for the piecewise RO power, transfer for pumping.
-    Solar seawater buys no grid electricity at all, so its cost is zero.
-    An hour whose flow equals the previous hour's reuses that hour's price,
-    so a full-load day prices one hour and adds it 24 times.
+    ``flow`` holds the hourly water flows [m3/h], each within [0, w_max], as
+    (f, hours) runs of equal hours.  Desalination pays for the piecewise RO
+    power, transfer for pumping.  Solar seawater buys no grid electricity at
+    all, so its cost is zero.  A run is priced once and its bill added once per
+    hour, so a full-load day prices one hour and adds it 24 times.
     """
     if isinstance(mode, SolarSeawater):
         return 0.0
     desal = isinstance(mode, Desalination)
     r_w = None if desal else effective_r_w(econ, mode.km)
     total = 0.0
-    last = cost = math.nan   # nan equals no flow, so the first hour is priced
-    for f in flow:
-        if f != last:   # cost is the grid bill for one hour at flow f [$]
-            last = f
-            power = desal_power(f, w_max, econ) if desal else pump_power(f, r_w, econ.eta_pump)
-            cost = econ.elec_price * power
-        total += cost
+    for f, hours in flow:   # cost is the grid bill for one hour at flow f [$]
+        power = desal_power(f, w_max, econ) if desal else pump_power(f, r_w, econ.eta_pump)
+        cost = econ.elec_price * power
+        for _ in range(hours):
+            total += cost
     return total

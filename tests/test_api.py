@@ -85,6 +85,21 @@ def test_the_daily_carbon_mass_is_computed_by_plantspec_alone():
     assert holders(daily_carbon) == ["quantities.PlantSpec"]
 
 
+def test_a_full_load_day_is_one_run():
+    # the kernels take a day as (value, hours) runs, so no statement spells out its hours
+    # as a tuple or list display times HOURS_PER_DAY, in either order
+    def hour_by_hour(node):
+        sides = (getattr(node, "left", None), getattr(node, "right", None))
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(side, (ast.Tuple, ast.List)) for side in sides)
+                and any(getattr(side, "id", getattr(side, "attr", None)) == "HOURS_PER_DAY"
+                        for side in sides))
+
+    for spelled_out in ("(c,) * HOURS_PER_DAY", "q.HOURS_PER_DAY * [c]"):
+        assert hour_by_hour(ast.parse(spelled_out, mode="eval").body)
+    assert holders(hour_by_hour) == []
+
+
 def test_the_capital_charge_power_is_raised_by_daily_capital_charge_alone():
     # (1 + lambda) ** (n - 1): a power whose exponent is one less than something
     def charge_power(node):

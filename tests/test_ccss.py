@@ -1,5 +1,5 @@
 """Capture, transfer and storage cost model; capital takes the daily carbon mass in ton/day,
-operations the hourly carbon rates in ton/h."""
+operations the day's (carbon rate in ton/h, hours) runs."""
 
 import pytest
 
@@ -20,7 +20,7 @@ def econ(**over):
 
 CBAR = BIOMASS.cbar           # 115 ton/h
 CBAR_DAY = BIOMASS.cbar_day   # 2760 ton/day
-FULL_LOAD = (CBAR,) * 24
+FULL_LOAD = ((CBAR, 24),)   # the day as one run of 24 equal hours
 
 
 class TestPlan:
@@ -64,7 +64,7 @@ class TestOperational:
         assert cost == 124200.0  # 2760 x 45
 
     def test_zero_series(self):
-        assert ccss_operational(0.0, (0.0,) * 24, econ()) == 0.0
+        assert ccss_operational(0.0, ((0.0, 24),), econ()) == 0.0
 
     def test_non_increasing_in_beta(self):
         costs = [ccss_operational(b, FULL_LOAD, econ())

@@ -185,7 +185,7 @@ class TestCapital:
 
 
 class TestRevenue:
-    FULL_LOAD = (BIOMASS_CBAR,) * 24   # [ton/h]
+    FULL_LOAD = ((BIOMASS_CBAR, 24),)   # one run of 24 hours at C̄ [ton/h]
 
     def test_methane_reference_day(self):
         rev = chemical_revenue(METHANE, self.FULL_LOAD, 1.0, econ())

@@ -15,7 +15,8 @@ from ewhnexus.config import paper_2024
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.quantities import (
-    DomainError, EconParams, LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError, check_beta,
+    HOURS_PER_DAY, DomainError, EconParams, LedgerItem, PlantSpec, Quantity, TimeSeries,
+    UnitError, check_beta,
 )
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
@@ -535,7 +536,11 @@ def fold(terms) -> float:
 
 
 class TestHourlySums:
-    """Hourly sums add left to right, not as ``sum()``, which compensates on Python 3.12."""
+    """Hourly sums add left to right, not as ``sum()``, which compensates on Python 3.12.
+
+    The kernels take the day as ``(value, hours)`` runs of equal hours; a run's amount is
+    computed once and added once per hour, so any split of a day into runs prices it as
+    the per-hour fold does, bit for bit."""
 
     hour = st.floats(0.0, 1e4, allow_subnormal=False)
     # full-load days (every hour equal) and uneven ones
@@ -548,17 +553,71 @@ class TestHourlySums:
            product=st.sampled_from([METHANE, METHANOL, ETHANOL]))
     def test_equal_a_left_to_right_fold(self, captured, beta, product):
         params = econ()
+        runs = economics._hour_runs(captured)
         per_ton = (1.0 - beta) * params.r_cts + params.r_ccs
-        assert ccss.ccss_operational(beta, captured, params) == fold(
+        assert ccss.ccss_operational(beta, runs, params) == fold(
             c * per_ton for c in captured)
         k = params.product_prices[product.name] * product.xi_chi * beta
-        assert conversion.chemical_revenue(product, captured, beta, params) == -fold(
+        assert conversion.chemical_revenue(product, runs, beta, params) == -fold(
             k * c for c in captured)
 
     def test_a_day_where_compensation_differs(self):
         # 24 x 0.1 folds to 2.400000000000001; compensated summation gives 2.4000000000000004
         params = econ(r_cts=0.0, r_ccs=1.0)
-        assert ccss.ccss_operational(0.0, [0.1] * 24, params) == 2.400000000000001
+        assert ccss.ccss_operational(0.0, ((0.1, 24),), params) == 2.400000000000001
+
+    @settings(max_examples=300, deadline=None)
+    @given(captured=days | st.lists(st.sampled_from([0.0, -0.0, 57.5, 115.0]),
+                                    min_size=24, max_size=24),
+           cuts=st.sets(st.integers(1, HOURS_PER_DAY - 1)),
+           beta=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           product=st.sampled_from([METHANE, METHANOL, ETHANOL]),
+           mode=st.sampled_from([Desalination(), NetworkTransfer(Quantity(150.0, "km"))]))
+    def test_any_split_into_runs_prices_every_hour(self, captured, cuts, beta, product, mode):
+        # the maximal runs, then the same day cut at more hours as well
+        maximal = economics._hour_runs(captured)
+        assert [c for c, n in maximal for _ in range(n)] == captured
+        assert all(a[0] != b[0] for a, b in zip(maximal, maximal[1:]))
+        bounds = [0, *sorted(cuts | {h for h in range(1, HOURS_PER_DAY)
+                                     if captured[h] != captured[h - 1]}), HOURS_PER_DAY]
+        split = tuple((captured[a], b - a) for a, b in zip(bounds, bounds[1:]))
+        params = econ()
+        per_ton = (1.0 - beta) * params.r_cts + params.r_ccs
+        k = params.product_prices[product.name] * product.xi_chi * beta
+        k_w = product.water_demand * beta
+        w_max = max(k_w * c for c in captured) or 1.0
+        r_w = water.effective_r_w(params, mode.km) if isinstance(mode, NetworkTransfer) else 0.0
+
+        def bill(f):   # one hour's grid bill at flow f [$]
+            if isinstance(mode, Desalination):
+                return params.elec_price * water.desal_power(f, w_max, params)
+            return params.elec_price * water.pump_power(f, r_w, params.eta_pump)
+
+        for runs in (maximal, split):
+            assert ccss.ccss_operational(beta, runs, params).hex() == fold(
+                c * per_ton for c in captured).hex()
+            assert conversion.chemical_revenue(product, runs, beta, params).hex() == (
+                -fold(k * c for c in captured)).hex()
+            flows = [(k_w * c, n) for c, n in runs]
+            assert water.water_operational(mode, w_max, flows, params).hex() == fold(
+                bill(k_w * c) for c in captured).hex()
+
+    def test_a_profile_prices_as_the_hourly_fold(self):
+        cbar = BIOMASS.cbar
+        captured = (cbar,) * 8 + (cbar / 2,) * 16
+        cell = ScenarioConfig(plant=BIOMASS, econ=econ(), beta=0.5, product=METHANE,
+                              water_mode=Desalination(),
+                              capture_profile=TimeSeries(captured, "ton/h"))
+        assert economics._hour_runs(captured) == ((cbar, 8), (cbar / 2, 16))
+        params, w_max = cell.econ, conversion._reuse_rates(METHANE, cbar, 0.5)[1]
+        per_ton = (1.0 - 0.5) * params.r_cts + params.r_ccs
+        k = params.product_prices["methane"] * METHANE.xi_chi * 0.5
+        k_w = METHANE.water_demand * 0.5
+        rows = {i.term: i.amount for i in total_daily_cost(cell).ledger.items}
+        assert rows["ccss-operational"] == fold(c * per_ton for c in captured)
+        assert rows["product-revenue"] == -fold(k * c for c in captured)
+        assert rows["water-operational"] == fold(
+            params.elec_price * water.desal_power(k_w * c, w_max, params) for c in captured)
 
 
 class TestHotPath:

@@ -1,9 +1,10 @@
 """Unit conversion, plant basics, profiles and ledger arithmetic."""
 
+import copy
 import math
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,40 @@ class TestCoreBuiltQuantity:
         with pytest.raises(UnitError) as checked:
             Quantity(value, "$/day")
         assert str(info.value) == str(checked.value) == f"magnitude must be finite, got {value!r}"
+
+
+class TestSlottedQuantity:
+    """``Quantity`` keeps its fields in slots and behaves as the dict-backed dataclass did."""
+
+    BUILT = (Quantity(3, "MW"), Quantity._computed(-0.0, "$/kWh"), Quantity(2.5e-308, "m³"))
+
+    @pytest.mark.parametrize("quantity", BUILT, ids=["checked", "computed", "normalized"])
+    def test_equality_hash_repr_and_copies(self, quantity):
+        fields = (quantity.magnitude, quantity.unit)
+        assert repr(quantity) == f"Quantity(magnitude={fields[0]!r}, unit={fields[1]!r})"
+        assert hash(quantity) == hash(fields)
+        assert quantity == Quantity(*fields) and quantity != fields
+        assert quantity != Quantity(fields[0] + 1.0, fields[1])
+        for copied in (pickle.loads(pickle.dumps(quantity)), copy.copy(quantity),
+                       copy.deepcopy(quantity)):
+            assert type(copied) is Quantity and copied == quantity
+            assert hash(copied) == hash(quantity)
+            assert copied.magnitude.hex() == quantity.magnitude.hex()
+
+    def test_frozen_and_without_an_instance_dict(self):
+        quantity = Quantity(500, "MW")
+        for name in ("magnitude", "unit"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(quantity, name, 1.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(quantity, name)
+        # a new attribute has no slot; CPython 3.11's frozen-and-slotted __setattr__
+        # refuses it with a TypeError from super() rather than FrozenInstanceError
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            quantity.other = 1.0
+        assert not hasattr(quantity, "__dict__")
+        assert Quantity.__slots__ == ("magnitude", "unit")
+        assert quantity == Quantity(500.0, "MW")
 
 
 class TestPlantSpec:

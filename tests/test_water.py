@@ -1,6 +1,7 @@
 """Water supply section: piecewise desalination power, pump hydraulics,
 capital and operational aggregation, mode exclusivity.  Flows are in m3/h."""
 
+import itertools
 import math
 import random
 
@@ -162,19 +163,19 @@ class TestCapital:
 class TestOperational:
     def test_desalination_reference_day(self):
         # constant 94 m3/h for 24 h at segment 2 power 357.2 kW and $0.25/kWh
-        cost = water_operational(Desalination(), 188.0, (94.0,) * 24, econ())
+        cost = water_operational(Desalination(), 188.0, ((94.0, 24),), econ())
         assert cost == pytest.approx(2143.2, rel=1e-12)
 
     def test_solar_mode_costs_nothing(self):
-        assert water_operational(SolarSeawater(), 188.0, (188.0,) * 24, econ()) == 0.0
+        assert water_operational(SolarSeawater(), 188.0, ((188.0, 24),), econ()) == 0.0
 
     def test_zero_flow_costs_nothing(self):
         for mode in (Desalination(), NetworkTransfer(Quantity(100, "km"))):
-            assert water_operational(mode, 188.0, (0.0,) * 24, econ()) == 0.0
+            assert water_operational(mode, 188.0, ((0.0, 24),), econ()) == 0.0
 
     def test_transfer_monotone_in_friction(self):
         mode = NetworkTransfer(Quantity(100, "km"))
-        costs = [water_operational(mode, 188.0, (150.0,) * 24, econ(r_w_per_100km=r))
+        costs = [water_operational(mode, 188.0, ((150.0, 24),), econ(r_w_per_100km=r))
                  for r in (1e-4, 2e-4, 4e-4, 8e-4)]
         assert costs == sorted(costs)
 
@@ -210,8 +211,15 @@ modes = st.sampled_from([Desalination(), SolarSeawater()]) | st.builds(
 
 
 def day(run_list, w_max):
-    hours = [w_max * x for x, n in run_list for _ in range(n)]
-    return tuple((hours * 24)[:24])
+    """The runs repeated and cut to a 24-hour day, as (flow, hours) runs; two neighbours
+    may carry equal flows."""
+    runs, left, repeated = [], 24, itertools.cycle(run_list)
+    while left:
+        x, n = next(repeated)
+        n = min(n, left)
+        runs.append((w_max * x, n))
+        left -= n
+    return tuple(runs)
 
 
 class TestRunsPricedOnce:
@@ -223,8 +231,10 @@ class TestRunsPricedOnce:
     def test_equals_pricing_every_hour(self, mode, run_list, w_max, elec, r_w, eta):
         e = econ(elec_price=elec, r_w_per_100km=r_w, eta_pump=eta)
         flow = day(run_list, w_max)
+        hours = [f for f, n in flow for _ in range(n)]
+        assert len(hours) == 24
         assert (outcome(lambda: water_operational(mode, w_max, flow, e))
-                == outcome(lambda: price_every_hour(mode, w_max, flow, e)))
+                == outcome(lambda: price_every_hour(mode, w_max, hours, e)))
 
     @example(f=5e-324, w=1e300)   # f / w rounds to 0
     @given(f=st.floats(0.0, 1e4, exclude_min=True), w=st.floats(1e-3, 1e300))
