@@ -76,30 +76,36 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
 
     Ordering is deterministic: plants in the given order, the storage row
     first, then products in the given order with betas ascending.  The
-    resolver is called once per plant; if it fails, each of that plant's
-    cells carries its error.
+    resolver is called once per plant and each column is set up once; if
+    either fails, each of its cells carries the error.
     """
     cells: list[SweepCell] = []
     betas, mode = tuple(sorted(grid.betas)), grid.water_mode
-    coords = [(None, "", 0.0)] + [(p, p.name, b) for p in grid.products for b in betas]
+    columns = [(None, "", (0.0,))] + [(p, p.name, betas) for p in grid.products]
 
     def failed(plant: PlantSpec, name: str, beta: float, exc: Exception) -> SweepCell:
         return SweepCell(plant.name, name, beta,
                          error=f"cell ({plant.name}, {name or '-'}, beta={beta:g}): {exc}")
 
-    cell, new = ScenarioConfig._grid_cell, tuple.__new__
+    set_up, price, new = economics._column, economics._result, tuple.__new__
     for plant in grid.plants:
         try:
             plant_econ = econ if econ_resolver is None else econ_resolver(plant)
         except ValueError as exc:
-            cells += [failed(plant, name, beta, exc) for _, name, beta in coords]
+            cells += [failed(plant, name, beta, exc) for _, name, col in columns for beta in col]
             continue
-        for product, name, beta in coords:
+        for product, name, col_betas in columns:
             try:
-                result = economics.total_daily_cost(cell(plant, plant_econ, beta, product, mode))
-                cells.append(new(SweepCell, (plant.name, name, beta, result, None)))
+                column = set_up(plant, plant_econ, product, mode)
             except ValueError as exc:
-                cells.append(failed(plant, name, beta, exc))
+                cells += [failed(plant, name, beta, exc) for beta in col_betas]
+                continue
+            for beta in col_betas:
+                try:
+                    cells.append(new(SweepCell, (plant.name, name, beta,
+                                                 price(column, beta), None)))
+                except ValueError as exc:
+                    cells.append(failed(plant, name, beta, exc))
     return tuple(cells)
 
 
@@ -131,26 +137,27 @@ def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[
     """Daily-cost gap between piping water from distance d and desalinating.
 
     Both alternatives are full scenarios at beta = 1, so every non-water term
-    cancels in the difference.  The desalination scenario's terms are priced
-    once, here; those that do not depend on the water mode are kept, so each
-    g(d) prices only the pipe's capital and pumping.  Both daily costs come
-    from ``economics._daily``, with every check and error of a full scenario
-    but no ledger.
+    cancels in the difference.  The desalination scenario's column is set up
+    and its terms priced once, here; those that do not depend on the water
+    mode are kept, so each g(d) prices only the pipe's capital and pumping.
+    Both daily costs come from ``economics._daily``, with every check and
+    error of a full scenario but no ledger.
     """
-    plant, product = query.plant, query.product
-    terms = economics._cost_terms(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
-                                                 product=product,
-                                                 water_mode=water.Desalination()))
-    desal_cost = economics._daily(terms, plant, product, econ)[1]
-    w_max = _reuse_rates(product, plant.cbar, 1.0)[1]
-    flow = ((w_max, HOURS_PER_DAY),)   # full load: every hour carries w_max
+    plant, product, desal = query.plant, query.product, water.Desalination()
+    # a reuse scenario's checks (it needs a product)
+    ScenarioConfig(plant=plant, econ=econ, beta=1.0, product=product, water_mode=desal)
+    column = economics._column(plant, econ, product, desal)
+    terms = economics._terms(column, 1.0)
+    desal_cost = economics._daily(terms, column)[1]
+    k = product.water_demand   # at beta = 1, as economics._terms: flow k * c, w_max = k * C̄
+    w_max, captured = k * plant.cbar, column[4]   # the full-load day
     before, after = terms[:4], terms[6:]   # the terms around the two water terms
 
     def g(d_km: float) -> float:
         mode = water.NetworkTransfer(Quantity._computed(d_km, "km"))   # d_km is a float
         transfer = (before + (water.water_capital(mode, w_max, econ),
-                              water.water_operational(mode, w_max, flow, econ)) + after)
-        return economics._daily(transfer, plant, product, econ)[1] - desal_cost
+                              water.water_operational(mode, w_max, captured, k, econ)) + after)
+        return economics._daily(transfer, column)[1] - desal_cost
 
     return g
 
@@ -272,5 +279,6 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
     reuse = isinstance(strategy, ReuseAll)
     cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0 if reuse else 0.0,
                          product=strategy.product if reuse else None, water_mode=water_mode)
+    column = economics._column(plant, econ, cfg.product, water_mode)
     return Quantity._computed(
-        economics._daily(economics._cost_terms(cfg), plant, cfg.product, econ)[3], "$/ton")
+        economics._daily(economics._terms(column, cfg.beta), column)[3], "$/ton")

@@ -68,17 +68,6 @@ class ScenarioConfig:
             if profile.unit != "ton/h":   # kept in ton/h, so it is converted once
                 object.__setattr__(self, "capture_profile", TimeSeries(captured, "ton/h"))
 
-    @classmethod
-    def _grid_cell(cls, plant: PlantSpec, econ: EconParams, beta: float,
-                   product: conversion.ProductSpec | None,
-                   water_mode: water.WaterMode) -> "ScenarioConfig":
-        """A full-load cell of a checked ``SweepGrid``, built unchecked."""
-        cell = object.__new__(cls)
-        object.__setattr__(cell, "__dict__", {
-            "plant": plant, "econ": econ, "beta": beta, "product": product,
-            "water_mode": water_mode, "capture_profile": None})
-        return cell
-
 
 class ScenarioResult(namedtuple("ScenarioResult",
                                 "ledger daily_cost increased_price carbon_penalty")):
@@ -89,56 +78,76 @@ class ScenarioResult(namedtuple("ScenarioResult",
 
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
-    terms, product = _cost_terms(scenario), scenario.product
-    charge, daily, price, penalty = _daily(terms, scenario.plant, product, scenario.econ)
+    beta, profile = scenario.beta, scenario.capture_profile
+    return _result(_column(scenario.plant, scenario.econ,
+                           scenario.product if beta > 0 else None, scenario.water_mode,
+                           None if profile is None else _hour_runs(profile.values)), beta)
+
+
+def _column(plant: PlantSpec, econ: EconParams, product: conversion.ProductSpec | None,
+            water_mode: water.WaterMode | None,
+            captured: tuple[tuple[float, int], ...] | None = None) -> tuple:
+    """The checked constants of a column of cells, which ``_terms`` prices at any beta.
+
+    A column is the cells of one plant and its parameters, one reuse product
+    (None: the storage row) and one water mode.  Its constants are the tuple
+    (plant, econ, product, water mode, captured, revenue row label), where
+    ``captured`` is the day's carbon as (value, hours) runs [ton/h], the one
+    run (C̄, 24) of a full-load day if None.  A cost the column needs but the
+    parameters leave unset is a DomainError named by its ledger term, raised
+    once, before any term is priced, in ledger order: ``c_ccs``, ``c_sw`` for
+    a solar-seawater reuse column, the product's price.  The kernels
+    themselves raise nothing.
+    """
+    if econ.c_ccs is None:
+        raise DomainError("ccss-capital: c_ccs (capture plant capital cost) is not configured")
+    label = None
+    if product is not None:
+        if econ.c_sw is None and isinstance(water_mode, water.SolarSeawater):
+            raise DomainError("water-capital: c_sw is not configured; a solar-seawater plan "
+                              "cannot be costed")
+        if product.name not in econ.product_prices:
+            raise DomainError(f"product-revenue: no market price configured for product "
+                              f"{product.name!r}")
+        label = f"{product.name} sales"
+    return plant, econ, product, water_mode, captured or ((plant.cbar, HOURS_PER_DAY),), label
+
+
+def _terms(column: tuple, beta: float) -> tuple[float | None, ...]:
+    """The cost amounts of ``column``'s cell at ``beta`` in ledger order, each unchecked.
+
+    (ccss capital, ccss operations, wind capital, electrolyzer capital, water
+    capital, water operations, product revenue): capital in [$], flows in
+    [$ / day].  A storage column has only the first two, the electrolyzer
+    only counts when the policy includes it, and an absent term is None.
+    Each kernel is called through its module, so a rebinding there takes effect.
+    """
+    plant, econ, product, mode, captured, _ = column
+    cap_ccss = ccss.ccss_capital(beta, plant.cbar_day, econ)
+    op_ccss = ccss.ccss_operational(beta, captured, econ)
+    if product is None:
+        return (cap_ccss, op_ccss, None, None, None, None, None)
+    # L/kg times ton/h is m3/h: an hour's flow is k * c, w_max as conversion._reuse_rates
+    cbar, k = plant.cbar, product.water_demand * beta
+    w_max = k * cbar
+    cap_h2 = (conversion.hydrogen_capital(product, cbar, beta, econ)
+              if econ.include_hydrogen_capital else None)
+    return (cap_ccss, op_ccss, conversion.power_capital(product.xi_h * beta * cbar, econ),
+            cap_h2, water.water_capital(mode, w_max, econ),
+            water.water_operational(mode, w_max, captured, k, econ),
+            conversion.chemical_revenue(product, captured, beta, econ))
+
+
+def _result(column: tuple, beta: float) -> ScenarioResult:
+    """The ledger and decision metrics of ``column``'s cell at ``beta``."""
+    terms = _terms(column, beta)
+    charge, daily, price, penalty = _daily(terms, column)
     ledger = object.__new__(CostLedger)   # the rows of checked amounts, one tuple built once
-    object.__setattr__(ledger, "items", _rows(terms, product, tuple.__new__(LedgerItem, (
+    object.__setattr__(ledger, "items", _rows(terms, column[5], tuple.__new__(LedgerItem, (
         "daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))))
     quantity = Quantity._computed
     return tuple.__new__(ScenarioResult, (ledger, quantity(daily, "$/day"),
                                           quantity(price, "$/kWh"), quantity(penalty, "$/ton")))
-
-
-def _cost_terms(scenario: ScenarioConfig) -> tuple[float | None, ...]:
-    """The scenario's cost amounts in ledger order, each unchecked.
-
-    (ccss capital, ccss operations, wind capital, electrolyzer capital, water
-    capital, water operations, product revenue): capital in [$], flows in
-    [$ / day].  A storage scenario has only the first two, the electrolyzer
-    only counts when the policy includes it, and an absent term is None.
-    Before any term is priced, a cost the scenario needs but the parameters
-    leave unset is a DomainError named by its ledger term, in ledger order;
-    the kernels themselves raise nothing.
-    """
-    plant, econ, beta, product = scenario.plant, scenario.econ, scenario.beta, scenario.product
-    reuse = beta > 0 and product is not None
-    if econ.c_ccs is None:
-        raise DomainError("ccss-capital: c_ccs (capture plant capital cost) is not configured")
-    if reuse and econ.c_sw is None and isinstance(scenario.water_mode, water.SolarSeawater):
-        raise DomainError("water-capital: c_sw is not configured; a solar-seawater plan "
-                          "cannot be costed")
-    if reuse and product.name not in econ.product_prices:
-        raise DomainError(f"product-revenue: no market price configured for product "
-                          f"{product.name!r}")
-    cbar = plant.cbar   # full-load carbon [ton/h]
-    profile = scenario.capture_profile
-    captured = ((cbar, HOURS_PER_DAY),) if profile is None else _hour_runs(profile.values)
-    cap_ccss = ccss.ccss_capital(beta, plant.cbar_day, econ)
-    op_ccss = ccss.ccss_operational(beta, captured, econ)
-    if not reuse:
-        return (cap_ccss, op_ccss, None, None, None, None, None)
-    h2_max, w_max, _ = conversion._reuse_rates(product, cbar, beta)  # [ton/h], [m3/h]
-    cap_power = conversion.power_capital(h2_max, econ)
-    cap_h2 = (conversion.hydrogen_capital(product, cbar, beta, econ)
-              if econ.include_hydrogen_capital else None)
-    # L/kg times ton/h is m3/h; same arithmetic path as _reuse_rates so a full-load
-    # profile lands exactly on w_max
-    k = product.water_demand * beta
-    mode = scenario.water_mode
-    cap_water = water.water_capital(mode, w_max, econ)
-    op_water = water.water_operational(mode, w_max, [(k * c, n) for c, n in captured], econ)
-    revenue = conversion.chemical_revenue(product, captured, beta, econ)
-    return (cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue)
 
 
 def _hour_runs(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
@@ -146,11 +155,9 @@ def _hour_runs(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
     return tuple((value, len(tuple(run))) for value, run in groupby(values))
 
 
-def _daily(terms: tuple[float | None, ...], plant: PlantSpec,
-           product: conversion.ProductSpec | None, econ: EconParams
-           ) -> tuple[float, float, float, float]:
+def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple[float, float, float, float]:
     """The capital charge, daily cost [$ / day], price uplift [$ / kWh] and carbon
-    penalty [$ / ton] of ``_cost_terms``' amounts.
+    penalty [$ / ton] of a cell's ``_terms``, priced from ``column``.
 
     The one daily-total rule and the one place a metric is divided out.  It
     checks, in ledger order, each amount (named by its row's label), the
@@ -162,6 +169,7 @@ def _daily(terms: tuple[float | None, ...], plant: PlantSpec,
     costs as much as the scenario; negative when the scenario is net revenue.
     """
     isfinite = math.isfinite
+    plant, econ, _, _, _, label = column
     cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
     if cap_power is None:   # a storage scenario
         capital, flows = [cap_ccss], [op_ccss]
@@ -170,9 +178,9 @@ def _daily(terms: tuple[float | None, ...], plant: PlantSpec,
                    else [cap_ccss, cap_power, cap_h2, cap_water])
         flows = [op_ccss, op_water, revenue]
     if not isfinite(sum(capital) + sum(flows)):   # an amount is not finite, or they overflow
-        for label, _, _, amount, _ in _rows(terms, product):
+        for row, _, _, amount, _ in _rows(terms, label):
             if not isfinite(amount):
-                raise DomainError(f"ledger amount must be finite ({label})")
+                raise DomainError(f"ledger amount must be finite ({row})")
     # the totals are fsums of the amounts in hand: fsum is exact, so they equal
     # the ledger's capital_total() and daily_total() in any item order
     charge = daily_capital_charge(_total(capital), econ)
@@ -181,15 +189,16 @@ def _daily(terms: tuple[float | None, ...], plant: PlantSpec,
     flows.append(charge)
     daily = _total(flows)
     price, penalty = daily / plant.capacity_kw, daily / plant.cbar_day
-    for metric in (daily, price, penalty):
-        if not isfinite(metric):
-            raise UnitError(f"magnitude must be finite, got {metric!r}")
+    if not isfinite(daily + price + penalty):   # a metric is not finite, or they overflow
+        for metric in (daily, price, penalty):
+            if not isfinite(metric):
+                raise UnitError(f"magnitude must be finite, got {metric!r}")
     return charge, daily, price, penalty
 
 
-def _rows(terms: tuple[float | None, ...], product: conversion.ProductSpec | None,
+def _rows(terms: tuple[float | None, ...], label: str | None,
           *last: LedgerItem) -> tuple[LedgerItem, ...]:
-    """The ledger rows of ``_cost_terms``' amounts in ledger order, then ``last``; none checked."""
+    """The ledger rows of ``_terms``' amounts and revenue ``label``, then ``last``; unchecked."""
     cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
     new = tuple.__new__   # the kinds and units are the ledger's own literals
     rows = [new(LedgerItem, ("capture and storage pipeline capital", "ccss-capital", CAPITAL,
@@ -206,7 +215,7 @@ def _rows(terms: tuple[float | None, ...], product: conversion.ProductSpec | Non
                                   cap_water, "$")),
                  new(LedgerItem, ("water system operations", "water-operational", OPERATIONAL,
                                   op_water, "$/day")),
-                 new(LedgerItem, (f"{product.name} sales", "product-revenue", REVENUE,
+                 new(LedgerItem, (label, "product-revenue", REVENUE,
                                   revenue, "$/day")))
     rows += last
     return tuple(rows)

@@ -277,7 +277,7 @@ class EconParams:
     bool) and ``include_hydrogen_capital`` (a bool) through for this class to check.
     ``c_ccs`` and ``c_sw`` have no defensible defaults, so they stay unset until a
     config or preset provides them; pricing a scenario that needs an unset cost, or
-    a product without a price, is an error (``economics._cost_terms``).
+    a product without a price, is an error (``economics._column``).
     """
 
     elec_price: float                       # electricity tariff [$ / kWh]

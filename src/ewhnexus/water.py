@@ -123,22 +123,23 @@ def pipe_capital(m: float, econ: EconParams) -> float:
     return econ.c_tw * m
 
 
-def water_operational(mode: WaterMode, w_max: float, flow: Sequence[tuple[float, int]],
-                      econ: EconParams) -> float:
+def water_operational(mode: WaterMode, w_max: float, captured: Sequence[tuple[float, int]],
+                      k: float, econ: EconParams) -> float:
     """Daily electricity cost of producing or moving the water [$ / day].
 
-    ``flow`` holds the hourly water flows [m3/h], each within [0, w_max], as
-    (f, hours) runs of equal hours.  Desalination pays for the piecewise RO
-    power, transfer for pumping.  Solar seawater buys no grid electricity at
-    all, so its cost is zero.  A run is priced once and its bill added once per
-    hour, so a full-load day prices one hour and adds it 24 times.
+    ``captured`` holds the day's carbon [ton/h] as (c, hours) runs of equal
+    hours; an hour's water flow is k * c [m3/h], within [0, w_max].  Desalination
+    pays for the piecewise RO power, transfer for pumping, solar seawater nothing.
+    A run is priced once and its bill added once per hour, so a full-load day
+    prices one hour and adds it 24 times.
     """
     if isinstance(mode, SolarSeawater):
         return 0.0
     desal = isinstance(mode, Desalination)
     r_w = None if desal else effective_r_w(econ, mode.km)
     total = 0.0
-    for f, hours in flow:   # cost is the grid bill for one hour at flow f [$]
+    for c, hours in captured:   # cost is the grid bill for one hour at flow k * c [$]
+        f = k * c
         power = desal_power(f, w_max, econ) if desal else pump_power(f, r_w, econ.eta_pump)
         cost = econ.elec_price * power
         for _ in range(hours):

@@ -44,7 +44,7 @@ def test_the_cost_terms_are_not_public():
 
 
 def test_the_cost_kernels_raise_nothing():
-    # economics._cost_terms rejects unset costs and prices before any kernel runs
+    # economics._column rejects unset costs and prices before any kernel runs
     found, raising = set(), []
     for module, names in KERNELS.items():
         source = (ROOT / "src" / "ewhnexus" / f"{module}.py").read_text(encoding="utf-8")
@@ -123,15 +123,7 @@ def test_one_daily_total_rule():
             if h.startswith("economics.")] == ["economics._daily"]
     assert holders(calls("_total")) == ["economics._daily"]
     assert holders(calls("_daily")) == ["analysis._transfer_minus_desal",
-                                        "analysis.penalty_threshold", "economics.total_daily_cost"]
-
-
-def test_unchecked_scenarios_are_built_by_the_sweep_alone():
-    # ScenarioConfig._grid_cell skips the scenario's checks, which the sweep's grid has made
-    def names_grid_cell(node):
-        return getattr(node, "attr", getattr(node, "id", None)) == "_grid_cell"
-
-    assert holders(names_grid_cell) == ["analysis.scenario_sweep"]
+                                        "analysis.penalty_threshold", "economics._result"]
 
 
 def divides_by(attr: str):
@@ -209,10 +201,18 @@ D = ew.DomainError
     (lambda: ew.NetworkTransfer(ew.Quantity(-1.0, "km")), D, "transfer distance must be >= 0"),
     *[(lambda e=e: replace(ECON, eta_pump=e), D, "eta_pump must lie in (0, 1]")
       for e in (0.0, 1.5)],
+    # the single-cell entries check a reuse cell as a scenario does
+    (lambda: ew.breakeven_distance(ew.BreakevenQuery(BIOMASS, None), ECON), D,
+     "a reuse scenario (beta > 0) needs a product"),
+    (lambda: ew.penalty_threshold(BIOMASS, ew.ReuseAll(None), ECON, ew.Desalination()), D,
+     "a reuse scenario (beta > 0) needs a product"),
+    (lambda: ew.penalty_threshold(BIOMASS, ew.ReuseAll(ew.METHANE), ECON, water_mode=None), D,
+     "a reuse scenario (beta > 0) needs a water mode"),
 ], ids=["beta=-0.1", "beta=1.1", "beta=nan", "beta=True", "beta='0.5'",
         "loaded-scenario-beta=None", "nexus_rates-beta=[0.5]", "profile-above-cbar",
         "curve-flow=-1", "curve-flow=nan", "curve-flow-above-W", "curve-distance=-1",
-        "curve-distance=nan", "transfer-distance=-1", "eta_pump=0", "eta_pump=1.5"])
+        "curve-distance=nan", "transfer-distance=-1", "eta_pump=0", "eta_pump=1.5",
+        "breakeven-product=None", "penalty-product=None", "penalty-water_mode=None"])
 def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, error,
                                                                         message):
     if error is None:

@@ -469,6 +469,12 @@ def expected_failure(rows, plant, cell_econ) -> tuple[type, str] | None:
     return None
 
 
+def column_of(cell: ScenarioConfig):
+    """The column ``total_daily_cost`` sets up for a full-load cell."""
+    return economics._column(cell.plant, cell.econ, cell.product if cell.beta > 0 else None,
+                             cell.water_mode)
+
+
 class TestDailyAgainstTheResult:
     """``_daily``, the one daily-total rule, gives the metrics ``total_daily_cost`` reports,
     bit for bit, and fails as the ledger rows say it must."""
@@ -488,8 +494,9 @@ class TestDailyAgainstTheResult:
         cell_econ = replace(SOLAR_PRESET.econ_for(plant), include_hydrogen_capital=hydrogen)
         cell = ScenarioConfig(plant=plant, econ=cell_econ, beta=beta, product=product,
                               water_mode=mode)
-        terms = economics._cost_terms(cell)
-        charge, daily, price, penalty = economics._daily(terms, plant, product, cell_econ)
+        column = column_of(cell)
+        terms = economics._terms(column, beta)
+        charge, daily, price, penalty = economics._daily(terms, column)
         result = total_daily_cost(cell)
         rows = result.ledger.items
         assert [r.amount.hex() for r in rows if r.term == "capital-charge"] == [charge.hex()]
@@ -502,10 +509,10 @@ class TestDailyAgainstTheResult:
         present = [i for i, t in enumerate(terms) if t is not None]
         at = sorted(at & set(present))
         broken = tuple(bad if i in at else t for i, t in enumerate(terms))
-        expected = expected_failure(economics._rows(broken, product), plant, cell_econ)
-        assert failure(lambda: economics._daily(broken, plant, product, cell_econ)) == expected
+        expected = expected_failure(economics._rows(broken, column[5]), plant, cell_econ)
+        assert failure(lambda: economics._daily(broken, column)) == expected
         if at and not math.isfinite(bad):
-            label = economics._rows(terms, product)[present.index(at[0])].label
+            label = economics._rows(terms, column[5])[present.index(at[0])].label
             assert expected == (DomainError, f"ledger amount must be finite ({label})")
 
     @pytest.mark.parametrize("cell", [
@@ -520,11 +527,11 @@ class TestDailyAgainstTheResult:
                        water_mode=NetworkTransfer(Quantity(100.0, "km"))),
     ], ids=["daily-cost", "price", "penalty"])
     def test_a_metric_that_overflows_fails_both(self, cell):
-        terms = economics._cost_terms(cell)
+        column = column_of(cell)
+        terms = economics._terms(column, cell.beta)
         expected = (UnitError, "magnitude must be finite, got inf")
         assert failure(lambda: total_daily_cost(cell)) == expected
-        assert failure(lambda: economics._daily(terms, cell.plant, cell.product,
-                                                cell.econ)) == expected
+        assert failure(lambda: economics._daily(terms, column)) == expected
 
 
 def fold(terms) -> float:
@@ -598,8 +605,7 @@ class TestHourlySums:
                 c * per_ton for c in captured).hex()
             assert conversion.chemical_revenue(product, runs, beta, params).hex() == (
                 -fold(k * c for c in captured)).hex()
-            flows = [(k_w * c, n) for c, n in runs]
-            assert water.water_operational(mode, w_max, flows, params).hex() == fold(
+            assert water.water_operational(mode, w_max, runs, k_w, params).hex() == fold(
                 bill(k_w * c) for c in captured).hex()
 
     def test_a_profile_prices_as_the_hourly_fold(self):
@@ -683,24 +689,33 @@ class TestHotPath:
         Desalination(), SolarSeawater(), NetworkTransfer(Quantity(150.0, "km")),
     ], ids=["desalination", "solar", "transfer"])
     def test_sweep_prices_each_cell_once_and_checks_no_scenario(self, monkeypatch, mode):
-        # the grid has checked every input, so no cell runs ScenarioConfig's checks
+        # the grid has checked every input, so no cell builds a ScenarioConfig; each
+        # (plant, product) column and storage row is set up once, and each cell prices its beta
         grid = SweepGrid(SOLAR_PRESET.plants, SOLAR_PRESET.products, SOLAR_PRESET.sweep_betas,
                          mode)
-        priced, checked = [], []
-        original, post_init = economics.total_daily_cost, ScenarioConfig.__post_init__
+        set_up, priced, checked = [], [], []
+        column, terms = economics._column, economics._terms
+        post_init = ScenarioConfig.__post_init__
 
-        def counting(scenario):
-            priced.append((scenario.plant.name, scenario.beta))
-            return original(scenario)
+        def counting_column(plant, econ, product, *args):
+            set_up.append((plant.name, product.name if product is not None else ""))
+            return column(plant, econ, product, *args)
+
+        def counting_terms(col, beta):
+            priced.append((col[0].name, beta))
+            return terms(col, beta)
 
         def checking(self):
             checked.append(self)
             post_init(self)
 
-        monkeypatch.setattr(economics, "total_daily_cost", counting)
+        monkeypatch.setattr(economics, "_column", counting_column)
+        monkeypatch.setattr(economics, "_terms", counting_terms)
         monkeypatch.setattr(ScenarioConfig, "__post_init__", checking)
         cells = scenario_sweep(grid, SOLAR_PRESET.econ, econ_resolver=SOLAR_PRESET.econ_for)
         assert all(c.error is None for c in cells) and len(cells) == 21
+        assert set_up == [(plant.name, product) for plant in grid.plants
+                          for product in [""] + [p.name for p in grid.products]]
         assert priced == [(c.plant, c.beta) for c in cells]
         assert checked == []
 

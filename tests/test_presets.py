@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ewhnexus.analysis import SweepCell, SweepGrid, scenario_sweep
 from ewhnexus.config import Calibration, ConfigError, paper_2024
-from ewhnexus.conversion import METHANE, _reuse_rates, nexus_rates
+from ewhnexus.conversion import METHANE, ProductSpec, _reuse_rates, nexus_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
 from ewhnexus.presets import econ_for_cell, resolver
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
@@ -159,8 +159,8 @@ class TestResolver:
                                                       for b in (0.5, 1.0)]]
 
 
-def sweep_oracle(grid: SweepGrid, cfg) -> tuple[SweepCell, ...]:
-    """``scenario_sweep`` of a calibrated config, one checked scenario per cell."""
+def sweep_oracle(grid: SweepGrid, resolve) -> tuple[SweepCell, ...]:
+    """``scenario_sweep`` with the resolver ``resolve``, one checked scenario per cell."""
     cells = []
     for plant in grid.plants:
         for product, beta in [(None, 0.0)] + [(p, b) for p in grid.products
@@ -168,7 +168,7 @@ def sweep_oracle(grid: SweepGrid, cfg) -> tuple[SweepCell, ...]:
             name = product.name if product is not None else ""
             try:
                 result = total_daily_cost(ScenarioConfig(
-                    plant=plant, econ=cfg.econ_for(plant), beta=beta,
+                    plant=plant, econ=resolve(plant), beta=beta,
                     product=product, water_mode=grid.water_mode))
             except (DomainError, ValueError) as exc:
                 cells.append(SweepCell(plant.name, name, beta, error=(
@@ -180,25 +180,41 @@ def sweep_oracle(grid: SweepGrid, cfg) -> tuple[SweepCell, ...]:
 
 water_modes = st.sampled_from([Desalination(), SolarSeawater()]) | st.builds(
     NetworkTransfer, st.builds(Quantity, st.floats(0.0, 1000.0), st.just("km")))
+# no config prices it, so each of its reuse cells fails on its revenue term
+FORMIC_ACID = ProductSpec("formic_acid", {"C": 1, "H": 2, "O": 2})
 
 
 class TestSweepPerPlant:
-    """A sweep calibrates per plant and gives what per-cell calibration gives, bit for bit."""
+    """A sweep calibrates per plant and sets up each column once, and gives what per-cell
+    calibration and checks give, bit for bit, a failing column's errors included."""
 
     @settings(max_examples=100, deadline=None)
     @given(plants=st.lists(st.sampled_from(TestResolver.PLANTS + (TestResolver.TINY,)),
                            min_size=1, max_size=5),
-           products=st.lists(st.sampled_from(CFG.products), min_size=1, max_size=3,
-                             unique_by=lambda p: p.name),
+           products=st.lists(st.sampled_from(CFG.products + (FORMIC_ACID,)), min_size=1,
+                             max_size=3, unique_by=lambda p: p.name),
            betas=st.lists(st.sampled_from([0.5, 1.0, 5e-324])
                           | st.floats(0.0, 1.0, exclude_min=True),
                           min_size=1, max_size=4, unique=True),
-           mode=water_modes, c_sw=st.none() | st.just(2.5e5))
-    def test_equals_a_loop_of_checked_cells(self, plants, products, betas, mode, c_sw):
-        cfg = replace(CFG, econ=replace(CFG.econ, c_sw=c_sw))
+           mode=water_modes, c_sw=st.none() | st.just(2.5e5), hydrogen=st.booleans(),
+           no_c_ccs=st.sets(st.sampled_from(["biomass", "natural_gas", "coal", "lignite"])))
+    # each of the three unset costs fails a column: c_ccs, c_sw, then a product's price
+    @example(plants=[CFG.plants[0], CFG.plants[2]], products=[FORMIC_ACID, METHANE],
+             betas=[0.5, 1.0], mode=SolarSeawater(), c_sw=None, hydrogen=True,
+             no_c_ccs={"coal"})
+    @example(plants=[CFG.plants[1]], products=[METHANE, FORMIC_ACID], betas=[1.0],
+             mode=Desalination(), c_sw=None, hydrogen=False, no_c_ccs=set())
+    def test_equals_a_loop_of_checked_cells(self, plants, products, betas, mode, c_sw,
+                                            hydrogen, no_c_ccs):
+        # the plants named in no_c_ccs have no capture capital
+        cfg = replace(CFG, econ=replace(CFG.econ, c_sw=c_sw, include_hydrogen_capital=hydrogen))
+
+        def resolve(plant):
+            econ = cfg.econ_for(plant)
+            return replace(econ, c_ccs=None) if plant.name in no_c_ccs else econ
+
         grid = SweepGrid(plants, products, betas, mode)
-        assert repr(scenario_sweep(grid, cfg.econ, cfg.econ_for)) == repr(
-            sweep_oracle(grid, cfg))
+        assert repr(scenario_sweep(grid, cfg.econ, resolve)) == repr(sweep_oracle(grid, resolve))
 
     @pytest.mark.parametrize("mode", [
         Desalination(), SolarSeawater(), NetworkTransfer(Quantity(150.0, "km")),
@@ -292,25 +308,6 @@ class TestConfigFactory:
         grid = SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
         assert repr(cfg.sweep()) == repr(
             scenario_sweep(grid, cfg.econ, econ_resolver=cfg.econ_for))
-
-
-class TestGridCell:
-    """``ScenarioConfig._grid_cell`` builds, unchecked, what the checked constructor builds."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(plant=st.sampled_from(TestResolver.PLANTS + (TestResolver.TINY, HUGE)),
-           product=st.sampled_from(CFG.products),
-           beta=st.sampled_from([0.0, 5e-324, 0.5, 1.0]) | st.floats(0.0, 1.0),
-           mode=water_modes)
-    @example(plant=CFG.plants[0], product=METHANE, beta=5e-324, mode=Desalination())
-    @example(plant=CFG.plants[0], product=METHANE, beta=1.0, mode=SolarSeawater())
-    def test_equals_the_checked_scenario(self, plant, product, beta, mode):
-        product = product if beta > 0 else None   # as a sweep pairs them
-        cell = ScenarioConfig._grid_cell(plant, CFG.econ, beta, product, mode)
-        checked = ScenarioConfig(plant=plant, econ=CFG.econ, beta=beta, product=product,
-                                 water_mode=mode)
-        assert type(cell) is ScenarioConfig and cell == checked
-        assert vars(cell) == vars(checked) and repr(cell) == repr(checked)
 
 
 def test_the_benchmark_forms_are_econ_for():

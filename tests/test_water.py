@@ -162,20 +162,21 @@ class TestCapital:
 
 class TestOperational:
     def test_desalination_reference_day(self):
-        # constant 94 m3/h for 24 h at segment 2 power 357.2 kW and $0.25/kWh
-        cost = water_operational(Desalination(), 188.0, ((94.0, 24),), econ())
+        # 47 ton/h captured at 2 m3 per ton is a constant 94 m3/h for 24 h, at segment 2
+        # power 357.2 kW and $0.25/kWh
+        cost = water_operational(Desalination(), 188.0, ((47.0, 24),), 2.0, econ())
         assert cost == pytest.approx(2143.2, rel=1e-12)
 
     def test_solar_mode_costs_nothing(self):
-        assert water_operational(SolarSeawater(), 188.0, ((188.0, 24),), econ()) == 0.0
+        assert water_operational(SolarSeawater(), 188.0, ((94.0, 24),), 2.0, econ()) == 0.0
 
     def test_zero_flow_costs_nothing(self):
         for mode in (Desalination(), NetworkTransfer(Quantity(100, "km"))):
-            assert water_operational(mode, 188.0, ((0.0, 24),), econ()) == 0.0
+            assert water_operational(mode, 188.0, ((0.0, 24),), 2.0, econ()) == 0.0
 
     def test_transfer_monotone_in_friction(self):
         mode = NetworkTransfer(Quantity(100, "km"))
-        costs = [water_operational(mode, 188.0, ((150.0, 24),), econ(r_w_per_100km=r))
+        costs = [water_operational(mode, 188.0, ((75.0, 24),), 2.0, econ(r_w_per_100km=r))
                  for r in (1e-4, 2e-4, 4e-4, 8e-4)]
         assert costs == sorted(costs)
 
@@ -210,14 +211,14 @@ modes = st.sampled_from([Desalination(), SolarSeawater()]) | st.builds(
     NetworkTransfer, st.builds(Quantity, st.floats(0.0, 1000.0), st.just("km")))
 
 
-def day(run_list, w_max):
-    """The runs repeated and cut to a 24-hour day, as (flow, hours) runs; two neighbours
-    may carry equal flows."""
+def day(run_list):
+    """The runs repeated and cut to a 24-hour day, as (fraction, hours) runs; two
+    neighbours may carry equal fractions."""
     runs, left, repeated = [], 24, itertools.cycle(run_list)
     while left:
         x, n = next(repeated)
         n = min(n, left)
-        runs.append((w_max * x, n))
+        runs.append((x, n))
         left -= n
     return tuple(runs)
 
@@ -230,10 +231,11 @@ class TestRunsPricedOnce:
            elec=st.floats(0.0, 1.0), r_w=st.floats(0.0, 1.0), eta=st.floats(0.05, 1.0))
     def test_equals_pricing_every_hour(self, mode, run_list, w_max, elec, r_w, eta):
         e = econ(elec_price=elec, r_w_per_100km=r_w, eta_pump=eta)
-        flow = day(run_list, w_max)
-        hours = [f for f, n in flow for _ in range(n)]
+        # a fraction x of the day's peak carries the flow k * x = w_max * x
+        captured = day(run_list)
+        hours = [w_max * x for x, n in captured for _ in range(n)]
         assert len(hours) == 24
-        assert (outcome(lambda: water_operational(mode, w_max, flow, e))
+        assert (outcome(lambda: water_operational(mode, w_max, captured, w_max, e))
                 == outcome(lambda: price_every_hour(mode, w_max, hours, e)))
 
     @example(f=5e-324, w=1e300)   # f / w rounds to 0
