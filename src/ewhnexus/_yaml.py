@@ -39,5 +39,25 @@ def safe_load(text):
     return yaml.load(text, Loader=_Loader)
 
 
-def safe_dump(data, **kw):
-    return yaml.dump(data, Dumper=_Dumper, **kw)
+_REPRESENTER = yaml.representer.SafeRepresenter()   # its scalar rules; they keep no state
+_SCALARS = (str, bool, int, float, type(None))
+
+
+def _node(data):
+    """The node ``SafeRepresenter`` makes of ``data``, every container in block style."""
+    kind = type(data)
+    if kind is dict:
+        pairs = [(_node(k), _node(v)) for k, v in data.items()]
+        return yaml.MappingNode("tag:yaml.org,2002:map", pairs, flow_style=False)
+    if kind is list:
+        return yaml.SequenceNode("tag:yaml.org,2002:seq", list(map(_node, data)),
+                                 flow_style=False)
+    # any other type goes to the None entry, which refuses it
+    return _REPRESENTER.yaml_representers[kind if kind in _SCALARS else None](_REPRESENTER, data)
+
+
+def safe_dump(data) -> str:
+    """``yaml.dump(data, Dumper=SafeDumper, sort_keys=False, default_flow_style=False)``'s text
+    for dicts, lists and scalars with no container twice, which need no anchor: the node
+    tree is built here, without the representer's per-object dispatch and alias bookkeeping."""
+    return yaml.serialize(_node(data), Dumper=_Dumper)

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -59,11 +60,11 @@ def sweep_row(cell: analysis.SweepCell) -> dict:
     if r is None:
         return {"plant": cell.plant, "product": cell.product, "beta": cell.beta,
                 "error": cell.error}
-    led = r.ledger
+    capital, _, operational, revenue = r.ledger.totals()
     return dict(zip(SWEEP_COLUMNS, (
-        cell.plant, cell.product, cell.beta, led.capital_total(), led.operational_total(),
-        led.revenue_total(), r.daily_cost.value_in("$/day"),
-        r.increased_price.value_in("$/kWh"), r.carbon_penalty.value_in("$/ton"))))
+        cell.plant, cell.product, cell.beta, capital, operational, revenue,
+        r.daily_cost.value_in("$/day"), r.increased_price.value_in("$/kWh"),
+        r.carbon_penalty.value_in("$/ton"))))
 
 
 def _sweep_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
@@ -148,15 +149,10 @@ COMMANDS = {
 _FLAGS = tuple(dict.fromkeys(f for c in COMMANDS.values() for f in c.required + c.optional))
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(rows: Sequence[dict], columns: Sequence[str]) -> str:
+    """``rows`` as CSV; a float's ``str`` is its shortest round-trip ``repr``."""
     lines = [",".join(columns)]
-    lines += [",".join(_fmt_cell(row[k]) for k in columns) for row in rows]
+    lines += [",".join([str(row[k]) for k in columns]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -190,14 +186,33 @@ def render_sweep_table(rows: Sequence[dict]) -> str:
 
 def render_record_table(record: dict) -> str:
     width = max(len(k) for k in record)
-    return "".join(f"{k:<{width}}  {_fmt_cell(v)}\n" for k, v in record.items())
+    return "".join(f"{k:<{width}}  {v}\n" for k, v in record.items())
+
+
+def render_json(data: dict | list[dict]) -> str:
+    """A record or list of records as ``json.dumps(data, indent=2)`` writes it, and a newline.
+
+    Keys are strings.  Strings and finite floats go to the C functions behind
+    ``json``'s encoder, whose indenting one is pure Python; the rest to ``json.dumps``.
+    """
+    def record(fields: dict, pad: str) -> str:   # laid out at the indent after ``pad``
+        return "{" + pad + ("," + pad).join([
+            _json_str(k) + ": " + (_json_str(v) if type(v) is str else float.__repr__(v)
+                                   if type(v) is float and math.isfinite(v)
+                                   else json.dumps(v, indent=2).replace("\n", pad))
+            for k, v in fields.items()]) + pad[:-2] + "}" if fields else "{}"
+
+    if type(data) is dict:
+        return record(data, "\n  ") + "\n"
+    rows = ",\n  ".join([record(row, "\n    ") for row in data])
+    return f"[\n  {rows}\n]\n" if data else "[]\n"
 
 
 def render_output(command: Command, output_format: str, rows: list[dict]) -> str:
     """``rows`` in ``output_format``; a record command has exactly one row."""
     done = [row for row in rows if "error" not in row]
     if output_format == "json":
-        return json.dumps(done[0] if command.table == "record" else done, indent=2) + "\n"
+        return render_json(done[0] if command.table == "record" else done)
     if output_format == "csv" or command.table == "csv":
         return render_csv(done, command.columns)
     if command.table == "record":

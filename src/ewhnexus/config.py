@@ -508,4 +508,4 @@ def dump_config(cfg: LoadedConfig) -> str:
     calibration = _dump_fields(cfg.calibration, "calibration")
     if calibration:
         data["calibration"] = calibration
-    return yaml.safe_dump(data, sort_keys=False, default_flow_style=False)
+    return yaml.safe_dump(data)

@@ -145,9 +145,10 @@ def _result(column: tuple, beta: float) -> ScenarioResult:
     ledger = object.__new__(CostLedger)   # the rows of checked amounts, one tuple built once
     object.__setattr__(ledger, "items", _rows(terms, column[5], tuple.__new__(LedgerItem, (
         "daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))))
-    quantity = Quantity._computed
-    return tuple.__new__(ScenarioResult, (ledger, quantity(daily, "$/day"),
-                                          quantity(price, "$/kWh"), quantity(penalty, "$/ton")))
+    quantity = Quantity._computed   # each metric is finite: _daily checked it
+    return tuple.__new__(ScenarioResult, (ledger, quantity(daily, "$/day", checked=True),
+                                          quantity(price, "$/kWh", checked=True),
+                                          quantity(penalty, "$/ton", checked=True)))
 
 
 def _hour_runs(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
@@ -162,11 +163,12 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple[float, float
     The one daily-total rule and the one place a metric is divided out.  It
     checks, in ledger order, each amount (named by its row's label), the
     capital charge, then the daily cost, uplift and penalty, with the errors
-    their ledger rows and quantities raise.  The uplift is over one hour of
-    full generation, the relation the reference cost tables use; kept as-is
-    rather than corrected, although a per-day energy basis would be 24x
-    larger.  The penalty is the rate on the full-load daily carbon mass that
-    costs as much as the scenario; negative when the scenario is net revenue.
+    their ledger rows and quantities raise; no caller checks them again.
+    The uplift is over one hour of full generation, the relation the
+    reference cost tables use; kept as-is rather than corrected, although a
+    per-day energy basis would be 24x larger.  The penalty is the rate on the
+    full-load daily carbon mass that costs as much as the scenario; negative
+    when the scenario is net revenue.
     """
     isfinite = math.isfinite
     plant, econ, _, _, _, label = column
@@ -190,9 +192,8 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple[float, float
     daily = _total(flows)
     price, penalty = daily / plant.capacity_kw, daily / plant.cbar_day
     if not isfinite(daily + price + penalty):   # a metric is not finite, or they overflow
-        for metric in (daily, price, penalty):
-            if not isfinite(metric):
-                raise UnitError(f"magnitude must be finite, got {metric!r}")
+        for metric, unit in ((daily, "$/day"), (price, "$/kWh"), (penalty, "$/ton")):
+            Quantity._computed(metric, unit)   # the first that is not finite raises
     return charge, daily, price, penalty
 
 

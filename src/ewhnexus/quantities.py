@@ -134,9 +134,10 @@ class Quantity:
             raise UnitError(f"magnitude must be finite, got {self.magnitude!r}")
 
     @classmethod
-    def _computed(cls, magnitude: float, unit: str) -> "Quantity":
-        """A float the core computed, in a registered normalized unit: checks finiteness only."""
-        if not math.isfinite(magnitude):
+    def _computed(cls, magnitude: float, unit: str, checked: bool = False) -> "Quantity":
+        """A float the core computed, in a registered normalized unit: checks finiteness
+        only, and not that if the caller has (``checked``)."""
+        if not (checked or math.isfinite(magnitude)):
             raise UnitError(f"magnitude must be finite, got {magnitude!r}")
         quantity = object.__new__(cls)
         _setattr(quantity, "magnitude", magnitude)
@@ -405,20 +406,26 @@ class CostLedger:
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
 
-    def _sum(self, unit: str, kind: str | None = None) -> float:
-        return math.fsum(i.amount for i in self.items
-                         if i.unit == unit and (kind is None or i.kind == kind))
+    def totals(self) -> tuple[float, float, float, float]:
+        """Capital stock [$], then daily cost, operations and revenue [$ / day], in one pass:
+        a '$' item is stock whatever its kind, a '$/day' one counts to daily and its kind."""
+        stock, flows = [], {CAPITAL: [], OPERATIONAL: [], REVENUE: []}
+        for _, _, kind, amount, unit in self.items:
+            (stock if unit == "$" else flows[kind]).append(amount)
+        operational, revenue = flows[OPERATIONAL], flows[REVENUE]
+        return (math.fsum(stock), math.fsum(flows[CAPITAL] + operational + revenue),
+                math.fsum(operational), math.fsum(revenue))
 
     def capital_total(self) -> float:
         """Total capital stock [$]."""
-        return self._sum("$")
+        return self.totals()[0]
 
     def daily_total(self) -> float:
         """Net daily cost [$ / day], capital charge plus flows."""
-        return self._sum("$/day")
+        return self.totals()[1]
 
     def operational_total(self) -> float:
-        return self._sum("$/day", OPERATIONAL)
+        return self.totals()[2]
 
     def revenue_total(self) -> float:
-        return self._sum("$/day", REVENUE)
+        return self.totals()[3]

@@ -11,6 +11,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -101,6 +102,29 @@ def test_a1_sizing_table_reproduction():
     if elapsed >= 1.0:
         failures.append(f"sizing computation took {elapsed:.3f} s (limit 1 s)")
     _report("A1", "sizing table within +/-1 per cell, under 1 s", failures)
+
+
+def test_a1_water_cells_cannot_all_pass():
+    # A1's failing water cells, proved: the engine's water is k * beta * C̄ with one k per
+    # product, and for methanol and ethanol no k meets both the natural-gas and the coal
+    # reference within A1's +/-1 m3/h
+    tolerance = 1   # A1's, in m3/h
+    for product in (METHANE, METHANOL, ETHANOL):
+        for plant in PLANTS.values():
+            for beta in (0.25, 0.5, 1.0):
+                water = nexus_rates(plant, product, beta)[1].value_in("m3/h")
+                assert water == product.water_demand * beta * plant.cbar
+
+    def interval(product: str, plant: str) -> tuple[Fraction, Fraction]:
+        """The k [m3/ton] whose beta = 1 water is within tolerance of the reference cell."""
+        reference, cbar = REFERENCE_SIZING[product, plant][1], Fraction(PLANTS[plant].cbar)
+        return (reference - tolerance) / cbar, (reference + tolerance) / cbar
+
+    for product in ("methanol", "ethanol"):
+        ng_interval, coal_interval = interval(product, "natural_gas"), interval(product, "coal")
+        assert ng_interval == (Fraction(302, 245), Fraction(304, 245))
+        assert coal_interval == (Fraction(500, 410), Fraction(502, 410))
+        assert coal_interval[1] < ng_interval[0]   # disjoint: no k passes both cells
 
 
 def test_a2_stoichiometry_exactness():

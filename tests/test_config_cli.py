@@ -4,12 +4,15 @@ import copy
 import dataclasses
 import io
 import json
+import math
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +20,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from ewhnexus.cli import (
-    COMMANDS, SWEEP_COLUMNS, SWEEP_CSV_HEADER, main, render_csv, sweep_row,
+    COMMANDS, SWEEP_COLUMNS, SWEEP_CSV_HEADER, main, render_csv, render_json, sweep_row,
 )
 from ewhnexus import config
 from ewhnexus.config import (
@@ -1347,3 +1350,86 @@ def test_a_water_mode_flip_loads():
 def test_every_table_key_is_flipped():
     flipped = {param.values[1][0][:2] for param in CASES}
     assert [row[:2] for row in config._FIELDS if row[:2] not in flipped] == []
+
+
+# (path to a magnitude, larger unit, smaller unit, digits between them, field unit is
+# the larger): every key whose unit has a decimal sibling in the unit table.  No config
+# key takes a volume, so L and m3 have none.
+DECIMAL_UNITS = (
+    [(("econ", key), "$/kg", "$/ton", 3, False) for key in ("r_cts", "r_ccs")]
+    + [(("econ", "product_prices", name), "$/kg", "$/ton", 3, False)
+       for name in ("methane", "methanol", "ethanol")]
+    + [(("econ", "c_tw"), "$/m", "$/km", 3, True),
+       (("calibration", "ccs_capital_total"), "M$", "$", 6, False)]
+    + [(("plants", i, key), larger, smaller, 3, field_is_larger)
+       for i in range(3) for key, larger, smaller, field_is_larger in (
+           ("capacity", "MW", "kW", False), ("emission_factor", "kg/kWh", "g/kWh", True))]
+    + [(("water", "distance"), "km", "m", 3, False)])   # kept in both km and m
+
+
+def shift_left(digits: str, places: int) -> str:
+    """The integer text ``digits`` with its decimal point moved ``places`` to the left."""
+    digits = digits.zfill(places + 1)
+    whole, frac = digits[:-places].lstrip("0") or "0", digits[-places:].rstrip("0")
+    return f"{whole}.{frac}" if frac else whole
+
+
+@st.composite
+def decimal_rewrites(draw):
+    """A config document, and the same config with each magnitude in the other unit of its pair.
+
+    A magnitude is an integer n in the smaller unit; its larger-unit text moves
+    n's decimal point, with no float arithmetic.  Each text then reaches the
+    engine with one rounding: where the field is the larger unit, n converts by
+    one division and the decimal text parses as is; elsewhere n is a multiple
+    of the shift, so both texts are integers and convert exactly.  A decimal
+    text that the loader scales rounds twice, and can differ in the last bit.
+    """
+    data = yaml.safe_load(PRESET_TEXT)
+    data["water"] = {"mode": "network_transfer", "distance": "100 km"}
+    rewritten = copy.deepcopy(data)
+    for path, larger, smaller, places, field_is_larger in DECIMAL_UNITS:
+        n = draw(st.integers(1, 10 ** 6)) * (1 if field_is_larger else 10 ** places)
+        texts = (f"{n} {smaller}", f"{shift_left(str(n), places)} {larger}")
+        first = draw(st.booleans())
+        data = set_leaf(data, path, texts[first])
+        rewritten = set_leaf(rewritten, path, texts[not first])
+    return data, rewritten
+
+
+@settings(max_examples=25, deadline=None)
+@given(documents=decimal_rewrites(), plant=st.sampled_from(["biomass", "natural_gas", "coal"]),
+       product=st.sampled_from(["methane", "methanol", "ethanol"]))
+def test_a_decimal_unit_rewrite_gives_byte_identical_cli_output(documents, plant, product):
+    commands = [("sweep", "--format", "csv"), ("sweep", "--format", "json"),
+                ("breakeven", "--plant", plant, "--product", product, "--format", "json"),
+                ("penalty", "--plant", plant, "--format", "csv"),
+                ("penalty", "--plant", plant, "--product", product, "--format", "json")]
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = []
+        for i, doc in enumerate(documents):
+            path = Path(tmp) / f"config{i}.yaml"
+            path.write_text(yaml.safe_dump(doc))
+            runs = []
+            for command, *flags in commands:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    status = main(["--config", str(path), "--command", command, *flags])
+                runs.append((status, out.getvalue(), err.getvalue()))
+            outputs.append(runs)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][0] == 0   # the sweep priced every cell
+
+
+json_scalars = (st.text() | st.sampled_from(['"', "\\", "\n", "é", "\u2028", "\U0001f600"])
+                | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+                | st.integers() | st.booleans() | st.none())
+json_records = st.dictionaries(st.text(), json_scalars | st.lists(json_scalars, max_size=3)
+                               | st.dictionaries(st.text(), json_scalars, max_size=3), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=json_records | st.lists(json_records, max_size=5))
+def test_render_json_is_json_dumps_with_indent_2(data):
+    # a record command writes one record, a table command a list of them
+    assert render_json(data) == json.dumps(data, indent=2) + "\n"

@@ -533,6 +533,29 @@ class TestDailyAgainstTheResult:
         assert failure(lambda: total_daily_cost(cell)) == expected
         assert failure(lambda: economics._daily(terms, column)) == expected
 
+    @pytest.mark.parametrize("plant, cell_econ, product, mode", [
+        # a 1e-300 kW plant: its storage cell's price uplift overflows
+        (PlantSpec("heavy", Quantity(1e-300, "kW"), Quantity(1e306, "kg/kWh")), econ(r_ccs=1e6),
+         None, Desalination()),
+        # a near-zero carbon rate: its methane cell's penalty overflows
+        (PlantSpec("light", Quantity(500, "MW"), Quantity(1e-310, "kg/kWh")), econ(), METHANE,
+         NetworkTransfer(Quantity(100.0, "km"))),
+    ], ids=["price", "penalty"])
+    def test_a_metric_that_overflows_fails_its_sweep_cell_alike(self, plant, cell_econ, product,
+                                                                mode):
+        # _daily checks each metric once; the result's quantities do not check again
+        beta = 1.0 if product else 0.0
+        cell = ScenarioConfig(plant=plant, econ=cell_econ, beta=beta, product=product,
+                              water_mode=mode)
+        expected = (UnitError, "magnitude must be finite, got inf")
+        assert failure(lambda: total_daily_cost(cell)) == expected
+        grid = SweepGrid([plant], [product] if product else [], [1.0], mode)
+        name = product.name if product else ""
+        [swept] = [c for c in scenario_sweep(grid, cell_econ)
+                   if (c.product, c.beta) == (name, beta)]
+        assert swept.result is None
+        assert swept.error == f"cell ({plant.name}, {name or '-'}, beta={beta:g}): {expected[1]}"
+
 
 def fold(terms) -> float:
     """Left-to-right float sum from 0.0, the order the hourly sums are pinned to."""

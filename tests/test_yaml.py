@@ -210,3 +210,25 @@ def test_malformed_yaml_exits_2_from_the_cli(case, tmp_path):
     assert "config is not valid YAML: " in err.getvalue()
     assert re.search(r"line \d+, column \d+", err.getvalue())
     assert out.getvalue() == ""
+
+
+yaml_lookalikes = st.sampled_from(["yes", "no", "on", "null", "~", "", "1e3", "0x1F", "0o17",
+                                   ".inf", "-.nan", "1_000", "12:30", "2026-10-19", "- a",
+                                   "a: b", "#c", "'q'", '"d"', " lead", "trail ", "a\nb\n"])
+yaml_scalars = (yaml_lookalikes | st.text() | st.text(min_size=90, max_size=200)
+                | st.floats() | st.sampled_from([1e17, 1e-7, 5e-324, 1.7976931348623157e308])
+                | st.booleans() | st.integers())
+yaml_documents = st.recursive(yaml_scalars, lambda children: st.lists(children, max_size=4)
+                              | st.dictionaries(yaml_scalars, children, max_size=4),
+                              max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=yaml_documents)
+@pytest.mark.parametrize("on_pure_python", [False, True])
+def test_safe_dump_is_pyyaml_dump_of_the_same_data(on_pure_python, data):
+    # against the same emitter: libyaml and PyYAML's own differ on an empty key and on
+    # the end of a bare top-level scalar, which no config has
+    with pure_python() if on_pure_python else nullcontext():
+        assert _yaml.safe_dump(data) == yaml.dump(data, Dumper=_yaml._Dumper, sort_keys=False,
+                                                  default_flow_style=False)

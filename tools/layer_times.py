@@ -1,0 +1,124 @@
+"""Per-call times of ewhnexus's layers, by stdlib ``timeit``, on the shipped preset.
+
+Run from the repository root (the package is imported from ``src/``):
+
+    python tools/layer_times.py [--repeat 7] [--seconds 0.2]
+
+Each row is timed in one process: ``timeit`` picks a loop count that runs
+for about ``--seconds``, and the row prints the best of ``--repeat`` loops
+as microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
+construction and conversion, each cost term, the cell assembly, a sweep, a
+break-even solve, config load and dump, a fresh interpreter's import) and
+the CLI's output path: the sweep rows, each renderer and ``cli.main`` on a
+sweep in each format.  Times depend on the machine; compare two trees by
+running both on it, alternately.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import os
+import subprocess
+import sys
+import timeit
+from contextlib import redirect_stdout
+from pathlib import Path
+from typing import Callable
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from ewhnexus import (analysis, ccss, cli, config, conversion, economics,  # noqa: E402
+                      quantities, water)
+
+
+def _interpreter(code: str) -> Callable[[], object]:
+    """A call that runs ``code`` in a fresh interpreter that imports from ``src/``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return lambda: subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def rows() -> list[tuple[str, Callable[[], object]]]:
+    """(label, call) for every row, each call set up on the preset and ready to time."""
+    cfg = config.load_config("paper-2024")
+    text = config._preset_text("paper-2024")
+    plant, product = cfg.plant("coal"), cfg.product("methanol")
+    econ = cfg.econ_for(plant)
+    captured = ((plant.cbar, quantities.HOURS_PER_DAY),)
+    w_max = product.water_demand * plant.cbar
+    reuse = cfg.scenario(plant, product, 1.0)
+    storage = cfg.scenario(plant, None, 0.0)
+    query = analysis.BreakevenQuery(plant=plant, product=product)
+    quantity = quantities.Quantity(250.0, "$/ton")
+    cells = cfg.sweep()
+    sweep = [cli.sweep_row(cell) for cell in cells]
+    curve = cli._curve_rows(argparse.Namespace(plant="coal", product=None,
+                                               distances=(0.0, 50.0, 100.0), flows=()), cfg)
+    record = cli._penalty_rows(argparse.Namespace(plant="coal", product="methanol"), cfg)
+    commands = cli.COMMANDS
+
+    def cli_main(fmt: str) -> Callable[[], object]:
+        argv = ["--config", "paper-2024", "--command", "sweep", "--format", fmt]
+
+        def call():
+            with redirect_stdout(io.StringIO()):
+                return cli.main(argv)
+        return call
+
+    return [
+        ("interpreter start", _interpreter("pass")),
+        ("interpreter start + import ewhnexus", _interpreter("import ewhnexus")),
+        ("Quantity(250.0, '$/ton')", lambda: quantities.Quantity(250.0, "$/ton")),
+        ("Quantity.value_in('$/kg')", lambda: quantity.value_in("$/kg")),
+        ("ccss.ccss_capital", lambda: ccss.ccss_capital(1.0, plant.cbar_day, econ)),
+        ("ccss.ccss_operational", lambda: ccss.ccss_operational(1.0, captured, econ)),
+        ("water.water_capital", lambda: water.water_capital(cfg.water_mode, w_max, econ)),
+        ("water.water_operational",
+         lambda: water.water_operational(cfg.water_mode, w_max, captured,
+                                         product.water_demand, econ)),
+        ("conversion.power_capital",
+         lambda: conversion.power_capital(product.xi_h * plant.cbar, econ)),
+        ("conversion.hydrogen_capital",
+         lambda: conversion.hydrogen_capital(product, plant.cbar, 1.0, econ)),
+        ("conversion.chemical_revenue",
+         lambda: conversion.chemical_revenue(product, captured, 1.0, econ)),
+        ("total_daily_cost, reuse cell", lambda: economics.total_daily_cost(reuse)),
+        ("total_daily_cost, storage cell", lambda: economics.total_daily_cost(storage)),
+        (f"LoadedConfig.sweep, {len(cells)} cells", cfg.sweep),
+        ("breakeven_distance", lambda: analysis.breakeven_distance(query, econ)),
+        ("load_config_text (parse and validate)", lambda: config.load_config_text(text)),
+        ("load_config (cached)", lambda: config.load_config("paper-2024")),
+        ("dump_config", lambda: config.dump_config(cfg)),
+        (f"sweep rows ({len(cells)} sweep_row calls)",
+         lambda: [cli.sweep_row(cell) for cell in cells]),
+        ("render sweep csv", lambda: cli.render_output(commands["sweep"], "csv", sweep)),
+        ("render sweep table", lambda: cli.render_output(commands["sweep"], "table", sweep)),
+        ("render sweep json", lambda: cli.render_output(commands["sweep"], "json", sweep)),
+        ("render curve json", lambda: cli.render_output(commands["curve"], "json", curve)),
+        ("render penalty table", lambda: cli.render_output(commands["penalty"], "table", record)),
+        ("render penalty json", lambda: cli.render_output(commands["penalty"], "json", record)),
+        ("cli.main sweep --format csv", cli_main("csv")),
+        ("cli.main sweep --format table", cli_main("table")),
+        ("cli.main sweep --format json", cli_main("json")),
+    ]
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--repeat", type=int, default=7, help="timing loops per row (best kept)")
+    parser.add_argument("--seconds", type=float, default=0.2, help="length of one timing loop")
+    args = parser.parse_args(argv)
+    table = rows()
+    width = max(len(label) for label, _ in table)
+    print(f"{'row':<{width}}  {'us/call':>10}")
+    for label, call in table:
+        timer = timeit.Timer(call)
+        number = max(1, round(args.seconds / max(timer.timeit(1), 1e-9)))
+        best = min(timer.repeat(repeat=args.repeat, number=number)) / number
+        print(f"{label:<{width}}  {best * 1e6:>10.1f}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
