@@ -2,9 +2,10 @@
 
 ``config`` imports this module as ``yaml``, so each parse is one call of
 ``yaml.safe_load`` that an outside tracer can rebind.  The C and pure-Python
-classes load equal documents and dump identical text, and reject a key
-repeated within one mapping or merge source as they construct it, where
-PyYAML alone keeps the last value; only the wording of syntax errors differs.
+classes load equal documents, reject a key repeated within one mapping or merge
+source as they construct it (PyYAML alone keeps the last value), word syntax
+errors differently, and dump identical text but for an empty-string mapping key
+(``? ''`` in pure Python) and a bare top-level scalar (which it ends with ``...``).
 """
 
 import yaml

@@ -1,5 +1,5 @@
 """Decision-support layer: scenario sweeps, water-supply break-even distance,
-transfer cost curves, and carbon-penalty thresholds.
+transfer cost curves, carbon-penalty thresholds, and the paper scorecard.
 
 All sweep cells are independent pure evaluations ordered by (plant, product,
 beta); a failing cell is reported with its coordinates without aborting the
@@ -11,12 +11,16 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import economics, water
-from .conversion import ProductSpec, _reuse_rates
+from .conversion import ProductSpec, _reuse_rates, nexus_rates
 from .economics import ScenarioConfig
 from .quantities import HOURS_PER_DAY, DomainError, EconParams, PlantSpec, Quantity, check_beta
+
+if TYPE_CHECKING:
+    from .config import LoadedConfig
+
 
 def beta_errors(betas: Sequence, path: str) -> list[str]:
     """One line per broken rule of a sweep's reuse fractions, each entry named ``path[i]``.
@@ -282,3 +286,47 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
     column = economics._column(plant, econ, cfg.product, water_mode)
     return Quantity._computed(
         economics._daily(economics._terms(column, cfg.beta), column)[3], "$/ton")
+
+
+def scorecard(cfg: LoadedConfig, reference: Sequence[Mapping]) -> list[dict]:
+    """One row per entry of ``reference``, in ``config.paper_2024_reference()``'s form.
+
+    A row holds the engine's value on ``cfg``, the printed text, the tolerance used (the
+    entry's, a number or a percent of the value, else half the print quantum), the relative
+    error, the gap per ton of reused carbon (on a reuse daily-cost row; "" on the others)
+    and whether it passes.  A value ``cfg`` cannot price, such as one of a plant it lacks,
+    is an error row.
+    """
+    def cell(p: PlantSpec, x: ProductSpec | None, b: float) -> economics.ScenarioResult:
+        return economics.total_daily_cost(cfg.scenario(p, x, b))
+    engine = {   # quantity -> its value at (plant, product, beta), in the printed unit
+        "h2_ton_per_h": lambda p, x, b: nexus_rates(p, x, b)[0].value_in("ton/h"),
+        "water_m3_per_h": lambda p, x, b: nexus_rates(p, x, b)[1].value_in("m3/h"),
+        "chemical_ton_per_h": lambda p, x, b: nexus_rates(p, x, b)[2].value_in("ton/h"),
+        "daily_cost_musd_per_day": lambda p, x, b: cell(p, x, b).daily_cost.magnitude / 1e6,
+        "increased_price_usd_per_kwh": lambda p, x, b: cell(p, x, b).increased_price.magnitude,
+        "carbon_penalty_usd_per_ton": lambda p, x, b: cell(p, x, b).carbon_penalty.magnitude,
+        "breakeven_distance_km": lambda p, x, b: breakeven_distance(
+            BreakevenQuery(p, x), cfg.econ_for(p)).value_in("km"),
+        "xi_h": lambda p, x, b: x.xi_h}
+    rows = []
+    for entry in reference:
+        quantity, text, stated = entry["quantity"], entry["value"], entry.get("tolerance", "")
+        plant, product, beta = (entry.get(key, "") for key in ("plant", "product", "beta"))
+        row = {"quantity": quantity, "plant": plant, "product": product, "beta": beta}
+        try:
+            p = cfg.plant(plant) if plant else None
+            x = cfg.product(product) if product else None
+            computed = engine[quantity](p, x, beta or 0.0)
+        except ValueError as exc:
+            rows.append({**row, "error": f"{quantity} ({plant or '-'}, {product or '-'}): {exc}"})
+            continue
+        value = float(text)
+        tol = (float(stated[:-1]) / 100 * abs(value) if stated.endswith("%")
+               else float(stated or 0.5 * 10.0 ** -len(text.partition(".")[2])))
+        gap = ((computed - value) * 1e6 / (beta * p.cbar_day)
+               if beta and quantity == "daily_cost_musd_per_day" else "")
+        rows.append({**row, "computed": computed, "reference": text, "tolerance": tol,
+                     "relative_error": (computed - value) / abs(value),
+                     "gap_usd_per_ton": gap, "pass": abs(computed - value) <= tol})
+    return rows

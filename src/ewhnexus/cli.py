@@ -5,9 +5,10 @@ from the parsed arguments and the loaded config to a list of row dicts, the
 columns of those rows, what ``--format table`` writes and the flags it reads
 if given; any other command flag is a usage error.  ``scenario`` evaluates
 a single cell, ``sweep`` the whole grid, ``breakeven`` the water-supply
-break-even distance, ``curve`` the transfer cost surface and ``penalty`` a
-carbon-penalty threshold.  A row with an ``error`` key is a failed cell: it
-is reported on stderr, shown in the sweep table and left out of CSV and JSON.
+break-even distance, ``curve`` the transfer cost surface, ``penalty`` a
+carbon-penalty threshold and ``scorecard`` the paper's printed values next to
+the engine's.  A row with an ``error`` key is a failed cell: it is reported
+on stderr, shown in the sweep table and left out of CSV and JSON.
 Output is a human table, CSV or JSON.  Exit codes:
 0 success, 2 invalid config or usage, 3 computation domain error, 4 I/O error.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import analysis
-from .config import ConfigError, LoadedConfig, load_config
+from .config import ConfigError, LoadedConfig, load_config, paper_2024_reference
 from .conversion import ProductSpec, _reuse_rates
 from .economics import total_daily_cost
 from .quantities import DomainError, PlantSpec, UnitError, check_beta
@@ -144,6 +145,9 @@ COMMANDS = {
     "penalty": Command(("plant",), _penalty_rows,
                        ("plant", "strategy", "penalty_threshold_usd_per_ton"), "record",
                        ("product",)),
+    "scorecard": Command((), lambda args, cfg: analysis.scorecard(cfg, paper_2024_reference()),
+                         ("quantity", "plant", "product", "beta", "computed", "reference",
+                          "tolerance", "relative_error", "gap_usd_per_ton", "pass"), "csv"),
 }
 # every parser destination that some command reads
 _FLAGS = tuple(dict.fromkeys(f for c in COMMANDS.values() for f in c.required + c.optional))

@@ -476,6 +476,13 @@ def _preset_text(name: str) -> str:
     return resources.files("ewhnexus").joinpath("presets", PRESETS[name]).read_text("utf-8")
 
 
+@functools.cache   # read on first use: neither the import nor a config load reads it
+def paper_2024_reference() -> tuple[Mapping[str, Any], ...]:
+    """The paper's printed values (presets/paper-2024-reference.yaml), parsed once, read-only."""
+    return tuple(map(FrozenMap, yaml.safe_load(resources.files("ewhnexus").joinpath(
+        "presets", "paper-2024-reference.yaml").read_text("utf-8"))["values"]))
+
+
 @functools.lru_cache(maxsize=16)   # a batch of CLI calls reads a handful of configs
 def _validated(text: str) -> LoadedConfig:
     """``load_config_text`` once per distinct text; a ConfigError is raised, never kept."""

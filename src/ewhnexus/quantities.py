@@ -267,6 +267,7 @@ def daily_capital_charge(capital: float, econ: EconParams) -> float:
 _NONNEG_FIELDS = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
                   "c_we", "xi_p", "r_w_per_100km", "interest_rate")
 _OPTIONAL_FIELDS = ("c_ccs", "c_sw")
+_NUMBER_FIELDS = _NONNEG_FIELDS + _OPTIONAL_FIELDS + ("wind_capacity_factor", "eta_pump")
 
 
 @dataclass(frozen=True)
@@ -274,8 +275,7 @@ class EconParams:
     """Cost and process parameters, one named field per model symbol.
 
     Scalars are stored in the unit stated on each field; the config layer converts
-    "value unit" inputs into them, and passes ``horizon_years`` (an int >= 1, not a
-    bool) and ``include_hydrogen_capital`` (a bool) through for this class to check.
+    "value unit" inputs into them and leaves the type rules to this class.
     ``c_ccs`` and ``c_sw`` have no defensible defaults, so they stay unset until a
     config or preset provides them; pricing a scenario that needs an unset cost, or
     a product without a price, is an error (``economics._column``).
@@ -302,19 +302,27 @@ class EconParams:
     product_prices: Mapping[str, float] = field(default_factory=dict)  # [$ / ton]
 
     def __post_init__(self):
-        object.__setattr__(self, "e_des", tuple(float(e) for e in self.e_des))
         check_map("product_prices", self.product_prices)
+        # the type rules: each number is an int or a float, never a bool (an unset
+        # optional cost is None); horizon_years an int >= 1; the flag a bool
+        for name, value in ([(n, getattr(self, n)) for n in _NUMBER_FIELDS]
+                            + [(f"e_des[{i + 1}]", e) for i, e in enumerate(self.e_des)]
+                            + [(f"product_prices[{k}]", v) for k, v in self.product_prices.items()]):
+            if type(value) is bool or not isinstance(value, (int, float)) and not (
+                    value is None and name in _OPTIONAL_FIELDS):
+                raise DomainError(f"{name} must be a number, got {value!r}")
+        if type(self.horizon_years) is not int or self.horizon_years < 1:   # a bool is no int
+            raise DomainError(f"horizon_years must be an integer >= 1, got {self.horizon_years!r}")
+        if type(self.include_hydrogen_capital) is not bool:
+            raise DomainError("include_hydrogen_capital must be true or false, got "
+                              f"{self.include_hydrogen_capital!r}")
+        object.__setattr__(self, "e_des", tuple(float(e) for e in self.e_des))
         object.__setattr__(self, "product_prices",
                            FrozenMap((k, float(v)) for k, v in self.product_prices.items()))
         if not 0.0 < self.wind_capacity_factor <= 1.0:
             raise DomainError("wind_capacity_factor must lie in (0, 1]")
         if not 0.0 < self.eta_pump <= 1.0:
             raise DomainError("eta_pump must lie in (0, 1]")
-        if type(self.horizon_years) is not int or self.horizon_years < 1:   # a bool is no int
-            raise DomainError(f"horizon_years must be an integer >= 1, got {self.horizon_years!r}")
-        if type(self.include_hydrogen_capital) is not bool:
-            raise DomainError("include_hydrogen_capital must be true or false, got "
-                              f"{self.include_hydrogen_capital!r}")
         if len(self.e_des) != 4:
             raise DomainError("e_des needs exactly 4 segment coefficients")
         for name in _NONNEG_FIELDS:

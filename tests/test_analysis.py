@@ -14,10 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 from ewhnexus import analysis, ccss, conversion, economics, water
 from ewhnexus.analysis import (
     BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepCell, SweepGrid,
-    breakeven_distance, penalty_threshold, scenario_sweep, transfer_cost_curve,
+    breakeven_distance, penalty_threshold, scenario_sweep, scorecard, transfer_cost_curve,
 )
-from ewhnexus.config import ConfigError, LoadedConfig, paper_2024
-from ewhnexus.conversion import ETHANOL, METHANE, METHANOL, ProductSpec, _reuse_rates
+from ewhnexus.config import ConfigError, LoadedConfig, paper_2024, paper_2024_reference
+from ewhnexus.conversion import (
+    ETHANOL, METHANE, METHANOL, ProductSpec, _reuse_rates, nexus_rates,
+)
 from ewhnexus.economics import (
     ScenarioConfig, ScenarioResult, daily_capital_charge, total_daily_cost,
 )
@@ -31,6 +33,10 @@ CFG = paper_2024()
 BIOMASS = CFG.plant("biomass")
 GAS = CFG.plant("natural_gas")
 COAL = CFG.plant("coal")
+REFERENCE = paper_2024_reference()
+# plant -> the published methane break-even distance [km]
+BREAKEVEN_KM = {e["plant"]: float(e["value"]) for e in REFERENCE
+                if e["quantity"] == "breakeven_distance_km"}
 
 
 def plain_econ(**over):
@@ -227,18 +233,16 @@ class TestBreakeven:
             econ = CFG.econ_for(plant)
             q = BreakevenQuery(plant=plant, product=METHANE)
             got[plant.name] = breakeven_distance(q, econ).value_in("km")
-        assert got["biomass"] == pytest.approx(61.0, abs=0.2)
-        assert got["natural_gas"] == pytest.approx(261.0, abs=0.2)
-        assert got["coal"] == pytest.approx(301.0, abs=0.2)
+        assert got == pytest.approx(BREAKEVEN_KM, abs=0.2)
         assert got["biomass"] < got["natural_gas"] < got["coal"]
 
     def test_calibrated_roots_hit_the_fitted_targets_exactly(self):
         # the friction coefficients were fitted to these distances, and the
         # closed form has no bracket width to blur them
-        for plant, target in ((BIOMASS, 61.0), (GAS, 261.0), (COAL, 301.0)):
+        for plant in (BIOMASS, GAS, COAL):
             econ = CFG.econ_for(plant)
             root = breakeven_distance(BreakevenQuery(plant=plant, product=METHANE), econ)
-            assert root.value_in("km") == pytest.approx(target, abs=1e-6)
+            assert root.value_in("km") == pytest.approx(BREAKEVEN_KM[plant.name], abs=1e-6)
 
     def test_ordering_holds_with_uncalibrated_shared_friction(self):
         got = []
@@ -401,7 +405,8 @@ class TestBreakevenAgainstFullScenarios:
         plant, econ = case
         query = BreakevenQuery(plant, METHANE)
         if outcome is None:
-            assert breakeven_distance(query, econ).value_in("km") == pytest.approx(61.0)
+            assert breakeven_distance(query, econ).value_in("km") == pytest.approx(
+                BREAKEVEN_KM["biomass"])
         else:
             with pytest.raises(DomainError) as info:
                 breakeven_distance(query, econ)
@@ -623,9 +628,12 @@ class TestCurveCell:
 
 class TestPenaltyThreshold:
     def test_store_all_biomass(self):
+        # within acceptance A8's tolerance of the printed biomass storage penalty
         econ = CFG.econ_for(BIOMASS)
         thr = penalty_threshold(BIOMASS, StoreAll(), econ)
-        assert thr.value_in("$/ton") == pytest.approx(75.09, rel=0.02)
+        row = next(row for row in scorecard(CFG, REFERENCE) if row["plant"] == "biomass"
+                   and row["beta"] == 0.0 and row["quantity"] == "carbon_penalty_usd_per_ton")
+        assert abs(thr.value_in("$/ton") - float(row["reference"])) <= row["tolerance"]
 
     def test_methane_reuse_threshold_negative_everywhere(self):
         for plant in (BIOMASS, GAS, COAL):
@@ -669,6 +677,100 @@ class TestPenaltyThreshold:
         econ = CFG.econ_for(BIOMASS)
         bare = penalty_threshold(BIOMASS, StoreAll(), econ)
         assert repr(bare) == repr(penalty_threshold(BIOMASS, StoreAll(), econ, water_mode=mode))
+
+
+class TestScorecard:
+    ROWS = scorecard(CFG, REFERENCE)
+
+    def test_the_reference_is_read_only(self):
+        entry = REFERENCE[0]
+        with pytest.raises(TypeError):
+            entry["value"] = "0"
+        assert paper_2024_reference() is REFERENCE and isinstance(REFERENCE, tuple)
+
+    def test_a_row_per_reference_value_and_the_passes_per_table(self):
+        assert [(r["quantity"], r["plant"], r["product"]) for r in self.ROWS] == [
+            (e["quantity"], e.get("plant", ""), e.get("product", "")) for e in REFERENCE]
+        passed = Counter(r["quantity"] for r in self.ROWS if r["pass"])
+        assert (len(self.ROWS), sum(passed.values())) == (96, 36)
+        assert passed == {"h2_ton_per_h": 9, "water_m3_per_h": 5, "chemical_ton_per_h": 9,
+                          "daily_cost_musd_per_day": 3, "increased_price_usd_per_kwh": 3,
+                          "carbon_penalty_usd_per_ton": 1, "breakeven_distance_km": 3,
+                          "xi_h": 3}
+        # the storage rows match the printed daily cost and price uplift; no reuse row does
+        assert {(r["beta"], r["pass"]) for r in self.ROWS if r["quantity"] in (
+            "daily_cost_musd_per_day", "increased_price_usd_per_kwh")} == {
+            (0.0, True), (0.5, False), (1.0, False)}
+
+    def test_tolerance_is_the_entrys_else_half_the_print_quantum(self):
+        def entry(value, **tolerance):
+            return {"quantity": "h2_ton_per_h", "plant": "coal", "product": "methane",
+                    "beta": 1.0, "value": value, **tolerance}
+
+        computed = nexus_rates(COAL, METHANE, 1.0)[0].value_in("ton/h")   # 74.5454...
+        rows = scorecard(CFG, (entry("74"), entry("74.5"), entry("74.55"), entry("74.50"),
+                               entry("-80", tolerance="10%"), entry("80", tolerance="6")))
+        assert [(r["tolerance"], r["pass"]) for r in rows] == [
+            (0.5, False), (0.05, True), (0.005, True), (0.005, False), (8.0, False), (6.0, True)]
+        for r in rows + self.ROWS:
+            assert r["pass"] == (abs(r["computed"] - float(r["reference"])) <= r["tolerance"])
+            assert r["relative_error"] == (
+                (r["computed"] - float(r["reference"])) / abs(float(r["reference"])))
+        assert rows[4]["relative_error"] == (computed + 80) / 80
+
+    def test_every_reuse_daily_cost_row_and_no_other_has_a_per_ton_gap(self):
+        gaps = {(r["plant"], r["product"], r["beta"]): r["gap_usd_per_ton"] for r in self.ROWS
+                if r["gap_usd_per_ton"] != ""}
+        assert len(gaps) == 18 and all(beta > 0 for _, _, beta in gaps)
+        assert -158.76 <= min(gaps.values()) < max(gaps.values()) <= -18.84
+        for (plant, product, beta), gap in gaps.items():
+            row = next(r for r in self.ROWS if r["quantity"] == "daily_cost_musd_per_day"
+                       and (r["plant"], r["product"], r["beta"]) == (plant, product, beta))
+            daily = total_daily_cost(CFG.scenario(CFG.plant(plant), CFG.product(product), beta))
+            gap_per_day = daily.daily_cost.value_in("$/day") - float(row["reference"]) * 1e6
+            assert gap == pytest.approx(gap_per_day / (beta * CFG.plant(plant).cbar_day))
+
+    def test_priced_by_the_public_paths(self):
+        for r in self.ROWS:
+            if r["quantity"] == "carbon_penalty_usd_per_ton" and r["beta"] in (0.0, 1.0):
+                plant = CFG.plant(r["plant"])
+                strategy = ReuseAll(CFG.product(r["product"])) if r["product"] else StoreAll()
+                assert r["computed"] == penalty_threshold(
+                    plant, strategy, CFG.econ_for(plant), water_mode=CFG.water_mode).magnitude
+            if r["quantity"] == "xi_h":
+                assert r["computed"] == CFG.product(r["product"]).xi_h
+            if r["quantity"] == "breakeven_distance_km":
+                plant = CFG.plant(r["plant"])
+                query = BreakevenQuery(plant, CFG.product(r["product"]))
+                assert r["computed"] == breakeven_distance(query, CFG.econ_for(plant)).magnitude
+            if r["quantity"] == "water_m3_per_h":
+                rates = nexus_rates(CFG.plant(r["plant"]), CFG.product(r["product"]), r["beta"])
+                assert r["computed"] == rates[1].value_in("m3/h")
+
+    def test_another_water_mode_prices_the_cost_rows_in_it(self):
+        transfer = replace(CFG, water_mode=NetworkTransfer(Quantity(150.0, "km")))
+        rows = scorecard(transfer, REFERENCE)
+        changed = {r["quantity"] for r, before in zip(rows, self.ROWS)
+                   if r["computed"] != before["computed"]}
+        assert changed == {"daily_cost_musd_per_day", "increased_price_usd_per_kwh",
+                           "carbon_penalty_usd_per_ton"}
+
+    def test_an_entry_the_config_cannot_price_is_an_error_row(self):
+        entries = (
+            {"quantity": "h2_ton_per_h", "plant": "lignite", "product": "methane", "beta": 1.0,
+             "value": "80"},
+            {"quantity": "xi_h", "product": "formic_acid", "value": "0.0435"},
+            {"quantity": "breakeven_distance_km", "plant": "coal", "product": "methane",
+             "value": "301"})
+        # free desalination beats any pipe, so no break-even exists
+        cfg = replace(CFG, econ=replace(CFG.econ, c_des=0.0, e_des=(0.0,) * 4))
+        lignite, formic, coal = scorecard(cfg, entries)
+        assert lignite == {"quantity": "h2_ton_per_h", "plant": "lignite", "product": "methane",
+                           "beta": 1.0, "error": "h2_ton_per_h (lignite, methane): unknown "
+                           "plant 'lignite'; configured plants are ['biomass', 'natural_gas', "
+                           "'coal']"}
+        assert formic["error"].startswith("xi_h (-, formic_acid): unknown product")
+        assert coal["error"].startswith("breakeven_distance_km (coal, methane): no break-even")
 
 
 class TestNoDefaultPicksACellsInputs:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from ewhnexus.config import paper_2024_reference
 from ewhnexus.conversion import (
     BUILTIN_PRODUCTS, ETHANOL, INTEGER_MASSES, METHANE, METHANOL, STANDARD_MASSES, AtomicMasses,
     ProductSpec, chemical_revenue, hydrogen_capital, nexus_rates, power_capital,
@@ -26,13 +27,18 @@ def econ(**over):
     return EconParams(**base)
 
 
+# product -> the published kg H2 per kg CO2
+XI_H = {e["product"]: float(e["value"]) for e in paper_2024_reference()
+        if e["quantity"] == "xi_h"}
+
+
 class TestStoichiometry:
     def test_methane_hydrogen_ratio(self):
-        assert METHANE.xi_h == pytest.approx(0.1818, abs=5e-5)
+        assert METHANE.xi_h == pytest.approx(XI_H["methane"], abs=5e-5)
 
     def test_methanol_and_ethanol_hydrogen_ratio(self):
-        assert METHANOL.xi_h == pytest.approx(0.1374, abs=5e-5)
-        assert ETHANOL.xi_h == pytest.approx(0.1374, abs=5e-5)
+        assert METHANOL.xi_h == pytest.approx(XI_H["methanol"], abs=5e-5)
+        assert ETHANOL.xi_h == pytest.approx(XI_H["ethanol"], abs=5e-5)
 
     def test_methane_water_demand(self):
         # 1.64 liters of electrolysis feed water per kg CO2

@@ -14,6 +14,8 @@ root:
         > tests/golden/penalty_P_store-all.json
     ewhnexus --config paper-2024 --command penalty --format json --plant P \\
         --product Q > tests/golden/penalty_P_Q.json
+    ewhnexus --config paper-2024 --command scorecard --format json \\
+        > tests/golden/scorecard.json
 
 with P in {biomass, natural_gas, coal} and Q in {methane, methanol, ethanol}.
 
@@ -188,6 +190,7 @@ def _cases():
         yield f"penalty_{plant}_store-all.json", None, penalty
         for product in PRODUCTS:
             yield f"penalty_{plant}_{product}.json", None, penalty + ["--product", product]
+    yield "scorecard.json", None, ["--command", "scorecard", "--format", "json"]
     yield "sweep.txt", None, ["--command", "sweep", "--format", "table"]
     yield "sweep.json", None, ["--command", "sweep", "--format", "json"]
     curve = ["--command", "curve", "--plant", "biomass", "--distances", "60,260,300"]

@@ -14,7 +14,8 @@ def test_every_layer_times_row_runs_once():
     rows = module.rows()
     labels = [label for label, _ in rows]
     assert len(set(labels)) == len(labels)
-    for label in ("dump_config", "render sweep json", "cli.main sweep --format json"):
+    for label in ("dump_config", "render sweep json", "cli.main sweep --format json",
+                  "cli.main scorecard --format json"):
         assert label in labels
     for _, call in rows:
         call()

@@ -9,8 +9,8 @@ for about ``--seconds``, and the row prints the best of ``--repeat`` loops
 as microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
 construction and conversion, each cost term, the cell assembly, a sweep, a
 break-even solve, config load and dump, a fresh interpreter's import) and
-the CLI's output path: the sweep rows, each renderer and ``cli.main`` on a
-sweep in each format.  Times depend on the machine; compare two trees by
+the CLI's output path: the sweep rows, each renderer, ``cli.main`` on a
+sweep in each format, and on the scorecard, which no benchmark workload runs.  Times depend on the machine; compare two trees by
 running both on it, alternately.
 """
 
@@ -59,8 +59,8 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
     record = cli._penalty_rows(argparse.Namespace(plant="coal", product="methanol"), cfg)
     commands = cli.COMMANDS
 
-    def cli_main(fmt: str) -> Callable[[], object]:
-        argv = ["--config", "paper-2024", "--command", "sweep", "--format", fmt]
+    def cli_main(fmt: str, command: str = "sweep") -> Callable[[], object]:
+        argv = ["--config", "paper-2024", "--command", command, "--format", fmt]
 
         def call():
             with redirect_stdout(io.StringIO()):
@@ -102,6 +102,7 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("cli.main sweep --format csv", cli_main("csv")),
         ("cli.main sweep --format table", cli_main("table")),
         ("cli.main sweep --format json", cli_main("json")),
+        ("cli.main scorecard --format json", cli_main("json", "scorecard")),
     ]
 
 
