@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import economics, water
 from .conversion import ProductSpec, _reuse_rates, nexus_rates
-from .economics import ScenarioConfig
 from .quantities import HOURS_PER_DAY, DomainError, EconParams, PlantSpec, Quantity, check_beta
 
 if TYPE_CHECKING:
@@ -138,29 +137,29 @@ class NoCrossingError(DomainError):
 
 
 def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[float], float]:
-    """Daily-cost gap between piping water from distance d and desalinating.
+    """Daily-cost gap between piping water from distance d [km] and desalinating.
 
-    Both alternatives are full scenarios at beta = 1, so every non-water term
-    cancels in the difference.  The desalination scenario's column is set up
-    and its terms priced once, here; those that do not depend on the water
-    mode are kept, so each g(d) prices only the pipe's capital and pumping.
-    Both daily costs come from ``economics._daily``, with every check and
-    error of a full scenario but no ledger.
+    Both alternatives are full scenarios at beta = 1 (checked by
+    ``economics._check_cell``), so every non-water term cancels in the
+    difference.  The desalination column is set up and its terms priced once,
+    here; each g(d) prices only the pipe, on floats, by the kernels a transfer
+    scenario calls.  Both daily costs come from ``economics._daily``, with
+    every check and error of a full scenario (a d that is not finite raises as
+    a ``Quantity`` in km would) but no ledger.
     """
     plant, product, desal = query.plant, query.product, water.Desalination()
-    # a reuse scenario's checks (it needs a product)
-    ScenarioConfig(plant=plant, econ=econ, beta=1.0, product=product, water_mode=desal)
+    economics._check_cell(1.0, product, desal)
     column = economics._column(plant, econ, product, desal)
     terms = economics._terms(column, 1.0)
     desal_cost = economics._daily(terms, column)[1]
-    k = product.water_demand   # at beta = 1, as economics._terms: flow k * c, w_max = k * C̄
-    w_max, captured = k * plant.cbar, column[4]   # the full-load day
+    k, captured = product.water_demand, column[4]   # at beta = 1, as _terms; a full-load day
     before, after = terms[:4], terms[6:]   # the terms around the two water terms
 
     def g(d_km: float) -> float:
-        mode = water.NetworkTransfer(Quantity._computed(d_km, "km"))   # d_km is a float
-        transfer = (before + (water.water_capital(mode, w_max, econ),
-                              water.water_operational(mode, w_max, captured, k, econ)) + after)
+        if not math.isfinite(d_km):
+            Quantity._computed(d_km, "km")   # raises the finiteness error
+        transfer = (before + (water.pipe_capital(water.pipe_length_m(d_km, "km"), econ),
+                              water.pumping_operational(d_km, captured, k, econ)) + after)
         return economics._daily(transfer, column)[1] - desal_cost
 
     return g
@@ -171,21 +170,22 @@ def breakeven_distance(query: BreakevenQuery, econ: EconParams) -> Quantity:
 
     The window-end secant is exact: the gap is affine in d (pipe capital, r_w).
     A solve prices the terms that do not depend on the water mode once, and
-    the pipe's water terms at each window end.  Raises NoCrossingError (with
-    both endpoint gaps) if one option dominates over the whole window.
+    the pipe on floats at each window end; the root is its one ``Quantity``.
+    Raises NoCrossingError (with both endpoint gaps) if one option dominates
+    over the whole window.
     """
     g = _transfer_minus_desal(query, econ)
     lo, hi = query.distance_bounds
     g_lo, g_hi = g(lo), g(hi)
     if g_lo == 0.0:
-        return Quantity(lo, "km")
+        return Quantity._computed(lo, "km")
     if g_hi == 0.0:
-        return Quantity(hi, "km")
+        return Quantity._computed(hi, "km")
     if (g_lo > 0) == (g_hi > 0):
         raise NoCrossingError(
             f"no break-even in [{lo:g}, {hi:g}] km: cost gap goes from "
             f"{g_lo:+.2f} to {g_hi:+.2f} $/day", g_lo, g_hi)
-    return Quantity(lo + (hi - lo) * g_lo / (g_lo - g_hi), "km")
+    return Quantity._computed(lo + (hi - lo) * g_lo / (g_lo - g_hi), "km")
 
 
 class CurveCell(namedtuple("CurveCell", "distance_km flow_m3_h capital_daily "
@@ -280,12 +280,11 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
     """
     if not isinstance(strategy, Strategy):
         raise DomainError(f"unknown strategy {strategy!r}")
-    reuse = isinstance(strategy, ReuseAll)
-    cfg = ScenarioConfig(plant=plant, econ=econ, beta=1.0 if reuse else 0.0,
-                         product=strategy.product if reuse else None, water_mode=water_mode)
-    column = economics._column(plant, econ, cfg.product, water_mode)
-    return Quantity._computed(
-        economics._daily(economics._terms(column, cfg.beta), column)[3], "$/ton")
+    beta, product = (1.0, strategy.product) if isinstance(strategy, ReuseAll) else (0.0, None)
+    economics._check_cell(beta, product, water_mode)
+    column = economics._column(plant, econ, product, water_mode)
+    return Quantity._computed(   # _daily checked that the penalty is finite
+        economics._daily(economics._terms(column, beta), column)[3], "$/ton", checked=True)
 
 
 def scorecard(cfg: LoadedConfig, reference: Sequence[Mapping]) -> list[dict]:
@@ -297,8 +296,11 @@ def scorecard(cfg: LoadedConfig, reference: Sequence[Mapping]) -> list[dict]:
     and whether it passes.  A value ``cfg`` cannot price, such as one of a plant it lacks,
     is an error row.
     """
+    priced: dict[tuple, economics.ScenarioResult] = {}   # each cell priced once per call
     def cell(p: PlantSpec, x: ProductSpec | None, b: float) -> economics.ScenarioResult:
-        return economics.total_daily_cost(cfg.scenario(p, x, b))
+        if (key := (p.name, x and x.name, b)) not in priced:
+            priced[key] = economics.total_daily_cost(cfg.scenario(p, x, b))
+        return priced[key]
     engine = {   # quantity -> its value at (plant, product, beta), in the printed unit
         "h2_ton_per_h": lambda p, x, b: nexus_rates(p, x, b)[0].value_in("ton/h"),
         "water_m3_per_h": lambda p, x, b: nexus_rates(p, x, b)[1].value_in("m3/h"),

@@ -29,10 +29,9 @@ class ScenarioConfig:
     ``beta`` = 0 is pure storage: no water, power, hydrogen or revenue terms
     exist, and no water mode is needed.  A positive ``beta`` needs a product
     and a water mode; the water system and the electrolyzer fleet are sized to
-    the reuse stream.  This is where a scenario's units are checked: the
-    capture profile must be a 24-step mass flow no step of which exceeds the
-    plant's full-load rate C̄, and is kept in ton/h; the water mode must be a
-    single mode object.
+    the reuse stream (``_check_cell``).  This is where a scenario's units are
+    checked: the capture profile must be a 24-step mass flow no step of which
+    exceeds the plant's full-load rate C̄, and is kept in ton/h.
     """
 
     plant: PlantSpec
@@ -43,13 +42,7 @@ class ScenarioConfig:
     capture_profile: TimeSeries | None = None   # [ton/h]; defaults to 24 h full load
 
     def __post_init__(self):
-        check_beta(self.beta)
-        if self.beta > 0 and self.product is None:
-            raise DomainError("a reuse scenario (beta > 0) needs a product")
-        if self.beta > 0 and self.water_mode is None:
-            raise DomainError("a reuse scenario (beta > 0) needs a water mode")
-        if self.water_mode is not None:
-            water.check_mode(self.water_mode)
+        _check_cell(self.beta, self.product, self.water_mode)
         profile = self.capture_profile
         if profile is not None:
             try:
@@ -67,6 +60,17 @@ class ScenarioConfig:
                                       f"plant {self.plant.name!r}")
             if profile.unit != "ton/h":   # kept in ton/h, so it is converted once
                 object.__setattr__(self, "capture_profile", TimeSeries(captured, "ton/h"))
+
+
+def _check_cell(beta: float, product: conversion.ProductSpec | None, water_mode) -> None:
+    """A cell's input rule, the one that ``ScenarioConfig`` and the single-cell analyses call."""
+    check_beta(beta)
+    if beta > 0 and product is None:
+        raise DomainError("a reuse scenario (beta > 0) needs a product")
+    if beta > 0 and water_mode is None:
+        raise DomainError("a reuse scenario (beta > 0) needs a water mode")
+    if water_mode is not None:
+        water.check_mode(water_mode)
 
 
 class ScenarioResult(namedtuple("ScenarioResult",

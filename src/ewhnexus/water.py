@@ -127,21 +127,30 @@ def water_operational(mode: WaterMode, w_max: float, captured: Sequence[tuple[fl
                       k: float, econ: EconParams) -> float:
     """Daily electricity cost of producing or moving the water [$ / day].
 
-    ``captured`` holds the day's carbon [ton/h] as (c, hours) runs of equal
-    hours; an hour's water flow is k * c [m3/h], within [0, w_max].  Desalination
-    pays for the piecewise RO power, transfer for pumping, solar seawater nothing.
-    A run is priced once and its bill added once per hour, so a full-load day
-    prices one hour and adds it 24 times.
+    ``captured`` holds the day's carbon [ton/h] as (c, hours) runs of equal hours; an
+    hour's water flow is k * c [m3/h], within [0, w_max].  Desalination pays for the
+    piecewise RO power, transfer for pumping, solar seawater nothing.  A run is priced
+    once and its bill added once per hour: a full-load day prices one hour, 24 times.
     """
+    if isinstance(mode, NetworkTransfer):
+        return pumping_operational(mode.km, captured, k, econ)
     if isinstance(mode, SolarSeawater):
         return 0.0
-    desal = isinstance(mode, Desalination)
-    r_w = None if desal else effective_r_w(econ, mode.km)
     total = 0.0
     for c, hours in captured:   # cost is the grid bill for one hour at flow k * c [$]
-        f = k * c
-        power = desal_power(f, w_max, econ) if desal else pump_power(f, r_w, econ.eta_pump)
-        cost = econ.elec_price * power
+        cost = econ.elec_price * desal_power(k * c, w_max, econ)
+        for _ in range(hours):
+            total += cost
+    return total
+
+
+def pumping_operational(d_km: float, captured: Sequence[tuple[float, int]], k: float,
+                        econ: EconParams) -> float:
+    """``water_operational``'s pumping bill through a pipe d_km long [$ / day]."""
+    r_w, eta = effective_r_w(econ, d_km), econ.eta_pump
+    total = 0.0
+    for c, hours in captured:
+        cost = econ.elec_price * pump_power(k * c, r_w, eta)
         for _ in range(hours):
             total += cost
     return total

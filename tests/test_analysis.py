@@ -157,6 +157,31 @@ class TestSweep:
             assert str(info.value) == message
 
 
+# the preset in each water mode; solar seawater needs its capital cost set
+MODE_CONFIGS = (CFG, replace(CFG, water_mode=NetworkTransfer(Quantity(120.0, "km"))),
+                replace(CFG, water_mode=SolarSeawater(), econ=replace(CFG.econ, c_sw=3e5)))
+
+
+class TestSweepOrder:
+    """Order does not matter: a sweep's cells depend on their own coordinates alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.sampled_from(MODE_CONFIGS), plants=st.permutations(CFG.plants),
+           products=st.permutations(CFG.products))
+    def test_shuffled_plants_and_products_give_the_same_cells(self, base, plants, products):
+        shuffled = replace(base, plants=tuple(plants), products=tuple(products))
+        cells = {(c.plant, c.product, c.beta): repr(c) for c in base.sweep()}
+        reordered = shuffled.sweep()
+        # bit for bit: a float's repr is exact and tells -0.0 from 0.0
+        assert {(c.plant, c.product, c.beta): repr(c) for c in reordered} == cells
+        assert all(c.error is None for c in reordered)
+        # each config's cells in its own order: plants, storage row, products, betas ascending
+        betas = sorted(base.sweep_betas)
+        assert [(c.plant, c.product, c.beta) for c in reordered] == [
+            (p.name, name, b) for p in plants
+            for name, bs in [("", [0.0])] + [(x.name, betas) for x in products] for b in bs]
+
+
 class TestSweepRecords:
     """A sweep's cells and their results are named tuples with a dataclass's repr."""
 
@@ -434,9 +459,9 @@ class TestWorkCounts:
             calls["Quantity"] += 1
             post_init(self)
 
-        def counting_computed(cls, magnitude, unit):
+        def counting_computed(cls, magnitude, unit, checked=False):
             calls["Quantity"] += 1
-            return computed(cls, magnitude, unit)
+            return computed(cls, magnitude, unit, checked)
 
         monkeypatch.setattr(Quantity, "__post_init__", counting_post_init)
         monkeypatch.setattr(Quantity, "_computed", classmethod(counting_computed))
@@ -447,17 +472,47 @@ class TestWorkCounts:
                              (ccss, "ccss_capital"), (ccss, "ccss_operational"),
                              (conversion, "power_capital"), (conversion, "chemical_revenue"),
                              (water, "water_capital"), (water, "water_operational"),
-                             (economics, "total_daily_cost"))
+                             (water, "pipe_length_m"), (water, "pipe_capital"),
+                             (water, "pumping_operational"), (economics, "total_daily_cost"))
         query, econ = BreakevenQuery(COAL, METHANOL), CFG.econ_for(COAL)
         counts = []
         for _ in range(2):
             calls.clear()
             breakeven_distance(query, econ)
             counts.append(dict(calls))
-        # the water terms are priced for desalination and at both window ends
+        # the water terms are priced once for desalination, and the pipe's at both window ends
         assert counts == [{"ccss_capital": 1, "ccss_operational": 1, "power_capital": 1,
-                           "chemical_revenue": 1, "water_capital": 3,
-                           "water_operational": 3}] * 2
+                           "chemical_revenue": 1, "water_capital": 1, "water_operational": 1,
+                           "pipe_length_m": 2, "pipe_capital": 2,
+                           "pumping_operational": 2}] * 2
+
+    def count_built(self, monkeypatch) -> Counter:
+        """Every Quantity, ScenarioConfig and NetworkTransfer built, by class name."""
+        calls = self.count_quantities(monkeypatch, Counter())
+        for cls in (ScenarioConfig, NetworkTransfer):
+            def counting_post_init(self, _original=cls.__post_init__, _name=cls.__name__):
+                calls[_name] += 1
+                _original(self)
+            monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+        return calls
+
+    @pytest.mark.parametrize("bounds, built", [((1.0, 1000.0), {"Quantity": 1}),
+                                               ((1.0, 100.0), {})],
+                             ids=["crossing", "no-crossing"])
+    def test_a_solve_builds_its_result_alone(self, monkeypatch, bounds, built):
+        calls = self.count_built(monkeypatch)
+        try:
+            breakeven_distance(BreakevenQuery(COAL, METHANOL, bounds), CFG.econ_for(COAL))
+        except NoCrossingError:
+            pass
+        assert calls == built
+
+    @pytest.mark.parametrize("strategy", [StoreAll(), ReuseAll(METHANOL)],
+                             ids=["store-all", "reuse-all"])
+    def test_a_penalty_builds_its_result_alone(self, monkeypatch, strategy):
+        calls = self.count_built(monkeypatch)
+        penalty_threshold(BIOMASS, strategy, CFG.econ_for(BIOMASS), Desalination())
+        assert calls == {"Quantity": 1}
 
     @pytest.mark.parametrize("n_flows", [1, 11])
     def test_a_curve_builds_no_quantity(self, monkeypatch, n_flows):
@@ -701,6 +756,19 @@ class TestScorecard:
         assert {(r["beta"], r["pass"]) for r in self.ROWS if r["quantity"] in (
             "daily_cost_musd_per_day", "increased_price_usd_per_kwh")} == {
             (0.0, True), (0.5, False), (1.0, False)}
+
+    def test_each_cost_table_cell_is_priced_once(self, monkeypatch):
+        priced, price = Counter(), economics.total_daily_cost
+
+        def counting(scenario):
+            priced[scenario.plant.name, getattr(scenario.product, "name", ""),
+                   scenario.beta] += 1
+            return price(scenario)
+
+        monkeypatch.setattr(economics, "total_daily_cost", counting)
+        assert scorecard(CFG, REFERENCE) == self.ROWS
+        # the 21 cells of the cost table, each read by its M$/day, $/kWh and $/ton rows
+        assert len(priced) == 21 and set(priced.values()) == {1}
 
     def test_tolerance_is_the_entrys_else_half_the_print_quantum(self):
         def entry(value, **tolerance):

@@ -31,7 +31,7 @@ def test_public_names_are_unique():
 KERNELS = {
     "ccss": {"ccss_capital", "ccss_operational"},
     "water": {"water_capital", "water_operational", "desal_power", "desal_segment",
-              "pump_power", "effective_r_w", "pipe_capital"},
+              "pumping_operational", "pump_power", "effective_r_w", "pipe_capital"},
     "conversion": {"power_capital", "hydrogen_capital", "chemical_revenue"},
     "quantities": {"daily_capital_charge"},
 }

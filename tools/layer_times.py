@@ -10,8 +10,10 @@ as microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
 construction and conversion, each cost term, the cell assembly, a sweep, a
 break-even solve, config load and dump, a fresh interpreter's import) and
 the CLI's output path: the sweep rows, each renderer, ``cli.main`` on a
-sweep in each format, and on the scorecard, which no benchmark workload runs.  Times depend on the machine; compare two trees by
-running both on it, alternately.
+sweep in each format, and on the scorecard, which no benchmark workload runs.
+The break-even rows time a solve with a root and one whose window holds
+none; the penalty row prices a reuse-all threshold.  Times depend on the
+machine; compare two trees by running both on it, alternately.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
     reuse = cfg.scenario(plant, product, 1.0)
     storage = cfg.scenario(plant, None, 0.0)
     query = analysis.BreakevenQuery(plant=plant, product=product)
+    # wholly below the root (394 km), as the workload's solves without a crossing
+    below = analysis.BreakevenQuery(plant=plant, product=product, distance_bounds=(1.0, 300.0))
+    reuse_all = analysis.ReuseAll(product)
     quantity = quantities.Quantity(250.0, "$/ton")
     cells = cfg.sweep()
     sweep = [cli.sweep_row(cell) for cell in cells]
@@ -58,6 +63,13 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
                                                distances=(0.0, 50.0, 100.0), flows=()), cfg)
     record = cli._penalty_rows(argparse.Namespace(plant="coal", product="methanol"), cfg)
     commands = cli.COMMANDS
+
+    def no_crossing() -> analysis.NoCrossingError:
+        try:
+            analysis.breakeven_distance(below, econ)
+        except analysis.NoCrossingError as exc:
+            return exc
+        raise AssertionError(f"{below} holds a break-even")
 
     def cli_main(fmt: str, command: str = "sweep") -> Callable[[], object]:
         argv = ["--config", "paper-2024", "--command", command, "--format", fmt]
@@ -88,6 +100,9 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("total_daily_cost, storage cell", lambda: economics.total_daily_cost(storage)),
         (f"LoadedConfig.sweep, {len(cells)} cells", cfg.sweep),
         ("breakeven_distance", lambda: analysis.breakeven_distance(query, econ)),
+        ("breakeven_distance, no crossing", no_crossing),
+        ("penalty_threshold, reuse-all",
+         lambda: analysis.penalty_threshold(plant, reuse_all, econ, cfg.water_mode)),
         ("load_config_text (parse and validate)", lambda: config.load_config_text(text)),
         ("load_config (cached)", lambda: config.load_config("paper-2024")),
         ("dump_config", lambda: config.dump_config(cfg)),
