@@ -3,25 +3,22 @@
 # capital and pumping energy?
 
 import ewhnexus as ew
-from ewhnexus.analysis import BreakevenQuery, breakeven_distance, transfer_cost_curve
+from ewhnexus.analysis import decide, transfer_cost_curve
 
 cfg = ew.paper_2024()
-methane = cfg.product("methane")
 
 # ---------------------------------------------------------------
-# Break-even distances under the calibrated preset
+# decide's water row: the supply for each plant's best product
 # ---------------------------------------------------------------
-print("Desalination pays off beyond ...")
-for plant in cfg.plants:
-    econ = cfg.econ_for(plant)
-    query = BreakevenQuery(plant=plant, product=methane)
-    d = breakeven_distance(query, econ)
-    print(f"  {plant.name:<12} {d.value_in('km'):6.1f} km")
+for r in decide(cfg):
+    if r["question"] == "water":
+        print(f"{r['plant']:<12} {r['winner']}: break-even pipe {r['breakeven_km']:.1f} km, "
+              f"solar seawater ties at {r['c_sw_tie_usd_per_m3_h']:,.0f} $/(m3/h)")
 
 # ---------------------------------------------------------------
 # Transfer cost surface for the biomass plant
 # ---------------------------------------------------------------
-plant = cfg.plant("biomass")
+plant, methane = cfg.plant("biomass"), cfg.product("methane")
 econ = cfg.econ_for(plant)
 w_max = ew.nexus_rates(plant, methane, 1.0)[1].value_in("m3/h")
 flows = [w_max * frac for frac in (0.0, 0.25, 0.5, 0.75, 1.0)]
@@ -32,6 +29,3 @@ for cell in transfer_cost_curve(plant, [60.0, 260.0, 300.0], flows, econ, methan
     print(f"  {cell.distance_km:7.0f} {cell.flow_m3_h:9.1f} "
           f"{cell.capital_daily:12.0f} {cell.operational_daily:12.0f} "
           f"{cell.total_daily:10.0f}")
-
-# Pumping grows with the cube of the flow, pipe capital linearly with the
-# distance; at short distances the pipe wins, far out desalination does.

@@ -4,7 +4,7 @@
 # itself before any penalty exists.
 
 import ewhnexus as ew
-from ewhnexus.analysis import ReuseAll, StoreAll, penalty_threshold
+from ewhnexus.analysis import ReuseAll, StoreAll, decide, penalty_threshold
 
 cfg = ew.paper_2024()
 
@@ -18,7 +18,8 @@ for plant in cfg.plants:
         print(f"{'':<12} {'reuse all -> ' + product.name:<22} "
               f"{thr.value_in('$/ton'):15.2f}")
 
-# Reading the table: storing everything only beats paying the penalty once
-# the rate clears ~75 $/ton for biomass (less for gas and coal, whose larger
-# streams amortize the capture plant better).  Methane reuse is worth doing
-# at any penalty rate at all.
+# decide's penalty row: the chosen retrofit's threshold next to its runner-up's
+for r in decide(cfg):
+    if r["question"] == "penalty":
+        print(f"{r['plant']:<12} {r['winner']} {r['penalty_usd_per_ton']:.2f} $/ton against "
+              f"{r['runner_up']} {r['runner_up_penalty_usd_per_ton']:.2f} $/ton")

@@ -1,5 +1,5 @@
 """Decision-support layer: scenario sweeps, water-supply break-even distance,
-transfer cost curves, carbon-penalty thresholds, and the paper scorecard.
+transfer cost curves, penalty thresholds, the four decisions and the scorecard.
 
 All sweep cells are independent pure evaluations ordered by (plant, product,
 beta); a failing cell is reported with its coordinates without aborting the
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import economics, water
@@ -283,8 +284,81 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
     beta, product = (1.0, strategy.product) if isinstance(strategy, ReuseAll) else (0.0, None)
     economics._check_cell(beta, product, water_mode)
     column = economics._column(plant, econ, product, water_mode)
-    return Quantity._computed(   # _daily checked that the penalty is finite
-        economics._daily(economics._terms(column, beta), column)[3], "$/ton", checked=True)
+    return Quantity._computed(_priced(column, beta)[2], "$/ton", checked=True)   # by _daily
+
+
+def _priced(column: tuple, beta: float) -> tuple[float, float, float]:
+    """(daily cost [$ / day], beta, carbon penalty [$ / ton]) of ``column``'s cell; no ledger."""
+    _, daily, _, penalty = economics._daily(economics._terms(column, beta), column)
+    return daily, beta, penalty
+
+
+def _optimum(column: tuple) -> tuple[float, float, float]:
+    """``_priced`` at a product column's cheapest candidate beta.
+
+    Desalination and solar columns are affine in beta (their beta -> 0+ limit is the storage
+    row), so the candidate is 1.  A transfer column is a + b beta + c beta^3, fitted at beta =
+    0, 1/2 and 1; its minimum sqrt(-b / 3c) is a candidate too when it lies in (0, 1).
+    """
+    one = _priced(column, 1.0)
+    if not isinstance(column[3], water.NetworkTransfer):
+        return one
+    zero, half = _priced(column, 0.0)[0], _priced(column, 0.5)[0]
+    c = 4.0 / 3.0 * (one[0] - 2.0 * half + zero)
+    b = one[0] - zero - c
+    if not (c > 0.0 and 0.0 < -b / (3.0 * c) < 1.0):
+        return one
+    return min(one, _priced(column, math.sqrt(-b / (3.0 * c))))
+
+
+DECISION_COLUMNS = ("plant", "question", "winner", "runner_up", "gap_usd_per_day", "beta",
+                    "breakeven_km", "c_sw_tie_usd_per_m3_h", "penalty_usd_per_ton",
+                    "runner_up_penalty_usd_per_ton")
+
+
+def decide(cfg: LoadedConfig, plant: str | None = None) -> list[dict]:
+    """Rows ``fate``, ``product``, ``water`` and ``penalty`` for each plant, or for ``plant``.
+
+    A row ranks options by daily cost [$ / day]: ``winner``, its beta, ``runner_up``, gap.
+    ``fate`` is store against the best product at its ``_optimum``; ``water`` that product
+    in the config's mode against desalination, with its break-even distance at beta = 1
+    ("" if none) and the ``c_sw`` at which solar ties desalination, the root of a gap
+    affine in ``c_sw``; ``penalty`` the fate's carbon penalties [$ / ton].  No ledger is built.
+    """
+    from .config import _WATER_MODES   # imported here, as config imports this module
+    mode, rows, blank = cfg.water_mode, [], ("", ("", "", ""))
+    mode_name = next(name for name, (kind, _) in _WATER_MODES.items() if isinstance(mode, kind))
+    for p in cfg.plants if plant is None else (cfg.plant(plant),):
+        econ = cfg.econ_for(p)
+        def optimum(product, supply=mode, econ=econ):
+            column = economics._column(p, econ, product, supply)
+            return _optimum(column) if product else _priced(column, 0.0)
+        def row(question, options, **fields):   # the two cheapest options, blank if fewer
+            ranked = sorted(options, key=lambda option: option[1][0])   # a tie keeps the order
+            (win, (cost, beta, pen)), (up, (other, _, up_pen)) = (*ranked, blank, blank)[:2]
+            penalties = (pen, up and up_pen) if question == "penalty" else ("", "")
+            return {**dict(zip(DECISION_COLUMNS, (p.name, question, win, up, up and other - cost,
+                                                  beta, "", "", *penalties))), **fields}
+
+        fate = [("store", optimum(None))]
+        products = sorted(((x, optimum(x)) for x in cfg.products), key=lambda o: o[1][0])
+        supplies, water_fields = {}, {}
+        for x, best in products[:1]:   # the best product, if there is one
+            fate.append((f"reuse {x.name}", best))
+            desal = best if mode_name == "desalination" else optimum(x, water.Desalination())
+            supplies = {mode_name: best, "desalination": desal}
+            # the solar-minus-desalination gap at c_sw = 0 and 1e6 $/(m3/h), far apart
+            g0, g1 = (optimum(x, water.SolarSeawater(), replace(econ, c_sw=c_sw))[0] - desal[0]
+                      for c_sw in (0.0, 1e6))
+            try:
+                km = breakeven_distance(BreakevenQuery(p, x), econ).magnitude
+            except NoCrossingError:
+                km = ""
+            water_fields = {"breakeven_km": km,
+                            "c_sw_tie_usd_per_m3_h": 1e6 * g0 / (g0 - g1) if g0 != g1 else ""}
+        rows += [row("fate", fate), row("product", [(x.name, o) for x, o in products]),
+                 row("water", supplies.items(), **water_fields), row("penalty", fate)]
+    return rows
 
 
 def scorecard(cfg: LoadedConfig, reference: Sequence[Mapping]) -> list[dict]:
@@ -296,15 +370,12 @@ def scorecard(cfg: LoadedConfig, reference: Sequence[Mapping]) -> list[dict]:
     and whether it passes.  A value ``cfg`` cannot price, such as one of a plant it lacks,
     is an error row.
     """
-    priced: dict[tuple, economics.ScenarioResult] = {}   # each cell priced once per call
-    def cell(p: PlantSpec, x: ProductSpec | None, b: float) -> economics.ScenarioResult:
-        if (key := (p.name, x and x.name, b)) not in priced:
-            priced[key] = economics.total_daily_cost(cfg.scenario(p, x, b))
-        return priced[key]
+    rates = cache(nexus_rates)   # each cell's rates and pricing, computed once per call
+    cell = cache(lambda p, x, b: economics.total_daily_cost(cfg.scenario(p, x, b)))
     engine = {   # quantity -> its value at (plant, product, beta), in the printed unit
-        "h2_ton_per_h": lambda p, x, b: nexus_rates(p, x, b)[0].value_in("ton/h"),
-        "water_m3_per_h": lambda p, x, b: nexus_rates(p, x, b)[1].value_in("m3/h"),
-        "chemical_ton_per_h": lambda p, x, b: nexus_rates(p, x, b)[2].value_in("ton/h"),
+        "h2_ton_per_h": lambda p, x, b: rates(p, x, b)[0].value_in("ton/h"),
+        "water_m3_per_h": lambda p, x, b: rates(p, x, b)[1].value_in("m3/h"),
+        "chemical_ton_per_h": lambda p, x, b: rates(p, x, b)[2].value_in("ton/h"),
         "daily_cost_musd_per_day": lambda p, x, b: cell(p, x, b).daily_cost.magnitude / 1e6,
         "increased_price_usd_per_kwh": lambda p, x, b: cell(p, x, b).increased_price.magnitude,
         "carbon_penalty_usd_per_ton": lambda p, x, b: cell(p, x, b).carbon_penalty.magnitude,

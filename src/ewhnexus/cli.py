@@ -6,10 +6,10 @@ columns of those rows, what ``--format table`` writes and the flags it reads
 if given; any other command flag is a usage error.  ``scenario`` evaluates
 a single cell, ``sweep`` the whole grid, ``breakeven`` the water-supply
 break-even distance, ``curve`` the transfer cost surface, ``penalty`` a
-carbon-penalty threshold and ``scorecard`` the paper's printed values next to
-the engine's.  A row with an ``error`` key is a failed cell: it is reported
-on stderr, shown in the sweep table and left out of CSV and JSON.
-Output is a human table, CSV or JSON.  Exit codes:
+carbon-penalty threshold, ``scorecard`` the paper's printed values next to
+the engine's and ``decide`` the four decision answers.  A row with an ``error``
+key is a failed cell: it is reported on stderr, shown in the sweep table and
+left out of CSV and JSON.  Output is a human table, CSV or JSON.  Exit codes:
 0 success, 2 invalid config or usage, 3 computation domain error, 4 I/O error.
 """
 
@@ -148,6 +148,8 @@ COMMANDS = {
     "scorecard": Command((), lambda args, cfg: analysis.scorecard(cfg, paper_2024_reference()),
                          ("quantity", "plant", "product", "beta", "computed", "reference",
                           "tolerance", "relative_error", "gap_usd_per_ton", "pass"), "csv"),
+    "decide": Command((), lambda args, cfg: analysis.decide(cfg, args.plant),
+                      analysis.DECISION_COLUMNS, "csv", ("plant",)),
 }
 # every parser destination that some command reads
 _FLAGS = tuple(dict.fromkeys(f for c in COMMANDS.values() for f in c.required + c.optional))

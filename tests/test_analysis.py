@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from ewhnexus import analysis, ccss, conversion, economics, water
 from ewhnexus.analysis import (
     BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepCell, SweepGrid,
-    breakeven_distance, penalty_threshold, scenario_sweep, scorecard, transfer_cost_curve,
+    breakeven_distance, decide, penalty_threshold, scenario_sweep, scorecard,
+    transfer_cost_curve,
 )
 from ewhnexus.config import ConfigError, LoadedConfig, paper_2024, paper_2024_reference
 from ewhnexus.conversion import (
@@ -23,7 +24,7 @@ from ewhnexus.conversion import (
 from ewhnexus.economics import (
     ScenarioConfig, ScenarioResult, daily_capital_charge, total_daily_cost,
 )
-from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity
+from ewhnexus.quantities import CostLedger, DomainError, EconParams, PlantSpec, Quantity
 from ewhnexus.water import (
     Desalination, NetworkTransfer, SolarSeawater, check_flow, effective_r_w, pump_power,
     water_capital,
@@ -734,6 +735,168 @@ class TestPenaltyThreshold:
         assert repr(bare) == repr(penalty_threshold(BIOMASS, StoreAll(), econ, water_mode=mode))
 
 
+def decision(rows: list[dict], plant: str, question: str) -> dict:
+    [row] = [r for r in rows if (r["plant"], r["question"]) == (plant, question)]
+    return row
+
+
+@st.composite
+def decide_configs(draw):
+    """The preset with drawn prices, unit capitals, friction and capital factor, in a drawn
+    water mode: transfer up to 500 km, or solar seawater at a drawn ``c_sw``."""
+    def scaled(value: float) -> float:
+        return value * draw(st.floats(0.25, 4.0))
+
+    econ = replace(CFG.econ, elec_price=scaled(0.25), c_des=scaled(2e5), c_tw=scaled(160.0),
+                   c_wind=scaled(1030.0), e_des=tuple(scaled(e) for e in CFG.econ.e_des),
+                   interest_rate=draw(st.floats(0.0, 0.1)),
+                   horizon_years=draw(st.integers(1, 40)),
+                   product_prices={k: scaled(v) for k, v in CFG.econ.product_prices.items()})
+    calibration = replace(CFG.calibration, r_w_per_100km={
+        k: scaled(v) for k, v in CFG.calibration.r_w_per_100km.items()})
+    mode = draw(st.sampled_from(["desalination", "transfer", "solar"]))
+    if mode == "transfer":
+        water_mode = NetworkTransfer(Quantity(draw(st.floats(0.0, 500.0)), "km"))
+    elif mode == "solar":
+        econ, water_mode = replace(econ, c_sw=draw(st.floats(1e4, 1e6))), SolarSeawater()
+    else:
+        water_mode = Desalination()
+    return replace(CFG, econ=econ, calibration=calibration, water_mode=water_mode)
+
+
+class TestDecide:
+    ROWS = decide(CFG)
+
+    def test_the_preset_answers(self):
+        assert [(r["plant"], r["question"]) for r in self.ROWS] == [
+            (p.name, q) for p in CFG.plants for q in ("fate", "product", "water", "penalty")]
+        table = {(r["plant"], r["question"]): r for r in self.ROWS}
+        for plant, fate_gap, product_gap, km, reuse, store in (
+                ("biomass", 566_627, 63_157, 86.20, -130.16, 75.14),
+                ("natural_gas", 1_207_162, 134_551, 305.89, -138.15, 67.15),
+                ("coal", 2_020_149, 225_167, 394.45, -140.99, 64.31)):
+            fate, product, water_row, penalty = (
+                table[plant, q] for q in ("fate", "product", "water", "penalty"))
+            assert (fate["winner"], fate["runner_up"], fate["beta"]) == (
+                "reuse methanol", "store", 1.0)
+            assert round(fate["gap_usd_per_day"]) == fate_gap
+            assert (product["winner"], product["runner_up"]) == ("methanol", "methane")
+            assert round(product["gap_usd_per_day"]) == product_gap
+            # no other supply is configured to compare with
+            assert (water_row["winner"], water_row["runner_up"], water_row["gap_usd_per_day"]) == (
+                "desalination", "", "")
+            assert round(water_row["breakeven_km"], 2) == km
+            assert round(water_row["c_sw_tie_usd_per_m3_h"], 2) == 276_265.85
+            assert {k: penalty[k] for k in ("winner", "runner_up", "gap_usd_per_day", "beta")} == {
+                k: fate[k] for k in ("winner", "runner_up", "gap_usd_per_day", "beta")}
+            assert (round(penalty["penalty_usd_per_ton"], 2),
+                    round(penalty["runner_up_penalty_usd_per_ton"], 2)) == (reuse, store)
+            for row in (fate, product, water_row):
+                assert row["penalty_usd_per_ton"] == row["runner_up_penalty_usd_per_ton"] == ""
+
+    def test_a_transfer_column_has_its_interior_optimum(self):
+        far = replace(CFG, water_mode=NetworkTransfer(Quantity(400.0, "km")))
+        column = economics._column(BIOMASS, far.econ_for(BIOMASS), ETHANOL, far.water_mode)
+        cost, beta, _ = analysis._optimum(column)
+        assert round(beta, 3) == 0.669 and round(cost / 1e3, 1) == 205.2
+        assert round(analysis._priced(column, 1.0)[0] / 1e3, 1) == 215.6
+        # with ethanol alone, reusing part of the carbon beats storing all of it
+        fate = decision(decide(replace(far, products=(ETHANOL,)), "biomass"), "biomass", "fate")
+        assert (fate["winner"], fate["runner_up"], fate["beta"]) == (
+            "reuse ethanol", "store", beta)
+
+    def test_no_product_leaves_store_alone(self):
+        rows = decide(replace(CFG, products=()), "coal")
+        assert [(r["question"], r["winner"], r["runner_up"]) for r in rows] == [
+            ("fate", "store", ""), ("product", "", ""), ("water", "", ""),
+            ("penalty", "store", "")]
+        assert rows[3]["penalty_usd_per_ton"] == penalty_threshold(
+            COAL, StoreAll(), CFG.econ_for(COAL)).magnitude
+
+    def test_prices_by_column_with_no_scenario_and_no_ledger(self, monkeypatch):
+        built, columns = Counter(), Counter()
+        for cls in (ScenarioConfig, CostLedger):
+            def counting_post_init(self, _original=cls.__post_init__, _name=cls.__name__):
+                built[_name] += 1
+                _original(self)
+            monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+        for name in ("_result", "_rows", "total_daily_cost"):
+            def counting(*args, _original=getattr(economics, name), _name=name):
+                built[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(economics, name, counting)
+        set_up = economics._column
+
+        def counting_column(plant, econ, product, mode, *captured):
+            columns[plant.name, getattr(product, "name", ""), type(mode).__name__,
+                    econ.c_sw] += 1
+            return set_up(plant, econ, product, mode, *captured)
+
+        monkeypatch.setattr(economics, "_column", counting_column)
+        assert decide(CFG) == self.ROWS
+        assert built == {}
+        # one column per (plant, product or storage) in the config's mode, set up once;
+        # the break-even solve sets up its own desalination column of the chosen product,
+        # and the c_sw tie prices the chosen product's solar column at c_sw = 0 and 1e6
+        assert columns == {key: 1 for p in CFG.plants for key in (
+            (p.name, "", "Desalination", None), (p.name, "methane", "Desalination", None),
+            (p.name, "ethanol", "Desalination", None),
+            (p.name, "methanol", "SolarSeawater", 0.0),
+            (p.name, "methanol", "SolarSeawater", 1e6))} | {
+            (p.name, "methanol", "Desalination", None): 2 for p in CFG.plants}
+
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=decide_configs())
+    def test_a_dense_beta_scan_never_beats_the_optimum(self, cfg):
+        rows = decide(cfg)
+        scan = replace(cfg, sweep_betas=tuple(i / 1000 for i in range(1, 1001))).sweep()
+        for p in cfg.plants:
+            fate = decision(rows, p.name, "fate")
+            daily = {(c.product, c.beta): c.result.daily_cost.magnitude
+                     for c in scan if c.plant == p.name}
+            store = daily["", 0.0]
+            optimum = store if fate["winner"] == "store" else store - fate["gap_usd_per_day"]
+            rounding = 1e-12 * max(abs(v) for v in daily.values())
+            assert min(daily.values()) >= optimum - rounding
+            for x in cfg.products:   # each column's optimum, or its beta -> 0+ limit
+                column = economics._column(p, cfg.econ_for(p), x, cfg.water_mode)
+                best = min(analysis._optimum(column)[0], analysis._priced(column, 0.0)[0])
+                assert min(v for (name, _), v in daily.items() if name == x.name) >= (
+                    best - rounding)
+            if fate["winner"] != "store":   # the optimum is a cell the public path prices
+                product = cfg.product(fate["winner"].removeprefix("reuse "))
+                priced = total_daily_cost(cfg.scenario(p, product, fate["beta"]))
+                assert abs(priced.daily_cost.magnitude - optimum) <= rounding
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=decide_configs())
+    def test_the_water_and_penalty_rows_match_their_closed_forms_and_solvers(self, cfg):
+        rows = decide(cfg)
+        for p in cfg.plants:
+            econ = cfg.econ_for(p)
+            water_row, penalty = decision(rows, p.name, "water"), decision(rows, p.name, "penalty")
+            product = cfg.product(decision(rows, p.name, "product")["winner"])
+            # solar's capital beyond desalination's, per day, pays for the RO bill at full flow
+            capital_factor = ((1.0 + econ.interest_rate) ** (econ.horizon_years - 1)
+                              / (365.0 * econ.horizon_years))
+            tie = econ.c_des + 24.0 * econ.elec_price * econ.e_des[3] / capital_factor
+            assert water_row["c_sw_tie_usd_per_m3_h"] == pytest.approx(tie, rel=1e-12)
+            try:
+                km = breakeven_distance(BreakevenQuery(p, product), econ).magnitude
+            except NoCrossingError:
+                km = ""
+            assert water_row["breakeven_km"] == km
+            for name, value in ((penalty["winner"], penalty["penalty_usd_per_ton"]),
+                                (penalty["runner_up"], penalty["runner_up_penalty_usd_per_ton"])):
+                if name == "store":
+                    expected = penalty_threshold(p, StoreAll(), econ)
+                elif name == penalty["winner"] and penalty["beta"] == 1.0:
+                    expected = penalty_threshold(p, ReuseAll(product), econ, cfg.water_mode)
+                else:
+                    continue
+                assert value == expected.magnitude   # bit for bit
+
+
 class TestScorecard:
     ROWS = scorecard(CFG, REFERENCE)
 
@@ -769,6 +932,18 @@ class TestScorecard:
         assert scorecard(CFG, REFERENCE) == self.ROWS
         # the 21 cells of the cost table, each read by its M$/day, $/kWh and $/ton rows
         assert len(priced) == 21 and set(priced.values()) == {1}
+
+    def test_each_sizing_cell_is_sized_once(self, monkeypatch):
+        sized = Counter()
+
+        def counting(plant, product, beta):
+            sized[plant.name, product.name, beta] += 1
+            return nexus_rates(plant, product, beta)
+
+        monkeypatch.setattr(analysis, "nexus_rates", counting)
+        assert scorecard(CFG, REFERENCE) == self.ROWS
+        # the 9 cells of the sizing table, each read by its H2, water and product rows
+        assert len(sized) == 9 and set(sized.values()) == {1}
 
     def test_tolerance_is_the_entrys_else_half_the_print_quantum(self):
         def entry(value, **tolerance):

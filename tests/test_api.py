@@ -122,8 +122,9 @@ def test_one_daily_total_rule():
     assert [h for h in holders(calls("daily_capital_charge"))
             if h.startswith("economics.")] == ["economics._daily"]
     assert holders(calls("_total")) == ["economics._daily"]
-    assert holders(calls("_daily")) == ["analysis._transfer_minus_desal",
-                                        "analysis.penalty_threshold", "economics._result"]
+    # analysis._priced is the daily total that penalty_threshold and decide read
+    assert holders(calls("_daily")) == ["analysis._transfer_minus_desal", "analysis._priced",
+                                        "economics._result"]
 
 
 def divides_by(attr: str):

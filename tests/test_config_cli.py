@@ -615,6 +615,28 @@ class TestCli:
         assert len(out.splitlines()) == 1 + 96 - len(errors)
         assert ",ethanol," not in out
 
+    def test_decide_table_is_its_csv_and_plant_picks_its_four_rows(self):
+        _, table, _ = self.run_cli("--config", "paper-2024", "--command", "decide")
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", "decide",
+                                        "--format", "csv")
+        assert (status, err, table) == (0, "", out)
+        assert out.splitlines()[0] == (
+            "plant,question,winner,runner_up,gap_usd_per_day,beta,breakeven_km,"
+            "c_sw_tie_usd_per_m3_h,penalty_usd_per_ton,runner_up_penalty_usd_per_ton")
+        status, coal, err = self.run_cli("--config", "paper-2024", "--command", "decide",
+                                         "--format", "csv", "--plant", "coal")
+        assert (status, err) == (0, "")
+        assert coal.splitlines() == out.splitlines()[:1] + [
+            line for line in out.splitlines() if line.startswith("coal,")]
+        assert [line.split(",")[1] for line in coal.splitlines()[1:]] == [
+            "fate", "product", "water", "penalty"]
+
+    def test_decide_for_an_unknown_plant_exits_2(self):
+        status, out, err = self.run_cli("--config", "paper-2024", "--command", "decide",
+                                        "--plant", "lignite")
+        assert (status, out) == (2, "")
+        assert err.startswith("config error: unknown plant 'lignite'; configured plants are")
+
     def test_penalty_store_all(self):
         status, out, _ = self.run_cli("--config", "paper-2024", "--command", "penalty",
                                       "--plant", "biomass", "--format", "json")
@@ -929,7 +951,8 @@ class TestCli:
     def test_required_flags_per_command(self):
         assert {name: command.required for name, command in COMMANDS.items()} == {
             "scenario": ("plant",), "sweep": (), "breakeven": ("plant",),
-            "curve": ("plant", "distances"), "penalty": ("plant",), "scorecard": ()}
+            "curve": ("plant", "distances"), "penalty": ("plant",), "scorecard": (),
+            "decide": ()}
 
     @pytest.mark.parametrize("command, flag", [
         (name, flag) for name, command in COMMANDS.items() for flag in command.required])
@@ -945,7 +968,8 @@ class TestCli:
     def test_optional_flags_per_command(self):
         assert {name: command.optional for name, command in COMMANDS.items()} == {
             "scenario": ("product", "beta"), "sweep": (), "breakeven": ("product",),
-            "curve": ("product", "flows"), "penalty": ("product",), "scorecard": ()}
+            "curve": ("product", "flows"), "penalty": ("product",), "scorecard": (),
+            "decide": ("plant",)}
 
     @pytest.mark.parametrize("command, argv, unread", [
         ("breakeven", ("--plant", "coal", "--beta", "0.3", "--flows", "1,2"), "--beta"),
@@ -956,6 +980,7 @@ class TestCli:
         ("curve", ("--plant", "coal", "--distances", "60", "--beta", "1"), "--beta"),
         ("penalty", ("--plant", "coal", "--beta", "1"), "--beta"),
         ("scorecard", ("--plant", "coal"), "--plant"),
+        ("decide", ("--beta", "1"), "--beta"),
     ])
     def test_flag_the_command_does_not_read_exits_2(self, command, argv, unread):
         status, out, err = self.run_cli("--config", "paper-2024", "--command", command, *argv)

@@ -16,6 +16,8 @@ root:
         --product Q > tests/golden/penalty_P_Q.json
     ewhnexus --config paper-2024 --command scorecard --format json \\
         > tests/golden/scorecard.json
+    ewhnexus --config paper-2024 --command decide --format json \\
+        > tests/golden/decide.json
 
 with P in {biomass, natural_gas, coal} and Q in {methane, methanol, ethanol}.
 
@@ -191,6 +193,7 @@ def _cases():
         for product in PRODUCTS:
             yield f"penalty_{plant}_{product}.json", None, penalty + ["--product", product]
     yield "scorecard.json", None, ["--command", "scorecard", "--format", "json"]
+    yield "decide.json", None, ["--command", "decide", "--format", "json"]
     yield "sweep.txt", None, ["--command", "sweep", "--format", "table"]
     yield "sweep.json", None, ["--command", "sweep", "--format", "json"]
     curve = ["--command", "curve", "--plant", "biomass", "--distances", "60,260,300"]

@@ -15,7 +15,8 @@ def test_every_layer_times_row_runs_once():
     labels = [label for label, _ in rows]
     assert len(set(labels)) == len(labels)
     for label in ("dump_config", "render sweep json", "cli.main sweep --format json",
-                  "cli.main scorecard --format json", "breakeven_distance, no crossing",
+                  "cli.main scorecard --format json", "cli.main decide --format json",
+                  "breakeven_distance, no crossing",
                   "penalty_threshold, reuse-all"):
         assert label in labels
     for _, call in rows:

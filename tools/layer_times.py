@@ -10,10 +10,10 @@ as microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
 construction and conversion, each cost term, the cell assembly, a sweep, a
 break-even solve, config load and dump, a fresh interpreter's import) and
 the CLI's output path: the sweep rows, each renderer, ``cli.main`` on a
-sweep in each format, and on the scorecard, which no benchmark workload runs.
-The break-even rows time a solve with a root and one whose window holds
-none; the penalty row prices a reuse-all threshold.  Times depend on the
-machine; compare two trees by running both on it, alternately.
+sweep in each format, and on the scorecard and ``decide``, which no benchmark
+workload runs.  The break-even rows time a solve with a root and one whose
+window holds none; the penalty row prices a reuse-all threshold.  Times depend
+on the machine; compare two trees by running both on it, alternately.
 """
 
 from __future__ import annotations
@@ -118,6 +118,7 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("cli.main sweep --format table", cli_main("table")),
         ("cli.main sweep --format json", cli_main("json")),
         ("cli.main scorecard --format json", cli_main("json", "scorecard")),
+        ("cli.main decide --format json", cli_main("json", "decide")),
     ]
 
 
