@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -137,33 +137,28 @@ class NoCrossingError(DomainError):
         self.g_hi = g_hi
 
 
-def _transfer_minus_desal(query: BreakevenQuery, econ: EconParams) -> Callable[[float], float]:
-    """Daily-cost gap between piping water from distance d [km] and desalinating.
-
-    Both alternatives are full scenarios at beta = 1 (checked by
-    ``economics._check_cell``), so every non-water term cancels in the
-    difference.  The desalination column is set up and its terms priced once,
-    here; each g(d) prices only the pipe, on floats, by the kernels a transfer
-    scenario calls.  Both daily costs come from ``economics._daily``, with
-    every check and error of a full scenario (a d that is not finite raises as
-    a ``Quantity`` in km would) but no ledger.
+def _minus_desal(column: tuple) -> tuple[tuple[float, float, float], Callable[..., float],
+                                         Callable[[float], float]]:
+    """``_priced`` at beta = 1 of a product's desalination ``column``; the daily-cost gap
+    [$ / day] to that cell with another water capital [$] and operations [$ / day], every
+    other term priced once, here; and that gap g(d) with the water piped from d [km], on
+    floats, by the kernels a transfer scenario calls.  A gap has every check and error of a
+    full scenario (a d that is not finite raises as a ``Quantity`` in km would), no ledger.
     """
-    plant, product, desal = query.plant, query.product, water.Desalination()
-    economics._check_cell(1.0, product, desal)
-    column = economics._column(plant, econ, product, desal)
     terms = economics._terms(column, 1.0)
-    desal_cost = economics._daily(terms, column)[1]
-    k, captured = product.water_demand, column[4]   # at beta = 1, as _terms; a full-load day
-    before, after = terms[:4], terms[6:]   # the terms around the two water terms
+    _, desal_cost, _, penalty = economics._daily(terms, column)
+    (_, econ, product, _, captured, _), before, after = column, terms[:4], terms[6:]
+
+    def gap(capital: float, operations: float) -> float:
+        return economics._daily(before + (capital, operations) + after, column)[1] - desal_cost
 
     def g(d_km: float) -> float:
         if not math.isfinite(d_km):
             Quantity._computed(d_km, "km")   # raises the finiteness error
-        transfer = (before + (water.pipe_capital(water.pipe_length_m(d_km, "km"), econ),
-                              water.pumping_operational(d_km, captured, k, econ)) + after)
-        return economics._daily(transfer, column)[1] - desal_cost
+        return gap(water.pipe_capital(water.pipe_length_m(d_km, "km"), econ),
+                   water.pumping_operational(d_km, captured, product.water_demand, econ))
 
-    return g
+    return (desal_cost, 1.0, penalty), gap, g
 
 
 def breakeven_distance(query: BreakevenQuery, econ: EconParams) -> Quantity:
@@ -173,9 +168,15 @@ def breakeven_distance(query: BreakevenQuery, econ: EconParams) -> Quantity:
     A solve prices the terms that do not depend on the water mode once, and
     the pipe on floats at each window end; the root is its one ``Quantity``.
     Raises NoCrossingError (with both endpoint gaps) if one option dominates
-    over the whole window.
+    over the whole window.  Both options are full scenarios at beta = 1.
     """
-    g = _transfer_minus_desal(query, econ)
+    plant, product, desal = query.plant, query.product, water.Desalination()
+    economics._check_cell(1.0, product, desal)
+    return _root(query, _minus_desal(economics._column(plant, econ, product, desal))[2])
+
+
+def _root(query: BreakevenQuery, g: Callable[[float], float]) -> Quantity:
+    """``breakeven_distance`` of the gap g(d) [$ / day] over ``query``'s window."""
     lo, hi = query.distance_bounds
     g_lo, g_hi = g(lo), g(hi)
     if g_lo == 0.0:
@@ -330,9 +331,7 @@ def decide(cfg: LoadedConfig, plant: str | None = None) -> list[dict]:
     mode_name = next(name for name, (kind, _) in _WATER_MODES.items() if isinstance(mode, kind))
     for p in cfg.plants if plant is None else (cfg.plant(plant),):
         econ = cfg.econ_for(p)
-        def optimum(product, supply=mode, econ=econ):
-            column = economics._column(p, econ, product, supply)
-            return _optimum(column) if product else _priced(column, 0.0)
+        columns = {x: economics._column(p, econ, x, mode) for x in (None, *cfg.products)}
         def row(question, options, **fields):   # the two cheapest options, blank if fewer
             ranked = sorted(options, key=lambda option: option[1][0])   # a tie keeps the order
             (win, (cost, beta, pen)), (up, (other, _, up_pen)) = (*ranked, blank, blank)[:2]
@@ -340,18 +339,22 @@ def decide(cfg: LoadedConfig, plant: str | None = None) -> list[dict]:
             return {**dict(zip(DECISION_COLUMNS, (p.name, question, win, up, up and other - cost,
                                                   beta, "", "", *penalties))), **fields}
 
-        fate = [("store", optimum(None))]
-        products = sorted(((x, optimum(x)) for x in cfg.products), key=lambda o: o[1][0])
+        fate = [("store", _priced(columns[None], 0.0))]
+        products = sorted(((x, _optimum(columns[x])) for x in cfg.products),
+                          key=lambda o: o[1][0])
         supplies, water_fields = {}, {}
         for x, best in products[:1]:   # the best product, if there is one
             fate.append((f"reuse {x.name}", best))
-            desal = best if mode_name == "desalination" else optimum(x, water.Desalination())
+            column = (columns[x] if mode_name == "desalination"
+                      else economics._column(p, econ, x, water.Desalination()))
+            desal, gap, g = _minus_desal(column)
             supplies = {mode_name: best, "desalination": desal}
             # the solar-minus-desalination gap at c_sw = 0 and 1e6 $/(m3/h), far apart
-            g0, g1 = (optimum(x, water.SolarSeawater(), replace(econ, c_sw=c_sw))[0] - desal[0]
-                      for c_sw in (0.0, 1e6))
+            w_max, solar = _reuse_rates(x, p.cbar, 1.0)[1], water.SolarSeawater()
+            bill = water.water_operational(solar, w_max, column[4], x.water_demand, econ)
+            g0, g1 = (gap(water.solar_capital(w_max, c_sw), bill) for c_sw in (0.0, 1e6))
             try:
-                km = breakeven_distance(BreakevenQuery(p, x), econ).magnitude
+                km = _root(BreakevenQuery(p, x), g).magnitude
             except NoCrossingError:
                 km = ""
             water_fields = {"breakeven_km": km,

@@ -1,7 +1,8 @@
 """Command-line front end: validate a config, run one command, write tables.
 
-Each command is one row of ``COMMANDS``: the flags it requires, a function
-from the parsed arguments and the loaded config to a list of row dicts, the
+``parse_args`` reads the flags, without argparse, and ``-h`` prints a usage text
+built from ``COMMANDS``.  Each command is one row of ``COMMANDS``: the flags it
+requires, a function from the parsed flags and the loaded config to row dicts, the
 columns of those rows, what ``--format table`` writes and the flags it reads
 if given; any other command flag is a usage error.  ``scenario`` evaluates
 a single cell, ``sweep`` the whole grid, ``breakeven`` the water-supply
@@ -15,13 +16,14 @@ left out of CSV and JSON.  Output is a human table, CSV or JSON.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from . import analysis
@@ -48,11 +50,11 @@ EXIT_IO = 4
 class Command:
     """One CLI command: what it needs, what it computes and how it is laid out."""
 
-    required: tuple[str, ...]        # parser destinations that must be given
-    rows: Callable[[argparse.Namespace, LoadedConfig], list[dict]]
+    required: tuple[str, ...]        # flags that must be given
+    rows: Callable[[SimpleNamespace, LoadedConfig], list[dict]]
     columns: tuple[str, ...]         # CSV column order
     table: str                       # --format table: sweep | record | csv
-    optional: tuple[str, ...] = ()   # parser destinations read if given
+    optional: tuple[str, ...] = ()   # flags read if given
 
 
 def sweep_row(cell: analysis.SweepCell) -> dict:
@@ -68,11 +70,11 @@ def sweep_row(cell: analysis.SweepCell) -> dict:
         r.carbon_penalty.value_in("$/ton"))))
 
 
-def _sweep_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
+def _sweep_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
     return [sweep_row(cell) for cell in cfg.sweep()]
 
 
-def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
+def _scenario_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
     beta = args.beta or 0.0   # a NaN flag is truthy, so check_beta sees it
     try:
@@ -89,7 +91,7 @@ def _scenario_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
                                          beta, result=result))]
 
 
-def _plant_product(args: argparse.Namespace, cfg: LoadedConfig) -> tuple[PlantSpec, ProductSpec]:
+def _plant_product(args: SimpleNamespace, cfg: LoadedConfig) -> tuple[PlantSpec, ProductSpec]:
     """The ``--plant`` and ``--product`` of a break-even or curve; methane without the flag."""
     plant = cfg.plant(args.plant)
     if args.product is None and "methane" not in (p.name for p in cfg.products):
@@ -98,7 +100,7 @@ def _plant_product(args: argparse.Namespace, cfg: LoadedConfig) -> tuple[PlantSp
     return plant, cfg.product("methane" if args.product is None else args.product)
 
 
-def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
+def _breakeven_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
     plant, product = _plant_product(args, cfg)
     query = analysis.BreakevenQuery(plant=plant, product=product)
     distance = analysis.breakeven_distance(query, cfg.econ_for(plant))
@@ -106,7 +108,7 @@ def _breakeven_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
              "breakeven_distance_km": distance.value_in("km")}]
 
 
-def _curve_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
+def _curve_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
     plant, product = _plant_product(args, cfg)
     flows = args.flows
     if not flows:
@@ -119,7 +121,7 @@ def _curve_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
         for c in cells]
 
 
-def _penalty_rows(args: argparse.Namespace, cfg: LoadedConfig) -> list[dict]:
+def _penalty_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
     plant = cfg.plant(args.plant)
     if args.product is not None:
         product = cfg.product(args.product)
@@ -151,7 +153,7 @@ COMMANDS = {
     "decide": Command((), lambda args, cfg: analysis.decide(cfg, args.plant),
                       analysis.DECISION_COLUMNS, "csv", ("plant",)),
 }
-# every parser destination that some command reads
+# every flag that some command reads
 _FLAGS = tuple(dict.fromkeys(f for c in COMMANDS.values() for f in c.required + c.optional))
 
 
@@ -238,38 +240,61 @@ def _parse_float_list(text: str | None, flag: str) -> tuple[float, ...]:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ewhnexus",
-        description="Techno-economic scenarios for carbon capture retrofits "
-                    "with water, wind and hydrogen sections.")
-    parser.add_argument("--config", required=True,
-                        help="path to a YAML config, or a preset name such as 'paper-2024'")
-    parser.add_argument("--command", required=True, choices=tuple(COMMANDS))
-    parser.add_argument("--format", default="table", choices=("table", "csv", "json"))
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--plant", default=None, help="plant name from the config")
-    parser.add_argument("--product", default=None, help="product name from the config")
-    parser.add_argument("--beta", type=float, default=None, help="reuse fraction in [0, 1]")
-    parser.add_argument("--distances", default=None,
-                        help="comma-separated pipe distances [km] for 'curve'")
-    parser.add_argument("--flows", default=None,
-                        help="comma-separated water flows [m3/h] for 'curve'")
-    return parser
+_OPTIONS = ("config", "command", "format", "out", *_FLAGS, "help")
+_CHOICES = {"command": tuple(COMMANDS), "format": ("table", "csv", "json")}
 
 
-_PARSER = build_parser()   # built once: parse_args leaves it unchanged
+def parse_args(argv: Sequence[str] | None = None) -> SimpleNamespace | None:
+    """``argv``'s options (default ``sys.argv[1:]``) as argparse read them, typed; None for help.
+
+    A flag by a unique prefix, ``--flag value`` or ``--flag=value``, the last one winning; a
+    value after a space starts with ``-`` only as a negative number.  Misuse is a ConfigError.
+    """
+    args, tokens = {**dict.fromkeys(_OPTIONS[:-1]), "format": "table"}, iter(   # no help
+        sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        head, eq, value = token.partition("=")
+        names = ["help"] if head == "-h" else [n for n in _OPTIONS if head == f"--{n}"] or [
+            n for n in _OPTIONS if len(head) > 2 and f"--{n}".startswith(head)]
+        if len(names) != 1 or names == ["help"] and eq:
+            raise ConfigError(f"ambiguous option {head}: could be --{', --'.join(names)}"
+                              if names[1:] else f"unrecognized argument {token!r}")
+        if names == ["help"]:
+            return None
+        name = names[0]
+        if not eq and ((value := next(tokens, None)) is None or value[:1] == "-"
+                       and not re.match(r"^-\d+$|^-\d*\.\d+$", value)):
+            raise ConfigError(f"--{name} expects a value")
+        if value not in _CHOICES.get(name, (value,)):
+            raise ConfigError(f"--{name}: invalid choice {value!r} "
+                              f"(choose from {', '.join(_CHOICES[name])})")
+        try:
+            args[name] = float(value) if name == "beta" else value
+        except ValueError:
+            raise ConfigError(f"--beta: expected a number, got {value!r}") from None
+    for name in ("config", "command"):
+        if args[name] is None:
+            raise ConfigError(f"--{name} is required")
+    for name in ("distances", "flows"):
+        args[name] = _parse_float_list(args[name], f"--{name}")
+    return SimpleNamespace(**args)
 
 
-def run(args: argparse.Namespace) -> tuple[int, str, list[str]]:
+def _usage() -> str:
+    """The ``--help`` text: the options, then each command's flags, the optional ones in []."""
+    return "".join([f"usage: ewhnexus --config PATH|PRESET --command COMMAND [--format "
+                    f"{'|'.join(_CHOICES['format'])}] [--out PATH]\n\ncommands:\n"] + [
+        " ".join([f"  {name:<9}", *(f"--{f} {f.upper()}" for f in c.required),
+                  *(f"[--{f} {f.upper()}]" for f in c.optional)]).rstrip() + "\n"
+        for name, c in COMMANDS.items()])
+
+
+def run(args: SimpleNamespace) -> tuple[int, str, list[str]]:
     """Execute one parsed invocation; returns (exit status, output, diagnostics).
 
     Diagnostics go to stderr, never into CSV or JSON, so a partially failing
     sweep or curve still writes schema-clean output for the cells that ran.
     """
-    args = argparse.Namespace(**{**vars(args),
-                                 "distances": _parse_float_list(args.distances, "--distances"),
-                                 "flows": _parse_float_list(args.flows, "--flows")})
     cfg = load_config(args.config)
     command = COMMANDS[args.command]
     for flag in _FLAGS:
@@ -286,10 +311,10 @@ def run(args: argparse.Namespace) -> tuple[int, str, list[str]]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:  # argparse reports usage errors itself
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = parse_args(argv)
+        if args is None:
+            sys.stdout.write(_usage())
+            return EXIT_OK
         status, output, diagnostics = run(args)
         for line in diagnostics:
             print(f"error: {line}", file=sys.stderr)

@@ -115,7 +115,12 @@ def water_capital(mode: WaterMode, w_max: float, econ: EconParams) -> float:
         return w_max * econ.c_des
     if isinstance(mode, NetworkTransfer):
         return pipe_capital(mode.m, econ)
-    return w_max * econ.c_sw
+    return solar_capital(w_max, econ.c_sw)
+
+
+def solar_capital(w_max: float, c_sw: float) -> float:
+    """Capital of a solar-seawater plant for w_max [m3/h] at c_sw [$ / (m3/h)] [$]."""
+    return w_max * c_sw
 
 
 def pipe_capital(m: float, econ: EconParams) -> float:

@@ -303,8 +303,8 @@ class TestBreakeven:
     def test_a_zero_gap_at_a_window_end_is_the_root(self, monkeypatch, end, other):
         # the window end itself, whichever sign the other end's gap has
         bounds = (20.0, 300.0)
-        monkeypatch.setattr(analysis, "_transfer_minus_desal",
-                            lambda query, econ: lambda d: 0.0 if d == bounds[end] else other)
+        monkeypatch.setattr(analysis, "_minus_desal", lambda column: (
+            None, None, lambda d: 0.0 if d == bounds[end] else other))
         query = BreakevenQuery(BIOMASS, METHANE, bounds)
         assert repr(breakeven_distance(query, CFG.econ_for(BIOMASS))) == repr(
             Quantity(bounds[end], "km"))
@@ -349,9 +349,11 @@ def solve_outcome(query: BreakevenQuery, econ: EconParams):
         return type(exc), str(exc)
 
 
-def priced_per_scenario(query: BreakevenQuery, econ: EconParams):
-    """The gap as the solve priced it before its terms were shared: two full scenarios."""
-    return cost_gap(query.plant, query.product, econ)
+def priced_per_scenario(column: tuple):
+    """``_minus_desal`` with the break-even gap as the solve priced it before its terms
+    were shared: two full scenarios."""
+    plant, econ, product = column[:3]
+    return None, None, cost_gap(plant, product, econ)
 
 
 # no config prices it, so its revenue term raises
@@ -413,7 +415,7 @@ class TestBreakevenAgainstFullScenarios:
                    replace(CFG.econ_for(COAL), r_w_per_100km=1e302)))
     def test_outcome_matches_pricing_two_full_scenarios(self, case):
         query, econ = case
-        with mock.patch.object(analysis, "_transfer_minus_desal", priced_per_scenario):
+        with mock.patch.object(analysis, "_minus_desal", priced_per_scenario):
             expected = solve_outcome(query, econ)
         assert solve_outcome(query, econ) == expected
 
@@ -813,9 +815,14 @@ class TestDecide:
         assert rows[3]["penalty_usd_per_ton"] == penalty_threshold(
             COAL, StoreAll(), CFG.econ_for(COAL)).magnitude
 
-    def test_prices_by_column_with_no_scenario_and_no_ledger(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["Desalination", "NetworkTransfer"])
+    def test_prices_by_column_with_no_scenario_and_no_ledger(self, monkeypatch, mode):
+        cfg = CFG if mode == "Desalination" else replace(
+            CFG, water_mode=NetworkTransfer(Quantity(250.0, "km")))
+        expected = decide(cfg)
         built, columns = Counter(), Counter()
-        for cls in (ScenarioConfig, CostLedger):
+        # EconParams too: the c_sw tie prices solar's water capital without a replaced econ
+        for cls in (ScenarioConfig, CostLedger, EconParams):
             def counting_post_init(self, _original=cls.__post_init__, _name=cls.__name__):
                 built[_name] += 1
                 _original(self)
@@ -828,22 +835,18 @@ class TestDecide:
         set_up = economics._column
 
         def counting_column(plant, econ, product, mode, *captured):
-            columns[plant.name, getattr(product, "name", ""), type(mode).__name__,
-                    econ.c_sw] += 1
+            columns[plant.name, getattr(product, "name", ""), type(mode).__name__] += 1
             return set_up(plant, econ, product, mode, *captured)
 
         monkeypatch.setattr(economics, "_column", counting_column)
-        assert decide(CFG) == self.ROWS
+        assert decide(cfg) == expected
         assert built == {}
-        # one column per (plant, product or storage) in the config's mode, set up once;
-        # the break-even solve sets up its own desalination column of the chosen product,
-        # and the c_sw tie prices the chosen product's solar column at c_sw = 0 and 1e6
-        assert columns == {key: 1 for p in CFG.plants for key in (
-            (p.name, "", "Desalination", None), (p.name, "methane", "Desalination", None),
-            (p.name, "ethanol", "Desalination", None),
-            (p.name, "methanol", "SolarSeawater", 0.0),
-            (p.name, "methanol", "SolarSeawater", 1e6))} | {
-            (p.name, "methanol", "Desalination", None): 2 for p in CFG.plants}
+        # one column per (plant, product or storage) in the config's mode, set up once; the
+        # chosen product's desalination column, which the break-even solve and the c_sw tie
+        # read, is one of them in desalination mode, and set up once more in another mode
+        assert columns == {(p.name, x, mode): 1 for p in CFG.plants
+                           for x in ("", "methane", "methanol", "ethanol")} | {
+            (p.name, "methanol", "Desalination"): 1 for p in CFG.plants}
 
     @settings(max_examples=20, deadline=None)
     @given(cfg=decide_configs())

@@ -1,11 +1,15 @@
 """The public names: ``ewhnexus.__all__`` and what the benchmark harness reads of it;
 the checks the public entries make; where the defaults that pick a cell's inputs
-may live; and who may call the benchmark's two forms in ``presets``."""
+may live; who may call the benchmark's two forms in ``presets``; and what importing
+the CLI loads."""
 
 import ast
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +35,8 @@ def test_public_names_are_unique():
 KERNELS = {
     "ccss": {"ccss_capital", "ccss_operational"},
     "water": {"water_capital", "water_operational", "desal_power", "desal_segment",
-              "pumping_operational", "pump_power", "effective_r_w", "pipe_capital"},
+              "pumping_operational", "pump_power", "effective_r_w", "pipe_capital",
+              "solar_capital"},
     "conversion": {"power_capital", "hydrogen_capital", "chemical_revenue"},
     "quantities": {"daily_capital_charge"},
 }
@@ -122,8 +127,9 @@ def test_one_daily_total_rule():
     assert [h for h in holders(calls("daily_capital_charge"))
             if h.startswith("economics.")] == ["economics._daily"]
     assert holders(calls("_total")) == ["economics._daily"]
-    # analysis._priced is the daily total that penalty_threshold and decide read
-    assert holders(calls("_daily")) == ["analysis._transfer_minus_desal", "analysis._priced",
+    # analysis._priced is the daily total that penalty_threshold and decide read, and
+    # analysis._minus_desal the gaps to desalination that the break-even and c_sw tie read
+    assert holders(calls("_daily")) == ["analysis._minus_desal", "analysis._priced",
                                         "economics._result"]
 
 
@@ -304,3 +310,14 @@ def test_only_the_config_picks_a_water_mode_betas_or_a_product_by_default():
             if names & PICKED_INPUTS:
                 found.append(f"{path.name}:{default.lineno}: {ast.unparse(default)}")
     assert found == []
+
+
+def test_importing_the_cli_loads_no_argument_parser():
+    # the CLI parses its own flags: a cold start does not import argparse, nor the
+    # gettext and locale it brings in
+    code = ("import sys, ewhnexus.cli; "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,10 +18,11 @@ from types import SimpleNamespace
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ewhnexus.cli import (
-    COMMANDS, SWEEP_COLUMNS, SWEEP_CSV_HEADER, main, render_csv, render_json, sweep_row,
+    COMMANDS, SWEEP_COLUMNS, SWEEP_CSV_HEADER, _parse_float_list, main, parse_args, render_csv,
+    render_json, sweep_row,
 )
 from ewhnexus import config
 from ewhnexus.config import (
@@ -1091,6 +1093,161 @@ class TestCli:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "penalty_threshold_usd_per_ton" in proc.stdout
+
+
+
+def argparse_reference():
+    """The argument parser the CLI used before it parsed its own flags: the oracle."""
+    import argparse
+    parser = argparse.ArgumentParser(
+        prog="ewhnexus",
+        description="Techno-economic scenarios for carbon capture retrofits "
+                    "with water, wind and hydrogen sections.")
+    parser.add_argument("--config", required=True,
+                        help="path to a YAML config, or a preset name such as 'paper-2024'")
+    parser.add_argument("--command", required=True, choices=tuple(COMMANDS))
+    parser.add_argument("--format", default="table", choices=("table", "csv", "json"))
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--plant", default=None, help="plant name from the config")
+    parser.add_argument("--product", default=None, help="product name from the config")
+    parser.add_argument("--beta", type=float, default=None, help="reuse fraction in [0, 1]")
+    parser.add_argument("--distances", default=None,
+                        help="comma-separated pipe distances [km] for 'curve'")
+    parser.add_argument("--flows", default=None,
+                        help="comma-separated water flows [m3/h] for 'curve'")
+    return parser
+
+
+ORACLE = argparse_reference()
+FLAG_NAMES = ("config", "command", "format", "out", "plant", "product", "beta", "distances",
+              "flows")
+# a value that does not start with "-"; "," "=" and " " included
+PLAIN = st.text(st.sampled_from("abc019.,= _"), max_size=6).filter(lambda v: v[:1] != "-")
+# a negative number after a space is a value only as a plain decimal: "-1e-3" is a flag
+NUMBER = st.sampled_from(["0", "1", "0.5", ".25", "1e-3", "inf", "nan", "-0", "-0.5", "-.5",
+                          "-2", "-1e-3", "-1.", "x"])
+
+
+def mostly(common, rare):
+    """Draws of ``rare`` one time in ten, else of ``common``."""
+    return st.integers(0, 9).flatmap(lambda i: rare if i == 0 else common)
+
+
+@st.composite
+def argvs(draw):
+    """An argv of the nine flags: both ``=`` forms, prefixes, repeats and shuffled order."""
+    values = {"command": mostly(st.sampled_from(tuple(COMMANDS)), PLAIN),
+              "format": mostly(st.sampled_from(("table", "csv", "json")), PLAIN),
+              "beta": NUMBER, "distances": mostly(st.sampled_from(["10,20", "5", ""]), PLAIN),
+              "flows": mostly(st.sampled_from(["0,1.5", ""]), PLAIN)}
+    names = draw(st.lists(st.sampled_from(FLAG_NAMES), max_size=6))
+    for required in ("config", "command"):   # given, as a rule
+        if draw(st.integers(0, 9)):
+            names.append(required)
+    argv = []
+    for name in draw(st.permutations(names)):
+        # the flag, or a prefix of it of at least one letter, which may be ambiguous
+        flag = f"--{name}"[:draw(mostly(st.just(len(name) + 2), st.integers(3, len(name) + 2)))]
+        value = draw(values.get(name, PLAIN))
+        if name == "beta" and value[:1] == "-" and draw(st.booleans()) or draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+def oracle_args(argv: list[str]):
+    """What the argparse reference reads from ``argv``, or None if it rejects it."""
+    try:
+        with redirect_stderr(io.StringIO()):
+            return vars(ORACLE.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+class TestParseArgs:
+    @settings(max_examples=400, deadline=None)
+    @given(argv=argvs())
+    # argparse types --beta at each repeat, and run() read the last --distances only
+    @example(argv=["--config", "x", "--command", "sweep", "--beta", "half", "--beta", "1"])
+    @example(argv=["--config", "x", "--command", "curve", "--distances", "x", "--distances=1"])
+    def test_reads_what_argparse_read(self, argv):
+        expected = oracle_args(argv)
+        if expected is None:
+            with pytest.raises(ConfigError):
+                parse_args(argv)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                status = main(argv)
+            assert (status, out.getvalue()) == (2, "")
+            assert err.getvalue().startswith("config error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            return
+        try:   # the flags that run() read as lists of numbers
+            for name in ("distances", "flows"):
+                expected[name] = _parse_float_list(expected[name], f"--{name}")
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                parse_args(argv)
+            return
+        got = vars(parse_args(argv))
+        assert got.keys() == expected.keys()
+        for name, value in expected.items():   # NaN equals NaN, and -0.0 is not 0.0
+            assert repr(got[name]) == repr(value), name
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--bogus", "x"], "unrecognized argument '--bogus'"),
+        (["stray"], "unrecognized argument 'stray'"),
+        (["--config", "paper-2024", "--command"], "--command expects a value"),
+        (["--config", "--command", "sweep"], "--config expects a value"),
+        (["--plant", "-x"], "--plant expects a value"),
+        (["--command", "bogus"], "--command: invalid choice 'bogus' (choose from "
+                                 + ", ".join(COMMANDS) + ")"),
+        (["--format=xml"], "--format: invalid choice 'xml' (choose from table, csv, json)"),
+        (["--beta", "half"], "--beta: expected a number, got 'half'"),
+        (["--p", "coal"], "ambiguous option --p: could be --plant, --product"),
+        (["--co=x"], "ambiguous option --co: could be --config, --command"),
+        (["--help=1"], "unrecognized argument '--help=1'"),
+        (["--command", "sweep"], "--config is required"),
+        (["--config", "paper-2024"], "--command is required"),
+    ], ids=["unknown-flag", "stray-value", "missing-value-at-end", "flag-as-value",
+            "dash-value", "command-choice", "format-choice", "beta-not-a-number",
+            "ambiguous-prefix", "ambiguous-prefix-with-value", "help-with-value",
+            "no-config", "no-command"])
+    def test_a_usage_error_is_one_config_error_line(self, argv, message):
+        with pytest.raises(ConfigError) as info:
+            parse_args(argv)
+        assert str(info.value) == message
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+        assert (status, out.getvalue(), err.getvalue()) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"],
+                                      ["--config", "paper-2024", "-h", "--bogus"]])
+    def test_help_names_every_command_and_flag_and_exits_0(self, argv):
+        assert parse_args(argv) is None
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+        assert (status, err.getvalue()) == (0, "")
+        text = out.getvalue()
+        assert text.startswith("usage: ewhnexus ")
+        for name in COMMANDS:
+            assert f"\n  {name}" in text
+        for name in FLAG_NAMES:
+            assert f"--{name} " in text
+        for name, command in COMMANDS.items():   # each command's line names its flags
+            line = next(line for line in text.splitlines() if line.split()[:1] == [name])
+            assert [word[2:] for word in line.replace("[", "").split() if word[:2] == "--"] == [
+                *command.required, *command.optional]
+
+    def test_values_are_typed_once(self):
+        args = parse_args(["--config=paper-2024", "--comm", "curve", "--pl", "coal",
+                           "--dist", "0, 60,", "--flows=1.5", "--beta", "-0", "--beta", "-.5"])
+        assert (args.config, args.command, args.plant, args.distances, args.flows) == (
+            "paper-2024", "curve", "coal", (0.0, 60.0), (1.5,))
+        assert repr(args.beta) == "-0.5" and args.format == "table" and args.out is None
 
 
 def fresh_text(tag: str) -> str:

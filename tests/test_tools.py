@@ -17,7 +17,10 @@ def test_every_layer_times_row_runs_once():
     for label in ("dump_config", "render sweep json", "cli.main sweep --format json",
                   "cli.main scorecard --format json", "cli.main decide --format json",
                   "breakeven_distance, no crossing",
-                  "penalty_threshold, reuse-all"):
+                  "penalty_threshold, reuse-all", "cli.parse_args",
+                  "cli.main penalty --format csv", "cli.main breakeven --format json",
+                  "cli.main scenario --format json",
+                  "interpreter start + import ewhnexus.cli"):
         assert label in labels
     for _, call in rows:
         call()

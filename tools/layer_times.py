@@ -8,9 +8,11 @@ Each row is timed in one process: ``timeit`` picks a loop count that runs
 for about ``--seconds``, and the row prints the best of ``--repeat`` loops
 as microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
 construction and conversion, each cost term, the cell assembly, a sweep, a
-break-even solve, config load and dump, a fresh interpreter's import) and
-the CLI's output path: the sweep rows, each renderer, ``cli.main`` on a
-sweep in each format, and on the scorecard and ``decide``, which no benchmark
+break-even solve, config load and dump, a fresh interpreter's import of the
+package and of its CLI) and the CLI's path: ``cli.parse_args`` on a penalty
+call's flags, the sweep rows, each renderer, ``cli.main`` on a penalty,
+break-even and scenario call (where parsing was the largest share), on a sweep
+in each format, and on the scorecard and ``decide``, which no benchmark
 workload runs.  The break-even rows time a solve with a root and one whose
 window holds none; the penalty row prices a reuse-all threshold.  Times depend
 on the machine; compare two trees by running both on it, alternately.
@@ -59,9 +61,12 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
     quantity = quantities.Quantity(250.0, "$/ton")
     cells = cfg.sweep()
     sweep = [cli.sweep_row(cell) for cell in cells]
-    curve = cli._curve_rows(argparse.Namespace(plant="coal", product=None,
-                                               distances=(0.0, 50.0, 100.0), flows=()), cfg)
-    record = cli._penalty_rows(argparse.Namespace(plant="coal", product="methanol"), cfg)
+    # a cli-batch penalty call's flags
+    argv = ["--config", "paper-2024", "--command", "penalty", "--format", "csv",
+            "--plant", "coal", "--product", "methanol"]
+    curve = cli._curve_rows(cli.parse_args(["--config", "paper-2024", "--command", "curve",
+                                            "--plant", "coal", "--distances", "0,50,100"]), cfg)
+    record = cli._penalty_rows(cli.parse_args(argv), cfg)
     commands = cli.COMMANDS
 
     def no_crossing() -> analysis.NoCrossingError:
@@ -71,8 +76,8 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
             return exc
         raise AssertionError(f"{below} holds a break-even")
 
-    def cli_main(fmt: str, command: str = "sweep") -> Callable[[], object]:
-        argv = ["--config", "paper-2024", "--command", command, "--format", fmt]
+    def cli_main(fmt: str, command: str = "sweep", *flags: str) -> Callable[[], object]:
+        argv = ["--config", "paper-2024", "--command", command, "--format", fmt, *flags]
 
         def call():
             with redirect_stdout(io.StringIO()):
@@ -82,6 +87,7 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
     return [
         ("interpreter start", _interpreter("pass")),
         ("interpreter start + import ewhnexus", _interpreter("import ewhnexus")),
+        ("interpreter start + import ewhnexus.cli", _interpreter("import ewhnexus.cli")),
         ("Quantity(250.0, '$/ton')", lambda: quantities.Quantity(250.0, "$/ton")),
         ("Quantity.value_in('$/kg')", lambda: quantity.value_in("$/kg")),
         ("ccss.ccss_capital", lambda: ccss.ccss_capital(1.0, plant.cbar_day, econ)),
@@ -114,6 +120,13 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("render curve json", lambda: cli.render_output(commands["curve"], "json", curve)),
         ("render penalty table", lambda: cli.render_output(commands["penalty"], "table", record)),
         ("render penalty json", lambda: cli.render_output(commands["penalty"], "json", record)),
+        ("cli.parse_args", lambda: cli.parse_args(argv)),
+        ("cli.main penalty --format csv",
+         cli_main("csv", "penalty", "--plant", "coal", "--product", "methanol")),
+        ("cli.main breakeven --format json", cli_main("json", "breakeven", "--plant", "coal")),
+        ("cli.main scenario --format json",
+         cli_main("json", "scenario", "--plant", "coal", "--product", "methanol",
+                  "--beta", "0.5")),
         ("cli.main sweep --format csv", cli_main("csv")),
         ("cli.main sweep --format table", cli_main("table")),
         ("cli.main sweep --format json", cli_main("json")),
