@@ -285,7 +285,7 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
     beta, product = (1.0, strategy.product) if isinstance(strategy, ReuseAll) else (0.0, None)
     economics._check_cell(beta, product, water_mode)
     column = economics._column(plant, econ, product, water_mode)
-    return Quantity._computed(_priced(column, beta)[2], "$/ton", checked=True)   # by _daily
+    return Quantity._computed(_priced(column, beta)[2], "$/ton")
 
 
 def _priced(column: tuple, beta: float) -> tuple[float, float, float]:

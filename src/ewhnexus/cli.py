@@ -64,10 +64,9 @@ def sweep_row(cell: analysis.SweepCell) -> dict:
         return {"plant": cell.plant, "product": cell.product, "beta": cell.beta,
                 "error": cell.error}
     capital, _, operational, revenue = r.ledger.totals()
-    return dict(zip(SWEEP_COLUMNS, (
+    return dict(zip(SWEEP_COLUMNS, (   # a result's metrics are built in these columns' units
         cell.plant, cell.product, cell.beta, capital, operational, revenue,
-        r.daily_cost.value_in("$/day"), r.increased_price.value_in("$/kWh"),
-        r.carbon_penalty.value_in("$/ton"))))
+        r.daily_cost.magnitude, r.increased_price.magnitude, r.carbon_penalty.magnitude)))
 
 
 def _sweep_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
@@ -200,13 +199,15 @@ def render_record_table(record: dict) -> str:
 def render_json(data: dict | list[dict]) -> str:
     """A record or list of records as ``json.dumps(data, indent=2)`` writes it, and a newline.
 
-    Keys are strings.  Strings and finite floats go to the C functions behind
-    ``json``'s encoder, whose indenting one is pure Python; the rest to ``json.dumps``.
+    Keys are strings.  Strings, finite floats, ints, bools and None are written as ``json``
+    writes them, without its encoder; the rest by ``json.dumps``, whose indenting is Python.
     """
     def record(fields: dict, pad: str) -> str:   # laid out at the indent after ``pad``
         return "{" + pad + ("," + pad).join([
             _json_str(k) + ": " + (_json_str(v) if type(v) is str else float.__repr__(v)
-                                   if type(v) is float and math.isfinite(v)
+                                   if type(v) is float and math.isfinite(v) else int.__repr__(v)
+                                   if type(v) is int else ("true" if v else "false")
+                                   if type(v) is bool else "null" if v is None
                                    else json.dumps(v, indent=2).replace("\n", pad))
             for k, v in fields.items()]) + pad[:-2] + "}" if fields else "{}"
 

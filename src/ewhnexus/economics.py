@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from . import ccss, conversion, water
-from .quantities import (
-    CAPITAL, HOURS_PER_DAY, OPERATIONAL, REVENUE,
-    CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, UnitError, check_beta, daily_capital_charge,
-)
+from .quantities import (CAPITAL, HOURS_PER_DAY, OPERATIONAL, REVENUE, CostLedger, DomainError,
+                         EconParams, LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError,
+                         _quantity, _set_items, check_beta, daily_capital_charge)
 
 
 @dataclass(frozen=True)
@@ -143,16 +141,13 @@ def _terms(column: tuple, beta: float) -> tuple[float | None, ...]:
 
 
 def _result(column: tuple, beta: float) -> ScenarioResult:
-    """The ledger and decision metrics of ``column``'s cell at ``beta``."""
+    """The ledger and metrics of ``column``'s cell at ``beta``, from floats ``_daily`` checked."""
     terms = _terms(column, beta)
     charge, daily, price, penalty = _daily(terms, column)
-    ledger = object.__new__(CostLedger)   # the rows of checked amounts, one tuple built once
-    object.__setattr__(ledger, "items", _rows(terms, column[5], tuple.__new__(LedgerItem, (
-        "daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))))
-    quantity = Quantity._computed   # each metric is finite: _daily checked it
-    return tuple.__new__(ScenarioResult, (ledger, quantity(daily, "$/day", checked=True),
-                                          quantity(price, "$/kWh", checked=True),
-                                          quantity(penalty, "$/ton", checked=True)))
+    ledger = object.__new__(CostLedger)
+    _set_items(ledger, _rows(terms, column[5], charge))
+    return tuple.__new__(ScenarioResult, (ledger, _quantity(daily, "$/day"),
+                                          _quantity(price, "$/kWh"), _quantity(penalty, "$/ton")))
 
 
 def _hour_runs(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
@@ -177,12 +172,10 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple[float, float
     isfinite = math.isfinite
     plant, econ, _, _, _, label = column
     cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
-    if cap_power is None:   # a storage scenario
-        capital, flows = [cap_ccss], [op_ccss]
-    else:
-        capital = ([cap_ccss, cap_power, cap_water] if cap_h2 is None
-                   else [cap_ccss, cap_power, cap_h2, cap_water])
-        flows = [op_ccss, op_water, revenue]
+    capital = ((cap_ccss,) if cap_power is None   # a storage scenario
+               else (cap_ccss, cap_power, cap_water) if cap_h2 is None
+               else (cap_ccss, cap_power, cap_h2, cap_water))
+    flows = (op_ccss,) if cap_power is None else (op_ccss, op_water, revenue)
     if not isfinite(sum(capital) + sum(flows)):   # an amount is not finite, or they overflow
         for row, _, _, amount, _ in _rows(terms, label):
             if not isfinite(amount):
@@ -192,8 +185,7 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple[float, float
     charge = daily_capital_charge(_total(capital), econ)
     if not isfinite(charge):
         raise DomainError("ledger amount must be finite (daily capital charge)")
-    flows.append(charge)
-    daily = _total(flows)
+    daily = _total(flows + (charge,))
     price, penalty = daily / plant.capacity_kw, daily / plant.cbar_day
     if not isfinite(daily + price + penalty):   # a metric is not finite, or they overflow
         for metric, unit in ((daily, "$/day"), (price, "$/kWh"), (penalty, "$/ton")):
@@ -202,31 +194,32 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple[float, float
 
 
 def _rows(terms: tuple[float | None, ...], label: str | None,
-          *last: LedgerItem) -> tuple[LedgerItem, ...]:
-    """The ledger rows of ``_terms``' amounts and revenue ``label``, then ``last``; unchecked."""
+          charge: float | None = None) -> tuple[LedgerItem, ...]:
+    """The ledger rows of ``_terms``, revenue ``label`` and then ``charge`` if set; unchecked."""
     cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
-    new = tuple.__new__   # the kinds and units are the ledger's own literals
-    rows = [new(LedgerItem, ("capture and storage pipeline capital", "ccss-capital", CAPITAL,
-                             cap_ccss, "$")),
-            new(LedgerItem, ("capture and transfer operations", "ccss-operational", OPERATIONAL,
-                             op_ccss, "$/day"))]
-    if cap_power is not None:   # a reuse scenario
-        rows.append(new(LedgerItem, ("wind farm capital", "power-capital", CAPITAL,
-                                     cap_power, "$")))
-        if cap_h2 is not None:
-            rows.append(new(LedgerItem, ("electrolyzer capital", "hydrogen-capital", CAPITAL,
-                                         cap_h2, "$")))
-        rows += (new(LedgerItem, ("water system capital", "water-capital", CAPITAL,
-                                  cap_water, "$")),
-                 new(LedgerItem, ("water system operations", "water-operational", OPERATIONAL,
-                                  op_water, "$/day")),
-                 new(LedgerItem, (label, "product-revenue", REVENUE,
-                                  revenue, "$/day")))
-    rows += last
-    return tuple(rows)
+    new = tuple.__new__   # one tuple per ledger shape; kinds and units are the ledger's literals
+    ccss_capital = new(LedgerItem, ("capture and storage pipeline capital", "ccss-capital",
+                                    CAPITAL, cap_ccss, "$"))
+    ccss_operations = new(LedgerItem, ("capture and transfer operations", "ccss-operational",
+                                       OPERATIONAL, op_ccss, "$/day"))
+    last = new(LedgerItem, ("daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))
+    if cap_power is None:   # a storage scenario
+        rows = ccss_capital, ccss_operations, last
+    else:
+        power = new(LedgerItem, ("wind farm capital", "power-capital", CAPITAL, cap_power, "$"))
+        water_capital = new(LedgerItem, ("water system capital", "water-capital", CAPITAL,
+                                         cap_water, "$"))
+        water_operations = new(LedgerItem, ("water system operations", "water-operational",
+                                            OPERATIONAL, op_water, "$/day"))
+        sales = new(LedgerItem, (label, "product-revenue", REVENUE, revenue, "$/day"))
+        rows = ((ccss_capital, ccss_operations, power, water_capital, water_operations, sales, last)
+                if cap_h2 is None else (ccss_capital, ccss_operations, power, new(LedgerItem, (
+                    "electrolyzer capital", "hydrogen-capital", CAPITAL, cap_h2, "$")),
+                    water_capital, water_operations, sales, last))
+    return rows if charge is not None else rows[:-1]
 
 
-def _total(amounts: list[float]) -> float:
+def _total(amounts: tuple[float, ...]) -> float:
     """The exact sum of finite amounts, or inf, which fails the cell, where fsum overflows."""
     try:
         return math.fsum(amounts)

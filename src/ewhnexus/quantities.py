@@ -134,15 +134,11 @@ class Quantity:
             raise UnitError(f"magnitude must be finite, got {self.magnitude!r}")
 
     @classmethod
-    def _computed(cls, magnitude: float, unit: str, checked: bool = False) -> "Quantity":
-        """A float the core computed, in a registered normalized unit: checks finiteness
-        only, and not that if the caller has (``checked``)."""
-        if not (checked or math.isfinite(magnitude)):
+    def _computed(cls, magnitude: float, unit: str) -> "Quantity":
+        """``_quantity`` after a finiteness check, for a float the core computed."""
+        if not math.isfinite(magnitude):
             raise UnitError(f"magnitude must be finite, got {magnitude!r}")
-        quantity = object.__new__(cls)
-        _setattr(quantity, "magnitude", magnitude)
-        _setattr(quantity, "unit", unit)
-        return quantity
+        return _quantity(magnitude, unit)
 
     def value_in(self, unit: str) -> float:
         return _convert(self.magnitude, self.unit, unit)
@@ -342,9 +338,6 @@ class EconParams:
                               "horizon_years)") from None
 
 
-_setattr = object.__setattr__
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Hourly profile of a physical flow; values share one unit, step is 1 h."""
@@ -402,7 +395,7 @@ class LedgerItem(namedtuple("LedgerItem", "label term kind amount unit")):
         return cls(*iterable)   # namedtuple's own, which _replace calls, skips the checks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostLedger:
     """Itemized cost breakdown whose totals are exact sums of the items.
 
@@ -417,11 +410,11 @@ class CostLedger:
     def totals(self) -> tuple[float, float, float, float]:
         """Capital stock [$], then daily cost, operations and revenue [$ / day], in one pass:
         a '$' item is stock whatever its kind, a '$/day' one counts to daily and its kind."""
-        stock, flows = [], {CAPITAL: [], OPERATIONAL: [], REVENUE: []}
+        stock, capital, operational, revenue = [], [], [], []
         for _, _, kind, amount, unit in self.items:
-            (stock if unit == "$" else flows[kind]).append(amount)
-        operational, revenue = flows[OPERATIONAL], flows[REVENUE]
-        return (math.fsum(stock), math.fsum(flows[CAPITAL] + operational + revenue),
+            (stock if unit == "$" else capital if kind == CAPITAL
+             else operational if kind == OPERATIONAL else revenue).append(amount)
+        return (math.fsum(stock), math.fsum(capital + operational + revenue),
                 math.fsum(operational), math.fsum(revenue))
 
     def capital_total(self) -> float:
@@ -437,3 +430,16 @@ class CostLedger:
 
     def revenue_total(self) -> float:
         return self.totals()[3]
+
+
+_set_magnitude, _set_unit = Quantity.magnitude.__set__, Quantity.unit.__set__
+_set_items = CostLedger.items.__set__   # fills a ledger of checked rows, as economics does
+
+
+def _quantity(magnitude: float, unit: str) -> Quantity:
+    """A float the core computed, in a registered normalized unit, unchecked: built through
+    the slot descriptors, which a frozen dataclass's ``__setattr__`` does not guard."""
+    quantity = object.__new__(Quantity)
+    _set_magnitude(quantity, magnitude)
+    _set_unit(quantity, unit)
+    return quantity

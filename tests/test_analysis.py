@@ -462,9 +462,9 @@ class TestWorkCounts:
             calls["Quantity"] += 1
             post_init(self)
 
-        def counting_computed(cls, magnitude, unit, checked=False):
+        def counting_computed(cls, magnitude, unit):
             calls["Quantity"] += 1
-            return computed(cls, magnitude, unit, checked)
+            return computed(cls, magnitude, unit)
 
         monkeypatch.setattr(Quantity, "__post_init__", counting_post_init)
         monkeypatch.setattr(Quantity, "_computed", classmethod(counting_computed))

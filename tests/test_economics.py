@@ -1,8 +1,10 @@
 """Capital annualization, scenario assembly and derived decision metrics."""
 
+import copy
 import math
+import pickle
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,8 +17,8 @@ from ewhnexus.config import paper_2024
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.quantities import (
-    HOURS_PER_DAY, DomainError, EconParams, LedgerItem, PlantSpec, Quantity, TimeSeries,
-    UnitError, check_beta,
+    HOURS_PER_DAY, CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
+    TimeSeries, UnitError, check_beta,
 )
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
@@ -795,3 +797,86 @@ class TestHotPath:
         total_daily_cost(ScenarioConfig(plant=plant, econ=econ, beta=1.0,
                                         product=product, water_mode=mode))
         assert len(calls) == 1, calls
+
+
+MODES = {"desalination": Desalination(), "solar": SolarSeawater(),
+         "transfer": NetworkTransfer(Quantity(150.0, "km"))}
+
+
+def built_results(mode) -> list:
+    """The results of every preset sweep cell in ``mode``, then of coal's storage and
+    methanol cells by ``total_daily_cost``, without and with the electrolyzer's capital."""
+    grid = SweepGrid(SOLAR_PRESET.plants, SOLAR_PRESET.products, SOLAR_PRESET.sweep_betas, mode)
+    cells = scenario_sweep(grid, SOLAR_PRESET.econ, econ_resolver=SOLAR_PRESET.econ_for)
+    assert all(c.error is None for c in cells) and len(cells) == 21
+    coal = SOLAR_PRESET.plant("coal")
+    return [c.result for c in cells] + [
+        total_daily_cost(ScenarioConfig(
+            plant=coal, beta=beta, product=METHANOL if beta else None, water_mode=mode,
+            econ=replace(SOLAR_PRESET.econ_for(coal), include_hydrogen_capital=hydrogen)))
+        for hydrogen in (False, True) for beta in (0.0, 0.5, 1.0)]
+
+
+class TestResultContract:
+    """A result built through its slots is the value the checked constructors build."""
+
+    @pytest.mark.parametrize("mode", MODES.values(), ids=MODES)
+    def test_metrics_are_checked_quantities(self, mode):
+        for result in built_results(mode):
+            for metric, unit in zip(result[1:], ("$/day", "$/kWh", "$/ton")):
+                checked = Quantity(metric.magnitude, unit)
+                assert type(metric) is Quantity and metric == checked
+                assert hash(metric) == hash(checked) and repr(metric) == repr(checked)
+                assert metric.magnitude.hex() == checked.magnitude.hex()
+
+    @pytest.mark.parametrize("mode", MODES.values(), ids=MODES)
+    def test_ledgers_are_checked_ledgers(self, mode):
+        for result in built_results(mode):
+            ledger = result.ledger
+            checked = CostLedger(tuple(LedgerItem(*row) for row in ledger.items))
+            assert type(ledger) is CostLedger and type(ledger.items) is tuple
+            assert ledger == checked and hash(ledger) == hash(checked)
+            assert repr(ledger) == repr(checked) == f"CostLedger(items={ledger.items!r})"
+
+    @pytest.mark.parametrize("mode", MODES.values(), ids=MODES)
+    def test_frozen_and_copied_whole(self, mode):
+        for result in built_results(mode):
+            for built, names in ((result.ledger, ("items",)),
+                                 *((metric, ("magnitude", "unit")) for metric in result[1:])):
+                for name in names:
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(built, name, getattr(built, name))
+                assert not hasattr(built, "__dict__")
+            for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+                assert type(copied) is type(result) and copied == result
+                assert repr(copied) == repr(result) and hash(copied) == hash(result)
+
+
+class TestRows:
+    """``_rows``: one tuple of rows per ledger shape, in ledger order, the charge's last."""
+
+    HEAD = ["capture and storage pipeline capital", "capture and transfer operations"]
+    REUSE = ["water system capital", "water system operations", "methanol sales"]
+
+    @pytest.mark.parametrize("product, hydrogen, n, labels", [
+        (None, False, 3, HEAD),
+        (METHANOL, False, 7, HEAD + ["wind farm capital"] + REUSE),
+        (METHANOL, True, 8, HEAD + ["wind farm capital", "electrolyzer capital"] + REUSE),
+    ], ids=["storage", "reuse", "reuse-electrolyzer"])
+    def test_one_tuple_per_shape(self, product, hydrogen, n, labels):
+        coal = SOLAR_PRESET.plant("coal")
+        cell_econ = replace(SOLAR_PRESET.econ_for(coal), include_hydrogen_capital=hydrogen)
+        column = economics._column(coal, cell_econ, product, Desalination())
+        beta = 0.0 if product is None else 0.5
+        terms = economics._terms(column, beta)
+        charge = economics._daily(terms, column)[0]
+        rows = economics._rows(terms, column[5], charge)
+        assert type(rows) is tuple and len(rows) == n
+        assert [r.label for r in rows] == labels + ["daily capital charge"]
+        assert all(type(r) is LedgerItem and r == LedgerItem(*r) for r in rows)
+        assert [r.amount for r in rows[:-1]] == [t for t in terms if t is not None]
+        assert rows[-1] == ("daily capital charge", "capital-charge", "capital", charge, "$/day")
+        assert economics._rows(terms, column[5]) == rows[:-1]
+        assert total_daily_cost(ScenarioConfig(plant=coal, econ=cell_econ, beta=beta,
+                                               product=product, water_mode=Desalination())
+                                ).ledger.items == rows

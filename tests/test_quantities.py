@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ewhnexus.quantities import (
     CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
@@ -85,12 +85,13 @@ class TestCoreBuiltQuantity:
             assert built.magnitude.hex() == value.hex()
             assert str(built) == str(Quantity(value, unit))
 
+    @pytest.mark.parametrize("unit", ["$/day", "km"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_keeps_the_finiteness_check(self, value):
+    def test_keeps_the_finiteness_check(self, value, unit):
         with pytest.raises(UnitError) as info:
-            Quantity._computed(value, "$/day")
+            Quantity._computed(value, unit)
         with pytest.raises(UnitError) as checked:
-            Quantity(value, "$/day")
+            Quantity(value, unit)
         assert str(info.value) == str(checked.value) == f"magnitude must be finite, got {value!r}"
 
 
@@ -255,6 +256,26 @@ class TestCostLedger:
             i.amount for i in ledger.items if i.unit == "$/day")
         assert ledger.capital_total() == math.fsum(
             i.amount for i in ledger.items if i.unit == "$")
+
+    @settings(max_examples=300, deadline=None)
+    @given(items=st.lists(st.builds(
+        LedgerItem, st.sampled_from(["a", "b"]), st.just("t"),
+        st.sampled_from(["capital", "operational", "revenue"]),
+        st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, 0.1]),
+        st.sampled_from(["$", "$/day"])), max_size=12))
+    @example(items=[LedgerItem("a", "t", "operational", 5.0, "$"),
+                    LedgerItem("b", "t", "revenue", -2.5, "$"),
+                    LedgerItem("a", "t", "capital", 1.5, "$/day")])
+    def test_totals_are_the_fsums_of_each_rule(self, items):
+        # a '$' item is stock whatever its kind; a '$/day' one counts to daily and its kind
+        ledger, daily = CostLedger(tuple(items)), [i for i in items if i.unit == "$/day"]
+        oracle = (math.fsum(i.amount for i in items if i.unit == "$"),
+                  math.fsum(i.amount for i in daily),
+                  math.fsum(i.amount for i in daily if i.kind == "operational"),
+                  math.fsum(i.amount for i in daily if i.kind == "revenue"))
+        assert [t.hex() for t in ledger.totals()] == [t.hex() for t in oracle]
+        assert (ledger.capital_total(), ledger.daily_total(), ledger.operational_total(),
+                ledger.revenue_total()) == oracle
 
     def test_non_finite_amount_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):

@@ -1,17 +1,17 @@
 """The developer tools under ``tools/`` still reach what they time."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_layer_times_row_runs_once():
     # untimed: a renamed or re-signatured target fails here, not in a timing run
-    spec = importlib.util.spec_from_file_location("layer_times", ROOT / "tools" / "layer_times.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    rows = module.rows()
+    rows = load_tool("layer_times").rows()
     labels = [label for label, _ in rows]
     assert len(set(labels)) == len(labels)
     for label in ("dump_config", "render sweep json", "cli.main sweep --format json",
@@ -20,7 +20,71 @@ def test_every_layer_times_row_runs_once():
                   "penalty_threshold, reuse-all", "cli.parse_args",
                   "cli.main penalty --format csv", "cli.main breakeven --format json",
                   "cli.main scenario --format json",
-                  "interpreter start + import ewhnexus.cli"):
+                  "interpreter start + import ewhnexus.cli",
+                  "economics._result, reuse column", "economics._result, storage column",
+                  "cli.sweep_row"):
         assert label in labels
     for _, call in rows:
         call()
+
+
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(p50: float, ops: float, correct: bool = True, failed: int = 0) -> str:
+    """A canned last line of ``bench/run.py``, as it prints one for ``--trace 0``."""
+    metrics = {"setup_s": 0.06, "ops_per_s": ops, "latency_p50_ms": p50,
+               "latency_p90_ms": 1.2 * p50, "peak_rss_mb": 20.5}
+    return json.dumps({"correct": correct, "attempted": 1000, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}})
+
+
+def test_bench_record_statistics_and_claim_rule_on_canned_lines():
+    tool = load_tool("bench_record")
+    assert tool.parse_seeds("101-103,7") == [101, 102, 103, 7]
+    assert tool.summary([5.0, 1.0, 4.0, 2.0, 3.0]) == {"n": 5, "median": 3.0, "q1": 2.0,
+                                                       "q3": 4.0}
+    assert tool.summary([2.5]) == {"n": 1, "median": 2.5, "q1": 2.5, "q3": 2.5}
+    with pytest.raises(ValueError):
+        tool.result_of('# summary\n{"metrics": {}}\n')
+
+    base = [0.95, 0.93, 0.96, 0.95, 0.97, 0.93, 0.98, 0.94, 0.96, 0.95]
+    parent = [tool.result_of(f"# summary\n{result_line(p, 1 / p)}\n") for p in base]
+    change = [tool.result_of(result_line(p - 0.08, 1 / (p - 0.08))) for p in base]
+
+    def values(runs, metric):
+        return [r["metrics"][metric]["value"] for r in runs]
+
+    p50 = tool.verdict("latency_p50_ms", values(parent, "latency_p50_ms"),
+                       values(change, "latency_p50_ms"))
+    assert (p50["pairs"], p50["won"], p50["claim"], p50["slower"]) == (10, 10, True, False)
+    assert p50["parent"]["median"] == 0.95 and p50["change"]["median"] == pytest.approx(0.87)
+    # inclusive quartiles of the sorted ten: positions 2.25 and 6.75, 0.9425 and 0.96
+    assert p50["parent_iqr"] == pytest.approx(0.0175)
+    # higher is better for throughput; the rule reads the direction from BENCHMARK.json
+    ops = tool.verdict("ops_per_s", values(parent, "ops_per_s"), values(change, "ops_per_s"))
+    assert ops["won"] == 10 and ops["claim"] and ops["relative_change"] > 0
+    # too few pairs, too few won, or a gap within the parent's IQR: no claim
+    assert not tool.verdict("latency_p50_ms", base[:9], [p - 0.08 for p in base[:9]])["claim"]
+    two_lost = [p - 0.08 for p in base[:8]] + [p + 0.01 for p in base[8:]]
+    lost = tool.verdict("latency_p50_ms", base, two_lost)
+    assert (lost["won"], lost["claim"]) == (8, False)
+    near = tool.verdict("latency_p50_ms", base, [p - 0.01 for p in base])
+    assert (near["won"], near["claim"]) == (10, False)
+    # a slowdown over 10% is flagged, and one past the metric's bound (15%) too
+    slower = tool.verdict("latency_p50_ms", base, [p * 1.12 for p in base])
+    assert (slower["won"], slower["claim"], slower["slower"], slower["past_bound"]) == (
+        0, False, True, False)
+    assert tool.verdict("ops_per_s", base, [p * 0.8 for p in base])["past_bound"]
+
+    runs = [("parent", 1, parent[0]), ("change", 1, change[0])]
+    text = tool.report([p50, slower], runs)
+    assert "claim holds" in text and "SLOWER >10%" in text
+    assert text.endswith("all 2 runs correct, no op failed\n")
+    broken = tool.result_of(result_line(0.9, 1.1, correct=False, failed=3))
+    assert "change seed 2: correct=False, 3 of 1000 ops failed" in tool.report(
+        [p50], runs + [("change", 2, broken)])

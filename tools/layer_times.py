@@ -4,18 +4,20 @@ Run from the repository root (the package is imported from ``src/``):
 
     python tools/layer_times.py [--repeat 7] [--seconds 0.2]
 
-Each row is timed in one process: ``timeit`` picks a loop count that runs
-for about ``--seconds``, and the row prints the best of ``--repeat`` loops
-as microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
-construction and conversion, each cost term, the cell assembly, a sweep, a
-break-even solve, config load and dump, a fresh interpreter's import of the
-package and of its CLI) and the CLI's path: ``cli.parse_args`` on a penalty
-call's flags, the sweep rows, each renderer, ``cli.main`` on a penalty,
-break-even and scenario call (where parsing was the largest share), on a sweep
-in each format, and on the scorecard and ``decide``, which no benchmark
-workload runs.  The break-even rows time a solve with a root and one whose
-window holds none; the penalty row prices a reuse-all threshold.  Times depend
-on the machine; compare two trees by running both on it, alternately.
+Each row is timed in one process: ``timeit`` picks a loop count that runs for
+about ``--seconds``, and the row prints the best of ``--repeat`` loops as
+microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
+construction and conversion, each cost term, the cell assembly and the priced
+cell's result (``economics._result``) of one column, a sweep, a break-even
+solve, config load and dump, a fresh interpreter's import of the package and of
+its CLI) and the CLI's path: ``cli.parse_args`` on a penalty call's flags, one
+reuse cell's ``cli.sweep_row`` and the sweep's rows, each renderer,
+``cli.main`` on a penalty, break-even and scenario call (where parsing was the
+largest share), on a sweep in each format, and on the scorecard and ``decide``,
+which no benchmark workload runs.  The break-even rows time a solve with a root
+and one whose window holds none; the penalty row prices a reuse-all threshold.
+Times depend on the machine; compare two trees by running both on it,
+alternately.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
     quantity = quantities.Quantity(250.0, "$/ton")
     cells = cfg.sweep()
     sweep = [cli.sweep_row(cell) for cell in cells]
+    reuse_column = economics._column(plant, econ, product, cfg.water_mode)
+    storage_column = economics._column(plant, econ, None, cfg.water_mode)
+    reuse_cell = next(cell for cell in cells if cell.product)
     # a cli-batch penalty call's flags
     argv = ["--config", "paper-2024", "--command", "penalty", "--format", "csv",
             "--plant", "coal", "--product", "methanol"]
@@ -104,6 +109,8 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
          lambda: conversion.chemical_revenue(product, captured, 1.0, econ)),
         ("total_daily_cost, reuse cell", lambda: economics.total_daily_cost(reuse)),
         ("total_daily_cost, storage cell", lambda: economics.total_daily_cost(storage)),
+        ("economics._result, reuse column", lambda: economics._result(reuse_column, 1.0)),
+        ("economics._result, storage column", lambda: economics._result(storage_column, 0.0)),
         (f"LoadedConfig.sweep, {len(cells)} cells", cfg.sweep),
         ("breakeven_distance", lambda: analysis.breakeven_distance(query, econ)),
         ("breakeven_distance, no crossing", no_crossing),
@@ -112,6 +119,7 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("load_config_text (parse and validate)", lambda: config.load_config_text(text)),
         ("load_config (cached)", lambda: config.load_config("paper-2024")),
         ("dump_config", lambda: config.dump_config(cfg)),
+        ("cli.sweep_row", lambda: cli.sweep_row(reuse_cell)),
         (f"sweep rows ({len(cells)} sweep_row calls)",
          lambda: [cli.sweep_row(cell) for cell in cells]),
         ("render sweep csv", lambda: cli.render_output(commands["sweep"], "csv", sweep)),
