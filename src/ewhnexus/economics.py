@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from . import ccss, conversion, water
-from .quantities import (CAPITAL, HOURS_PER_DAY, OPERATIONAL, REVENUE, CostLedger, DomainError,
-                         EconParams, LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError,
-                         _quantity, _set_items, check_beta, daily_capital_charge)
+from .quantities import (CAPITAL, HOURS_PER_DAY, OPERATIONAL, REVENUE, DomainError, EconParams,
+                         LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError, _ledger,
+                         _quantity, check_beta, daily_capital_charge)
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,8 @@ def _result(column: tuple, beta: float) -> ScenarioResult:
     """The ledger and metrics of ``column``'s cell at ``beta``, from floats ``_daily`` checked."""
     terms = _terms(column, beta)
     charge, daily, price, penalty = _daily(terms, column)
-    ledger = object.__new__(CostLedger)
-    _set_items(ledger, _rows(terms, column[5], charge))
-    return tuple.__new__(ScenarioResult, (ledger, _quantity(daily, "$/day"),
-                                          _quantity(price, "$/kWh"), _quantity(penalty, "$/ton")))
+    return tuple.__new__(ScenarioResult, (_ledger(_rows(terms, column[5], charge)),
+        _quantity(daily, "$/day"), _quantity(price, "$/kWh"), _quantity(penalty, "$/ton")))
 
 
 def _hour_runs(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:

@@ -433,13 +433,19 @@ class CostLedger:
 
 
 _set_magnitude, _set_unit = Quantity.magnitude.__set__, Quantity.unit.__set__
-_set_items = CostLedger.items.__set__   # fills a ledger of checked rows, as economics does
+_set_items = CostLedger.items.__set__   # slot setters, unguarded by a frozen __setattr__
 
 
 def _quantity(magnitude: float, unit: str) -> Quantity:
-    """A float the core computed, in a registered normalized unit, unchecked: built through
-    the slot descriptors, which a frozen dataclass's ``__setattr__`` does not guard."""
+    """A float the core computed, in a registered normalized unit, unchecked."""
     quantity = object.__new__(Quantity)
     _set_magnitude(quantity, magnitude)
     _set_unit(quantity, unit)
     return quantity
+
+
+def _ledger(rows: tuple[LedgerItem, ...]) -> CostLedger:
+    """A ledger of checked rows, already one tuple, built through its slot as ``_quantity`` is."""
+    ledger = object.__new__(CostLedger)
+    _set_items(ledger, rows)
+    return ledger

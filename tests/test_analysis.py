@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -11,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ewhnexus import analysis, ccss, conversion, economics, water
+from ewhnexus import analysis, ccss, conversion, economics, quantities, water
 from ewhnexus.analysis import (
     BreakevenQuery, CurveCell, NoCrossingError, ReuseAll, StoreAll, SweepCell, SweepGrid,
     breakeven_distance, decide, penalty_threshold, scenario_sweep, scorecard,
@@ -455,19 +456,23 @@ class TestWorkCounts:
 
     @staticmethod
     def count_quantities(monkeypatch, calls: Counter) -> Counter:
-        """Every Quantity built, checked (``__post_init__``) or computed (``_computed``)."""
-        post_init, computed = Quantity.__post_init__, Quantity.__dict__["_computed"].__func__
+        """Every Quantity built, checked (``__post_init__``) or unchecked (``_quantity``, which
+        ``_computed`` calls), in every package module that holds ``_quantity`` by name."""
+        post_init, unchecked = Quantity.__post_init__, quantities._quantity
 
         def counting_post_init(self):
             calls["Quantity"] += 1
             post_init(self)
 
-        def counting_computed(cls, magnitude, unit):
+        def counting_unchecked(magnitude, unit):
             calls["Quantity"] += 1
-            return computed(cls, magnitude, unit)
+            return unchecked(magnitude, unit)
 
         monkeypatch.setattr(Quantity, "__post_init__", counting_post_init)
-        monkeypatch.setattr(Quantity, "_computed", classmethod(counting_computed))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ewhnexus") and vars(module).get("_quantity") is unchecked:
+                monkeypatch.setattr(module, "_quantity", counting_unchecked)
+        assert economics._quantity is counting_unchecked   # a result's metrics are counted
         return calls
 
     def test_one_solve_prices_each_mode_free_term_once(self, monkeypatch):

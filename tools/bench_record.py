@@ -2,17 +2,16 @@
 
 Run from the repository root:
 
-    python tools/bench_record.py compare --parent REV --workload grid-sweep \\
-        --pairs 10 --seconds 20 --seeds 101-110
-    python tools/bench_record.py record --pr N [--workloads W ...] [--seconds 10] \\
-        [--seeds 1-5]
+    python tools/bench_record.py compare --parent REV --workload grid-sweep --seeds 101-110
+    python tools/bench_record.py record --pr N [--seeds 1-5]
 
-``compare`` unpacks REV's committed files with ``git archive`` into a temporary
-directory, so the repository's ``.git`` state does not change, and runs
-alternating parent/change pairs of ``bench/run.py --workload W --seed S
---seconds T --trace 0``: each pair on one seed, the parent first on even pairs
-and the change first on odd ones, each run in a fresh interpreter, the change
-from this checkout's working tree.  It prints, per end-to-end metric, both
+Every run lasts ``BENCHMARK.json``'s ``run_seconds`` (T).  ``compare`` unpacks
+REV's committed files with ``git archive`` into a temporary directory, so the
+repository's ``.git`` state does not change, and runs one alternating
+parent/change pair of ``bench/run.py --workload W --seed S --seconds T
+--trace 0`` per listed seed: the parent first on even pairs and the change
+first on odd ones, each run in a fresh interpreter, the change from this
+checkout's working tree.  It prints, per end-to-end metric, both
 sides' medians and quartiles, the pairs the change won and the verdict of the
 claim rule: at least 10 pairs, at least 9 in 10 won, and medians further apart
 than the parent's IQR, the change on the better side.  A median more than 10%
@@ -20,9 +19,12 @@ worse than the parent's is flagged SLOWER, and one past its ``BENCHMARK.json``
 bound too.  A seed that a committed ``BENCH_*.json`` lists is refused, so a
 claim is made on seeds no record was tuned on.
 
-``record`` runs each workload over the seeds on this checkout and writes
+``record`` runs every workload over the seeds on this checkout and writes
 ``BENCH_<N>.json`` at the repository root: per workload and metric the
 median, quartiles, n, values and seeds, with the git head, Python and CPU model.
+
+``compare`` unpacks with ``tarfile``'s ``data`` filter where this Python has it
+(3.10.12, 3.11.4, 3.12 and later), and without one on older patch releases.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 METRICS = {m["name"]: m for m in SPEC["end_to_end"]}   # name -> unit, better, bound
+SECONDS = SPEC["run_seconds"]   # the one run length, for a claim and a record alike
 MIN_PAIRS, MIN_WON, SLOWER = 10, 0.9, 0.10
 
 
@@ -107,10 +110,10 @@ def report(verdicts: list[dict], runs: list[tuple[str, int, dict]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(tree: Path, workload: str, seed: int) -> dict:
     """One ``bench/run.py`` run on ``tree`` in a fresh interpreter; its result object."""
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
-                           str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
+                           str(seed), "--seconds", f"{SECONDS:g}", "--trace", "0"],
                           cwd=tree, capture_output=True, text=True, check=True)
     return result_of(proc.stdout)
 
@@ -135,27 +138,24 @@ def git(*args: str) -> str:
 
 def compare(args: argparse.Namespace) -> int:
     seeds = parse_seeds(args.seeds)
-    pairs = args.pairs or len(seeds)
-    if len(seeds) < pairs:
-        sys.exit(f"compare: {pairs} pairs need {pairs} seeds, got {len(seeds)}")
     listed = recorded_seeds()
-    if used := [s for s in seeds[:pairs] if s in listed]:
+    if used := [s for s in seeds if s in listed]:
         sys.exit(f"compare: seeds {used} are listed in {sorted({listed[s] for s in used})}; "
                  f"a claim runs on seeds no committed record lists")
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         archive = subprocess.run(["git", "archive", "--format=tar", args.parent], cwd=ROOT,
                                  capture_output=True, check=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
+            tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
         trees = {"parent": Path(tmp), "change": ROOT}
         runs: list[tuple[str, int, dict]] = []
-        for i, seed in enumerate(seeds[:pairs]):
+        for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result = run_bench(trees[side], args.workload, seed, args.seconds)
+                result = run_bench(trees[side], args.workload, seed)
                 runs.append((side, seed, result))
-                print(f"# pair {i + 1}/{pairs} {side:<6} seed {seed}: {values(result)}",
+                print(f"# pair {i + 1}/{len(seeds)} {side:<6} seed {seed}: {values(result)}",
                       file=sys.stderr, flush=True)
-    print(f"# {args.workload}: {pairs} alternating pairs of {args.seconds:g} s, seeds "
+    print(f"# {args.workload}: {len(seeds)} alternating pairs of {SECONDS:g} s, seeds "
           f"{args.seeds}, parent {args.parent} against the working tree")
     side_values = {side: {m: [r["metrics"][m]["value"] for s, _, r in runs if s == side]
                           for m in METRICS} for side in ("parent", "change")}
@@ -177,10 +177,10 @@ def cpu_model() -> str | None:
 def record(args: argparse.Namespace) -> int:
     seeds = parse_seeds(args.seeds)
     workloads = {}
-    for workload in args.workloads:
+    for workload in [w["name"] for w in SPEC["workloads"]]:
         results = []
         for seed in seeds:
-            results.append(run_bench(ROOT, workload, seed, args.seconds))
+            results.append(run_bench(ROOT, workload, seed))
             print(f"# {workload} seed {seed}: {values(results[-1])}", file=sys.stderr,
                   flush=True)
         workloads[workload] = {
@@ -190,7 +190,7 @@ def record(args: argparse.Namespace) -> int:
     doc = {"pr": args.pr, "git_head": git("rev-parse", "HEAD").strip(),
            "dirty": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
            "python": platform.python_version(), "cpu_model": cpu_model(),
-           "seconds": args.seconds, "trace": 0, "workloads": workloads}
+           "seconds": SECONDS, "trace": 0, "workloads": workloads}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path.name}")
@@ -203,13 +203,9 @@ def main(argv: list[str] | None = None) -> int:
     cmp = commands.add_parser("compare", help="alternating parent/change pairs and the verdict")
     cmp.add_argument("--parent", required=True, help="git revision of the parent")
     cmp.add_argument("--workload", required=True, choices=[w["name"] for w in SPEC["workloads"]])
-    cmp.add_argument("--pairs", type=int, help="number of pairs (default: one per seed)")
-    cmp.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
-    cmp.add_argument("--seeds", required=True, help="e.g. 101-110 or 3,5,8")
+    cmp.add_argument("--seeds", required=True, help="one pair per seed, e.g. 101-110 or 3,5,8")
     rec = commands.add_parser("record", help="write BENCH_<pr>.json for this checkout")
     rec.add_argument("--pr", type=int, required=True)
-    rec.add_argument("--workloads", nargs="+", default=[w["name"] for w in SPEC["workloads"]])
-    rec.add_argument("--seconds", type=float, default=10.0)
     rec.add_argument("--seeds", default="1-5")
     args = parser.parse_args(argv)
     return compare(args) if args.command == "compare" else record(args)
