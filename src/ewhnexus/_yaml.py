@@ -3,10 +3,13 @@
 ``config`` imports this module as ``yaml``, so each parse is one call of
 ``yaml.safe_load`` that an outside tracer can rebind.  The C and pure-Python
 classes load equal documents, reject a key repeated within one mapping or merge
-source as they construct it (PyYAML alone keeps the last value), word syntax
-errors differently, and dump identical text but for an empty-string mapping key
-(``? ''`` in pure Python) and a bare top-level scalar (which it ends with ``...``).
+source as they construct it (PyYAML alone keeps the last value) and word syntax
+errors differently.  ``safe_dump`` writes itself each mapping of mappings and of
+lists of scalars and mappings, none held twice, that the emitter would write with
+bare scalars and no folded line, so both give every config dump the same text.
 """
+
+import re
 
 import yaml
 from yaml import YAMLError
@@ -40,25 +43,45 @@ def safe_load(text):
     return yaml.load(text, Loader=_Loader)
 
 
-_REPRESENTER = yaml.representer.SafeRepresenter()   # its scalar rules; they keep no state
-_SCALARS = (str, bool, int, float, type(None))
+_BARE = re.compile(r"(?!(?i:yes|no|true|false|on|off|null)\Z)[A-Za-z_]\w*"
+                   r"|-?\d+(\.\d+)?(e[-+]\d+)? [!-\"$-9;-~]+", re.ASCII)
 
 
-def _node(data):
-    """The node ``SafeRepresenter`` makes of ``data``, every container in block style."""
-    kind = type(data)
-    if kind is dict:
-        pairs = [(_node(k), _node(v)) for k, v in data.items()]
-        return yaml.MappingNode("tag:yaml.org,2002:map", pairs, flow_style=False)
-    if kind is list:
-        return yaml.SequenceNode("tag:yaml.org,2002:seq", list(map(_node, data)),
-                                 flow_style=False)
-    # any other type goes to the None entry, which refuses it
-    return _REPRESENTER.yaml_representers[kind if kind in _SCALARS else None](_REPRESENTER, data)
+def _bare(value) -> str:
+    """``value`` as the emitter writes it bare: a word YAML 1.1 reads as no bool or null in any
+    case, a number, a space and a unit with no ':' or '#', a finite float, an int or a bool."""
+    kind = type(value)
+    if kind is str and _BARE.fullmatch(value):
+        return value
+    if kind is bool or kind is int:
+        return str(value).lower()
+    if kind is float and value - value == 0:   # finite; 1e+17 is written 1.0e+17
+        return text if "." in (text := repr(value)) else text.replace("e", ".0e")
+    return "\0"   # in no plain scalar: the document is the emitter's to write
+
+
+def _block(mapping: dict, pad: str, lines: list[str]) -> list[str]:
+    """``lines`` and the block lines of ``mapping`` indented by ``pad``."""
+    for key, value in mapping.items():
+        if type(value) is dict and value:
+            lines.append(f"{pad}{_bare(key)}:")
+            _block(value, pad + "  ", lines)
+        elif type(value) is list and value:
+            lines.append(f"{pad}{_bare(key)}:")
+            for item in value:   # a sequence in a mapping is not indented
+                if type(item) is dict and item:   # its first key follows the dash
+                    first, *rest = _block(item, pad + "  ", [])
+                    lines += [f"{pad}- {first[len(pad) + 2:]}", *rest]
+                else:
+                    lines.append(f"{pad}- {_bare(item)}")
+        else:
+            lines.append(f"{pad}{_bare(key)}: {_bare(value)}")
+    return lines
 
 
 def safe_dump(data) -> str:
-    """``yaml.dump(data, Dumper=SafeDumper, sort_keys=False, default_flow_style=False)``'s text
-    for dicts, lists and scalars with no container twice, which need no anchor: the node
-    tree is built here, without the representer's per-object dispatch and alias bookkeeping."""
-    return yaml.serialize(_node(data), Dumper=_Dumper)
+    """``yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=False)``'s text."""
+    lines = _block(data, "", []) if type(data) is dict and data else ["\0"]
+    if max(map(len, lines)) <= 80 and "\0" not in (text := "\n".join(lines) + "\n"):
+        return text   # no line passes the emitter's fold width, so none would fold
+    return yaml.dump(data, Dumper=_Dumper, sort_keys=False, default_flow_style=False)

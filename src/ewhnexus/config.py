@@ -127,6 +127,8 @@ def _config_errors(econ: EconParams | None, plants: tuple[PlantSpec, ...] | None
             if seen.setdefault(entry.name, i) != i:
                 errors.append(f"{section}[{i}]{rule} {entry.name!r} "
                               f"(first at {section}[{seen[entry.name]}])")
+    errors.extend(f"products[{i}]: {p.name!r} differs from every built-in product" for i, p
+                  in enumerate(products or ()) if BUILTIN_PRODUCTS.get(p.name) != p)
     # a plant name goes as written into a CSV field and a table cell
     errors.extend(f"plants[{i}].name: plant name {p.name!r} must be printable and contain "
                   "no ',' or '\"'" for i, p in enumerate(plants or ())

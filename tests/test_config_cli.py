@@ -29,7 +29,7 @@ from ewhnexus.config import (
     Calibration, ConfigError, dump_config, load_config, load_config_text, paper_2024,
     paper_2024_reference,
 )
-from ewhnexus.conversion import _reuse_rates
+from ewhnexus.conversion import METHANE, ProductSpec, _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
 from ewhnexus.quantities import DomainError, FrozenMap, Quantity, TimeSeries
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
@@ -394,6 +394,10 @@ def distinct_or_not(elements):
 
 
 NOT_WATER_MODES = (None, "desalination", Desalination)
+# products a replace can build that no config file can name: the dump of either once
+# failed to reload ('formic') or reloaded as the built-in methane, unequal
+NOT_BUILT_IN = (ProductSpec("formic", {"C": 1, "H": 2, "O": 2}),
+                ProductSpec("methane", METHANE.formula))
 
 
 class TestConfigRules:
@@ -417,6 +421,16 @@ class TestConfigRules:
         with pytest.raises(ConfigError) as info:
             dataclasses.replace(paper_2024(), **edit)
         assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("product", NOT_BUILT_IN, ids=["formic", "methane-rebuilt"])
+    def test_a_product_that_is_not_a_built_in_raises_naming_it(self, product):
+        cfg = paper_2024()
+        prices = {**cfg.econ.product_prices, product.name: 100.0}
+        with pytest.raises(ConfigError) as info:
+            dataclasses.replace(cfg, products=(cfg.products[1], product),
+                                econ=dataclasses.replace(cfg.econ, product_prices=prices))
+        assert str(info.value) == (f"products[1]: {product.name!r} differs from every "
+                                   "built-in product")
 
     @pytest.mark.parametrize("name", [None, 7, ""])
     def test_a_plant_name_that_is_not_a_string_raises_naming_it(self, name):
@@ -491,7 +505,8 @@ class TestConfigRules:
     # eta_pump stands for every number of EconParams
     @settings(max_examples=250, deadline=None)
     @given(plants=distinct_or_not(st.sampled_from(range(3))),
-           products=distinct_or_not(st.sampled_from(["methane", "methanol", "ethanol"])),
+           products=distinct_or_not(st.sampled_from(["methane", "methanol", "ethanol",
+                                                     *NOT_BUILT_IN])),
            betas=mostly(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=3,
                                  unique=True),
                         st.lists(st.sampled_from([0.0, 0.5, 1.5]), max_size=3)),
@@ -509,11 +524,19 @@ class TestConfigRules:
            flag=mostly(st.booleans(), st.sampled_from(["no", 1, None])),
            horizon=mostly(st.integers(1, 60), st.sampled_from([True, 20.0, 2.5, "20"])),
            unnamed=mostly(st.none(), st.sampled_from(range(3))))
+    # each product that no file can name, in a config that is valid but for it
+    @example(plants=[0], products=[NOT_BUILT_IN[0]], betas=[0.5], mode=Desalination(),
+             c_sw=None, c_ccs=None, eta_pump=0.9, unpriced=None, friction="none", flag=False,
+             horizon=20, unnamed=None)
+    @example(plants=[0], products=[NOT_BUILT_IN[1]], betas=[0.5], mode=Desalination(),
+             c_sw=None, c_ccs=None, eta_pump=0.9, unpriced=None, friction="none", flag=False,
+             horizon=20, unnamed=None)
     def test_every_replace_edit_raises_or_round_trips(self, plants, products, betas, mode,
                                                       c_sw, c_ccs, eta_pump, unpriced,
                                                       friction, flag, horizon, unnamed):
         base = paper_2024()
         prices = {k: v for k, v in base.econ.product_prices.items() if k != unpriced}
+        prices["formic"] = 300.0
         try:   # a type's own rule raises before any config is built
             chosen = tuple(dataclasses.replace(base.plants[i], name="") if i == unnamed
                            else base.plants[i] for i in plants)
@@ -527,7 +550,8 @@ class TestConfigRules:
         r_w = {k: v for k, v in base.calibration.r_w_per_100km.items() if k in kept}
         try:   # a config's own rules raise a ConfigError, never a bare DomainError
             cfg = dataclasses.replace(
-                base, plants=chosen, products=tuple(base.product(p) for p in products),
+                base, plants=chosen, products=tuple(
+                    base.product(p) if isinstance(p, str) else p for p in products),
                 sweep_betas=tuple(betas), water_mode=mode, econ=econ,
                 calibration=Calibration(
                     base.calibration.ccs_capital_total if c_ccs is None else None, r_w))

@@ -35,11 +35,12 @@ def load_tool(name: str):
     return module
 
 
-def result_line(p50: float, ops: float, correct: bool = True, failed: int = 0) -> str:
+def result_line(p50: float, ops: float, correct: bool = True, failed: int = 0,
+                attempted: int = 1000) -> str:
     """A canned last line of ``bench/run.py``, as it prints one for ``--trace 0``."""
     metrics = {"setup_s": 0.06, "ops_per_s": ops, "latency_p50_ms": p50,
                "latency_p90_ms": 1.2 * p50, "peak_rss_mb": 20.5}
-    return json.dumps({"correct": correct, "attempted": 1000, "failed": failed,
+    return json.dumps({"correct": correct, "attempted": attempted, "failed": failed,
                        "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}})
 
 
@@ -88,3 +89,26 @@ def test_bench_record_statistics_and_claim_rule_on_canned_lines():
     broken = tool.result_of(result_line(0.9, 1.1, correct=False, failed=3))
     assert "change seed 2: correct=False, 3 of 1000 ops failed" in tool.report(
         [p50], runs + [("change", 2, broken)])
+
+
+def test_bench_record_shows_the_ops_each_run_attempted(tmp_path, monkeypatch):
+    # a metric that follows the op count (peak_rss_mb) is read beside it, from either output
+    tool = load_tool("bench_record")
+    runs = [(side, seed, tool.result_of(result_line(0.9, 1.1, attempted=n)))
+            for side, seed, n in [("parent", 1, 1000), ("change", 1, 1300), ("change", 2, 1200),
+                                  ("parent", 2, 900), ("parent", 3, 1100), ("change", 3, 1250)]]
+    verdicts = [tool.verdict("peak_rss_mb", [20.5] * 3, [20.5] * 3)]
+    table = tool.report(verdicts, runs).splitlines()
+    assert table[2].split() == ["attempted", "1000", "[950,", "1050]", "1250", "[1225,", "1275]",
+                                "+25.0%", "ops", "per", "run"]
+    assert table[3] == "all 6 runs correct, no op failed"
+
+    counts = iter([1000, 1300, 900, 1200, 1100, 1250])
+    monkeypatch.setattr(tool, "ROOT", tmp_path)
+    monkeypatch.setattr(tool, "git", lambda *args: "")
+    monkeypatch.setattr(tool, "run_bench", lambda tree, workload, seed: tool.result_of(
+        result_line(0.9, 1.1, attempted=next(counts))))
+    assert tool.main(["record", "--pr", "7", "--seeds", "1-2"]) == 0
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert [w["attempted"] for w in record["workloads"].values()] == [[1000, 1300], [900, 1200],
+                                                                     [1100, 1250]]

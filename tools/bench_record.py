@@ -14,14 +14,17 @@ first on odd ones, each run in a fresh interpreter, the change from this
 checkout's working tree.  It prints, per end-to-end metric, both
 sides' medians and quartiles, the pairs the change won and the verdict of the
 claim rule: at least 10 pairs, at least 9 in 10 won, and medians further apart
-than the parent's IQR, the change on the better side.  A median more than 10%
-worse than the parent's is flagged SLOWER, and one past its ``BENCHMARK.json``
-bound too.  A seed that a committed ``BENCH_*.json`` lists is refused, so a
+than the parent's IQR, the change on the better side.  Under the table come
+both sides' median and quartiles of the ops a run attempted, with which a metric
+that follows the op count, such as ``peak_rss_mb``, moves.  A median more than
+10% worse than the parent's is flagged SLOWER, and one past its
+``BENCHMARK.json`` bound too.  A seed that a committed ``BENCH_*.json`` lists is refused, so a
 claim is made on seeds no record was tuned on.
 
 ``record`` runs every workload over the seeds on this checkout and writes
 ``BENCH_<N>.json`` at the repository root: per workload and metric the
-median, quartiles, n, values and seeds, with the git head, Python and CPU model.
+median, quartiles, n, values and seeds, and each run's attempted ops, with the
+git head, Python and CPU model.
 
 ``compare`` unpacks with ``tarfile``'s ``data`` filter where this Python has it
 (3.10.12, 3.11.4, 3.12 and later), and without one on older patch releases.
@@ -91,7 +94,8 @@ def verdict(metric: str, parent: list[float], change: list[float]) -> dict:
 
 
 def report(verdicts: list[dict], runs: list[tuple[str, int, dict]]) -> str:
-    """The comparison as text: one row per metric, then any run that was not correct."""
+    """The comparison as text: one row per metric and one of the ops each run attempted,
+    then any run that was not correct."""
     def cell(side: dict) -> str:
         return f"{side['median']:.6g} [{side['q1']:.6g}, {side['q3']:.6g}]"
 
@@ -104,6 +108,10 @@ def report(verdicts: list[dict], runs: list[tuple[str, int, dict]]) -> str:
         lines.append(f"{v['metric']:<15} {cell(v['parent']):<31} {cell(v['change']):<31} "
                      f"{100 * v['relative_change']:>+6.1f}% {v['won']:>3}/{v['pairs']:<2}  "
                      + "; ".join(flags))
+    parent, change = (summary([r["attempted"] for s, _, r in runs if s == side])
+                      for side in ("parent", "change"))
+    lines.append(f"{'attempted':<15} {cell(parent):<31} {cell(change):<31} "
+                 f"{100 * (change['median'] / parent['median'] - 1):>+6.1f}%  ops per run")
     bad = [f"{side} seed {seed}: correct={r['correct']}, {r['failed']} of {r['attempted']} "
            f"ops failed" for side, seed, r in runs if not r["correct"] or r["failed"]]
     lines += bad or [f"all {len(runs)} runs correct, no op failed"]
@@ -185,6 +193,7 @@ def record(args: argparse.Namespace) -> int:
                   flush=True)
         workloads[workload] = {
             "seeds": seeds, "correct": all(r["correct"] and not r["failed"] for r in results),
+            "attempted": [r["attempted"] for r in results],
             "metrics": {m: {**summary(vals := [r["metrics"][m]["value"] for r in results]),
                             "unit": METRICS[m]["unit"], "values": vals} for m in METRICS}}
     doc = {"pr": args.pr, "git_head": git("rev-parse", "HEAD").strip(),
