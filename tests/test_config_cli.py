@@ -394,8 +394,8 @@ def distinct_or_not(elements):
 
 
 NOT_WATER_MODES = (None, "desalination", Desalination)
-# products a replace can build that no config file can name: the dump of either once
-# failed to reload ('formic') or reloaded as the built-in methane, unequal
+# products a replace can build that no config file can name: a dump of 'formic' would not
+# reload, and one of this methane would reload as the built-in, unequal
 NOT_BUILT_IN = (ProductSpec("formic", {"C": 1, "H": 2, "O": 2}),
                 ProductSpec("methane", METHANE.formula))
 
@@ -536,7 +536,7 @@ class TestConfigRules:
                                                       friction, flag, horizon, unnamed):
         base = paper_2024()
         prices = {k: v for k, v in base.econ.product_prices.items() if k != unpriced}
-        prices["formic"] = 300.0
+        prices["formic"] = 300.0   # so that only the product rule can reject it
         try:   # a type's own rule raises before any config is built
             chosen = tuple(dataclasses.replace(base.plants[i], name="") if i == unnamed
                            else base.plants[i] for i in plants)

@@ -18,8 +18,8 @@ than the parent's IQR, the change on the better side.  Under the table come
 both sides' median and quartiles of the ops a run attempted, with which a metric
 that follows the op count, such as ``peak_rss_mb``, moves.  A median more than
 10% worse than the parent's is flagged SLOWER, and one past its
-``BENCHMARK.json`` bound too.  A seed that a committed ``BENCH_*.json`` lists is refused, so a
-claim is made on seeds no record was tuned on.
+``BENCHMARK.json`` bound too.  A seed that a committed ``BENCH_*.json`` lists
+is refused, so a claim is made on seeds no record was tuned on.
 
 ``record`` runs every workload over the seeds on this checkout and writes
 ``BENCH_<N>.json`` at the repository root: per workload and metric the
