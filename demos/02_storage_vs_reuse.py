@@ -4,11 +4,12 @@
 
 import ewhnexus as ew
 from ewhnexus.analysis import decide
-from ewhnexus.cli import render_sweep_table, sweep_row
+from ewhnexus.cli import main
 
 cfg = ew.paper_2024()
 
-print(render_sweep_table([sweep_row(c) for c in cfg.sweep()]))
+main(["--config", "paper-2024", "--command", "sweep"])   # prints the sweep table
+print()
 
 # decide prices each column at its optimal reuse fraction, not only at the grid's
 for r in decide(cfg):

@@ -83,6 +83,11 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
     resolver is called once per plant and each column is set up once; if
     either fails, each of its cells carries the error.
     """
+    return _sweep(grid, econ, econ_resolver, economics._result)
+
+
+def _sweep(grid: SweepGrid, econ: EconParams, econ_resolver, price) -> tuple[SweepCell, ...]:
+    """``scenario_sweep``'s cells, each with the result ``price(column, beta)``."""
     cells: list[SweepCell] = []
     betas, mode = tuple(sorted(grid.betas)), grid.water_mode
     columns = [(None, "", (0.0,))] + [(p, p.name, betas) for p in grid.products]
@@ -91,7 +96,7 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
         return SweepCell(plant.name, name, beta,
                          error=f"cell ({plant.name}, {name or '-'}, beta={beta:g}): {exc}")
 
-    set_up, price, new = economics._column, economics._result, tuple.__new__
+    set_up, new = economics._column, tuple.__new__
     for plant in grid.plants:
         try:
             plant_econ = econ if econ_resolver is None else econ_resolver(plant)
@@ -146,7 +151,7 @@ def _minus_desal(column: tuple) -> tuple[tuple[float, float, float], Callable[..
     full scenario (a d that is not finite raises as a ``Quantity`` in km would), no ledger.
     """
     terms = economics._terms(column, 1.0)
-    _, desal_cost, _, penalty = economics._daily(terms, column)
+    _, desal_cost, _, penalty, _, _, _ = economics._daily(terms, column)
     (_, econ, product, _, captured, _), before, after = column, terms[:4], terms[6:]
 
     def gap(capital: float, operations: float) -> float:
@@ -290,7 +295,7 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
 
 def _priced(column: tuple, beta: float) -> tuple[float, float, float]:
     """(daily cost [$ / day], beta, carbon penalty [$ / ton]) of ``column``'s cell; no ledger."""
-    _, daily, _, penalty = economics._daily(economics._terms(column, beta), column)
+    _, daily, _, penalty, _, _, _ = economics._daily(economics._terms(column, beta), column)
     return daily, beta, penalty
 
 
@@ -373,15 +378,16 @@ def scorecard(cfg: LoadedConfig, reference: Sequence[Mapping]) -> list[dict]:
     and whether it passes.  A value ``cfg`` cannot price, such as one of a plant it lacks,
     is an error row.
     """
-    rates = cache(nexus_rates)   # each cell's rates and pricing, computed once per call
-    cell = cache(lambda p, x, b: economics.total_daily_cost(cfg.scenario(p, x, b)))
+    rates = cache(lambda p, x, b: nexus_rates(cfg.plant(p), cfg.product(x), b))   # by names,
+    cell = cache(lambda p, x, b: economics._price_row(cfg.scenario(   # each once per call
+        cfg.plant(p), x and cfg.product(x), b)._as_column(), b))
     engine = {   # quantity -> its value at (plant, product, beta), in the printed unit
-        "h2_ton_per_h": lambda p, x, b: rates(p, x, b)[0].value_in("ton/h"),
-        "water_m3_per_h": lambda p, x, b: rates(p, x, b)[1].value_in("m3/h"),
-        "chemical_ton_per_h": lambda p, x, b: rates(p, x, b)[2].value_in("ton/h"),
-        "daily_cost_musd_per_day": lambda p, x, b: cell(p, x, b).daily_cost.magnitude / 1e6,
-        "increased_price_usd_per_kwh": lambda p, x, b: cell(p, x, b).increased_price.magnitude,
-        "carbon_penalty_usd_per_ton": lambda p, x, b: cell(p, x, b).carbon_penalty.magnitude,
+        "h2_ton_per_h": lambda p, x, b: rates(p.name, x.name, b)[0].value_in("ton/h"),
+        "water_m3_per_h": lambda p, x, b: rates(p.name, x.name, b)[1].value_in("m3/h"),
+        "chemical_ton_per_h": lambda p, x, b: rates(p.name, x.name, b)[2].value_in("ton/h"),
+        "daily_cost_musd_per_day": lambda p, x, b: cell(p.name, x and x.name, b)[3] / 1e6,
+        "increased_price_usd_per_kwh": lambda p, x, b: cell(p.name, x and x.name, b)[4],
+        "carbon_penalty_usd_per_ton": lambda p, x, b: cell(p.name, x and x.name, b)[5],
         "breakeven_distance_km": lambda p, x, b: breakeven_distance(
             BreakevenQuery(p, x), cfg.econ_for(p)).value_in("km"),
         "xi_h": lambda p, x, b: x.xi_h}

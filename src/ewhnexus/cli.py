@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 from . import analysis
 from .config import ConfigError, LoadedConfig, load_config, paper_2024_reference
 from .conversion import ProductSpec, _reuse_rates
-from .economics import total_daily_cost
+from .economics import _price_row
 from .quantities import DomainError, PlantSpec, UnitError, check_beta
 
 SWEEP_COLUMNS = ("plant", "product", "beta", "capital_usd", "operational_usd_per_day",
@@ -57,20 +57,15 @@ class Command:
     optional: tuple[str, ...] = ()   # flags read if given
 
 
-def sweep_row(cell: analysis.SweepCell) -> dict:
-    """A sweep cell as a row of ``SWEEP_COLUMNS``, or an error row if it failed."""
-    r = cell.result
-    if r is None:
-        return {"plant": cell.plant, "product": cell.product, "beta": cell.beta,
-                "error": cell.error}
-    capital, _, operational, revenue = r.ledger.totals()
-    return dict(zip(SWEEP_COLUMNS, (   # a result's metrics are built in these columns' units
-        cell.plant, cell.product, cell.beta, capital, operational, revenue,
-        r.daily_cost.magnitude, r.increased_price.magnitude, r.carbon_penalty.magnitude)))
+def _row(cell: analysis.SweepCell) -> dict:
+    """A cell priced by ``economics._price_row`` as a row of ``SWEEP_COLUMNS``, or an error row."""
+    return (dict(zip(SWEEP_COLUMNS, (*cell[:3], *cell.result))) if cell.error is None
+            else dict(zip(SWEEP_COLUMNS, cell[:3]), error=cell.error))   # plant, product, beta
 
 
 def _sweep_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
-    return [sweep_row(cell) for cell in cfg.sweep()]
+    grid = analysis.SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
+    return [_row(cell) for cell in analysis._sweep(grid, cfg.econ, cfg.econ_for, _price_row)]
 
 
 def _scenario_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
@@ -85,9 +80,8 @@ def _scenario_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
     if beta > 0 and args.product is None:
         raise ConfigError(f"--beta {beta!r} needs --product (reuse makes a product)")
     product = None if args.product is None else cfg.product(args.product)
-    result = total_daily_cost(cfg.scenario(plant, product, beta))
-    return [sweep_row(analysis.SweepCell(plant.name, product.name if product else "",
-                                         beta, result=result))]
+    return [_row(analysis.SweepCell(plant.name, product.name if product else "", beta, _price_row(
+        cfg.scenario(plant, product, beta)._as_column(), beta)))]   # the scenario checks them
 
 
 def _plant_product(args: SimpleNamespace, cfg: LoadedConfig) -> tuple[PlantSpec, ProductSpec]:

@@ -59,6 +59,12 @@ class ScenarioConfig:
             if profile.unit != "ton/h":   # kept in ton/h, so it is converted once
                 object.__setattr__(self, "capture_profile", TimeSeries(captured, "ton/h"))
 
+    def _as_column(self) -> tuple:
+        """The ``_column`` of this checked cell; a product at beta = 0 is a storage column."""
+        profile = self.capture_profile
+        return _column(self.plant, self.econ, self.product if self.beta > 0 else None,
+                       self.water_mode, None if profile is None else _hour_runs(profile.values))
+
 
 def _check_cell(beta: float, product: conversion.ProductSpec | None, water_mode) -> None:
     """A cell's input rule, the one that ``ScenarioConfig`` and the single-cell analyses call."""
@@ -80,10 +86,7 @@ class ScenarioResult(namedtuple("ScenarioResult",
 
 def total_daily_cost(scenario: ScenarioConfig) -> ScenarioResult:
     """Assemble the full cost ledger and decision metrics of a scenario."""
-    beta, profile = scenario.beta, scenario.capture_profile
-    return _result(_column(scenario.plant, scenario.econ,
-                           scenario.product if beta > 0 else None, scenario.water_mode,
-                           None if profile is None else _hour_runs(profile.values)), beta)
+    return _result(scenario._as_column(), scenario.beta)
 
 
 def _column(plant: PlantSpec, econ: EconParams, product: conversion.ProductSpec | None,
@@ -143,7 +146,7 @@ def _terms(column: tuple, beta: float) -> tuple[float | None, ...]:
 def _result(column: tuple, beta: float) -> ScenarioResult:
     """The ledger and metrics of ``column``'s cell at ``beta``, from floats ``_daily`` checked."""
     terms = _terms(column, beta)
-    charge, daily, price, penalty = _daily(terms, column)
+    charge, daily, price, penalty, _, _, _ = _daily(terms, column)
     return tuple.__new__(ScenarioResult, (_ledger(_rows(terms, column[5], charge)),
         _quantity(daily, "$/day"), _quantity(price, "$/kWh"), _quantity(penalty, "$/ton")))
 
@@ -153,9 +156,9 @@ def _hour_runs(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
     return tuple((value, len(tuple(run))) for value, run in groupby(values))
 
 
-def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple[float, float, float, float]:
-    """The capital charge, daily cost [$ / day], price uplift [$ / kWh] and carbon
-    penalty [$ / ton] of a cell's ``_terms``, priced from ``column``.
+def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple:
+    """The capital charge, daily cost [$ / day], uplift [$ / kWh], penalty [$ / ton], capital
+    stock [$], flows [$ / day] and n of them operations of a cell's ``_terms`` from ``column``.
 
     The one daily-total rule and the one place a metric is divided out.  It
     checks, in ledger order, each amount (named by its row's label), the
@@ -170,17 +173,18 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple[float, float
     isfinite = math.isfinite
     plant, econ, _, _, _, label = column
     cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
-    capital = ((cap_ccss,) if cap_power is None   # a storage scenario
-               else (cap_ccss, cap_power, cap_water) if cap_h2 is None
-               else (cap_ccss, cap_power, cap_h2, cap_water))
-    flows = (op_ccss,) if cap_power is None else (op_ccss, op_water, revenue)
+    if cap_power is None:   # a storage scenario; each term's kind is stated here alone:
+        capital, flows, n = (cap_ccss,), (op_ccss,), 1   # [$], [$ / day], n of them operations
+    else:
+        capital, flows, n = ((cap_ccss, cap_power, cap_water) if cap_h2 is None else (
+            cap_ccss, cap_power, cap_h2, cap_water)), (op_ccss, op_water, revenue), 2
     if not isfinite(sum(capital) + sum(flows)):   # an amount is not finite, or they overflow
         for row, _, _, amount, _ in _rows(terms, label):
             if not isfinite(amount):
                 raise DomainError(f"ledger amount must be finite ({row})")
     # the totals are fsums of the amounts in hand: fsum is exact, so they equal
     # the ledger's capital_total() and daily_total() in any item order
-    charge = daily_capital_charge(_total(capital), econ)
+    charge = daily_capital_charge(stock := _total(capital), econ)
     if not isfinite(charge):
         raise DomainError("ledger amount must be finite (daily capital charge)")
     daily = _total(flows + (charge,))
@@ -188,7 +192,13 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple[float, float
     if not isfinite(daily + price + penalty):   # a metric is not finite, or they overflow
         for metric, unit in ((daily, "$/day"), (price, "$/kWh"), (penalty, "$/ton")):
             Quantity._computed(metric, unit)   # the first that is not finite raises
-    return charge, daily, price, penalty
+    return charge, daily, price, penalty, stock, flows, n
+
+
+def _price_row(column: tuple, beta: float) -> tuple[float, ...]:
+    """A sweep row's capital, operations and revenue totals and metrics, as ``_result``'s."""
+    _, daily, price, penalty, stock, flows, n = _daily(_terms(column, beta), column)
+    return stock, math.fsum(flows[:n]), math.fsum(flows[n:]), daily, price, penalty
 
 
 def _rows(terms: tuple[float | None, ...], label: str | None,

@@ -929,14 +929,13 @@ class TestScorecard:
             (0.0, True), (0.5, False), (1.0, False)}
 
     def test_each_cost_table_cell_is_priced_once(self, monkeypatch):
-        priced, price = Counter(), economics.total_daily_cost
+        priced, price = Counter(), economics._price_row
 
-        def counting(scenario):
-            priced[scenario.plant.name, getattr(scenario.product, "name", ""),
-                   scenario.beta] += 1
-            return price(scenario)
+        def counting(column, beta):   # a column is (plant, econ, product, ...)
+            priced[column[0].name, getattr(column[2], "name", ""), beta] += 1
+            return price(column, beta)
 
-        monkeypatch.setattr(economics, "total_daily_cost", counting)
+        monkeypatch.setattr(economics, "_price_row", counting)
         assert scorecard(CFG, REFERENCE) == self.ROWS
         # the 21 cells of the cost table, each read by its M$/day, $/kWh and $/ton rows
         assert len(priced) == 21 and set(priced.values()) == {1}

@@ -127,10 +127,11 @@ def test_one_daily_total_rule():
     assert [h for h in holders(calls("daily_capital_charge"))
             if h.startswith("economics.")] == ["economics._daily"]
     assert holders(calls("_total")) == ["economics._daily"]
-    # analysis._priced is the daily total that penalty_threshold and decide read, and
-    # analysis._minus_desal the gaps to desalination that the break-even and c_sw tie read
+    # analysis._priced is the daily total that penalty_threshold and decide read,
+    # analysis._minus_desal the gaps to desalination that the break-even and c_sw tie read,
+    # and economics._price_row the totals and metrics of the CLI's rows
     assert holders(calls("_daily")) == ["analysis._minus_desal", "analysis._priced",
-                                        "economics._result"]
+                                        "economics._result", "economics._price_row"]
 
 
 def divides_by(attr: str):

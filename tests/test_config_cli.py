@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 import yaml
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ewhnexus.cli import (
     COMMANDS, SWEEP_COLUMNS, SWEEP_CSV_HEADER, _parse_float_list, main, parse_args, render_csv,
-    render_json, sweep_row,
+    render_json, render_output,
 )
 from ewhnexus import config
 from ewhnexus.config import (
@@ -31,11 +32,12 @@ from ewhnexus.config import (
 )
 from ewhnexus.conversion import METHANE, ProductSpec, _reuse_rates
 from ewhnexus.economics import ScenarioConfig, total_daily_cost
-from ewhnexus.quantities import DomainError, FrozenMap, Quantity, TimeSeries
+from ewhnexus.quantities import DomainError, FrozenMap, PlantSpec, Quantity, TimeSeries
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
 
 PRESET_TEXT = resources.files("ewhnexus").joinpath("presets", "paper-2024.yaml").read_text()
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def preset_dict():
@@ -50,9 +52,47 @@ def reference_entry(quantity: str, plant: str, **where):
     return entry
 
 
+def ledger_row(cell) -> dict:
+    """A sweep cell as a row of ``SWEEP_COLUMNS`` read from its ledger, or an error row."""
+    r = cell.result
+    if r is None:
+        return {"plant": cell.plant, "product": cell.product, "beta": cell.beta,
+                "error": cell.error}
+    capital, _, operational, revenue = r.ledger.totals()
+    return dict(zip(SWEEP_COLUMNS, (
+        cell.plant, cell.product, cell.beta, capital, operational, revenue,
+        r.daily_cost.magnitude, r.increased_price.magnitude, r.carbon_penalty.magnitude)))
+
+
 def sweep_csv(cfg) -> str:
     cells = cfg.sweep()
-    return render_csv([sweep_row(c) for c in cells if c.result is not None], SWEEP_COLUMNS)
+    return render_csv([ledger_row(c) for c in cells if c.result is not None], SWEEP_COLUMNS)
+
+
+@st.composite
+def jittered_configs(draw):
+    """The preset by ``dataclasses.replace``: plants, costs and prices scaled, a price may be 0
+    and a cost huge, in any water mode, the electrolyzer's capital in or out."""
+    base = paper_2024()
+    scale = st.floats(0.5, 2.0)
+
+    def jitter(q: Quantity) -> Quantity:
+        return Quantity(q.magnitude * draw(scale), q.unit)
+
+    plants = tuple(PlantSpec(p.name, jitter(p.capacity), jitter(p.emission_factor))
+                   for p in base.plants)
+    prices = {name: draw(st.just(0.0) | scale) * price
+              for name, price in base.econ.product_prices.items()}
+    econ = dataclasses.replace(
+        base.econ, elec_price=base.econ.elec_price * draw(scale | st.just(1e305)),
+        c_sw=draw(st.floats(1e5, 4e5)), product_prices=prices,
+        include_hydrogen_capital=draw(st.booleans()))
+    mode = draw(st.sampled_from([Desalination(), SolarSeawater()]) | st.builds(
+        NetworkTransfer, st.builds(Quantity, st.floats(0.0, 500.0), st.just("km"))))
+    betas = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4,
+                          unique=True))
+    return dataclasses.replace(base, econ=econ, plants=plants, water_mode=mode,
+                               sweep_betas=tuple(betas))
 
 
 class TestLoadConfig:
@@ -330,6 +370,35 @@ class TestRoundTrip:
         cfg = paper_2024()
         assert load_config_text(dump_config(cfg)) == cfg
 
+    @staticmethod
+    def held_twice(cfg) -> list:
+        """Each container that the document ``dump_config(cfg)`` hands to ``yaml.safe_dump``
+        holds again, by object id: ``yaml.dump`` writes a second one as an alias, and
+        ``_yaml.safe_dump`` in full."""
+        with mock.patch.object(config.yaml, "safe_dump", return_value="") as safe_dump:
+            dump_config(cfg)
+        seen, twice, stack = set(), [], list(safe_dump.call_args.args)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                if id(node) in seen:
+                    twice.append(node)
+                    continue
+                seen.add(id(node))
+                stack += node.values() if isinstance(node, dict) else node
+        return twice
+
+    @pytest.mark.parametrize("source", ["preset", "dump_solar.yaml", "dump_transfer.yaml"])
+    def test_a_dump_holds_no_container_twice(self, source):
+        cfg = (paper_2024() if source == "preset"
+               else load_config_text((GOLDEN / source).read_text(encoding="utf-8")))
+        assert self.held_twice(cfg) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=jittered_configs())
+    def test_a_jittered_dump_holds_no_container_twice(self, cfg):
+        assert self.held_twice(cfg) == []
+
     def test_every_optional_field_reloads_equal(self):
         # fields the sweep of this config never reads must survive too
         data = preset_dict()
@@ -594,6 +663,19 @@ class TestCli:
         rows = json.loads(out)
         assert len(rows) == 21
         assert set(rows[0]) == set(SWEEP_CSV_HEADER.split(","))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=jittered_configs())
+    def test_sweep_prints_the_rows_of_the_library_sweeps_ledgers(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "jittered.yaml"
+            path.write_text(dump_config(cfg), encoding="utf-8")
+            rows = [ledger_row(cell) for cell in load_config(str(path)).sweep()]
+            errors = "".join(f"error: {row['error']}\n" for row in rows if "error" in row)
+            for fmt in ("table", "csv", "json"):
+                assert self.run_cli("--config", str(path), "--command", "sweep",
+                                    "--format", fmt) == (
+                    3 if errors else 0, render_output(COMMANDS["sweep"], fmt, rows), errors)
 
     def test_breakeven_single_value_report(self):
         status, out, _ = self.run_cli("--config", "paper-2024", "--command", "breakeven",

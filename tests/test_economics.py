@@ -498,7 +498,7 @@ class TestDailyAgainstTheResult:
                               water_mode=mode)
         column = column_of(cell)
         terms = economics._terms(column, beta)
-        charge, daily, price, penalty = economics._daily(terms, column)
+        charge, daily, price, penalty, *_ = economics._daily(terms, column)
         result = total_daily_cost(cell)
         rows = result.ledger.items
         assert [r.amount.hex() for r in rows if r.term == "capital-charge"] == [charge.hex()]
@@ -557,6 +557,69 @@ class TestDailyAgainstTheResult:
                    if (c.product, c.beta) == (name, beta)]
         assert swept.result is None
         assert swept.error == f"cell ({plant.name}, {name or '-'}, beta={beta:g}): {expected[1]}"
+
+
+def outcome(call) -> tuple:
+    """The ``.hex()`` of each float ``call()`` returns, or the type and message it raises."""
+    try:
+        return tuple(x.hex() for x in call())
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def ledger_row(column, beta) -> tuple[float, ...]:
+    """A sweep row's floats read from ``_result``'s ledger totals and metrics."""
+    result = economics._result(column, beta)
+    capital, _, operations, revenue = result.ledger.totals()
+    return (capital, operations, revenue, *(metric.magnitude for metric in result[1:]))
+
+
+def jittered(plant: PlantSpec, capacity: float, emission: float) -> PlantSpec:
+    return PlantSpec(plant.name, Quantity(plant.capacity.magnitude * capacity, plant.capacity.unit),
+                     Quantity(plant.emission_factor.magnitude * emission,
+                              plant.emission_factor.unit))
+
+
+class TestPriceRowAgainstTheLedger:
+    """``_price_row`` gives a sweep row's floats as ``_result``'s ledger totals and metrics,
+    bit for bit, and raises ``_result``'s error where it raises."""
+
+    scale = st.floats(0.5, 2.0)
+    hours = st.lists(st.floats(0.0, 1.0), min_size=24, max_size=24)
+
+    @settings(max_examples=400, deadline=None)
+    @given(plant=st.sampled_from(SOLAR_PRESET.plants), capacity=scale, emission=scale,
+           product=st.none() | st.sampled_from(SOLAR_PRESET.products),
+           beta=st.sampled_from([1.0, 5e-324]) | st.floats(0.0, 1.0),
+           mode=water_modes, hydrogen=st.booleans(), zero_prices=st.booleans(),
+           load=st.none() | hours | st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=24,
+                                             max_size=24),
+           huge=st.just({}) | st.dictionaries(
+               st.sampled_from(["elec_price", "r_ccs", "c_wind", "c_des"]),
+               st.builds(lambda x: 10.0 ** x, st.floats(300.0, 308.2)), max_size=2))
+    @example(plant=SOLAR_PRESET.plants[2], capacity=1.0, emission=1.0, product=METHANOL,
+             beta=1.0, mode=Desalination(), hydrogen=True, zero_prices=True, load=None,
+             huge={})   # the revenue is -0.0, whose fsum is 0.0
+    @example(plant=SOLAR_PRESET.plants[0], capacity=1.0, emission=1.0, product=METHANE,
+             beta=1.0, mode=Desalination(), hydrogen=False, zero_prices=False, load=None,
+             huge={"c_wind": 5e301, "c_des": 6e305})   # the capital stock overflows
+    @example(plant=SOLAR_PRESET.plants[0], capacity=1.0, emission=1.0, product=METHANE,
+             beta=1.0, mode=Desalination(), hydrogen=False, zero_prices=False, load=None,
+             huge={"r_ccs": 4e304, "elec_price": 5e303})   # the daily cost overflows
+    def test_same_floats_and_errors(self, plant, capacity, emission, product, beta, mode,
+                                    hydrogen, zero_prices, load, huge):
+        plant = jittered(plant, capacity, emission)
+        cell_econ = replace(SOLAR_PRESET.econ_for(plant), include_hydrogen_capital=hydrogen)
+        if zero_prices:
+            cell_econ = replace(cell_econ, product_prices={
+                name: 0.0 for name in cell_econ.product_prices})
+        cell_econ = replace(cell_econ, **huge)   # costs that overflow an amount or a total
+        runs = None if load is None else economics._hour_runs(
+            tuple(plant.cbar * x for x in load))
+        column = economics._column(plant, cell_econ, product, mode, runs)
+        beta = beta if product is not None else 0.0
+        expected = outcome(lambda: ledger_row(column, beta))
+        assert outcome(lambda: economics._price_row(column, beta)) == expected
 
 
 def fold(terms) -> float:

@@ -22,7 +22,9 @@ def test_every_layer_times_row_runs_once():
                   "cli.main scenario --format json",
                   "interpreter start + import ewhnexus.cli",
                   "economics._result, reuse column", "economics._result, storage column",
-                  "cli.sweep_row"):
+                  "economics._price_row, reuse column", "economics._price_row, storage column",
+                  "cli.main sweep --format csv, 150 km transfer",
+                  "cli.main sweep --format csv, solar seawater"):
         assert label in labels
     for _, call in rows:
         call()

@@ -10,11 +10,13 @@ microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
 construction and conversion, each cost term, the cell assembly and the priced
 cell's result (``economics._result``) of one column, a sweep, a break-even
 solve, config load and dump, a fresh interpreter's import of the package and of
-its CLI) and the CLI's path: ``cli.parse_args`` on a penalty call's flags, one
-reuse cell's ``cli.sweep_row`` and the sweep's rows, each renderer,
-``cli.main`` on a penalty, break-even and scenario call (where parsing was the
-largest share), on a sweep in each format, and on the scorecard and ``decide``,
-which no benchmark workload runs.  The break-even rows time a solve with a root
+its CLI) and the CLI's path: ``cli.parse_args`` on a penalty call's flags, the
+row pricer ``economics._price_row`` of a reuse and a storage column, each
+renderer, ``cli.main`` on a penalty, break-even and scenario call (where parsing
+was the largest share), on a sweep in each format, on a CSV sweep of the preset
+in 150 km transfer and in solar-seawater mode (config files written to a
+temporary folder), and on the scorecard and ``decide``, which no benchmark
+workload runs.  The break-even rows time a solve with a root
 and one whose window holds none; the penalty row prices a reuse-all threshold.
 Times depend on the machine; compare two trees by running both on it,
 alternately.
@@ -27,8 +29,10 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 import timeit
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -62,17 +66,18 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
     reuse_all = analysis.ReuseAll(product)
     quantity = quantities.Quantity(250.0, "$/ton")
     cells = cfg.sweep()
-    sweep = [cli.sweep_row(cell) for cell in cells]
+    commands = cli.COMMANDS
+    sweep = commands["sweep"].rows(cli.parse_args(["--config", "paper-2024",
+                                                   "--command", "sweep"]), cfg)
     reuse_column = economics._column(plant, econ, product, cfg.water_mode)
     storage_column = economics._column(plant, econ, None, cfg.water_mode)
-    reuse_cell = next(cell for cell in cells if cell.product)
+    folder = tempfile.TemporaryDirectory()   # the mode configs; kept by the calls that read them
     # a cli-batch penalty call's flags
     argv = ["--config", "paper-2024", "--command", "penalty", "--format", "csv",
             "--plant", "coal", "--product", "methanol"]
     curve = cli._curve_rows(cli.parse_args(["--config", "paper-2024", "--command", "curve",
                                             "--plant", "coal", "--distances", "0,50,100"]), cfg)
     record = cli._penalty_rows(cli.parse_args(argv), cfg)
-    commands = cli.COMMANDS
 
     def no_crossing() -> analysis.NoCrossingError:
         try:
@@ -81,12 +86,21 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
             return exc
         raise AssertionError(f"{below} holds a break-even")
 
-    def cli_main(fmt: str, command: str = "sweep", *flags: str) -> Callable[[], object]:
-        argv = ["--config", "paper-2024", "--command", command, "--format", fmt, *flags]
+    def cli_main(fmt: str, command: str = "sweep", *flags: str,
+                 source: str = "paper-2024") -> Callable[[], object]:
+        argv = ["--config", source, "--command", command, "--format", fmt, *flags]
 
         def call():
             with redirect_stdout(io.StringIO()):
                 return cli.main(argv)
+        return call
+
+    def mode_sweep(name: str, variant: config.LoadedConfig) -> Callable[[], object]:
+        """``cli.main sweep --format csv`` on ``variant``, dumped to a file in ``folder``."""
+        path = Path(folder.name) / f"{name}.yaml"
+        path.write_text(config.dump_config(variant), encoding="utf-8")
+        call = cli_main("csv", source=str(path))
+        call.folder = folder   # the file lives as long as the call
         return call
 
     return [
@@ -119,9 +133,9 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("load_config_text (parse and validate)", lambda: config.load_config_text(text)),
         ("load_config (cached)", lambda: config.load_config("paper-2024")),
         ("dump_config", lambda: config.dump_config(cfg)),
-        ("cli.sweep_row", lambda: cli.sweep_row(reuse_cell)),
-        (f"sweep rows ({len(cells)} sweep_row calls)",
-         lambda: [cli.sweep_row(cell) for cell in cells]),
+        ("economics._price_row, reuse column", lambda: economics._price_row(reuse_column, 1.0)),
+        ("economics._price_row, storage column",
+         lambda: economics._price_row(storage_column, 0.0)),
         ("render sweep csv", lambda: cli.render_output(commands["sweep"], "csv", sweep)),
         ("render sweep table", lambda: cli.render_output(commands["sweep"], "table", sweep)),
         ("render sweep json", lambda: cli.render_output(commands["sweep"], "json", sweep)),
@@ -138,6 +152,10 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("cli.main sweep --format csv", cli_main("csv")),
         ("cli.main sweep --format table", cli_main("table")),
         ("cli.main sweep --format json", cli_main("json")),
+        ("cli.main sweep --format csv, 150 km transfer", mode_sweep("transfer", replace(
+            cfg, water_mode=water.NetworkTransfer(quantities.Quantity(150.0, "km"))))),
+        ("cli.main sweep --format csv, solar seawater", mode_sweep("solar", replace(
+            cfg, econ=replace(cfg.econ, c_sw=2.5e5), water_mode=water.SolarSeawater()))),
         ("cli.main scorecard --format json", cli_main("json", "scorecard")),
         ("cli.main decide --format json", cli_main("json", "decide")),
     ]
