@@ -16,8 +16,8 @@ renderer, ``cli.main`` on a penalty, break-even and scenario call (where parsing
 was the largest share), on a sweep in each format, on a CSV sweep of the preset
 in 150 km transfer and in solar-seawater mode (config files written to a
 temporary folder), and on the scorecard and ``decide``, which no benchmark
-workload runs.  The break-even rows time a solve with a root
-and one whose window holds none; the penalty row prices a reuse-all threshold.
+workload runs.  The break-even rows time a solve with a root and one whose
+window holds none; the penalty row prices a reuse-all threshold.
 Times depend on the machine; compare two trees by running both on it,
 alternately.
 """
