@@ -223,8 +223,8 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
 
     The operational column is 24 times one hour's pumping bill.  A full-load
     scenario's ``water-operational`` ledger item adds the 24 equal hours one
-    by one instead, so the two agree to rounding only (a relative gap of a
-    few units in the last place), not bit for bit.
+    by one instead (``quantities.add_hourly``), so the two agree to rounding
+    only (a relative gap of a few units in the last place), not bit for bit.
     """
     if not distances or not flows:
         raise DomainError("distances and flows must be non-empty")

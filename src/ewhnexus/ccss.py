@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .quantities import EconParams
+from .quantities import EconParams, add_hourly
 
 
 def ccss_capital(beta: float, cbar_day: float, econ: EconParams) -> float:
@@ -26,13 +26,11 @@ def ccss_capital(beta: float, cbar_day: float, econ: EconParams) -> float:
 def ccss_operational(beta: float, captured: Sequence[tuple[float, int]], econ: EconParams) -> float:
     """Daily cost of running capture plus transfer-to-storage [$ / day].
 
-    Sum over the hourly captured carbon c_t [ton/h], given as (c_t, hours) runs
-    of equal hours, of (1-beta)*c_t*r_cts + c_t*r_ccs, priced once per run.
+    Sum over the hourly captured carbon c_t [ton/h], given as (c_t, hours) runs of equal
+    hours, of (1-beta)*c_t*r_cts + c_t*r_ccs, priced once per run, added by ``add_hourly``.
     """
     per_ton = (1.0 - beta) * econ.r_cts + econ.r_ccs
-    total = 0.0   # left to right, one hour at a time: sum() compensates on Python >= 3.12
+    total = 0.0
     for c, hours in captured:
-        cost = c * per_ton
-        for _ in range(hours):
-            total += cost
+        total = add_hourly(total, c * per_ton, hours)
     return total

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .quantities import (
-    DomainError, EconParams, FrozenMap, PlantSpec, Quantity, check_beta,
+    DomainError, EconParams, FrozenMap, PlantSpec, Quantity, add_hourly, check_beta,
 )
 
 
@@ -127,14 +127,12 @@ def hydrogen_capital(product: ProductSpec, cbar: float, beta: float,
 
 def chemical_revenue(product: ProductSpec, captured: Sequence[tuple[float, int]],
                      beta: float, econ: EconParams) -> float:
-    """Daily product revenue as a negative cost [$ / day].
+    """Daily revenue of a priced product as a negative cost [$ / day].
 
-    ``captured`` is the day's captured carbon [ton/h] as (c, hours) runs; the product has a price.
+    ``captured`` is the day's captured carbon [ton/h] as (c, hours) runs, added by ``add_hourly``.
     """
     k = econ.product_prices[product.name] * product.xi_chi * beta   # [$ / ton captured]
-    total = 0.0   # left to right, as ccss_operational
+    total = 0.0
     for c, hours in captured:
-        revenue = k * c
-        for _ in range(hours):
-            total += revenue
+        total = add_hourly(total, k * c, hours)
     return -total

@@ -258,6 +258,22 @@ def daily_capital_charge(capital: float, econ: EconParams) -> float:
     return capital * (1.0 + econ.interest_rate) ** (n - 1) / (DAYS_PER_YEAR * n)
 
 
+def add_hourly(total: float, amount: float, hours: int) -> float:
+    """``total`` plus a run's hourly ``amount`` once per hour: the kernels' one hourly fold.
+
+    Bit for bit ``total += amount`` ``hours`` times (eight hours in one left-to-right
+    expression), so any split of a day into runs sums as hour by hour; not ``sum()``,
+    which compensates on Python >= 3.12, nor ``hours * amount``, which rounds once.
+    """
+    while hours >= 8:
+        total = total + amount + amount + amount + amount + amount + amount + amount + amount
+        hours -= 8
+    while hours > 0:
+        total += amount
+        hours -= 1
+    return total
+
+
 # EconParams fields that must be finite and >= 0, in the order __post_init__
 # checks them; the optional ones may also be None
 _NONNEG_FIELDS = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .quantities import DomainError, EconParams, Quantity, _convert, _field_value
+from .quantities import DomainError, EconParams, Quantity, _convert, _field_value, add_hourly
 
 # 2.725 ~= rho * g / 3600: pump power in W for flow in m3/h and head in m
 PUMP_CONSTANT_W = 2.725
@@ -134,28 +134,24 @@ def water_operational(mode: WaterMode, w_max: float, captured: Sequence[tuple[fl
 
     ``captured`` holds the day's carbon [ton/h] as (c, hours) runs of equal hours; an
     hour's water flow is k * c [m3/h], within [0, w_max].  Desalination pays for the
-    piecewise RO power, transfer for pumping, solar seawater nothing.  A run is priced
-    once and its bill added once per hour: a full-load day prices one hour, 24 times.
+    piecewise RO power, transfer for pumping, solar seawater nothing.  A run is priced once
+    and ``add_hourly`` adds its bill once per hour: a full-load day prices one hour, 24 times.
     """
     if isinstance(mode, NetworkTransfer):
         return pumping_operational(mode.km, captured, k, econ)
     if isinstance(mode, SolarSeawater):
         return 0.0
     total = 0.0
-    for c, hours in captured:   # cost is the grid bill for one hour at flow k * c [$]
-        cost = econ.elec_price * desal_power(k * c, w_max, econ)
-        for _ in range(hours):
-            total += cost
+    for c, hours in captured:   # the grid bill for one hour at flow k * c [$]
+        total = add_hourly(total, econ.elec_price * desal_power(k * c, w_max, econ), hours)
     return total
 
 
 def pumping_operational(d_km: float, captured: Sequence[tuple[float, int]], k: float,
                         econ: EconParams) -> float:
-    """``water_operational``'s pumping bill through a pipe d_km long [$ / day]."""
+    """``water_operational``'s pumping bill of a pipe d_km long, by ``add_hourly`` [$ / day]."""
     r_w, eta = effective_r_w(econ, d_km), econ.eta_pump
     total = 0.0
     for c, hours in captured:
-        cost = econ.elec_price * pump_power(k * c, r_w, eta)
-        for _ in range(hours):
-            total += cost
+        total = add_hourly(total, econ.elec_price * pump_power(k * c, r_w, eta), hours)
     return total

@@ -38,7 +38,7 @@ KERNELS = {
               "pumping_operational", "pump_power", "effective_r_w", "pipe_capital",
               "solar_capital"},
     "conversion": {"power_capital", "hydrogen_capital", "chemical_revenue"},
-    "quantities": {"daily_capital_charge"},
+    "quantities": {"daily_capital_charge", "add_hourly"},
 }
 SOURCES = sorted((ROOT / "src" / "ewhnexus").glob("*.py"))
 
@@ -114,6 +114,29 @@ def test_the_capital_charge_power_is_raised_by_daily_capital_charge_alone():
                 and getattr(exponent.right, "value", None) == 1)
 
     assert holders(charge_power) == ["quantities.daily_capital_charge"]
+
+
+def test_the_hourly_fold_is_add_hourly_alone():
+    # a loop whose body only adds to a running total (`t += x` or `t = t + x + ...`),
+    # stepping a counter at most: the kernels add each run's hourly amount by add_hourly
+    def adds(stmt):
+        if isinstance(stmt, ast.AugAssign):
+            return isinstance(stmt.target, ast.Name) and isinstance(stmt.op, (ast.Add, ast.Sub))
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)):
+            return False
+        left = stmt.value
+        while isinstance(left, ast.BinOp) and isinstance(left.op, ast.Add):
+            left = left.left
+        return left is not stmt.value and getattr(left, "id", None) == stmt.targets[0].id
+
+    def running_sum(node):
+        return isinstance(node, (ast.For, ast.While)) and all(adds(s) for s in node.body)
+
+    for spelled_out in ("for _ in range(hours):\n    total += cost",
+                        "while n > 0:\n    t = t + a + a\n    n -= 2"):
+        assert running_sum(ast.parse(spelled_out).body[0])
+    assert holders(running_sum) == ["quantities.add_hourly"]
 
 
 def calls(name: str):

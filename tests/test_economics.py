@@ -18,7 +18,7 @@ from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.quantities import (
     HOURS_PER_DAY, CostLedger, DomainError, EconParams, LedgerItem, PlantSpec, Quantity,
-    TimeSeries, UnitError, check_beta,
+    TimeSeries, UnitError, add_hourly, check_beta,
 )
 from ewhnexus.water import Desalination, NetworkTransfer, SolarSeawater
 
@@ -660,6 +660,24 @@ class TestHourlySums:
         # 24 x 0.1 folds to 2.400000000000001; compensated summation gives 2.4000000000000004
         params = econ(r_cts=0.0, r_ccs=1.0)
         assert ccss.ccss_operational(0.0, ((0.1, 24),), params) == 2.400000000000001
+        assert add_hourly(0.0, 0.1, 24) == 2.400000000000001
+
+    edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf,
+                            -math.inf, math.nan, 1.7e308, -1.7e308, 0.1])
+
+    @settings(max_examples=2000, deadline=None)
+    @given(total=edge | st.floats(), amount=edge | st.floats(), hours=st.integers(-2, 60))
+    @example(total=0.0, amount=0.1, hours=24)
+    @example(total=-0.0, amount=-0.0, hours=0)
+    @example(total=1.0, amount=0.1, hours=7)
+    @example(total=1.0, amount=0.1, hours=8)
+    @example(total=-0.0, amount=0.1, hours=25)
+    def test_add_hourly_is_the_per_hour_fold(self, total, amount, hours):
+        # by .hex(), so the sign of a zero counts and a NaN equals a NaN
+        expected = total
+        for _ in range(hours):
+            expected += amount
+        assert add_hourly(total, amount, hours).hex() == expected.hex()
 
     @settings(max_examples=300, deadline=None)
     @given(captured=days | st.lists(st.sampled_from([0.0, -0.0, 57.5, 115.0]),

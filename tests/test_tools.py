@@ -16,7 +16,7 @@ def test_every_layer_times_row_runs_once():
     assert len(set(labels)) == len(labels)
     for label in ("dump_config", "render sweep json", "cli.main sweep --format json",
                   "cli.main scorecard --format json", "cli.main decide --format json",
-                  "breakeven_distance, no crossing",
+                  "breakeven_distance, no crossing", "quantities.add_hourly, 24-hour run",
                   "penalty_threshold, reuse-all", "cli.parse_args",
                   "cli.main penalty --format csv", "cli.main breakeven --format json",
                   "cli.main scenario --format json",

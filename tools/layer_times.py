@@ -7,7 +7,8 @@ Run from the repository root (the package is imported from ``src/``):
 Each row is timed in one process: ``timeit`` picks a loop count that runs for
 about ``--seconds``, and the row prints the best of ``--repeat`` loops as
 microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
-construction and conversion, each cost term, the cell assembly and the priced
+construction and conversion, each cost term and the hourly fold they share,
+``quantities.add_hourly``, on one 24-hour run, the cell assembly and the priced
 cell's result (``economics._result``) of one column, a sweep, a break-even
 solve, config load and dump, a fresh interpreter's import of the package and of
 its CLI) and the CLI's path: ``cli.parse_args`` on a penalty call's flags, the
@@ -109,6 +110,8 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("interpreter start + import ewhnexus.cli", _interpreter("import ewhnexus.cli")),
         ("Quantity(250.0, '$/ton')", lambda: quantities.Quantity(250.0, "$/ton")),
         ("Quantity.value_in('$/kg')", lambda: quantity.value_in("$/kg")),
+        ("quantities.add_hourly, 24-hour run",
+         lambda: quantities.add_hourly(0.0, plant.cbar, quantities.HOURS_PER_DAY)),
         ("ccss.ccss_capital", lambda: ccss.ccss_capital(1.0, plant.cbar_day, econ)),
         ("ccss.ccss_operational", lambda: ccss.ccss_operational(1.0, captured, econ)),
         ("water.water_capital", lambda: water.water_capital(cfg.water_mode, w_max, econ)),
