@@ -63,7 +63,7 @@ class SweepGrid:
         if errors:
             raise DomainError(errors[0])
         object.__setattr__(self, "betas", tuple(float(b) for b in betas))
-        water.check_mode(self.water_mode)
+        water.mode_name(self.water_mode)
 
 
 class SweepCell(namedtuple("SweepCell", "plant product beta result error",
@@ -331,9 +331,8 @@ def decide(cfg: LoadedConfig, plant: str | None = None) -> list[dict]:
     ("" if none) and the ``c_sw`` at which solar ties desalination, the root of a gap
     affine in ``c_sw``; ``penalty`` the fate's carbon penalties [$ / ton].  No ledger is built.
     """
-    from .config import _WATER_MODES   # imported here, as config imports this module
     mode, rows, blank = cfg.water_mode, [], ("", ("", "", ""))
-    mode_name = next(name for name, (kind, _) in _WATER_MODES.items() if isinstance(mode, kind))
+    mode_name = water.mode_name(mode)
     for p in cfg.plants if plant is None else (cfg.plant(plant),):
         econ = cfg.econ_for(p)
         columns = {x: economics._column(p, econ, x, mode) for x in (None, *cfg.products)}

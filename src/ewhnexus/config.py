@@ -23,9 +23,9 @@ from . import _yaml as yaml
 from . import water
 from .analysis import SweepCell, SweepGrid, beta_errors, scenario_sweep
 from .conversion import BUILTIN_PRODUCTS, ProductSpec
-from .economics import ScenarioConfig
+from .economics import ScenarioConfig, unset_costs
 from .quantities import (
-    EconParams, FrozenMap, PlantSpec, Quantity, UnitError, check_map, check_nonneg,
+    DomainError, EconParams, FrozenMap, PlantSpec, Quantity, UnitError, check_map, check_nonneg,
 )
 
 
@@ -146,11 +146,7 @@ def _config_errors(econ: EconParams | None, plants: tuple[PlantSpec, ...] | None
                       "(no defensible default exists)" if econ.c_ccs is None else
                       "econ.c_ccs: not allowed with calibration.ccs_capital_total, which "
                       "sets the capture capital per plant")
-    if isinstance(water_mode, water.SolarSeawater) and econ.c_sw is None:
-        errors.append("econ.c_sw: required when water.mode is solar_seawater "
-                      "(expected $/(m3/h); no default exists)")
-    errors.extend(f"econ.product_prices.{p.name}: missing price for a configured product "
-                  "(expected $/ton)" for p in products or () if p.name not in econ.product_prices)
+    errors.extend(f"econ.{k}: {why}" for _, k, why in unset_costs(econ, products or (), water_mode))
     econs = []
     for plant in (plants or ()) if calibration is not None else ():
         try:
@@ -187,9 +183,13 @@ class LoadedConfig:
             ("econ", "an EconParams", isinstance(self.econ, EconParams)),
             ("plants", "a tuple of PlantSpec", _tuple_of(self.plants, PlantSpec)),
             ("products", "a tuple of ProductSpec", _tuple_of(self.products, ProductSpec)),
-            ("calibration", "a Calibration", isinstance(self.calibration, Calibration)),
-            ("water_mode", "a water mode instance", isinstance(self.water_mode, water.WaterMode)),
-            ("sweep_betas", "a tuple", isinstance(self.sweep_betas, tuple))) if not ok]
+            ("calibration", "a Calibration", isinstance(self.calibration, Calibration))) if not ok]
+        try:
+            water.mode_name(self.water_mode)
+        except DomainError as exc:
+            errors.append(f"water_mode: {exc}")
+        if not isinstance(self.sweep_betas, tuple):
+            errors.append(f"sweep_betas: must be a tuple, got {self.sweep_betas!r}")
         if not errors:
             errors, econs = _config_errors(self.econ, self.plants, self.products,
                                            self.calibration, self.water_mode, self.sweep_betas)
@@ -267,11 +267,7 @@ _SECTIONS: dict[str, tuple[tuple[str, str, bool], ...]] = {
     for name in ("econ", "policy", "calibration")}
 
 _TOP_KEYS = {"econ", "plants", "products", "water", "sweep", "calibration", "policy"}
-# water.mode name -> (mode type, {key the mode takes: unit}); load and dump read it
-_WATER_MODES: dict[str, tuple[type, dict[str, str]]] = {
-    "desalination": (water.Desalination, {}), "solar_seawater": (water.SolarSeawater, {}),
-    "network_transfer": (water.NetworkTransfer, {"distance": "km"})}
-_WATER_KEYS = {"mode"}.union(*(keys for _, keys in _WATER_MODES.values()))
+_WATER_KEYS = {"mode"}.union(*(keys for _, keys in water.MODES.values()))
 
 
 def _check_keys(mapping: Mapping, allowed: set[str], path: str, errors: list[str]) -> None:
@@ -388,10 +384,10 @@ def _load_products(section: Any, errors: list[str]) -> tuple[ProductSpec, ...] |
 
 def _load_water(section: Mapping, errors: list[str]) -> water.WaterMode | None:
     name = section.get("mode", "desalination")
-    if not isinstance(name, str) or name not in _WATER_MODES:
-        errors.append(f"water.mode: unknown mode {name!r} (allowed: {sorted(_WATER_MODES)})")
+    if not isinstance(name, str) or name not in water.MODES:
+        errors.append(f"water.mode: unknown mode {name!r} (allowed: {sorted(water.MODES)})")
         return None
-    mode, keys = _WATER_MODES[name]
+    mode, keys = water.MODES[name]
     errors.extend(f"water.{key}: {name} mode takes no {key}"
                   for key in sorted(_WATER_KEYS.intersection(section) - {"mode", *keys}))
     values = {}
@@ -510,8 +506,8 @@ def dump_config(cfg: LoadedConfig) -> str:
         "policy": _dump_fields(cfg.econ, "policy"),
     }
     mode = cfg.water_mode
-    name, keys = next((name, keys) for name, (kind, keys) in _WATER_MODES.items()
-                      if type(mode) is kind)
+    name = water.mode_name(mode)
+    keys = water.MODES[name][1]
     data["water"] = {"mode": name, **{key: _fmt(getattr(mode, key).magnitude,
                                                 getattr(mode, key).unit) for key in keys}}
     calibration = _dump_fields(cfg.calibration, "calibration")

@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import groupby
+from typing import Iterator
 
 from . import ccss, conversion, water
 from .quantities import (CAPITAL, HOURS_PER_DAY, OPERATIONAL, REVENUE, DomainError, EconParams,
@@ -74,7 +75,7 @@ def _check_cell(beta: float, product: conversion.ProductSpec | None, water_mode)
     if beta > 0 and water_mode is None:
         raise DomainError("a reuse scenario (beta > 0) needs a water mode")
     if water_mode is not None:
-        water.check_mode(water_mode)
+        water.mode_name(water_mode)
 
 
 class ScenarioResult(namedtuple("ScenarioResult",
@@ -98,24 +99,29 @@ def _column(plant: PlantSpec, econ: EconParams, product: conversion.ProductSpec 
     (None: the storage row) and one water mode.  Its constants are the tuple
     (plant, econ, product, water mode, captured, revenue row label), where
     ``captured`` is the day's carbon as (value, hours) runs [ton/h], the one
-    run (C̄, 24) of a full-load day if None.  A cost the column needs but the
-    parameters leave unset is a DomainError named by its ledger term, raised
-    once, before any term is priced, in ledger order: ``c_ccs``, ``c_sw`` for
-    a solar-seawater reuse column, the product's price.  The kernels
-    themselves raise nothing.
+    run (C̄, 24) of a full-load day if None.  An unset cost the column needs is
+    a DomainError named by its ledger term, raised before any term is priced:
+    ``c_ccs``, else a reuse column's first ``unset_costs``.  The kernels raise nothing.
     """
     if econ.c_ccs is None:
         raise DomainError("ccss-capital: c_ccs (capture plant capital cost) is not configured")
     label = None
     if product is not None:
-        if econ.c_sw is None and isinstance(water_mode, water.SolarSeawater):
-            raise DomainError("water-capital: c_sw is not configured; a solar-seawater plan "
-                              "cannot be costed")
-        if product.name not in econ.product_prices:
-            raise DomainError(f"product-revenue: no market price configured for product "
-                              f"{product.name!r}")
+        for term, _, why in unset_costs(econ, (product,), water_mode):
+            raise DomainError(f"{term}: {why}")
         label = f"{product.name} sales"
     return plant, econ, product, water_mode, captured or ((plant.cbar, HOURS_PER_DAY),), label
+
+
+def unset_costs(econ: EconParams, products: tuple, water_mode) -> Iterator[tuple[str, str, str]]:
+    """Each unset cost that ``products`` in ``water_mode`` need, as (ledger term, ``econ`` key,
+    why), in ledger order: ``c_sw`` in solar mode, then each price; ``_column`` raises the first."""
+    if isinstance(water_mode, water.SolarSeawater) and econ.c_sw is None:
+        yield "water-capital", "c_sw", "c_sw (solar-seawater capital, $/(m3/h)) is not configured"
+    for product in products:
+        if product.name not in econ.product_prices:
+            yield ("product-revenue", f"product_prices.{product.name}",
+                   f"no market price ($/ton) configured for product {product.name!r}")
 
 
 def _terms(column: tuple, beta: float) -> tuple[float | None, ...]:
@@ -179,7 +185,7 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple:
         capital, flows, n = ((cap_ccss, cap_power, cap_water) if cap_h2 is None else (
             cap_ccss, cap_power, cap_h2, cap_water)), (op_ccss, op_water, revenue), 2
     if not isfinite(sum(capital) + sum(flows)):   # an amount is not finite, or they overflow
-        for row, _, _, amount, _ in _rows(terms, label):
+        for row, _, _, amount, _ in _rows(terms, label, 0.0):   # the charge is checked below
             if not isfinite(amount):
                 raise DomainError(f"ledger amount must be finite ({row})")
     # the totals are fsums of the amounts in hand: fsum is exact, so they equal
@@ -202,8 +208,8 @@ def _price_row(column: tuple, beta: float) -> tuple[float, ...]:
 
 
 def _rows(terms: tuple[float | None, ...], label: str | None,
-          charge: float | None = None) -> tuple[LedgerItem, ...]:
-    """The ledger rows of ``_terms``, revenue ``label`` and then ``charge`` if set; unchecked."""
+          charge: float) -> tuple[LedgerItem, ...]:
+    """The ledger rows of ``_terms``, revenue ``label`` and then ``charge``; unchecked."""
     cap_ccss, op_ccss, cap_power, cap_h2, cap_water, op_water, revenue = terms
     new = tuple.__new__   # one tuple per ledger shape; kinds and units are the ledger's literals
     ccss_capital = new(LedgerItem, ("capture and storage pipeline capital", "ccss-capital",
@@ -212,19 +218,17 @@ def _rows(terms: tuple[float | None, ...], label: str | None,
                                        OPERATIONAL, op_ccss, "$/day"))
     last = new(LedgerItem, ("daily capital charge", "capital-charge", CAPITAL, charge, "$/day"))
     if cap_power is None:   # a storage scenario
-        rows = ccss_capital, ccss_operations, last
-    else:
-        power = new(LedgerItem, ("wind farm capital", "power-capital", CAPITAL, cap_power, "$"))
-        water_capital = new(LedgerItem, ("water system capital", "water-capital", CAPITAL,
-                                         cap_water, "$"))
-        water_operations = new(LedgerItem, ("water system operations", "water-operational",
-                                            OPERATIONAL, op_water, "$/day"))
-        sales = new(LedgerItem, (label, "product-revenue", REVENUE, revenue, "$/day"))
-        rows = ((ccss_capital, ccss_operations, power, water_capital, water_operations, sales, last)
-                if cap_h2 is None else (ccss_capital, ccss_operations, power, new(LedgerItem, (
-                    "electrolyzer capital", "hydrogen-capital", CAPITAL, cap_h2, "$")),
-                    water_capital, water_operations, sales, last))
-    return rows if charge is not None else rows[:-1]
+        return ccss_capital, ccss_operations, last
+    power = new(LedgerItem, ("wind farm capital", "power-capital", CAPITAL, cap_power, "$"))
+    water_capital = new(LedgerItem, ("water system capital", "water-capital", CAPITAL,
+                                     cap_water, "$"))
+    water_operations = new(LedgerItem, ("water system operations", "water-operational",
+                                        OPERATIONAL, op_water, "$/day"))
+    sales = new(LedgerItem, (label, "product-revenue", REVENUE, revenue, "$/day"))
+    return ((ccss_capital, ccss_operations, power, water_capital, water_operations, sales, last)
+            if cap_h2 is None else (ccss_capital, ccss_operations, power, new(LedgerItem, (
+                "electrolyzer capital", "hydrogen-capital", CAPITAL, cap_h2, "$")),
+                water_capital, water_operations, sales, last))
 
 
 def _total(amounts: tuple[float, ...]) -> float:

@@ -234,14 +234,10 @@ def check_map(name: str, value: object) -> None:
         raise DomainError(f"{name} must be a map of names to numbers, got {value!r}")
 
 
-def check_nonneg(name: str, value: float, when_set: bool = False) -> None:
-    """Reject a non-finite or negative value of the named parameter.
-
-    ``when_set`` marks an optional parameter, whose message omits the value.
-    """
+def check_nonneg(name: str, value: float) -> None:
+    """Reject a non-finite or negative value of the named parameter."""
     if not math.isfinite(value) or value < 0:
-        raise DomainError(f"{name} must be finite and >= 0 when set" if when_set
-                          else f"{name} must be finite and >= 0, got {value!r}")
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 HOURS_PER_DAY = 24
@@ -345,7 +341,7 @@ class EconParams:
             check_nonneg(f"product_prices[{k}]", v)
         for name in _OPTIONAL_FIELDS:
             if getattr(self, name) is not None:
-                check_nonneg(name, getattr(self, name), when_set=True)
+                check_nonneg(name, getattr(self, name))
         try:   # float ** raises on overflow
             daily_capital_charge(1.0, self)
         except OverflowError:

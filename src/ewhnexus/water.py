@@ -1,7 +1,7 @@
 """Water supply section: desalination, network transfer, solar seawater.
 
 Exactly one supply mode is active per scenario (the alpha exclusivity
-choice); ``ScenarioConfig`` accepts a single mode object only.
+choice): an instance of exactly one type in ``MODES``, by ``mode_name``.
 Desalination power follows a four-segment piecewise linearization of reverse
 osmosis demand; network transfer pays pipe capital plus pumping against the
 friction head loss along the pipe.  There is no static lift term: the head
@@ -56,12 +56,17 @@ class SolarSeawater:
 
 
 WaterMode = Desalination | NetworkTransfer | SolarSeawater
+# water.mode name -> (mode type, {key the mode takes: unit}); the config loads and dumps by it
+MODES = {"desalination": (Desalination, {}), "solar_seawater": (SolarSeawater, {}),
+         "network_transfer": (NetworkTransfer, {"distance": "km"})}
+_NAMES = {kind: name for name, (kind, _) in MODES.items()}   # mode type -> its name
 
 
-def check_mode(mode) -> None:
-    """The one water-mode rule of a scenario and a sweep grid: a single mode instance."""
-    if not isinstance(mode, WaterMode):
+def mode_name(mode) -> str:
+    """The one water-mode rule: ``mode``'s name in ``MODES``, if its type is exactly one there."""
+    if type(mode) not in _NAMES:
         raise DomainError(f"unsupported water mode {mode!r}")
+    return _NAMES[type(mode)]
 
 
 def desal_segment(f: float, w_max: float) -> int:

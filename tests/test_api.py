@@ -139,6 +139,24 @@ def test_the_hourly_fold_is_add_hourly_alone():
     assert holders(running_sum) == ["quantities.add_hourly"]
 
 
+def test_no_module_imports_inside_a_function():
+    # an import in a function body hides a cycle between modules until the call;
+    # an annotation's import sits under `if TYPE_CHECKING:`, which never runs
+    def imports_in_body(node):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return False
+        unrun = {id(n) for block in ast.walk(node) if isinstance(block, ast.If)
+                 and ast.unparse(block.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+                 for n in ast.walk(block)}
+        return any(isinstance(n, (ast.Import, ast.ImportFrom)) and id(n) not in unrun
+                   for n in ast.walk(node))
+
+    assert imports_in_body(ast.parse("def f():\n    from .config import X").body[0])
+    assert not imports_in_body(ast.parse("def f():\n    if TYPE_CHECKING:\n        import x"
+                                         ).body[0])
+    assert holders(imports_in_body) == []
+
+
 def calls(name: str):
     """A predicate accepting a call of ``name``, bare or as an attribute."""
     return lambda node: (isinstance(node, ast.Call)

@@ -13,7 +13,7 @@ from ewhnexus import ccss, conversion, economics, water
 from ewhnexus.analysis import (
     BreakevenQuery, ReuseAll, SweepGrid, breakeven_distance, penalty_threshold, scenario_sweep,
 )
-from ewhnexus.config import paper_2024
+from ewhnexus.config import ConfigError, paper_2024
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
 from ewhnexus.economics import ScenarioConfig, daily_capital_charge, total_daily_cost
 from ewhnexus.quantities import (
@@ -40,9 +40,9 @@ UNSET = {
     "c_ccs": ({"c_ccs": None}, Desalination(),
               "ccss-capital: c_ccs (capture plant capital cost) is not configured"),
     "c_sw": ({"c_sw": None}, SolarSeawater(),
-             "water-capital: c_sw is not configured; a solar-seawater plan cannot be costed"),
+             "water-capital: c_sw (solar-seawater capital, $/(m3/h)) is not configured"),
     "price": ({"product_prices": {"methanol": 616.0}}, Desalination(),
-              "product-revenue: no market price configured for product 'methane'"),
+              "product-revenue: no market price ($/ton) configured for product 'methane'"),
 }
 
 
@@ -238,6 +238,26 @@ class TestTotalDailyCost:
             [f"cell (biomass, -, beta=0): {UNSET['c_ccs'][2]}",
              f"cell (biomass, methane, beta=1): {UNSET['c_ccs'][2]}"],
             [None, f"cell (biomass, methane, beta=1): {UNSET['c_sw'][2]}"]]
+
+    @pytest.mark.parametrize("unset, key", [("c_sw", "c_sw"),
+                                            ("price", "product_prices.methane")],
+                             ids=["c_sw", "price"])
+    def test_the_config_and_the_column_give_an_unset_cost_one_reason(self, unset, key):
+        # the config reports `econ.<key>: <why>`, a column raises `<ledger term>: <why>`
+        over, mode, _ = UNSET[unset]
+        cfg = paper_2024()   # which leaves c_sw unset
+        coal = cfg.plant("coal")
+        with pytest.raises(ConfigError) as info:
+            replace(cfg, econ=replace(cfg.econ, **over), water_mode=mode)
+        config_key, _, config_why = str(info.value).split("\n  ")[0].partition(": ")
+        column = raised(lambda: economics._column(coal, replace(cfg.econ_for(coal), **over),
+                                                  METHANE, mode))
+        assert config_key == f"econ.{key}"
+        assert column.partition(": ")[2] == config_why
+        if unset == "c_sw":   # a solar config needs c_sw without products too
+            with pytest.raises(ConfigError) as info:
+                replace(cfg, products=(), water_mode=mode)
+            assert str(info.value) == f"econ.c_sw: {config_why}"
 
     def test_overflowing_amount_is_rejected_without_a_term_tag(self):
         cfg = ScenarioConfig(plant=BIOMASS, econ=econ(c_wind=1e308), beta=1.0,
@@ -511,10 +531,11 @@ class TestDailyAgainstTheResult:
         present = [i for i, t in enumerate(terms) if t is not None]
         at = sorted(at & set(present))
         broken = tuple(bad if i in at else t for i, t in enumerate(terms))
-        expected = expected_failure(economics._rows(broken, column[5]), plant, cell_econ)
+        expected = expected_failure(economics._rows(broken, column[5], 0.0)[:-1], plant,
+                                    cell_econ)
         assert failure(lambda: economics._daily(broken, column)) == expected
         if at and not math.isfinite(bad):
-            label = economics._rows(terms, column[5])[present.index(at[0])].label
+            label = economics._rows(terms, column[5], 0.0)[present.index(at[0])].label
             assert expected == (DomainError, f"ledger amount must be finite ({label})")
 
     @pytest.mark.parametrize("cell", [
@@ -957,7 +978,7 @@ class TestRows:
         assert all(type(r) is LedgerItem and r == LedgerItem(*r) for r in rows)
         assert [r.amount for r in rows[:-1]] == [t for t in terms if t is not None]
         assert rows[-1] == ("daily capital charge", "capital-charge", "capital", charge, "$/day")
-        assert economics._rows(terms, column[5]) == rows[:-1]
+        assert economics._rows(terms, column[5], 0.0)[:-1] == rows[:-1]
         assert total_daily_cost(ScenarioConfig(plant=coal, econ=cell_econ, beta=beta,
                                                product=product, water_mode=Desalination())
                                 ).ledger.items == rows

@@ -124,12 +124,12 @@ class TestCellCopy:
     def test_a_config_with_a_failing_plant_cannot_be_built(self):
         with pytest.raises(ConfigError) as info:
             replace(CFG, plants=CFG.plants + (TestResolver.TINY,))
-        assert str(info.value) == "plant 'tiny': calibrated c_ccs must be finite and >= 0 when set"
+        assert str(info.value) == "plant 'tiny': calibrated c_ccs must be finite and >= 0, got inf"
 
     def test_non_finite_derived_cost_raises_the_replace_text(self):
         # a plant this small spreads the capture capital to an infinite c_ccs
         tiny = PlantSpec("tiny", Quantity(1, "kW"), Quantity(1e-310, "kg/kWh"))
-        expected = (DomainError, "c_ccs must be finite and >= 0 when set")
+        expected = (DomainError, "c_ccs must be finite and >= 0, got inf")
         assert self.outcome(
             lambda: replace(CFG.econ, c_ccs=120.0e6 / (tiny.cbar * 24.0))) == expected
         assert self.outcome(lambda: CFG.econ_for(tiny)) == expected
@@ -154,7 +154,7 @@ class TestResolver:
         cells = scenario_sweep(grid, CFG.econ, CFG.econ_for)
         assert all(c.error is None for c in cells if c.plant == "coal")
         errors = [c.error for c in cells if c.plant == "tiny"]
-        assert errors == [f"cell (tiny, {q}, beta={b:g}): c_ccs must be finite and >= 0 when set"
+        assert errors == [f"cell (tiny, {q}, beta={b:g}): c_ccs must be finite and >= 0, got inf"
                           for q, b in [("-", 0.0)] + [(p.name, b) for p in CFG.products
                                                       for b in (0.5, 1.0)]]
 

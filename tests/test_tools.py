@@ -21,6 +21,7 @@ def test_every_layer_times_row_runs_once():
                   "cli.main penalty --format csv", "cli.main breakeven --format json",
                   "cli.main scenario --format json",
                   "interpreter start + import ewhnexus.cli",
+                  "economics._column, reuse column",
                   "economics._result, reuse column", "economics._result, storage column",
                   "economics._price_row, reuse column", "economics._price_row, storage column",
                   "cli.main sweep --format csv, 150 km transfer",

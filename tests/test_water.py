@@ -5,9 +5,13 @@ import itertools
 import math
 import random
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ewhnexus.analysis import SweepGrid
+from ewhnexus.config import ConfigError, paper_2024
 from ewhnexus.conversion import METHANE
 from ewhnexus.economics import ScenarioConfig
 from ewhnexus.quantities import DomainError, EconParams, PlantSpec, Quantity, UnitError
@@ -120,6 +124,25 @@ class TestPlanExclusivity:
         with pytest.raises((DomainError, TypeError)):
             ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE,
                            water_mode=(Desalination(), SolarSeawater()))
+
+    @pytest.mark.parametrize("kind, args", [(Desalination, ()),
+                                            (NetworkTransfer, (Quantity(250, "km"),)),
+                                            (SolarSeawater, ())],
+                             ids=["desalination", "transfer", "solar"])
+    def test_an_instance_of_a_mode_subclass_is_no_mode(self, kind, args):
+        # a mode is an instance of exactly one mode type: the config loads and dumps it by type
+        mode = type(f"My{kind.__name__}", (kind,), {})(*args)
+        message = f"unsupported water mode {mode!r}"
+        cfg = paper_2024()
+        with pytest.raises(DomainError) as info:
+            ScenarioConfig(plant=BIOMASS, econ=econ(), beta=1.0, product=METHANE, water_mode=mode)
+        assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, mode)
+        assert str(info.value) == message
+        with pytest.raises(ConfigError) as info:
+            replace(cfg, water_mode=mode)
+        assert str(info.value) == f"water_mode: {message}"
 
     def test_negative_distance_rejected(self):
         with pytest.raises(DomainError):

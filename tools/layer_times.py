@@ -8,7 +8,8 @@ Each row is timed in one process: ``timeit`` picks a loop count that runs for
 about ``--seconds``, and the row prints the best of ``--repeat`` loops as
 microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
 construction and conversion, each cost term and the hourly fold they share,
-``quantities.add_hourly``, on one 24-hour run, the cell assembly and the priced
+``quantities.add_hourly``, on one 24-hour run, the cell assembly, a reuse
+column's set-up and unset-cost checks (``economics._column``) and the priced
 cell's result (``economics._result``) of one column, a sweep, a break-even
 solve, config load and dump, a fresh interpreter's import of the package and of
 its CLI) and the CLI's path: ``cli.parse_args`` on a penalty call's flags, the
@@ -126,6 +127,8 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
          lambda: conversion.chemical_revenue(product, captured, 1.0, econ)),
         ("total_daily_cost, reuse cell", lambda: economics.total_daily_cost(reuse)),
         ("total_daily_cost, storage cell", lambda: economics.total_daily_cost(storage)),
+        ("economics._column, reuse column",
+         lambda: economics._column(plant, econ, product, cfg.water_mode)),
         ("economics._result, reuse column", lambda: economics._result(reuse_column, 1.0)),
         ("economics._result, storage column", lambda: economics._result(storage_column, 0.0)),
         (f"LoadedConfig.sweep, {len(cells)} cells", cfg.sweep),
