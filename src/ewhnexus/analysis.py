@@ -87,7 +87,8 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
 
 
 def _sweep(grid: SweepGrid, econ: EconParams, econ_resolver, price) -> tuple[SweepCell, ...]:
-    """``scenario_sweep``'s cells, each with the result ``price(column, beta)``."""
+    """``scenario_sweep``'s cells, each with the result ``price(column, beta, storage)``: a
+    product cell's ``storage`` is its plant's ccss pair at its beta, priced once for all products."""
     cells: list[SweepCell] = []
     betas, mode = tuple(sorted(grid.betas)), grid.water_mode
     columns = [(None, "", (0.0,))] + [(p, p.name, betas) for p in grid.products]
@@ -103,16 +104,21 @@ def _sweep(grid: SweepGrid, econ: EconParams, econ_resolver, price) -> tuple[Swe
         except ValueError as exc:
             cells += [failed(plant, name, beta, exc) for _, name, col in columns for beta in col]
             continue
+        storage = pairs = None   # a product column sets up only where the storage column did
         for product, name, col_betas in columns:
             try:
                 column = set_up(plant, plant_econ, product, mode)
             except ValueError as exc:
                 cells += [failed(plant, name, beta, exc) for beta in col_betas]
                 continue
-            for beta in col_betas:
+            if product is None:
+                storage = column
+            elif pairs is None:   # after the first product column's checks
+                pairs = [economics._terms(storage, b)[:2] for b in betas]
+            for beta, pair in zip(col_betas, pairs if product else (None,)):
                 try:
                     cells.append(new(SweepCell, (plant.name, name, beta,
-                                                 price(column, beta), None)))
+                                                 price(column, beta, pair), None)))
                 except ValueError as exc:
                     cells.append(failed(plant, name, beta, exc))
     return tuple(cells)

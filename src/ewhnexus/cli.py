@@ -237,26 +237,27 @@ def _parse_float_list(text: str | None, flag: str) -> tuple[float, ...]:
 
 _OPTIONS = ("config", "command", "format", "out", *_FLAGS, "help")
 _CHOICES = {"command": tuple(COMMANDS), "format": ("table", "csv", "json")}
+_EXACT = {"-h": "help", **{f"--{n}": n for n in _OPTIONS}}   # a flag -> its option
 
 
 def parse_args(argv: Sequence[str] | None = None) -> SimpleNamespace | None:
     """``argv``'s options (default ``sys.argv[1:]``) as argparse read them, typed; None for help.
 
-    A flag by a unique prefix, ``--flag value`` or ``--flag=value``, the last one winning; a
-    value after a space starts with ``-`` only as a negative number.  Misuse is a ConfigError.
+    A flag by name (one ``_EXACT`` lookup) or unique prefix, ``--flag v`` or ``--flag=v``, the last
+    wins; a value after a space starts with ``-`` only as a negative number; misuse is a ConfigError.
     """
     args, tokens = {**dict.fromkeys(_OPTIONS[:-1]), "format": "table"}, iter(   # no help
         sys.argv[1:] if argv is None else argv)
     for token in tokens:
         head, eq, value = token.partition("=")
-        names = ["help"] if head == "-h" else [n for n in _OPTIONS if head == f"--{n}"] or [
-            n for n in _OPTIONS if len(head) > 2 and f"--{n}".startswith(head)]
-        if len(names) != 1 or names == ["help"] and eq:
+        if (name := _EXACT.get(head)) is None:
+            names = [n for n in _OPTIONS if len(head) > 2 and f"--{n}".startswith(head)]
+            name = names[0] if len(names) == 1 else None
+        if name is None or name == "help" and eq:
             raise ConfigError(f"ambiguous option {head}: could be --{', --'.join(names)}"
-                              if names[1:] else f"unrecognized argument {token!r}")
-        if names == ["help"]:
+                              if name is None and names else f"unrecognized argument {token!r}")
+        if name == "help":
             return None
-        name = names[0]
         if not eq and ((value := next(tokens, None)) is None or value[:1] == "-"
                        and not re.match(r"^-\d+$|^-\d*\.\d+$", value)):
             raise ConfigError(f"--{name} expects a value")
@@ -271,7 +272,7 @@ def parse_args(argv: Sequence[str] | None = None) -> SimpleNamespace | None:
         if args[name] is None:
             raise ConfigError(f"--{name} is required")
     for name in ("distances", "flows"):
-        args[name] = _parse_float_list(args[name], f"--{name}")
+        args[name] = () if args[name] is None else _parse_float_list(args[name], f"--{name}")
     return SimpleNamespace(**args)
 
 

@@ -14,9 +14,9 @@ always parses.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from pathlib import Path
 from typing import Any, Mapping
 
 from . import _yaml as yaml
@@ -444,18 +444,20 @@ def load_config_text(text: str) -> LoadedConfig:
     return cfg
 
 
-def load_config(path_or_preset: str | Path) -> LoadedConfig:
+def load_config(path_or_preset: str | os.PathLike) -> LoadedConfig:
     """Load a config file, or a shipped preset by name (e.g. 'paper-2024').
 
-    A file is read on every call, so an edited file reloads, and a shipped preset
+    The path is opened once, as given; a preset is read only where no file of its name
+    exists.  A file is read on every call, so an edited file reloads, and a shipped preset
     once per process; a text already validated returns the same read-only config.
     """
-    path = Path(path_or_preset)
-    if not path.exists() and str(path_or_preset) in PRESETS:
-        return _validated(_preset_text(str(path_or_preset)))
+    path = os.fspath(path_or_preset)
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except FileNotFoundError:
+        if path in PRESETS:
+            return _validated(_preset_text(path))
         raise ConfigError(
             f"config {path_or_preset!r} is neither a file nor a known preset "
             f"({sorted(PRESETS)})") from None
@@ -465,8 +467,8 @@ def load_config(path_or_preset: str | Path) -> LoadedConfig:
 
 
 def paper_2024() -> LoadedConfig:
-    """The shipped calibrated preset (see presets/paper-2024.yaml)."""
-    return load_config("paper-2024")
+    """The shipped calibrated preset (presets/paper-2024.yaml), whatever files there are."""
+    return _validated(_preset_text("paper-2024"))
 
 
 @functools.cache   # a shipped preset does not change while the process runs

@@ -124,18 +124,19 @@ def unset_costs(econ: EconParams, products: tuple, water_mode) -> Iterator[tuple
                    f"no market price ($/ton) configured for product {product.name!r}")
 
 
-def _terms(column: tuple, beta: float) -> tuple[float | None, ...]:
+def _terms(column: tuple, beta: float, storage: tuple | None = None) -> tuple[float | None, ...]:
     """The cost amounts of ``column``'s cell at ``beta`` in ledger order, each unchecked.
 
     (ccss capital, ccss operations, wind capital, electrolyzer capital, water
     capital, water operations, product revenue): capital in [$], flows in
     [$ / day].  A storage column has only the first two, the electrolyzer
     only counts when the policy includes it, and an absent term is None.
+    ``storage``, if given, is the first two, which depend on the plant and ``beta`` alone.
     Each kernel is called through its module, so a rebinding there takes effect.
     """
     plant, econ, product, mode, captured, _ = column
-    cap_ccss = ccss.ccss_capital(beta, plant.cbar_day, econ)
-    op_ccss = ccss.ccss_operational(beta, captured, econ)
+    cap_ccss, op_ccss = storage or (ccss.ccss_capital(beta, plant.cbar_day, econ),
+                                    ccss.ccss_operational(beta, captured, econ))
     if product is None:
         return (cap_ccss, op_ccss, None, None, None, None, None)
     # L/kg times ton/h is m3/h: an hour's flow is k * c, w_max as conversion._reuse_rates
@@ -149,9 +150,9 @@ def _terms(column: tuple, beta: float) -> tuple[float | None, ...]:
             conversion.chemical_revenue(product, captured, beta, econ))
 
 
-def _result(column: tuple, beta: float) -> ScenarioResult:
+def _result(column: tuple, beta: float, storage: tuple | None = None) -> ScenarioResult:
     """The ledger and metrics of ``column``'s cell at ``beta``, from floats ``_daily`` checked."""
-    terms = _terms(column, beta)
+    terms = _terms(column, beta, storage)
     charge, daily, price, penalty, _, _, _ = _daily(terms, column)
     return tuple.__new__(ScenarioResult, (_ledger(_rows(terms, column[5], charge)),
         _quantity(daily, "$/day"), _quantity(price, "$/kWh"), _quantity(penalty, "$/ton")))
@@ -201,9 +202,9 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple:
     return charge, daily, price, penalty, stock, flows, n
 
 
-def _price_row(column: tuple, beta: float) -> tuple[float, ...]:
+def _price_row(column: tuple, beta: float, storage: tuple | None = None) -> tuple[float, ...]:
     """A sweep row's capital, operations and revenue totals and metrics, as ``_result``'s."""
-    _, daily, price, penalty, stock, flows, n = _daily(_terms(column, beta), column)
+    _, daily, price, penalty, stock, flows, n = _daily(_terms(column, beta, storage), column)
     return stock, math.fsum(flows[:n]), math.fsum(flows[n:]), daily, price, penalty
 
 

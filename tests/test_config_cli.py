@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -957,6 +958,31 @@ class TestCli:
         assert err.startswith(f"config error: config {str(path)!r} is not UTF-8 text: ")
         assert "can't decode byte 0xe9" in err
 
+    @pytest.mark.parametrize("name", ["folder", "loop", "missing.yaml", "missing/cfg.yaml"])
+    def test_odd_config_paths_exit_as_their_open_fails(self, tmp_path, name):
+        (tmp_path / "folder").mkdir()
+        os.symlink(tmp_path / "loop", tmp_path / "loop")   # a link to itself
+        path = str(tmp_path / name)
+        status, out, err = self.run_cli("--config", path, "--command", "sweep")
+        if name.startswith("missing"):
+            assert (status, out, err) == (2, "", f"config error: config {path!r} is neither a "
+                                                 f"file nor a known preset (['paper-2024'])\n")
+        else:
+            code = errno.EISDIR if name == "folder" else errno.ELOOP
+            assert (status, out, err) == (4, "", f"i/o error: [Errno {code}] "
+                                                 f"{os.strerror(code)}: {path!r}\n")
+
+    def test_empty_or_slash_ended_config_path_is_opened_as_given(self, tmp_path):
+        # neither is read as a path that pathlib normalised: '' as '.', 'cfg.yaml/' as the file
+        (tmp_path / "cfg.yaml").write_text(PRESET_TEXT)
+        status, out, err = self.run_cli("--config", "", "--command", "sweep")
+        assert (status, out, err) == (2, "", "config error: config '' is neither a file nor a "
+                                             "known preset (['paper-2024'])\n")
+        path = f"{tmp_path / 'cfg.yaml'}/"
+        status, out, err = self.run_cli("--config", path, "--command", "sweep")
+        assert (status, out, err) == (4, "", f"i/o error: [Errno {errno.ENOTDIR}] "
+                                             f"{os.strerror(errno.ENOTDIR)}: {path!r}\n")
+
     def test_failing_curve_cell_keeps_csv_clean_and_reports_on_stderr(self):
         status, out, err = self.run_cli("--config", "paper-2024", "--command", "curve",
                                         "--plant", "biomass", "--distances", "60",
@@ -1438,6 +1464,22 @@ class TestConfigCache:
 
 class TestPresetText:
     """A shipped preset is read once per process; a file is read on every call."""
+
+    @pytest.fixture
+    def preset_named_file(self, tmp_path, monkeypatch):
+        """A working directory holding a file named 'paper-2024' with elec_price 0.5 $/kWh."""
+        data = preset_dict()
+        data["econ"]["elec_price"] = "0.5 $/kWh"
+        (tmp_path / "paper-2024").write_text(yaml.safe_dump(data))
+        monkeypatch.chdir(tmp_path)
+
+    def test_a_file_wins_over_a_preset_of_its_name(self, preset_named_file):
+        assert load_config("paper-2024").econ.elec_price == 0.5
+
+    def test_paper_2024_is_the_shipped_preset_whatever_the_working_directory(
+            self, preset_named_file):
+        assert paper_2024().econ.elec_price == 0.25
+        assert paper_2024() == load_config_text(PRESET_TEXT)
 
     def test_two_loads_read_the_preset_once(self, monkeypatch):
         reads = []

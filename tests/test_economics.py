@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ewhnexus import ccss, conversion, economics, water
 from ewhnexus.analysis import (
-    BreakevenQuery, ReuseAll, SweepGrid, breakeven_distance, penalty_threshold, scenario_sweep,
+    BreakevenQuery, ReuseAll, SweepCell, SweepGrid, breakeven_distance, penalty_threshold,
+    scenario_sweep,
 )
 from ewhnexus.config import ConfigError, paper_2024
 from ewhnexus.conversion import ETHANOL, METHANE, METHANOL
@@ -643,6 +644,53 @@ class TestPriceRowAgainstTheLedger:
         assert outcome(lambda: economics._price_row(column, beta)) == expected
 
 
+class TestSweepAgainstTheCell:
+    """A sweep prices each (plant, beta)'s storage side once for every product; each cell
+    still has the bits and the error of that cell priced alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plants=st.lists(st.sampled_from(SOLAR_PRESET.plants), min_size=1, max_size=3,
+                           unique_by=lambda p: p.name),
+           scale=st.floats(0.5, 2.0),
+           products=st.lists(st.sampled_from(SOLAR_PRESET.products), max_size=3,
+                             unique_by=lambda p: p.name),
+           betas=st.lists(st.sampled_from([1.0, 5e-324]) | st.floats(0.0, 1.0,
+                                                                      exclude_min=True),
+                          min_size=1, max_size=4, unique=True),
+           mode=water_modes, hydrogen=st.booleans(),
+           over=st.sampled_from([{}, {"c_ccs": None}, {"c_sw": None}, {"product_prices": {}}])
+           | st.dictionaries(st.sampled_from(["r_ccs", "c_cts", "elec_price", "c_wind"]),
+                             st.builds(lambda x: 10.0 ** x, st.floats(300.0, 308.2)),
+                             max_size=2))
+    @example(plants=list(SOLAR_PRESET.plants), scale=1.0, products=[METHANE], betas=[0.5, 1.0],
+             mode=Desalination(), hydrogen=False, over={"r_ccs": 1e307})   # the storage side
+    def test_each_cell_is_the_cell_priced_alone(self, plants, scale, products, betas, mode,
+                                                hydrogen, over):
+        plants = [jittered(p, scale, 1.0) for p in plants]
+
+        def cell_econ(plant: PlantSpec) -> EconParams:
+            return replace(SOLAR_PRESET.econ_for(plant), include_hydrogen_capital=hydrogen,
+                           **over)
+
+        cells = scenario_sweep(SweepGrid(plants, products, betas, mode), SOLAR_PRESET.econ,
+                               econ_resolver=cell_econ)
+        alone = []
+        for plant in plants:
+            for product, beta in [(None, 0.0)] + [(p, b) for p in products
+                                                  for b in sorted(betas)]:
+                name = product.name if product else ""
+                try:
+                    alone.append(SweepCell(plant.name, name, beta, total_daily_cost(
+                        ScenarioConfig(plant=plant, econ=cell_econ(plant), beta=beta,
+                                       product=product, water_mode=mode))))
+                except ValueError as exc:
+                    alone.append(SweepCell(plant.name, name, beta, error=(
+                        f"cell ({plant.name}, {name or '-'}, beta={beta:g}): {exc}")))
+        assert repr(cells) == repr(tuple(alone))
+        if over == {"r_ccs": 1e307}:   # every cell's storage side overflows
+            assert all("(capture and transfer operations)" in c.error for c in cells)
+
+
 def fold(terms) -> float:
     """Left-to-right float sum from 0.0, the order the hourly sums are pinned to."""
     total = 0.0
@@ -817,20 +865,31 @@ class TestHotPath:
     ], ids=["desalination", "solar", "transfer"])
     def test_sweep_prices_each_cell_once_and_checks_no_scenario(self, monkeypatch, mode):
         # the grid has checked every input, so no cell builds a ScenarioConfig; each
-        # (plant, product) column and storage row is set up once, and each cell prices its beta
+        # (plant, product) column and storage row is set up once, each cell prices its
+        # beta, and the storage side (the ccss pair) once per (plant, beta), on the storage
+        # column, for the cells of every product at that beta
         grid = SweepGrid(SOLAR_PRESET.plants, SOLAR_PRESET.products, SOLAR_PRESET.sweep_betas,
                          mode)
-        set_up, priced, checked = [], [], []
+        set_up, priced, storage_side, checked = [], [], [], []
         column, terms = economics._column, economics._terms
+        capital, operational = ccss.ccss_capital, ccss.ccss_operational
         post_init = ScenarioConfig.__post_init__
 
         def counting_column(plant, econ, product, *args):
             set_up.append((plant.name, product.name if product is not None else ""))
             return column(plant, econ, product, *args)
 
-        def counting_terms(col, beta):
-            priced.append((col[0].name, beta))
-            return terms(col, beta)
+        def counting_terms(col, beta, storage=None):
+            priced.append((col[0].name, col[2] is not None, beta, storage is not None))
+            return terms(col, beta, storage)
+
+        def counting_capital(beta, cbar_day, econ):
+            storage_side.append(("capital", cbar_day, beta))
+            return capital(beta, cbar_day, econ)
+
+        def counting_operational(beta, captured, econ):
+            storage_side.append(("operations", captured, beta))
+            return operational(beta, captured, econ)
 
         def checking(self):
             checked.append(self)
@@ -838,13 +897,27 @@ class TestHotPath:
 
         monkeypatch.setattr(economics, "_column", counting_column)
         monkeypatch.setattr(economics, "_terms", counting_terms)
+        monkeypatch.setattr(ccss, "ccss_capital", counting_capital)
+        monkeypatch.setattr(ccss, "ccss_operational", counting_operational)
         monkeypatch.setattr(ScenarioConfig, "__post_init__", checking)
         cells = scenario_sweep(grid, SOLAR_PRESET.econ, econ_resolver=SOLAR_PRESET.econ_for)
         assert all(c.error is None for c in cells) and len(cells) == 21
         assert set_up == [(plant.name, product) for plant in grid.plants
                           for product in [""] + [p.name for p in grid.products]]
-        assert priced == [(c.plant, c.beta) for c in cells]
-        assert checked == []
+        betas = sorted(grid.betas)
+        # per plant: the storage cell, the storage column at each beta, then each product cell
+        assert priced == [entry for plant in grid.plants for entry in [
+            (plant.name, False, 0.0, False), *((plant.name, False, b, False) for b in betas),
+            *((plant.name, True, b, True) for _ in grid.products for b in betas)]]
+        assert storage_side == [
+            entry for plant in grid.plants for b in [0.0, *betas] for entry in [
+                ("capital", plant.cbar_day, b), ("operations", ((plant.cbar, 24),), b)]]
+        assert len(storage_side) == 2 * 9 and checked == []
+        # a grid of no product prices no beta but the storage row's
+        storage_side.clear()
+        scenario_sweep(SweepGrid(grid.plants, (), grid.betas, mode), SOLAR_PRESET.econ,
+                       econ_resolver=SOLAR_PRESET.econ_for)
+        assert [b for _, _, b in storage_side] == [0.0, 0.0] * len(grid.plants)
 
     def test_preset_sweep_calibrates_each_plant_once(self):
         cfg = paper_2024()

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,9 @@ def test_every_layer_times_row_runs_once():
                   "breakeven_distance, no crossing", "quantities.add_hourly, 24-hour run",
                   "penalty_threshold, reuse-all", "cli.parse_args",
                   "cli.main penalty --format csv", "cli.main breakeven --format json",
+                  "cli.main penalty --format csv, config file",
+                  "load_config, config file (cached text)",
+                  "scenario_sweep, 102 cells (grid-sweep's shape)",
                   "cli.main scenario --format json",
                   "interpreter start + import ewhnexus.cli",
                   "economics._column, reuse column",
@@ -115,3 +119,90 @@ def test_bench_record_shows_the_ops_each_run_attempted(tmp_path, monkeypatch):
     record = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert [w["attempted"] for w in record["workloads"].values()] == [[1000, 1300], [900, 1200],
                                                                      [1100, 1250]]
+
+
+def replay_line(total_s: float, rss: float, kinds: dict[str, list[float]]) -> str:
+    """A canned last line of ``bench_record.py replay-side``."""
+    return json.dumps({"correct": True, "attempted": sum(map(len, kinds.values())), "failed": 0,
+                       "failures": [], "kinds": kinds,
+                       "metrics": {"total_s": {"value": total_s, "unit": "s"},
+                                   "peak_rss_mb": {"value": rss, "unit": "MiB"}}})
+
+
+def canned_replay(tool, pairs: int = 10) -> list[tuple[str, int, dict]]:
+    """Alternating sides over ``pairs`` seeds: the change's sweeps 10% faster, its
+    breakevens as fast, its totals lower on every seed and its RSS the same."""
+    runs = []
+    for i in range(pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            speed = 0.9 if side == "change" else 1.0
+            kinds = {"sweep/Desalination": [speed * (800 + i) * 1e-6, speed * 820e-6],
+                     "breakeven": [25e-6, (24 + i % 3) * 1e-6]}
+            total = sum(map(sum, kinds.values()))
+            runs.append((side, 100 + i, tool.result_of(replay_line(total, 20.0, kinds))))
+    return runs
+
+
+def test_bench_record_replay_reports_each_kind_and_the_claim_rule_on_canned_lines():
+    tool = load_tool("bench_record")
+    lines = tool.replay_report(canned_replay(tool)).splitlines()
+    assert lines[0].split() == ["kind", "ops", "parent", "median", "[q1,", "q3]", "us", "change",
+                                "median", "[q1,", "q3]", "us", "change", "won"]
+    sweep, breakeven = lines[1].split(), lines[2].split()
+    # pooled over the seeds: 20 ops a side; each seed's median won by the change
+    assert sweep[:2] == ["sweep/Desalination", "20"] and sweep[-2:] == ["-10.0%", "10/10"]
+    assert breakeven[:2] == ["breakeven", "20"] and breakeven[-2:] == ["+0.0%", "0/10"]
+    total, rss = lines[4].split(), lines[5].split()
+    assert total[0] == "total_s" and "10/10" in total and "claim holds" in lines[4]
+    assert rss[0] == "peak_rss_mb" and "0/10" in rss and "no claim" in lines[5]
+    assert lines[-1] == "all 20 runs correct, no op failed"
+    # total time is lower-is-better, bound as ops_per_s, which it inverts at fixed work
+    slower = tool.verdict("total_s", [1.0] * 10, [1.2] * 10)
+    assert (slower["won"], slower["claim"], slower["past_bound"]) == (0, False, True)
+
+
+def test_bench_record_replay_runs_both_trees_and_writes_no_file(monkeypatch, capsys):
+    tool = load_tool("bench_record")
+    canned = {(side, seed): r for side, seed, r in canned_replay(tool, 2)}
+    sides = []
+
+    def run_replay(tree, workload, seed, ops):
+        side = "change" if tree == tool.ROOT else "parent"
+        assert (tree / "src" / "ewhnexus" / "cli.py").is_file() and (workload, ops) == (
+            "grid-sweep", 7)
+        sides.append((side, seed))
+        return canned[side, seed]
+
+    monkeypatch.setattr(tool, "run_replay", run_replay)
+    before = sorted(tool.ROOT.iterdir())
+    assert tool.main(["replay", "--parent", "HEAD", "--workload", "grid-sweep",
+                      "--seeds", "100-101", "--ops", "7"]) == 0
+    assert sorted(tool.ROOT.iterdir()) == before
+    assert sides == [("parent", 100), ("change", 100), ("change", 101), ("parent", 101)]
+    out = capsys.readouterr().out
+    assert out.startswith("# grid-sweep replay: 2 alternating pairs of 7 ops after 50 warm-up")
+    with pytest.raises(SystemExit, match="seeds \\[701\\] are listed in"):
+        tool.main(["replay", "--parent", "HEAD", "--workload", "grid-sweep", "--seeds", "701",
+                   "--ops", "7"])
+
+
+@pytest.mark.parametrize("workload", ["grid-sweep", "water-breakeven", "cli-batch"])
+def test_two_draws_from_one_seed_give_the_same_op_kinds(workload, tmp_path, monkeypatch):
+    tool = load_tool("bench_record")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    kinds = []
+    for i in range(2):
+        (tmp_path / str(i)).mkdir()
+        wl = tool.load_workload(ROOT, workload, 4, tmp_path / str(i))
+        kinds.append([tool.op_kind(wl.draw()) for _ in range(60)])
+    assert kinds[0] == kinds[1] and len(set(kinds[0])) > 1
+
+
+def test_a_replay_side_times_checks_and_counts_its_ops(monkeypatch):
+    tool = load_tool("bench_record")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    result = tool.replay_side(ROOT, "water-breakeven", 4, 12)
+    assert (result["correct"], result["attempted"], result["failed"]) == (True, 12, 0)
+    assert set(result["kinds"]) <= {"breakeven", "curve"}
+    assert sum(map(len, result["kinds"].values())) == 12
+    assert result["metrics"]["total_s"]["value"] == sum(map(sum, result["kinds"].values()))

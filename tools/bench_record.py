@@ -3,6 +3,8 @@
 Run from the repository root:
 
     python tools/bench_record.py compare --parent REV --workload grid-sweep --seeds 101-110
+    python tools/bench_record.py replay --parent REV --workload grid-sweep --seeds 101-110 \
+        --ops 1500
     python tools/bench_record.py record --pr N [--seeds 1-5]
 
 Every run lasts ``BENCHMARK.json``'s ``run_seconds`` (T).  ``compare`` unpacks
@@ -18,8 +20,21 @@ than the parent's IQR, the change on the better side.  Under the table come
 both sides' median and quartiles of the ops a run attempted, with which a metric
 that follows the op count, such as ``peak_rss_mb``, moves.  A median more than
 10% worse than the parent's is flagged SLOWER, and one past its
-``BENCHMARK.json`` bound too.  A seed that a committed ``BENCH_*.json`` lists
-is refused, so a claim is made on seeds no record was tuned on.
+``BENCHMARK.json`` bound too.  ``compare`` and ``replay`` refuse a seed that a
+committed ``BENCH_*.json`` lists, so a claim is made on seeds no record was
+tuned on.
+
+``replay`` measures at fixed work instead of for T.  Per listed seed it runs
+REV's tree and this one in fresh interpreters, alternating as ``compare`` does;
+each side imports its own tree's ``src/`` and ``bench/workloads.py``, draws the
+seed's ops, runs ``REPLAY_WARMUP`` of them untimed and then times, checks and
+drops each of the next N, so its memory does not grow with N.  Both sides run
+the same N ops.  It prints each op kind's median and quartiles of per-op time
+on both sides, pooled over the seeds, with the seeds whose median the change
+won (the kind is the sweep's water mode, breakeven or curve, the CLI's command
+and format, or round trip), then the claim rule over the per-seed totals of
+timed seconds (``total_s``, bound by ``ops_per_s``'s, which it inverts at fixed
+work) and over the peak RSS, by ``resource.getrusage``.  It writes no file.
 
 ``record`` runs every workload over the seeds on this checkout and writes
 ``BENCH_<N>.json`` at the repository root: per workload and metric the
@@ -33,21 +48,26 @@ git head, Python and CPU model.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 METRICS = {m["name"]: m for m in SPEC["end_to_end"]}   # name -> unit, better, bound
+RULES = {**METRICS, "total_s": {**METRICS["ops_per_s"], "unit": "s", "better": "lower"}}
 SECONDS = SPEC["run_seconds"]   # the one run length, for a claim and a record alike
 MIN_PAIRS, MIN_WON, SLOWER = 10, 0.9, 0.10
+REPLAY_WARMUP = 50   # untimed ops a replay runs first, drawn from the seed's stream
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -81,7 +101,7 @@ def verdict(metric: str, parent: list[float], change: list[float]) -> dict:
     being (parent[i], change[i])."""
     if len(parent) != len(change) or not parent:
         raise ValueError("a comparison needs as many parent as change runs, at least one")
-    lower = METRICS[metric]["better"] == "lower"
+    lower = RULES[metric]["better"] == "lower"
     p, c = summary(parent), summary(change)
     won = sum((b < a) if lower else (b > a) for a, b in zip(parent, change))   # ties: neither
     gain = (p["median"] - c["median"]) if lower else (c["median"] - p["median"])
@@ -90,7 +110,7 @@ def verdict(metric: str, parent: list[float], change: list[float]) -> dict:
     return {"metric": metric, "parent": p, "change": c, "pairs": len(parent), "won": won,
             "parent_iqr": iqr, "relative_change": (c["median"] - p["median"]) / p["median"],
             "claim": len(parent) >= MIN_PAIRS and won >= MIN_WON * len(parent) and gain > iqr,
-            "slower": worse > SLOWER, "past_bound": worse > METRICS[metric]["bound"]}
+            "slower": worse > SLOWER, "past_bound": worse > RULES[metric]["bound"]}
 
 
 def report(verdicts: list[dict], runs: list[tuple[str, int, dict]]) -> str:
@@ -144,12 +164,21 @@ def git(*args: str) -> str:
                           check=True).stdout
 
 
-def compare(args: argparse.Namespace) -> int:
+def fresh_seeds(args: argparse.Namespace) -> list[int]:
+    """``args.seeds``, or exit naming those a committed record lists."""
     seeds = parse_seeds(args.seeds)
     listed = recorded_seeds()
     if used := [s for s in seeds if s in listed]:
-        sys.exit(f"compare: seeds {used} are listed in {sorted({listed[s] for s in used})}; "
-                 f"a claim runs on seeds no committed record lists")
+        sys.exit(f"{args.command}: seeds {used} are listed in "
+                 f"{sorted({listed[s] for s in used})}; a claim runs on seeds no committed "
+                 f"record lists")
+    return seeds
+
+
+def paired_runs(args: argparse.Namespace, run) -> list[tuple[str, int, dict]]:
+    """(side, seed, ``run(tree, seed)``) of the alternating pairs over ``args.seeds``: the
+    parent first on even pairs, its tree unpacked from ``args.parent`` by ``git archive``."""
+    seeds = fresh_seeds(args)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         archive = subprocess.run(["git", "archive", "--format=tar", args.parent], cwd=ROOT,
                                  capture_output=True, check=True).stdout
@@ -159,16 +188,119 @@ def compare(args: argparse.Namespace) -> int:
         runs: list[tuple[str, int, dict]] = []
         for i, seed in enumerate(seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result = run_bench(trees[side], args.workload, seed)
+                result = run(trees[side], seed)
                 runs.append((side, seed, result))
                 print(f"# pair {i + 1}/{len(seeds)} {side:<6} seed {seed}: {values(result)}",
                       file=sys.stderr, flush=True)
-    print(f"# {args.workload}: {len(seeds)} alternating pairs of {SECONDS:g} s, seeds "
+    return runs
+
+
+def compare(args: argparse.Namespace) -> int:
+    runs = paired_runs(args, lambda tree, seed: run_bench(tree, args.workload, seed))
+    print(f"# {args.workload}: {len(runs) // 2} alternating pairs of {SECONDS:g} s, seeds "
           f"{args.seeds}, parent {args.parent} against the working tree")
     side_values = {side: {m: [r["metrics"][m]["value"] for s, _, r in runs if s == side]
                           for m in METRICS} for side in ("parent", "change")}
     sys.stdout.write(report([verdict(m, side_values["parent"][m], side_values["change"][m])
                              for m in METRICS], runs))
+    return 0
+
+
+def op_kind(op) -> str:
+    """The kind of a drawn ``bench/workloads.py`` op that a replay reports on its own row."""
+    name = type(op).__name__
+    if name == "SweepOp":
+        return f"sweep/{type(op.mode).__name__}"
+    if name == "CliOp":
+        return f"{op.command}/{op.fmt}"
+    return {"BreakevenOp": "breakeven", "CurveOp": "curve", "RoundTripOp": "round trip"}[name]
+
+
+def load_workload(tree: Path, workload: str, seed: int, work_dir: Path):
+    """``tree``'s workload ``workload`` for ``seed``, generated and set up, on ``tree``'s
+    ewhnexus, which must be the package this process imports."""
+    sys.path.insert(0, str(tree / "src"))
+    import ewhnexus
+    if Path(ewhnexus.__file__).resolve().parent != (tree / "src" / "ewhnexus").resolve():
+        sys.exit(f"replay: imported ewhnexus from {ewhnexus.__file__}, not from {tree}")
+    spec = importlib.util.spec_from_file_location("workloads", tree / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    wl = module.WORKLOADS[workload](ewhnexus, seed, work_dir)
+    wl.generate()
+    wl.setup()
+    return wl
+
+
+def replay_side(tree: Path, workload: str, seed: int, ops: int) -> dict:
+    """One side of a replay, in this interpreter: per-op seconds by kind of ``ops`` checked
+    ops after ``REPLAY_WARMUP``, as a result object of ``bench/run.py``'s shape."""
+    by_kind: dict[str, list[float]] = {}
+    failures: list[str] = []
+    with tempfile.TemporaryDirectory(prefix="bench-replay-") as work_dir:
+        wl = load_workload(tree, workload, seed, Path(work_dir))
+        for i in range(REPLAY_WARMUP + ops):
+            op, error = wl.draw(), None
+            t0 = time.perf_counter()
+            try:
+                outcome = op.run()
+            except Exception as exc:   # a failed op, as in bench/run.py; the replay goes on
+                error = exc
+            elapsed = time.perf_counter() - t0
+            try:
+                if error is not None:
+                    raise error
+                op.check(outcome)
+            except Exception as exc:   # check failures and unexpected raises alike
+                failures.append(f"{op_kind(op)}: {exc}")
+            if i >= REPLAY_WARMUP:
+                by_kind.setdefault(op_kind(op), []).append(elapsed)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"correct": not failures, "attempted": ops, "failed": len(failures),
+            "failures": failures[:5], "kinds": by_kind,
+            "metrics": {"total_s": {"value": sum(map(sum, by_kind.values())), "unit": "s"},
+                        "peak_rss_mb": {"value": peak, "unit": "MiB"}}}
+
+
+def run_replay(tree: Path, workload: str, seed: int, ops: int) -> dict:
+    """``replay_side`` on ``tree`` in a fresh interpreter; its result object."""
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "replay-side",
+                           str(tree), workload, str(seed), str(ops)],
+                          capture_output=True, text=True, check=True)
+    return result_of(proc.stdout)
+
+
+def replay_report(runs: list[tuple[str, int, dict]]) -> str:
+    """Per op kind, both sides' median and quartiles of per-op time [us] pooled over the
+    seeds and the seeds whose median the change won; then ``report`` on the totals."""
+    kinds = list(dict.fromkeys(k for _, _, r in runs for k in r["kinds"]))
+    seeds = list(dict.fromkeys(seed for _, seed, _ in runs))
+    sides = {(side, seed): r["kinds"] for side, seed, r in runs}
+    def cell(side: dict) -> str:
+        return f"{side['median']:.1f} [{side['q1']:.1f}, {side['q3']:.1f}]"
+
+    lines = [f"{'kind':<22} {'ops':>6} {'parent median [q1, q3] us':<29} "
+             f"{'change median [q1, q3] us':<29} {'change':>7} {'won':>6}"]
+    for kind in kinds:   # each seed draws the same ops on both sides
+        p, c = (summary([1e6 * t for seed in seeds for t in sides[side, seed].get(kind, ())])
+                for side in ("parent", "change"))
+        won = sum(statistics.median(sides["change", seed][kind])
+                  < statistics.median(sides["parent", seed][kind])
+                  for seed in seeds if kind in sides["parent", seed])
+        lines.append(f"{kind:<22} {p['n']:>6} {cell(p):<29} {cell(c):<29} "
+                     f"{100 * (c['median'] / p['median'] - 1):>+6.1f}% {won:>3}/{len(seeds):<2}")
+    verdicts = [verdict(m, *([r["metrics"][m]["value"] for s, _, r in runs if s == side]
+                             for side in ("parent", "change")))
+                for m in ("total_s", "peak_rss_mb")]
+    return "\n".join(lines) + "\n" + report(verdicts, runs)
+
+
+def replay(args: argparse.Namespace) -> int:
+    runs = paired_runs(args, lambda tree, seed: run_replay(tree, args.workload, seed, args.ops))
+    print(f"# {args.workload} replay: {len(runs) // 2} alternating pairs of {args.ops} ops "
+          f"after {REPLAY_WARMUP} warm-up, seeds {args.seeds}, parent {args.parent} against "
+          f"the working tree")
+    sys.stdout.write(replay_report(runs))
     return 0
 
 
@@ -213,11 +345,24 @@ def main(argv: list[str] | None = None) -> int:
     cmp.add_argument("--parent", required=True, help="git revision of the parent")
     cmp.add_argument("--workload", required=True, choices=[w["name"] for w in SPEC["workloads"]])
     cmp.add_argument("--seeds", required=True, help="one pair per seed, e.g. 101-110 or 3,5,8")
+    rep = commands.add_parser("replay", help="alternating parent/change pairs at fixed work")
+    rep.add_argument("--parent", required=True, help="git revision of the parent")
+    rep.add_argument("--workload", required=True, choices=[w["name"] for w in SPEC["workloads"]])
+    rep.add_argument("--seeds", required=True, help="one pair per seed, e.g. 101-110 or 3,5,8")
+    rep.add_argument("--ops", type=int, required=True, help="timed ops per run")
+    side = commands.add_parser("replay-side", help="one side of a replay, run by replay")
+    side.add_argument("tree", type=Path)
+    side.add_argument("workload")
+    side.add_argument("seed", type=int)
+    side.add_argument("ops", type=int)
     rec = commands.add_parser("record", help="write BENCH_<pr>.json for this checkout")
     rec.add_argument("--pr", type=int, required=True)
     rec.add_argument("--seeds", default="1-5")
     args = parser.parse_args(argv)
-    return compare(args) if args.command == "compare" else record(args)
+    if args.command == "replay-side":
+        print(json.dumps(replay_side(args.tree, args.workload, args.seed, args.ops)))
+        return 0
+    return {"compare": compare, "replay": replay, "record": record}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -10,12 +10,15 @@ microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
 construction and conversion, each cost term and the hourly fold they share,
 ``quantities.add_hourly``, on one 24-hour run, the cell assembly, a reuse
 column's set-up and unset-cost checks (``economics._column``) and the priced
-cell's result (``economics._result``) of one column, a sweep, a break-even
-solve, config load and dump, a fresh interpreter's import of the package and of
+cell's result (``economics._result``) of one column, the preset's sweep and
+one of grid-sweep's shape (3 plants x 3 products x 11 betas, 102 cells), a
+break-even solve, config load (of the preset and of a config file, whose text
+is read on every call) and dump, a fresh interpreter's import of the package and of
 its CLI) and the CLI's path: ``cli.parse_args`` on a penalty call's flags, the
 row pricer ``economics._price_row`` of a reuse and a storage column, each
 renderer, ``cli.main`` on a penalty, break-even and scenario call (where parsing
-was the largest share), on a sweep in each format, on a CSV sweep of the preset
+was the largest share), on a penalty call that reads a config file, as most
+cli-batch ops do, on a sweep in each format, on a CSV sweep of the preset
 in 150 km transfer and in solar-seawater mode (config files written to a
 temporary folder), and on the scorecard and ``decide``, which no benchmark
 workload runs.  The break-even rows time a solve with a root and one whose
@@ -74,6 +77,10 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
     reuse_column = economics._column(plant, econ, product, cfg.water_mode)
     storage_column = economics._column(plant, econ, None, cfg.water_mode)
     folder = tempfile.TemporaryDirectory()   # the mode configs; kept by the calls that read them
+    preset_file = Path(folder.name) / "preset.yaml"
+    preset_file.write_text(text, encoding="utf-8")
+    grid = analysis.SweepGrid(cfg.plants, cfg.products, tuple((i + 1) / 11 for i in range(11)),
+                              cfg.water_mode)
     # a cli-batch penalty call's flags
     argv = ["--config", "paper-2024", "--command", "penalty", "--format", "csv",
             "--plant", "coal", "--product", "methanol"]
@@ -101,8 +108,10 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         """``cli.main sweep --format csv`` on ``variant``, dumped to a file in ``folder``."""
         path = Path(folder.name) / f"{name}.yaml"
         path.write_text(config.dump_config(variant), encoding="utf-8")
-        call = cli_main("csv", source=str(path))
-        call.folder = folder   # the file lives as long as the call
+        return kept(cli_main("csv", source=str(path)))
+
+    def kept(call: Callable[[], object]) -> Callable[[], object]:
+        call.folder = folder   # a file in the folder lives as long as a call that reads it
         return call
 
     return [
@@ -132,12 +141,16 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("economics._result, reuse column", lambda: economics._result(reuse_column, 1.0)),
         ("economics._result, storage column", lambda: economics._result(storage_column, 0.0)),
         (f"LoadedConfig.sweep, {len(cells)} cells", cfg.sweep),
+        ("scenario_sweep, 102 cells (grid-sweep's shape)",
+         lambda: analysis.scenario_sweep(grid, cfg.econ, econ_resolver=cfg.econ_for)),
         ("breakeven_distance", lambda: analysis.breakeven_distance(query, econ)),
         ("breakeven_distance, no crossing", no_crossing),
         ("penalty_threshold, reuse-all",
          lambda: analysis.penalty_threshold(plant, reuse_all, econ, cfg.water_mode)),
         ("load_config_text (parse and validate)", lambda: config.load_config_text(text)),
         ("load_config (cached)", lambda: config.load_config("paper-2024")),
+        ("load_config, config file (cached text)",
+         kept(lambda: config.load_config(preset_file))),
         ("dump_config", lambda: config.dump_config(cfg)),
         ("economics._price_row, reuse column", lambda: economics._price_row(reuse_column, 1.0)),
         ("economics._price_row, storage column",
@@ -151,6 +164,9 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("cli.parse_args", lambda: cli.parse_args(argv)),
         ("cli.main penalty --format csv",
          cli_main("csv", "penalty", "--plant", "coal", "--product", "methanol")),
+        ("cli.main penalty --format csv, config file",
+         kept(cli_main("csv", "penalty", "--plant", "coal", "--product", "methanol",
+                       source=str(preset_file)))),
         ("cli.main breakeven --format json", cli_main("json", "breakeven", "--plant", "coal")),
         ("cli.main scenario --format json",
          cli_main("json", "scenario", "--plant", "coal", "--product", "methanol",
