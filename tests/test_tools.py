@@ -121,10 +121,10 @@ def test_bench_record_shows_the_ops_each_run_attempted(tmp_path, monkeypatch):
                                                                      [1100, 1250]]
 
 
-def replay_line(total_s: float, rss: float, kinds: dict[str, list[float]]) -> str:
-    """A canned last line of ``bench_record.py replay-side``."""
+def replay_line(tool, total_s: float, rss: float, kinds: dict[str, list[float]]) -> str:
+    """A canned last line of ``bench_record.py replay-side``, with ``kinds``' per-op times."""
     return json.dumps({"correct": True, "attempted": sum(map(len, kinds.values())), "failed": 0,
-                       "failures": [], "kinds": kinds,
+                       "kinds": {k: tool.summary(v) for k, v in kinds.items()},
                        "metrics": {"total_s": {"value": total_s, "unit": "s"},
                                    "peak_rss_mb": {"value": rss, "unit": "MiB"}}})
 
@@ -136,10 +136,10 @@ def canned_replay(tool, pairs: int = 10) -> list[tuple[str, int, dict]]:
     for i in range(pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             speed = 0.9 if side == "change" else 1.0
-            kinds = {"sweep/Desalination": [speed * (800 + i) * 1e-6, speed * 820e-6],
-                     "breakeven": [25e-6, (24 + i % 3) * 1e-6]}
-            total = sum(map(sum, kinds.values()))
-            runs.append((side, 100 + i, tool.result_of(replay_line(total, 20.0, kinds))))
+            kinds = {"sweep/Desalination": [speed * (800 + i), speed * 820],
+                     "breakeven": [25, 24 + i % 3]}
+            total = 1e-6 * sum(map(sum, kinds.values()))
+            runs.append((side, 100 + i, tool.result_of(replay_line(tool, total, 20.0, kinds))))
     return runs
 
 
@@ -148,10 +148,12 @@ def test_bench_record_replay_reports_each_kind_and_the_claim_rule_on_canned_line
     lines = tool.replay_report(canned_replay(tool)).splitlines()
     assert lines[0].split() == ["kind", "ops", "parent", "median", "[q1,", "q3]", "us", "change",
                                 "median", "[q1,", "q3]", "us", "change", "won"]
-    sweep, breakeven = lines[1].split(), lines[2].split()
-    # pooled over the seeds: 20 ops a side; each seed's median won by the change
-    assert sweep[:2] == ["sweep/Desalination", "20"] and sweep[-2:] == ["-10.0%", "10/10"]
-    assert breakeven[:2] == ["breakeven", "20"] and breakeven[-2:] == ["+0.0%", "0/10"]
+    # 20 ops a side; the seeds' median of each seed's median [q1, q3] (seed i's parent sweeps
+    # [800 + i, 820] have median 810 + i/2, q1 805 + 3i/4, q3 815 + i/4); the seeds won
+    assert lines[1].split() == ["sweep/Desalination", "20", "812.2", "[808.4,", "816.1]", "731.0",
+                                "[727.5,", "734.5]", "-10.0%", "10/10"]
+    assert lines[2].split() == ["breakeven", "20", "25.0", "[25.0,", "25.0]", "25.0", "[25.0,",
+                                "25.0]", "+0.0%", "0/10"]
     total, rss = lines[4].split(), lines[5].split()
     assert total[0] == "total_s" and "10/10" in total and "claim holds" in lines[4]
     assert rss[0] == "peak_rss_mb" and "0/10" in rss and "no claim" in lines[5]
@@ -204,5 +206,6 @@ def test_a_replay_side_times_checks_and_counts_its_ops(monkeypatch):
     result = tool.replay_side(ROOT, "water-breakeven", 4, 12)
     assert (result["correct"], result["attempted"], result["failed"]) == (True, 12, 0)
     assert set(result["kinds"]) <= {"breakeven", "curve"}
-    assert sum(map(len, result["kinds"].values())) == 12
-    assert result["metrics"]["total_s"]["value"] == sum(map(sum, result["kinds"].values()))
+    assert sum(k["n"] for k in result["kinds"].values()) == 12
+    assert all(0 < k["q1"] <= k["median"] <= k["q3"] for k in result["kinds"].values())
+    assert result["metrics"]["total_s"]["value"] > 0

@@ -29,12 +29,13 @@ REV's tree and this one in fresh interpreters, alternating as ``compare`` does;
 each side imports its own tree's ``src/`` and ``bench/workloads.py``, draws the
 seed's ops, runs ``REPLAY_WARMUP`` of them untimed and then times, checks and
 drops each of the next N, so its memory does not grow with N.  Both sides run
-the same N ops.  It prints each op kind's median and quartiles of per-op time
-on both sides, pooled over the seeds, with the seeds whose median the change
-won (the kind is the sweep's water mode, breakeven or curve, the CLI's command
-and format, or round trip), then the claim rule over the per-seed totals of
-timed seconds (``total_s``, bound by ``ops_per_s``'s, which it inverts at fixed
-work) and over the peak RSS, by ``resource.getrusage``.  It writes no file.
+the same N ops.  It prints, per op kind (the sweep's water mode, breakeven or
+curve, the CLI's command and format, or round trip) and side, the ops and the
+median over the seeds of each seed's median and quartiles of per-op time, with
+the seeds whose median the change won, then the claim rule over the per-seed
+totals of timed seconds (``total_s``, bound by ``ops_per_s``'s, which it inverts
+at fixed work) and over the peak RSS, by ``resource.getrusage``.  It writes no
+file.
 
 ``record`` runs every workload over the seeds on this checkout and writes
 ``BENCH_<N>.json`` at the repository root: per workload and metric the
@@ -233,10 +234,13 @@ def load_workload(tree: Path, workload: str, seed: int, work_dir: Path):
 
 
 def replay_side(tree: Path, workload: str, seed: int, ops: int) -> dict:
-    """One side of a replay, in this interpreter: per-op seconds by kind of ``ops`` checked
-    ops after ``REPLAY_WARMUP``, as a result object of ``bench/run.py``'s shape."""
+    """One side of a replay, in this interpreter: each kind's ``summary`` of per-op time [us]
+    of ``ops`` checked ops after ``REPLAY_WARMUP``, as a result of ``bench/run.py``'s shape.
+
+    Only summaries leave the process: a child's ``ru_maxrss`` starts at its parent's peak
+    RSS (Linux keeps it across ``execve``), so ``replay`` must not grow with the op count."""
     by_kind: dict[str, list[float]] = {}
-    failures: list[str] = []
+    failures = 0
     with tempfile.TemporaryDirectory(prefix="bench-replay-") as work_dir:
         wl = load_workload(tree, workload, seed, Path(work_dir))
         for i in range(REPLAY_WARMUP + ops):
@@ -251,13 +255,13 @@ def replay_side(tree: Path, workload: str, seed: int, ops: int) -> dict:
                 if error is not None:
                     raise error
                 op.check(outcome)
-            except Exception as exc:   # check failures and unexpected raises alike
-                failures.append(f"{op_kind(op)}: {exc}")
+            except Exception:   # check failures and unexpected raises alike
+                failures += 1
             if i >= REPLAY_WARMUP:
                 by_kind.setdefault(op_kind(op), []).append(elapsed)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return {"correct": not failures, "attempted": ops, "failed": len(failures),
-            "failures": failures[:5], "kinds": by_kind,
+    return {"correct": not failures, "attempted": ops, "failed": failures,
+            "kinds": {k: summary([1e6 * t for t in times]) for k, times in by_kind.items()},
             "metrics": {"total_s": {"value": sum(map(sum, by_kind.values())), "unit": "s"},
                         "peak_rss_mb": {"value": peak, "unit": "MiB"}}}
 
@@ -271,24 +275,27 @@ def run_replay(tree: Path, workload: str, seed: int, ops: int) -> dict:
 
 
 def replay_report(runs: list[tuple[str, int, dict]]) -> str:
-    """Per op kind, both sides' median and quartiles of per-op time [us] pooled over the
-    seeds and the seeds whose median the change won; then ``report`` on the totals."""
+    """Per op kind, each side's ops and the median over the seeds of each seed's median and
+    quartiles of per-op time [us], and the seeds whose median the change won; then
+    ``report`` on the per-seed totals."""
     kinds = list(dict.fromkeys(k for _, _, r in runs for k in r["kinds"]))
     seeds = list(dict.fromkeys(seed for _, seed, _ in runs))
     sides = {(side, seed): r["kinds"] for side, seed, r in runs}
+
     def cell(side: dict) -> str:
         return f"{side['median']:.1f} [{side['q1']:.1f}, {side['q3']:.1f}]"
 
     lines = [f"{'kind':<22} {'ops':>6} {'parent median [q1, q3] us':<29} "
              f"{'change median [q1, q3] us':<29} {'change':>7} {'won':>6}"]
     for kind in kinds:   # each seed draws the same ops on both sides
-        p, c = (summary([1e6 * t for seed in seeds for t in sides[side, seed].get(kind, ())])
-                for side in ("parent", "change"))
-        won = sum(statistics.median(sides["change", seed][kind])
-                  < statistics.median(sides["parent", seed][kind])
-                  for seed in seeds if kind in sides["parent", seed])
+        per_seed = [seed for seed in seeds if kind in sides["parent", seed]]
+        p, c = ({"n": sum(sides[side, seed][kind]["n"] for seed in per_seed),
+                 **{stat: statistics.median(sides[side, seed][kind][stat] for seed in per_seed)
+                    for stat in ("median", "q1", "q3")}} for side in ("parent", "change"))
+        won = sum(sides["change", seed][kind]["median"] < sides["parent", seed][kind]["median"]
+                  for seed in per_seed)
         lines.append(f"{kind:<22} {p['n']:>6} {cell(p):<29} {cell(c):<29} "
-                     f"{100 * (c['median'] / p['median'] - 1):>+6.1f}% {won:>3}/{len(seeds):<2}")
+                     f"{100 * (c['median'] / p['median'] - 1):>+6.1f}% {won:>3}/{len(per_seed):<2}")
     verdicts = [verdict(m, *([r["metrics"][m]["value"] for s, _, r in runs if s == side]
                              for side in ("parent", "change")))
                 for m in ("total_s", "peak_rss_mb")]

@@ -76,7 +76,7 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
                                                    "--command", "sweep"]), cfg)
     reuse_column = economics._column(plant, econ, product, cfg.water_mode)
     storage_column = economics._column(plant, econ, None, cfg.water_mode)
-    folder = tempfile.TemporaryDirectory()   # the mode configs; kept by the calls that read them
+    folder = tempfile.TemporaryDirectory()   # config files; kept by the calls that read them
     preset_file = Path(folder.name) / "preset.yaml"
     preset_file.write_text(text, encoding="utf-8")
     grid = analysis.SweepGrid(cfg.plants, cfg.products, tuple((i + 1) / 11 for i in range(11)),
