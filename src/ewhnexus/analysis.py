@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import economics, water
 from .conversion import ProductSpec, _reuse_rates, nexus_rates
-from .quantities import HOURS_PER_DAY, DomainError, EconParams, PlantSpec, Quantity, check_beta
+from .quantities import (HOURS_PER_DAY, DomainError, EconParams, PlantSpec, Quantity,
+                         check_beta, check_number)
 
 if TYPE_CHECKING:
     from .config import LoadedConfig
@@ -134,6 +135,8 @@ class BreakevenQuery:
 
     def __post_init__(self):
         lo, hi = self.distance_bounds
+        check_number("d_lo", lo)
+        check_number("d_hi", hi)
         object.__setattr__(self, "distance_bounds", (float(lo), float(hi)))
         if not lo < hi:
             raise DomainError("distance bounds must satisfy d_lo < d_hi")

@@ -91,10 +91,10 @@ class Calibration:
     def __post_init__(self):
         check_map("r_w_per_100km", self.r_w_per_100km)
         object.__setattr__(self, "r_w_per_100km", FrozenMap(self.r_w_per_100km))
-        for name, value in [("ccs_capital_total", self.ccs_capital_total)] + [
-                (f"r_w_per_100km[{k}]", v) for k, v in self.r_w_per_100km.items()]:
-            if value is not None:
-                check_nonneg(name, value)
+        if self.ccs_capital_total is not None:
+            check_nonneg("ccs_capital_total", self.ccs_capital_total)
+        for k, v in self.r_w_per_100km.items():
+            check_nonneg(f"r_w_per_100km[{k}]", v)
 
     def apply(self, econ: EconParams, plant: PlantSpec) -> EconParams:
         """``econ`` calibrated for ``plant``, checked by ``EconParams`` itself."""

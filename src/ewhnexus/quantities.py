@@ -127,8 +127,7 @@ class Quantity:
     def __post_init__(self):
         _unit_entry(self.unit)  # validates the unit name
         object.__setattr__(self, "unit", _normalize(self.unit))
-        if not isinstance(self.magnitude, (int, float)) or isinstance(self.magnitude, bool):
-            raise UnitError(f"magnitude must be a real number, got {self.magnitude!r}")
+        check_number("magnitude", self.magnitude)
         object.__setattr__(self, "magnitude", float(self.magnitude))
         if not math.isfinite(self.magnitude):
             raise UnitError(f"magnitude must be finite, got {self.magnitude!r}")
@@ -180,18 +179,25 @@ class FrozenMap(Mapping):
 
 
 def _field_value(quantity: Quantity, unit: str, rule: str) -> float:
-    """``quantity`` in ``unit``; a unit of another dimension is reported as breaking ``rule``."""
+    """``quantity`` in ``unit``; a non-quantity or a unit of another dimension breaks ``rule``."""
+    if not isinstance(quantity, Quantity):
+        raise UnitError(f"{rule}, got {quantity!r}")
     try:
         return quantity.value_in(unit)
     except UnitError:
         raise UnitError(f"{rule}, got {quantity.unit!r}") from None
 
 
+def check_number(name: str, value: object) -> None:
+    """The one number rule: the named parameter's value is an int or a float, never a bool."""
+    if type(value) is bool or not isinstance(value, (int, float)):   # bool has no subclasses
+        raise DomainError(f"{name} must be a number, got {value!r}")
+
+
 def check_beta(beta: float) -> None:
-    """Reject a reuse fraction that is not a number, a bool, or one outside [0, 1]."""
-    if not isinstance(beta, (int, float)):   # a string, list or None
-        raise DomainError(f"reuse fraction must be a number, got {beta!r}")
-    if type(beta) is bool or not 0.0 <= beta <= 1.0:   # bool has no subclasses
+    """Reject a reuse fraction that is not a number, or one outside [0, 1]."""
+    check_number("reuse fraction", beta)
+    if not 0.0 <= beta <= 1.0:
         raise DomainError(f"reuse fraction must lie in [0, 1], got {beta!r}")
 
 
@@ -235,7 +241,8 @@ def check_map(name: str, value: object) -> None:
 
 
 def check_nonneg(name: str, value: float) -> None:
-    """Reject a non-finite or negative value of the named parameter."""
+    """Reject a value of the named parameter that is not a number, not finite, or negative."""
+    check_number(name, value)
     if not math.isfinite(value) or value < 0:
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
@@ -270,12 +277,13 @@ def add_hourly(total: float, amount: float, hours: int) -> float:
     return total
 
 
-# EconParams fields that must be finite and >= 0, in the order __post_init__
-# checks them; the optional ones may also be None
-_NONNEG_FIELDS = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
-                  "c_we", "xi_p", "r_w_per_100km", "interest_rate")
+# EconParams' scalar numbers in field order: the fractions lie in (0, 1], the optional
+# costs may be None, every other one (and each e_des entry and price) is finite and >= 0
+_FRACTIONS = ("wind_capacity_factor", "eta_pump")
 _OPTIONAL_FIELDS = ("c_ccs", "c_sw")
-_NUMBER_FIELDS = _NONNEG_FIELDS + _OPTIONAL_FIELDS + ("wind_capacity_factor", "eta_pump")
+_NUMBER_FIELDS = ("elec_price", "r_cts", "r_ccs", "c_cts", "c_wind", "c_des", "c_tw",
+                  *_FRACTIONS, *_OPTIONAL_FIELDS, "c_we", "xi_p", "r_w_per_100km",
+                  "interest_rate")
 
 
 @dataclass(frozen=True)
@@ -311,14 +319,15 @@ class EconParams:
 
     def __post_init__(self):
         check_map("product_prices", self.product_prices)
-        # the type rules: each number is an int or a float, never a bool (an unset
-        # optional cost is None); horizon_years an int >= 1; the flag a bool
         for name, value in ([(n, getattr(self, n)) for n in _NUMBER_FIELDS]
                             + [(f"e_des[{i + 1}]", e) for i, e in enumerate(self.e_des)]
                             + [(f"product_prices[{k}]", v) for k, v in self.product_prices.items()]):
-            if type(value) is bool or not isinstance(value, (int, float)) and not (
-                    value is None and name in _OPTIONAL_FIELDS):
-                raise DomainError(f"{name} must be a number, got {value!r}")
+            if name in _FRACTIONS:
+                check_number(name, value)
+                if not 0.0 < value <= 1.0:
+                    raise DomainError(f"{name} must lie in (0, 1]")
+            elif value is not None or name not in _OPTIONAL_FIELDS:
+                check_nonneg(name, value)
         if type(self.horizon_years) is not int or self.horizon_years < 1:   # a bool is no int
             raise DomainError(f"horizon_years must be an integer >= 1, got {self.horizon_years!r}")
         if type(self.include_hydrogen_capital) is not bool:
@@ -327,21 +336,8 @@ class EconParams:
         object.__setattr__(self, "e_des", tuple(float(e) for e in self.e_des))
         object.__setattr__(self, "product_prices",
                            FrozenMap((k, float(v)) for k, v in self.product_prices.items()))
-        if not 0.0 < self.wind_capacity_factor <= 1.0:
-            raise DomainError("wind_capacity_factor must lie in (0, 1]")
-        if not 0.0 < self.eta_pump <= 1.0:
-            raise DomainError("eta_pump must lie in (0, 1]")
         if len(self.e_des) != 4:
             raise DomainError("e_des needs exactly 4 segment coefficients")
-        for name in _NONNEG_FIELDS:
-            check_nonneg(name, getattr(self, name))
-        for i, e in enumerate(self.e_des):
-            check_nonneg(f"e_des[{i+1}]", e)
-        for k, v in self.product_prices.items():
-            check_nonneg(f"product_prices[{k}]", v)
-        for name in _OPTIONAL_FIELDS:
-            if getattr(self, name) is not None:
-                check_nonneg(name, getattr(self, name))
         try:   # float ** raises on overflow
             daily_capital_charge(1.0, self)
         except OverflowError:
@@ -360,12 +356,12 @@ class TimeSeries:
     def __post_init__(self):
         _unit_entry(self.unit)
         object.__setattr__(self, "unit", _normalize(self.unit))
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+        vals = tuple(self.values)
         if not vals:
             raise DomainError("time series must not be empty")
         for i, v in enumerate(vals):
             check_nonneg(f"series value at step {i}", v)
+        object.__setattr__(self, "values", tuple(float(v) for v in vals))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -398,6 +394,7 @@ class LedgerItem(namedtuple("LedgerItem", "label term kind amount unit")):
             raise DomainError(f"ledger kind must be one of {_KINDS}, got {kind!r}")
         if unit not in ("$", "$/day"):
             raise DomainError(f"ledger unit must be '$' or '$/day', got {unit!r}")
+        check_number("ledger amount", amount)
         if not math.isfinite(amount):
             raise DomainError(f"ledger amount must be finite ({label})")
         return tuple.__new__(cls, (label, term, kind, amount, unit))

@@ -233,8 +233,9 @@ D = ew.DomainError
 
 @pytest.mark.parametrize("build, error, message", [
     *[(lambda b=b: scenario(b), D, f"reuse fraction must lie in [0, 1], got {b!r}")
-      for b in (-0.1, 1.1, math.nan, True)],
+      for b in (-0.1, 1.1, math.nan)],
     *[(build, D, f"reuse fraction must be a number, got {b!r}") for build, b in (
+        (lambda: scenario(True), True),
         (lambda: scenario("0.5"), "0.5"),
         (lambda: CFG.scenario(BIOMASS, ew.METHANE, None), None),
         (lambda: ew.nexus_rates(BIOMASS, ew.METHANE, [0.5]), [0.5]))],
@@ -257,11 +258,30 @@ D = ew.DomainError
      "a reuse scenario (beta > 0) needs a product"),
     (lambda: ew.penalty_threshold(BIOMASS, ew.ReuseAll(ew.METHANE), ECON, water_mode=None), D,
      "a reuse scenario (beta > 0) needs a water mode"),
+    # every entry that takes a bare number rejects a bool and a string by check_number
+    *[(lambda v=v: ew.TimeSeries([BIOMASS.cbar, v], "ton/h"), D,
+       f"series value at step 1 must be a number, got {v!r}") for v in (True, "5")],
+    *[(lambda v=v: ew.config.Calibration(None, {"coal": v}), D,
+       f"r_w_per_100km[coal] must be a number, got {v!r}") for v in (None, True, "abc")],
+    (lambda: ew.config.Calibration("1e6"), D, "ccs_capital_total must be a number, got '1e6'"),
+    *[(lambda lo=lo: ew.BreakevenQuery(BIOMASS, ew.METHANE, (lo, 900)), D,
+       f"d_lo must be a number, got {lo!r}") for lo in ("1", True)],
+    *[(lambda a=a: ew.LedgerItem("a", "t", "capital", a, "$"), D,
+       f"ledger amount must be a number, got {a!r}") for a in (True, "5")],
+    (lambda: ew.Quantity("5", "km"), D, "magnitude must be a number, got '5'"),
+    # and one that takes a quantity rejects a bare number by its quantity rule
+    (lambda: ew.PlantSpec("x", 500, BIOMASS.emission_factor), ew.UnitError,
+     "capacity must be a power, got 500"),
+    (lambda: ew.NetworkTransfer(5), ew.UnitError, "distance must be a length, got 5"),
 ], ids=["beta=-0.1", "beta=1.1", "beta=nan", "beta=True", "beta='0.5'",
         "loaded-scenario-beta=None", "nexus_rates-beta=[0.5]", "profile-above-cbar",
         "curve-flow=-1", "curve-flow=nan", "curve-flow-above-W", "curve-distance=-1",
         "curve-distance=nan", "transfer-distance=-1", "eta_pump=0", "eta_pump=1.5",
-        "breakeven-product=None", "penalty-product=None", "penalty-water_mode=None"])
+        "breakeven-product=None", "penalty-product=None", "penalty-water_mode=None",
+        "series-value=True", "series-value='5'", "friction=None", "friction=True",
+        "friction='abc'", "ccs_capital_total='1e6'", "breakeven-window=('1', 900)",
+        "breakeven-window=(True, 900)", "ledger-amount=True", "ledger-amount='5'", "quantity-magnitude='5'",
+        "plant-capacity=500", "transfer-distance=5"])
 def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, error,
                                                                         message):
     if error is None:
@@ -270,6 +290,14 @@ def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, er
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def test_the_number_rule_is_stated_by_check_number_alone():
+    # (int, float) is the number rule's type test; the config loader's two readers of a bare
+    # YAML number branch on it and raise nothing, every other check calls check_number
+    assert holders(lambda node: isinstance(node, ast.Tuple)
+                   and [getattr(e, "id", None) for e in node.elts] == ["int", "float"]) == [
+        "config.parse_quantity", "config._load_sweep", "quantities.check_number"]
 
 
 def test_the_benchmark_forms_are_called_by_the_benchmark_alone():

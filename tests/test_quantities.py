@@ -356,6 +356,14 @@ class TestEconParams:
         with pytest.raises(DomainError):
             EconParams(**self.kwargs(r_ccs=-1.0))
 
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["wind_capacity_factor", "eta_pump"])
+    def test_a_fraction_keeps_its_own_range_message(self, name, value):
+        # a fraction breaks the (0, 1] rule, not the non-negative one the other numbers keep
+        with pytest.raises(DomainError) as info:
+            EconParams(**self.kwargs(**{name: value}))
+        assert str(info.value) == f"{name} must lie in (0, 1]"
+
     @pytest.mark.parametrize("name, value", [
         ("interest_rate", math.nan), ("interest_rate", math.inf), ("interest_rate", -math.inf),
         ("interest_rate", -0.01), ("horizon_years", math.nan), ("horizon_years", math.inf),

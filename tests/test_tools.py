@@ -29,7 +29,8 @@ def test_every_layer_times_row_runs_once():
                   "economics._result, reuse column", "economics._result, storage column",
                   "economics._price_row, reuse column", "economics._price_row, storage column",
                   "cli.main sweep --format csv, 150 km transfer",
-                  "cli.main sweep --format csv, solar seawater"):
+                  "cli.main sweep --format csv, solar seawater",
+                  "EconParams, one field replaced"):
         assert label in labels
     for _, call in rows:
         call()
@@ -195,9 +196,25 @@ def test_two_draws_from_one_seed_give_the_same_op_kinds(workload, tmp_path, monk
     kinds = []
     for i in range(2):
         (tmp_path / str(i)).mkdir()
-        wl = tool.load_workload(ROOT, workload, 4, tmp_path / str(i))
+        wl = tool.load_workload(tool.load_bench(ROOT), workload, 4, tmp_path / str(i))
         kinds.append([tool.op_kind(wl.draw()) for _ in range(60)])
     assert kinds[0] == kinds[1] and len(set(kinds[0])) > 1
+
+
+def test_a_replay_divides_each_op_by_the_slowdown_around_it():
+    tool = load_tool("bench_record")
+    # canned (start, time) pairs [s]; the machine runs at half speed before t = 10 s and at a
+    # quarter after, so a slowdown of 2 and then of 4
+    timed = {"breakeven": [(1.0, 0.004), (12.0, 0.008)], "curve": [(9.0, 0.5), (11.0, 0.2)]}
+    seen = []
+
+    def slowdown(start, end):
+        seen.append((start, end))
+        return 2.0 if end < 10.0 else 4.0
+
+    assert tool.quiet_times(timed, slowdown) == {"breakeven": [0.002, 0.002],
+                                                 "curve": [0.25, 0.05]}
+    assert seen == [(1.0, 1.004), (12.0, 12.008), (9.0, 9.5), (11.0, 11.2)]
 
 
 def test_a_replay_side_times_checks_and_counts_its_ops(monkeypatch):

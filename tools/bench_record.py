@@ -26,10 +26,12 @@ tuned on.
 
 ``replay`` measures at fixed work instead of for T.  Per listed seed it runs
 REV's tree and this one in fresh interpreters, alternating as ``compare`` does;
-each side imports its own tree's ``src/`` and ``bench/workloads.py``, draws the
+each side imports its own tree's ``src/`` and ``bench/run.py``, draws the
 seed's ops, runs ``REPLAY_WARMUP`` of them untimed and then times, checks and
 drops each of the next N, so its memory does not grow with N.  Both sides run
-the same N ops.  It prints, per op kind (the sweep's water mode, breakeven or
+the same N ops.  As in ``bench/run.py``, the reference kernel is sampled between
+ops (``MachineSpeed``), and each op's time is divided by the machine's slowdown
+around it.  It prints, per op kind (the sweep's water mode, breakeven or
 curve, the CLI's command and format, or round trip) and side, the ops and the
 median over the seeds of each seed's median and quartiles of per-op time, with
 the seeds whose median the change won, then the claim rule over the per-seed
@@ -217,32 +219,45 @@ def op_kind(op) -> str:
     return {"BreakevenOp": "breakeven", "CurveOp": "curve", "RoundTripOp": "round trip"}[name]
 
 
-def load_workload(tree: Path, workload: str, seed: int, work_dir: Path):
-    """``tree``'s workload ``workload`` for ``seed``, generated and set up, on ``tree``'s
-    ewhnexus, which must be the package this process imports."""
-    sys.path.insert(0, str(tree / "src"))
-    import ewhnexus
-    if Path(ewhnexus.__file__).resolve().parent != (tree / "src" / "ewhnexus").resolve():
-        sys.exit(f"replay: imported ewhnexus from {ewhnexus.__file__}, not from {tree}")
-    spec = importlib.util.spec_from_file_location("workloads", tree / "bench" / "workloads.py")
+def load_bench(tree: Path):
+    """``tree``'s ``bench/run.py``, imported read-only with ``tree``'s ``bench/`` on the path,
+    for its ``import_library``, its ``WORKLOADS`` and its ``MachineSpeed``."""
+    sys.path.insert(0, str(tree / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", tree / "bench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    wl = module.WORKLOADS[workload](ewhnexus, seed, work_dir)
+    return module
+
+
+def load_workload(bench, workload: str, seed: int, work_dir: Path):
+    """``bench``'s workload ``workload`` for ``seed``, generated and set up, on the ewhnexus
+    of ``bench``'s tree, which must be the package this process imports."""
+    wl = bench.WORKLOADS[workload](bench.import_library(), seed, work_dir)
     wl.generate()
     wl.setup()
     return wl
 
 
+def quiet_times(timed: dict[str, list[tuple[float, float]]], slowdown) -> dict[str, list[float]]:
+    """Per kind, each op's time [s] divided by ``slowdown(start, end)``, the machine's slowdown
+    around it, as ``bench/run.py``'s ``Loop.quiet_latencies`` does; ``timed`` holds each op's
+    start and time."""
+    return {kind: [t / slowdown(t0, t0 + t) for t0, t in ops] for kind, ops in timed.items()}
+
+
 def replay_side(tree: Path, workload: str, seed: int, ops: int) -> dict:
     """One side of a replay, in this interpreter: each kind's ``summary`` of per-op time [us]
-    of ``ops`` checked ops after ``REPLAY_WARMUP``, as a result of ``bench/run.py``'s shape.
+    of ``ops`` checked ops after ``REPLAY_WARMUP``, each divided by the machine's slowdown
+    around it (``quiet_times``), as a result of ``bench/run.py``'s shape.
 
     Only summaries leave the process: a child's ``ru_maxrss`` starts at its parent's peak
     RSS (Linux keeps it across ``execve``), so ``replay`` must not grow with the op count."""
-    by_kind: dict[str, list[float]] = {}
+    timed: dict[str, list[tuple[float, float]]] = {}
     failures = 0
+    bench = load_bench(tree)
+    speed = bench.MachineSpeed()   # sampled between ops, outside their times, as run.py does
     with tempfile.TemporaryDirectory(prefix="bench-replay-") as work_dir:
-        wl = load_workload(tree, workload, seed, Path(work_dir))
+        wl = load_workload(bench, workload, seed, Path(work_dir))
         for i in range(REPLAY_WARMUP + ops):
             op, error = wl.draw(), None
             t0 = time.perf_counter()
@@ -258,7 +273,9 @@ def replay_side(tree: Path, workload: str, seed: int, ops: int) -> dict:
             except Exception:   # check failures and unexpected raises alike
                 failures += 1
             if i >= REPLAY_WARMUP:
-                by_kind.setdefault(op_kind(op), []).append(elapsed)
+                timed.setdefault(op_kind(op), []).append((t0, elapsed))
+            speed.sample_if_due()
+    by_kind = quiet_times(timed, speed.slowdown)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"correct": not failures, "attempted": ops, "failed": failures,
             "kinds": {k: summary([1e6 * t for t in times]) for k, times in by_kind.items()},

@@ -7,22 +7,23 @@ Run from the repository root (the package is imported from ``src/``):
 Each row is timed in one process: ``timeit`` picks a loop count that runs for
 about ``--seconds``, and the row prints the best of ``--repeat`` loops as
 microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
-construction and conversion, each cost term and the hourly fold they share,
-``quantities.add_hourly``, on one 24-hour run, the cell assembly, a reuse
-column's set-up and unset-cost checks (``economics._column``) and the priced
-cell's result (``economics._result``) of one column, the preset's sweep and
-one of grid-sweep's shape (3 plants x 3 products x 11 betas, 102 cells), a
-break-even solve, config load (of the preset and of a config file, whose text
-is read on every call) and dump, a fresh interpreter's import of the package and of
-its CLI) and the CLI's path: ``cli.parse_args`` on a penalty call's flags, the
-row pricer ``economics._price_row`` of a reuse and a storage column, each
-renderer, ``cli.main`` on a penalty, break-even and scenario call (where parsing
-was the largest share), on a penalty call that reads a config file, as most
-cli-batch ops do, on a sweep in each format, on a CSV sweep of the preset
-in 150 km transfer and in solar-seawater mode (config files written to a
-temporary folder), and on the scorecard and ``decide``, which no benchmark
-workload runs.  The break-even rows time a solve with a root and one whose
-window holds none; the penalty row prices a reuse-all threshold.
+construction and conversion, an ``EconParams`` build with its checks, each cost
+term and the hourly fold they share, ``quantities.add_hourly``, on one 24-hour
+run, the cell assembly, a reuse column's set-up and unset-cost checks
+(``economics._column``) and the priced cell's result (``economics._result``) of
+one column, the preset's sweep and one of grid-sweep's shape (3 plants x 3
+products x 11 betas, 102 cells), a break-even solve, config load (of the preset
+and of a config file, whose text is read on every call) and dump, a fresh
+interpreter's import of the package and of its CLI) and the CLI's path:
+``cli.parse_args`` on a penalty call's flags, the row pricer
+``economics._price_row`` of a reuse and a storage column, each renderer,
+``cli.main`` on a penalty, break-even and scenario call (where parsing was the
+largest share), on a penalty call that reads a config file, as most cli-batch
+ops do, on a sweep in each format, on a CSV sweep of the preset in 150 km
+transfer and in solar-seawater mode (config files written to a temporary
+folder), and on the scorecard and ``decide``, which no benchmark workload runs.
+The break-even rows time a solve with a root and one whose window holds none;
+the penalty row prices a reuse-all threshold.
 Times depend on the machine; compare two trees by running both on it,
 alternately.
 """
@@ -120,6 +121,7 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("interpreter start + import ewhnexus.cli", _interpreter("import ewhnexus.cli")),
         ("Quantity(250.0, '$/ton')", lambda: quantities.Quantity(250.0, "$/ton")),
         ("Quantity.value_in('$/kg')", lambda: quantity.value_in("$/kg")),
+        ("EconParams, one field replaced", lambda: replace(cfg.econ, c_wind=1030.0)),
         ("quantities.add_hourly, 24-hour run",
          lambda: quantities.add_hourly(0.0, plant.cbar, quantities.HOURS_PER_DAY)),
         ("ccss.ccss_capital", lambda: ccss.ccss_capital(1.0, plant.cbar_day, econ)),
