@@ -226,9 +226,9 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     varies with distance alone; operations price the pumping power at each
     flow, up to the plant's full-reuse water capacity.  Each flow is checked
     once, and each distance's length, friction and capital charge are
-    computed once.  A distance that is negative or not finite in km and m
-    raises out of the whole curve; a flow outside the capacity, or a cell
-    whose capital, operations or total is not finite, is an error cell.
+    computed once.  A distance or flow that is not a number, or a distance that is
+    negative or not finite in km and m, raises out of the whole curve; a flow outside
+    the capacity, or a cell whose capital, operations or total is not finite, is an error cell.
 
     The operational column is 24 times one hour's pumping bill.  A full-load
     scenario's ``water-operational`` ledger item adds the 24 equal hours one
@@ -240,6 +240,7 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     w_max = _reuse_rates(product, plant.cbar, 1.0)[1]   # [m3/h]
     points = []   # (the caller's flow, which names its cells, the flow [m3/h], its error)
     for f in flows:
+        check_number("flow", f)
         f_val = float(f)
         try:
             water.check_flow(f_val, w_max)
@@ -252,6 +253,7 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     cells: list[CurveCell] = []
     add = cells.append
     for d in distances:
+        check_number("distance", d)
         d_km = float(d)
         m = water.pipe_length_m(d_km, "km")
         r_w = water.effective_r_w(econ, d_km)

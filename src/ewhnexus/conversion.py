@@ -15,17 +15,23 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .quantities import (
-    DomainError, EconParams, FrozenMap, PlantSpec, Quantity, add_hourly, check_beta,
+    DomainError, EconParams, FrozenMap, PlantSpec, Quantity, add_hourly, check_beta, check_nonneg,
 )
 
 
 @dataclass(frozen=True)
 class AtomicMasses:
-    """Atomic masses [kg/mol] from which all molecular masses derive."""
+    """Atomic masses [kg/mol], each a number > 0, from which all molecular masses derive."""
 
     C: float
     H: float
     O: float
+
+    def __post_init__(self):
+        for el, mass in (("C", self.C), ("H", self.H), ("O", self.O)):
+            check_nonneg(f"atomic mass of {el}", mass)
+            if mass == 0:
+                raise DomainError(f"atomic mass of {el} must be > 0, got {mass!r}")
 
 
 INTEGER_MASSES = AtomicMasses(C=0.012, H=0.001, O=0.016)

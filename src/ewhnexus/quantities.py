@@ -87,31 +87,27 @@ UNITS: dict[str, tuple[str, tuple[int, int]]] = {
 }
 
 
-def _normalize(unit: str) -> str:
-    # accept the unicode superscript spelling used in printed tables
-    return unit.replace("³", "3").strip()
-
-
-def _unit_entry(unit: str) -> tuple[str, tuple[int, int]]:
-    unit = _normalize(unit)
-    try:
-        return UNITS[unit]
-    except KeyError:
-        raise UnitError(f"unknown unit {unit!r}") from None
+def _unit_name(unit: object) -> str:
+    """The one unit rule: a string ``UNITS`` holds, as is or spelled ``m³`` as printed tables do."""
+    if isinstance(unit, str):
+        if unit in UNITS:   # a registered name passes as is
+            return unit
+        unit = unit.replace("³", "3").strip()
+        if unit in UNITS:
+            return unit
+    raise UnitError(f"unknown unit {unit!r}")
 
 
 def _convert(value: float, unit: str, to: str) -> float:
-    """``value`` in ``unit`` expressed in ``to``: the one place units are scaled.
+    """``value`` in ``unit`` as ``to``, names ``_unit_name`` read: the one place units are scaled.
 
     Scales up to the shared base unit (x num, / den), then down to ``to``
-    (x den_to, / num_to); raises UnitError when the dimensions differ.  A
-    value already in ``to`` is returned as is: the round trip through the base
-    is not exact for every scale (x / 24 * 24 for $/day).
+    (x den_to, / num_to); raises UnitError when the dimensions differ.  ``value_in``
+    and ``values_in`` return a value already in ``to`` as is: the round trip through
+    the base is not exact for every scale (x / 24 * 24 for $/day).
     """
-    if _normalize(to) == unit:
-        return value
-    base, (num, den) = _unit_entry(unit)
-    base_to, (num_to, den_to) = _unit_entry(to)
+    base, (num, den) = UNITS[unit]
+    base_to, (num_to, den_to) = UNITS[to]
     if base != base_to:
         raise UnitError(f"cannot convert {unit!r} to {to!r}")
     return value * num / den * den_to / num_to
@@ -125,8 +121,7 @@ class Quantity:
     unit: str = "dimensionless"
 
     def __post_init__(self):
-        _unit_entry(self.unit)  # validates the unit name
-        object.__setattr__(self, "unit", _normalize(self.unit))
+        object.__setattr__(self, "unit", _unit_name(self.unit))
         check_number("magnitude", self.magnitude)
         object.__setattr__(self, "magnitude", float(self.magnitude))
         if not math.isfinite(self.magnitude):
@@ -140,7 +135,8 @@ class Quantity:
         return _quantity(magnitude, unit)
 
     def value_in(self, unit: str) -> float:
-        return _convert(self.magnitude, self.unit, unit)
+        to = _unit_name(unit)
+        return self.magnitude if to == self.unit else _convert(self.magnitude, self.unit, to)
 
     def __str__(self) -> str:
         return f"{self.magnitude:g} {self.unit}"
@@ -178,14 +174,14 @@ class FrozenMap(Mapping):
         return hash(frozenset(self._items.items()))
 
 
-def _field_value(quantity: Quantity, unit: str, rule: str) -> float:
-    """``quantity`` in ``unit``; a non-quantity or a unit of another dimension breaks ``rule``."""
-    if not isinstance(quantity, Quantity):
-        raise UnitError(f"{rule}, got {quantity!r}")
+def _field_value(value: Quantity | TimeSeries, unit: str, rule: str, kind: type = Quantity):
+    """``value`` in ``unit``; a value not a ``kind``, or of another dimension, breaks ``rule``."""
+    if not isinstance(value, kind):
+        raise UnitError(f"{rule}, got {value!r}")
     try:
-        return quantity.value_in(unit)
+        return value.value_in(unit) if kind is Quantity else value.values_in(unit)
     except UnitError:
-        raise UnitError(f"{rule}, got {quantity.unit!r}") from None
+        raise UnitError(f"{rule}, got {value.unit!r}") from None
 
 
 def check_number(name: str, value: object) -> None:
@@ -354,8 +350,7 @@ class TimeSeries:
     unit: str
 
     def __post_init__(self):
-        _unit_entry(self.unit)
-        object.__setattr__(self, "unit", _normalize(self.unit))
+        object.__setattr__(self, "unit", _unit_name(self.unit))
         vals = tuple(self.values)
         if not vals:
             raise DomainError("time series must not be empty")
@@ -368,9 +363,9 @@ class TimeSeries:
 
     def values_in(self, unit: str) -> tuple[float, ...]:
         """Values rescaled to another unit of the same dimension."""
-        if _normalize(unit) == self.unit:
-            return self.values
-        return tuple(_convert(v, self.unit, unit) for v in self.values)
+        to = _unit_name(unit)
+        return (self.values if to == self.unit
+                else tuple(_convert(v, self.unit, to) for v in self.values))
 
 
 CAPITAL = "capital"

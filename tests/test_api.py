@@ -273,6 +273,27 @@ D = ew.DomainError
     (lambda: ew.PlantSpec("x", 500, BIOMASS.emission_factor), ew.UnitError,
      "capacity must be a power, got 500"),
     (lambda: ew.NetworkTransfer(5), ew.UnitError, "distance must be a length, got 5"),
+    # a unit is a registered string, checked by _unit_name wherever one enters
+    (lambda: ew.Quantity(1, None), ew.UnitError, "unknown unit None"),
+    (lambda: ew.Quantity(1, 5), ew.UnitError, "unknown unit 5"),
+    (lambda: ew.TimeSeries([1.0], None), ew.UnitError, "unknown unit None"),
+    (lambda: ew.Quantity(1, "km").value_in(None), ew.UnitError, "unknown unit None"),
+    # the curve's distances and flows take the number rule
+    *[(lambda d=d: curve(distance=d), D, f"distance must be a number, got {d!r}")
+      for d in ("60", True)],
+    *[(lambda f=f: curve(flow=f), D, f"flow must be a number, got {f!r}") for f in (True, "10")],
+    (lambda: scenario(profile=[BIOMASS.cbar] * 24), ew.UnitError,
+     f"capture_profile must be a mass flow, got {[BIOMASS.cbar] * 24!r}"),
+    # each atomic mass is a number > 0, so a product's ratios divide by no zero
+    *[(lambda m=m: conversion.AtomicMasses(C=m, H=0.001, O=0.016), D, message)
+      for m, message in ((0.0, "atomic mass of C must be > 0, got 0.0"),
+                         (True, "atomic mass of C must be a number, got True"),
+                         ("0.012", "atomic mass of C must be a number, got '0.012'"))],
+    # two rejections that no other test reaches
+    (lambda: ew.ProductSpec("ammonia", {"N": 1, "H": 3, "C": 1}), D,
+     "unsupported elements in formula: ['N']"),
+    (lambda: ew.SweepGrid((), (ew.METHANE,), (1.0,), ew.Desalination()), D,
+     "sweep grid needs at least one plant"),
 ], ids=["beta=-0.1", "beta=1.1", "beta=nan", "beta=True", "beta='0.5'",
         "loaded-scenario-beta=None", "nexus_rates-beta=[0.5]", "profile-above-cbar",
         "curve-flow=-1", "curve-flow=nan", "curve-flow-above-W", "curve-distance=-1",
@@ -281,7 +302,10 @@ D = ew.DomainError
         "series-value=True", "series-value='5'", "friction=None", "friction=True",
         "friction='abc'", "ccs_capital_total='1e6'", "breakeven-window=('1', 900)",
         "breakeven-window=(True, 900)", "ledger-amount=True", "ledger-amount='5'", "quantity-magnitude='5'",
-        "plant-capacity=500", "transfer-distance=5"])
+        "plant-capacity=500", "transfer-distance=5", "quantity-unit=None", "quantity-unit=5",
+        "series-unit=None", "value_in-unit=None", "curve-distance='60'", "curve-distance=True",
+        "curve-flow=True", "curve-flow='10'", "profile-list", "atomic-mass=0",
+        "atomic-mass=True", "atomic-mass='0.012'", "element-N", "grid-no-plant"])
 def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, error,
                                                                         message):
     if error is None:
@@ -298,6 +322,15 @@ def test_the_number_rule_is_stated_by_check_number_alone():
     assert holders(lambda node: isinstance(node, ast.Tuple)
                    and [getattr(e, "id", None) for e in node.elts] == ["int", "float"]) == [
         "config.parse_quantity", "config._load_sweep", "quantities.check_number"]
+
+
+def test_the_unit_rule_is_stated_by_unit_name_alone():
+    # a unit name is read where it enters a Quantity or a TimeSeries; _convert takes the
+    # names that entry read, and the two readers it replaced are gone
+    assert holders(calls("_unit_name")) == ["quantities.Quantity", "quantities.TimeSeries"]
+    assert [path.name for path in SOURCES
+            if re.search(r"\b_normalize\b|\b_unit_entry\b", path.read_text(encoding="utf-8"))
+            ] == []
 
 
 def test_the_benchmark_forms_are_called_by_the_benchmark_alone():

@@ -322,6 +322,9 @@ class TestLoadConfig:
         (("plants", 1, "name"), "", "plants[1]: plant name must be a non-empty string, got ''"),
         (("products",), "methane", "products: must be a list of product names"),
         (("sweep", "betas"), [], "sweep.betas: must be a non-empty list of numbers"),
+        (("sweep", "betas"), 0.5, "sweep.betas: must be a non-empty list of numbers"),
+        (("plants", 1, "capacity"), ["500 MW"],
+         "plants[1].capacity: expected a '<value> kW' string, got ['500 MW']"),
         ((), ["econ", "plants"], "config must be a YAML mapping at the top level"),
     ])
     def test_malformed_shape_names_the_path(self, path, value, message):
@@ -560,13 +563,21 @@ class TestConfigRules:
             edit_config(paper_2024())
         assert str(loaded.value) == "invalid config:\n  " + str(built.value)
 
-    def test_missing_plants_section_is_one_error(self):
-        # the calibration rules read the plants, so they are skipped
+    @pytest.mark.parametrize("section", ["plants", "econ"])
+    def test_a_missing_required_section_is_one_error(self, section):
+        # the rules that read the missing section, the calibration's among them, are skipped
         data = preset_dict()
-        del data["plants"]
+        del data[section]
         with pytest.raises(ConfigError) as info:
             load_config_text(yaml.safe_dump(data))
-        assert str(info.value) == "invalid config:\n  plants: missing required section"
+        assert str(info.value) == f"invalid config:\n  {section}: missing required section"
+
+    def test_a_config_without_products_sweeps_its_storage_rows(self):
+        data = preset_dict()
+        del data["products"]
+        cfg = load_config_text(yaml.safe_dump(data))
+        assert cfg.products == ()
+        assert cfg.sweep() == tuple(c for c in paper_2024().sweep() if not c.product)
 
     # each edit is drawn valid more often than not, so that some draws reach the round
     # trip: 5 to 19 of 250 in seven seeded runs, 6 to 36 before eta_pump was drawn (and

@@ -30,7 +30,9 @@ def test_every_layer_times_row_runs_once():
                   "economics._price_row, reuse column", "economics._price_row, storage column",
                   "cli.main sweep --format csv, 150 km transfer",
                   "cli.main sweep --format csv, solar seawater",
-                  "EconParams, one field replaced"):
+                  "EconParams, one field replaced", "Quantity.value_in('$/ton'), its own unit",
+                  "TimeSeries.values_in('ton/h'), 24 ton/day steps",
+                  "water.pipe_length_m(100.0, 'km')"):
         assert label in labels
     for _, call in rows:
         call()

@@ -7,7 +7,8 @@ Run from the repository root (the package is imported from ``src/``):
 Each row is timed in one process: ``timeit`` picks a loop count that runs for
 about ``--seconds``, and the row prints the best of ``--repeat`` loops as
 microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
-construction and conversion, an ``EconParams`` build with its checks, each cost
+construction and conversion, to another unit and to its own, a 24-step profile's
+conversion, a pipe length in km, an ``EconParams`` build with its checks, each cost
 term and the hourly fold they share, ``quantities.add_hourly``, on one 24-hour
 run, the cell assembly, a reuse column's set-up and unset-cost checks
 (``economics._column``) and the priced cell's result (``economics._result``) of
@@ -71,6 +72,7 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
     below = analysis.BreakevenQuery(plant=plant, product=product, distance_bounds=(1.0, 300.0))
     reuse_all = analysis.ReuseAll(product)
     quantity = quantities.Quantity(250.0, "$/ton")
+    profile = quantities.TimeSeries([plant.cbar_day] * quantities.HOURS_PER_DAY, "ton/day")
     cells = cfg.sweep()
     commands = cli.COMMANDS
     sweep = commands["sweep"].rows(cli.parse_args(["--config", "paper-2024",
@@ -121,6 +123,9 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         ("interpreter start + import ewhnexus.cli", _interpreter("import ewhnexus.cli")),
         ("Quantity(250.0, '$/ton')", lambda: quantities.Quantity(250.0, "$/ton")),
         ("Quantity.value_in('$/kg')", lambda: quantity.value_in("$/kg")),
+        ("Quantity.value_in('$/ton'), its own unit", lambda: quantity.value_in("$/ton")),
+        ("TimeSeries.values_in('ton/h'), 24 ton/day steps", lambda: profile.values_in("ton/h")),
+        ("water.pipe_length_m(100.0, 'km')", lambda: water.pipe_length_m(100.0, "km")),
         ("EconParams, one field replaced", lambda: replace(cfg.econ, c_wind=1030.0)),
         ("quantities.add_hourly, 24-hour run",
          lambda: quantities.add_hourly(0.0, plant.cbar, quantities.HOURS_PER_DAY)),
