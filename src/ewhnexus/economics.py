@@ -17,7 +17,7 @@ from typing import Iterator
 
 from . import ccss, conversion, water
 from .quantities import (CAPITAL, HOURS_PER_DAY, OPERATIONAL, REVENUE, DomainError, EconParams,
-                         LedgerItem, PlantSpec, Quantity, TimeSeries, _field_value, _ledger,
+                         LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError, _ledger,
                          _quantity, check_beta, daily_capital_charge)
 
 
@@ -44,8 +44,13 @@ class ScenarioConfig:
         _check_cell(self.beta, self.product, self.water_mode)
         profile = self.capture_profile
         if profile is not None:
-            captured = _field_value(profile, "ton/h", "capture_profile must be a mass flow",
-                                    TimeSeries)
+            rule = "capture_profile must be a mass flow"
+            if not isinstance(profile, TimeSeries):
+                raise UnitError(f"{rule}, got {profile!r}")
+            try:
+                captured = profile.values_in("ton/h")
+            except UnitError:
+                raise UnitError(f"{rule}, got {profile.unit!r}") from None
             if len(captured) != HOURS_PER_DAY:
                 raise DomainError(f"capture_profile needs {HOURS_PER_DAY} hourly steps, "
                                   f"got {len(captured)}")

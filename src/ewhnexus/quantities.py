@@ -90,8 +90,6 @@ UNITS: dict[str, tuple[str, tuple[int, int]]] = {
 def _unit_name(unit: object) -> str:
     """The one unit rule: a string ``UNITS`` holds, as is or spelled ``m³`` as printed tables do."""
     if isinstance(unit, str):
-        if unit in UNITS:   # a registered name passes as is
-            return unit
         unit = unit.replace("³", "3").strip()
         if unit in UNITS:
             return unit
@@ -174,14 +172,14 @@ class FrozenMap(Mapping):
         return hash(frozenset(self._items.items()))
 
 
-def _field_value(value: Quantity | TimeSeries, unit: str, rule: str, kind: type = Quantity):
-    """``value`` in ``unit``; a value not a ``kind``, or of another dimension, breaks ``rule``."""
-    if not isinstance(value, kind):
-        raise UnitError(f"{rule}, got {value!r}")
+def _field_value(quantity: Quantity, unit: str, rule: str) -> float:
+    """``quantity`` in ``unit``; a non-quantity or a unit of another dimension breaks ``rule``."""
+    if not isinstance(quantity, Quantity):
+        raise UnitError(f"{rule}, got {quantity!r}")
     try:
-        return value.value_in(unit) if kind is Quantity else value.values_in(unit)
+        return quantity.value_in(unit)
     except UnitError:
-        raise UnitError(f"{rule}, got {value.unit!r}") from None
+        raise UnitError(f"{rule}, got {quantity.unit!r}") from None
 
 
 def check_number(name: str, value: object) -> None:
