@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from . import economics, water
 from .conversion import ProductSpec, _reuse_rates, nexus_rates
 from .quantities import (HOURS_PER_DAY, DomainError, EconParams, PlantSpec, Quantity,
-                         check_beta, check_number)
+                         check_beta, check_number, check_type)
 
 if TYPE_CHECKING:
     from .config import LoadedConfig
@@ -60,6 +60,10 @@ class SweepGrid:
         betas = tuple(self.betas)
         if not self.plants:
             raise DomainError("sweep grid needs at least one plant")
+        for plant in self.plants:
+            check_type("plant", plant, PlantSpec)
+        for product in self.products:
+            check_type("product", product, ProductSpec)
         errors = beta_errors(betas, "betas")
         if errors:
             raise DomainError(errors[0])
@@ -102,6 +106,7 @@ def _sweep(grid: SweepGrid, econ: EconParams, econ_resolver, price) -> tuple[Swe
     for plant in grid.plants:
         try:
             plant_econ = econ if econ_resolver is None else econ_resolver(plant)
+            check_type("econ", plant_econ, EconParams)
         except ValueError as exc:
             cells += [failed(plant, name, beta, exc) for _, name, col in columns for beta in col]
             continue
@@ -185,7 +190,7 @@ def breakeven_distance(query: BreakevenQuery, econ: EconParams) -> Quantity:
     over the whole window.  Both options are full scenarios at beta = 1.
     """
     plant, product, desal = query.plant, query.product, water.Desalination()
-    economics._check_cell(1.0, product, desal)
+    economics._check_cell(plant, econ, 1.0, product, desal)
     return _root(query, _minus_desal(economics._column(plant, econ, product, desal))[2])
 
 
@@ -237,6 +242,9 @@ def transfer_cost_curve(plant: PlantSpec, distances: Sequence[float],
     """
     if not distances or not flows:
         raise DomainError("distances and flows must be non-empty")
+    check_type("plant", plant, PlantSpec)
+    check_type("econ", econ, EconParams)
+    check_type("product", product, ProductSpec)
     w_max = _reuse_rates(product, plant.cbar, 1.0)[1]   # [m3/h]
     points = []   # (the caller's flow, which names its cells, the flow [m3/h], its error)
     for f in flows:
@@ -296,10 +304,9 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
     ``ReuseAll`` needs a water mode, as any reuse scenario does; ``StoreAll`` none.
     It is the scenario's ``total_daily_cost`` carbon penalty, from its daily total alone.
     """
-    if not isinstance(strategy, Strategy):
-        raise DomainError(f"unknown strategy {strategy!r}")
+    check_type("strategy", strategy, Strategy, "a StoreAll or ReuseAll")
     beta, product = (1.0, strategy.product) if isinstance(strategy, ReuseAll) else (0.0, None)
-    economics._check_cell(beta, product, water_mode)
+    economics._check_cell(plant, econ, beta, product, water_mode)
     column = economics._column(plant, econ, product, water_mode)
     return Quantity._computed(_priced(column, beta)[2], "$/ton")
 
@@ -384,7 +391,7 @@ def scorecard(cfg: LoadedConfig, reference: Sequence[Mapping]) -> list[dict]:
 
     A row holds the engine's value on ``cfg``, the printed text, the tolerance used (the
     entry's, a number or a percent of the value, else half the print quantum), the relative
-    error, the gap per ton of reused carbon (on a reuse daily-cost row; "" on the others)
+    error ("" to a zero), the gap per ton of reused carbon (on a reuse daily-cost row; "" else)
     and whether it passes.  A value ``cfg`` cannot price, such as one of a plant it lacks,
     is an error row.
     """
@@ -419,6 +426,6 @@ def scorecard(cfg: LoadedConfig, reference: Sequence[Mapping]) -> list[dict]:
         gap = ((computed - value) * 1e6 / (beta * p.cbar_day)
                if beta and quantity == "daily_cost_musd_per_day" else "")
         rows.append({**row, "computed": computed, "reference": text, "tolerance": tol,
-                     "relative_error": (computed - value) / abs(value),
+                     "relative_error": (computed - value) / abs(value) if value else "",
                      "gap_usd_per_ton": gap, "pass": abs(computed - value) <= tol})
     return rows

@@ -224,9 +224,9 @@ def render_output(command: Command, output_format: str, rows: list[dict]) -> str
 
 
 def _parse_float_list(text: str | None, flag: str) -> tuple[float, ...]:
-    """The numbers of a comma-separated flag value; () when the flag is not given."""
+    """The numbers of a comma-separated flag value, an empty entry too; () when it is not given."""
     try:
-        values = tuple(float(part) for part in (text or "").split(",") if part.strip())
+        values = () if text is None else tuple(float(part) for part in text.split(","))
     except ValueError:
         values = None
     if values is None or not all(math.isfinite(v) for v in values):
@@ -272,7 +272,7 @@ def parse_args(argv: Sequence[str] | None = None) -> SimpleNamespace | None:
         if args[name] is None:
             raise ConfigError(f"--{name} is required")
     for name in ("distances", "flows"):
-        args[name] = () if args[name] is None else _parse_float_list(args[name], f"--{name}")
+        args[name] = _parse_float_list(args[name], f"--{name}")
     return SimpleNamespace(**args)
 
 

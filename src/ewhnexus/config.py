@@ -25,7 +25,7 @@ from .analysis import SweepCell, SweepGrid, beta_errors, scenario_sweep
 from .conversion import BUILTIN_PRODUCTS, ProductSpec
 from .economics import ScenarioConfig, unset_costs
 from .quantities import (
-    DomainError, EconParams, FrozenMap, PlantSpec, Quantity, UnitError, check_map, check_nonneg,
+    DomainError, EconParams, FrozenMap, PlantSpec, Quantity, UnitError, check_nonneg, check_type,
 )
 
 
@@ -89,7 +89,7 @@ class Calibration:
     r_w_per_100km: Mapping[str, float] = field(default_factory=FrozenMap)  # per plant
 
     def __post_init__(self):
-        check_map("r_w_per_100km", self.r_w_per_100km)
+        check_type("r_w_per_100km", self.r_w_per_100km, Mapping, "a map of names to numbers")
         object.__setattr__(self, "r_w_per_100km", FrozenMap(self.r_w_per_100km))
         if self.ccs_capital_total is not None:
             check_nonneg("ccs_capital_total", self.ccs_capital_total)

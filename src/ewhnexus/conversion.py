@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .quantities import (
-    DomainError, EconParams, FrozenMap, PlantSpec, Quantity, add_hourly, check_beta, check_nonneg,
-)
+from .quantities import (DomainError, EconParams, FrozenMap, PlantSpec, Quantity, add_hourly,
+                         check_beta, check_nonneg, check_type)
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,10 @@ class ProductSpec:
     water_byproduct: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise DomainError(f"product name must be a non-empty string, got {self.name!r}")
+        check_type("formula", self.formula, Mapping, "a map of elements to atom counts")
+        check_type("atomic_masses", self.atomic_masses, AtomicMasses)
         for el, v in self.formula.items():
             if type(v) is not int or v < 0:
                 raise DomainError(f"{self.name}: atom count of {el!r} must be an int >= 0, "
@@ -108,6 +111,8 @@ def nexus_rates(plant: PlantSpec, product: ProductSpec,
     beta * C_bar * the corresponding stoichiometric ratio.  The water rate
     covers electrolysis feed only.
     """
+    check_type("plant", plant, PlantSpec)
+    check_type("product", product, ProductSpec)
     check_beta(beta)
     h2, water, chem = _reuse_rates(product, plant.cbar, beta)
     return (Quantity(h2, "ton/h"), Quantity(water, "m3/h"), Quantity(chem, "ton/h"))

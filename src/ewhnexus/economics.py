@@ -18,7 +18,7 @@ from typing import Iterator
 from . import ccss, conversion, water
 from .quantities import (CAPITAL, HOURS_PER_DAY, OPERATIONAL, REVENUE, DomainError, EconParams,
                          LedgerItem, PlantSpec, Quantity, TimeSeries, UnitError, _ledger,
-                         _quantity, check_beta, daily_capital_charge)
+                         _quantity, check_beta, check_type, daily_capital_charge)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class ScenarioConfig:
     capture_profile: TimeSeries | None = None   # [ton/h]; defaults to 24 h full load
 
     def __post_init__(self):
-        _check_cell(self.beta, self.product, self.water_mode)
+        _check_cell(self.plant, self.econ, self.beta, self.product, self.water_mode)
         profile = self.capture_profile
         if profile is not None:
             rule = "capture_profile must be a mass flow"
@@ -69,10 +69,15 @@ class ScenarioConfig:
                        self.water_mode, None if profile is None else _hour_runs(profile.values))
 
 
-def _check_cell(beta: float, product: conversion.ProductSpec | None, water_mode) -> None:
-    """A cell's input rule, the one that ``ScenarioConfig`` and the single-cell analyses call."""
+def _check_cell(plant: PlantSpec, econ: EconParams, beta: float,
+                product: conversion.ProductSpec | None, water_mode) -> None:
+    """A cell's input rule, its types by ``check_type``; ``ScenarioConfig`` and analyses call it."""
+    check_type("plant", plant, PlantSpec)
+    check_type("econ", econ, EconParams)
     check_beta(beta)
-    if beta > 0 and product is None:
+    if product is not None:
+        check_type("product", product, conversion.ProductSpec)
+    elif beta > 0:
         raise DomainError("a reuse scenario (beta > 0) needs a product")
     if beta > 0 and water_mode is None:
         raise DomainError("a reuse scenario (beta > 0) needs a water mode")

@@ -228,10 +228,11 @@ class PlantSpec:
         object.__setattr__(self, "cbar_day", cbar * HOURS_PER_DAY)
 
 
-def check_map(name: str, value: object) -> None:
-    """Reject a value of the named map parameter that is not a map."""
-    if not isinstance(value, Mapping):
-        raise DomainError(f"{name} must be a map of names to numbers, got {value!r}")
+def check_type(name: str, value: object, kind: type, what: str = "") -> None:
+    """The one type rule: the named parameter's value is a ``kind``, ``what`` if it is named."""
+    if not isinstance(value, kind):
+        what = what or f"a{'n' * (kind.__name__[0] in 'AEIOU')} {kind.__name__}"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
 
 
 def check_nonneg(name: str, value: float) -> None:
@@ -312,7 +313,7 @@ class EconParams:
     product_prices: Mapping[str, float] = field(default_factory=dict)  # [$ / ton]
 
     def __post_init__(self):
-        check_map("product_prices", self.product_prices)
+        check_type("product_prices", self.product_prices, Mapping, "a map of names to numbers")
         for name, value in ([(n, getattr(self, n)) for n in _NUMBER_FIELDS]
                             + [(f"e_des[{i + 1}]", e) for i, e in enumerate(self.e_des)]
                             + [(f"product_prices[{k}]", v) for k, v in self.product_prices.items()]):
@@ -324,9 +325,7 @@ class EconParams:
                 check_nonneg(name, value)
         if type(self.horizon_years) is not int or self.horizon_years < 1:   # a bool is no int
             raise DomainError(f"horizon_years must be an integer >= 1, got {self.horizon_years!r}")
-        if type(self.include_hydrogen_capital) is not bool:
-            raise DomainError("include_hydrogen_capital must be true or false, got "
-                              f"{self.include_hydrogen_capital!r}")
+        check_type("include_hydrogen_capital", self.include_hydrogen_capital, bool, "true or false")
         object.__setattr__(self, "e_des", tuple(float(e) for e in self.e_des))
         object.__setattr__(self, "product_prices",
                            FrozenMap((k, float(v)) for k, v in self.product_prices.items()))

@@ -968,6 +968,12 @@ class TestScorecard:
                 (r["computed"] - float(r["reference"])) / abs(float(r["reference"])))
         assert rows[4]["relative_error"] == (computed + 80) / 80
 
+    def test_a_zero_reference_has_no_relative_error(self):
+        rows = scorecard(CFG, [{"quantity": "xi_h", "product": "methane", "value": value}
+                               for value in ("0", "0.0")])
+        assert [(r["computed"], r["relative_error"], r["tolerance"], r["pass"]) for r in rows] == [
+            (METHANE.xi_h, "", 0.5, True), (METHANE.xi_h, "", 0.05, False)]
+
     def test_every_reuse_daily_cost_row_and_no_other_has_a_per_ton_gap(self):
         gaps = {(r["plant"], r["product"], r["beta"]): r["gap_usd_per_ton"] for r in self.ROWS
                 if r["gap_usd_per_ton"] != ""}

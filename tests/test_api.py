@@ -294,6 +294,38 @@ D = ew.DomainError
      "unsupported elements in formula: ['N']"),
     (lambda: ew.SweepGrid((), (ew.METHANE,), (1.0,), ew.Desalination()), D,
      "sweep grid needs at least one plant"),
+    # a plant, a parameter set, a product and a strategy are checked by check_type where they
+    # enter: the cell rule, the grid, the curve and nexus_rates
+    *[(build, D, f"plant must be a PlantSpec, got {p!r}") for build, p in (
+        (lambda: ew.ScenarioConfig(plant=None, econ=ECON), None),
+        (lambda: ew.ScenarioConfig(plant="biomass", econ=ECON), "biomass"),
+        (lambda: ew.SweepGrid([None], (ew.METHANE,), (1.0,), ew.Desalination()), None),
+        (lambda: ew.breakeven_distance(ew.BreakevenQuery(None, ew.METHANE), ECON), None),
+        (lambda: ew.penalty_threshold(None, ew.StoreAll(), ECON), None),
+        (lambda: ew.transfer_cost_curve(None, [60.0], [1.0], ECON, ew.METHANE), None),
+        (lambda: ew.nexus_rates(None, ew.METHANE, 0.5), None))],
+    *[(build, D, "econ must be an EconParams, got None") for build in (
+        lambda: ew.ScenarioConfig(plant=BIOMASS, econ=None),
+        lambda: ew.breakeven_distance(ew.BreakevenQuery(BIOMASS, ew.METHANE), None),
+        lambda: ew.penalty_threshold(BIOMASS, ew.StoreAll(), None),
+        lambda: ew.transfer_cost_curve(BIOMASS, [60.0], [1.0], None, ew.METHANE))],
+    *[(build, D, f"product must be a ProductSpec, got {x!r}") for build, x in (
+        (lambda: ew.ScenarioConfig(plant=BIOMASS, econ=ECON, beta=1.0, product="methane",
+                                   water_mode=ew.Desalination()), "methane"),
+        (lambda: ew.SweepGrid([BIOMASS], ["methane"], (1.0,), ew.Desalination()), "methane"),
+        (lambda: ew.penalty_threshold(BIOMASS, ew.ReuseAll("methane"), ECON,
+                                      ew.Desalination()), "methane"),
+        (lambda: ew.transfer_cost_curve(BIOMASS, [60.0], [1.0], ECON, None), None),
+        (lambda: ew.nexus_rates(BIOMASS, None, 0.5), None))],
+    (lambda: ew.penalty_threshold(BIOMASS, "store", ECON), D,
+     "strategy must be a StoreAll or ReuseAll, got 'store'"),
+    # a product checks its own fields: its name by a plant's rule and words
+    *[(lambda n=n: ew.ProductSpec(n, {"C": 1, "H": 4}), D,
+       f"product name must be a non-empty string, got {n!r}") for n in (None, "")],
+    (lambda: ew.ProductSpec("x", None), D,
+     "formula must be a map of elements to atom counts, got None"),
+    (lambda: ew.ProductSpec("x", {"C": 1, "H": 4}, None), D,
+     "atomic_masses must be an AtomicMasses, got None"),
 ], ids=["beta=-0.1", "beta=1.1", "beta=nan", "beta=True", "beta='0.5'",
         "loaded-scenario-beta=None", "nexus_rates-beta=[0.5]", "profile-above-cbar",
         "curve-flow=-1", "curve-flow=nan", "curve-flow-above-W", "curve-distance=-1",
@@ -305,7 +337,14 @@ D = ew.DomainError
         "plant-capacity=500", "transfer-distance=5", "quantity-unit=None", "quantity-unit=5",
         "series-unit=None", "value_in-unit=None", "curve-distance='60'", "curve-distance=True",
         "curve-flow=True", "curve-flow='10'", "profile-list", "atomic-mass=0",
-        "atomic-mass=True", "atomic-mass='0.012'", "element-N", "grid-no-plant"])
+        "atomic-mass=True", "atomic-mass='0.012'", "element-N", "grid-no-plant",
+        "scenario-plant=None", "scenario-plant='biomass'", "grid-plant=None",
+        "breakeven-plant=None", "penalty-plant=None", "curve-plant=None", "nexus_rates-plant=None",
+        "scenario-econ=None", "breakeven-econ=None", "penalty-econ=None", "curve-econ=None",
+        "scenario-product='methane'", "grid-product='methane'", "penalty-product='methane'",
+        "curve-product=None", "nexus_rates-product=None", "penalty-strategy='store'",
+        "product-name=None", "product-name=''", "product-formula=None",
+        "product-atomic_masses=None"])
 def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, error,
                                                                         message):
     if error is None:
@@ -314,6 +353,40 @@ def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, er
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("econ, resolver", [(None, None), (ECON, lambda plant: None)],
+                         ids=["econ=None", "resolver-returns-None"])
+def test_a_sweep_reports_a_parameter_set_of_another_type_in_each_cell(econ, resolver):
+    grid = ew.SweepGrid([BIOMASS], [ew.METHANE], (0.5, 1.0), ew.Desalination())
+    cells = ew.scenario_sweep(grid, econ, econ_resolver=resolver)
+    assert [(c.product, c.beta, c.result) for c in cells] == [
+        ("", 0.0, None), ("methane", 0.5, None), ("methane", 1.0, None)]
+    assert {c.error.split(": ", 1)[1] for c in cells} == {"econ must be an EconParams, got None"}
+
+
+def type_raises(top: ast.AST) -> list[str]:
+    """The error of each raise in ``top`` directly under an ``if not isinstance(...):``."""
+    return [getattr(getattr(n.exc, "func", n.exc), "id", "?")
+            for node in ast.walk(top)
+            if isinstance(node, ast.If) and isinstance(node.test, ast.UnaryOp)
+            and isinstance(node.test.op, ast.Not)
+            and getattr(getattr(node.test.operand, "func", None), "id", None) == "isinstance"
+            for n in node.body if isinstance(n, ast.Raise)]
+
+
+def test_the_type_rule_is_stated_by_check_type_alone():
+    # check_type is the one DomainError of a value's type; the unit rule reports a
+    # non-quantity as no quantity of its dimension, and the loader a YAML document that is
+    # no mapping, each by its own error; check_map was folded into check_type
+    found = [f"{path.stem}.{getattr(top, 'name', top.lineno)}: {error}" for path in SOURCES
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             for error in type_raises(top)]
+    assert found == ["config.load_config_text: ConfigError",
+                     "economics.ScenarioConfig: UnitError", "quantities._field_value: UnitError",
+                     "quantities.check_type: DomainError"]
+    assert [path.name for path in SOURCES
+            if re.search(r"\bcheck_map\b", path.read_text(encoding="utf-8"))] == []
 
 
 def test_the_number_rule_is_stated_by_check_number_alone():

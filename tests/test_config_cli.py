@@ -901,6 +901,8 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [
         ("--distances", "60,abc"), ("--flows", "10,,x"),
         ("--distances", "nan"), ("--distances", "60,inf"), ("--flows", "1,-inf"),
+        # an empty entry is read, and fails, as any other entry
+        ("--distances", "60,"), ("--distances", "1,,2"), ("--flows", ""), ("--distances", ""),
     ])
     def test_malformed_number_list_exits_2(self, flag, value):
         argv = ["--config", "paper-2024", "--command", "curve", "--plant", "biomass",
@@ -1386,7 +1388,7 @@ class TestParseArgs:
 
     def test_values_are_typed_once(self):
         args = parse_args(["--config=paper-2024", "--comm", "curve", "--pl", "coal",
-                           "--dist", "0, 60,", "--flows=1.5", "--beta", "-0", "--beta", "-.5"])
+                           "--dist", "0, 60", "--flows=1.5", "--beta", "-0", "--beta", "-.5"])
         assert (args.config, args.command, args.plant, args.distances, args.flows) == (
             "paper-2024", "curve", "coal", (0.0, 60.0), (1.5,))
         assert repr(args.beta) == "-0.5" and args.format == "table" and args.out is None

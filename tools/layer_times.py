@@ -10,7 +10,8 @@ microseconds per call.  Rows cover the layers of ROADMAP aim 1 (quantity
 construction and conversion, to another unit and to its own, a 24-step profile's
 conversion, a pipe length in km, an ``EconParams`` build with its checks, each cost
 term and the hourly fold they share, ``quantities.add_hourly``, on one 24-hour
-run, the cell assembly, a reuse column's set-up and unset-cost checks
+run, a reuse cell's ``ScenarioConfig`` build and the preset's ``SweepGrid`` with their
+input checks, the cell assembly, a reuse column's set-up and unset-cost checks
 (``economics._column``) and the priced cell's result (``economics._result``) of
 one column, the preset's sweep and one of grid-sweep's shape (3 plants x 3
 products x 11 betas, 102 cells), a break-even solve, config load (of the preset
@@ -141,6 +142,11 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
          lambda: conversion.hydrogen_capital(product, plant.cbar, 1.0, econ)),
         ("conversion.chemical_revenue",
          lambda: conversion.chemical_revenue(product, captured, 1.0, econ)),
+        ("ScenarioConfig, reuse cell",
+         lambda: economics.ScenarioConfig(plant=plant, econ=econ, beta=1.0, product=product,
+                                          water_mode=cfg.water_mode)),
+        ("SweepGrid, the preset's grid",
+         lambda: analysis.SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)),
         ("total_daily_cost, reuse cell", lambda: economics.total_daily_cost(reuse)),
         ("total_daily_cost, storage cell", lambda: economics.total_daily_cost(storage)),
         ("economics._column, reuse column",
