@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from . import economics, water
 from .conversion import ProductSpec, _reuse_rates, nexus_rates
 from .quantities import (HOURS_PER_DAY, DomainError, EconParams, PlantSpec, Quantity,
-                         check_beta, check_number, check_type)
+                         _quantity, check_beta, check_nonneg, check_number, check_type)
 
 if TYPE_CHECKING:
     from .config import LoadedConfig
@@ -85,15 +85,16 @@ def scenario_sweep(grid: SweepGrid, econ: EconParams,
 
     Ordering is deterministic: plants in the given order, the storage row
     first, then products in the given order with betas ascending.  The
-    resolver is called once per plant and each column is set up once; if
-    either fails, each of its cells carries the error.
+    resolver (else ``econ`` for every plant) is called once per plant and each
+    column is set up once; if either fails, each of its cells carries the error.
     """
-    return _sweep(grid, econ, econ_resolver, economics._result)
+    check_type("grid", grid, SweepGrid)
+    return _sweep(grid, econ_resolver or (lambda plant: econ), economics._result)
 
 
-def _sweep(grid: SweepGrid, econ: EconParams, econ_resolver, price) -> tuple[SweepCell, ...]:
-    """``scenario_sweep``'s cells, each with the result ``price(column, beta, storage)``: a
-    product cell's ``storage`` is its plant's ccss pair at its beta, priced once for all products."""
+def _sweep(grid: SweepGrid, econ_of, price) -> tuple[SweepCell, ...]:
+    """``scenario_sweep``'s cells at ``econ_of(plant)``, each with the result ``price(column, beta,
+    storage)``: a product cell's ``storage`` is its plant's ccss pair at its beta, priced once."""
     cells: list[SweepCell] = []
     betas, mode = tuple(sorted(grid.betas)), grid.water_mode
     columns = [(None, "", (0.0,))] + [(p, p.name, betas) for p in grid.products]
@@ -105,7 +106,7 @@ def _sweep(grid: SweepGrid, econ: EconParams, econ_resolver, price) -> tuple[Swe
     set_up, new = economics._column, tuple.__new__
     for plant in grid.plants:
         try:
-            plant_econ = econ if econ_resolver is None else econ_resolver(plant)
+            plant_econ = econ_of(plant)
             check_type("econ", plant_econ, EconParams)
         except ValueError as exc:
             cells += [failed(plant, name, beta, exc) for _, name, col in columns for beta in col]
@@ -132,7 +133,7 @@ def _sweep(grid: SweepGrid, econ: EconParams, econ_resolver, price) -> tuple[Swe
 
 @dataclass(frozen=True)
 class BreakevenQuery:
-    """Search window for the water-transfer break-even distance."""
+    """Search window for the break-even distance: d_lo < d_hi [km], each finite and >= 0."""
 
     plant: PlantSpec
     product: ProductSpec
@@ -140,8 +141,8 @@ class BreakevenQuery:
 
     def __post_init__(self):
         lo, hi = self.distance_bounds
-        check_number("d_lo", lo)
-        check_number("d_hi", hi)
+        check_nonneg("d_lo", lo)
+        check_nonneg("d_hi", hi)
         object.__setattr__(self, "distance_bounds", (float(lo), float(hi)))
         if not lo < hi:
             raise DomainError("distance bounds must satisfy d_lo < d_hi")
@@ -161,8 +162,8 @@ def _minus_desal(column: tuple) -> tuple[tuple[float, float, float], Callable[..
     """``_priced`` at beta = 1 of a product's desalination ``column``; the daily-cost gap
     [$ / day] to that cell with another water capital [$] and operations [$ / day], every
     other term priced once, here; and that gap g(d) with the water piped from d [km], on
-    floats, by the kernels a transfer scenario calls.  A gap has every check and error of a
-    full scenario (a d that is not finite raises as a ``Quantity`` in km would), no ledger.
+    floats, by the kernels a transfer scenario calls.  g takes a window end ``BreakevenQuery``
+    checked; a gap has every check and error of a full scenario, no ledger.
     """
     terms = economics._terms(column, 1.0)
     _, desal_cost, _, penalty, _, _, _ = economics._daily(terms, column)
@@ -172,8 +173,6 @@ def _minus_desal(column: tuple) -> tuple[tuple[float, float, float], Callable[..
         return economics._daily(before + (capital, operations) + after, column)[1] - desal_cost
 
     def g(d_km: float) -> float:
-        if not math.isfinite(d_km):
-            Quantity._computed(d_km, "km")   # raises the finiteness error
         return gap(water.pipe_capital(water.pipe_length_m(d_km, "km"), econ),
                    water.pumping_operational(d_km, captured, product.water_demand, econ))
 
@@ -198,10 +197,10 @@ def _root(query: BreakevenQuery, g: Callable[[float], float]) -> Quantity:
     """``breakeven_distance`` of the gap g(d) [$ / day] over ``query``'s window."""
     lo, hi = query.distance_bounds
     g_lo, g_hi = g(lo), g(hi)
-    if g_lo == 0.0:
-        return Quantity._computed(lo, "km")
+    if g_lo == 0.0:   # a window end, which BreakevenQuery checked
+        return _quantity(lo, "km")
     if g_hi == 0.0:
-        return Quantity._computed(hi, "km")
+        return _quantity(hi, "km")
     if (g_lo > 0) == (g_hi > 0):
         raise NoCrossingError(
             f"no break-even in [{lo:g}, {hi:g}] km: cost gap goes from "
@@ -308,7 +307,7 @@ def penalty_threshold(plant: PlantSpec, strategy: Strategy, econ: EconParams,
     beta, product = (1.0, strategy.product) if isinstance(strategy, ReuseAll) else (0.0, None)
     economics._check_cell(plant, econ, beta, product, water_mode)
     column = economics._column(plant, econ, product, water_mode)
-    return Quantity._computed(_priced(column, beta)[2], "$/ton")
+    return _quantity(_priced(column, beta)[2], "$/ton")   # economics._daily checked it
 
 
 def _priced(column: tuple, beta: float) -> tuple[float, float, float]:

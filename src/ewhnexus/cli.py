@@ -65,7 +65,7 @@ def _row(cell: analysis.SweepCell) -> dict:
 
 def _sweep_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:
     grid = analysis.SweepGrid(cfg.plants, cfg.products, cfg.sweep_betas, cfg.water_mode)
-    return [_row(cell) for cell in analysis._sweep(grid, cfg.econ, cfg.econ_for, _price_row)]
+    return [_row(cell) for cell in analysis._sweep(grid, cfg.econ_for, _price_row)]
 
 
 def _scenario_rows(args: SimpleNamespace, cfg: LoadedConfig) -> list[dict]:

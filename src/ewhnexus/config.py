@@ -200,12 +200,13 @@ class LoadedConfig:
     def econ_for(self, plant: PlantSpec) -> EconParams:
         """``plant``'s calibrated parameters, built with the config for a plant of ``plants``.
 
-        Any other object, even an equal plant, is calibrated on the spot; a
-        DomainError says why its parameters are invalid.
+        Any other plant, even an equal one, is calibrated on the spot; a
+        DomainError says why it or its parameters are invalid.
         """
         for configured, econ in zip(self.plants, self.plant_econs):
             if configured is plant:
                 return econ
+        check_type("plant", plant, PlantSpec)
         return self.calibration.apply(self.econ, plant)
 
     def scenario(self, plant: PlantSpec, product: ProductSpec | None = None,

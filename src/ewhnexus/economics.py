@@ -175,8 +175,8 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple:
     stock [$], flows [$ / day] and n of them operations of a cell's ``_terms`` from ``column``.
 
     The one daily-total rule and the one place a metric is divided out.  It
-    checks, in ledger order, each amount (named by its row's label), the
-    capital charge, then the daily cost, uplift and penalty, with the errors
+    checks each ledger row, the capital charge last, by ``LedgerItem``'s rule in
+    ledger order, then the daily cost, uplift and penalty, with the errors
     their ledger rows and quantities raise; no caller checks them again.
     The uplift is over one hour of full generation, the relation the
     reference cost tables use; kept as-is rather than corrected, although a
@@ -192,15 +192,12 @@ def _daily(terms: tuple[float | None, ...], column: tuple) -> tuple:
     else:
         capital, flows, n = ((cap_ccss, cap_power, cap_water) if cap_h2 is None else (
             cap_ccss, cap_power, cap_h2, cap_water)), (op_ccss, op_water, revenue), 2
-    if not isfinite(sum(capital) + sum(flows)):   # an amount is not finite, or they overflow
-        for row, _, _, amount, _ in _rows(terms, label, 0.0):   # the charge is checked below
-            if not isfinite(amount):
-                raise DomainError(f"ledger amount must be finite ({row})")
     # the totals are fsums of the amounts in hand: fsum is exact, so they equal
     # the ledger's capital_total() and daily_total() in any item order
     charge = daily_capital_charge(stock := _total(capital), econ)
-    if not isfinite(charge):
-        raise DomainError("ledger amount must be finite (daily capital charge)")
+    if not isfinite(sum(capital) + sum(flows) + charge):   # a row is not finite, or they overflow
+        for row in _rows(terms, label, charge):
+            LedgerItem._make(row)   # the first row that is not finite raises
     daily = _total(flows + (charge,))
     price, penalty = daily / plant.capacity_kw, daily / plant.cbar_day
     if not isfinite(daily + price + penalty):   # a metric is not finite, or they overflow

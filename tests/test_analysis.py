@@ -294,10 +294,19 @@ class TestBreakeven:
             breakeven_distance(q, CFG.econ_for(BIOMASS))
         assert (exc_info.value.g_lo > 0) == (exc_info.value.g_hi > 0)
 
-    @pytest.mark.parametrize("bounds", [(10.0, 5.0), (5.0, 5.0)], ids=["reversed", "empty"])
-    def test_bounds_validation(self, bounds):
-        with pytest.raises(DomainError, match=r"^distance bounds must satisfy d_lo < d_hi$"):
+    @pytest.mark.parametrize("bounds, message", [
+        ((10.0, 5.0), "distance bounds must satisfy d_lo < d_hi"),
+        ((5.0, 5.0), "distance bounds must satisfy d_lo < d_hi"),
+        # each end is checked when the query is built, so a solve never sees a bad one
+        ((-5.0, 100.0), "d_lo must be finite and >= 0, got -5.0"),
+        ((-1e-300, 10.0), "d_lo must be finite and >= 0, got -1e-300"),
+        ((10.0, math.inf), "d_hi must be finite and >= 0, got inf"),
+        ((math.nan, 100.0), "d_lo must be finite and >= 0, got nan"),
+    ], ids=["reversed", "empty", "negative", "negative-tiny", "infinite", "nan"])
+    def test_bounds_validation(self, bounds, message):
+        with pytest.raises(DomainError) as info:
             BreakevenQuery(plant=BIOMASS, product=METHANE, distance_bounds=bounds)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("other", [-5.0, 5.0], ids=["other-end-below", "other-end-above"])
     @pytest.mark.parametrize("end", [0, 1], ids=["lo", "hi"])
@@ -389,11 +398,11 @@ def breakeven_cases(draw):
         "c_des": st.floats(0.0, 1e6),
         "interest_rate": st.floats(0.0, 0.2),
         "horizon_years": st.integers(1, 60)}))
-    # the preset's roots lie between 61 and 395 km
-    lo = draw(rarely(st.floats(0.0, 20.0).map(lambda x: x * x),
-                     st.sampled_from([-0.0, -1e-300, -5.0])))
+    # the preset's roots lie between 61 and 395 km; a window end is finite and >= 0
+    # (BreakevenQuery rejects any other), and 1e306 km is no finite length in m
+    lo = draw(rarely(st.floats(0.0, 20.0).map(lambda x: x * x), st.just(-0.0)))
     hi = draw(rarely(st.floats(400.5, 2000.0) | st.floats(lo, 2000.0, exclude_min=True),
-                     st.sampled_from([math.inf, 1e306])))
+                     st.just(1e306)))
     return BreakevenQuery(plant, product, (lo, hi)), replace(calibrated, **over)
 
 
@@ -406,9 +415,9 @@ class TestBreakevenAgainstFullScenarios:
     @example(case=(BreakevenQuery(HUGE, METHANE), CFG.econ_for(HUGE)))
     @example(case=(BreakevenQuery(TINY, METHANE), replace(CFG.econ, c_ccs=1.0)))
     @example(case=(BreakevenQuery(BIOMASS, FORMIC_ACID), CFG.econ_for(BIOMASS)))
-    @example(case=(BreakevenQuery(BIOMASS, METHANE, (-5.0, 100.0)), CFG.econ_for(BIOMASS)))
+    @example(case=(BreakevenQuery(BIOMASS, METHANE, (-0.0, 100.0)), CFG.econ_for(BIOMASS)))
     @example(case=(BreakevenQuery(BIOMASS, METHANE, (62.0, 1000.0)), CFG.econ_for(BIOMASS)))
-    @example(case=(BreakevenQuery(GAS, ETHANOL, (10.0, math.inf)), CFG.econ_for(GAS)))
+    @example(case=(BreakevenQuery(GAS, ETHANOL, (10.0, 1e306)), CFG.econ_for(GAS)))
     @example(case=(BreakevenQuery(GAS, METHANOL),
                    replace(CFG.econ_for(GAS), include_hydrogen_capital=True)))
     @example(case=(BreakevenQuery(COAL, METHANE), replace(CFG.econ_for(COAL), c_tw=1e303)))

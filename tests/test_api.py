@@ -294,8 +294,9 @@ D = ew.DomainError
      "unsupported elements in formula: ['N']"),
     (lambda: ew.SweepGrid((), (ew.METHANE,), (1.0,), ew.Desalination()), D,
      "sweep grid needs at least one plant"),
-    # a plant, a parameter set, a product and a strategy are checked by check_type where they
-    # enter: the cell rule, the grid, the curve and nexus_rates
+    # a plant, a parameter set, a product, a grid and a strategy are checked by check_type
+    # where they enter: the cell rule, the grid, the sweep, the curve, nexus_rates and a
+    # config's econ_for, before a plant it does not hold is calibrated
     *[(build, D, f"plant must be a PlantSpec, got {p!r}") for build, p in (
         (lambda: ew.ScenarioConfig(plant=None, econ=ECON), None),
         (lambda: ew.ScenarioConfig(plant="biomass", econ=ECON), "biomass"),
@@ -303,7 +304,9 @@ D = ew.DomainError
         (lambda: ew.breakeven_distance(ew.BreakevenQuery(None, ew.METHANE), ECON), None),
         (lambda: ew.penalty_threshold(None, ew.StoreAll(), ECON), None),
         (lambda: ew.transfer_cost_curve(None, [60.0], [1.0], ECON, ew.METHANE), None),
-        (lambda: ew.nexus_rates(None, ew.METHANE, 0.5), None))],
+        (lambda: ew.nexus_rates(None, ew.METHANE, 0.5), None),
+        (lambda: CFG.econ_for(None), None),
+        (lambda: CFG.scenario(None), None))],
     *[(build, D, "econ must be an EconParams, got None") for build in (
         lambda: ew.ScenarioConfig(plant=BIOMASS, econ=None),
         lambda: ew.breakeven_distance(ew.BreakevenQuery(BIOMASS, ew.METHANE), None),
@@ -319,6 +322,7 @@ D = ew.DomainError
         (lambda: ew.nexus_rates(BIOMASS, None, 0.5), None))],
     (lambda: ew.penalty_threshold(BIOMASS, "store", ECON), D,
      "strategy must be a StoreAll or ReuseAll, got 'store'"),
+    (lambda: ew.scenario_sweep(None, ECON), D, "grid must be a SweepGrid, got None"),
     # a product checks its own fields: its name by a plant's rule and words
     *[(lambda n=n: ew.ProductSpec(n, {"C": 1, "H": 4}), D,
        f"product name must be a non-empty string, got {n!r}") for n in (None, "")],
@@ -340,9 +344,11 @@ D = ew.DomainError
         "atomic-mass=True", "atomic-mass='0.012'", "element-N", "grid-no-plant",
         "scenario-plant=None", "scenario-plant='biomass'", "grid-plant=None",
         "breakeven-plant=None", "penalty-plant=None", "curve-plant=None", "nexus_rates-plant=None",
+        "econ_for-plant=None", "loaded-scenario-plant=None",
         "scenario-econ=None", "breakeven-econ=None", "penalty-econ=None", "curve-econ=None",
         "scenario-product='methane'", "grid-product='methane'", "penalty-product='methane'",
         "curve-product=None", "nexus_rates-product=None", "penalty-strategy='store'",
+        "sweep-grid=None",
         "product-name=None", "product-name=''", "product-formula=None",
         "product-atomic_masses=None"])
 def test_each_public_entry_rejects_what_the_cost_terms_no_longer_check(build, error,
@@ -387,6 +393,18 @@ def test_the_type_rule_is_stated_by_check_type_alone():
                      "quantities.check_type: DomainError"]
     assert [path.name for path in SOURCES
             if re.search(r"\bcheck_map\b", path.read_text(encoding="utf-8"))] == []
+
+
+def test_each_computed_float_is_checked_once():
+    # BreakevenQuery checks a window end and economics._daily a cell's rows, so _computed
+    # checks only the floats no entry checked: the computed root and _daily's metrics
+    assert holders(calls("_computed")) == ["analysis._root", "economics._daily"]
+
+
+def test_the_ledger_row_rule_is_stated_by_ledger_item_alone():
+    # economics._daily checks a cell's rows through LedgerItem, so no other code words its error
+    assert holders(lambda node: isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and "ledger amount must be finite" in node.value) == ["quantities.LedgerItem"]
 
 
 def test_the_number_rule_is_stated_by_check_number_alone():

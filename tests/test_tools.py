@@ -33,7 +33,7 @@ def test_every_layer_times_row_runs_once():
                   "EconParams, one field replaced", "Quantity.value_in('$/ton'), its own unit",
                   "TimeSeries.values_in('ton/h'), 24 ton/day steps",
                   "water.pipe_length_m(100.0, 'km')", "ScenarioConfig, reuse cell",
-                  "SweepGrid, the preset's grid"):
+                  "SweepGrid, the preset's grid", "BreakevenQuery, a window"):
         assert label in labels
     for _, call in rows:
         call()

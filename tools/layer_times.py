@@ -14,7 +14,8 @@ run, a reuse cell's ``ScenarioConfig`` build and the preset's ``SweepGrid`` with
 input checks, the cell assembly, a reuse column's set-up and unset-cost checks
 (``economics._column``) and the priced cell's result (``economics._result``) of
 one column, the preset's sweep and one of grid-sweep's shape (3 plants x 3
-products x 11 betas, 102 cells), a break-even solve, config load (of the preset
+products x 11 betas, 102 cells), a break-even query's build with its window
+check, a break-even solve, config load (of the preset
 and of a config file, whose text is read on every call) and dump, a fresh
 interpreter's import of the package and of its CLI) and the CLI's path:
 ``cli.parse_args`` on a penalty call's flags, the row pricer
@@ -156,6 +157,8 @@ def rows() -> list[tuple[str, Callable[[], object]]]:
         (f"LoadedConfig.sweep, {len(cells)} cells", cfg.sweep),
         ("scenario_sweep, 102 cells (grid-sweep's shape)",
          lambda: analysis.scenario_sweep(grid, cfg.econ, econ_resolver=cfg.econ_for)),
+        ("BreakevenQuery, a window",
+         lambda: analysis.BreakevenQuery(plant, product, (1.0, 300.0))),
         ("breakeven_distance", lambda: analysis.breakeven_distance(query, econ)),
         ("breakeven_distance, no crossing", no_crossing),
         ("penalty_threshold, reuse-all",
